@@ -70,9 +70,11 @@ from .event_study import (
     average_cumulative_return,
     compute_intraday_pattern,
     deseasonalize,
+    extract_stock_trajectories,
     extract_trajectory,
     group_average,
     measure_series,
+    resampled_means,
     reversal_stats,
     stability_stat,
     write_curve_csv,

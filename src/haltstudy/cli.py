@@ -79,6 +79,10 @@ class RunConfig:
         for w in self.windows:
             if w not in ALLOWED_TREND_WINDOWS:
                 raise ConfigError(f"robustness window {w} not allowed")
+        try:
+            self.analysis()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def eligibility(self) -> EligibilityConfig:
         return EligibilityConfig(

@@ -12,6 +12,12 @@ to zero at t = 0.
 All averaging uses running (Welford) accumulation in sorted event order,
 so results are independent of input order and bitwise reproducible; it
 also keeps the mean of N identical series exactly equal to that series.
+Many averages are accumulated in lockstep: one update adds the next
+member to every slot of a block, such as every event and measure of a
+stock (one lookback day at a time) or every bootstrap resample (one
+sample position at a time). Each slot still sees the same IEEE
+operations in the same order as a lone average would, so lockstep and
+one-at-a-time results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -19,19 +25,21 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
     EmptyGroup,
+    HaltStudyError,
     InsufficientHistory,
     InsufficientPostWindow,
     InsufficientWindow,
     NoData,
     ZeroBaseline,
 )
-from .events import EventSign, HaltEvent, HaltType, group_name
+from .events import EventSign, HaltEvent, HaltRecord, HaltType, group_name
 from .market_data import MINUTES_PER_DAY, Panel
 
 # event-time windows, in traded minutes
@@ -55,15 +63,17 @@ class MeasureKind(Enum):
 class _Welford:
     """Per-slot running mean and spread that skip missing (NaN) entries.
 
-    Updates add zero increments for slots where the incoming value is
-    missing or identical to the running mean, so averaging N copies of
-    one series reproduces it bit for bit and its spread is exactly 0.
+    Slots form an array of any shape; every update is elementwise, so a
+    slot's result does not depend on the other slots it shares a block
+    with. Updates add zero increments for slots where the incoming value
+    is missing or identical to the running mean, so averaging N copies
+    of one series reproduces it bit for bit and its spread is exactly 0.
     """
 
-    def __init__(self, size: int):
-        self.n = np.zeros(size, dtype=np.int64)
-        self.mean = np.zeros(size)
-        self.m2 = np.zeros(size)
+    def __init__(self, shape: int | tuple[int, ...]):
+        self.n = np.zeros(shape, dtype=np.int64)
+        self.mean = np.zeros(shape)
+        self.m2 = np.zeros(shape)
 
     def add(self, values: np.ndarray) -> None:
         ok = ~np.isnan(values)
@@ -80,7 +90,7 @@ class _Welford:
         return np.where(self.n > 0, self.mean, np.nan)
 
     def sample_stds(self) -> np.ndarray:
-        out = np.full(self.n.size, np.nan)
+        out = np.full(self.n.shape, np.nan)
         two = self.n >= 2
         out[two] = np.sqrt(self.m2[two] / (self.n[two] - 1))
         return out
@@ -88,6 +98,20 @@ class _Welford:
     def stderrs(self) -> np.ndarray:
         with np.errstate(invalid="ignore"):
             return self.sample_stds() / np.sqrt(self.n)
+
+
+def _lockstep_welford(rows: np.ndarray, members: np.ndarray) -> _Welford:
+    """Average ``rows`` (shape ``(..., N, W)``) over ``members`` in lockstep.
+
+    ``members`` is a ``(B, K)`` matrix of row positions; slot block b
+    averages rows ``members[b, 0], members[b, 1], ...`` in that order.
+    Each update adds column k for every block at once, giving a
+    ``(..., B, W)`` accumulator.
+    """
+    acc = _Welford(rows.shape[:-2] + (members.shape[0], rows.shape[-1]))
+    for k in range(members.shape[1]):
+        acc.add(rows[..., members[:, k], :])
+    return acc
 
 
 @dataclass(frozen=True)
@@ -180,7 +204,7 @@ def measure_series(panel: Panel, stock_id: str,
     Only real (non-filled) bars carry values. Absolute returns also need
     a bar at the previous traded minute; spreads need both quotes.
     """
-    real = panel.present_mask(stock_id) & ~panel.synthetic_mask(stock_id)
+    real = panel.real_mask(stock_id)
     if measure is MeasureKind.ABSOLUTE_RETURN:
         lnp = panel.log_prices(stock_id)
         ok = real.copy()
@@ -193,6 +217,67 @@ def measure_series(panel: Panel, stock_id: str,
         return np.where(real, panel.volumes(stock_id), np.nan)
     spread = panel.asks(stock_id) - panel.bids(stock_id)
     return np.where(real, spread, np.nan)
+
+
+def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
+    # calendar days on which the stock has at least one real bar
+    real = panel.real_mask(stock_id)
+    return np.flatnonzero(
+        real.reshape(panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1))
+
+
+def _lookback_days(panel: Panel, active: np.ndarray, rec: HaltRecord,
+                   lookback: int) -> np.ndarray:
+    # the ``lookback`` most recent active days before the halt day
+    active = active[active < panel.calendar.day_index(rec.halt_day)]
+    if active.size < lookback:
+        raise InsufficientHistory(
+            f"{rec.stock_id}: {active.size} active days before "
+            f"{rec.halt_day}, need {lookback}")
+    return active[-lookback:]
+
+
+def _event_minutes(panel: Panel, rec: HaltRecord, pre_window: int,
+                   post_window: int) -> np.ndarray:
+    # global minutes of t = -pre_window..post_window, once the stock's
+    # bars are known to cover them
+    cal = panel.calendar
+    g_begin = rec.global_begin(cal)
+    g_resume = rec.global_resume(cal)
+    if g_begin - pre_window < 0:
+        raise InsufficientHistory(
+            f"{rec.stock_id}: pre window starts before the calendar")
+    try:
+        first, last = panel.coverage(rec.stock_id)
+    except NoData as exc:
+        raise InsufficientHistory(str(exc)) from None
+    if first > g_begin - pre_window:
+        raise InsufficientHistory(
+            f"{rec.stock_id}: bars start inside the pre window")
+    if last < g_resume + post_window:
+        raise InsufficientPostWindow(
+            f"{rec.stock_id}: bars end {g_resume + post_window - last} "
+            "minutes short of the post window")
+    return np.concatenate([np.arange(g_begin - pre_window, g_begin),
+                           np.arange(g_resume, g_resume + post_window + 1)])
+
+
+def _deseasonalize_block(raw: np.ndarray,
+                         base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # raw / base where raw was observed, NaN elsewhere; ``bad`` marks the
+    # observed slots whose baseline is zero or undefined
+    observed = ~np.isnan(raw)
+    values = np.full(raw.shape, np.nan)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        bad = observed & ~(base > 0)
+        values[observed] = raw[observed] / base[observed]
+    return values, bad
+
+
+def _zero_baseline(rec: HaltRecord, t: np.ndarray,
+                   bad: np.ndarray) -> ZeroBaseline:
+    return ZeroBaseline(
+        f"{rec.stock_id}: unusable baseline at event minute {int(t[bad][0])}")
 
 
 def compute_intraday_pattern(panel: Panel, event: HaltEvent,
@@ -209,21 +294,12 @@ def compute_intraday_pattern(panel: Panel, event: HaltEvent,
     if lookback < 1:
         raise ValueError("lookback must be positive")
     rec = event.record
-    cal = panel.calendar
-    real = panel.present_mask(rec.stock_id) & ~panel.synthetic_mask(rec.stock_id)
-    active = np.flatnonzero(
-        real.reshape(cal.n_days, MINUTES_PER_DAY).any(axis=1))
-    active = active[active < cal.day_index(rec.halt_day)]
-    if active.size < lookback:
-        raise InsufficientHistory(
-            f"{rec.stock_id}: {active.size} active days before "
-            f"{rec.halt_day}, need {lookback}")
+    days = _lookback_days(panel, _active_days(panel, rec.stock_id), rec,
+                          lookback)
     series = measure_series(panel, rec.stock_id, measure)
-    acc = _Welford(MINUTES_PER_DAY)
-    for d in active[-lookback:]:
-        start = int(d) * MINUTES_PER_DAY
-        acc.add(series[start:start + MINUTES_PER_DAY])
-    return IntradayPattern(measure, lookback, acc.means(), acc.counts())
+    acc = _lockstep_welford(
+        series.reshape(panel.calendar.n_days, MINUTES_PER_DAY), days[None, :])
+    return IntradayPattern(measure, lookback, acc.means()[0], acc.counts()[0])
 
 
 def deseasonalize(value: float, baseline: float) -> float:
@@ -245,43 +321,98 @@ def extract_trajectory(panel: Panel, event: HaltEvent, measure: MeasureKind,
     ZeroBaseline.
     """
     rec = event.record
-    cal = panel.calendar
-    g_begin = rec.global_begin(cal)
-    g_resume = rec.global_resume(cal)
-    if g_begin - pre_window < 0:
-        raise InsufficientHistory(
-            f"{rec.stock_id}: pre window starts before the calendar")
-    try:
-        first, last = panel.coverage(rec.stock_id)
-    except NoData as exc:
-        raise InsufficientHistory(str(exc)) from None
-    if first > g_begin - pre_window:
-        raise InsufficientHistory(
-            f"{rec.stock_id}: bars start inside the pre window")
-    if last < g_resume + post_window:
-        raise InsufficientPostWindow(
-            f"{rec.stock_id}: bars end {g_resume + post_window - last} "
-            "minutes short of the post window")
+    gs = _event_minutes(panel, rec, pre_window, post_window)
     if pattern is None:
         pattern = compute_intraday_pattern(panel, event, measure)
     elif pattern.measure is not measure:
         raise ValueError("pattern measure does not match")
     series = measure_series(panel, rec.stock_id, measure)
-    gs = np.concatenate([np.arange(g_begin - pre_window, g_begin),
-                         np.arange(g_resume, g_resume + post_window + 1)])
-    raw = series[gs]
-    base = pattern.values[gs % MINUTES_PER_DAY]
-    observed = ~np.isnan(raw)
-    with np.errstate(invalid="ignore"):
-        bad = observed & ~(base > 0)
+    t = np.arange(-pre_window, post_window + 1)
+    values, bad = _deseasonalize_block(series[gs],
+                                       pattern.values[gs % MINUTES_PER_DAY])
     if bad.any():
-        t_bad = int(np.arange(-pre_window, post_window + 1)[bad][0])
-        raise ZeroBaseline(
-            f"{rec.stock_id}: unusable baseline at event minute {t_bad}")
-    values = np.full(raw.size, np.nan)
-    values[observed] = raw[observed] / base[observed]
-    return EventTrajectory(event, measure,
-                           np.arange(-pre_window, post_window + 1), values)
+        raise _zero_baseline(rec, t, bad)
+    return EventTrajectory(event, measure, t, values)
+
+
+def extract_stock_trajectories(
+        panel: Panel, events: Sequence[HaltEvent],
+        measures: Sequence[MeasureKind] = tuple(MeasureKind),
+        lookback: int = DEFAULT_LOOKBACK_DAYS,
+        pre_window: int = MEASURE_PRE_WINDOW,
+        post_window: int = POST_WINDOW,
+) -> list[dict[MeasureKind, EventTrajectory]]:
+    """Trajectories of many events and measures, one pass per stock.
+
+    The result is bitwise equal to calling :func:`compute_intraday_pattern`
+    and then :func:`extract_trajectory` for every event and measure, and
+    is aligned with ``events``: one dict per event, keyed by measure.
+    Per stock, the active days and each measure's series are computed
+    once, and the baselines of all its events and measures are averaged
+    in lockstep, one lookback day at a time. Work runs in sorted
+    (stock_id, halt begin) order and then measure order; the first
+    failing (event, measure) in that order raises the same error the
+    per-event calls would.
+    """
+    if lookback < 1:
+        raise ValueError("lookback must be positive")
+    if not measures:
+        raise ValueError("need at least one measure")
+    order = sorted(range(len(events)), key=lambda i: events[i].record.sort_key())
+    out: list = [None] * len(events)
+    for stock_id, run in groupby(order, key=lambda i: events[i].record.stock_id):
+        idx = list(run)
+        per_event = _stock_trajectories(panel, stock_id,
+                                        [events[i] for i in idx], measures,
+                                        lookback, pre_window, post_window)
+        for i, trajectories in zip(idx, per_event):
+            out[i] = trajectories
+    return out
+
+
+def _stock_trajectories(panel: Panel, stock_id: str,
+                        events: Sequence[HaltEvent],
+                        measures: Sequence[MeasureKind], lookback: int,
+                        pre_window: int, post_window: int,
+                        ) -> list[dict[MeasureKind, EventTrajectory]]:
+    # ``events`` are one stock's, sorted. The first event failing its
+    # window checks ends the batch; its error is raised only after the
+    # events before it have passed their per-measure baseline checks.
+    active = _active_days(panel, stock_id)
+    days, minutes = [], []
+    failure = None
+    for ev in events:
+        try:
+            window = _lookback_days(panel, active, ev.record, lookback)
+            gs = _event_minutes(panel, ev.record, pre_window, post_window)
+        except HaltStudyError as exc:
+            failure = exc
+            break
+        days.append(window)
+        minutes.append(gs)
+    out = []
+    if days:
+        series = np.stack([measure_series(panel, stock_id, m) for m in measures])
+        by_day = series.reshape(len(measures), panel.calendar.n_days,
+                                MINUTES_PER_DAY)
+        pattern = _lockstep_welford(by_day, np.array(days)).means()
+        gs = np.array(minutes)
+        rows = np.arange(gs.shape[0])[:, None]
+        values, bad = _deseasonalize_block(
+            series[:, gs], pattern[:, rows, gs % MINUTES_PER_DAY])
+        t = np.arange(-pre_window, post_window + 1)
+        t.setflags(write=False)
+        for e, ev in enumerate(events[:len(days)]):
+            trajectories = {}
+            for k, measure in enumerate(measures):
+                if bad[k, e].any():
+                    raise _zero_baseline(ev.record, t, bad[k, e])
+                trajectories[measure] = EventTrajectory(ev, measure, t,
+                                                        values[k, e])
+            out.append(trajectories)
+    if failure is not None:
+        raise failure
+    return out
 
 
 def _check_same_group(events: Sequence[HaltEvent]) -> tuple[HaltType, EventSign]:
@@ -295,6 +426,22 @@ def _check_same_group(events: Sequence[HaltEvent]) -> tuple[HaltType, EventSign]
     return halt_type, sign
 
 
+def _sorted_group(trajectories: Iterable[EventTrajectory],
+                  ) -> tuple[list[EventTrajectory], HaltType, EventSign]:
+    # event-key order, checked to share one group, measure and t axis
+    trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
+    if not trajs:
+        raise EmptyGroup("no trajectories to average")
+    halt_type, sign = _check_same_group([tr.event for tr in trajs])
+    head = trajs[0]
+    for tr in trajs:
+        if tr.measure is not head.measure:
+            raise ValueError("trajectories mix measures")
+        if not np.array_equal(tr.t, head.t):
+            raise ValueError("trajectories use different event-time axes")
+    return trajs, halt_type, sign
+
+
 def group_average(trajectories: Iterable[EventTrajectory]) -> GroupAverage:
     """Equal-weight per-t mean with per-t standard error and count.
 
@@ -302,20 +449,34 @@ def group_average(trajectories: Iterable[EventTrajectory]) -> GroupAverage:
     ascending (stock_id, halt begin) order, so the result is identical
     however the trajectories were produced or ordered.
     """
-    trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
-    if not trajs:
-        raise EmptyGroup("no trajectories to average")
-    halt_type, sign = _check_same_group([tr.event for tr in trajs])
+    trajs, halt_type, sign = _sorted_group(trajectories)
+    acc = _lockstep_welford(np.stack([tr.values for tr in trajs]),
+                            np.arange(len(trajs))[None, :])
     head = trajs[0]
-    acc = _Welford(head.values.size)
-    for tr in trajs:
-        if tr.measure is not head.measure:
-            raise ValueError("trajectories mix measures")
-        if not np.array_equal(tr.t, head.t):
-            raise ValueError("trajectories use different event-time axes")
-        acc.add(tr.values)
     return GroupAverage(head.measure, halt_type, sign, head.t.copy(),
-                        acc.means(), acc.stderrs(), acc.counts())
+                        acc.means()[0], acc.stderrs()[0], acc.counts()[0])
+
+
+def resampled_means(trajectories: Sequence[EventTrajectory],
+                    indices: np.ndarray) -> np.ndarray:
+    """Per-t group means of many resamples at once, one row per resample.
+
+    ``indices`` holds one row per resample of positions into the
+    trajectories sorted by event key. Row r is bitwise equal to the mean
+    of :func:`group_average` over ``[sorted[i] for i in indices[r]]``:
+    each row is put into the order that function sorts its members in,
+    and all rows are then accumulated together, one sample position at
+    a time.
+    """
+    trajs, _, _ = _sorted_group(trajectories)
+    first: dict = {}
+    rank = np.array([first.setdefault(tr.event.record.sort_key(), i)
+                     for i, tr in enumerate(trajs)])
+    indices = np.asarray(indices)
+    order = np.argsort(rank[indices], axis=1, kind="stable")
+    members = np.take_along_axis(indices, order, axis=1)
+    return _lockstep_welford(np.stack([tr.values for tr in trajs]),
+                             members).means()
 
 
 def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],

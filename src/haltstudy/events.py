@@ -18,6 +18,8 @@ from datetime import date
 from enum import Enum
 from typing import IO, Iterable
 
+import numpy as np
+
 from .errors import (
     InsufficientHistory,
     InvalidInterval,
@@ -224,18 +226,18 @@ def _has_coverage(panel: Panel, record: HaltRecord,
     return first <= g_pre - config.history_minutes and g_pre <= last
 
 
-def _prior_real_days(panel: Panel, record: HaltRecord) -> int:
-    cal = panel.calendar
-    real = panel.present_mask(record.stock_id) & ~panel.synthetic_mask(record.stock_id)
-    per_day = real.reshape(cal.n_days, MINUTES_PER_DAY).any(axis=1)
-    return int(per_day[:cal.day_index(record.halt_day)].sum())
+def _real_bars(panel: Panel, stock_id: str) -> tuple[np.ndarray, np.ndarray]:
+    # real-bar mask, and per calendar day the number of earlier days on
+    # which the stock has a real bar
+    real = panel.real_mask(stock_id)
+    per_day = real.reshape(panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1)
+    return real, np.concatenate(([0], np.cumsum(per_day)))
 
 
-def _worst_gap_fraction(panel: Panel, record: HaltRecord,
-                        config: EligibilityConfig) -> float:
-    real = panel.present_mask(record.stock_id) & ~panel.synthetic_mask(record.stock_id)
-    g_pre = record.global_pre(panel.calendar)
-    g_resume = record.global_resume(panel.calendar)
+def _worst_gap_fraction(real: np.ndarray, calendar: TradingCalendar,
+                        record: HaltRecord, config: EligibilityConfig) -> float:
+    g_pre = record.global_pre(calendar)
+    g_resume = record.global_resume(calendar)
     windows = (
         (g_pre - config.trend_window, g_pre),
         (g_pre - config.pre_window, g_pre),
@@ -250,8 +252,9 @@ def _worst_gap_fraction(panel: Panel, record: HaltRecord,
 
 
 def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
-                      successive: list[bool],
-                      config: EligibilityConfig) -> RejectionReason | None:
+                      successive: list[bool], config: EligibilityConfig,
+                      real_bars: tuple[np.ndarray, np.ndarray] | None,
+                      ) -> RejectionReason | None:
     cal = panel.calendar
     if successive[index]:
         return RejectionReason.SUCCESSIVE
@@ -262,12 +265,13 @@ def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
         return RejectionReason.TOO_LONG
     if not _has_coverage(panel, record, config):
         return RejectionReason.INSUFFICIENT_HISTORY
-    if _prior_real_days(panel, record) < config.lookback_days:
+    real, prior_days = real_bars
+    if prior_days[cal.day_index(record.halt_day)] < config.lookback_days:
         return RejectionReason.INSUFFICIENT_HISTORY
     last = panel.coverage(record.stock_id)[1]
     if last < record.global_resume(cal) + config.post_window:
         return RejectionReason.INSUFFICIENT_POST_WINDOW
-    if _worst_gap_fraction(panel, record, config) > config.max_gap_fraction:
+    if _worst_gap_fraction(real, cal, record, config) > config.max_gap_fraction:
         return RejectionReason.DATA_GAP
     return None
 
@@ -301,13 +305,15 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
             for j in indices:
                 if j != i and lo <= begins[j] <= hi:
                     successive[i] = successive[j] = True
+    real_bars = {s: _real_bars(panel, s) for s in by_stock if s in panel}
     events = []
     for i, rec in enumerate(ordered):
         halt_type = classify_halt_type(rec, cal)
         sign = None
         if _has_coverage(panel, rec, config):
             sign = classify_sign(panel, rec, config.trend_window)
-        reason = _rejection_reason(panel, rec, i, successive, config)
+        reason = _rejection_reason(panel, rec, i, successive, config,
+                                   real_bars.get(rec.stock_id))
         events.append(HaltEvent(rec, halt_type, sign, reason))
     return events
 

@@ -276,6 +276,11 @@ class Panel:
     def synthetic_mask(self, stock_id: str) -> np.ndarray:
         return self._data(stock_id).synthetic
 
+    def real_mask(self, stock_id: str) -> np.ndarray:
+        """True at minutes with an observed, not forward-filled, bar."""
+        d = self._data(stock_id)
+        return d.present & ~d.synthetic
+
     def log_prices(self, stock_id: str) -> np.ndarray:
         """Natural log of last prices (NaN where absent); cached per stock."""
         cached = self._log_cache.get(stock_id)
@@ -468,7 +473,7 @@ def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
         volume = panel.volumes(stock_id)
         bid = panel.bids(stock_id)
         ask = panel.asks(stock_id)
-        real = panel.present_mask(stock_id) & ~panel.synthetic_mask(stock_id)
+        real = panel.real_mask(stock_id)
         for g in np.flatnonzero(real):
             day, minute = cal.location(int(g))
             writer.writerow([

@@ -1,10 +1,12 @@
 """End-to-end analysis: fill, filter, deseasonalize, average, fit, report.
 
-The per-event stage (pattern plus trajectory extraction) is
-embarrassingly parallel and may run on a thread pool; events enter in
-sorted (stock_id, halt begin) order and results are reduced in that
-same order, so output is bitwise identical for any worker count. All
-file writing happens in one final single-threaded phase.
+The trajectory stage (baselines plus event-time series) works one
+stock at a time, covering all of that stock's eligible events and
+measures in one lockstep pass. Stocks are independent and may run on a
+thread pool; they enter in sorted stock order and their results are
+reduced in that same order, so output is bitwise identical for any
+worker count. All file writing happens in one final single-threaded
+phase.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -40,8 +43,7 @@ from .event_study import (
     MeasureKind,
     SERIES_CSV_HEADER,
     average_cumulative_return,
-    compute_intraday_pattern,
-    extract_trajectory,
+    extract_stock_trajectories,
     group_average,
     reversal_stats,
     write_curve_csv,
@@ -67,7 +69,8 @@ ALL_MEASURES = tuple(MeasureKind)
 class AnalysisConfig:
     """Everything one analysis run depends on, apart from the data.
 
-    ``n_workers`` only controls scheduling; results are identical for
+    ``n_workers`` only controls scheduling: it is the number of threads
+    the trajectory stage spreads stocks over. Results are identical for
     any value, which is why it is left out of the echoed configuration.
     ``n_bootstrap`` of 0 skips bootstrap errors entirely.
     """
@@ -126,23 +129,24 @@ def run_analysis(panel: Panel, records: Sequence[HaltRecord],
     events = tuple(filter_eligibility(records, filled, config.eligibility))
     counts = tabulate_counts(events)
     eligible = [ev for ev in events if ev.eligible]
+    # events arrive sorted, so each stock's events are one contiguous run
+    stocks = [list(run) for _, run in
+              groupby(eligible, key=lambda ev: ev.record.stock_id)]
 
-    def event_work(ev: HaltEvent) -> dict[MeasureKind, EventTrajectory]:
-        out = {}
-        for measure in config.measures:
-            pattern = compute_intraday_pattern(filled, ev, measure,
-                                               config.eligibility.lookback_days)
-            out[measure] = extract_trajectory(
-                filled, ev, measure, pattern,
-                config.eligibility.measure_pre_window,
-                config.eligibility.post_window)
-        return out
+    def stock_work(members: list[HaltEvent],
+                   ) -> list[dict[MeasureKind, EventTrajectory]]:
+        return extract_stock_trajectories(
+            filled, members, config.measures,
+            config.eligibility.lookback_days,
+            config.eligibility.measure_pre_window,
+            config.eligibility.post_window)
 
-    if config.n_workers == 1 or len(eligible) < 2:
-        per_event = [event_work(ev) for ev in eligible]
+    if config.n_workers == 1 or len(stocks) < 2:
+        per_stock = [stock_work(members) for members in stocks]
     else:
         with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            per_event = list(pool.map(event_work, eligible))
+            per_stock = list(pool.map(stock_work, stocks))
+    per_event = [trajs for part in per_stock for trajs in part]
 
     groups: dict[tuple[HaltType, EventSign], list[int]] = {}
     for i, ev in enumerate(eligible):

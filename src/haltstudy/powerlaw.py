@@ -24,7 +24,7 @@ from .event_study import (
     EventTrajectory,
     GroupAverage,
     MeasureKind,
-    group_average,
+    resampled_means,
 )
 from .events import EventSign, HaltType, group_name
 
@@ -100,11 +100,16 @@ class BootstrapResult:
     n_failed: int
 
 
+def _excess(t: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # z - 1 on t >= 1; ``mean`` may hold one row per resample
+    keep = t >= 1
+    return t[keep], mean[..., keep] - 1.0
+
+
 def make_excess(avg: GroupAverage) -> ExcessSeries:
     """Subtract the baseline level 1 pointwise on t >= 1."""
-    keep = avg.t >= 1
-    return ExcessSeries(avg.measure, avg.halt_type, avg.sign,
-                        avg.t[keep].copy(), avg.mean[keep] - 1.0, avg)
+    t, values = _excess(avg.t, avg.mean)
+    return ExcessSeries(avg.measure, avg.halt_type, avg.sign, t, values, avg)
 
 
 def _initial_guess(t: np.ndarray, z: np.ndarray) -> tuple[float, float]:
@@ -224,8 +229,10 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
     Every resample redoes the averaging and the fit; resamples whose fit
     fails are dropped and counted. The resample index matrix is drawn up
     front from one seeded generator, so the result is reproducible and
-    independent of evaluation order. Identical trajectories give a
-    spread of exactly 0.
+    independent of evaluation order. All resamples are averaged in
+    lockstep (:func:`resampled_means`), each bitwise equal to its own
+    :func:`group_average`, and then fitted one by one. Identical
+    trajectories give a spread of exactly 0.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
     if len(trajs) < 2:
@@ -234,14 +241,14 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
         raise ValueError("n_resamples must be positive")
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
+    t, excess = _excess(trajs[0].t, resampled_means(trajs, indices))
     count = 0
     mean = 0.0
     m2 = 0.0
     failed = 0
-    for row in indices:
-        sample = [trajs[i] for i in row]
+    for values in excess:
         try:
-            fit = fit_power_law(make_excess(group_average(sample)), fit_range)
+            fit = fit_power_law_points(t, values, fit_range)
         except (DegenerateData, NonConvergence):
             failed += 1
             continue

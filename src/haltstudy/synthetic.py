@@ -41,8 +41,7 @@ from .events import (
 from .event_study import (
     MeasureKind,
     POST_WINDOW,
-    compute_intraday_pattern,
-    extract_trajectory,
+    extract_stock_trajectories,
     group_average,
 )
 from .market_data import (
@@ -477,19 +476,22 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
                               fit_range: tuple[int, int],
                               seed: int) -> list[RecoveryRow]:
     filled = forward_fill_all(panel)
-    events = [ev for ev in filter_eligibility(records, filled,
-                                              EligibilityConfig())
+    config = EligibilityConfig()
+    events = [ev for ev in filter_eligibility(records, filled, config)
               if ev.eligible]
+    per_event = extract_stock_trajectories(
+        filled, events, measures, config.lookback_days,
+        config.measure_pre_window, config.post_window)
     planted = {(row.record.stock_id, row.record.halt_day): row
                for row in truth.rows}
-    groups: dict[tuple[HaltType, EventSign], list] = {}
-    for ev in events:
-        groups.setdefault((ev.halt_type, ev.sign), []).append(ev)
+    groups: dict[tuple[HaltType, EventSign], list[int]] = {}
+    for i, ev in enumerate(events):
+        groups.setdefault((ev.halt_type, ev.sign), []).append(i)
     rows = []
     for (halt_type, sign), members in sorted(
             groups.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)):
-        truths = [planted[(ev.record.stock_id, ev.record.halt_day)]
-                  for ev in members]
+        truths = [planted[(events[i].record.stock_id, events[i].record.halt_day)]
+                  for i in members]
         for measure in measures:
             relaxes = {truth_row.event.relaxations[measure]
                        for truth_row in truths}
@@ -501,13 +503,8 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
             fitted_amplitude = float("nan")
             failure = None
             try:
-                trajectories = []
-                for ev in members:
-                    pattern = compute_intraday_pattern(filled, ev, measure)
-                    trajectories.append(
-                        extract_trajectory(filled, ev, measure, pattern))
-                fit = fit_power_law(make_excess(group_average(trajectories)),
-                                    fit_range)
+                average = group_average(per_event[i][measure] for i in members)
+                fit = fit_power_law(make_excess(average), fit_range)
                 fitted_alpha = fit.alpha
                 fitted_amplitude = fit.amplitude
             except (DegenerateData, NonConvergence) as exc:

@@ -268,3 +268,20 @@ def test_bad_robustness_window(flip_inputs, tmp_path, capsys):
                                     "--windows", "90")])
     assert rc == 1
     assert "90" in _stderr_error(capsys)["message"]
+
+
+@pytest.mark.parametrize("flag, value, needle", [
+    ("--workers", "0", "n_workers"),
+    ("--bootstrap", "-1", "n_bootstrap"),
+    ("--lookback-days", "0", "lookback_days"),
+    ("--fit-range", "0:10", "fit range"),
+    ("--max-gap-fraction", "1.5", "max_gap_fraction"),
+])
+def test_bad_analysis_setting_reports_cleanly(synth_inputs, tmp_path, capsys,
+                                              flag, value, needle):
+    rc = main(["run", *_args(synth_inputs, tmp_path / "out", flag, value)])
+    assert rc == 1
+    blob = _stderr_error(capsys)
+    assert blob["error"] == "ConfigError"
+    assert needle in blob["message"]
+    assert not (tmp_path / "out").exists()
