@@ -22,8 +22,6 @@ from .errors import (
     NoData,
     NonConvergence,
     NonPositivePrice,
-    NoPredecessor,
-    OutsideSession,
     OverlapViolation,
     UnknownDay,
     ZeroBaseline,
@@ -36,11 +34,7 @@ from .market_data import (
     TradingCalendar,
     forward_fill,
     forward_fill_all,
-    log_return,
-    merge_panels,
-    minute_to_wall_clock,
     parse_bar_file,
-    wall_clock_to_minute,
     write_bar_csv,
 )
 from .events import (
@@ -69,7 +63,6 @@ from .event_study import (
     MeasureKind,
     average_cumulative_return,
     compute_intraday_pattern,
-    deseasonalize,
     extract_stock_trajectories,
     extract_trajectory,
     group_average,

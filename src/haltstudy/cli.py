@@ -20,53 +20,57 @@ from typing import Sequence
 
 from .errors import ConfigError, HaltStudyError
 from .events import (
+    EligibilityConfig,
     EventSign,
     HaltType,
-    filter_eligibility,
+    group_name,
+    parse_halt_file,
     tabulate_counts,
-    write_count_csv,
-    write_eligibility_report,
 )
-from .event_study import MeasureKind
-from .market_data import TradingCalendar, forward_fill_all, parse_bar_file
-from .events import parse_halt_file
+from .market_data import TradingCalendar, parse_bar_file
 from .pipeline import (
+    FIT_ARTIFACTS,
+    SELECTION_ARTIFACTS,
     AnalysisConfig,
-    EligibilityConfig,
+    AnalysisResult,
     FitConfig,
     run_analysis,
+    select_events,
     write_analysis_outputs,
+    write_sign_flip_csv,
 )
 from .synthetic import build_group_spec, write_synthetic_dataset
 
 ALLOWED_TREND_WINDOWS = (60, 120, 180, 240)
-DEFAULT_ROBUSTNESS_WINDOWS = (60, 120, 180, 240)
-DEFAULT_SYNTH_GROUPS = "intraday_pos:1,intraday_neg:1,oneday_pos:1," \
-                       "oneday_neg:1,interday_pos:1,interday_neg:1"
+DEFAULT_SYNTH_GROUPS = ",".join(f"{group_name(ht, s)}:1"
+                                for ht in HaltType for s in EventSign)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings for one command invocation."""
+    """Resolved settings for one command invocation.
+
+    Analysis settings default to the analysis configuration fields;
+    ``cumulative_window`` is the eligibility ``pre_window``.
+    """
 
     bars: Path | None = None
     calendar: Path | None = None
     halts: Path | None = None
     out: Path | None = None
-    trend_window: int = 240
-    lookback_days: int = 40
-    measure_pre_window: int = 80
-    post_window: int = 160
-    cumulative_window: int = 160
-    max_halt_days: int = 22
-    max_gap_fraction: float = 0.10
-    fit_range: tuple[int, int] = (1, 160)
-    min_r2: float = 0.2
-    n_bootstrap: int = 200
-    seed: int = 0
-    n_workers: int = 1
-    reversal_horizons: tuple[int, ...] = (1, 2)
-    windows: tuple[int, ...] = DEFAULT_ROBUSTNESS_WINDOWS
+    trend_window: int = EligibilityConfig.trend_window
+    lookback_days: int = EligibilityConfig.lookback_days
+    measure_pre_window: int = EligibilityConfig.measure_pre_window
+    post_window: int = EligibilityConfig.post_window
+    cumulative_window: int = EligibilityConfig.pre_window
+    max_halt_days: int = EligibilityConfig.max_halt_days
+    max_gap_fraction: float = EligibilityConfig.max_gap_fraction
+    fit_range: tuple[int, int] = FitConfig.fit_range
+    min_r2: float = FitConfig.min_r2
+    n_bootstrap: int = AnalysisConfig.n_bootstrap
+    seed: int = AnalysisConfig.seed
+    reversal_horizons: tuple[int, ...] = AnalysisConfig.reversal_horizons
+    windows: tuple[int, ...] = ALLOWED_TREND_WINDOWS
     groups: str = DEFAULT_SYNTH_GROUPS
     sigma: float = 0.0
     trend_magnitude: float = 0.08
@@ -84,24 +88,20 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def eligibility(self) -> EligibilityConfig:
-        return EligibilityConfig(
-            trend_window=self.trend_window,
-            lookback_days=self.lookback_days,
-            pre_window=self.cumulative_window,
-            post_window=self.post_window,
-            measure_pre_window=self.measure_pre_window,
-            max_halt_days=self.max_halt_days,
-            max_gap_fraction=self.max_gap_fraction)
-
     def analysis(self) -> AnalysisConfig:
         return AnalysisConfig(
-            eligibility=self.eligibility(),
+            eligibility=EligibilityConfig(
+                trend_window=self.trend_window,
+                lookback_days=self.lookback_days,
+                pre_window=self.cumulative_window,
+                post_window=self.post_window,
+                measure_pre_window=self.measure_pre_window,
+                max_halt_days=self.max_halt_days,
+                max_gap_fraction=self.max_gap_fraction),
             fit=FitConfig(self.fit_range, self.min_r2),
             reversal_horizons=self.reversal_horizons,
             n_bootstrap=self.n_bootstrap,
-            seed=self.seed,
-            n_workers=self.n_workers)
+            seed=self.seed)
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -145,7 +145,6 @@ _FILE_KEYS = {
     "min_r2": _parse_float,
     "n_bootstrap": _parse_int,
     "seed": _parse_int,
-    "n_workers": _parse_int,
     "reversal_horizons": _parse_int_list,
     "windows": _parse_int_list,
     "groups": lambda v, k: v,
@@ -191,6 +190,7 @@ def _require(config: RunConfig, *names: str) -> None:
 
 
 def _load_inputs(config: RunConfig):
+    _require(config, "bars", "calendar", "halts", "out")
     calendar = TradingCalendar.from_file(config.calendar)
     with open(config.bars, newline="") as fh:
         panel = parse_bar_file(fh, calendar)
@@ -200,26 +200,21 @@ def _load_inputs(config: RunConfig):
 
 
 def cmd_run(config: RunConfig) -> int:
-    _require(config, "bars", "calendar", "halts", "out")
     panel, records = _load_inputs(config)
-    result = run_analysis(panel, records, config.analysis())
-    written = write_analysis_outputs(result, config.analysis(), config.out)
+    analysis = config.analysis()
+    result = run_analysis(panel, records, analysis)
+    written = write_analysis_outputs(result, analysis, config.out)
     print(f"wrote {len(written)} files to {config.out}")
     return 0
 
 
 def cmd_counts(config: RunConfig) -> int:
-    _require(config, "bars", "calendar", "halts", "out")
     panel, records = _load_inputs(config)
-    filled = forward_fill_all(panel)
-    events = filter_eligibility(records, filled, config.eligibility())
+    analysis = config.analysis()
+    _, events = select_events(panel, records, analysis)
     table = tabulate_counts(events)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "eligibility.csv", "w", newline="") as fh:
-        write_eligibility_report(events, fh)
-    with open(out / "counts.csv", "w", newline="") as fh:
-        write_count_csv(table, fh)
+    write_analysis_outputs(AnalysisResult(events, table), analysis,
+                           config.out, SELECTION_ARTIFACTS)
     print(f"{'halt_type':<10}{'pos':>6}{'neg':>6}{'total':>7}")
     for ht in HaltType:
         print(f"{ht.value:<10}{table.count(ht, EventSign.POSITIVE):>6}"
@@ -231,76 +226,43 @@ def cmd_counts(config: RunConfig) -> int:
 
 
 def cmd_fit(config: RunConfig) -> int:
-    _require(config, "bars", "calendar", "halts", "out")
     panel, records = _load_inputs(config)
-    result = run_analysis(panel, records, config.analysis())
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    from .powerlaw import write_exponent_csv, write_loglog_csv
-    with open(out / "exponents.csv", "w", newline="") as fh:
-        write_exponent_csv(result.fit_rows, fh)
-    fits = {(r.group, r.measure.value): r.fit for r in result.fit_rows}
-    pairs = [(s, fits.get((s.group, s.measure.value))) for s in result.excess]
-    with open(out / "loglog.csv", "w", newline="") as fh:
-        write_loglog_csv(pairs, fh)
+    analysis = config.analysis()
+    result = run_analysis(panel, records, analysis)
+    write_analysis_outputs(result, analysis, config.out, FIT_ARTIFACTS)
     print(f"wrote exponents for {len(result.fit_rows)} group-measure cells")
     return 0
 
 
 def cmd_robustness(config: RunConfig) -> int:
-    _require(config, "bars", "calendar", "halts", "out")
+    if not config.windows:
+        raise ConfigError("no robustness windows requested")
     panel, records = _load_inputs(config)
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    signs_per_window = []
-    events_ref = None
+    results = []
     for window in config.windows:
-        sub = replace(config, trend_window=window)
-        result = run_analysis(panel, records, sub.analysis())
-        write_analysis_outputs(result, sub.analysis(),
-                               out / f"window_{window:03d}")
-        signs_per_window.append([ev.sign for ev in result.events])
-        events_ref = result.events
-    flip_rows = []
-    n_flipped = 0
-    for i, ev in enumerate(events_ref):
-        signs = [per[i] for per in signs_per_window]
-        distinct = {s for s in signs if s is not None}
-        changed = int(len(distinct) > 1)
-        n_flipped += changed
-        rec = ev.record
-        flip_rows.append(
-            [rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
-             rec.resume_day.isoformat(), rec.resume_minute]
-            + ["" if s is None else s.value for s in signs]
-            + [changed])
-    import csv as _csv
-    with open(out / "sign_flips.csv", "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["stock_id", "halt_date", "halt_minute",
-                         "resume_date", "resume_minute"]
-                        + [f"sign_w{w}" for w in config.windows]
-                        + ["flipped"])
-        writer.writerows(flip_rows)
-    print(f"{n_flipped} of {len(events_ref)} events change sign "
+        analysis = replace(config, trend_window=window).analysis()
+        result = run_analysis(panel, records, analysis)
+        write_analysis_outputs(result, analysis,
+                               config.out / f"window_{window:03d}")
+        results.append(result)
+    with open(config.out / "sign_flips.csv", "w", newline="") as fh:
+        n_flipped = write_sign_flip_csv(config.windows, results, fh)
+    print(f"{n_flipped} of {len(results[-1].events)} events change sign "
           f"across windows {list(config.windows)}")
     return 0
 
 
 def _parse_groups(text: str) -> dict[tuple[HaltType, EventSign], int]:
-    by_type = {ht.value: ht for ht in HaltType}
-    by_sign = {s.value: s for s in EventSign}
+    by_name = {group_name(ht, s): (ht, s) for ht in HaltType for s in EventSign}
     sizes = {}
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
         name, _, count = token.partition(":")
-        parts = name.rsplit("_", 1)
-        if len(parts) != 2 or parts[0] not in by_type or parts[1] not in by_sign:
+        if name not in by_name:
             raise ConfigError(f"bad group name {name!r}")
-        sizes[(by_type[parts[0]], by_sign[parts[1]])] = \
-            _parse_int(count or "1", "groups")
+        sizes[by_name[name]] = _parse_int(count or "1", "groups")
     if not sizes:
         raise ConfigError("no groups requested")
     return sizes
@@ -349,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--min-r2", type=float, dest="min_r2")
         p.add_argument("--bootstrap", type=int, dest="n_bootstrap",
                        help="bootstrap resamples (0 disables)")
-        p.add_argument("--workers", type=int, dest="n_workers")
 
     p_run = sub.add_parser("run", help="full analysis with all artifacts")
     add_common(p_run)

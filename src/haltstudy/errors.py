@@ -31,16 +31,8 @@ class DuplicateBar(HaltStudyError):
     """Two bars share the same (stock, day, minute) key."""
 
 
-class OutsideSession(HaltStudyError):
-    """A wall-clock time falls outside the trading session."""
-
-
 class NoData(HaltStudyError):
     """A stock has no bars where at least one is required."""
-
-
-class NoPredecessor(HaltStudyError):
-    """A return is requested at a minute with no preceding bar."""
 
 
 # --- halt records --------------------------------------------------------

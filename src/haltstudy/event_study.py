@@ -4,8 +4,9 @@ Event time counts traded minutes only: t = -1 is the last bar before
 the halt, t = 0 the first bar after resumption, and neither the halted
 span nor overnight gaps consume indices. Activity measures (absolute
 return, volume, bid-ask spread) are deseasonalized by dividing each
-value by a per-minute baseline averaged over the 40 most recent active
-days before the halt, which removes the U-shaped intraday profile.
+value by a per-minute baseline averaged over the most recent active
+days before the halt (windows default to :class:`EligibilityConfig`),
+which removes the U-shaped intraday profile.
 Cumulative log-return curves use a wider symmetric window and are pinned
 to zero at t = 0.
 
@@ -26,7 +27,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -39,14 +40,15 @@ from .errors import (
     NoData,
     ZeroBaseline,
 )
-from .events import EventSign, HaltEvent, HaltRecord, HaltType, group_name
+from .events import (
+    EligibilityConfig,
+    EventSign,
+    HaltEvent,
+    HaltRecord,
+    HaltType,
+    group_name,
+)
 from .market_data import MINUTES_PER_DAY, Panel
-
-# event-time windows, in traded minutes
-MEASURE_PRE_WINDOW = 80
-POST_WINDOW = 160
-CUMULATIVE_WINDOW = 160
-DEFAULT_LOOKBACK_DAYS = 40
 
 SERIES_CSV_HEADER = ("group", "measure", "t", "mean", "stderr", "n")
 CUMULATIVE_LABEL = "cumulative_return"
@@ -145,8 +147,8 @@ class IntradayPattern:
 class EventTrajectory:
     """Deseasonalized series z(t) for one event and measure.
 
-    ``t`` runs -80..160 by default; NaN marks minutes with no usable
-    observation (filled bars, missing quotes, or an absent predecessor
+    ``t`` runs -measure_pre_window..post_window; NaN marks minutes with
+    no usable observation (filled bars, missing quotes, or an absent predecessor
     for returns).
     """
 
@@ -191,10 +193,6 @@ class CumulativeReturnCurve:
     @property
     def group(self) -> str:
         return group_name(self.halt_type, self.sign)
-
-    @property
-    def stability_s(self) -> float:
-        return stability_stat(self)
 
 
 def measure_series(panel: Panel, stock_id: str,
@@ -282,7 +280,7 @@ def _zero_baseline(rec: HaltRecord, t: np.ndarray,
 
 def compute_intraday_pattern(panel: Panel, event: HaltEvent,
                              measure: MeasureKind,
-                             lookback: int = DEFAULT_LOOKBACK_DAYS,
+                             lookback: int = EligibilityConfig.lookback_days,
                              ) -> IntradayPattern:
     """Average the measure per intraday minute over recent active days.
 
@@ -302,17 +300,11 @@ def compute_intraday_pattern(panel: Panel, event: HaltEvent,
     return IntradayPattern(measure, lookback, acc.means()[0], acc.counts()[0])
 
 
-def deseasonalize(value: float, baseline: float) -> float:
-    """Express a raw measure value as a multiple of its baseline."""
-    if not baseline > 0:
-        raise ZeroBaseline(f"baseline {baseline} is not positive")
-    return value / baseline
-
-
 def extract_trajectory(panel: Panel, event: HaltEvent, measure: MeasureKind,
                        pattern: IntradayPattern | None = None,
-                       pre_window: int = MEASURE_PRE_WINDOW,
-                       post_window: int = POST_WINDOW) -> EventTrajectory:
+                       pre_window: int = EligibilityConfig.measure_pre_window,
+                       post_window: int = EligibilityConfig.post_window,
+                       ) -> EventTrajectory:
     """Deseasonalized event-time series over t = -pre_window..post_window.
 
     Each raw value is divided by the pattern value for its own intraday
@@ -338,13 +330,14 @@ def extract_trajectory(panel: Panel, event: HaltEvent, measure: MeasureKind,
 def extract_stock_trajectories(
         panel: Panel, events: Sequence[HaltEvent],
         measures: Sequence[MeasureKind] = tuple(MeasureKind),
-        lookback: int = DEFAULT_LOOKBACK_DAYS,
-        pre_window: int = MEASURE_PRE_WINDOW,
-        post_window: int = POST_WINDOW,
+        lookback: int = EligibilityConfig.lookback_days,
+        pre_window: int = EligibilityConfig.measure_pre_window,
+        post_window: int = EligibilityConfig.post_window,
 ) -> list[dict[MeasureKind, EventTrajectory]]:
     """Trajectories of many events and measures, one pass per stock.
 
-    The result is bitwise equal to calling :func:`compute_intraday_pattern`
+    The pipeline calls it once per run, with every eligible event, and
+    averages the result per group. The result is bitwise equal to calling :func:`compute_intraday_pattern`
     and then :func:`extract_trajectory` for every event and measure, and
     is aligned with ``events``: one dict per event, keyed by measure.
     Per stock, the active days and each measure's series are computed
@@ -480,7 +473,7 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
 
 
 def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],
-                              window: int = CUMULATIVE_WINDOW,
+                              window: int = EligibilityConfig.pre_window,
                               ) -> CumulativeReturnCurve:
     """Average cumulative log-return path over t = -window..window.
 
@@ -540,7 +533,7 @@ def stability_stat(curve: CumulativeReturnCurve) -> float:
 
 
 def reversal_stats(panel: Panel, events: Sequence[HaltEvent],
-                   horizons: Sequence[int] = (1, 2)) -> dict[int, float]:
+                   horizons: Sequence[int]) -> dict[int, float]:
     """Fraction of events whose early post-halt move opposed their trend.
 
     For horizon k the move is the log-price change from the last

@@ -30,9 +30,8 @@ from .market_data import MINUTES_PER_DAY, Panel, TradingCalendar
 
 HALT_CSV_HEADER = ("stock_id", "halt_date", "halt_minute",
                    "resume_date", "resume_minute", "is_st")
-REPORT_CSV_HEADER = ("stock_id", "halt_date", "halt_minute",
-                     "resume_date", "resume_minute", "halt_type", "sign",
-                     "eligible", "rejection_reason")
+REPORT_CSV_HEADER = HALT_CSV_HEADER[:5] + ("halt_type", "sign", "eligible",
+                                           "rejection_reason")
 
 
 class HaltType(Enum):
@@ -66,6 +65,11 @@ def group_name(halt_type: HaltType, sign: EventSign) -> str:
     return f"{halt_type.value}_{sign.value}"
 
 
+def group_sort_key(halt_type: HaltType, sign: EventSign) -> tuple[int, int]:
+    """Report order of groups: halt types, then signs, as declared."""
+    return list(HaltType).index(halt_type), list(EventSign).index(sign)
+
+
 @dataclass(frozen=True)
 class HaltRecord:
     """One halt of one stock.
@@ -82,7 +86,6 @@ class HaltRecord:
     resume_day: date
     resume_minute: int
     is_st_stock: bool = False
-    reason_code: str | None = None
 
     def __post_init__(self) -> None:
         for m in (self.halt_minute, self.resume_minute):
@@ -186,7 +189,8 @@ def classify_halt_type(record: HaltRecord, calendar: TradingCalendar) -> HaltTyp
 
 
 def classify_sign(panel: Panel, record: HaltRecord,
-                  trend_window: int = 240) -> EventSign:
+                  trend_window: int = EligibilityConfig.trend_window,
+                  ) -> EventSign:
     """Sign of the log-price change over the window before the halt.
 
     The change is measured from ``trend_window`` traded minutes before

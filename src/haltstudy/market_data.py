@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO
 
 import numpy as np
 
@@ -27,55 +27,13 @@ from .errors import (
     MalformedRow,
     NoData,
     NonPositivePrice,
-    NoPredecessor,
-    OutsideSession,
     UnknownDay,
 )
 
 MINUTES_PER_DAY = 240
 
-# wall-clock boundaries in minutes since midnight, minute-ending labels
-_MORNING_FIRST = 9 * 60 + 31    # 09:31 -> minute 1
-_MORNING_LAST = 11 * 60 + 30    # 11:30 -> minute 120
-_AFTERNOON_FIRST = 13 * 60 + 1  # 13:01 -> minute 121
-_AFTERNOON_LAST = 15 * 60       # 15:00 -> minute 240
-
 BAR_CSV_HEADER = ("stock_id", "date", "minute",
                   "last_price", "volume", "best_bid", "best_ask")
-
-
-def wall_clock_to_minute(text: str) -> int:
-    """Map an HH:MM wall-clock time to its intraday minute index (1..240).
-
-    Raises OutsideSession for the lunch break (11:31-13:00), times before
-    09:31 and times after 15:00.
-    """
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise OutsideSession(f"not a HH:MM time: {text!r}")
-    try:
-        hour, minute = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise OutsideSession(f"not a HH:MM time: {text!r}") from exc
-    if not (0 <= hour < 24 and 0 <= minute < 60):
-        raise OutsideSession(f"not a valid time of day: {text!r}")
-    t = hour * 60 + minute
-    if _MORNING_FIRST <= t <= _MORNING_LAST:
-        return t - (_MORNING_FIRST - 1)
-    if _AFTERNOON_FIRST <= t <= _AFTERNOON_LAST:
-        return t - (_AFTERNOON_FIRST - 1) + 120
-    raise OutsideSession(f"{text} is outside the trading session")
-
-
-def minute_to_wall_clock(minute: int) -> str:
-    """Inverse of :func:`wall_clock_to_minute` on minutes 1..240."""
-    if 1 <= minute <= 120:
-        t = minute + (_MORNING_FIRST - 1)
-    elif 121 <= minute <= 240:
-        t = minute - 120 + (_AFTERNOON_FIRST - 1)
-    else:
-        raise OutsideSession(f"minute index out of range: {minute}")
-    return f"{t // 60:02d}:{t % 60:02d}"
 
 
 @dataclass(frozen=True)
@@ -139,12 +97,7 @@ class TradingCalendar:
 
 @dataclass(frozen=True)
 class MinuteBar:
-    """One stock-minute: last trade price, traded volume and best quotes.
-
-    A bar with ``synthetic_fill=True`` was created by forward-filling a
-    missing minute: it repeats the previous price (zero log return) and
-    carries zero volume.
-    """
+    """One stock-minute: last trade price, traded volume and best quotes."""
 
     stock_id: str
     day: date
@@ -153,7 +106,6 @@ class MinuteBar:
     volume: float
     best_bid: float | None = None
     best_ask: float | None = None
-    synthetic_fill: bool = False
 
     def __post_init__(self) -> None:
         if not 1 <= self.minute <= MINUTES_PER_DAY:
@@ -177,11 +129,14 @@ class MinuteBar:
         return self.best_ask - self.best_bid
 
 
+_FLOAT_ARRAYS = ("price", "volume", "bid", "ask")
+_ARRAYS = _FLOAT_ARRAYS + ("present", "synthetic")
+
+
 class _StockData:
     """Flat per-stock arrays over the calendar's traded-minute axis."""
 
-    __slots__ = ("price", "volume", "bid", "ask", "present", "synthetic",
-                 "first", "last")
+    __slots__ = _ARRAYS + ("first", "last")
 
     def __init__(self, n: int):
         self.price = np.full(n, np.nan)
@@ -198,29 +153,20 @@ class _StockData:
         if idx.size:
             self.first = int(idx[0])
             self.last = int(idx[-1])
-        for arr in (self.price, self.volume, self.bid, self.ask,
-                    self.present, self.synthetic):
-            arr.setflags(write=False)
+        for name in _ARRAYS:
+            getattr(self, name).setflags(write=False)
 
     def copy_mutable(self) -> "_StockData":
         out = _StockData.__new__(_StockData)
-        out.price = self.price.copy()
-        out.volume = self.volume.copy()
-        out.bid = self.bid.copy()
-        out.ask = self.ask.copy()
-        out.present = self.present.copy()
-        out.synthetic = self.synthetic.copy()
-        out.first = self.first
-        out.last = self.last
+        for name in _ARRAYS:
+            setattr(out, name, getattr(self, name).copy())
+        out.first, out.last = self.first, self.last
         return out
 
     def equals(self, other: "_StockData") -> bool:
-        return (np.array_equal(self.price, other.price, equal_nan=True)
-                and np.array_equal(self.volume, other.volume, equal_nan=True)
-                and np.array_equal(self.bid, other.bid, equal_nan=True)
-                and np.array_equal(self.ask, other.ask, equal_nan=True)
-                and np.array_equal(self.present, other.present)
-                and np.array_equal(self.synthetic, other.synthetic))
+        return all(np.array_equal(getattr(self, name), getattr(other, name),
+                                  equal_nan=name in _FLOAT_ARRAYS)
+                   for name in _ARRAYS)
 
 
 class Panel:
@@ -229,7 +175,7 @@ class Panel:
     Bars are stored as flat numpy arrays indexed by global minute; absent
     bars are NaN in the float arrays and False in ``present_mask``. All
     array accessors return read-only views, so a Panel can be shared
-    freely across worker threads.
+    freely.
     """
 
     def __init__(self, calendar: TradingCalendar, stocks: dict[str, _StockData]):
@@ -298,31 +244,6 @@ class Panel:
             raise NoData(f"no bars for stock {stock_id}")
         return d.first, d.last
 
-    def has_bar(self, stock_id: str, day: date, minute: int) -> bool:
-        if stock_id not in self._stocks:
-            return False
-        g = self._calendar.global_minute(day, minute)
-        return bool(self._stocks[stock_id].present[g])
-
-    def get_bar(self, stock_id: str, day: date, minute: int) -> MinuteBar | None:
-        if stock_id not in self._stocks:
-            return None
-        d = self._stocks[stock_id]
-        g = self._calendar.global_minute(day, minute)
-        if not d.present[g]:
-            return None
-        bid = None if np.isnan(d.bid[g]) else float(d.bid[g])
-        ask = None if np.isnan(d.ask[g]) else float(d.ask[g])
-        return MinuteBar(stock_id, day, minute, float(d.price[g]),
-                         float(d.volume[g]), bid, ask, bool(d.synthetic[g]))
-
-    def iter_bars(self, stock_id: str) -> Iterator[MinuteBar]:
-        """All bars of one stock in (day, minute) order."""
-        d = self._data(stock_id)
-        for g in np.flatnonzero(d.present):
-            day, minute = self._calendar.location(int(g))
-            yield self.get_bar(stock_id, day, minute)  # type: ignore[misc]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Panel):
             return NotImplemented
@@ -348,17 +269,15 @@ class PanelBuilder:
         return d
 
     def add_bar(self, stock_id: str, day: date, minute: int, price: float,
-                volume: float, bid: float | None, ask: float | None,
-                synthetic: bool = False) -> None:
+                volume: float, bid: float | None, ask: float | None) -> None:
         if day not in self._calendar:
             raise UnknownDay(f"{day} is not a trading day")
-        bar = MinuteBar(stock_id, day, minute, price, volume, bid, ask, synthetic)
+        bar = MinuteBar(stock_id, day, minute, price, volume, bid, ask)
         d = self._stock(stock_id)
         g = self._calendar.global_minute(day, minute)
         if d.present[g]:
             raise DuplicateBar(f"duplicate bar {stock_id} {day} m{minute}")
         d.present[g] = True
-        d.synthetic[g] = synthetic
         d.price[g] = bar.last_price
         d.volume[g] = bar.volume
         if bid is not None:
@@ -367,8 +286,8 @@ class PanelBuilder:
             d.ask[g] = ask
 
     def add_stock_arrays(self, stock_id: str, price: np.ndarray, volume: np.ndarray,
-                         bid: np.ndarray, ask: np.ndarray, present: np.ndarray,
-                         synthetic: np.ndarray | None = None) -> None:
+                         bid: np.ndarray, ask: np.ndarray,
+                         present: np.ndarray) -> None:
         """Bulk path for generators: arrays indexed by global minute."""
         n = self._calendar.n_minutes
         if stock_id in self._stocks:
@@ -390,8 +309,7 @@ class PanelBuilder:
         d.bid = np.where(present, bid, np.nan)
         d.ask = np.where(present, ask, np.nan)
         d.present = present.copy()
-        d.synthetic = (np.zeros(n, dtype=bool) if synthetic is None
-                       else np.asarray(synthetic, bool).copy())
+        d.synthetic = np.zeros(n, dtype=bool)
         d.first = d.last = -1
         self._stocks[stock_id] = d
 
@@ -489,7 +407,7 @@ def forward_fill(panel: Panel, stock_id: str) -> Panel:
 
     Filled bars repeat the previous last price (so their log return is
     exactly zero), carry zero volume, carry the previous bar's quotes and
-    are flagged ``synthetic_fill``. Gap-free input is returned unchanged,
+    are flagged in ``synthetic_mask``. Gap-free input is returned unchanged,
     which also makes the operation idempotent.
     """
     d = panel._data(stock_id)
@@ -522,38 +440,3 @@ def forward_fill_all(panel: Panel) -> Panel:
         panel = forward_fill(panel, stock_id)
     return panel
 
-
-def log_return(panel: Panel, stock_id: str, day: date, minute: int) -> float:
-    """ln(p_t) - ln(p_{t-1}) in traded-minute order.
-
-    The predecessor of a day's minute 1 is the prior trading day's minute
-    240, so one overnight (or across-halt) return captures the jump.
-    """
-    d = panel._data(stock_id)
-    g = panel.calendar.global_minute(day, minute)
-    if not d.present[g]:
-        raise NoData(f"no bar for {stock_id} at {day} m{minute}")
-    if g == 0 or not d.present[g - 1]:
-        raise NoPredecessor(f"{stock_id} {day} m{minute} has no preceding bar")
-    return math.log(d.price[g]) - math.log(d.price[g - 1])
-
-
-def merge_panels(panels: Iterable[Panel]) -> Panel:
-    """Merge panels that share one calendar; keys must not collide.
-
-    Merging is by sorted stock id, so the result does not depend on the
-    order in which the inputs were parsed.
-    """
-    panels = list(panels)
-    if not panels:
-        raise NoData("nothing to merge")
-    calendar = panels[0].calendar
-    stocks: dict[str, _StockData] = {}
-    for p in panels:
-        if p.calendar != calendar:
-            raise ValueError("panels use different calendars")
-        for stock_id in p.stock_ids:
-            if stock_id in stocks:
-                raise DuplicateBar(f"stock {stock_id} appears in two panels")
-            stocks[stock_id] = p._stocks[stock_id]
-    return Panel(calendar, stocks)

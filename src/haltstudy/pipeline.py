@@ -1,12 +1,14 @@
 """End-to-end analysis: fill, filter, deseasonalize, average, fit, report.
 
-The trajectory stage (baselines plus event-time series) works one
-stock at a time, covering all of that stock's eligible events and
-measures in one lockstep pass. Stocks are independent and may run on a
-thread pool; they enter in sorted stock order and their results are
-reduced in that same order, so output is bitwise identical for any
-worker count. All file writing happens in one final single-threaded
-phase.
+:func:`run_analysis` composes four stages that the command line and
+the recovery study also call on their own: :func:`select_events`
+(fill, classify, filter), :func:`average_groups` (trajectories, one
+lockstep pass per stock, and group averages), :func:`curves_and_reversals`
+and :func:`fit_groups` (fits and bootstrap errors). Work runs in one
+thread in a fixed order, groups in :func:`group_sort_key` order, so
+reruns are bitwise identical. Each output file has one writer here: the
+table behind :func:`write_analysis_outputs`, and
+:func:`write_sign_flip_csv` for the robustness summary.
 """
 
 from __future__ import annotations
@@ -14,17 +16,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyGroup
 from .events import (
     CountTable,
+    HALT_CSV_HEADER,
     EligibilityConfig,
     EventSign,
     HaltEvent,
@@ -32,6 +32,7 @@ from .events import (
     HaltType,
     filter_eligibility,
     group_name,
+    group_sort_key,
     tabulate_counts,
     write_count_csv,
     write_eligibility_report,
@@ -41,11 +42,11 @@ from .event_study import (
     EventTrajectory,
     GroupAverage,
     MeasureKind,
-    SERIES_CSV_HEADER,
     average_cumulative_return,
     extract_stock_trajectories,
     group_average,
     reversal_stats,
+    stability_stat,
     write_curve_csv,
     write_group_average_csv,
 )
@@ -62,148 +63,166 @@ from .powerlaw import (
     write_loglog_csv,
 )
 
-ALL_MEASURES = tuple(MeasureKind)
-
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Everything one analysis run depends on, apart from the data.
 
-    ``n_workers`` only controls scheduling: it is the number of threads
-    the trajectory stage spreads stocks over. Results are identical for
-    any value, which is why it is left out of the echoed configuration.
-    ``n_bootstrap`` of 0 skips bootstrap errors entirely.
+    Its fields, with those of :class:`EligibilityConfig` and
+    :class:`FitConfig`, are the only source of analysis defaults; the
+    command line reads its defaults from them. ``n_bootstrap`` of 0
+    skips bootstrap errors entirely. The fit range must end inside the
+    post window, where the averages have points.
     """
 
     eligibility: EligibilityConfig = EligibilityConfig()
     fit: FitConfig = FitConfig()
-    measures: tuple[MeasureKind, ...] = ALL_MEASURES
+    measures: tuple[MeasureKind, ...] = tuple(MeasureKind)
     reversal_horizons: tuple[int, ...] = (1, 2)
     n_bootstrap: int = 200
     seed: int = 0
-    n_workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.measures:
             raise ValueError("need at least one measure")
         if self.n_bootstrap < 0:
             raise ValueError("n_bootstrap must be >= 0")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
         for k in self.reversal_horizons:
             if k < 1:
                 raise ValueError("reversal horizons must be positive")
+        lo, hi = self.fit.fit_range
+        if hi > self.eligibility.post_window:
+            raise ValueError(
+                f"fit range [{lo}, {hi}] ends past the post window of "
+                f"{self.eligibility.post_window} minutes")
 
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """All analysis products, in deterministic order."""
+    """All analysis products, in deterministic order.
+
+    A result of the selection stage alone leaves the later fields empty.
+    """
 
     events: tuple[HaltEvent, ...]
     counts: CountTable
-    averages: tuple[GroupAverage, ...]
-    curves: tuple[CumulativeReturnCurve, ...]
-    reversals: Mapping[str, Mapping[int, float]]
-    excess: tuple[ExcessSeries, ...]
-    fit_rows: tuple[GroupFitRow, ...]
+    averages: tuple[GroupAverage, ...] = ()
+    curves: tuple[CumulativeReturnCurve, ...] = ()
+    reversals: Mapping[str, Mapping[int, float]] = field(default_factory=dict)
+    excess: tuple[ExcessSeries, ...] = ()
+    fit_rows: tuple[GroupFitRow, ...] = ()
 
     @property
     def stability(self) -> dict[str, float]:
-        return {curve.group: curve.stability_s for curve in self.curves}
+        return {curve.group: stability_stat(curve) for curve in self.curves}
 
     @property
     def n_eligible(self) -> int:
         return sum(1 for ev in self.events if ev.eligible)
 
 
-def _group_sort_key(key: tuple[HaltType, EventSign]) -> tuple[int, int]:
-    halt_order = {ht: i for i, ht in enumerate(HaltType)}
-    sign_order = {s: i for i, s in enumerate(EventSign)}
-    return halt_order[key[0]], sign_order[key[1]]
+@dataclass(frozen=True)
+class GroupCell:
+    """One (halt type, sign) group of eligible events, and per measure
+    their trajectories (aligned with ``events``) and group average."""
+
+    halt_type: HaltType
+    sign: EventSign
+    events: tuple[HaltEvent, ...]
+    trajectories: Mapping[MeasureKind, tuple[EventTrajectory, ...]]
+    averages: Mapping[MeasureKind, GroupAverage]
+
+    @property
+    def group(self) -> str:
+        return group_name(self.halt_type, self.sign)
+
+
+def select_events(panel: Panel, records: Sequence[HaltRecord],
+                  config: AnalysisConfig = AnalysisConfig(),
+                  ) -> tuple[Panel, tuple[HaltEvent, ...]]:
+    """Forward-filled panel, and every record classified and filtered."""
+    filled = forward_fill_all(panel)
+    return filled, tuple(filter_eligibility(records, filled,
+                                            config.eligibility))
+
+
+def average_groups(filled: Panel, events: Sequence[HaltEvent],
+                   config: AnalysisConfig = AnalysisConfig(),
+                   ) -> tuple[GroupCell, ...]:
+    """Trajectories and group averages of the eligible events, per group."""
+    eligible = [ev for ev in events if ev.eligible]
+    elig = config.eligibility
+    per_event = extract_stock_trajectories(
+        filled, eligible, config.measures, elig.lookback_days,
+        elig.measure_pre_window, elig.post_window)
+    groups: dict[tuple[HaltType, EventSign], list[int]] = {}
+    for i, ev in enumerate(eligible):
+        groups.setdefault((ev.halt_type, ev.sign), []).append(i)
+    cells = []
+    for key in sorted(groups, key=lambda k: group_sort_key(*k)):
+        indices = groups[key]
+        trajectories = {m: tuple(per_event[i][m] for i in indices)
+                        for m in config.measures}
+        cells.append(GroupCell(
+            *key, tuple(eligible[i] for i in indices), trajectories,
+            {m: group_average(trajs) for m, trajs in trajectories.items()}))
+    return tuple(cells)
+
+
+def curves_and_reversals(filled: Panel, cells: Sequence[GroupCell],
+                         config: AnalysisConfig = AnalysisConfig(),
+                         ) -> tuple[tuple[CumulativeReturnCurve, ...],
+                                    dict[str, dict[int, float]]]:
+    """Each group's cumulative-return curve and its reversal fractions."""
+    curves = []
+    reversals = {}
+    for cell in cells:
+        curves.append(average_cumulative_return(
+            filled, cell.events, config.eligibility.pre_window))
+        reversals[cell.group] = reversal_stats(filled, cell.events,
+                                               config.reversal_horizons)
+    return tuple(curves), reversals
+
+
+def fit_groups(cells: Sequence[GroupCell],
+               config: AnalysisConfig = AnalysisConfig(),
+               ) -> tuple[GroupFitRow, ...]:
+    """Fit every group average, then bootstrap each fitted multi-event cell
+    from its own child of one seed sequence, spawned in row order."""
+    rows = fit_all_groups([avg for cell in cells
+                           for avg in cell.averages.values()], config.fit)
+    if config.n_bootstrap == 0 or not rows:
+        return tuple(rows)
+    trajectories = {(cell.group, m): trajs for cell in cells
+                    for m, trajs in cell.trajectories.items()}
+    children = np.random.SeedSequence(config.seed).spawn(len(rows))
+    patched = []
+    for row, child in zip(rows, children):
+        trajs = trajectories[(row.group, row.measure)]
+        if row.fit is not None and len(trajs) >= 2:
+            row = attach_bootstrap(row, bootstrap_alpha_stderr(
+                trajs, config.fit.fit_range, config.n_bootstrap, child))
+        patched.append(row)
+    return tuple(patched)
 
 
 def run_analysis(panel: Panel, records: Sequence[HaltRecord],
                  config: AnalysisConfig = AnalysisConfig()) -> AnalysisResult:
     """Run the full study over a raw panel and halt registry."""
-    filled = forward_fill_all(panel)
-    events = tuple(filter_eligibility(records, filled, config.eligibility))
-    counts = tabulate_counts(events)
-    eligible = [ev for ev in events if ev.eligible]
-    # events arrive sorted, so each stock's events are one contiguous run
-    stocks = [list(run) for _, run in
-              groupby(eligible, key=lambda ev: ev.record.stock_id)]
-
-    def stock_work(members: list[HaltEvent],
-                   ) -> list[dict[MeasureKind, EventTrajectory]]:
-        return extract_stock_trajectories(
-            filled, members, config.measures,
-            config.eligibility.lookback_days,
-            config.eligibility.measure_pre_window,
-            config.eligibility.post_window)
-
-    if config.n_workers == 1 or len(stocks) < 2:
-        per_stock = [stock_work(members) for members in stocks]
-    else:
-        with ThreadPoolExecutor(max_workers=config.n_workers) as pool:
-            per_stock = list(pool.map(stock_work, stocks))
-    per_event = [trajs for part in per_stock for trajs in part]
-
-    groups: dict[tuple[HaltType, EventSign], list[int]] = {}
-    for i, ev in enumerate(eligible):
-        groups.setdefault((ev.halt_type, ev.sign), []).append(i)
-    ordered_groups = sorted(groups.items(), key=lambda kv: _group_sort_key(kv[0]))
-
-    averages: list[GroupAverage] = []
-    curves: list[CumulativeReturnCurve] = []
-    reversals: dict[str, dict[int, float]] = {}
-    trajectories_by_key: dict[tuple[str, str], list[EventTrajectory]] = {}
-    for key, indices in ordered_groups:
-        members = [eligible[i] for i in indices]
-        label = group_name(*key)
-        for measure in config.measures:
-            trajs = [per_event[i][measure] for i in indices]
-            averages.append(group_average(trajs))
-            trajectories_by_key[(label, measure.value)] = trajs
-        curves.append(average_cumulative_return(
-            filled, members, config.eligibility.pre_window))
-        reversals[label] = reversal_stats(filled, members,
-                                          config.reversal_horizons)
-
-    fit_rows = fit_all_groups(averages, config.fit)
-    if config.n_bootstrap > 0 and fit_rows:
-        children = np.random.SeedSequence(config.seed).spawn(len(fit_rows))
-        patched = []
-        for row, child in zip(fit_rows, children):
-            trajs = trajectories_by_key[(row.group, row.measure.value)]
-            if row.fit is not None and len(trajs) >= 2:
-                result = bootstrap_alpha_stderr(trajs, config.fit.fit_range,
-                                                config.n_bootstrap, child)
-                row = attach_bootstrap(row, result)
-            patched.append(row)
-        fit_rows = patched
-
-    excess = tuple(make_excess(avg) for avg in averages)
-    return AnalysisResult(events, counts, tuple(averages), tuple(curves),
-                          reversals, excess, tuple(fit_rows))
+    filled, events = select_events(panel, records, config)
+    cells = average_groups(filled, events, config)
+    curves, reversals = curves_and_reversals(filled, cells, config)
+    averages = tuple(avg for cell in cells for avg in cell.averages.values())
+    return AnalysisResult(events, tabulate_counts(events), averages, curves,
+                          reversals, tuple(make_excess(avg) for avg in averages),
+                          fit_groups(cells, config))
 
 
-def _write_excess_csv(excess: Sequence[ExcessSeries], stream: IO[str]) -> None:
-    # same layout as the averages file, with mean holding the excess
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SERIES_CSV_HEADER)
-    for series in sorted(excess, key=lambda s: (s.group, s.measure.value)):
-        src = series.source
-        for i, t in enumerate(series.t):
-            j = int(np.flatnonzero(src.t == t)[0]) if src is not None else i
-            value = series.values[i]
-            stderr = src.stderr[j] if src is not None else float("nan")
-            n = int(src.n[j]) if src is not None else 0
-            writer.writerow((
-                series.group, series.measure.value, int(t),
-                "" if math.isnan(value) else repr(float(value)),
-                "" if math.isnan(stderr) else repr(float(stderr)),
-                n,
-            ))
+def _excess_average(series: ExcessSeries) -> GroupAverage:
+    # the excess in the averages layout, with its source's stderr and n
+    keep = np.isin(series.source.t, series.t)
+    return replace(series.source, t=series.t, mean=series.values,
+                   stderr=series.source.stderr[keep], n=series.source.n[keep])
 
 
 def _null_if_nan(x: float | None) -> float | None:
@@ -213,8 +232,7 @@ def _null_if_nan(x: float | None) -> float | None:
 
 
 def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
-    """Machine-readable run manifest; deterministic, no worker count."""
-    elig = config.eligibility
+    """Machine-readable run manifest; deterministic."""
     counts = {ht.value: {s.value: result.counts.count(ht, s)
                          for s in EventSign}
               for ht in HaltType}
@@ -233,18 +251,12 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
                 _null_if_nan(fit.bootstrap_alpha_stderr) if fit else None,
             "sse": _null_if_nan(fit.sse) if fit else None,
             "r2": _null_if_nan(fit.r2_positive) if fit else None,
-            "converged": bool(fit.converged) if fit else False,
+            "converged": fit is not None,   # a fit exists only once converged
             "flag": row.flag,
         })
     return {
         "config": {
-            "trend_window": elig.trend_window,
-            "lookback_days": elig.lookback_days,
-            "pre_window": elig.pre_window,
-            "post_window": elig.post_window,
-            "measure_pre_window": elig.measure_pre_window,
-            "max_halt_days": elig.max_halt_days,
-            "max_gap_fraction": elig.max_gap_fraction,
+            **asdict(config.eligibility),
             "fit_range": list(config.fit.fit_range),
             "min_r2": config.fit.min_r2,
             "measures": [m.value for m in config.measures],
@@ -262,35 +274,68 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
     }
 
 
+def _write_loglog(result: AnalysisResult, stream: IO[str]) -> None:
+    fits = {(row.group, row.measure): row.fit for row in result.fit_rows}
+    write_loglog_csv([(series, fits.get((series.group, series.measure)))
+                      for series in result.excess], stream)
+
+
+def _write_summary(result: AnalysisResult, config: AnalysisConfig,
+                   stream: IO[str]) -> None:
+    json.dump(summary_dict(result, config), stream, indent=2, sort_keys=True,
+              allow_nan=False)
+    stream.write("\n")
+
+
+# every artifact file, in writing order, with its one writer
+_WRITERS: dict[str, Callable[[AnalysisResult, AnalysisConfig, IO[str]],
+                             None]] = {
+    "eligibility.csv": lambda r, c, fh: write_eligibility_report(r.events, fh),
+    "counts.csv": lambda r, c, fh: write_count_csv(r.counts, fh),
+    "curves.csv": lambda r, c, fh: write_curve_csv(r.curves, fh),
+    "averages.csv": lambda r, c, fh: write_group_average_csv(r.averages, fh),
+    "excess.csv": lambda r, c, fh: write_group_average_csv(
+        map(_excess_average, r.excess), fh),
+    "loglog.csv": lambda r, c, fh: _write_loglog(r, fh),
+    "exponents.csv": lambda r, c, fh: write_exponent_csv(r.fit_rows, fh),
+    "summary.json": _write_summary,
+}
+ARTIFACTS = tuple(_WRITERS)
+SELECTION_ARTIFACTS = ("eligibility.csv", "counts.csv")
+FIT_ARTIFACTS = ("exponents.csv", "loglog.csv")
+
+
 def write_analysis_outputs(result: AnalysisResult, config: AnalysisConfig,
-                           out_dir: str | Path) -> list[Path]:
-    """Write every artifact file; returns the paths written."""
+                           out_dir: str | Path,
+                           names: Sequence[str] = ARTIFACTS) -> list[Path]:
+    """Write the named artifact files (all by default); returns their paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-
-    def emit(name: str, writer) -> None:
+    for name in names:
         path = out / name
         with open(path, "w", newline="") as fh:
-            writer(fh)
+            _WRITERS[name](result, config, fh)
         written.append(path)
-
-    emit("eligibility.csv",
-         lambda fh: write_eligibility_report(result.events, fh))
-    emit("counts.csv", lambda fh: write_count_csv(result.counts, fh))
-    emit("curves.csv", lambda fh: write_curve_csv(result.curves, fh))
-    emit("averages.csv",
-         lambda fh: write_group_average_csv(result.averages, fh))
-    emit("excess.csv", lambda fh: _write_excess_csv(result.excess, fh))
-    fits_by_key = {(row.group, row.measure.value): row.fit
-                   for row in result.fit_rows}
-    pairs = [(series, fits_by_key.get((series.group, series.measure.value)))
-             for series in result.excess]
-    emit("loglog.csv", lambda fh: write_loglog_csv(pairs, fh))
-    emit("exponents.csv",
-         lambda fh: write_exponent_csv(result.fit_rows, fh))
-    emit("summary.json",
-         lambda fh: (json.dump(summary_dict(result, config), fh, indent=2,
-                               sort_keys=True, allow_nan=False),
-                     fh.write("\n")))
     return written
+
+
+def write_sign_flip_csv(windows: Sequence[int],
+                        results: Sequence[AnalysisResult],
+                        stream: IO[str]) -> int:
+    """Per event, its sign in each window's run and whether those differ;
+    returns the number of events that flip."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow([*HALT_CSV_HEADER[:5], *(f"sign_w{w}" for w in windows),
+                     "flipped"])
+    n_flipped = 0
+    for i, ev in enumerate(results[-1].events):
+        signs = [result.events[i].sign for result in results]
+        flipped = int(len({s for s in signs if s is not None}) > 1)
+        n_flipped += flipped
+        rec = ev.record
+        writer.writerow(
+            [rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
+             rec.resume_day.isoformat(), rec.resume_minute]
+            + ["" if s is None else s.value for s in signs] + [flipped])
+    return n_flipped

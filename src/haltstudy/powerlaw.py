@@ -26,9 +26,8 @@ from .event_study import (
     MeasureKind,
     resampled_means,
 )
-from .events import EventSign, HaltType, group_name
+from .events import EventSign, HaltType, group_name, group_sort_key
 
-DEFAULT_FIT_RANGE = (1, 160)
 MIN_FIT_POINTS = 8
 MAX_ITERATIONS = 200
 SSE_RTOL = 1e-10
@@ -41,6 +40,21 @@ EXPONENT_CSV_HEADER = ("measure", "halt_type", "sign", "A", "alpha",
                        "alpha_se_asymptotic", "alpha_se_bootstrap",
                        "sse", "r2", "converged", "flag")
 LOGLOG_CSV_HEADER = ("group", "measure", "t", "z_ex", "fit_value")
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Fit window and the quality gate separating decay from no-decay."""
+
+    fit_range: tuple[int, int] = (1, 160)
+    min_r2: float = 0.2
+
+    def __post_init__(self) -> None:
+        lo, hi = self.fit_range
+        if lo < 1 or hi < lo:
+            raise ValueError(f"bad fit range [{lo}, {hi}]")
+        if not 0 <= self.min_r2 <= 1:
+            raise ValueError("min_r2 must be in [0, 1]")
 
 
 def power_law_model(t: np.ndarray, amplitude: float, alpha: float) -> np.ndarray:
@@ -82,7 +96,6 @@ class PowerLawFit:
     fit_range: tuple[int, int]
     sse: float
     r2_positive: float
-    converged: bool
     n_points: int
     n_iterations: int
     bootstrap_alpha_stderr: float | None = None
@@ -139,7 +152,7 @@ def _r2_positive(t: np.ndarray, z: np.ndarray, amplitude: float,
 
 
 def fit_power_law_points(t: np.ndarray, values: np.ndarray,
-                         fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
+                         fit_range: tuple[int, int] = FitConfig.fit_range,
                          ) -> PowerLawFit:
     """Fit A * t**(-alpha) to points selected by ``fit_range``.
 
@@ -150,9 +163,7 @@ def fit_power_law_points(t: np.ndarray, values: np.ndarray,
     because the Gauss-Newton direction only fails to descend at a
     stationary point. Hitting the iteration cap raises NonConvergence.
     """
-    lo, hi = fit_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad fit range [{lo}, {hi}]")
+    lo, hi = FitConfig(fit_range).fit_range     # FitConfig's range check
     t = np.asarray(t, float)
     values = np.asarray(values, float)
     sel = (t >= lo) & (t <= hi) & ~np.isnan(values)
@@ -209,19 +220,19 @@ def fit_power_law_points(t: np.ndarray, values: np.ndarray,
     except np.linalg.LinAlgError:
         alpha_stderr = float("nan")
     return PowerLawFit(amplitude, alpha, alpha_stderr, (lo, hi), sse,
-                       _r2_positive(t, z, amplitude, alpha), True,
-                       int(t.size), iterations)
+                       _r2_positive(t, z, amplitude, alpha), int(t.size),
+                       iterations)
 
 
 def fit_power_law(series: ExcessSeries,
-                  fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
+                  fit_range: tuple[int, int] = FitConfig.fit_range,
                   ) -> PowerLawFit:
     """Fit the relaxation model to one excess series."""
     return fit_power_law_points(series.t, series.values, fit_range)
 
 
 def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
-                           fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
+                           fit_range: tuple[int, int] = FitConfig.fit_range,
                            n_resamples: int = 1000,
                            seed: int = 0) -> BootstrapResult:
     """Spread of the exponent under resampling events with replacement.
@@ -261,21 +272,6 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Fit window and the quality gate separating decay from no-decay."""
-
-    fit_range: tuple[int, int] = DEFAULT_FIT_RANGE
-    min_r2: float = 0.2
-
-    def __post_init__(self) -> None:
-        lo, hi = self.fit_range
-        if lo < 1 or hi < lo:
-            raise ValueError(f"bad fit range [{lo}, {hi}]")
-        if not 0 <= self.min_r2 <= 1:
-            raise ValueError("min_r2 must be in [0, 1]")
-
-
-@dataclass(frozen=True)
 class GroupFitRow:
     """One exponent-table row; ``fit`` is None when fitting failed."""
 
@@ -289,7 +285,6 @@ class GroupFitRow:
     def group(self) -> str:
         return group_name(self.halt_type, self.sign)
 
-
 def fit_all_groups(averages: Iterable[GroupAverage],
                    config: FitConfig = FitConfig()) -> list[GroupFitRow]:
     """Fit every group average and apply the quality gate.
@@ -299,11 +294,8 @@ def fit_all_groups(averages: Iterable[GroupAverage],
     including series too degenerate to fit, is flagged no_power_law.
     Failures are encoded in the row, never raised.
     """
-    halt_order = {ht: i for i, ht in enumerate(HaltType)}
-    sign_order = {s: i for i, s in enumerate(EventSign)}
-    ordered = sorted(averages, key=lambda a: (a.measure.value,
-                                              halt_order[a.halt_type],
-                                              sign_order[a.sign]))
+    ordered = sorted(averages, key=lambda a: (
+        a.measure.value, group_sort_key(a.halt_type, a.sign)))
     rows = []
     for avg in ordered:
         fit = None
@@ -311,7 +303,7 @@ def fit_all_groups(averages: Iterable[GroupAverage],
             fit = fit_power_law(make_excess(avg), config.fit_range)
         except (DegenerateData, NonConvergence):
             pass
-        ok = fit is not None and fit.converged and fit.r2_positive >= config.min_r2
+        ok = fit is not None and fit.r2_positive >= config.min_r2
         rows.append(GroupFitRow(avg.measure, avg.halt_type, avg.sign, fit,
                                 FLAG_OK if ok else FLAG_NO_POWER_LAW))
     return rows
@@ -345,7 +337,7 @@ def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
             _field(fit.bootstrap_alpha_stderr) if fit else "",
             _field(fit.sse) if fit else "",
             _field(fit.r2_positive) if fit else "",
-            int(fit.converged) if fit else 0,
+            int(fit is not None),   # a fit exists only once converged
             row.flag,
         ))
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -35,27 +35,19 @@ from .events import (
     HaltRecord,
     HaltType,
     classify_halt_type,
-    filter_eligibility,
+    group_sort_key,
     write_halt_csv,
 )
-from .event_study import (
-    MeasureKind,
-    POST_WINDOW,
-    extract_stock_trajectories,
-    group_average,
-)
+from .event_study import MeasureKind
 from .market_data import (
     MINUTES_PER_DAY,
     Panel,
     PanelBuilder,
     TradingCalendar,
-    forward_fill_all,
     write_bar_csv,
 )
-from .powerlaw import DEFAULT_FIT_RANGE, fit_power_law, make_excess
-
-TREND_WINDOW_MINUTES = 240
-RELAX_WINDOW_MINUTES = POST_WINDOW
+from .pipeline import AnalysisConfig, average_groups, select_events
+from .powerlaw import FitConfig, fit_power_law, make_excess
 
 DEFAULT_BASE_LEVELS: Mapping[MeasureKind, float] = {
     MeasureKind.ABSOLUTE_RETURN: 0.002,
@@ -75,7 +67,7 @@ class MeasureRelaxation:
     """Planted post-halt shape of one measure.
 
     The measure's magnitude is multiplied by ``peak`` at t = 0 and by
-    ``1 + amplitude * t**(-alpha)`` for t = 1..160, so after
+    ``1 + amplitude * t**(-alpha)`` over the default post window, so after
     deseasonalization the excess decays as amplitude * t**(-alpha).
     """
 
@@ -93,7 +85,7 @@ class PlantedEvent:
     """One halt to plant, addressed by calendar day index (0-based).
 
     ``trend_magnitude`` is the signed cumulative log return realized
-    over the 240 traded minutes before the halt; it must be nonzero and
+    over the default trend window before the halt; it must be nonzero and
     should be large against typical per-minute returns so the sign stays
     recoverable under noise.
     """
@@ -244,6 +236,7 @@ def _validate_events(spec: SyntheticSpec, calendar: TradingCalendar,
             if not 0 <= d < spec.n_days:
                 raise ValueError(f"{ev.stock_id}: day index {d} out of range")
         per_stock.setdefault(ev.stock_id, []).append(ev)
+    trend, relax = EligibilityConfig.trend_window, EligibilityConfig.post_window
     for stock_id, evs in per_stock.items():
         evs.sort(key=lambda e: (e.begin_day, e.begin_minute))
         spans = []
@@ -251,18 +244,17 @@ def _validate_events(spec: SyntheticSpec, calendar: TradingCalendar,
             rec = ev.record(calendar)
             g_begin = rec.global_begin(calendar)
             g_resume = rec.global_resume(calendar)
-            if g_begin - TREND_WINDOW_MINUTES < 1:
+            if g_begin - trend < 1:
                 raise ValueError(
                     f"{stock_id}: no room for the trend window before the halt")
-            if g_resume + RELAX_WINDOW_MINUTES > n - 1:
+            if g_resume + relax > n - 1:
                 raise ValueError(
                     f"{stock_id}: no room for the relaxation window after resume")
             spans.append((g_begin, g_resume))
         for (_, prev_resume), (next_begin, _) in zip(spans, spans[1:]):
             # the next event's trend window must clear the previous
             # event's relaxation window entirely
-            if next_begin - TREND_WINDOW_MINUTES \
-                    <= prev_resume + RELAX_WINDOW_MINUTES:
+            if next_begin - trend <= prev_resume + relax:
                 raise OverlapViolation(
                     f"{stock_id}: planted events closer than the trend "
                     "plus relaxation windows allow")
@@ -286,6 +278,7 @@ def _generate_stock(stock_id: str, rng: np.random.Generator,
     halted = np.zeros(n, dtype=bool)
 
     ret_mag = mags[MeasureKind.ABSOLUTE_RETURN]
+    post_window = EligibilityConfig.post_window
     for ev in events:
         rec = ev.record(calendar)
         g_begin = rec.global_begin(calendar)
@@ -294,8 +287,8 @@ def _generate_stock(stock_id: str, rng: np.random.Generator,
         for measure in MeasureKind:
             relax = ev.relaxations[measure]
             mags[measure][g_resume] *= relax.peak
-            t = np.arange(1.0, RELAX_WINDOW_MINUTES + 1.0)
-            post = slice(g_resume + 1, g_resume + RELAX_WINDOW_MINUTES + 1)
+            t = np.arange(1.0, post_window + 1.0)
+            post = slice(g_resume + 1, g_resume + post_window + 1)
             mags[measure][post] *= 1.0 + relax.amplitude * t ** (-relax.alpha)
         # steer the pre-halt increments along a linear ramp to the trend
         # target: flips only signs, never magnitudes, so the |return|
@@ -303,7 +296,7 @@ def _generate_stock(stock_id: str, rng: np.random.Generator,
         # sees a proportional share of the trend
         running = 0.0
         target = ev.trend_magnitude
-        width = TREND_WINDOW_MINUTES
+        width = EligibilityConfig.trend_window
         for k, g in enumerate(range(g_begin - width, g_begin)):
             goal = target * (k + 1) / width
             step = 1 if running < goal else -1
@@ -399,7 +392,8 @@ def build_group_spec(group_sizes: Mapping[tuple[HaltType, EventSign], int],
                      | None = None,
                      sigma: float = 0.0,
                      trend_magnitude: float = 0.08,
-                     lookback_days: int = 40) -> SyntheticSpec:
+                     lookback_days: int = EligibilityConfig.lookback_days,
+                     ) -> SyntheticSpec:
     """Spec with one stock per event and uniform parameters per group.
 
     Every event's halt begins on the day after ``lookback_days`` history
@@ -411,10 +405,7 @@ def build_group_spec(group_sizes: Mapping[tuple[HaltType, EventSign], int],
         relaxations = DEFAULT_RELAXATIONS
     halt_day = lookback_days
     n_days = lookback_days + 3
-    halt_order = {ht: i for i, ht in enumerate(HaltType)}
-    sign_order = {s: i for i, s in enumerate(EventSign)}
-    groups = sorted(group_sizes.items(),
-                    key=lambda kv: (halt_order[kv[0][0]], sign_order[kv[0][1]]))
+    groups = sorted(group_sizes.items(), key=lambda kv: group_sort_key(*kv[0]))
     events = []
     stock_no = 0
     for (halt_type, sign), size in groups:
@@ -475,24 +466,15 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
                               measures: Sequence[MeasureKind],
                               fit_range: tuple[int, int],
                               seed: int) -> list[RecoveryRow]:
-    filled = forward_fill_all(panel)
-    config = EligibilityConfig()
-    events = [ev for ev in filter_eligibility(records, filled, config)
-              if ev.eligible]
-    per_event = extract_stock_trajectories(
-        filled, events, measures, config.lookback_days,
-        config.measure_pre_window, config.post_window)
+    config = AnalysisConfig(measures=tuple(measures))
+    filled, events = select_events(panel, records, config)
     planted = {(row.record.stock_id, row.record.halt_day): row
                for row in truth.rows}
-    groups: dict[tuple[HaltType, EventSign], list[int]] = {}
-    for i, ev in enumerate(events):
-        groups.setdefault((ev.halt_type, ev.sign), []).append(i)
     rows = []
-    for (halt_type, sign), members in sorted(
-            groups.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)):
-        truths = [planted[(events[i].record.stock_id, events[i].record.halt_day)]
-                  for i in members]
-        for measure in measures:
+    for cell in average_groups(filled, events, config):
+        truths = [planted[(ev.record.stock_id, ev.record.halt_day)]
+                  for ev in cell.events]
+        for measure, average in cell.averages.items():
             relaxes = {truth_row.event.relaxations[measure]
                        for truth_row in truths}
             if len(relaxes) != 1:
@@ -503,13 +485,12 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
             fitted_amplitude = float("nan")
             failure = None
             try:
-                average = group_average(per_event[i][measure] for i in members)
                 fit = fit_power_law(make_excess(average), fit_range)
                 fitted_alpha = fit.alpha
                 fitted_amplitude = fit.amplitude
             except (DegenerateData, NonConvergence) as exc:
                 failure = f"{type(exc).__name__}: {exc}"
-            rows.append(RecoveryRow(seed, measure, halt_type, sign,
+            rows.append(RecoveryRow(seed, measure, cell.halt_type, cell.sign,
                                     relax.alpha, relax.amplitude,
                                     fitted_alpha, fitted_amplitude, failure))
     return rows
@@ -518,7 +499,7 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
 def recovery_study(spec: SyntheticSpec, n_seeds: int,
                    measures: Sequence[MeasureKind] = (
                        MeasureKind.ABSOLUTE_RETURN,),
-                   fit_range: tuple[int, int] = DEFAULT_FIT_RANGE,
+                   fit_range: tuple[int, int] = FitConfig.fit_range,
                    ) -> RecoveryReport:
     """Regenerate and refit under seeds seed+0..seed+n_seeds-1.
 

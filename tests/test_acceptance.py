@@ -179,7 +179,7 @@ def test_stability_and_reversal_exactness(acceptance):
                   absent=[slice(300, 360)])
         events.append(halt_event(cal3, stock_id, (1, 61), (1, 121),
                                  HaltType.INTRADAY, EventSign.NEGATIVE))
-    stats = reversal_stats(builder3.build(), events)
+    stats = reversal_stats(builder3.build(), events, (1, 2))
     ok = stability == 0.0 and stats == {1: 0.6, 2: 0.6}
     acceptance(
         "stability_and_reversal_exactness", ok,
@@ -212,8 +212,8 @@ def test_worker_and_rerun_determinism(acceptance, tmp_path):
                             seed=909, sigma=0.1)
     panel, records, _ = generate_panel(spec)
     dirs = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 4)):
-        config = AnalysisConfig(n_bootstrap=8, seed=3, n_workers=workers)
+    for name in ("a", "b", "c"):
+        config = AnalysisConfig(n_bootstrap=8, seed=3)
         result = run_analysis(panel, records, config)
         write_analysis_outputs(result, config, tmp_path / name)
         dirs.append(tmp_path / name)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from haltstudy import (
+    AnalysisConfig,
     ConfigError,
     HaltRecord,
     PanelBuilder,
@@ -14,7 +15,7 @@ from haltstudy import (
     write_bar_csv,
     write_halt_csv,
 )
-from haltstudy.cli import main, parse_config_file
+from haltstudy.cli import RunConfig, main, parse_config_file
 from helpers import add_stock
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -114,6 +115,10 @@ def test_counts_prints_table(synth_inputs, tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == \
         {"eligibility.csv", "counts.csv"}
     assert (out / "counts.csv").read_text().splitlines()[-1] == "total,2,2,4"
+    run = tmp_path / "run"
+    assert main(["run", *_args(synth_inputs, run, "--bootstrap", "0")]) == 0
+    for name in ("eligibility.csv", "counts.csv"):
+        assert (out / name).read_bytes() == (run / name).read_bytes()
 
 
 def test_fit_writes_only_fit_artifacts(synth_inputs, tmp_path, capsys):
@@ -124,6 +129,10 @@ def test_fit_writes_only_fit_artifacts(synth_inputs, tmp_path, capsys):
     assert {p.name for p in out.iterdir()} == {"exponents.csv", "loglog.csv"}
     lines = (out / "exponents.csv").read_text().splitlines()
     assert len(lines) == 1 + 6          # 3 measures x 2 groups
+    run = tmp_path / "run"
+    assert main(["run", *_args(synth_inputs, run, "--bootstrap", "0")]) == 0
+    for name in ("exponents.csv", "loglog.csv"):
+        assert (out / name).read_bytes() == (run / name).read_bytes()
 
 
 # ---------------------------------------------------------------- robustness
@@ -191,6 +200,10 @@ def test_config_file_layering(tmp_path):
     # an explicit flag beats the file
     assert (c / "bars.csv").read_bytes() == (d / "bars.csv").read_bytes()
     assert (c / "bars.csv").read_bytes() != (a / "bars.csv").read_bytes()
+
+
+def test_run_config_defaults_are_the_analysis_defaults():
+    assert RunConfig().analysis() == AnalysisConfig()
 
 
 def test_parse_config_file(tmp_path):
@@ -263,15 +276,32 @@ def test_bad_group_token(tmp_path, capsys):
     assert "sideways_pos" in blob["message"]
 
 
+def test_worker_count_key_is_unknown(synth_inputs, tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("n_workers = 2\n")
+    rc = main(["run", "--config", str(cfg),
+               *_args(synth_inputs, tmp_path / "out")])
+    assert rc == 1
+    blob = _stderr_error(capsys)
+    assert blob["error"] == "ConfigError"
+    assert "unknown key 'n_workers'" in blob["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_robustness_window(flip_inputs, tmp_path, capsys):
     rc = main(["robustness", *_args(flip_inputs, tmp_path / "out",
                                     "--windows", "90")])
     assert rc == 1
     assert "90" in _stderr_error(capsys)["message"]
+    rc = main(["robustness", *_args(flip_inputs, tmp_path / "out",
+                                    "--windows", ",")])
+    assert rc == 1
+    assert "no robustness windows" in _stderr_error(capsys)["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value, needle", [
-    ("--workers", "0", "n_workers"),
+    ("--fit-range", "200:300", "post window"),
     ("--bootstrap", "-1", "n_bootstrap"),
     ("--lookback-days", "0", "lookback_days"),
     ("--fit-range", "0:10", "fit range"),

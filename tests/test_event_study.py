@@ -21,13 +21,11 @@ from haltstudy import (
     ZeroBaseline,
     average_cumulative_return,
     compute_intraday_pattern,
-    deseasonalize,
     extract_trajectory,
     forward_fill_all,
     group_average,
     make_calendar,
     measure_series,
-    minute_to_wall_clock,
     reversal_stats,
     stability_stat,
     write_curve_csv,
@@ -149,14 +147,6 @@ def test_pattern_counts_partial_observations():
     assert pattern.values[4] == 9.0
 
 
-def test_deseasonalize():
-    assert deseasonalize(3.0, 2.0) == 1.5
-    assert deseasonalize(0.0, 5.0) == 0.0
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ZeroBaseline):
-            deseasonalize(1.0, bad)
-
-
 # ---------------------------------------------------------------- trajectories
 
 
@@ -176,7 +166,7 @@ def test_trajectory_event_time_mapping():
     # t = 0 lands on the first traded minute after the halt, 13:01
     g0 = int(tr.values[tr.t == 0][0])
     _, minute = cal.location(g0)
-    assert minute_to_wall_clock(minute) == "13:01"
+    assert minute == 121
     assert not tr.missing.any()
 
 
@@ -474,7 +464,7 @@ def _reversal_fixture(moves, sign):
 def test_reversal_fraction_counts_strict_opposites():
     moves = [10.5] * 6 + [9.5] * 3 + [10.0]
     panel, events = _reversal_fixture(moves, EventSign.NEGATIVE)
-    stats = reversal_stats(panel, events)
+    stats = reversal_stats(panel, events, (1, 2))
     assert stats == {1: 0.6, 2: 0.6}            # the flat mover never counts
     panel, events = _reversal_fixture([10.5, 9.5, 9.5, 9.5],
                                       EventSign.POSITIVE)
@@ -494,20 +484,21 @@ def test_reversal_fraction_is_scale_invariant():
                   absent=[slice(300, 360)])
         events.append(halt_event(cal, stock_id, (1, 61), (1, 121),
                                  HaltType.INTRADAY, EventSign.NEGATIVE))
-    assert reversal_stats(builder.build(), events) == {1: 0.6, 2: 0.6}
+    assert reversal_stats(builder.build(), events, (1, 2)) == \
+        {1: 0.6, 2: 0.6}
 
 
 def test_reversal_input_validation():
     panel, events = _reversal_fixture([10.5], EventSign.NEGATIVE)
     with pytest.raises(EmptyGroup):
-        reversal_stats(panel, [])
+        reversal_stats(panel, [], (1, 2))
     with pytest.raises(ValueError):
         reversal_stats(panel, events, horizons=(0,))
     cal = panel.calendar
     unsigned = halt_event(cal, "S00", (1, 61), (1, 121),
                           HaltType.INTRADAY, None)
     with pytest.raises(ValueError):
-        reversal_stats(panel, [unsigned])
+        reversal_stats(panel, [unsigned], (1, 2))
 
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", absent=[slice(300, 361)])

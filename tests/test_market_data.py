@@ -14,20 +14,14 @@ from haltstudy import (
     MinuteBar,
     NoData,
     NonPositivePrice,
-    NoPredecessor,
-    OutsideSession,
     Panel,
     PanelBuilder,
     TradingCalendar,
     UnknownDay,
     forward_fill,
     forward_fill_all,
-    log_return,
     make_calendar,
-    merge_panels,
-    minute_to_wall_clock,
     parse_bar_file,
-    wall_clock_to_minute,
     write_bar_csv,
 )
 from helpers import add_stock, random_walk_stock
@@ -35,33 +29,6 @@ from helpers import add_stock, random_walk_stock
 LN_101 = 0.009950330853168092  # ln(1.01)
 
 MARCH = TradingCalendar((date(2010, 3, 1), date(2010, 3, 2), date(2010, 3, 3)))
-
-
-# ---------------------------------------------------------------- session
-
-
-def test_wall_clock_anchor_minutes():
-    assert wall_clock_to_minute("09:31") == 1
-    assert wall_clock_to_minute("11:30") == 120
-    assert wall_clock_to_minute("13:01") == 121
-    assert wall_clock_to_minute("15:00") == 240
-    assert wall_clock_to_minute("10:01") == 31
-    assert wall_clock_to_minute("11:01") == 91
-
-
-@pytest.mark.parametrize("text", ["09:30", "11:31", "12:00", "13:00", "15:01",
-                                  "00:00", "23:59", "garbage", "9:3:1", "25:00"])
-def test_wall_clock_rejects_times_outside_session(text):
-    with pytest.raises(OutsideSession):
-        wall_clock_to_minute(text)
-
-
-def test_wall_clock_round_trips_every_session_minute():
-    for minute in range(1, 241):
-        assert wall_clock_to_minute(minute_to_wall_clock(minute)) == minute
-    for bad in (0, 241, -5):
-        with pytest.raises(OutsideSession):
-            minute_to_wall_clock(bad)
 
 
 # ---------------------------------------------------------------- calendar
@@ -134,20 +101,22 @@ def test_parse_single_bar():
     panel = parse_bar_file(io.StringIO(text), MARCH)
     assert panel.stock_ids == ("600000",)
     assert panel.n_bars == 1
-    bar = panel.get_bar("600000", date(2010, 3, 1), 1)
-    assert bar.last_price == 10.0
-    assert bar.volume == 500.0
-    assert bar.spread == pytest.approx(0.02, abs=1e-12)
-    assert not bar.synthetic_fill
+    g = MARCH.global_minute(date(2010, 3, 1), 1)
+    assert panel.prices("600000")[g] == 10.0
+    assert panel.volumes("600000")[g] == 500.0
+    spread = panel.asks("600000")[g] - panel.bids("600000")[g]
+    assert spread == pytest.approx(0.02, abs=1e-12)
+    assert not panel.synthetic_mask("600000")[g]
 
 
 def test_parse_accepts_bytes_stream_and_missing_quotes():
     text = ("stock_id,date,minute,last_price,volume,best_bid,best_ask\n"
             "600000,2010-03-01,5,10.5,0,,\n")
     panel = parse_bar_file(io.BytesIO(text.encode()), MARCH)
-    bar = panel.get_bar("600000", date(2010, 3, 1), 5)
-    assert bar.best_bid is None and bar.best_ask is None
-    assert bar.spread is None
+    g = MARCH.global_minute(date(2010, 3, 1), 5)
+    assert panel.present_mask("600000")[g]
+    assert np.isnan(panel.bids("600000")[g])
+    assert np.isnan(panel.asks("600000")[g])
 
 
 def test_parse_empty_stream_yields_empty_panel():
@@ -232,12 +201,8 @@ def test_panel_accessors_and_coverage():
     assert panel.prices("A")[g0] == 10.0
     assert np.isnan(panel.prices("A")[g0 + 1])
     assert panel.log_prices("A")[g1] == math.log(11.0)
-    assert panel.has_bar("A", date(2010, 3, 2), 20)
-    assert not panel.has_bar("A", date(2010, 3, 2), 21)
-    assert not panel.has_bar("Z", date(2010, 3, 2), 20)
-    assert panel.get_bar("A", date(2010, 3, 1), 11) is None
-    bars = list(panel.iter_bars("A"))
-    assert [b.minute for b in bars] == [10, 20]
+    assert np.flatnonzero(panel.present_mask("A")).tolist() == [g0, g1]
+    assert "Z" not in panel
     with pytest.raises(NoData):
         panel.prices("Z")
     with pytest.raises(NoData):
@@ -307,14 +272,15 @@ def test_forward_fill_single_gap():
     builder.add_bar("A", day, 1, 10.00, 500.0, 9.99, 10.01)
     builder.add_bar("A", day, 3, 10.10, 200.0, None, None)
     filled = forward_fill(builder.build(), "A")
-    bar = filled.get_bar("A", day, 2)
-    assert bar.synthetic_fill
-    assert bar.last_price == 10.00
-    assert bar.volume == 0.0
-    assert bar.best_bid == 9.99 and bar.best_ask == 10.01
+    g = MARCH.global_minute(day, 2)
+    assert filled.synthetic_mask("A")[g]
+    assert filled.prices("A")[g] == 10.00
+    assert filled.volumes("A")[g] == 0.0
+    assert filled.bids("A")[g] == 9.99 and filled.asks("A")[g] == 10.01
     # the filled minute repeats the previous price bit for bit
-    assert log_return(filled, "A", day, 2) == 0.0
-    assert log_return(filled, "A", day, 3) == pytest.approx(LN_101, abs=1e-15)
+    lnp = filled.log_prices("A")
+    assert lnp[g] - lnp[g - 1] == 0.0
+    assert lnp[g + 1] - lnp[g] == pytest.approx(LN_101, abs=1e-15)
 
 
 def test_forward_fill_gap_free_returns_same_object():
@@ -358,94 +324,6 @@ def test_forward_fill_round_trip_drops_synthetic_bars():
 def test_forward_fill_unknown_stock():
     with pytest.raises(NoData):
         forward_fill(PanelBuilder(MARCH).build(), "A")
-
-
-# ---------------------------------------------------------------- returns
-
-
-def test_log_return_value_and_antisymmetry():
-    day = date(2010, 3, 1)
-    builder = PanelBuilder(MARCH)
-    builder.add_bar("A", day, 1, 100.0, 1.0, None, None)
-    builder.add_bar("A", day, 2, 101.0, 1.0, None, None)
-    builder.add_bar("B", day, 1, 101.0, 1.0, None, None)
-    builder.add_bar("B", day, 2, 100.0, 1.0, None, None)
-    panel = builder.build()
-    assert log_return(panel, "A", day, 2) == pytest.approx(LN_101, abs=1e-15)
-    # swapping the two prices negates the return bit for bit
-    assert log_return(panel, "B", day, 2) == -log_return(panel, "A", day, 2)
-
-
-def test_log_return_constant_price_is_exactly_zero():
-    builder = PanelBuilder(MARCH)
-    for day in MARCH.trading_days:
-        for minute in range(1, 241):
-            builder.add_bar("A", day, minute, 10.0, 1.0, None, None)
-    panel = builder.build()
-    assert log_return(panel, "A", date(2010, 3, 2), 17) == 0.0
-
-
-def test_log_return_crosses_the_overnight_boundary():
-    builder = PanelBuilder(MARCH)
-    builder.add_bar("A", date(2010, 3, 1), 240, 10.0, 1.0, None, None)
-    builder.add_bar("A", date(2010, 3, 2), 1, 10.5, 1.0, None, None)
-    panel = builder.build()
-    got = log_return(panel, "A", date(2010, 3, 2), 1)
-    assert got == pytest.approx(0.048790164169431716, abs=1e-15)
-
-
-def test_log_return_missing_bar_or_predecessor():
-    builder = PanelBuilder(MARCH)
-    builder.add_bar("A", date(2010, 3, 1), 5, 10.0, 1.0, None, None)
-    builder.add_bar("A", date(2010, 3, 1), 7, 10.5, 1.0, None, None)
-    panel = builder.build()
-    with pytest.raises(NoData):
-        log_return(panel, "A", date(2010, 3, 1), 6)
-    with pytest.raises(NoPredecessor):
-        log_return(panel, "A", date(2010, 3, 1), 7)
-    with pytest.raises(NoPredecessor):
-        log_return(panel, "A", date(2010, 3, 1), 5)
-
-
-def test_log_returns_telescope():
-    cal = make_calendar(3)
-    builder = PanelBuilder(cal)
-    random_walk_stock(builder, cal, "A", np.random.default_rng(29))
-    panel = builder.build()
-    lnp = panel.log_prices("A")
-    rng = np.random.default_rng(31)
-    for _ in range(10):
-        lo = int(rng.integers(1, cal.n_minutes - 2))
-        hi = int(rng.integers(lo + 1, cal.n_minutes))
-        total = 0.0
-        for g in range(lo, hi + 1):
-            day, minute = cal.location(g)
-            total += log_return(panel, "A", day, minute)
-        assert total == pytest.approx(lnp[hi] - lnp[lo - 1], abs=1e-12)
-
-
-# ---------------------------------------------------------------- merging
-
-
-def test_merge_panels_is_order_independent():
-    def build(stocks):
-        builder = PanelBuilder(MARCH)
-        for stock_id in stocks:
-            builder.add_bar(stock_id, date(2010, 3, 1), 1, 10.0, 1.0,
-                            None, None)
-        return builder.build()
-
-    ab, c = build(["A", "B"]), build(["C"])
-    merged = merge_panels([ab, c])
-    assert merged.stock_ids == ("A", "B", "C")
-    assert merge_panels([c, ab]) == merged
-    with pytest.raises(DuplicateBar):
-        merge_panels([ab, build(["B"])])
-    with pytest.raises(NoData):
-        merge_panels([])
-    other = PanelBuilder(make_calendar(1)).build()
-    with pytest.raises(ValueError):
-        merge_panels([ab, other])
 
 
 def test_panel_equality_notices_any_difference():

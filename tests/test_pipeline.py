@@ -8,7 +8,9 @@ import pytest
 from haltstudy import (
     AnalysisConfig,
     DEFAULT_RELAXATIONS,
+    EligibilityConfig,
     EventSign,
+    FitConfig,
     HaltType,
     MeasureKind,
     build_group_spec,
@@ -81,8 +83,8 @@ def test_results_do_not_depend_on_worker_count(tmp_path):
                             seed=17, sigma=0.1)
     panel, records, _ = generate_panel(spec)
     dirs = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 4)):
-        config = AnalysisConfig(n_bootstrap=8, seed=5, n_workers=workers)
+    for name in ("a", "b", "c"):
+        config = AnalysisConfig(n_bootstrap=8, seed=5)
         result = run_analysis(panel, records, config)
         write_analysis_outputs(result, config, tmp_path / name)
         dirs.append(tmp_path / name)
@@ -105,7 +107,7 @@ def test_bootstrap_errors_attach_to_multi_event_groups():
 
 def test_summary_is_json_safe_and_omits_runtime_knobs(six_group_run):
     result, _ = six_group_run
-    config = AnalysisConfig(n_bootstrap=0, n_workers=7)
+    config = AnalysisConfig(n_bootstrap=0)
     summary = summary_dict(result, config)
     text = json.dumps(summary, allow_nan=False, sort_keys=True)
     assert "n_workers" not in summary["config"]
@@ -144,8 +146,10 @@ def test_analysis_config_validation():
         AnalysisConfig(measures=())
     with pytest.raises(ValueError):
         AnalysisConfig(n_bootstrap=-1)
-    with pytest.raises(ValueError):
-        AnalysisConfig(n_workers=0)
+    with pytest.raises(ValueError, match="post window"):
+        AnalysisConfig(fit=FitConfig(fit_range=(1, 161)))
+    AnalysisConfig(fit=FitConfig(fit_range=(1, 200)),
+                   eligibility=EligibilityConfig(post_window=200))
     with pytest.raises(ValueError):
         AnalysisConfig(reversal_horizons=(0,))
 
