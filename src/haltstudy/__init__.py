@@ -28,7 +28,6 @@ from .errors import (
 )
 from .market_data import (
     MINUTES_PER_DAY,
-    MinuteBar,
     Panel,
     PanelBuilder,
     TradingCalendar,

@@ -171,13 +171,15 @@ def parse_config_file(path: Path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then explicit flags."""
+    """Defaults, then the config file, then flags (text parsed as in the file)."""
     values = {}
     config_path = getattr(args, "config", None)
     if config_path is not None:
         values.update(parse_config_file(config_path))
-    for key in _FILE_KEYS:
+    for key, parse in _FILE_KEYS.items():
         flag_value = getattr(args, key, None)
+        if isinstance(flag_value, str):
+            flag_value = parse(flag_value, key)
         if flag_value is not None:
             values[key] = flag_value
     return RunConfig(**values)
@@ -192,9 +194,9 @@ def _require(config: RunConfig, *names: str) -> None:
 def _load_inputs(config: RunConfig):
     _require(config, "bars", "calendar", "halts", "out")
     calendar = TradingCalendar.from_file(config.calendar)
-    with open(config.bars, newline="") as fh:
+    with open(config.bars, "rb") as fh:
         panel = parse_bar_file(fh, calendar)
-    with open(config.halts, newline="") as fh:
+    with open(config.halts, "rb") as fh:
         records = parse_halt_file(fh)
     return panel, records
 
@@ -306,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-halt-days", type=int, dest="max_halt_days")
         p.add_argument("--max-gap-fraction", type=float,
                        dest="max_gap_fraction")
-        p.add_argument("--fit-range", type=lambda v: _parse_range(v, "fit_range"),
-                       dest="fit_range", help="fit window as LO:HI")
+        p.add_argument("--fit-range", dest="fit_range",
+                       help="fit window as LO:HI")
         p.add_argument("--min-r2", type=float, dest="min_r2")
         p.add_argument("--bootstrap", type=int, dest="n_bootstrap",
                        help="bootstrap resamples (0 disables)")
@@ -317,9 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rob = sub.add_parser("robustness",
                            help="rerun per trend window, count sign flips")
     add_common(p_rob)
-    p_rob.add_argument("--windows",
-                       type=lambda v: _parse_int_list(v, "windows"),
-                       help="comma-separated trend windows")
+    p_rob.add_argument("--windows", help="comma-separated trend windows")
     p_counts = sub.add_parser("counts",
                               help="eligibility report and count table only")
     add_common(p_counts)

@@ -26,7 +26,8 @@ from .errors import (
     MalformedRow,
     NoData,
 )
-from .market_data import MINUTES_PER_DAY, Panel, TradingCalendar
+from .market_data import (MINUTES_PER_DAY, Panel, TradingCalendar,
+                          _check_stock_id, _csv_reader)
 
 HALT_CSV_HEADER = ("stock_id", "halt_date", "halt_minute",
                    "resume_date", "resume_minute", "is_st")
@@ -372,42 +373,46 @@ def write_count_csv(table: CountTable, stream: IO[str]) -> None:
                      table.total))
 
 
-def parse_halt_file(stream: IO[str]) -> list[HaltRecord]:
-    """Parse the halt registry CSV (header required, is_st in {0,1})."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        return []
-    if tuple(h.strip() for h in header) != HALT_CSV_HEADER:
-        raise MalformedRow(f"line 1: bad header {header!r}")
+def parse_halt_file(stream: IO[bytes] | IO[str]) -> list[HaltRecord]:
+    """Parse the halt registry CSV (header required, is_st in {0,1}).
+
+    Every bad row raises with ``line N:`` leading its message.
+    """
     records = []
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num
-        if len(row) != 6:
-            raise MalformedRow(f"line {lineno}: expected 6 fields, got {len(row)}")
-        stock_id = row[0].strip()
-        if not stock_id:
-            raise MalformedRow(f"line {lineno}: empty stock_id")
-        try:
-            halt_day = date.fromisoformat(row[1].strip())
-            resume_day = date.fromisoformat(row[3].strip())
-        except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: bad date") from exc
-        try:
-            halt_minute = int(row[2])
-            resume_minute = int(row[4])
-        except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: bad minute field") from exc
-        flag = row[5].strip()
-        if flag not in ("0", "1"):
-            raise MalformedRow(f"line {lineno}: is_st must be 0 or 1, got {flag!r}")
-        try:
-            records.append(HaltRecord(stock_id, halt_day, halt_minute,
-                                      resume_day, resume_minute, flag == "1"))
-        except InvalidInterval as exc:
-            raise InvalidInterval(f"line {lineno}: {exc}") from None
+    with _csv_reader(stream) as reader:
+        header = next(reader, None)
+        if header is None:
+            return []
+        if tuple(h.strip() for h in header) != HALT_CSV_HEADER:
+            raise MalformedRow(f"line 1: bad header {header!r}")
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != 6:
+                raise MalformedRow(f"line {lineno}: expected 6 fields, got {len(row)}")
+            stock_id = row[0].strip()
+            if not stock_id:
+                raise MalformedRow(f"line {lineno}: empty stock_id")
+            _check_stock_id(stock_id, lineno)
+            try:
+                halt_day = date.fromisoformat(row[1].strip())
+                resume_day = date.fromisoformat(row[3].strip())
+            except ValueError as exc:
+                raise MalformedRow(f"line {lineno}: bad date") from exc
+            try:
+                halt_minute = int(row[2])
+                resume_minute = int(row[4])
+            except ValueError as exc:
+                raise MalformedRow(f"line {lineno}: bad minute field") from exc
+            flag = row[5].strip()
+            if flag not in ("0", "1"):
+                raise MalformedRow(f"line {lineno}: is_st must be 0 or 1, got {flag!r}")
+            try:
+                records.append(HaltRecord(stock_id, halt_day, halt_minute,
+                                          resume_day, resume_minute, flag == "1"))
+            except InvalidInterval as exc:
+                raise InvalidInterval(f"line {lineno}: {exc}") from None
     return records
 
 

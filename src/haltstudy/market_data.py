@@ -14,10 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
+from itertools import repeat
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -54,7 +56,8 @@ class TradingCalendar:
     def from_file(cls, path: str | Path) -> "TradingCalendar":
         """Load a calendar file: one YYYY-MM-DD per line, sorted."""
         days = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -95,73 +98,23 @@ class TradingCalendar:
         return self.trading_days[day_idx], offset + 1
 
 
-@dataclass(frozen=True)
-class MinuteBar:
-    """One stock-minute: last trade price, traded volume and best quotes."""
-
-    stock_id: str
-    day: date
-    minute: int
-    last_price: float
-    volume: float
-    best_bid: float | None = None
-    best_ask: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.minute <= MINUTES_PER_DAY:
-            raise ValueError(f"minute index out of range: {self.minute}")
-        if not (self.last_price > 0 and math.isfinite(self.last_price)):
-            raise NonPositivePrice(
-                f"{self.stock_id} {self.day} m{self.minute}: price {self.last_price}")
-        if self.volume < 0 or not math.isfinite(self.volume):
-            raise ValueError(f"negative or non-finite volume: {self.volume}")
-        if (self.best_bid is not None and self.best_ask is not None
-                and self.best_ask < self.best_bid):
-            raise CrossedQuote(
-                f"{self.stock_id} {self.day} m{self.minute}: "
-                f"ask {self.best_ask} < bid {self.best_bid}")
-
-    @property
-    def spread(self) -> float | None:
-        """Best ask minus best bid, or None when either side is missing."""
-        if self.best_bid is None or self.best_ask is None:
-            return None
-        return self.best_ask - self.best_bid
-
-
 _FLOAT_ARRAYS = ("price", "volume", "bid", "ask")
 _ARRAYS = _FLOAT_ARRAYS + ("present", "synthetic")
 
 
 class _StockData:
-    """Flat per-stock arrays over the calendar's traded-minute axis."""
+    """Read-only per-stock arrays over the calendar's traded-minute axis."""
 
     __slots__ = _ARRAYS + ("first", "last")
 
-    def __init__(self, n: int):
-        self.price = np.full(n, np.nan)
-        self.volume = np.full(n, np.nan)
-        self.bid = np.full(n, np.nan)
-        self.ask = np.full(n, np.nan)
-        self.present = np.zeros(n, dtype=bool)
-        self.synthetic = np.zeros(n, dtype=bool)
-        self.first = -1
-        self.last = -1
-
-    def finalize(self) -> None:
-        idx = np.flatnonzero(self.present)
-        if idx.size:
-            self.first = int(idx[0])
-            self.last = int(idx[-1])
-        for name in _ARRAYS:
-            getattr(self, name).setflags(write=False)
-
-    def copy_mutable(self) -> "_StockData":
-        out = _StockData.__new__(_StockData)
-        for name in _ARRAYS:
-            setattr(out, name, getattr(self, name).copy())
-        out.first, out.last = self.first, self.last
-        return out
+    def __init__(self, price: np.ndarray, volume: np.ndarray, bid: np.ndarray,
+                 ask: np.ndarray, present: np.ndarray, synthetic: np.ndarray):
+        for name, array in zip(_ARRAYS, (price, volume, bid, ask, present,
+                                         synthetic)):
+            array.setflags(write=False)
+            setattr(self, name, array)
+        idx = np.flatnonzero(present)
+        self.first, self.last = (int(idx[0]), int(idx[-1])) if idx.size else (-1, -1)
 
     def equals(self, other: "_StockData") -> bool:
         return all(np.array_equal(getattr(self, name), getattr(other, name),
@@ -255,68 +208,73 @@ class Panel:
 
 
 class PanelBuilder:
-    """Accumulates bars, validating invariants, then freezes into a Panel."""
+    """Validates whole-calendar stock arrays, then freezes them into a Panel."""
 
     def __init__(self, calendar: TradingCalendar):
         self._calendar = calendar
         self._stocks: dict[str, _StockData] = {}
 
-    def _stock(self, stock_id: str) -> _StockData:
-        d = self._stocks.get(stock_id)
-        if d is None:
-            d = _StockData(self._calendar.n_minutes)
-            self._stocks[stock_id] = d
-        return d
-
-    def add_bar(self, stock_id: str, day: date, minute: int, price: float,
-                volume: float, bid: float | None, ask: float | None) -> None:
-        if day not in self._calendar:
-            raise UnknownDay(f"{day} is not a trading day")
-        bar = MinuteBar(stock_id, day, minute, price, volume, bid, ask)
-        d = self._stock(stock_id)
-        g = self._calendar.global_minute(day, minute)
-        if d.present[g]:
-            raise DuplicateBar(f"duplicate bar {stock_id} {day} m{minute}")
-        d.present[g] = True
-        d.price[g] = bar.last_price
-        d.volume[g] = bar.volume
-        if bid is not None:
-            d.bid[g] = bid
-        if ask is not None:
-            d.ask[g] = ask
-
     def add_stock_arrays(self, stock_id: str, price: np.ndarray, volume: np.ndarray,
                          bid: np.ndarray, ask: np.ndarray,
                          present: np.ndarray) -> None:
-        """Bulk path for generators: arrays indexed by global minute."""
+        """Copy in one stock's arrays, indexed by global minute.
+
+        The only way bars enter a Panel. Minutes not in ``present`` become
+        NaN. A bar needs a finite positive price, a finite non-negative
+        volume and an ask not below its bid; a NaN quote is a missing side.
+        """
         n = self._calendar.n_minutes
         if stock_id in self._stocks:
             raise DuplicateBar(f"stock {stock_id} added twice")
-        arrays = [np.asarray(price, float), np.asarray(volume, float),
-                  np.asarray(bid, float), np.asarray(ask, float)]
+        arrays = [np.asarray(a, float) for a in (price, volume, bid, ask)]
         present = np.asarray(present, bool)
         if any(a.shape != (n,) for a in arrays) or present.shape != (n,):
             raise ValueError("arrays must cover the full calendar")
-        price, volume, bid, ask = arrays
-        if not np.all(price[present] > 0):
-            raise NonPositivePrice(f"{stock_id}: non-positive price in bulk data")
-        both = present & ~np.isnan(bid) & ~np.isnan(ask)
-        if np.any(ask[both] < bid[both]):
-            raise CrossedQuote(f"{stock_id}: crossed quote in bulk data")
-        d = _StockData.__new__(_StockData)
-        d.price = np.where(present, price, np.nan)
-        d.volume = np.where(present, volume, np.nan)
-        d.bid = np.where(present, bid, np.nan)
-        d.ask = np.where(present, ask, np.nan)
-        d.present = present.copy()
-        d.synthetic = np.zeros(n, dtype=bool)
-        d.first = d.last = -1
-        self._stocks[stock_id] = d
+        price, volume, bid, ask = (np.where(present, a, np.nan) for a in arrays)
+        real = price[present]
+        if not np.all((real > 0) & np.isfinite(real)):
+            raise NonPositivePrice(f"{stock_id}: non-positive or non-finite price")
+        real = volume[present]
+        if not np.all((real >= 0) & np.isfinite(real)):
+            raise ValueError(f"{stock_id}: negative or non-finite volume")
+        if np.any(ask < bid):
+            raise CrossedQuote(f"{stock_id}: crossed quote")
+        self._stocks[stock_id] = _StockData(
+            price, volume, bid, ask, present.copy(), np.zeros(n, dtype=bool))
 
     def build(self) -> Panel:
-        for d in self._stocks.values():
-            d.finalize()
         return Panel(self._calendar, self._stocks)
+
+
+@contextmanager
+def _csv_reader(stream: IO[bytes] | IO[str]) -> Iterator:
+    """A csv reader over ``stream`` whose read errors become MalformedRow.
+
+    Bytes decode as UTF-8 with bad bytes kept as lone surrogates; those
+    fail their row's number and date checks or :func:`_check_stock_id`.
+    A text stream that fails to decode is reported at its next line. The
+    caller's stream is left open.
+    """
+    wrapped = isinstance(stream, io.BufferedIOBase) or "b" in getattr(stream, "mode", "")
+    text = io.TextIOWrapper(stream, encoding="utf-8",  # type: ignore[arg-type]
+                            errors="surrogateescape", newline="") if wrapped else stream
+    reader = csv.reader(text)
+    try:
+        yield reader
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"line {reader.line_num + 1}: {exc}") from None
+    finally:
+        if wrapped:
+            text.detach()  # type: ignore[union-attr]
+
+
+def _check_stock_id(stock_id: str, lineno: int) -> None:
+    try:
+        stock_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedRow(f"line {lineno}: undecodable stock_id {stock_id!r}") from None
 
 
 def _parse_float(field: str, what: str, lineno: int) -> float:
@@ -334,48 +292,85 @@ def parse_bar_file(stream: IO[bytes] | IO[str], calendar: TradingCalendar) -> Pa
 
     Format: ``stock_id,date,minute,last_price,volume,best_bid,best_ask``
     with ISO dates, minute 1..240 and empty quote fields meaning missing.
-    An entirely empty stream yields an empty panel.
+    An entirely empty stream yields an empty panel. Every bad row raises
+    with ``line N:`` leading its message.
     """
-    if isinstance(stream, io.BufferedIOBase) or "b" in getattr(stream, "mode", ""):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")  # type: ignore[arg-type]
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None:
-        return PanelBuilder(calendar).build()
-    if tuple(h.strip() for h in header) != BAR_CSV_HEADER:
-        raise MalformedRow(f"line 1: bad header {header!r}")
+    n = calendar.n_minutes
+    # raw date field -> (day, global minute just before the day's first
+    # minute, or None when the day is not in the calendar)
+    days: dict[str, tuple[date, int | None]] = {}
+    # stock -> (price, volume, bid and ask rows; present)
+    columns: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    with _csv_reader(stream) as reader:
+        header = next(reader, None)
+        if header is None:
+            return PanelBuilder(calendar).build()
+        if tuple(h.strip() for h in header) != BAR_CSV_HEADER:
+            raise MalformedRow(f"line 1: bad header {header!r}")
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != 7:
+                raise MalformedRow(f"line {lineno}: expected 7 fields, got {len(row)}")
+            stock_id = row[0].strip()
+            if not stock_id:
+                raise MalformedRow(f"line {lineno}: empty stock_id")
+            cached = days.get(row[1])
+            if cached is None:
+                try:
+                    day = date.fromisoformat(row[1].strip())
+                except ValueError as exc:
+                    raise MalformedRow(f"line {lineno}: bad date {row[1]!r}") from exc
+                cached = days[row[1]] = (
+                    day, calendar.day_index(day) * MINUTES_PER_DAY - 1
+                    if day in calendar else None)
+            try:
+                minute = int(row[2])
+            except ValueError as exc:
+                raise MalformedRow(f"line {lineno}: bad minute {row[2]!r}") from exc
+            if not 1 <= minute <= MINUTES_PER_DAY:
+                raise MalformedRow(f"line {lineno}: minute {minute} out of 1..240")
+            price = _parse_float(row[3], "price", lineno)
+            if price <= 0:
+                raise NonPositivePrice(f"line {lineno}: price {price}")
+            volume = _parse_float(row[4], "volume", lineno)
+            if volume < 0:
+                raise MalformedRow(f"line {lineno}: negative volume {volume}")
+            bid = _parse_float(row[5], "bid", lineno) if row[5].strip() else None
+            ask = _parse_float(row[6], "ask", lineno) if row[6].strip() else None
+            if bid is not None and ask is not None and ask < bid:
+                raise CrossedQuote(f"line {lineno}: ask {ask} < bid {bid}")
+            day, minute_zero = cached
+            if minute_zero is None:
+                raise UnknownDay(f"line {lineno}: {day} is not a trading day")
+            cols = columns.get(stock_id)
+            if cols is None:
+                _check_stock_id(stock_id, lineno)
+                cols = columns[stock_id] = (np.full((4, n), np.nan),
+                                            np.zeros(n, dtype=bool))
+            values, present = cols
+            g = minute_zero + minute
+            if present[g]:
+                raise DuplicateBar(f"duplicate bar {stock_id} {day} m{minute}")
+            present[g] = True
+            values[0, g] = price
+            values[1, g] = volume
+            if bid is not None:
+                values[2, g] = bid
+            if ask is not None:
+                values[3, g] = ask
     builder = PanelBuilder(calendar)
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num
-        if len(row) != 7:
-            raise MalformedRow(f"line {lineno}: expected 7 fields, got {len(row)}")
-        stock_id = row[0].strip()
-        if not stock_id:
-            raise MalformedRow(f"line {lineno}: empty stock_id")
-        try:
-            day = date.fromisoformat(row[1].strip())
-        except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: bad date {row[1]!r}") from exc
-        try:
-            minute = int(row[2])
-        except ValueError as exc:
-            raise MalformedRow(f"line {lineno}: bad minute {row[2]!r}") from exc
-        if not 1 <= minute <= MINUTES_PER_DAY:
-            raise MalformedRow(f"line {lineno}: minute {minute} out of 1..240")
-        price = _parse_float(row[3], "price", lineno)
-        if price <= 0:
-            raise NonPositivePrice(f"line {lineno}: price {price}")
-        volume = _parse_float(row[4], "volume", lineno)
-        if volume < 0:
-            raise MalformedRow(f"line {lineno}: negative volume {volume}")
-        bid = _parse_float(row[5], "bid", lineno) if row[5].strip() else None
-        ask = _parse_float(row[6], "ask", lineno) if row[6].strip() else None
-        if bid is not None and ask is not None and ask < bid:
-            raise CrossedQuote(f"line {lineno}: ask {ask} < bid {bid}")
-        builder.add_bar(stock_id, day, minute, price, volume, bid, ask)
+    # hand over and release one stock at a time, so the raw columns and
+    # the panel's arrays never both hold the whole panel
+    while columns:
+        stock_id, (values, present) = columns.popitem()
+        builder.add_stock_arrays(stock_id, *values, present)
     return builder.build()
+
+
+def _quote_texts(values: np.ndarray) -> list[str]:
+    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
 
 
 def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
@@ -385,21 +380,36 @@ def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(BAR_CSV_HEADER)
-    cal = panel.calendar
+    days = [day.isoformat() for day in panel.calendar.trading_days]
     for stock_id in panel.stock_ids:
-        price = panel.prices(stock_id)
-        volume = panel.volumes(stock_id)
-        bid = panel.bids(stock_id)
-        ask = panel.asks(stock_id)
-        real = panel.real_mask(stock_id)
-        for g in np.flatnonzero(real):
-            day, minute = cal.location(int(g))
-            writer.writerow([
-                stock_id, day.isoformat(), minute,
-                repr(float(price[g])), repr(float(volume[g])),
-                "" if np.isnan(bid[g]) else repr(float(bid[g])),
-                "" if np.isnan(ask[g]) else repr(float(ask[g])),
-            ])
+        g = np.flatnonzero(panel.real_mask(stock_id))
+        day_idx, offset = np.divmod(g, MINUTES_PER_DAY)
+        writer.writerows(zip(
+            repeat(stock_id), map(days.__getitem__, day_idx.tolist()),
+            (offset + 1).tolist(),
+            map(repr, panel.prices(stock_id)[g].tolist()),
+            map(repr, panel.volumes(stock_id)[g].tolist()),
+            _quote_texts(panel.bids(stock_id)[g]),
+            _quote_texts(panel.asks(stock_id)[g])))
+
+
+def _filled(stock_id: str, d: _StockData) -> _StockData:
+    """``d`` with every gap of its covered span filled; ``d`` when gap-free."""
+    if d.first < 0:
+        raise NoData(f"no bars for stock {stock_id}")
+    missing = ~d.present[d.first:d.last + 1]
+    if not missing.any():
+        return d
+    arrays = {name: getattr(d, name).copy() for name in _ARRAYS}
+    pos = np.where(d.present, np.arange(d.present.size), -1)
+    np.maximum.accumulate(pos, out=pos)
+    target = np.flatnonzero(missing) + d.first
+    src = pos[target]
+    for name in ("price", "bid", "ask"):
+        arrays[name][target] = arrays[name][src]
+    arrays["volume"][target] = 0.0
+    arrays["present"][target] = arrays["synthetic"][target] = True
+    return _StockData(**arrays)
 
 
 def forward_fill(panel: Panel, stock_id: str) -> Panel:
@@ -411,32 +421,15 @@ def forward_fill(panel: Panel, stock_id: str) -> Panel:
     which also makes the operation idempotent.
     """
     d = panel._data(stock_id)
-    if d.first < 0:
-        raise NoData(f"no bars for stock {stock_id}")
-    span = slice(d.first, d.last + 1)
-    missing = ~d.present[span]
-    if not missing.any():
+    out = _filled(stock_id, d)
+    if out is d:
         return panel
-    out = d.copy_mutable()
-    pos = np.where(d.present, np.arange(d.present.size), -1)
-    np.maximum.accumulate(pos, out=pos)
-    target = np.flatnonzero(missing) + d.first
-    src = pos[target]
-    out.price[target] = out.price[src]
-    out.volume[target] = 0.0
-    out.bid[target] = out.bid[src]
-    out.ask[target] = out.ask[src]
-    out.present[target] = True
-    out.synthetic[target] = True
-    out.finalize()
-    stocks = dict(panel._stocks)
-    stocks[stock_id] = out
-    return Panel(panel.calendar, stocks)
+    return Panel(panel.calendar, {**panel._stocks, stock_id: out})
 
 
 def forward_fill_all(panel: Panel) -> Panel:
-    """Apply :func:`forward_fill` to every stock in the panel."""
-    for stock_id in panel.stock_ids:
-        panel = forward_fill(panel, stock_id)
-    return panel
-
+    """Apply :func:`forward_fill` to every stock, building one Panel."""
+    stocks = {s: _filled(s, d) for s, d in panel._stocks.items()}
+    if all(stocks[s] is d for s, d in panel._stocks.items()):
+        return panel
+    return Panel(panel.calendar, stocks)

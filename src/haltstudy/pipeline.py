@@ -201,7 +201,8 @@ def fit_groups(cells: Sequence[GroupCell],
         trajs = trajectories[(row.group, row.measure)]
         if row.fit is not None and len(trajs) >= 2:
             row = attach_bootstrap(row, bootstrap_alpha_stderr(
-                trajs, config.fit.fit_range, config.n_bootstrap, child))
+                trajs, config.fit.fit_range, n_resamples=config.n_bootstrap,
+                seed=child))
         patched.append(row)
     return tuple(patched)
 

@@ -233,8 +233,8 @@ def fit_power_law(series: ExcessSeries,
 
 def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
                            fit_range: tuple[int, int] = FitConfig.fit_range,
-                           n_resamples: int = 1000,
-                           seed: int = 0) -> BootstrapResult:
+                           *, n_resamples: int,
+                           seed: int | np.random.SeedSequence) -> BootstrapResult:
     """Spread of the exponent under resampling events with replacement.
 
     Every resample redoes the averaging and the fit; resamples whose fit
@@ -243,7 +243,8 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
     independent of evaluation order. All resamples are averaged in
     lockstep (:func:`resampled_means`), each bitwise equal to its own
     :func:`group_average`, and then fitted one by one. Identical
-    trajectories give a spread of exactly 0.
+    trajectories give a spread of exactly 0. ``n_resamples`` and ``seed``
+    have no defaults here; a run takes them from its AnalysisConfig.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
     if len(trajs) < 2:

@@ -250,6 +250,32 @@ def test_missing_input_file_reports_cleanly(synth_inputs, tmp_path, capsys):
     assert "nowhere.txt" in blob["message"]
 
 
+def _bad_byte(data: bytes) -> bytes:
+    return data.replace(b"\nSYN", b"\nS\xffN", 1)
+
+
+def _huge_field(data: bytes) -> bytes:
+    return data.replace(b"\n", b"\n" + b"9" * 140_000, 1)
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("bars.csv", _bad_byte), ("halts.csv", _bad_byte),
+    ("bars.csv", _huge_field), ("halts.csv", _huge_field),
+])
+def test_unreadable_input_reports_cleanly(synth_inputs, tmp_path, capsys,
+                                          name, damage):
+    root = tmp_path / "in"
+    root.mkdir()
+    for path in synth_inputs.iterdir():
+        data = path.read_bytes()
+        (root / path.name).write_bytes(damage(data) if path.name == name else data)
+    rc = main(["run", *_args(root, tmp_path / "out")])
+    assert rc == 1
+    blob = _stderr_error(capsys)
+    assert blob["error"] == "MalformedRow"
+    assert blob["message"].startswith("line 2: ")
+
+
 def test_disallowed_trend_window(synth_inputs, tmp_path, capsys):
     rc = main(["run", *_args(synth_inputs, tmp_path / "out",
                              "--trend-window", "90")])
@@ -306,10 +332,13 @@ def test_bad_robustness_window(flip_inputs, tmp_path, capsys):
     ("--lookback-days", "0", "lookback_days"),
     ("--fit-range", "0:10", "fit range"),
     ("--max-gap-fraction", "1.5", "max_gap_fraction"),
+    ("--fit-range", "abc", "fit_range"),
+    ("--windows", "6x", "windows"),
 ])
 def test_bad_analysis_setting_reports_cleanly(synth_inputs, tmp_path, capsys,
                                               flag, value, needle):
-    rc = main(["run", *_args(synth_inputs, tmp_path / "out", flag, value)])
+    command = "robustness" if flag == "--windows" else "run"
+    rc = main([command, *_args(synth_inputs, tmp_path / "out", flag, value)])
     assert rc == 1
     blob = _stderr_error(capsys)
     assert blob["error"] == "ConfigError"

@@ -422,6 +422,19 @@ def test_parse_halt_file_empty_and_errors():
             header + "A,2009-01-05,61,2009-01-05,61,0\n"))
 
 
+@pytest.mark.parametrize("body", [
+    b"A\xff,2009-01-05,61,2009-01-05,121,0\n",              # stock id
+    b"A,2009-01-\xff5,61,2009-01-05,121,0\n",               # date
+    b"A,2009-01-05,6\xff,2009-01-05,121,0\n",               # minute
+    b"A,2009-01-05,61,2009-01-05,121,\xff\n",               # flag
+    b"A," + b"9" * 140_000 + b",61,2009-01-05,121,0\n",    # csv field limit
+])
+def test_parse_halt_file_reports_unreadable_rows(body):
+    header = b"stock_id,halt_date,halt_minute,resume_date,resume_minute,is_st\n"
+    with pytest.raises(MalformedRow, match="^line 2: "):
+        parse_halt_file(io.BytesIO(header + body))
+
+
 def test_eligibility_report_layout():
     cal = make_calendar(12)
     ok = halt_event(cal, "A", (5, 61), (5, 121),

@@ -303,18 +303,19 @@ def test_lockstep_bootstrap_matches_reference_loop():
             sparse, _decay(rng, 0.7, 1.1, noise=0.2)]
     trajs = _trajectories(rows)
     for seed in (0, 1, 2):
-        got = bootstrap_alpha_stderr(trajs[::-1], (1, 160), 60, seed)
+        got = bootstrap_alpha_stderr(trajs[::-1], (1, 160),
+                                     n_resamples=60, seed=seed)
         want = _reference_bootstrap(trajs, (1, 160), 60, seed)
         assert got == want
     # no excess anywhere: every resample fails
     flat = _trajectories([np.ones(241), np.full(241, 0.5)])
-    got = bootstrap_alpha_stderr(flat, (1, 160), 12, 4)
+    got = bootstrap_alpha_stderr(flat, (1, 160), n_resamples=12, seed=4)
     want = _reference_bootstrap(flat, (1, 160), 12, 4)
     assert (got.n_success, got.n_failed) == (want.n_success, want.n_failed)
     assert got.n_failed == 12 and math.isnan(got.stderr)
     # a pair with one flat member: about a quarter of resamples fail
     mixed = [trajs[0], trajs[2]]
-    got = bootstrap_alpha_stderr(mixed, (1, 160), 40, 6)
+    got = bootstrap_alpha_stderr(mixed, (1, 160), n_resamples=40, seed=6)
     assert got == _reference_bootstrap(mixed, (1, 160), 40, 6)
     assert got.n_failed > 0 and got.n_success >= 2
 

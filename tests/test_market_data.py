@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from haltstudy import (
+    MINUTES_PER_DAY,
     CrossedQuote,
     DuplicateBar,
     MalformedRow,
-    MinuteBar,
     NoData,
     NonPositivePrice,
     Panel,
@@ -24,11 +24,18 @@ from haltstudy import (
     parse_bar_file,
     write_bar_csv,
 )
+from haltstudy.market_data import BAR_CSV_HEADER
 from helpers import add_stock, random_walk_stock
 
 LN_101 = 0.009950330853168092  # ln(1.01)
 
 MARCH = TradingCalendar((date(2010, 3, 1), date(2010, 3, 2), date(2010, 3, 3)))
+
+
+def _bars(*lines):
+    """Panel on MARCH parsed from bar rows after the header."""
+    text = "".join(line + "\n" for line in (",".join(BAR_CSV_HEADER), *lines))
+    return parse_bar_file(io.StringIO(text), MARCH)
 
 
 # ---------------------------------------------------------------- calendar
@@ -74,25 +81,12 @@ def test_calendar_from_file(tmp_path):
     bad.write_text("2010-03-01\nnot-a-date\n")
     with pytest.raises(MalformedRow, match="line 2|bad.txt:2"):
         TradingCalendar.from_file(bad)
+    bad.write_bytes(b"2010-03-01\n2010-03-\xff2\n")
+    with pytest.raises(MalformedRow, match="bad.txt:2"):
+        TradingCalendar.from_file(bad)
 
 
 # ---------------------------------------------------------------- bars
-
-
-def test_minute_bar_spread_and_validation():
-    bar = MinuteBar("600000", date(2010, 3, 1), 1, 10.0, 500.0, 9.99, 10.01)
-    assert bar.spread == pytest.approx(0.02, abs=1e-12)
-    assert MinuteBar("s", date(2010, 3, 1), 1, 10.0, 0.0).spread is None
-    with pytest.raises(NonPositivePrice):
-        MinuteBar("s", date(2010, 3, 1), 1, 0.0, 1.0)
-    with pytest.raises(NonPositivePrice):
-        MinuteBar("s", date(2010, 3, 1), 1, -3.0, 1.0)
-    with pytest.raises(CrossedQuote):
-        MinuteBar("s", date(2010, 3, 1), 1, 10.0, 1.0, 10.02, 10.01)
-    with pytest.raises(ValueError):
-        MinuteBar("s", date(2010, 3, 1), 0, 10.0, 1.0)
-    with pytest.raises(ValueError):
-        MinuteBar("s", date(2010, 3, 1), 1, 10.0, -1.0)
 
 
 def test_parse_single_bar():
@@ -112,7 +106,9 @@ def test_parse_single_bar():
 def test_parse_accepts_bytes_stream_and_missing_quotes():
     text = ("stock_id,date,minute,last_price,volume,best_bid,best_ask\n"
             "600000,2010-03-01,5,10.5,0,,\n")
-    panel = parse_bar_file(io.BytesIO(text.encode()), MARCH)
+    stream = io.BytesIO(text.encode())
+    panel = parse_bar_file(stream, MARCH)
+    assert not stream.closed    # the caller's stream is left open
     g = MARCH.global_minute(date(2010, 3, 1), 5)
     assert panel.present_mask("600000")[g]
     assert np.isnan(panel.bids("600000")[g])
@@ -157,6 +153,37 @@ def test_parse_reports_line_numbers():
         parse_bar_file(io.StringIO(text), MARCH)
 
 
+def test_parse_off_calendar_row_reports_line_after_field_checks():
+    good = "600000,2010-03-01,1,10.0,500,,"
+    with pytest.raises(UnknownDay, match="^line 3: 2010-03-08 is not a trading day$"):
+        _bars(good, "600000,2010-03-08,1,10.0,500,,")
+    # a row with a bad field is reported for that field first, as before
+    with pytest.raises(MalformedRow, match="^line 2: bad minute"):
+        _bars("600000,2010-03-08,x,10.0,500,,")
+    with pytest.raises(DuplicateBar, match="^duplicate bar 600000 2010-03-01 m1$"):
+        _bars(good, "600000,2010-03-01,1,10.5,400,,")
+
+
+@pytest.mark.parametrize("data", [
+    b"60\xff00,2010-03-01,1,10.0,500,,\n",                 # stock id
+    b"600000,2010-03-01,1,10.0,500,,\n6\xff,2010-03-01,2,1,1,,\n",
+    b"600000,2010-03-\xff1,1,10.0,500,,\n",                # date
+    b"600000,2010-03-01,1,1\xff.0,500,,\n",                # price
+    b"600000,2010-03-01,1,10.0,500,9.9,1\xff\n",            # quote
+])
+def test_parse_rejects_undecodable_bytes_with_line_number(data):
+    header = ",".join(BAR_CSV_HEADER).encode() + b"\n"
+    line = 2 + data[:data.index(b"\xff")].count(b"\n")
+    with pytest.raises(MalformedRow, match=f"^line {line}: "):
+        parse_bar_file(io.BytesIO(header + data), MARCH)
+
+
+def test_parse_rejects_oversized_field_with_line_number():
+    text = _row("600000,2010-03-01,1,10.0,500,,") + "A" * 200_000 + ",x\n"
+    with pytest.raises(MalformedRow, match="^line 3: field larger than field limit"):
+        parse_bar_file(io.StringIO(text), MARCH)
+
+
 def test_parse_rejects_bad_header_and_duplicates():
     with pytest.raises(MalformedRow, match="header"):
         parse_bar_file(io.StringIO("a,b,c\n"), MARCH)
@@ -168,17 +195,17 @@ def test_parse_rejects_bad_header_and_duplicates():
 
 def test_csv_round_trip_is_lossless():
     rng = np.random.default_rng(11)
+    n = MARCH.n_minutes
+    off_grid = np.flatnonzero(np.arange(n) % MINUTES_PER_DAY % 7 != 0)
     builder = PanelBuilder(MARCH)
     for stock_id in ("B", "A"):
-        for day in MARCH.trading_days:
-            for minute in range(1, 241, 7):
-                price = float(np.exp(rng.normal(2.3, 0.2)))
-                half = float(rng.uniform(0.001, 0.01))
-                with_quotes = bool(rng.integers(0, 2))
-                builder.add_bar(stock_id, day, minute, price,
-                                float(rng.integers(0, 10_000)),
-                                price - half if with_quotes else None,
-                                price + half if with_quotes else None)
+        # bars at minutes 1, 8, ..., 239 of each day; NaN spread = no quotes
+        spread = np.where(rng.integers(0, 2, n) == 1,
+                          2.0 * rng.uniform(0.001, 0.01, n), np.nan)
+        add_stock(builder, MARCH, stock_id,
+                  price=np.exp(rng.normal(2.3, 0.2, n)),
+                  volume=rng.integers(0, 10_000, n).astype(float),
+                  spread=spread, absent=off_grid)
     panel = builder.build()
     out = io.StringIO()
     write_bar_csv(panel, out)
@@ -187,14 +214,47 @@ def test_csv_round_trip_is_lossless():
     assert again.stock_ids == ("A", "B")
 
 
+GOLDEN_BARS_CSV = (
+    "stock_id,date,minute,last_price,volume,best_bid,best_ask\n"
+    "A,2010-03-01,1,0.30000000000000004,1e+16,,\n"
+    "A,2010-03-01,240,10.0,0.0,9.99,10.01\n"
+    "A,2010-03-02,121,1e-05,3.0,5e-06,2e-05\n"
+    "B,2010-03-02,1,123.456,1.5,,123.5\n"
+    "B,2010-03-02,240,7.0,2.0,6.5,\n"
+)
+
+
+def test_written_bars_match_golden_text():
+    cal = TradingCalendar(MARCH.trading_days[:2])
+    n = cal.n_minutes
+    bars = {  # global minute: (price, volume, bid, ask); NaN = no quote
+        "B": {240: (123.456, 1.5, np.nan, 123.5), 479: (7.0, 2.0, 6.5, np.nan)},
+        "A": {0: (0.1 + 0.2, 1e16, np.nan, np.nan),
+              239: (10.0, 0.0, 9.99, 10.01), 360: (1e-05, 3.0, 5e-06, 2e-05)},
+    }
+    builder = PanelBuilder(cal)
+    for stock_id, rows in bars.items():
+        columns = np.full((4, n), np.nan)
+        present = np.zeros(n, dtype=bool)
+        for g, values in rows.items():
+            columns[:, g] = values
+            present[g] = True
+        builder.add_stock_arrays(stock_id, *columns, present)
+    panel = builder.build()
+    # forward-filled bars are synthetic and never written
+    for p in (panel, forward_fill_all(panel)):
+        out = io.StringIO()
+        write_bar_csv(p, out)
+        assert out.getvalue() == GOLDEN_BARS_CSV
+    assert parse_bar_file(io.StringIO(GOLDEN_BARS_CSV), cal) == panel
+
+
 # ---------------------------------------------------------------- panel
 
 
 def test_panel_accessors_and_coverage():
-    builder = PanelBuilder(MARCH)
-    builder.add_bar("A", date(2010, 3, 1), 10, 10.0, 5.0, None, None)
-    builder.add_bar("A", date(2010, 3, 2), 20, 11.0, 6.0, 10.99, 11.01)
-    panel = builder.build()
+    panel = _bars("A,2010-03-01,10,10.0,5.0,,",
+                  "A,2010-03-02,20,11.0,6.0,10.99,11.01")
     g0 = MARCH.global_minute(date(2010, 3, 1), 10)
     g1 = MARCH.global_minute(date(2010, 3, 2), 20)
     assert panel.coverage("A") == (g0, g1)
@@ -210,9 +270,7 @@ def test_panel_accessors_and_coverage():
 
 
 def test_panel_arrays_are_read_only():
-    builder = PanelBuilder(MARCH)
-    builder.add_bar("A", date(2010, 3, 1), 1, 10.0, 5.0, None, None)
-    panel = builder.build()
+    panel = _bars("A,2010-03-01,1,10.0,5.0,,")
     with pytest.raises(ValueError):
         panel.prices("A")[0] = 1.0
     with pytest.raises(ValueError):
@@ -228,12 +286,14 @@ def test_bulk_arrays_match_per_bar_construction():
     present = rng.random(n) < 0.8
     bulk = PanelBuilder(cal)
     bulk.add_stock_arrays("A", price, volume, price - 0.01, price + 0.01, present)
-    slow = PanelBuilder(cal)
+    lines = [",".join(BAR_CSV_HEADER)]
     for g in np.flatnonzero(present):
         day, minute = cal.location(int(g))
-        slow.add_bar("A", day, minute, float(price[g]), float(volume[g]),
-                     float(price[g]) - 0.01, float(price[g]) + 0.01)
-    assert bulk.build() == slow.build()
+        p = float(price[g])
+        lines.append(f"A,{day.isoformat()},{minute},{p!r},{float(volume[g])!r},"
+                     f"{p - 0.01!r},{p + 0.01!r}")
+    parsed = parse_bar_file(io.StringIO("\n".join(lines) + "\n"), cal)
+    assert bulk.build() == parsed
 
 
 def test_bulk_arrays_validate_contents():
@@ -244,23 +304,32 @@ def test_bulk_arrays_validate_contents():
     builder = PanelBuilder(cal)
     with pytest.raises(ValueError):
         builder.add_stock_arrays("A", np.ones(3), ones, ones, ones, present)
-    bad_price = ones.copy()
-    bad_price[7] = 0.0
-    with pytest.raises(NonPositivePrice):
-        builder.add_stock_arrays("A", bad_price, ones, ones, ones, present)
+    for value in (0.0, -3.0, np.inf, np.nan):
+        bad_price = ones.copy()
+        bad_price[7] = value
+        with pytest.raises(NonPositivePrice):
+            builder.add_stock_arrays("A", bad_price, ones, ones, ones, present)
+    for value in (-1.0, np.inf, np.nan):
+        bad_volume = ones.copy()
+        bad_volume[7] = value
+        with pytest.raises(ValueError, match="volume"):
+            builder.add_stock_arrays("A", ones, bad_volume, ones, ones, present)
     with pytest.raises(CrossedQuote):
         builder.add_stock_arrays("A", ones, ones, ones + 0.02, ones + 0.01,
                                  present)
+    # values at minutes without a bar are never checked, and are dropped
+    absent = present.copy()
+    absent[7] = False
+    junk = ones.copy()
+    junk[7] = -np.inf
+    high_bid = ones.copy()
+    high_bid[7] = 5.0
+    builder.add_stock_arrays("B", junk, junk, high_bid, ones, absent)
+    assert np.isnan(builder.build().prices("B")[7])
     builder.add_stock_arrays("A", ones, ones, ones - 0.01, ones + 0.01, present)
     with pytest.raises(DuplicateBar):
         builder.add_stock_arrays("A", ones, ones, ones - 0.01, ones + 0.01,
                                  present)
-
-
-def test_add_bar_rejects_unknown_day():
-    builder = PanelBuilder(MARCH)
-    with pytest.raises(UnknownDay):
-        builder.add_bar("A", date(2010, 3, 8), 1, 10.0, 1.0, None, None)
 
 
 # ---------------------------------------------------------------- filling
@@ -268,10 +337,8 @@ def test_add_bar_rejects_unknown_day():
 
 def test_forward_fill_single_gap():
     day = date(2010, 3, 1)
-    builder = PanelBuilder(MARCH)
-    builder.add_bar("A", day, 1, 10.00, 500.0, 9.99, 10.01)
-    builder.add_bar("A", day, 3, 10.10, 200.0, None, None)
-    filled = forward_fill(builder.build(), "A")
+    filled = forward_fill(_bars("A,2010-03-01,1,10.00,500.0,9.99,10.01",
+                                "A,2010-03-01,3,10.10,200.0,,"), "A")
     g = MARCH.global_minute(day, 2)
     assert filled.synthetic_mask("A")[g]
     assert filled.prices("A")[g] == 10.00
@@ -284,11 +351,7 @@ def test_forward_fill_single_gap():
 
 
 def test_forward_fill_gap_free_returns_same_object():
-    builder = PanelBuilder(MARCH)
-    day = date(2010, 3, 1)
-    for minute in (5, 6, 7):
-        builder.add_bar("A", day, minute, 10.0, 1.0, None, None)
-    panel = builder.build()
+    panel = _bars(*(f"A,2010-03-01,{minute},10.0,1.0,," for minute in (5, 6, 7)))
     assert forward_fill(panel, "A") is panel
 
 
@@ -328,9 +391,7 @@ def test_forward_fill_unknown_stock():
 
 def test_panel_equality_notices_any_difference():
     def build(price):
-        builder = PanelBuilder(MARCH)
-        builder.add_bar("A", date(2010, 3, 1), 1, price, 1.0, None, None)
-        return builder.build()
+        return _bars(f"A,2010-03-01,1,{price!r},1.0,,")
 
     assert build(10.0) == build(10.0)
     assert build(10.0) != build(10.5)

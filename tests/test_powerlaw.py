@@ -238,9 +238,9 @@ def test_bootstrap_counts_failed_resamples():
 def test_bootstrap_input_validation():
     trajs = _group_trajs([_decay_row(2.0, 0.8)])
     with pytest.raises(EmptyGroup):
-        bootstrap_alpha_stderr(trajs)
+        bootstrap_alpha_stderr(trajs, n_resamples=4, seed=0)
     with pytest.raises(ValueError):
-        bootstrap_alpha_stderr(trajs * 2, n_resamples=0)
+        bootstrap_alpha_stderr(trajs * 2, n_resamples=0, seed=0)
 
 
 # ---------------------------------------------------------------- tables
