@@ -154,19 +154,27 @@ _FILE_KEYS = {
 
 
 def parse_config_file(path: Path) -> dict:
-    """Read ``key = value`` lines; # starts a comment, blanks ignored."""
+    """Read ``key = value`` lines; # starts a comment, blanks ignored.
+
+    The file is read as UTF-8, undecodable bytes kept as surrogates, so
+    a bad byte ends in a ConfigError naming ``path:line``.
+    """
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, _, text = line.partition("=")
+        key, _, value = line.partition("=")
         key = key.strip()
         if key not in _FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _FILE_KEYS[key](text.strip(), key)
+        try:
+            values[key] = _FILE_KEYS[key](value.strip(), key)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -197,7 +205,7 @@ def _load_inputs(config: RunConfig):
     with open(config.bars, "rb") as fh:
         panel = parse_bar_file(fh, calendar)
     with open(config.halts, "rb") as fh:
-        records = parse_halt_file(fh)
+        records = parse_halt_file(fh, calendar)
     return panel, records
 
 

@@ -69,7 +69,9 @@ class _Welford:
     slot's result does not depend on the other slots it shares a block
     with. Updates add zero increments for slots where the incoming value
     is missing or identical to the running mean, so averaging N copies
-    of one series reproduces it bit for bit and its spread is exactly 0.
+    of one series reproduces it bit for bit and its spread is exactly 0;
+    the one exception is -0.0, which the running mean (starting at +0.0)
+    returns as +0.0.
     """
 
     def __init__(self, shape: int | tuple[int, ...]):

@@ -25,6 +25,7 @@ from .errors import (
     InvalidInterval,
     MalformedRow,
     NoData,
+    UnknownDay,
 )
 from .market_data import (MINUTES_PER_DAY, Panel, TradingCalendar,
                           _check_stock_id, _csv_reader)
@@ -373,10 +374,13 @@ def write_count_csv(table: CountTable, stream: IO[str]) -> None:
                      table.total))
 
 
-def parse_halt_file(stream: IO[bytes] | IO[str]) -> list[HaltRecord]:
+def parse_halt_file(stream: IO[bytes] | IO[str],
+                    calendar: TradingCalendar) -> list[HaltRecord]:
     """Parse the halt registry CSV (header required, is_st in {0,1}).
 
-    Every bad row raises with ``line N:`` leading its message.
+    Every bad row raises with ``line N:`` leading its message; a row
+    whose fields are valid but whose halt or resume day is not on
+    ``calendar`` raises UnknownDay.
     """
     records = []
     with _csv_reader(stream) as reader:
@@ -413,6 +417,10 @@ def parse_halt_file(stream: IO[bytes] | IO[str]) -> list[HaltRecord]:
                                           resume_day, resume_minute, flag == "1"))
             except InvalidInterval as exc:
                 raise InvalidInterval(f"line {lineno}: {exc}") from None
+            for day in (halt_day, resume_day):
+                if day not in calendar:
+                    raise UnknownDay(
+                        f"line {lineno}: {day} is not a trading day")
     return records
 
 

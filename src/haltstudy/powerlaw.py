@@ -8,6 +8,27 @@ space keeps negative noise excursions usable, the log-log pass only
 picks the starting point. Uncertainty comes two ways: the asymptotic
 covariance of the least-squares problem and a seeded bootstrap over
 events.
+
+Every fit runs through one block fitter: a (rows x points) matrix on
+one shared t, each row with its own state (amplitude, alpha, residual,
+SSE, iteration count, step length, and whether it is still active).
+The bootstrap hands it all resamples of a cell, :func:`fit_all_groups`
+all cells on one time axis, and :func:`fit_power_law_points` one row.
+Each row ends bit for bit where a one-series loop ends, because each
+row sees the same floating-point operations:
+
+* the Jacobian is stacked as (rows, n, 2), so each row is the
+  C-ordered (n, 2) block of :func:`power_law_jacobian`;
+* J^T J, J^T r and r . r are stacked matrix products, which make the
+  same BLAS call per row as the 2-D product (einsum or sum() round
+  differently), and the steps come from a stacked solve;
+* a stacked solve fails for the whole block when one system is
+  singular; the block is then solved row by row and only the singular
+  rows stop, where they are;
+* step halving (1, 1/2, ... down to 1e-12) runs per row;
+* rows are grouped by their pattern of missing points and each pattern
+  is fitted on its own points, never padded;
+* the log-log starting point is an ``np.polyfit`` per row.
 """
 
 from __future__ import annotations
@@ -129,8 +150,9 @@ def _initial_guess(t: np.ndarray, z: np.ndarray) -> tuple[float, float]:
     # log-log regression of the positive subset; crude but close enough
     # for the damped iteration to take over
     pos = z > 0
-    if int(pos.sum()) >= 2 and np.unique(t[pos]).size >= 2:
-        slope, intercept = np.polyfit(np.log(t[pos]), np.log(z[pos]), 1)
+    tp = t[pos]
+    if tp.size >= 2 and tp.min() < tp.max():
+        slope, intercept = np.polyfit(np.log(tp), np.log(z[pos]), 1)
         amplitude = float(np.exp(intercept))
         alpha = float(-slope)
         if math.isfinite(amplitude) and amplitude > 0 and math.isfinite(alpha):
@@ -151,6 +173,163 @@ def _r2_positive(t: np.ndarray, z: np.ndarray, amplitude: float,
     return 1.0 - sse / sst
 
 
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    # x . x per row, as the stacked (1 x n) @ (n x 1) products that run
+    # the same BLAS dot as ``row @ row``; einsum or sum() round otherwise
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(lhs: np.ndarray,
+                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Newton steps of (rows, 2, 2) systems and the rows that are
+    # singular; a stacked solve raises for the whole block, so a block
+    # holding a singular row is solved again one row at a time
+    try:
+        return np.linalg.solve(lhs, rhs)[:, :, 0], np.zeros(len(lhs), bool)
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros(rhs.shape[:2])
+    singular = np.zeros(len(lhs), bool)
+    for i in range(len(lhs)):
+        try:
+            steps[i] = np.linalg.solve(lhs[i], rhs[i])[:, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return steps, singular
+
+
+def _gauss_newton_block(t: np.ndarray, z: np.ndarray, amplitude: np.ndarray,
+                        alpha: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Damped Gauss-Newton on every row of ``z`` (rows x len(t)) at once.
+
+    Each row keeps its own state and leaves the block when it converges,
+    stalls or hits a singular system; one step-halving ladder serves all
+    rows still searching. ``amplitude`` and ``alpha`` hold the starting
+    points and are updated in place. Returns amplitude, alpha, SSE and
+    iteration count per row, and the mask of rows that converged.
+    """
+    log_t = np.log(t)
+    decay = np.power(t, -alpha[:, None])
+    resid = z - amplitude[:, None] * decay
+    sse = _row_dots(resid)
+    iterations = np.zeros(len(z), dtype=int)
+    active = np.ones(len(z), dtype=bool)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        rows = np.flatnonzero(active)
+        if not rows.size:
+            break
+        iterations[rows] = iteration
+        a, al, d = amplitude[rows], alpha[rows], decay[rows]
+        # (rows, n, 2), each row the C-ordered block power_law_jacobian gives
+        jac = np.stack((d, -a[:, None] * log_t * d), axis=-1)
+        jac_t = jac.transpose(0, 2, 1)
+        delta, searching = _solve_rows(jac_t @ jac,
+                                       jac_t @ resid[rows][:, :, None])
+        active[rows[searching]] = False         # singular: stop where it is
+        searching = ~searching
+        lam = 1.0
+        while lam >= 1e-12 and searching.any():
+            idx = np.flatnonzero(searching)
+            trial_a = a[idx] + lam * delta[idx, 0]
+            positive = trial_a > 0
+            idx, trial_a = idx[positive], trial_a[positive]
+            trial_alpha = al[idx] + lam * delta[idx, 1]
+            trial_decay = np.power(t, -trial_alpha[:, None])
+            trial_resid = z[rows[idx]] - trial_a[:, None] * trial_decay
+            trial_sse = _row_dots(trial_resid)
+            better = trial_sse <= sse[rows[idx]]
+            idx = idx[better]
+            won = rows[idx]
+            step = lam * np.hypot(delta[idx, 0], delta[idx, 1])
+            new_sse = trial_sse[better]
+            drop = sse[won] - new_sse
+            amplitude[won], alpha[won] = trial_a[better], trial_alpha[better]
+            decay[won], resid[won] = trial_decay[better], trial_resid[better]
+            sse[won] = new_sse
+            active[won] = ~((drop < SSE_RTOL * np.maximum(new_sse, 1e-300))
+                            | (step < STEP_ATOL))
+            searching[idx] = False
+            lam *= 0.5
+        # no improving step: the direction only fails to descend at a
+        # stationary point, so a stall counts as converged
+        active[rows[searching]] = False
+    return amplitude, alpha, sse, iterations, ~active
+
+
+@dataclass(frozen=True)
+class _RowFit:
+    """One row's converged fit before its diagnostics: the points it used
+    and where the iteration ended."""
+
+    t: np.ndarray
+    z: np.ndarray
+    fit_range: tuple[int, int]
+    amplitude: float
+    alpha: float
+    sse: float
+    n_iterations: int
+
+    def complete(self) -> PowerLawFit:
+        """The fit with its asymptotic alpha stderr and R-squared."""
+        jac = power_law_jacobian(self.t, self.amplitude, self.alpha)
+        dof = self.t.size - 2
+        try:
+            cov = np.linalg.inv(jac.T @ jac) * (self.sse / dof)
+            alpha_stderr = float(np.sqrt(cov[1, 1]))
+        except np.linalg.LinAlgError:
+            alpha_stderr = float("nan")
+        return PowerLawFit(
+            self.amplitude, self.alpha, alpha_stderr, self.fit_range,
+            self.sse, _r2_positive(self.t, self.z, self.amplitude, self.alpha),
+            int(self.t.size), self.n_iterations)
+
+
+def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
+              ) -> list[_RowFit | DegenerateData | NonConvergence]:
+    """Fit each row of ``values`` (rows x len(t)) on the points in
+    ``fit_range``; per row, its fit or the error it fails with.
+
+    Rows are grouped by their pattern of missing points in the range and
+    each pattern is fitted as one block on its own points, so no row is
+    ever padded.
+    """
+    lo, hi = FitConfig(fit_range).fit_range     # FitConfig's range check
+    t = np.asarray(t, float)
+    in_range = (t >= lo) & (t <= hi)
+    t, values = t[in_range], np.asarray(values, float)[:, in_range]
+    missing = np.isnan(values)
+    patterns: dict[bytes, list[int]] = {}
+    for i, row in enumerate(missing):
+        patterns.setdefault(row.tobytes(), []).append(i)
+    out: list = [None] * len(values)
+    for members in patterns.values():
+        rows = np.array(members)
+        keep = ~missing[members[0]]
+        tp = t[keep]
+        if tp.size < MIN_FIT_POINTS:
+            for i in rows:
+                out[i] = DegenerateData(f"{tp.size} usable points in "
+                                        f"[{lo}, {hi}], need {MIN_FIT_POINTS}")
+            continue
+        z = np.ascontiguousarray(values[rows][:, keep])
+        anchored = (z > 0).any(axis=1)
+        for i in rows[~anchored]:
+            out[i] = DegenerateData("no positive values to anchor the decay")
+        rows, z = rows[anchored], z[anchored]
+        if not rows.size:
+            continue
+        start = np.array([_initial_guess(tp, row) for row in z])
+        amplitude, alpha, sse, iterations, converged = _gauss_newton_block(
+            tp, z, start[:, 0].copy(), start[:, 1].copy())
+        for k, i in enumerate(rows):
+            out[i] = (_RowFit(tp, z[k], (lo, hi), float(amplitude[k]),
+                              float(alpha[k]), float(sse[k]),
+                              int(iterations[k]))
+                      if converged[k] else NonConvergence(
+                          f"no convergence in {MAX_ITERATIONS} iterations"))
+    return out
+
+
 def fit_power_law_points(t: np.ndarray, values: np.ndarray,
                          fit_range: tuple[int, int] = FitConfig.fit_range,
                          ) -> PowerLawFit:
@@ -162,66 +341,13 @@ def fit_power_law_points(t: np.ndarray, values: np.ndarray,
     tolerance, and a stall (no improving step) counts as converged
     because the Gauss-Newton direction only fails to descend at a
     stationary point. Hitting the iteration cap raises NonConvergence.
+    This is the one-row case of the block fitter that the bootstrap and
+    :func:`fit_all_groups` use.
     """
-    lo, hi = FitConfig(fit_range).fit_range     # FitConfig's range check
-    t = np.asarray(t, float)
-    values = np.asarray(values, float)
-    sel = (t >= lo) & (t <= hi) & ~np.isnan(values)
-    t, z = t[sel], values[sel]
-    if t.size < MIN_FIT_POINTS:
-        raise DegenerateData(
-            f"{t.size} usable points in [{lo}, {hi}], need {MIN_FIT_POINTS}")
-    if not np.any(z > 0):
-        raise DegenerateData("no positive values to anchor the decay")
-
-    amplitude, alpha = _initial_guess(t, z)
-    resid = z - power_law_model(t, amplitude, alpha)
-    sse = float(resid @ resid)
-    converged = False
-    iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        jac = power_law_jacobian(t, amplitude, alpha)
-        try:
-            delta = np.linalg.solve(jac.T @ jac, jac.T @ resid)
-        except np.linalg.LinAlgError:
-            converged = True
-            break
-        lam = 1.0
-        improved = False
-        while lam >= 1e-12:
-            trial_a = amplitude + lam * delta[0]
-            trial_alpha = alpha + lam * delta[1]
-            if trial_a > 0:
-                trial_resid = z - power_law_model(t, trial_a, trial_alpha)
-                trial_sse = float(trial_resid @ trial_resid)
-                if trial_sse <= sse:
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            converged = True
-            break
-        step = lam * float(np.hypot(delta[0], delta[1]))
-        drop = sse - trial_sse
-        amplitude, alpha = float(trial_a), float(trial_alpha)
-        resid, sse = trial_resid, trial_sse
-        if drop < SSE_RTOL * max(sse, 1e-300) or step < STEP_ATOL:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergence(
-            f"no convergence in {MAX_ITERATIONS} iterations")
-
-    jac = power_law_jacobian(t, amplitude, alpha)
-    dof = t.size - 2
-    try:
-        cov = np.linalg.inv(jac.T @ jac) * (sse / dof)
-        alpha_stderr = float(np.sqrt(cov[1, 1]))
-    except np.linalg.LinAlgError:
-        alpha_stderr = float("nan")
-    return PowerLawFit(amplitude, alpha, alpha_stderr, (lo, hi), sse,
-                       _r2_positive(t, z, amplitude, alpha), int(t.size),
-                       iterations)
+    fit, = _fit_rows(t, np.asarray(values, float)[None, :], fit_range)
+    if not isinstance(fit, _RowFit):
+        raise fit
+    return fit.complete()
 
 
 def fit_power_law(series: ExcessSeries,
@@ -242,7 +368,9 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
     front from one seeded generator, so the result is reproducible and
     independent of evaluation order. All resamples are averaged in
     lockstep (:func:`resampled_means`), each bitwise equal to its own
-    :func:`group_average`, and then fitted one by one. Identical
+    :func:`group_average`, then fitted together as blocks, each row
+    bitwise equal to its own :func:`fit_power_law_points`; the spread
+    is taken over the exponents in resample order. Identical
     trajectories give a spread of exactly 0. ``n_resamples`` and ``seed``
     have no defaults here; a run takes them from its AnalysisConfig.
     """
@@ -258,10 +386,8 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
     mean = 0.0
     m2 = 0.0
     failed = 0
-    for values in excess:
-        try:
-            fit = fit_power_law_points(t, values, fit_range)
-        except (DegenerateData, NonConvergence):
+    for fit in _fit_rows(t, excess, fit_range):
+        if not isinstance(fit, _RowFit):
             failed += 1
             continue
         count += 1
@@ -293,17 +419,25 @@ def fit_all_groups(averages: Iterable[GroupAverage],
     A row is flagged ok only when the fit converged with R-squared (over
     the positive excess values) at or above the gate; everything else,
     including series too degenerate to fit, is flagged no_power_law.
-    Failures are encoded in the row, never raised.
+    Failures are encoded in the row, never raised. Cells sharing one
+    time axis are fitted together as blocks, each bitwise equal to its
+    own :func:`fit_power_law`; stderr and R-squared come per fitted row.
     """
     ordered = sorted(averages, key=lambda a: (
         a.measure.value, group_sort_key(a.halt_type, a.sign)))
+    series = [make_excess(avg) for avg in ordered]
+    by_axis: dict[bytes, list[int]] = {}
+    for i, s in enumerate(series):
+        by_axis.setdefault(np.asarray(s.t, float).tobytes(), []).append(i)
+    fits: list[PowerLawFit | None] = [None] * len(series)
+    for members in by_axis.values():
+        block = np.stack([series[i].values for i in members])
+        for i, fit in zip(members, _fit_rows(series[members[0]].t, block,
+                                             config.fit_range)):
+            if isinstance(fit, _RowFit):
+                fits[i] = fit.complete()
     rows = []
-    for avg in ordered:
-        fit = None
-        try:
-            fit = fit_power_law(make_excess(avg), config.fit_range)
-        except (DegenerateData, NonConvergence):
-            pass
+    for avg, fit in zip(ordered, fits):
         ok = fit is not None and fit.r2_positive >= config.min_r2
         rows.append(GroupFitRow(avg.measure, avg.halt_type, avg.sign, fit,
                                 FLAG_OK if ok else FLAG_NO_POWER_LAW))

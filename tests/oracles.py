@@ -1,8 +1,10 @@
 """Independent reference implementations the tests check results against.
 
 These deliberately avoid the library's vectorized code paths: the curve
-oracle is a literal per-event double loop over event-time returns, and
-the power-law oracle is a brute-force scan of the (A, alpha) grid.
+oracle is a literal per-event double loop over event-time returns, the
+grid oracle is a brute-force scan of the (A, alpha) grid, and the scalar
+fit is the one-series damped Gauss-Newton loop that the library's block
+fitter must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from haltstudy import powerlaw
+from haltstudy.errors import DegenerateData, NonConvergence
+from haltstudy.powerlaw import (MIN_FIT_POINTS, SSE_RTOL, STEP_ATOL,
+                                FitConfig, PowerLawFit, power_law_jacobian,
+                                power_law_model)
 
 
 def naive_cumulative_curve(panel, events, window: int = 160) -> list[float]:
@@ -74,3 +82,94 @@ def grid_power_law(t, z, a_range, alpha_range,
             best_alpha = float(alpha)
     resid = z - best_a * t ** (-best_alpha)
     return best_a, best_alpha, float(resid @ resid)
+
+
+def _scalar_initial_guess(t, z):
+    pos = z > 0
+    if int(pos.sum()) >= 2 and np.unique(t[pos]).size >= 2:
+        slope, intercept = np.polyfit(np.log(t[pos]), np.log(z[pos]), 1)
+        amplitude = float(np.exp(intercept))
+        alpha = float(-slope)
+        if math.isfinite(amplitude) and amplitude > 0 and math.isfinite(alpha):
+            return amplitude, alpha
+    return float(z[pos].max()), 0.5
+
+
+def _scalar_r2_positive(t, z, amplitude, alpha):
+    pos = z > 0
+    zp = z[pos]
+    resid = zp - power_law_model(t[pos], amplitude, alpha)
+    sse = float(resid @ resid)
+    centered = zp - zp.mean()
+    sst = float(centered @ centered)
+    if sst == 0.0:
+        return 1.0 if sse <= 1e-18 else 0.0
+    return 1.0 - sse / sst
+
+
+def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range):
+    """One series, one Gauss-Newton step at a time, Python floats throughout.
+
+    The fit the library ran before it fitted rows as blocks. It reads
+    ``powerlaw.MAX_ITERATIONS`` at call time, so a test that lowers the
+    cap lowers it here too.
+    """
+    lo, hi = FitConfig(fit_range).fit_range
+    t = np.asarray(t, float)
+    values = np.asarray(values, float)
+    sel = (t >= lo) & (t <= hi) & ~np.isnan(values)
+    t, z = t[sel], values[sel]
+    if t.size < MIN_FIT_POINTS:
+        raise DegenerateData(
+            f"{t.size} usable points in [{lo}, {hi}], need {MIN_FIT_POINTS}")
+    if not np.any(z > 0):
+        raise DegenerateData("no positive values to anchor the decay")
+
+    amplitude, alpha = _scalar_initial_guess(t, z)
+    resid = z - power_law_model(t, amplitude, alpha)
+    sse = float(resid @ resid)
+    converged = False
+    iterations = 0
+    for iterations in range(1, powerlaw.MAX_ITERATIONS + 1):
+        jac = power_law_jacobian(t, amplitude, alpha)
+        try:
+            delta = np.linalg.solve(jac.T @ jac, jac.T @ resid)
+        except np.linalg.LinAlgError:
+            converged = True
+            break
+        lam = 1.0
+        improved = False
+        while lam >= 1e-12:
+            trial_a = amplitude + lam * delta[0]
+            trial_alpha = alpha + lam * delta[1]
+            if trial_a > 0:
+                trial_resid = z - power_law_model(t, trial_a, trial_alpha)
+                trial_sse = float(trial_resid @ trial_resid)
+                if trial_sse <= sse:
+                    improved = True
+                    break
+            lam *= 0.5
+        if not improved:
+            converged = True
+            break
+        step = lam * float(np.hypot(delta[0], delta[1]))
+        drop = sse - trial_sse
+        amplitude, alpha = float(trial_a), float(trial_alpha)
+        resid, sse = trial_resid, trial_sse
+        if drop < SSE_RTOL * max(sse, 1e-300) or step < STEP_ATOL:
+            converged = True
+            break
+    if not converged:
+        raise NonConvergence(
+            f"no convergence in {powerlaw.MAX_ITERATIONS} iterations")
+
+    jac = power_law_jacobian(t, amplitude, alpha)
+    dof = t.size - 2
+    try:
+        cov = np.linalg.inv(jac.T @ jac) * (sse / dof)
+        alpha_stderr = float(np.sqrt(cov[1, 1]))
+    except np.linalg.LinAlgError:
+        alpha_stderr = float("nan")
+    return PowerLawFit(amplitude, alpha, alpha_stderr, (lo, hi), sse,
+                       _scalar_r2_positive(t, z, amplitude, alpha),
+                       int(t.size), iterations)

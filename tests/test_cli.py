@@ -229,6 +229,11 @@ def test_parse_config_file(tmp_path):
     bad_value.write_text("min_r2 = lots\n")
     with pytest.raises(ConfigError, match="not a number"):
         parse_config_file(bad_value)
+    bad_byte = tmp_path / "bad_byte.cfg"
+    bad_byte.write_bytes(b"# undecodable byte in a value\nseed = 1\xff\n")
+    with pytest.raises(ConfigError,
+                       match="^.*bad_byte.cfg:2: seed: not an integer"):
+        parse_config_file(bad_byte)
 
 
 # ---------------------------------------------------------------- errors
@@ -261,6 +266,7 @@ def _huge_field(data: bytes) -> bytes:
 @pytest.mark.parametrize("name, damage", [
     ("bars.csv", _bad_byte), ("halts.csv", _bad_byte),
     ("bars.csv", _huge_field), ("halts.csv", _huge_field),
+    ("run.cfg", _bad_byte),
 ])
 def test_unreadable_input_reports_cleanly(synth_inputs, tmp_path, capsys,
                                           name, damage):
@@ -269,11 +275,38 @@ def test_unreadable_input_reports_cleanly(synth_inputs, tmp_path, capsys,
     for path in synth_inputs.iterdir():
         data = path.read_bytes()
         (root / path.name).write_bytes(damage(data) if path.name == name else data)
-    rc = main(["run", *_args(root, tmp_path / "out")])
+    extra = []
+    if name == "run.cfg":
+        config = root / name
+        config.write_bytes(damage(b"seed = 9\nSYN = 1\n"))
+        extra = ["--config", str(config)]
+    rc = main(["run", *extra, *_args(root, tmp_path / "out")])
     assert rc == 1
     blob = _stderr_error(capsys)
-    assert blob["error"] == "MalformedRow"
-    assert blob["message"].startswith("line 2: ")
+    if extra:
+        assert blob["error"] == "ConfigError"
+        assert blob["message"].startswith(f"{config}:2: ")
+    else:
+        assert blob["error"] == "MalformedRow"
+        assert blob["message"].startswith("line 2: ")
+
+
+@pytest.mark.parametrize("command", ["run", "counts"])
+def test_off_calendar_registry_row_reports_its_line(synth_inputs, tmp_path,
+                                                    capsys, command):
+    root = tmp_path / "in"
+    root.mkdir()
+    for path in synth_inputs.iterdir():
+        (root / path.name).write_bytes(path.read_bytes())
+    halts = (root / "halts.csv").read_text()
+    lineno = halts.count("\n") + 1
+    (root / "halts.csv").write_text(halts + "SYN0099,2031-01-01,61,"
+                                    "2031-01-01,121,0\n")
+    rc = main([command, *_args(root, tmp_path / "out")])
+    assert rc == 1
+    blob = _stderr_error(capsys)
+    assert blob == {"error": "UnknownDay", "message":
+                    f"line {lineno}: 2031-01-01 is not a trading day"}
 
 
 def test_disallowed_trend_window(synth_inputs, tmp_path, capsys):

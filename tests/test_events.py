@@ -396,17 +396,18 @@ def test_halt_csv_round_trip():
                halt_record(cal, "A", (5, 1), (7, 1), is_st=True)]
     out = io.StringIO()
     write_halt_csv(records, out)
-    again = parse_halt_file(io.StringIO(out.getvalue()))
+    again = parse_halt_file(io.StringIO(out.getvalue()), cal)
     assert again == sorted(records, key=HaltRecord.sort_key)
     assert again[0].is_st_stock
 
 
 def test_parse_halt_file_empty_and_errors():
-    assert parse_halt_file(io.StringIO("")) == []
+    cal = make_calendar(12)
+    assert parse_halt_file(io.StringIO(""), cal) == []
     header = "stock_id,halt_date,halt_minute,resume_date,resume_minute,is_st\n"
-    assert parse_halt_file(io.StringIO(header)) == []
+    assert parse_halt_file(io.StringIO(header), cal) == []
     with pytest.raises(MalformedRow, match="header"):
-        parse_halt_file(io.StringIO("a,b\n1,2\n"))
+        parse_halt_file(io.StringIO("a,b\n1,2\n"), cal)
     cases = [
         "A,2009-01-05,61\n",                                  # short row
         "A,2009-99-05,61,2009-01-05,121,0\n",                 # bad date
@@ -416,10 +417,10 @@ def test_parse_halt_file_empty_and_errors():
     ]
     for body in cases:
         with pytest.raises(MalformedRow, match="line 2"):
-            parse_halt_file(io.StringIO(header + body))
+            parse_halt_file(io.StringIO(header + body), cal)
     with pytest.raises(InvalidInterval, match="line 2"):
         parse_halt_file(io.StringIO(
-            header + "A,2009-01-05,61,2009-01-05,61,0\n"))
+            header + "A,2009-01-05,61,2009-01-05,61,0\n"), cal)
 
 
 @pytest.mark.parametrize("body", [
@@ -432,7 +433,24 @@ def test_parse_halt_file_empty_and_errors():
 def test_parse_halt_file_reports_unreadable_rows(body):
     header = b"stock_id,halt_date,halt_minute,resume_date,resume_minute,is_st\n"
     with pytest.raises(MalformedRow, match="^line 2: "):
-        parse_halt_file(io.BytesIO(header + body))
+        parse_halt_file(io.BytesIO(header + body), make_calendar(12))
+
+
+@pytest.mark.parametrize("row, day", [
+    ("A,2031-01-01,61,2031-01-02,121,0", "2031-01-01"),     # halt day
+    ("A,2009-01-05,61,2009-01-10,121,0", "2009-01-10"),     # resume day
+])
+def test_parse_halt_file_reports_off_calendar_days(row, day):
+    header = "stock_id,halt_date,halt_minute,resume_date,resume_minute,is_st\n"
+    good = "B,2009-01-05,61,2009-01-05,121,0\n"
+    with pytest.raises(UnknownDay, match=f"^line 3: {day} is not a trading day$"):
+        parse_halt_file(io.StringIO(header + good + row + "\n"),
+                        make_calendar(12))
+    # the row's own field checks come first
+    bad_flag = row[:-1] + "x"
+    with pytest.raises(MalformedRow, match="^line 2: is_st"):
+        parse_halt_file(io.StringIO(header + bad_flag + "\n"),
+                        make_calendar(12))
 
 
 def test_eligibility_report_layout():

@@ -24,7 +24,6 @@ from haltstudy import (
     compute_intraday_pattern,
     extract_stock_trajectories,
     extract_trajectory,
-    fit_power_law,
     forward_fill_all,
     group_average,
     make_calendar,
@@ -33,6 +32,7 @@ from haltstudy import (
 )
 from haltstudy.event_study import _Welford, _lockstep_welford
 from helpers import add_stock, halt_event
+from oracles import scalar_power_law_fit
 
 MEASURES = tuple(MeasureKind)
 
@@ -252,15 +252,15 @@ def test_lockstep_welford_gathers_rows_per_block():
 
 
 def _reference_bootstrap(trajectories, fit_range, n_resamples, seed):
-    # the per-resample loop the lockstep bootstrap replaces
+    # the per-resample loop of scalar fits the lockstep bootstrap replaces
     trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
     count, mean, m2, failed = 0, 0.0, 0.0, 0
     for row in indices:
+        series = make_excess(group_average([trajs[i] for i in row]))
         try:
-            fit = fit_power_law(
-                make_excess(group_average([trajs[i] for i in row])), fit_range)
+            fit = scalar_power_law_fit(series.t, series.values, fit_range)
         except (DegenerateData, NonConvergence):
             failed += 1
             continue

@@ -279,7 +279,7 @@ def test_written_dataset_parses_back(tmp_path):
         parsed = parse_bar_file(fh, cal)
     assert parsed == panel
     with open(tmp_path / "halts.csv") as fh:
-        assert parse_halt_file(fh) == records
+        assert parse_halt_file(fh, cal) == records
 
     blob = json.loads((tmp_path / "ground_truth.json").read_text())
     assert blob["seed"] == 8
