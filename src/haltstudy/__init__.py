@@ -31,7 +31,6 @@ from .market_data import (
     Panel,
     PanelBuilder,
     TradingCalendar,
-    forward_fill,
     forward_fill_all,
     parse_bar_file,
     write_bar_csv,
@@ -58,19 +57,14 @@ from .event_study import (
     CumulativeReturnCurve,
     EventTrajectory,
     GroupAverage,
-    IntradayPattern,
     MeasureKind,
     average_cumulative_return,
-    compute_intraday_pattern,
     extract_stock_trajectories,
-    extract_trajectory,
     group_average,
     measure_series,
     resampled_means,
     reversal_stats,
     stability_stat,
-    write_curve_csv,
-    write_group_average_csv,
 )
 from .powerlaw import (
     BootstrapResult,
@@ -81,13 +75,10 @@ from .powerlaw import (
     attach_bootstrap,
     bootstrap_alpha_stderr,
     fit_all_groups,
-    fit_power_law,
     fit_power_law_points,
     make_excess,
     power_law_jacobian,
     power_law_model,
-    write_exponent_csv,
-    write_loglog_csv,
 )
 from .synthetic import (
     DEFAULT_RELAXATIONS,

@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, HaltStudyError
 from .events import (
@@ -42,8 +42,6 @@ from .pipeline import (
 from .synthetic import build_group_spec, write_synthetic_dataset
 
 ALLOWED_TREND_WINDOWS = (60, 120, 180, 240)
-DEFAULT_SYNTH_GROUPS = ",".join(f"{group_name(ht, s)}:1"
-                                for ht in HaltType for s in EventSign)
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,8 @@ class RunConfig:
     """Resolved settings for one command invocation.
 
     Analysis settings default to the analysis configuration fields;
-    ``cumulative_window`` is the eligibility ``pre_window``.
+    ``cumulative_window`` is the eligibility ``pre_window``. Text values
+    are parsed and checked by ``_FILE_KEYS``.
     """
 
     bars: Path | None = None
@@ -71,18 +70,13 @@ class RunConfig:
     seed: int = AnalysisConfig.seed
     reversal_horizons: tuple[int, ...] = AnalysisConfig.reversal_horizons
     windows: tuple[int, ...] = ALLOWED_TREND_WINDOWS
-    groups: str = DEFAULT_SYNTH_GROUPS
+    groups: Mapping[tuple[HaltType, EventSign], int] = field(
+        default_factory=lambda: {(ht, s): 1 for ht in HaltType
+                                 for s in EventSign})
     sigma: float = 0.0
     trend_magnitude: float = 0.08
 
     def __post_init__(self) -> None:
-        if self.trend_window not in ALLOWED_TREND_WINDOWS:
-            raise ConfigError(
-                f"trend_window must be one of {ALLOWED_TREND_WINDOWS}, "
-                f"got {self.trend_window}")
-        for w in self.windows:
-            if w not in ALLOWED_TREND_WINDOWS:
-                raise ConfigError(f"robustness window {w} not allowed")
         try:
             self.analysis()
         except ValueError as exc:
@@ -125,8 +119,35 @@ def _parse_range(text: str, key: str) -> tuple[int, int]:
     return _parse_int(parts[0], key), _parse_int(parts[1], key)
 
 
-def _parse_int_list(text: str, key: str) -> tuple[int, ...]:
-    return tuple(_parse_int(p.strip(), key) for p in text.split(",") if p.strip())
+def _parse_int_list(text: str, key: str,
+                    parse: Callable[[str, str], int] = _parse_int,
+                    ) -> tuple[int, ...]:
+    return tuple(parse(p.strip(), key) for p in text.split(",") if p.strip())
+
+
+def _parse_window(text: str, key: str) -> int:
+    window = _parse_int(text, key)
+    if window not in ALLOWED_TREND_WINDOWS:
+        raise ConfigError(
+            f"{key}: {window} is not one of {ALLOWED_TREND_WINDOWS}")
+    return window
+
+
+def _parse_groups(text: str,
+                  key: str) -> dict[tuple[HaltType, EventSign], int]:
+    by_name = {group_name(ht, s): (ht, s) for ht in HaltType for s in EventSign}
+    sizes = {}
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        name, _, count = token.partition(":")
+        if name not in by_name:
+            raise ConfigError(f"{key}: bad group name {name!r}")
+        sizes[by_name[name]] = _parse_int(count or "1", key)
+    if not sizes:
+        raise ConfigError(f"{key}: no groups requested")
+    return sizes
 
 
 _FILE_KEYS = {
@@ -134,7 +155,7 @@ _FILE_KEYS = {
     "calendar": lambda v, k: Path(v),
     "halts": lambda v, k: Path(v),
     "out": lambda v, k: Path(v),
-    "trend_window": _parse_int,
+    "trend_window": _parse_window,
     "lookback_days": _parse_int,
     "measure_pre_window": _parse_int,
     "post_window": _parse_int,
@@ -146,8 +167,8 @@ _FILE_KEYS = {
     "n_bootstrap": _parse_int,
     "seed": _parse_int,
     "reversal_horizons": _parse_int_list,
-    "windows": _parse_int_list,
-    "groups": lambda v, k: v,
+    "windows": lambda v, k: _parse_int_list(v, k, _parse_window),
+    "groups": _parse_groups,
     "sigma": _parse_float,
     "trend_magnitude": _parse_float,
 }
@@ -156,8 +177,9 @@ _FILE_KEYS = {
 def parse_config_file(path: Path) -> dict:
     """Read ``key = value`` lines; # starts a comment, blanks ignored.
 
-    The file is read as UTF-8, undecodable bytes kept as surrogates, so
-    a bad byte ends in a ConfigError naming ``path:line``.
+    The file is read as UTF-8, undecodable bytes kept as surrogates.
+    A bad line, key, byte or value (one its key's parser rejects, such
+    as a disallowed trend window) is a ConfigError naming ``path:line``.
     """
     values = {}
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
@@ -262,25 +284,9 @@ def cmd_robustness(config: RunConfig) -> int:
     return 0
 
 
-def _parse_groups(text: str) -> dict[tuple[HaltType, EventSign], int]:
-    by_name = {group_name(ht, s): (ht, s) for ht in HaltType for s in EventSign}
-    sizes = {}
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, _, count = token.partition(":")
-        if name not in by_name:
-            raise ConfigError(f"bad group name {name!r}")
-        sizes[by_name[name]] = _parse_int(count or "1", "groups")
-    if not sizes:
-        raise ConfigError("no groups requested")
-    return sizes
-
-
 def cmd_synth(config: RunConfig) -> int:
     _require(config, "out")
-    spec = build_group_spec(_parse_groups(config.groups), seed=config.seed,
+    spec = build_group_spec(dict(config.groups), seed=config.seed,
                             sigma=config.sigma,
                             trend_magnitude=config.trend_magnitude,
                             lookback_days=config.lookback_days)
@@ -305,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--halts", type=Path, help="halt registry CSV")
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument("--seed", type=int, help="root random seed")
-        p.add_argument("--trend-window", type=int, dest="trend_window",
+        p.add_argument("--trend-window", dest="trend_window",
                        help="pre-halt trend window in traded minutes")
         p.add_argument("--lookback-days", type=int, dest="lookback_days")
         p.add_argument("--measure-pre-window", type=int,

@@ -23,11 +23,10 @@ one-at-a-time results are bitwise equal.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -49,10 +48,6 @@ from .events import (
     group_name,
 )
 from .market_data import MINUTES_PER_DAY, Panel
-
-SERIES_CSV_HEADER = ("group", "measure", "t", "mean", "stderr", "n")
-CUMULATIVE_LABEL = "cumulative_return"
-
 
 class MeasureKind(Enum):
     """Per-minute activity measures taken from the bar stream."""
@@ -119,33 +114,6 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray) -> _Welford:
 
 
 @dataclass(frozen=True)
-class IntradayPattern:
-    """Per-minute baseline I(1..240) for one stock, measure and event.
-
-    ``values[m-1]`` is the mean of the measure at intraday minute m over
-    the lookback days; minutes never observed are NaN and
-    ``n_observations`` carries the per-minute averaging count.
-    """
-
-    measure: MeasureKind
-    lookback_days: int
-    values: np.ndarray
-    n_observations: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (MINUTES_PER_DAY,):
-            raise ValueError("pattern must cover one full session")
-        if self.n_observations.shape != (MINUTES_PER_DAY,):
-            raise ValueError("observation counts must cover one full session")
-
-    def baseline(self, minute: int) -> float:
-        """I at intraday minute 1..240."""
-        if not 1 <= minute <= MINUTES_PER_DAY:
-            raise ValueError(f"minute index out of range: {minute}")
-        return float(self.values[minute - 1])
-
-
-@dataclass(frozen=True)
 class EventTrajectory:
     """Deseasonalized series z(t) for one event and measure.
 
@@ -158,10 +126,6 @@ class EventTrajectory:
     measure: MeasureKind
     t: np.ndarray
     values: np.ndarray
-
-    @property
-    def missing(self) -> np.ndarray:
-        return np.isnan(self.values)
 
 
 @dataclass(frozen=True)
@@ -274,61 +238,6 @@ def _deseasonalize_block(raw: np.ndarray,
     return values, bad
 
 
-def _zero_baseline(rec: HaltRecord, t: np.ndarray,
-                   bad: np.ndarray) -> ZeroBaseline:
-    return ZeroBaseline(
-        f"{rec.stock_id}: unusable baseline at event minute {int(t[bad][0])}")
-
-
-def compute_intraday_pattern(panel: Panel, event: HaltEvent,
-                             measure: MeasureKind,
-                             lookback: int = EligibilityConfig.lookback_days,
-                             ) -> IntradayPattern:
-    """Average the measure per intraday minute over recent active days.
-
-    The window is the ``lookback`` most recent days before the event's
-    halt day on which the stock actually traded; fully suspended days
-    are skipped rather than counted. Minutes with no observation on any
-    window day come out NaN.
-    """
-    if lookback < 1:
-        raise ValueError("lookback must be positive")
-    rec = event.record
-    days = _lookback_days(panel, _active_days(panel, rec.stock_id), rec,
-                          lookback)
-    series = measure_series(panel, rec.stock_id, measure)
-    acc = _lockstep_welford(
-        series.reshape(panel.calendar.n_days, MINUTES_PER_DAY), days[None, :])
-    return IntradayPattern(measure, lookback, acc.means()[0], acc.counts()[0])
-
-
-def extract_trajectory(panel: Panel, event: HaltEvent, measure: MeasureKind,
-                       pattern: IntradayPattern | None = None,
-                       pre_window: int = EligibilityConfig.measure_pre_window,
-                       post_window: int = EligibilityConfig.post_window,
-                       ) -> EventTrajectory:
-    """Deseasonalized event-time series over t = -pre_window..post_window.
-
-    Each raw value is divided by the pattern value for its own intraday
-    minute. Minutes without an observation stay NaN; a minute whose
-    observation would divide by a zero or undefined baseline raises
-    ZeroBaseline.
-    """
-    rec = event.record
-    gs = _event_minutes(panel, rec, pre_window, post_window)
-    if pattern is None:
-        pattern = compute_intraday_pattern(panel, event, measure)
-    elif pattern.measure is not measure:
-        raise ValueError("pattern measure does not match")
-    series = measure_series(panel, rec.stock_id, measure)
-    t = np.arange(-pre_window, post_window + 1)
-    values, bad = _deseasonalize_block(series[gs],
-                                       pattern.values[gs % MINUTES_PER_DAY])
-    if bad.any():
-        raise _zero_baseline(rec, t, bad)
-    return EventTrajectory(event, measure, t, values)
-
-
 def extract_stock_trajectories(
         panel: Panel, events: Sequence[HaltEvent],
         measures: Sequence[MeasureKind] = tuple(MeasureKind),
@@ -336,18 +245,22 @@ def extract_stock_trajectories(
         pre_window: int = EligibilityConfig.measure_pre_window,
         post_window: int = EligibilityConfig.post_window,
 ) -> list[dict[MeasureKind, EventTrajectory]]:
-    """Trajectories of many events and measures, one pass per stock.
+    """Deseasonalized series over t = -pre_window..post_window, per event
+    (aligned with ``events``) and measure: the one trajectory path, run
+    once per analysis over every eligible event.
 
-    The pipeline calls it once per run, with every eligible event, and
-    averages the result per group. The result is bitwise equal to calling :func:`compute_intraday_pattern`
-    and then :func:`extract_trajectory` for every event and measure, and
-    is aligned with ``events``: one dict per event, keyed by measure.
-    Per stock, the active days and each measure's series are computed
-    once, and the baselines of all its events and measures are averaged
-    in lockstep, one lookback day at a time. Work runs in sorted
-    (stock_id, halt begin) order and then measure order; the first
-    failing (event, measure) in that order raises the same error the
-    per-event calls would.
+    A baseline is the per-intraday-minute mean over the ``lookback``
+    most recent days before the halt day on which the stock traded
+    (suspended days are skipped; too few raise InsufficientHistory).
+    Each raw value is divided by its own minute's baseline; minutes
+    without an observation stay NaN, an observed minute over a zero or
+    undefined baseline raises ZeroBaseline, and bars that do not cover
+    the window raise InsufficientHistory or InsufficientPostWindow.
+    Per stock, the baselines of all its events and measures are
+    averaged in lockstep, one lookback day at a time, each bitwise
+    equal to a lone per-event average. Work runs in sorted (stock_id,
+    halt begin) order, then measure order; the first failing (event,
+    measure) in that order raises.
     """
     if lookback < 1:
         raise ValueError("lookback must be positive")
@@ -401,7 +314,9 @@ def _stock_trajectories(panel: Panel, stock_id: str,
             trajectories = {}
             for k, measure in enumerate(measures):
                 if bad[k, e].any():
-                    raise _zero_baseline(ev.record, t, bad[k, e])
+                    raise ZeroBaseline(
+                        f"{ev.record.stock_id}: unusable baseline at event "
+                        f"minute {int(t[bad[k, e]][0])}")
                 trajectories[measure] = EventTrajectory(ev, measure, t,
                                                         values[k, e])
             out.append(trajectories)
@@ -571,31 +486,3 @@ def reversal_stats(panel: Panel, events: Sequence[HaltEvent],
                 n_reversed += 1
         out[k] = n_reversed / len(ordered)
     return out
-
-
-def _field(x: float) -> str:
-    return "" if np.isnan(x) else repr(float(x))
-
-
-def write_group_average_csv(averages: Iterable[GroupAverage],
-                            stream: IO[str]) -> None:
-    """Rows ``group,measure,t,mean,stderr,n``, sorted by group and measure."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SERIES_CSV_HEADER)
-    for ga in sorted(averages, key=lambda a: (a.group, a.measure.value)):
-        for i, t in enumerate(ga.t):
-            writer.writerow((ga.group, ga.measure.value, int(t),
-                             _field(ga.mean[i]), _field(ga.stderr[i]),
-                             int(ga.n[i])))
-
-
-def write_curve_csv(curves: Iterable[CumulativeReturnCurve],
-                    stream: IO[str]) -> None:
-    """Cumulative curves in the same layout as the measure averages."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(SERIES_CSV_HEADER)
-    for curve in sorted(curves, key=lambda c: c.group):
-        for i, t in enumerate(curve.t):
-            writer.writerow((curve.group, CUMULATIVE_LABEL, int(t),
-                             _field(curve.mean[i]), _field(curve.stderr[i]),
-                             curve.n))

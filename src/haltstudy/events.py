@@ -7,7 +7,8 @@ direction of the cumulative log return over a fixed window ending at the
 last traded minute before the halt. Events that cannot be measured
 cleanly (overlapping neighbours, special-treatment stocks, very long
 suspensions, thin history, short post windows, gappy data) are kept but
-marked with a single rejection reason.
+marked with a single rejection reason. A registry halt over minutes
+that did trade is rejected too: its halt never happened as recorded.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class RejectionReason(Enum):
     SUCCESSIVE = "successive"
     ST_STOCK = "st_stock"
     TOO_LONG = "too_long"
+    BARS_IN_HALT = "bars_in_halt"
     DATA_GAP = "data_gap"
     INSUFFICIENT_HISTORY = "insufficient_history"
     INSUFFICIENT_POST_WINDOW = "insufficient_post_window"
@@ -269,6 +271,9 @@ def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
     if cal.day_index(record.resume_day) - cal.day_index(record.halt_day) \
             > config.max_halt_days:
         return RejectionReason.TOO_LONG
+    if real_bars is not None and real_bars[0][
+            record.global_begin(cal):record.global_resume(cal)].any():
+        return RejectionReason.BARS_IN_HALT
     if not _has_coverage(panel, record, config):
         return RejectionReason.INSUFFICIENT_HISTORY
     real, prior_days = real_bars
@@ -288,13 +293,13 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
     """Classify every record and attach at most one rejection reason.
 
     Per-event checks run in a fixed order (successive neighbour, ST
-    flag, halt span, history, post window, data gaps) and the first
-    failure wins, so a record gets exactly one reason even when several
-    filters would fire. Two halts of one stock are successive when
-    either begins inside the other's event window, which stretches from
-    ``pre_window`` minutes before the halt to ``post_window`` minutes
-    after resumption; both members of such a pair are rejected. The
-    result is sorted by (stock_id, halt begin).
+    flag, halt span, real bars inside the halt, history, post window,
+    data gaps) and the first failure wins, so a record gets exactly one
+    reason even when several filters would fire. Two halts of one stock
+    are successive when either begins inside the other's event window,
+    which stretches from ``pre_window`` minutes before the halt to
+    ``post_window`` minutes after resumption; both members of such a
+    pair are rejected. The result is sorted by (stock_id, halt begin).
     """
     cal = panel.calendar
     ordered = sorted(records, key=HaltRecord.sort_key)

@@ -90,13 +90,6 @@ class TradingCalendar:
             raise ValueError(f"minute index out of range: {minute}")
         return self.day_index(day) * MINUTES_PER_DAY + (minute - 1)
 
-    def location(self, global_minute: int) -> tuple[date, int]:
-        """Inverse of :meth:`global_minute`."""
-        if not 0 <= global_minute < self.n_minutes:
-            raise ValueError(f"global minute out of range: {global_minute}")
-        day_idx, offset = divmod(global_minute, MINUTES_PER_DAY)
-        return self.trading_days[day_idx], offset + 1
-
 
 _FLOAT_ARRAYS = ("price", "volume", "bid", "ask")
 _ARRAYS = _FLOAT_ARRAYS + ("present", "synthetic")
@@ -171,9 +164,6 @@ class Panel:
 
     def present_mask(self, stock_id: str) -> np.ndarray:
         return self._data(stock_id).present
-
-    def synthetic_mask(self, stock_id: str) -> np.ndarray:
-        return self._data(stock_id).synthetic
 
     def real_mask(self, stock_id: str) -> np.ndarray:
         """True at minutes with an observed, not forward-filled, bar."""
@@ -369,8 +359,11 @@ def parse_bar_file(stream: IO[bytes] | IO[str], calendar: TradingCalendar) -> Pa
     return builder.build()
 
 
-def _quote_texts(values: np.ndarray) -> list[str]:
-    return ["" if math.isnan(v) else repr(v) for v in values.tolist()]
+def _float_texts(values) -> list[str]:
+    """The one float format of every written file: ``repr``, which reads
+    back to the same bits, or an empty field for NaN (and for None)."""
+    return ["" if math.isnan(v) else repr(v)
+            for v in np.asarray(values, float).tolist()]
 
 
 def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
@@ -387,10 +380,10 @@ def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
         writer.writerows(zip(
             repeat(stock_id), map(days.__getitem__, day_idx.tolist()),
             (offset + 1).tolist(),
-            map(repr, panel.prices(stock_id)[g].tolist()),
-            map(repr, panel.volumes(stock_id)[g].tolist()),
-            _quote_texts(panel.bids(stock_id)[g]),
-            _quote_texts(panel.asks(stock_id)[g])))
+            _float_texts(panel.prices(stock_id)[g]),
+            _float_texts(panel.volumes(stock_id)[g]),
+            _float_texts(panel.bids(stock_id)[g]),
+            _float_texts(panel.asks(stock_id)[g])))
 
 
 def _filled(stock_id: str, d: _StockData) -> _StockData:
@@ -412,23 +405,16 @@ def _filled(stock_id: str, d: _StockData) -> _StockData:
     return _StockData(**arrays)
 
 
-def forward_fill(panel: Panel, stock_id: str) -> Panel:
-    """Fill every gap between a stock's first and last bar.
+def forward_fill_all(panel: Panel) -> Panel:
+    """Fill every gap between each stock's first and last bar.
 
     Filled bars repeat the previous last price (so their log return is
-    exactly zero), carry zero volume, carry the previous bar's quotes and
-    are flagged in ``synthetic_mask``. Gap-free input is returned unchanged,
-    which also makes the operation idempotent.
+    exactly zero), carry zero volume and the previous bar's quotes, and
+    count as present but not real (:meth:`Panel.real_mask`). Gap-free
+    input is returned unchanged, and a stock without gaps keeps its
+    arrays, which also makes the operation idempotent. A stock without
+    any bar raises NoData.
     """
-    d = panel._data(stock_id)
-    out = _filled(stock_id, d)
-    if out is d:
-        return panel
-    return Panel(panel.calendar, {**panel._stocks, stock_id: out})
-
-
-def forward_fill_all(panel: Panel) -> Panel:
-    """Apply :func:`forward_fill` to every stock, building one Panel."""
     stocks = {s: _filled(s, d) for s, d in panel._stocks.items()}
     if all(stocks[s] is d for s, d in panel._stocks.items()):
         return panel

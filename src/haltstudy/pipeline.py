@@ -8,7 +8,9 @@ and :func:`fit_groups` (fits and bootstrap errors). Work runs in one
 thread in a fixed order, groups in :func:`group_sort_key` order, so
 reruns are bitwise identical. Each output file has one writer here: the
 table behind :func:`write_analysis_outputs`, and
-:func:`write_sign_flip_csv` for the robustness summary.
+:func:`write_sign_flip_csv` for the robustness summary. Event-time
+series are written by column, and every float field goes through one
+formatter (``repr``, empty for NaN).
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,21 +50,25 @@ from .event_study import (
     group_average,
     reversal_stats,
     stability_stat,
-    write_curve_csv,
-    write_group_average_csv,
 )
-from .market_data import Panel, forward_fill_all
+from .market_data import Panel, _float_texts, forward_fill_all
 from .powerlaw import (
     ExcessSeries,
     FitConfig,
     GroupFitRow,
+    PowerLawFit,
     attach_bootstrap,
     bootstrap_alpha_stderr,
     fit_all_groups,
     make_excess,
-    write_exponent_csv,
-    write_loglog_csv,
 )
+
+SERIES_CSV_HEADER = ("group", "measure", "t", "mean", "stderr", "n")
+CUMULATIVE_LABEL = "cumulative_return"
+LOGLOG_CSV_HEADER = ("group", "measure", "t", "z_ex", "fit_value")
+EXPONENT_CSV_HEADER = ("measure", "halt_type", "sign", "A", "alpha",
+                       "alpha_se_asymptotic", "alpha_se_bootstrap",
+                       "sse", "r2", "converged", "flag")
 
 
 @dataclass(frozen=True)
@@ -275,6 +282,64 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
     }
 
 
+def _csv_writer(stream: IO[str], header: Sequence[str]):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    return writer
+
+
+def _write_series(writer, group: str, label: str, t: np.ndarray,
+                  *columns: Iterable) -> None:
+    # one event-time series by column, a row per t
+    writer.writerows(zip(repeat(group), repeat(label), t.tolist(), *columns))
+
+
+def write_group_average_csv(averages: Iterable[GroupAverage],
+                            stream: IO[str]) -> None:
+    """Rows ``group,measure,t,mean,stderr,n``, sorted by group and measure."""
+    writer = _csv_writer(stream, SERIES_CSV_HEADER)
+    for ga in sorted(averages, key=lambda a: (a.group, a.measure.value)):
+        _write_series(writer, ga.group, ga.measure.value, ga.t,
+                      _float_texts(ga.mean), _float_texts(ga.stderr),
+                      ga.n.tolist())
+
+
+def write_curve_csv(curves: Iterable[CumulativeReturnCurve],
+                    stream: IO[str]) -> None:
+    """Cumulative curves in the same layout as the measure averages."""
+    writer = _csv_writer(stream, SERIES_CSV_HEADER)
+    for curve in sorted(curves, key=lambda c: c.group):
+        _write_series(writer, curve.group, CUMULATIVE_LABEL, curve.t,
+                      _float_texts(curve.mean), _float_texts(curve.stderr),
+                      repeat(curve.n))
+
+
+def write_loglog_csv(pairs: Iterable[tuple[ExcessSeries, PowerLawFit | None]],
+                     stream: IO[str]) -> None:
+    """Excess values next to fitted values, for log-log plotting."""
+    writer = _csv_writer(stream, LOGLOG_CSV_HEADER)
+    for series, fit in sorted(pairs, key=lambda p: (p[0].group,
+                                                     p[0].measure.value)):
+        _write_series(writer, series.group, series.measure.value, series.t,
+                      _float_texts(series.values),
+                      repeat("") if fit is None
+                      else _float_texts(fit.model(series.t)))
+
+
+def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
+    """Exponent table, one row per (measure, halt type, sign)."""
+    writer = _csv_writer(stream, EXPONENT_CSV_HEADER)
+    for row in rows:
+        fit = row.fit
+        values = ([""] * 6 if fit is None else _float_texts(
+            [fit.amplitude, fit.alpha, fit.alpha_stderr,
+             fit.bootstrap_alpha_stderr, fit.sse, fit.r2_positive]))
+        # a fit exists only once converged
+        writer.writerow((row.measure.value, row.halt_type.value,
+                         row.sign.value, *values, int(fit is not None),
+                         row.flag))
+
+
 def _write_loglog(result: AnalysisResult, stream: IO[str]) -> None:
     fits = {(row.group, row.measure): row.fit for row in result.fit_rows}
     write_loglog_csv([(series, fits.get((series.group, series.measure)))
@@ -326,9 +391,8 @@ def write_sign_flip_csv(windows: Sequence[int],
                         stream: IO[str]) -> int:
     """Per event, its sign in each window's run and whether those differ;
     returns the number of events that flip."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([*HALT_CSV_HEADER[:5], *(f"sign_w{w}" for w in windows),
-                     "flipped"])
+    writer = _csv_writer(stream, [*HALT_CSV_HEADER[:5],
+                                  *(f"sign_w{w}" for w in windows), "flipped"])
     n_flipped = 0
     for i, ev in enumerate(results[-1].events):
         signs = [result.events[i].sign for result in results]

@@ -33,10 +33,9 @@ row sees the same floating-point operations:
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,11 +55,6 @@ STEP_ATOL = 1e-8
 
 FLAG_OK = "ok"
 FLAG_NO_POWER_LAW = "no_power_law"
-
-EXPONENT_CSV_HEADER = ("measure", "halt_type", "sign", "A", "alpha",
-                       "alpha_se_asymptotic", "alpha_se_bootstrap",
-                       "sse", "r2", "converged", "flag")
-LOGLOG_CSV_HEADER = ("group", "measure", "t", "z_ex", "fit_value")
 
 
 @dataclass(frozen=True)
@@ -350,13 +344,6 @@ def fit_power_law_points(t: np.ndarray, values: np.ndarray,
     return fit.complete()
 
 
-def fit_power_law(series: ExcessSeries,
-                  fit_range: tuple[int, int] = FitConfig.fit_range,
-                  ) -> PowerLawFit:
-    """Fit the relaxation model to one excess series."""
-    return fit_power_law_points(series.t, series.values, fit_range)
-
-
 def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
                            fit_range: tuple[int, int] = FitConfig.fit_range,
                            *, n_resamples: int,
@@ -421,7 +408,7 @@ def fit_all_groups(averages: Iterable[GroupAverage],
     including series too degenerate to fit, is flagged no_power_law.
     Failures are encoded in the row, never raised. Cells sharing one
     time axis are fitted together as blocks, each bitwise equal to its
-    own :func:`fit_power_law`; stderr and R-squared come per fitted row.
+    own :func:`fit_power_law_points`; stderr and R-squared come per fitted row.
     """
     ordered = sorted(averages, key=lambda a: (
         a.measure.value, group_sort_key(a.halt_type, a.sign)))
@@ -450,44 +437,3 @@ def attach_bootstrap(row: GroupFitRow, result: BootstrapResult) -> GroupFitRow:
         return row
     return replace(row, fit=replace(row.fit,
                                     bootstrap_alpha_stderr=result.stderr))
-
-
-def _field(x: float | None) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return ""
-    return repr(float(x))
-
-
-def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
-    """Exponent table, one row per (measure, halt type, sign)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(EXPONENT_CSV_HEADER)
-    for row in rows:
-        fit = row.fit
-        writer.writerow((
-            row.measure.value, row.halt_type.value, row.sign.value,
-            _field(fit.amplitude) if fit else "",
-            _field(fit.alpha) if fit else "",
-            _field(fit.alpha_stderr) if fit else "",
-            _field(fit.bootstrap_alpha_stderr) if fit else "",
-            _field(fit.sse) if fit else "",
-            _field(fit.r2_positive) if fit else "",
-            int(fit is not None),   # a fit exists only once converged
-            row.flag,
-        ))
-
-
-def write_loglog_csv(pairs: Iterable[tuple[ExcessSeries, PowerLawFit | None]],
-                     stream: IO[str]) -> None:
-    """Excess values next to fitted values, for log-log plotting."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(LOGLOG_CSV_HEADER)
-    ordered = sorted(pairs, key=lambda p: (p[0].group, p[0].measure.value))
-    for series, fit in ordered:
-        fitted = fit.model(series.t) if fit is not None else None
-        for i, t in enumerate(series.t):
-            writer.writerow((
-                series.group, series.measure.value, int(t),
-                _field(float(series.values[i])),
-                _field(float(fitted[i])) if fitted is not None else "",
-            ))

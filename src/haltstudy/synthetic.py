@@ -47,7 +47,7 @@ from .market_data import (
     write_bar_csv,
 )
 from .pipeline import AnalysisConfig, average_groups, select_events
-from .powerlaw import FitConfig, fit_power_law, make_excess
+from .powerlaw import FitConfig, fit_power_law_points, make_excess
 
 DEFAULT_BASE_LEVELS: Mapping[MeasureKind, float] = {
     MeasureKind.ABSOLUTE_RETURN: 0.002,
@@ -485,7 +485,8 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
             fitted_amplitude = float("nan")
             failure = None
             try:
-                fit = fit_power_law(make_excess(average), fit_range)
+                series = make_excess(average)
+                fit = fit_power_law_points(series.t, series.values, fit_range)
                 fitted_alpha = fit.alpha
                 fitted_amplitude = fit.amplitude
             except (DegenerateData, NonConvergence) as exc:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import date
+
 import numpy as np
 
 from haltstudy import (
@@ -9,9 +11,24 @@ from haltstudy import (
     HaltEvent,
     HaltRecord,
     HaltType,
+    MINUTES_PER_DAY,
+    Panel,
     PanelBuilder,
     TradingCalendar,
 )
+
+
+def location(calendar: TradingCalendar,
+             global_minute: int) -> tuple[date, int]:
+    """(day, minute 1..240) of a global minute; inverse of
+    ``TradingCalendar.global_minute``."""
+    day_idx, offset = divmod(global_minute, MINUTES_PER_DAY)
+    return calendar.trading_days[day_idx], offset + 1
+
+
+def synthetic_mask(panel: Panel, stock_id: str):
+    """Minutes holding a forward-filled bar: present but not real."""
+    return panel.present_mask(stock_id) & ~panel.real_mask(stock_id)
 
 
 def add_stock(builder: PanelBuilder, calendar: TradingCalendar, stock_id: str,

@@ -2,19 +2,27 @@
 
 These deliberately avoid the library's vectorized code paths: the curve
 oracle is a literal per-event double loop over event-time returns, the
-grid oracle is a brute-force scan of the (A, alpha) grid, and the scalar
-fit is the one-series damped Gauss-Newton loop that the library's block
-fitter must reproduce bit for bit.
+grid oracle is a brute-force scan of the (A, alpha) grid, the per-event
+baseline and trajectory are what the per-stock lockstep stage must
+reproduce bit for bit, and the scalar fit is the one-series damped
+Gauss-Newton loop that the library's block fitter must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from haltstudy import powerlaw
-from haltstudy.errors import DegenerateData, NonConvergence
+from haltstudy.errors import DegenerateData, NonConvergence, ZeroBaseline
+from haltstudy.event_study import (EventTrajectory, MeasureKind, _active_days,
+                                   _deseasonalize_block, _event_minutes,
+                                   _lockstep_welford, _lookback_days,
+                                   measure_series)
+from haltstudy.market_data import MINUTES_PER_DAY
 from haltstudy.powerlaw import (MIN_FIT_POINTS, SSE_RTOL, STEP_ATOL,
                                 FitConfig, PowerLawFit, power_law_jacobian,
                                 power_law_model)
@@ -52,6 +60,53 @@ def naive_cumulative_curve(panel, events, window: int = 160) -> list[float]:
     mean = [sum(c[k] for c in per_event) / n for k in range(2 * window + 1)]
     shift = mean[window]
     return [m - shift for m in mean]
+
+
+@dataclass(frozen=True)
+class IntradayPattern:
+    """Per-minute baseline I(1..240) for one stock, measure and event.
+
+    ``values[m-1]`` is the mean of the measure at intraday minute m over
+    the lookback days; minutes never observed are NaN and
+    ``n_observations`` carries the per-minute averaging count.
+    """
+
+    measure: MeasureKind
+    lookback_days: int
+    values: np.ndarray
+    n_observations: np.ndarray
+
+
+def compute_intraday_pattern(panel, event, measure: MeasureKind,
+                             lookback: int = 40) -> IntradayPattern:
+    """Average the measure per intraday minute over one event's
+    ``lookback`` most recent active days before its halt day."""
+    if lookback < 1:
+        raise ValueError("lookback must be positive")
+    rec = event.record
+    days = _lookback_days(panel, _active_days(panel, rec.stock_id), rec,
+                          lookback)
+    series = measure_series(panel, rec.stock_id, measure)
+    acc = _lockstep_welford(
+        series.reshape(panel.calendar.n_days, MINUTES_PER_DAY), days[None, :])
+    return IntradayPattern(measure, lookback, acc.means()[0], acc.counts()[0])
+
+
+def extract_trajectory(panel, event, measure: MeasureKind,
+                       pattern: IntradayPattern, pre_window: int = 80,
+                       post_window: int = 160) -> EventTrajectory:
+    """One event's series over t = -pre_window..post_window, each raw
+    value divided by ``pattern`` at its own intraday minute."""
+    rec = event.record
+    gs = _event_minutes(panel, rec, pre_window, post_window)
+    series = measure_series(panel, rec.stock_id, measure)
+    t = np.arange(-pre_window, post_window + 1)
+    values, bad = _deseasonalize_block(series[gs],
+                                       pattern.values[gs % MINUTES_PER_DAY])
+    if bad.any():
+        raise ZeroBaseline(f"{rec.stock_id}: unusable baseline at event "
+                           f"minute {int(t[bad][0])}")
+    return EventTrajectory(event, measure, t, values)
 
 
 def grid_power_law(t, z, a_range, alpha_range,

@@ -18,7 +18,7 @@ from haltstudy import (
     PanelBuilder,
     build_group_spec,
     average_cumulative_return,
-    extract_trajectory,
+    extract_stock_trajectories,
     filter_eligibility,
     forward_fill_all,
     generate_panel,
@@ -127,9 +127,10 @@ def test_deseasonalization_identity(acceptance):
     filled = forward_fill_all(builder.build())
     ev = halt_event(cal, "A", (41, 61), (41, 121),
                     HaltType.INTRADAY, EventSign.NEGATIVE)
+    trajectories, = extract_stock_trajectories(filled, [ev])
     deviations = {}
     for measure in MeasureKind:
-        tr = extract_trajectory(filled, ev, measure)
+        tr = trajectories[measure]
         deviations[measure.value] = float(np.max(np.abs(tr.values - 1.0)))
     worst = max(deviations.values())
     ok = worst < 1e-12

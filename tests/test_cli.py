@@ -318,6 +318,26 @@ def test_disallowed_trend_window(synth_inputs, tmp_path, capsys):
     assert "trend_window" in blob["message"]
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("run", "trend_window = 90",
+     "trend_window: 90 is not one of (60, 120, 180, 240)"),
+    ("robustness", "windows = 60,90",
+     "windows: 90 is not one of (60, 120, 180, 240)"),
+    ("synth", "groups = foo:1", "groups: bad group name 'foo'"),
+])
+def test_config_value_errors_report_their_line(synth_inputs, tmp_path, capsys,
+                                               command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 9\n{line}\n")
+    out = tmp_path / "out"
+    args = (["--out", str(out)] if command == "synth"
+            else _args(synth_inputs, out))
+    assert main([command, "--config", str(cfg), *args]) == 1
+    assert _stderr_error(capsys) == {"error": "ConfigError",
+                                     "message": f"{cfg}:2: {message}"}
+    assert not out.exists()
+
+
 def test_missing_required_setting(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path)]) == 1
     blob = _stderr_error(capsys)

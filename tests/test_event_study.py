@@ -15,29 +15,23 @@ from haltstudy import (
     InsufficientHistory,
     InsufficientPostWindow,
     InsufficientWindow,
-    IntradayPattern,
     MeasureKind,
     PanelBuilder,
     ZeroBaseline,
     average_cumulative_return,
-    compute_intraday_pattern,
-    extract_trajectory,
+    extract_stock_trajectories,
     forward_fill_all,
     group_average,
     make_calendar,
     measure_series,
     reversal_stats,
     stability_stat,
-    write_curve_csv,
-    write_group_average_csv,
 )
-from helpers import add_stock, halt_event
+from haltstudy.pipeline import write_curve_csv, write_group_average_csv
+from helpers import add_stock, halt_event, location
 
 A, V, S = (MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME,
            MeasureKind.BID_ASK_SPREAD)
-
-FLAT_PATTERN = IntradayPattern(V, 40, np.ones(240),
-                               np.full(240, 40, dtype=np.int64))
 
 
 def _intraday_event(cal, stock_id="A", day=1,
@@ -82,7 +76,19 @@ def test_measure_series_spread_needs_quotes():
     assert np.isnan(spread).all()
 
 
-# ---------------------------------------------------------------- patterns
+# ---------------------------------------------------------------- baselines
+
+
+def _trajectory(panel, ev, measure=V, lookback=40, pre_window=80):
+    return extract_stock_trajectories(panel, [ev], (measure,), lookback,
+                                      pre_window)[0][measure]
+
+
+def _event_minutes(begin, resume):
+    # global minutes of t = -80..160 for a halt at ``begin``, resuming
+    # at ``resume``
+    return np.concatenate([np.arange(begin - 80, begin),
+                           np.arange(resume, resume + 161)])
 
 
 def test_pattern_of_constant_volume_is_exact():
@@ -90,97 +96,102 @@ def test_pattern_of_constant_volume_is_exact():
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", volume=250.0)
     ev = _intraday_event(cal, day=41)
-    pattern = compute_intraday_pattern(builder.build(), ev, V)
-    assert np.all(pattern.values == 250.0)
-    assert np.all(pattern.n_observations == 40)
-    assert pattern.baseline(1) == 250.0
-    assert pattern.baseline(240) == 250.0
-    with pytest.raises(ValueError):
-        pattern.baseline(241)
+    tr = _trajectory(builder.build(), ev)
+    assert np.all(tr.values == 1.0)             # 250 / 250, exact
 
 
 def test_pattern_averages_across_days():
-    cal = make_calendar(41)
+    cal = make_calendar(42)
     volume = np.empty(cal.n_minutes)
-    volume.reshape(41, 240)[0::2] = 2.0     # day parity split, 20 + 20
-    volume.reshape(41, 240)[1::2] = 4.0
+    volume.reshape(42, 240)[0::2] = 2.0     # day parity split, 20 + 20
+    volume.reshape(42, 240)[1::2] = 4.0
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", volume=volume)
     ev = _intraday_event(cal, day=40)
-    pattern = compute_intraday_pattern(builder.build(), ev, V)
-    assert pattern.values == pytest.approx(np.full(240, 3.0), abs=1e-12)
+    tr = _trajectory(builder.build(), ev)
+    gs = _event_minutes(40 * 240 + 60, 40 * 240 + 120)
+    assert tr.values == pytest.approx(volume[gs] / 3.0, abs=1e-12)
 
 
 def test_pattern_skips_suspended_days():
-    cal = make_calendar(42)
+    cal = make_calendar(43)
     builder = PanelBuilder(cal)
     # day 3 never trades, so the window must reach one day further back
+    # and take in day 0: (77 + 39 * 5) / 40 = 6.8
     volume = np.full(cal.n_minutes, 5.0)
     volume[:240] = 77.0                     # only day 0 differs
     add_stock(builder, cal, "A", volume=volume,
               absent=[slice(3 * 240, 4 * 240)])
     ev = _intraday_event(cal, day=41)
-    pattern = compute_intraday_pattern(builder.build(), ev, V)
-    assert np.all(pattern.n_observations == 40)
-    assert pattern.values == pytest.approx(np.full(240, 6.8), abs=1e-12)
+    tr = _trajectory(builder.build(), ev)
+    assert tr.values == pytest.approx(np.full(241, 5.0 / 6.8), abs=1e-12)
 
 
 def test_pattern_requires_enough_active_days():
-    cal = make_calendar(41)
+    cal = make_calendar(42)
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", absent=[slice(0, 240)])    # 39 active days
     ev = _intraday_event(cal, day=40)
-    with pytest.raises(InsufficientHistory):
-        compute_intraday_pattern(builder.build(), ev, V)
+    with pytest.raises(InsufficientHistory, match="39 active days"):
+        _trajectory(builder.build(), ev)
     with pytest.raises(ValueError):
-        compute_intraday_pattern(builder.build(), ev, V, lookback=0)
+        _trajectory(builder.build(), ev, lookback=0)
 
 
 def test_pattern_counts_partial_observations():
     cal = make_calendar(44)
     builder = PanelBuilder(cal)
-    # minute 5 of day 30 is missing; pattern still averages the other 39
+    # minute 5 of day 30 is missing; its baseline still averages the
+    # other 39 days, so minute 5 of days 41 (t = -56) and 42 (t = 124)
+    # deseasonalizes to exactly 1
     add_stock(builder, cal, "A", volume=9.0, absent=[30 * 240 + 4])
     ev = _intraday_event(cal, day=41)
-    pattern = compute_intraday_pattern(builder.build(), ev, V)
-    assert pattern.n_observations[4] == 39
-    assert pattern.values[4] == 9.0
+    tr = _trajectory(builder.build(), ev)
+    assert np.all(tr.values == 1.0)
 
 
 # ---------------------------------------------------------------- trajectories
 
 
-def test_trajectory_event_time_mapping():
-    # volume equals the global minute index, baseline is one, so the
+def _index_volume(cal):
+    # volume equals the global minute index, except on day 0, the one
+    # lookback day, where it is 1: the baseline is flat 1, so the
     # deseasonalized series reads back which bar each t points at
-    cal = make_calendar(3)
+    volume = np.arange(cal.n_minutes, dtype=float)
+    volume[:240] = 1.0
+    return volume
+
+
+def test_trajectory_event_time_mapping():
+    cal = make_calendar(4)
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "A",
-              volume=np.arange(cal.n_minutes, dtype=float),
-              absent=[slice(300, 360)])
-    ev = _intraday_event(cal, day=1)
-    tr = extract_trajectory(builder.build(), ev, V, pattern=FLAT_PATTERN)
+    add_stock(builder, cal, "A", volume=_index_volume(cal),
+              absent=[slice(340, 360)])
+    ev = halt_event(cal, "A", (1, 101), (1, 121),
+                    HaltType.INTRADAY, EventSign.NEGATIVE)
+    tr = _trajectory(builder.build(), ev, lookback=1)
     assert np.array_equal(tr.t, np.arange(-80, 161))
-    expected = np.concatenate([np.arange(220, 300), np.arange(360, 521)])
-    assert np.array_equal(tr.values, expected.astype(float))
+    # the post window runs through the close of day 1 into day 2
+    assert np.array_equal(tr.values,
+                          _event_minutes(340, 360).astype(float))
     # t = 0 lands on the first traded minute after the halt, 13:01
     g0 = int(tr.values[tr.t == 0][0])
-    _, minute = cal.location(g0)
-    assert minute == 121
-    assert not tr.missing.any()
+    assert location(cal, g0) == (cal.trading_days[1], 121)
+    assert not np.isnan(tr.values).any()
 
 
 def test_trajectory_skips_overnight_and_halted_days():
-    cal = make_calendar(4)
+    cal = make_calendar(5)
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "A",
-              volume=np.arange(cal.n_minutes, dtype=float),
-              absent=[slice(240, 480)])
-    ev = halt_event(cal, "A", (1, 1), (2, 1),
+    add_stock(builder, cal, "A", volume=_index_volume(cal),
+              absent=[slice(400, 880)])
+    ev = halt_event(cal, "A", (1, 161), (3, 161),
                     HaltType.ONE_DAY, EventSign.NEGATIVE)
-    tr = extract_trajectory(builder.build(), ev, V, pattern=FLAT_PATTERN)
-    assert tr.values[tr.t == -1][0] == 239.0    # last bar of day 0
-    assert tr.values[tr.t == 0][0] == 480.0     # first bar of day 2
+    tr = _trajectory(builder.build(), ev, lookback=1)
+    assert tr.values[tr.t == -1][0] == 399.0    # minute 160 of day 1
+    assert tr.values[tr.t == 0][0] == 880.0     # minute 161 of day 3
+    assert tr.values[tr.t == 80][0] == 960.0    # first bar of day 4
+    assert not np.isnan(tr.values).any()
 
 
 def _parity_panel():
@@ -198,49 +209,56 @@ def _parity_panel():
 def test_trajectory_identity_when_measure_matches_baseline():
     cal, filled = _parity_panel()
     ev = _intraday_event(cal, day=41)
-    for measure in (A, V, S):
-        tr = extract_trajectory(filled, ev, measure)
-        assert not tr.missing.any()
+    trajectories, = extract_stock_trajectories(filled, [ev])
+    assert set(trajectories) == {A, V, S}
+    for tr in trajectories.values():
+        assert not np.isnan(tr.values).any()
         assert np.all(tr.values == 1.0)         # exact, not approximate
 
 
 def test_trajectory_marks_missing_minutes():
-    cal = make_calendar(3)
+    # flat baselines: unit volume and, with the parity price, the same
+    # absolute return at every minute of the lookback day
+    cal = make_calendar(4)
+    price = np.where(np.arange(cal.n_minutes) % 2 == 0, 10.0, 10.1)
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "A", absent=[slice(300, 360), 400])
-    ev = _intraday_event(cal, day=1)
-    tr = extract_trajectory(builder.build(), ev, V, pattern=FLAT_PATTERN)
-    missing_t = tr.t[tr.missing]
-    assert missing_t.tolist() == [40]           # g=400 sits 40 bars past 360
-    absr = extract_trajectory(
-        builder.build(), ev, A,
-        pattern=IntradayPattern(A, 40, np.ones(240),
-                                np.full(240, 40, dtype=np.int64)))
+    add_stock(builder, cal, "A", price=price, volume=1.0,
+              absent=[slice(580, 600), 640])
+    panel = builder.build()
+    ev = halt_event(cal, "A", (2, 101), (2, 121),
+                    HaltType.INTRADAY, EventSign.NEGATIVE)
+    tr = _trajectory(panel, ev, lookback=1)
+    missing = np.isnan(tr.values)
+    assert tr.t[missing].tolist() == [40]       # g=640 sits 40 bars past 600
+    assert np.all(tr.values[~missing] == 1.0)
+    absr = _trajectory(panel, ev, A, lookback=1)
     # unfilled panel: t = 0 also lacks a predecessor (the halted span)
-    assert absr.t[absr.missing].tolist() == [0, 40, 41]
+    missing = np.isnan(absr.values)
+    assert absr.t[missing].tolist() == [0, 40, 41]
+    assert np.all(absr.values[~missing] == 1.0)
 
 
 def test_trajectory_window_errors():
-    cal = make_calendar(3)
+    cal = make_calendar(4)
+    ev = _intraday_event(cal, day=2)
+    # bars start at global minute 461, inside the pre window from 460;
+    # day 1 still trades, so the lookback is met
     short_pre = PanelBuilder(cal)
-    add_stock(short_pre, cal, "A", absent=[slice(0, 250), slice(300, 360)])
-    ev = _intraday_event(cal, day=1)
-    with pytest.raises(InsufficientHistory):
-        extract_trajectory(short_pre.build(), ev, V, pattern=FLAT_PATTERN)
+    add_stock(short_pre, cal, "A", absent=[slice(0, 461), slice(540, 600)])
+    with pytest.raises(InsufficientHistory, match="inside the pre window"):
+        _trajectory(short_pre.build(), ev, lookback=1)
 
     short_post = PanelBuilder(cal)
-    add_stock(short_post, cal, "A", absent=[slice(300, 360), slice(520, None)])
-    with pytest.raises(InsufficientPostWindow):
-        extract_trajectory(short_post.build(), ev, V, pattern=FLAT_PATTERN)
+    add_stock(short_post, cal, "A", absent=[slice(540, 600), slice(760, None)])
+    with pytest.raises(InsufficientPostWindow, match="1 minutes short"):
+        _trajectory(short_post.build(), ev, lookback=1)
 
-    early = halt_event(cal, "A", (0, 61), (0, 121),
+    early = halt_event(cal, "A", (1, 1), (1, 61),
                        HaltType.INTRADAY, EventSign.NEGATIVE)
     ok = PanelBuilder(cal)
     add_stock(ok, cal, "A")
-    with pytest.raises(InsufficientHistory):
-        extract_trajectory(ok.build(), early, V, pattern=FLAT_PATTERN)
-    with pytest.raises(ValueError, match="measure"):
-        extract_trajectory(ok.build(), ev, A, pattern=FLAT_PATTERN)
+    with pytest.raises(InsufficientHistory, match="before the calendar"):
+        _trajectory(ok.build(), early, lookback=1, pre_window=300)
 
 
 def test_trajectory_zero_baseline():
@@ -249,7 +267,7 @@ def test_trajectory_zero_baseline():
     add_stock(builder, cal, "A", volume=0.0, absent=[slice(9900, 9960)])
     ev = _intraday_event(cal, day=41)
     with pytest.raises(ZeroBaseline):
-        extract_trajectory(forward_fill_all(builder.build()), ev, V)
+        _trajectory(forward_fill_all(builder.build()), ev)
 
 
 # ---------------------------------------------------------------- averaging

@@ -243,6 +243,27 @@ def test_halt_span_cap():
     assert b.halt_type is HaltType.INTER_DAY
 
 
+def test_bars_inside_the_halt_rejected():
+    cal = make_calendar(44)
+    rec = halt_record(cal, "A", (41, 61), (41, 121))
+    # the last minute of the halted span [9900, 9960) traded
+    panel = _panel_with(cal, {"A": [slice(9900, 9959)]})
+    for p in (panel, forward_fill_all(panel)):
+        ev = filter_eligibility([rec], p)[0]
+        assert ev.rejection_reason is RejectionReason.BARS_IN_HALT
+        assert ev.sign is EventSign.NEGATIVE
+    # ranked after the halt-span cap and the ST flag, before history
+    st = halt_record(cal, "A", (41, 61), (41, 121), is_st=True)
+    assert filter_eligibility([st], panel)[0].rejection_reason \
+        is RejectionReason.ST_STOCK
+    thin = _panel_with(cal, {"A": [slice(0, 480), slice(9900, 9959)]})
+    assert filter_eligibility([rec], thin)[0].rejection_reason \
+        is RejectionReason.BARS_IN_HALT
+    # filled bars inside the span are not real bars
+    clean = _panel_with(cal, {"A": [slice(9900, 9960)]})
+    assert filter_eligibility([rec], forward_fill_all(clean))[0].eligible
+
+
 def test_too_few_active_days_rejected_but_signed():
     cal = make_calendar(44)
     rec = halt_record(cal, "A", (41, 61), (41, 121))

@@ -21,9 +21,7 @@ from haltstudy import (
     NonConvergence,
     PanelBuilder,
     bootstrap_alpha_stderr,
-    compute_intraday_pattern,
     extract_stock_trajectories,
-    extract_trajectory,
     forward_fill_all,
     group_average,
     make_calendar,
@@ -32,7 +30,8 @@ from haltstudy import (
 )
 from haltstudy.event_study import _Welford, _lockstep_welford
 from helpers import add_stock, halt_event
-from oracles import scalar_power_law_fit
+from oracles import (compute_intraday_pattern, extract_trajectory,
+                     scalar_power_law_fit)
 
 MEASURES = tuple(MeasureKind)
 

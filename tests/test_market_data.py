@@ -18,14 +18,13 @@ from haltstudy import (
     PanelBuilder,
     TradingCalendar,
     UnknownDay,
-    forward_fill,
     forward_fill_all,
     make_calendar,
     parse_bar_file,
     write_bar_csv,
 )
 from haltstudy.market_data import BAR_CSV_HEADER
-from helpers import add_stock, random_walk_stock
+from helpers import add_stock, location, random_walk_stock, synthetic_mask
 
 LN_101 = 0.009950330853168092  # ln(1.01)
 
@@ -46,7 +45,7 @@ def test_calendar_index_and_location_are_inverse():
     rng = np.random.default_rng(3)
     for _ in range(50):
         g = int(rng.integers(0, cal.n_minutes))
-        day, minute = cal.location(g)
+        day, minute = location(cal, g)
         assert cal.global_minute(day, minute) == g
     assert cal.n_days == 7
     assert cal.n_minutes == 7 * 240
@@ -68,8 +67,6 @@ def test_calendar_unknown_day_and_bad_minute():
         MARCH.global_minute(date(2010, 3, 1), 0)
     with pytest.raises(ValueError):
         MARCH.global_minute(date(2010, 3, 1), 241)
-    with pytest.raises(ValueError):
-        MARCH.location(MARCH.n_minutes)
 
 
 def test_calendar_from_file(tmp_path):
@@ -100,7 +97,7 @@ def test_parse_single_bar():
     assert panel.volumes("600000")[g] == 500.0
     spread = panel.asks("600000")[g] - panel.bids("600000")[g]
     assert spread == pytest.approx(0.02, abs=1e-12)
-    assert not panel.synthetic_mask("600000")[g]
+    assert not synthetic_mask(panel, "600000")[g]
 
 
 def test_parse_accepts_bytes_stream_and_missing_quotes():
@@ -288,7 +285,7 @@ def test_bulk_arrays_match_per_bar_construction():
     bulk.add_stock_arrays("A", price, volume, price - 0.01, price + 0.01, present)
     lines = [",".join(BAR_CSV_HEADER)]
     for g in np.flatnonzero(present):
-        day, minute = cal.location(int(g))
+        day, minute = location(cal, int(g))
         p = float(price[g])
         lines.append(f"A,{day.isoformat()},{minute},{p!r},{float(volume[g])!r},"
                      f"{p - 0.01!r},{p + 0.01!r}")
@@ -337,10 +334,10 @@ def test_bulk_arrays_validate_contents():
 
 def test_forward_fill_single_gap():
     day = date(2010, 3, 1)
-    filled = forward_fill(_bars("A,2010-03-01,1,10.00,500.0,9.99,10.01",
-                                "A,2010-03-01,3,10.10,200.0,,"), "A")
+    filled = forward_fill_all(_bars("A,2010-03-01,1,10.00,500.0,9.99,10.01",
+                                    "A,2010-03-01,3,10.10,200.0,,"))
     g = MARCH.global_minute(day, 2)
-    assert filled.synthetic_mask("A")[g]
+    assert synthetic_mask(filled, "A")[g]
     assert filled.prices("A")[g] == 10.00
     assert filled.volumes("A")[g] == 0.0
     assert filled.bids("A")[g] == 9.99 and filled.asks("A")[g] == 10.01
@@ -352,7 +349,7 @@ def test_forward_fill_single_gap():
 
 def test_forward_fill_gap_free_returns_same_object():
     panel = _bars(*(f"A,2010-03-01,{minute},10.0,1.0,," for minute in (5, 6, 7)))
-    assert forward_fill(panel, "A") is panel
+    assert forward_fill_all(panel) is panel
 
 
 def test_forward_fill_is_idempotent_and_preserves_others():
@@ -362,13 +359,12 @@ def test_forward_fill_is_idempotent_and_preserves_others():
     random_walk_stock(builder, cal, "A", rng, absent=[slice(100, 130), 400])
     random_walk_stock(builder, cal, "B", rng)
     panel = builder.build()
-    filled = forward_fill(panel, "A")
-    assert forward_fill(filled, "A") is filled
+    filled = forward_fill_all(panel)
     assert forward_fill_all(filled) is filled
-    # the untouched stock shares its arrays with the source panel
+    # the gap-free stock shares its arrays with the source panel
     assert filled.prices("B") is panel.prices("B")
-    assert filled.synthetic_mask("A")[100:130].all()
-    assert not filled.synthetic_mask("A")[:100].any()
+    assert synthetic_mask(filled, "A")[100:130].all()
+    assert not synthetic_mask(filled, "A")[:100].any()
     # filling never invents bars outside the covered span
     assert filled.coverage("A") == panel.coverage("A")
 
@@ -385,8 +381,13 @@ def test_forward_fill_round_trip_drops_synthetic_bars():
 
 
 def test_forward_fill_unknown_stock():
-    with pytest.raises(NoData):
-        forward_fill(PanelBuilder(MARCH).build(), "A")
+    # a stock whose arrays hold no bar at all
+    builder = PanelBuilder(MARCH)
+    nothing = np.full(MARCH.n_minutes, np.nan)
+    builder.add_stock_arrays("A", nothing, nothing, nothing, nothing,
+                             np.zeros(MARCH.n_minutes, dtype=bool))
+    with pytest.raises(NoData, match="no bars for stock A"):
+        forward_fill_all(builder.build())
 
 
 def test_panel_equality_notices_any_difference():

@@ -21,16 +21,14 @@ from haltstudy import (
     attach_bootstrap,
     bootstrap_alpha_stderr,
     fit_all_groups,
-    fit_power_law,
     fit_power_law_points,
     group_average,
     make_calendar,
     make_excess,
     power_law_jacobian,
     power_law_model,
-    write_exponent_csv,
-    write_loglog_csv,
 )
+from haltstudy.pipeline import write_exponent_csv, write_loglog_csv
 from helpers import halt_event
 from oracles import grid_power_law
 
@@ -178,7 +176,7 @@ def test_fit_beats_a_parameter_grid():
 
 def test_fit_on_series_object():
     series = _series(1.5 * T160 ** -0.7)
-    fit = fit_power_law(series, (1, 160))
+    fit = fit_power_law_points(series.t, series.values, (1, 160))
     assert fit.alpha == pytest.approx(0.7, abs=1e-8)
 
 
@@ -210,13 +208,18 @@ def test_bootstrap_of_identical_events_is_exactly_zero():
     assert result.n_failed == 0
 
 
+def _excess_alpha(avg):
+    series = make_excess(avg)
+    return fit_power_law_points(series.t, series.values).alpha
+
+
 def test_bootstrap_matches_hand_enumeration():
     # seed 123 with two events and four resamples draws the index rows
     # [0,1], [1,0], [1,0], [0,0]; the first three share one multiset
     trajs = _group_trajs([_decay_row(2.0, 0.8), _decay_row(1.0, 0.5)])
     result = bootstrap_alpha_stderr(trajs, n_resamples=4, seed=123)
-    mixed = fit_power_law(make_excess(group_average(trajs))).alpha
-    solo = fit_power_law(make_excess(group_average([trajs[0]]))).alpha
+    mixed = _excess_alpha(group_average(trajs))
+    solo = _excess_alpha(group_average([trajs[0]]))
     expected = float(np.std([mixed, mixed, mixed, solo], ddof=1))
     assert result.stderr == pytest.approx(expected, rel=1e-10)
     assert result.n_success == 4
