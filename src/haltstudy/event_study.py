@@ -18,7 +18,10 @@ member to every slot of a block, such as every event and measure of a
 stock (one lookback day at a time) or every bootstrap resample (one
 sample position at a time). Each slot still sees the same IEEE
 operations in the same order as a lone average would, so lockstep and
-one-at-a-time results are bitwise equal.
+one-at-a-time results are bitwise equal. The two passes that need only
+means, the per-stock baselines and the bootstrap resamples, run the
+running-mean step alone; group averages and cumulative-return curves
+also carry the running spread for their standard errors.
 """
 
 from __future__ import annotations
@@ -57,6 +60,17 @@ class MeasureKind(Enum):
     BID_ASK_SPREAD = "bid_ask_spread"
 
 
+def _mean_step(n: np.ndarray, mean: np.ndarray,
+               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one running-mean update of every slot, skipping NaN entries in
+    # place; returns the observed mask and the pre-update deviation
+    ok = ~np.isnan(values)
+    n += ok
+    delta = np.where(ok, values - mean, 0.0)
+    mean += delta / np.maximum(n, 1)
+    return ok, delta
+
+
 class _Welford:
     """Per-slot running mean and spread that skip missing (NaN) entries.
 
@@ -66,7 +80,8 @@ class _Welford:
     is missing or identical to the running mean, so averaging N copies
     of one series reproduces it bit for bit and its spread is exactly 0;
     the one exception is -0.0, which the running mean (starting at +0.0)
-    returns as +0.0.
+    returns as +0.0. :func:`_lockstep_means` runs the same mean step
+    without the spread, for the passes that read only means.
     """
 
     def __init__(self, shape: int | tuple[int, ...]):
@@ -75,10 +90,7 @@ class _Welford:
         self.m2 = np.zeros(shape)
 
     def add(self, values: np.ndarray) -> None:
-        ok = ~np.isnan(values)
-        self.n[ok] += 1
-        delta = np.where(ok, values - self.mean, 0.0)
-        self.mean += delta / np.maximum(self.n, 1)
+        ok, delta = _mean_step(self.n, self.mean, values)
         delta2 = np.where(ok, values - self.mean, 0.0)
         self.m2 += delta * delta2
 
@@ -111,6 +123,18 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray) -> _Welford:
     for k in range(members.shape[1]):
         acc.add(rows[..., members[:, k], :])
     return acc
+
+
+def _lockstep_means(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``_lockstep_welford(rows, members).means()`` without the spread:
+    the same mean step per member, bit for bit, and NaN where a slot saw
+    no value."""
+    shape = rows.shape[:-2] + (members.shape[0], rows.shape[-1])
+    n = np.zeros(shape, dtype=np.int64)
+    mean = np.zeros(shape)
+    for k in range(members.shape[1]):
+        _mean_step(n, mean, rows[..., members[:, k], :])
+    return np.where(n > 0, mean, np.nan)
 
 
 @dataclass(frozen=True)
@@ -303,7 +327,7 @@ def _stock_trajectories(panel: Panel, stock_id: str,
         series = np.stack([measure_series(panel, stock_id, m) for m in measures])
         by_day = series.reshape(len(measures), panel.calendar.n_days,
                                 MINUTES_PER_DAY)
-        pattern = _lockstep_welford(by_day, np.array(days)).means()
+        pattern = _lockstep_means(by_day, np.array(days))
         gs = np.array(minutes)
         rows = np.arange(gs.shape[0])[:, None]
         values, bad = _deseasonalize_block(
@@ -385,8 +409,7 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     indices = np.asarray(indices)
     order = np.argsort(rank[indices], axis=1, kind="stable")
     members = np.take_along_axis(indices, order, axis=1)
-    return _lockstep_welford(np.stack([tr.values for tr in trajs]),
-                             members).means()
+    return _lockstep_means(np.stack([tr.values for tr in trajs]), members)
 
 
 def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],

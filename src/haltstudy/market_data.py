@@ -386,10 +386,11 @@ def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
             _float_texts(panel.asks(stock_id)[g])))
 
 
-def _filled(stock_id: str, d: _StockData) -> _StockData:
-    """``d`` with every gap of its covered span filled; ``d`` when gap-free."""
+def _filled(d: _StockData) -> _StockData:
+    """``d`` with every gap of its covered span filled; ``d`` when gap-free
+    or without any bar."""
     if d.first < 0:
-        raise NoData(f"no bars for stock {stock_id}")
+        return d
     missing = ~d.present[d.first:d.last + 1]
     if not missing.any():
         return d
@@ -413,9 +414,10 @@ def forward_fill_all(panel: Panel) -> Panel:
     count as present but not real (:meth:`Panel.real_mask`). Gap-free
     input is returned unchanged, and a stock without gaps keeps its
     arrays, which also makes the operation idempotent. A stock without
-    any bar raises NoData.
+    any bar has no span to fill and is returned as it is; the events on
+    it are rejected for insufficient history by eligibility.
     """
-    stocks = {s: _filled(s, d) for s, d in panel._stocks.items()}
+    stocks = {s: _filled(d) for s, d in panel._stocks.items()}
     if all(stocks[s] is d for s, d in panel._stocks.items()):
         return panel
     return Panel(panel.calendar, stocks)

@@ -28,7 +28,8 @@ row sees the same floating-point operations:
 * step halving (1, 1/2, ... down to 1e-12) runs per row;
 * rows are grouped by their pattern of missing points and each pattern
   is fitted on its own points, never padded;
-* the log-log starting point is an ``np.polyfit`` per row.
+* the log-log starting points come from one function per block that
+  takes ``np.polyfit``'s own steps for each row, without its wrapper.
 """
 
 from __future__ import annotations
@@ -140,18 +141,39 @@ def make_excess(avg: GroupAverage) -> ExcessSeries:
     return ExcessSeries(avg.measure, avg.halt_type, avg.sign, t, values, avg)
 
 
-def _initial_guess(t: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    # log-log regression of the positive subset; crude but close enough
-    # for the damped iteration to take over
+def _initial_guesses(t: np.ndarray,
+                     z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starting (amplitude, alpha) per row of ``z`` (rows x len(t)), each
+    row holding a positive value: a log-log regression of the row's
+    positive points, crude but close enough for the damped iteration to
+    take over.
+
+    The regression takes ``np.polyfit(deg=1)``'s own steps without its
+    wrapper: the [x, 1] Vandermonde, scaled to unit column norms, solved
+    by ``lstsq`` with rcond len(x) * eps and unscaled, so each row gets
+    polyfit's bits. Rows with fewer than two distinct positive t, or a
+    non-finite or non-positive amplitude, start at (max z, 0.5).
+    """
     pos = z > 0
-    tp = t[pos]
-    if tp.size >= 2 and tp.min() < tp.max():
-        slope, intercept = np.polyfit(np.log(tp), np.log(z[pos]), 1)
-        amplitude = float(np.exp(intercept))
-        alpha = float(-slope)
-        if math.isfinite(amplitude) and amplitude > 0 and math.isfinite(alpha):
-            return amplitude, alpha
-    return float(z[pos].max()), 0.5
+    amplitude = np.where(pos, z, -np.inf).max(axis=1)
+    alpha = np.full(len(z), 0.5)
+    spread = (np.where(pos, t, np.inf).min(axis=1)
+              < np.where(pos, t, -np.inf).max(axis=1))
+    eps = np.finfo(float).eps
+    for i in np.flatnonzero(spread):
+        x = np.log(t[pos[i]])
+        lhs = np.empty((x.size, 2))
+        lhs[:, 0] = x
+        lhs[:, 1] = 1.0
+        scale = np.sqrt((lhs * lhs).sum(axis=0))
+        lhs /= scale
+        slope, intercept = np.linalg.lstsq(
+            lhs, np.log(z[i, pos[i]]), x.size * eps)[0] / scale
+        a = float(np.exp(intercept))
+        al = float(-slope)
+        if math.isfinite(a) and a > 0 and math.isfinite(al):
+            amplitude[i], alpha[i] = a, al
+    return amplitude, alpha
 
 
 def _r2_positive(t: np.ndarray, z: np.ndarray, amplitude: float,
@@ -312,9 +334,8 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
         rows, z = rows[anchored], z[anchored]
         if not rows.size:
             continue
-        start = np.array([_initial_guess(tp, row) for row in z])
         amplitude, alpha, sse, iterations, converged = _gauss_newton_block(
-            tp, z, start[:, 0].copy(), start[:, 1].copy())
+            tp, z, *_initial_guesses(tp, z))
         for k, i in enumerate(rows):
             out[i] = (_RowFit(tp, z[k], (lo, hi), float(amplitude[k]),
                               float(alpha[k]), float(sse[k]),

@@ -4,9 +4,10 @@ These deliberately avoid the library's vectorized code paths: the curve
 oracle is a literal per-event double loop over event-time returns, the
 grid oracle is a brute-force scan of the (A, alpha) grid, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
-reproduce bit for bit, and the scalar fit is the one-series damped
+reproduce bit for bit, the scalar fit is the one-series damped
 Gauss-Newton loop that the library's block fitter must reproduce bit
-for bit.
+for bit, and the masked Welford update is the running-mean-and-spread
+step the library's counting step must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -107,6 +108,18 @@ def extract_trajectory(panel, event, measure: MeasureKind,
         raise ZeroBaseline(f"{rec.stock_id}: unusable baseline at event "
                            f"minute {int(t[bad][0])}")
     return EventTrajectory(event, measure, t, values)
+
+
+def masked_welford_add(acc, values) -> None:
+    """One Welford update of ``acc`` (a ``_Welford``), counting the
+    observed slots with a masked scatter: the update as it was before
+    the running-mean step was shared with the mean-only passes."""
+    ok = ~np.isnan(values)
+    acc.n[ok] += 1
+    delta = np.where(ok, values - acc.mean, 0.0)
+    acc.mean += delta / np.maximum(acc.n, 1)
+    delta2 = np.where(ok, values - acc.mean, 0.0)
+    acc.m2 += delta * delta2
 
 
 def grid_power_law(t, z, a_range, alpha_range,

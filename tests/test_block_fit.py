@@ -21,8 +21,8 @@ from haltstudy import (
     make_excess,
     powerlaw,
 )
-from haltstudy.powerlaw import _fit_rows, _RowFit
-from oracles import scalar_power_law_fit
+from haltstudy.powerlaw import _fit_rows, _initial_guesses, _RowFit
+from oracles import _scalar_initial_guess, scalar_power_law_fit
 
 T160 = np.arange(1, 161, dtype=float)
 FLOATS = ("amplitude", "alpha", "alpha_stderr", "sse", "r2_positive")
@@ -87,6 +87,41 @@ def test_mixed_block_matches_scalar_fit(seed):
     assert {_RowFit, DegenerateData} <= kinds
     # a narrower range selects other points and other patterns
     _assert_block_matches_oracle(T160, block[:30], (5, 60))
+
+
+def _assert_starts_match_oracle(t, block):
+    amplitude, alpha = _initial_guesses(t, block)
+    for i, row in enumerate(block):
+        want = np.array(_scalar_initial_guess(t, row))
+        assert np.array([amplitude[i], alpha[i]]).tobytes() == want.tobytes()
+
+
+def test_block_start_matches_per_row_polyfit():
+    rng = np.random.default_rng(17)
+    block = _noisy_block(rng, 40)
+    block[:, rng.permutation(160)[:60]] *= -1.0     # mixed positive patterns
+    block[30] = -1.0
+    block[30, 7] = 0.5                              # one positive point
+    block[31] = -1.0
+    block[31, [3, 90]] = [2.0, 0.1]                 # two: polyfit on a line
+    _assert_starts_match_oracle(T160, block)
+    amplitude, alpha = _initial_guesses(T160, block[30:31])
+    assert (amplitude[0], alpha[0]) == (0.5, 0.5)
+
+
+def test_block_start_falls_back_where_polyfit_cannot_start():
+    # positive points sharing one t, and a line whose intercept
+    # overflows exp(): both start at (max z, 0.5)
+    t = np.array([1.0, 1.0, 2.0, 3.0])
+    shared = np.array([[0.3, 0.7, -1.0, -1.0], [0.3, 0.3, 0.0, -0.2]])
+    _assert_starts_match_oracle(t, shared)
+    assert _initial_guesses(t, shared)[0].tolist() == [0.7, 0.3]
+    steep_t = np.arange(100.0, 141.0)
+    steep = np.exp(750.0 - 300.0 * np.log(steep_t))[None, :]
+    with np.errstate(over="ignore"):
+        _assert_starts_match_oracle(steep_t, steep)
+        amplitude, alpha = _initial_guesses(steep_t, steep)
+    assert (amplitude[0], alpha[0]) == (steep.max(), 0.5)
 
 
 def test_rows_at_the_iteration_cap_fail_alone(monkeypatch):

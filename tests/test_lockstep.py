@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from haltstudy import (
     BootstrapResult,
@@ -28,10 +31,10 @@ from haltstudy import (
     make_excess,
     resampled_means,
 )
-from haltstudy.event_study import _Welford, _lockstep_welford
+from haltstudy.event_study import _Welford, _lockstep_means, _lockstep_welford
 from helpers import add_stock, halt_event
 from oracles import (compute_intraday_pattern, extract_trajectory,
-                     scalar_power_law_fit)
+                     masked_welford_add, scalar_power_law_fit)
 
 MEASURES = tuple(MeasureKind)
 
@@ -245,6 +248,44 @@ def test_lockstep_welford_gathers_rows_per_block():
                 ref.add(rows[lead, i])
             assert _same_bits(acc.means()[lead, b], ref.means())
             assert _same_bits(acc.counts()[lead, b], ref.counts())
+
+
+_VALUES = st.one_of(st.just(np.nan), st.just(0.0), st.just(-0.0),
+                   st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def _blocks_and_members(draw):
+    # rows of shape (..., N, W) with NaNs, and a (B, K) member matrix
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=3))
+    n, w = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rows = draw(hnp.arrays(float, lead + (n, w), elements=_VALUES))
+    members = draw(hnp.arrays(np.int64, (draw(st.integers(1, 4)),
+                                         draw(st.integers(0, 6))),
+                              elements=st.integers(0, n - 1)))
+    return rows, members
+
+
+@settings(deadline=None)
+@given(_blocks_and_members())
+def test_mean_only_pass_matches_full_welford(case):
+    rows, members = case
+    assert _same_bits(_lockstep_means(rows, members),
+                      _lockstep_welford(rows, members).means())
+
+
+@settings(deadline=None)
+@given(_blocks_and_members())
+def test_counting_step_matches_masked_update(case):
+    rows, members = case
+    acc = _lockstep_welford(rows, members)
+    ref = _Welford(acc.n.shape)
+    for k in range(members.shape[1]):
+        masked_welford_add(ref, rows[..., members[:, k], :])
+    assert _same_bits(acc.counts(), ref.counts())
+    assert _same_bits(acc.means(), ref.means())
+    assert _same_bits(acc.m2, ref.m2)
+    assert _same_bits(acc.stderrs(), ref.stderrs())
 
 
 # ---------------------------------------------------------------- bootstrap

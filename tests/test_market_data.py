@@ -381,13 +381,22 @@ def test_forward_fill_round_trip_drops_synthetic_bars():
 
 
 def test_forward_fill_unknown_stock():
-    # a stock whose arrays hold no bar at all
+    # a stock whose arrays hold no bar at all has no span to fill: it is
+    # kept as it is, and only its own coverage raises NoData
     builder = PanelBuilder(MARCH)
     nothing = np.full(MARCH.n_minutes, np.nan)
     builder.add_stock_arrays("A", nothing, nothing, nothing, nothing,
                              np.zeros(MARCH.n_minutes, dtype=bool))
+    random_walk_stock(builder, MARCH, "B", np.random.default_rng(29),
+                      absent=[slice(50, 90)])
+    panel = builder.build()
+    filled = forward_fill_all(panel)
+    assert not filled.present_mask("A").any()
+    assert np.isnan(filled.prices("A")).all()
+    assert synthetic_mask(filled, "B")[50:90].all()
     with pytest.raises(NoData, match="no bars for stock A"):
-        forward_fill_all(builder.build())
+        filled.coverage("A")
+    assert forward_fill_all(filled) is filled
 
 
 def test_panel_equality_notices_any_difference():

@@ -2,7 +2,9 @@
 
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from haltstudy import (
@@ -13,6 +15,8 @@ from haltstudy import (
     FitConfig,
     HaltType,
     MeasureKind,
+    PanelBuilder,
+    RejectionReason,
     build_group_spec,
     generate_panel,
     run_analysis,
@@ -103,6 +107,33 @@ def test_bootstrap_errors_attach_to_multi_event_groups():
         assert row.fit is not None
         assert row.fit.bootstrap_alpha_stderr is not None
         assert row.fit.bootstrap_alpha_stderr >= 0.0
+
+
+def test_stock_without_bars_rejects_only_its_own_events():
+    spec = build_group_spec({(HaltType.ONE_DAY, EventSign.NEGATIVE): 2},
+                            seed=23)
+    panel, records, _ = generate_panel(spec)
+    builder = PanelBuilder(panel.calendar)
+    for stock_id in panel.stock_ids:
+        builder.add_stock_arrays(
+            stock_id, panel.prices(stock_id), panel.volumes(stock_id),
+            panel.bids(stock_id), panel.asks(stock_id),
+            panel.present_mask(stock_id))
+    nothing = np.full(panel.calendar.n_minutes, np.nan)
+    builder.add_stock_arrays("ZZZ", nothing, nothing, nothing, nothing,
+                             np.zeros(panel.calendar.n_minutes, dtype=bool))
+    bare = replace(records[0], stock_id="ZZZ")
+    config = AnalysisConfig(n_bootstrap=0)
+    result = run_analysis(builder.build(), [*records, bare], config)
+    alone = run_analysis(panel, records, config)
+    verdicts = {ev.record.stock_id: ev.rejection_reason
+                for ev in result.events}
+    assert verdicts.pop("ZZZ") is RejectionReason.INSUFFICIENT_HISTORY
+    assert set(verdicts.values()) == {None}
+    assert result.n_eligible == alone.n_eligible == 2
+    for got, want in zip(result.averages, alone.averages, strict=True):
+        assert got.mean.tobytes() == want.mean.tobytes()
+    assert result.fit_rows == alone.fit_rows
 
 
 def test_summary_is_json_safe_and_omits_runtime_knobs(six_group_run):
