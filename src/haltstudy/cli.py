@@ -3,10 +3,12 @@
 Subcommands: ``run`` (full analysis), ``robustness`` (rerun per trend
 window and count sign flips), ``synth`` (emit a synthetic dataset with
 ground truth), ``counts`` (eligibility and the count table only) and
-``fit`` (analysis with only the fit artifacts written). Options resolve
-as defaults, then a ``key = value`` config file, then command-line
-flags; the resolved analysis settings are echoed into the output
-directory inside summary.json.
+``fit`` (analysis with only the fit artifacts written). Every setting
+is declared once in ``_SETTINGS``; ``_SUBCOMMANDS`` lists the keys each
+subcommand takes as flags. Options resolve as defaults, then a
+``key = value`` config file, then command-line flags, and a flag's text
+goes through the same parser as the file's value; the resolved analysis
+settings are echoed into the output directory inside summary.json.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, HaltStudyError
 from .events import (
@@ -44,58 +46,8 @@ from .synthetic import build_group_spec, write_synthetic_dataset
 ALLOWED_TREND_WINDOWS = (60, 120, 180, 240)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for one command invocation.
-
-    Analysis settings default to the analysis configuration fields;
-    ``cumulative_window`` is the eligibility ``pre_window``. Text values
-    are parsed and checked by ``_FILE_KEYS``.
-    """
-
-    bars: Path | None = None
-    calendar: Path | None = None
-    halts: Path | None = None
-    out: Path | None = None
-    trend_window: int = EligibilityConfig.trend_window
-    lookback_days: int = EligibilityConfig.lookback_days
-    measure_pre_window: int = EligibilityConfig.measure_pre_window
-    post_window: int = EligibilityConfig.post_window
-    cumulative_window: int = EligibilityConfig.pre_window
-    max_halt_days: int = EligibilityConfig.max_halt_days
-    max_gap_fraction: float = EligibilityConfig.max_gap_fraction
-    fit_range: tuple[int, int] = FitConfig.fit_range
-    min_r2: float = FitConfig.min_r2
-    n_bootstrap: int = AnalysisConfig.n_bootstrap
-    seed: int = AnalysisConfig.seed
-    reversal_horizons: tuple[int, ...] = AnalysisConfig.reversal_horizons
-    windows: tuple[int, ...] = ALLOWED_TREND_WINDOWS
-    groups: Mapping[tuple[HaltType, EventSign], int] = field(
-        default_factory=lambda: {(ht, s): 1 for ht in HaltType
-                                 for s in EventSign})
-    sigma: float = 0.0
-    trend_magnitude: float = 0.08
-
-    def __post_init__(self) -> None:
-        try:
-            self.analysis()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def analysis(self) -> AnalysisConfig:
-        return AnalysisConfig(
-            eligibility=EligibilityConfig(
-                trend_window=self.trend_window,
-                lookback_days=self.lookback_days,
-                pre_window=self.cumulative_window,
-                post_window=self.post_window,
-                measure_pre_window=self.measure_pre_window,
-                max_halt_days=self.max_halt_days,
-                max_gap_fraction=self.max_gap_fraction),
-            fit=FitConfig(self.fit_range, self.min_r2),
-            reversal_horizons=self.reversal_horizons,
-            n_bootstrap=self.n_bootstrap,
-            seed=self.seed)
+def _parse_path(text: str, key: str) -> Path:
+    return Path(text)
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -133,6 +85,10 @@ def _parse_window(text: str, key: str) -> int:
     return window
 
 
+def _parse_windows(text: str, key: str) -> tuple[int, ...]:
+    return _parse_int_list(text, key, _parse_window)
+
+
 def _parse_groups(text: str,
                   key: str) -> dict[tuple[HaltType, EventSign], int]:
     by_name = {group_name(ht, s): (ht, s) for ht in HaltType for s in EventSign}
@@ -150,27 +106,57 @@ def _parse_groups(text: str,
     return sizes
 
 
-_FILE_KEYS = {
-    "bars": lambda v, k: Path(v),
-    "calendar": lambda v, k: Path(v),
-    "halts": lambda v, k: Path(v),
-    "out": lambda v, k: Path(v),
-    "trend_window": _parse_window,
-    "lookback_days": _parse_int,
-    "measure_pre_window": _parse_int,
-    "post_window": _parse_int,
-    "cumulative_window": _parse_int,
-    "max_halt_days": _parse_int,
-    "max_gap_fraction": _parse_float,
-    "fit_range": _parse_range,
-    "min_r2": _parse_float,
-    "n_bootstrap": _parse_int,
-    "seed": _parse_int,
-    "reversal_horizons": _parse_int_list,
-    "windows": lambda v, k: _parse_int_list(v, k, _parse_window),
-    "groups": _parse_groups,
-    "sigma": _parse_float,
-    "trend_magnitude": _parse_float,
+class _Setting(NamedTuple):
+    parse: Callable[[str, str], Any]   # (text, key) -> value
+    flag: str | None                   # None: config file only
+    help: str | None = None
+
+
+# Every config key. Analysis settings are named like the fields of
+# EligibilityConfig, FitConfig and AnalysisConfig, whose defaults apply
+# when a key is unset; cumulative_window is the eligibility pre_window.
+_SETTINGS = {
+    "bars": _Setting(_parse_path, "--bars", "minute-bar CSV"),
+    "calendar": _Setting(_parse_path, "--calendar",
+                         "trading-day list, one ISO date per line"),
+    "halts": _Setting(_parse_path, "--halts", "halt registry CSV"),
+    "out": _Setting(_parse_path, "--out", "output directory"),
+    "seed": _Setting(_parse_int, "--seed", "root random seed"),
+    "trend_window": _Setting(_parse_window, "--trend-window",
+                             "pre-halt trend window in traded minutes"),
+    "lookback_days": _Setting(_parse_int, "--lookback-days"),
+    "measure_pre_window": _Setting(_parse_int, "--measure-pre-window"),
+    "post_window": _Setting(_parse_int, "--post-window"),
+    "cumulative_window": _Setting(_parse_int, "--cumulative-window"),
+    "max_halt_days": _Setting(_parse_int, "--max-halt-days"),
+    "max_gap_fraction": _Setting(_parse_float, "--max-gap-fraction"),
+    "fit_range": _Setting(_parse_range, "--fit-range", "fit window as LO:HI"),
+    "min_r2": _Setting(_parse_float, "--min-r2"),
+    "n_bootstrap": _Setting(_parse_int, "--bootstrap",
+                            "bootstrap resamples (0 disables)"),
+    "reversal_horizons": _Setting(_parse_int_list, None),
+    "windows": _Setting(_parse_windows, "--windows",
+                        "comma-separated trend windows"),
+    "groups": _Setting(_parse_groups, "--groups",
+                       "sizes like intraday_pos:3,oneday_neg:2"),
+    "sigma": _Setting(_parse_float, "--sigma", "log-normal noise level"),
+    "trend_magnitude": _Setting(_parse_float, "--trend-magnitude"),
+}
+
+_ANALYSIS_FLAGS = ("bars", "calendar", "halts", "out", "seed",
+                   "trend_window", "lookback_days", "measure_pre_window",
+                   "post_window", "cumulative_window", "max_halt_days",
+                   "max_gap_fraction", "fit_range", "min_r2", "n_bootstrap")
+# subcommand: (help, the keys it takes as flags, in --help order)
+_SUBCOMMANDS = {
+    "run": ("full analysis with all artifacts", _ANALYSIS_FLAGS),
+    "robustness": ("rerun per trend window, count sign flips",
+                   _ANALYSIS_FLAGS + ("windows",)),
+    "counts": ("eligibility report and count table only", _ANALYSIS_FLAGS),
+    "fit": ("analysis with fit artifacts only", _ANALYSIS_FLAGS),
+    "synth": ("generate a synthetic dataset",
+              ("out", "seed", "groups", "sigma", "trend_magnitude",
+               "lookback_days")),
 }
 
 
@@ -191,62 +177,86 @@ def parse_config_file(path: Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FILE_KEYS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _FILE_KEYS[key](value.strip(), key)
+            values[key] = _SETTINGS[key].parse(value.strip(), key)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then the config file, then flags (text parsed as in the file)."""
-    values = {}
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        values.update(parse_config_file(config_path))
-    for key, parse in _FILE_KEYS.items():
-        flag_value = getattr(args, key, None)
-        if isinstance(flag_value, str):
-            flag_value = parse(flag_value, key)
-        if flag_value is not None:
-            values[key] = flag_value
-    return RunConfig(**values)
+def analysis_config(settings: Mapping[str, Any]) -> AnalysisConfig:
+    """The analysis configuration the settings describe.
+
+    Each part takes the settings named like its fields; a field with
+    no setting keeps its dataclass default. A check the configuration
+    fails is a ConfigError.
+    """
+    named = dict(settings)
+    if "cumulative_window" in named:
+        named["pre_window"] = named.pop("cumulative_window")
+
+    def build(cls, **parts):
+        return cls(**{f.name: named[f.name] for f in fields(cls)
+                      if f.name in named}, **parts)
+
+    try:
+        return build(AnalysisConfig, eligibility=build(EligibilityConfig),
+                     fit=build(FitConfig))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _require(config: RunConfig, *names: str) -> None:
+def resolve_config(args: argparse.Namespace) -> dict[str, Any]:
+    """Parsed settings by key: the config file, then the flags given.
+
+    Flags arrive as text and go through their key's parser. The
+    analysis settings are checked here, before any input is read.
+    """
+    settings = {}
+    if args.config is not None:
+        settings.update(parse_config_file(Path(args.config)))
+    for key in _SUBCOMMANDS[args.command][1]:
+        text = getattr(args, key)
+        if text is not None:
+            settings[key] = _SETTINGS[key].parse(text, key)
+    analysis_config(settings)
+    return settings
+
+
+def _require(settings: Mapping[str, Any], *names: str) -> None:
     for name in names:
-        if getattr(config, name) is None:
+        if name not in settings:
             raise ConfigError(f"missing required setting: {name}")
 
 
-def _load_inputs(config: RunConfig):
-    _require(config, "bars", "calendar", "halts", "out")
-    calendar = TradingCalendar.from_file(config.calendar)
-    with open(config.bars, "rb") as fh:
+def _load_inputs(settings: Mapping[str, Any]):
+    _require(settings, "bars", "calendar", "halts", "out")
+    calendar = TradingCalendar.from_file(settings["calendar"])
+    with open(settings["bars"], "rb") as fh:
         panel = parse_bar_file(fh, calendar)
-    with open(config.halts, "rb") as fh:
+    with open(settings["halts"], "rb") as fh:
         records = parse_halt_file(fh, calendar)
     return panel, records
 
 
-def cmd_run(config: RunConfig) -> int:
-    panel, records = _load_inputs(config)
-    analysis = config.analysis()
+def cmd_run(settings: Mapping[str, Any]) -> int:
+    panel, records = _load_inputs(settings)
+    analysis = analysis_config(settings)
     result = run_analysis(panel, records, analysis)
-    written = write_analysis_outputs(result, analysis, config.out)
-    print(f"wrote {len(written)} files to {config.out}")
+    written = write_analysis_outputs(result, analysis, settings["out"])
+    print(f"wrote {len(written)} files to {settings['out']}")
     return 0
 
 
-def cmd_counts(config: RunConfig) -> int:
-    panel, records = _load_inputs(config)
-    analysis = config.analysis()
+def cmd_counts(settings: Mapping[str, Any]) -> int:
+    panel, records = _load_inputs(settings)
+    analysis = analysis_config(settings)
     _, events = select_events(panel, records, analysis)
     table = tabulate_counts(events)
     write_analysis_outputs(AnalysisResult(events, table), analysis,
-                           config.out, SELECTION_ARTIFACTS)
+                           settings["out"], SELECTION_ARTIFACTS)
     print(f"{'halt_type':<10}{'pos':>6}{'neg':>6}{'total':>7}")
     for ht in HaltType:
         print(f"{ht.value:<10}{table.count(ht, EventSign.POSITIVE):>6}"
@@ -257,42 +267,49 @@ def cmd_counts(config: RunConfig) -> int:
     return 0
 
 
-def cmd_fit(config: RunConfig) -> int:
-    panel, records = _load_inputs(config)
-    analysis = config.analysis()
+def cmd_fit(settings: Mapping[str, Any]) -> int:
+    panel, records = _load_inputs(settings)
+    analysis = analysis_config(settings)
     result = run_analysis(panel, records, analysis)
-    write_analysis_outputs(result, analysis, config.out, FIT_ARTIFACTS)
+    write_analysis_outputs(result, analysis, settings["out"], FIT_ARTIFACTS)
     print(f"wrote exponents for {len(result.fit_rows)} group-measure cells")
     return 0
 
 
-def cmd_robustness(config: RunConfig) -> int:
-    if not config.windows:
+def cmd_robustness(settings: Mapping[str, Any]) -> int:
+    windows = settings.get("windows", ALLOWED_TREND_WINDOWS)
+    if not windows:
         raise ConfigError("no robustness windows requested")
-    panel, records = _load_inputs(config)
+    panel, records = _load_inputs(settings)
+    out = settings["out"]
     results = []
-    for window in config.windows:
-        analysis = replace(config, trend_window=window).analysis()
+    for window in windows:
+        analysis = analysis_config({**settings, "trend_window": window})
         result = run_analysis(panel, records, analysis)
-        write_analysis_outputs(result, analysis,
-                               config.out / f"window_{window:03d}")
+        write_analysis_outputs(result, analysis, out / f"window_{window:03d}")
         results.append(result)
-    with open(config.out / "sign_flips.csv", "w", newline="") as fh:
-        n_flipped = write_sign_flip_csv(config.windows, results, fh)
+    with open(out / "sign_flips.csv", "w", newline="") as fh:
+        n_flipped = write_sign_flip_csv(windows, results, fh)
     print(f"{n_flipped} of {len(results[-1].events)} events change sign "
-          f"across windows {list(config.windows)}")
+          f"across windows {list(windows)}")
     return 0
 
 
-def cmd_synth(config: RunConfig) -> int:
-    _require(config, "out")
-    spec = build_group_spec(dict(config.groups), seed=config.seed,
-                            sigma=config.sigma,
-                            trend_magnitude=config.trend_magnitude,
-                            lookback_days=config.lookback_days)
-    write_synthetic_dataset(spec, config.out)
+def cmd_synth(settings: Mapping[str, Any]) -> int:
+    _require(settings, "out")
+    groups = settings.get("groups",
+                          {(ht, s): 1 for ht in HaltType for s in EventSign})
+    seed = analysis_config(settings).seed
+    # only the generator settings given, so build_group_spec's defaults apply
+    given = {key: settings[key] for key in
+             ("sigma", "trend_magnitude", "lookback_days") if key in settings}
+    try:
+        spec = build_group_spec(groups, seed=seed, **given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    write_synthetic_dataset(spec, settings["out"])
     print(f"wrote synthetic dataset ({spec.n_stocks} stocks, "
-          f"{spec.n_days} days) to {config.out}")
+          f"{spec.n_days} days) to {settings['out']}")
     return 0
 
 
@@ -302,53 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event-time analysis of market activity around "
                     "trading halts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, help="key = value settings file")
-        p.add_argument("--bars", type=Path, help="minute-bar CSV")
-        p.add_argument("--calendar", type=Path,
-                       help="trading-day list, one ISO date per line")
-        p.add_argument("--halts", type=Path, help="halt registry CSV")
-        p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--seed", type=int, help="root random seed")
-        p.add_argument("--trend-window", dest="trend_window",
-                       help="pre-halt trend window in traded minutes")
-        p.add_argument("--lookback-days", type=int, dest="lookback_days")
-        p.add_argument("--measure-pre-window", type=int,
-                       dest="measure_pre_window")
-        p.add_argument("--post-window", type=int, dest="post_window")
-        p.add_argument("--cumulative-window", type=int,
-                       dest="cumulative_window")
-        p.add_argument("--max-halt-days", type=int, dest="max_halt_days")
-        p.add_argument("--max-gap-fraction", type=float,
-                       dest="max_gap_fraction")
-        p.add_argument("--fit-range", dest="fit_range",
-                       help="fit window as LO:HI")
-        p.add_argument("--min-r2", type=float, dest="min_r2")
-        p.add_argument("--bootstrap", type=int, dest="n_bootstrap",
-                       help="bootstrap resamples (0 disables)")
-
-    p_run = sub.add_parser("run", help="full analysis with all artifacts")
-    add_common(p_run)
-    p_rob = sub.add_parser("robustness",
-                           help="rerun per trend window, count sign flips")
-    add_common(p_rob)
-    p_rob.add_argument("--windows", help="comma-separated trend windows")
-    p_counts = sub.add_parser("counts",
-                              help="eligibility report and count table only")
-    add_common(p_counts)
-    p_fit = sub.add_parser("fit", help="analysis with fit artifacts only")
-    add_common(p_fit)
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    p_synth.add_argument("--config", type=Path)
-    p_synth.add_argument("--out", type=Path)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--groups",
-                         help="sizes like intraday_pos:3,oneday_neg:2")
-    p_synth.add_argument("--sigma", type=float, help="log-normal noise level")
-    p_synth.add_argument("--trend-magnitude", type=float,
-                         dest="trend_magnitude")
-    p_synth.add_argument("--lookback-days", type=int, dest="lookback_days")
+    for command, (command_help, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        p.add_argument("--config", help="key = value settings file")
+        for key in keys:
+            setting = _SETTINGS[key]
+            p.add_argument(setting.flag, dest=key, help=setting.help)
     return parser
 
 
@@ -364,8 +340,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
-        return _COMMANDS[args.command](config)
+        settings = resolve_config(args)
+        return _COMMANDS[args.command](settings)
     except (HaltStudyError, OSError) as exc:
         report = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(report, sort_keys=True), file=sys.stderr)

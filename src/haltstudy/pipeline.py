@@ -94,6 +94,8 @@ class AnalysisConfig:
             raise ValueError("need at least one measure")
         if self.n_bootstrap < 0:
             raise ValueError("n_bootstrap must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for k in self.reversal_horizons:
             if k < 1:
                 raise ValueError("reversal horizons must be positive")

@@ -139,6 +139,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_stocks < 1 or self.n_days < 1:
             raise ValueError("need at least one stock and one day")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         shape = np.asarray(self.pattern_shape, float)
         if shape.shape != (MINUTES_PER_DAY,):
             raise ValueError("pattern_shape must cover one full session")

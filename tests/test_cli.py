@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, config layering, error reporting."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -15,7 +16,13 @@ from haltstudy import (
     write_bar_csv,
     write_halt_csv,
 )
-from haltstudy.cli import RunConfig, main, parse_config_file
+from haltstudy.cli import (
+    analysis_config,
+    build_parser,
+    main,
+    parse_config_file,
+    resolve_config,
+)
 from helpers import add_stock
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -203,7 +210,33 @@ def test_config_file_layering(tmp_path):
 
 
 def test_run_config_defaults_are_the_analysis_defaults():
-    assert RunConfig().analysis() == AnalysisConfig()
+    settings = resolve_config(build_parser().parse_args(["run"]))
+    assert settings == {}
+    assert analysis_config(settings) == AnalysisConfig()
+
+
+_ANALYSIS_FLAGS = {"-h", "--help", "--config", "--bars", "--calendar",
+                   "--halts", "--out", "--seed", "--trend-window",
+                   "--lookback-days", "--measure-pre-window", "--post-window",
+                   "--cumulative-window", "--max-halt-days",
+                   "--max-gap-fraction", "--fit-range", "--min-r2",
+                   "--bootstrap"}
+
+
+def test_each_subcommand_takes_its_flags():
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in sub._actions
+                    for flag in action.option_strings}
+             for name, sub in commands.items()}
+    assert flags == {
+        "run": _ANALYSIS_FLAGS,
+        "robustness": _ANALYSIS_FLAGS | {"--windows"},
+        "counts": _ANALYSIS_FLAGS,
+        "fit": _ANALYSIS_FLAGS,
+        "synth": {"-h", "--help", "--config", "--out", "--seed", "--groups",
+                  "--sigma", "--trend-magnitude", "--lookback-days"},
+    }
 
 
 def test_parse_config_file(tmp_path):
@@ -397,3 +430,40 @@ def test_bad_analysis_setting_reports_cleanly(synth_inputs, tmp_path, capsys,
     assert blob["error"] == "ConfigError"
     assert needle in blob["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _synth_or_run(command, inputs, out, *extra):
+    if command == "synth":
+        return ["synth", "--out", str(out), *extra]
+    return [command, *_args(inputs, out, *extra)]
+
+
+@pytest.mark.parametrize("command, flag, value, key", [
+    ("run", "--lookback-days", "abc", "lookback_days"),
+    ("run", "--bootstrap", "2.5", "n_bootstrap"),
+    ("synth", "--sigma", "lots", "sigma"),
+])
+def test_flags_are_parsed_like_file_values(synth_inputs, tmp_path, capsys,
+                                           command, flag, value, key):
+    out = tmp_path / "out"
+    assert main(_synth_or_run(command, synth_inputs, out, flag, value)) == 1
+    blob = _stderr_error(capsys)
+    assert blob["error"] == "ConfigError"
+    assert blob["message"].startswith(f"{key}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("synth", ("--sigma", "-1")),
+    ("synth", ("--trend-magnitude", "0")),
+    ("synth", ("--groups", "intraday_pos:0")),
+    ("synth", ("--seed", "-1")),
+    ("run", ("--seed", "-1", "--bootstrap", "5")),
+    ("run", ("--seed", "-1", "--bootstrap", "0")),
+])
+def test_rejected_settings_report_before_any_work(synth_inputs, tmp_path,
+                                                  capsys, command, extra):
+    out = tmp_path / "out"
+    assert main(_synth_or_run(command, synth_inputs, out, *extra)) == 1
+    assert _stderr_error(capsys)["error"] == "ConfigError"
+    assert not out.exists()

@@ -177,6 +177,8 @@ def test_analysis_config_validation():
         AnalysisConfig(measures=())
     with pytest.raises(ValueError):
         AnalysisConfig(n_bootstrap=-1)
+    with pytest.raises(ValueError, match="seed"):
+        AnalysisConfig(seed=-1)
     with pytest.raises(ValueError, match="post window"):
         AnalysisConfig(fit=FitConfig(fit_range=(1, 161)))
     AnalysisConfig(fit=FitConfig(fit_range=(1, 200)),

@@ -85,6 +85,8 @@ def test_spec_validation():
                       base_level={MeasureKind.VOLUME: 0.0})
     with pytest.raises(ValueError):
         SyntheticSpec(n_stocks=1, n_days=5, seed=1, initial_price=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        SyntheticSpec(n_stocks=1, n_days=5, seed=-1)
     spec = SyntheticSpec(n_stocks=3, n_days=5, seed=1)
     assert spec.stock_ids == ("SYN0000", "SYN0001", "SYN0002")
     assert spec.noise_sigma(MeasureKind.VOLUME) == 0.0
