@@ -31,7 +31,6 @@ from .market_data import (
     Panel,
     PanelBuilder,
     TradingCalendar,
-    forward_fill_all,
     parse_bar_file,
     write_bar_csv,
 )

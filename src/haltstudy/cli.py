@@ -253,7 +253,7 @@ def cmd_run(settings: Mapping[str, Any]) -> int:
 def cmd_counts(settings: Mapping[str, Any]) -> int:
     panel, records = _load_inputs(settings)
     analysis = analysis_config(settings)
-    _, events = select_events(panel, records, analysis)
+    events = select_events(panel, records, analysis)
     table = tabulate_counts(events)
     write_analysis_outputs(AnalysisResult(events, table), analysis,
                            settings["out"], SELECTION_ARTIFACTS)
@@ -313,8 +313,14 @@ def cmd_synth(settings: Mapping[str, Any]) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors are ConfigErrors; subcommand parsers share this class
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haltstudy",
         description="Event-time analysis of market activity around "
                     "trading halts")
@@ -338,8 +344,8 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         settings = resolve_config(args)
         return _COMMANDS[args.command](settings)
     except (HaltStudyError, OSError) as exc:

@@ -142,8 +142,7 @@ class EventTrajectory:
     """Deseasonalized series z(t) for one event and measure.
 
     ``t`` runs -measure_pre_window..post_window; NaN marks minutes with
-    no usable observation (filled bars, missing quotes, or an absent predecessor
-    for returns).
+    no usable observation (no bar, or missing quotes for spreads).
     """
 
     event: HaltEvent
@@ -189,29 +188,23 @@ def measure_series(panel: Panel, stock_id: str,
                    measure: MeasureKind) -> np.ndarray:
     """Measure values per global minute, NaN where nothing was observed.
 
-    Only real (non-filled) bars carry values. Absolute returns also need
-    a bar at the previous traded minute; spreads need both quotes.
+    Only bars carry values. An absolute return is taken from the
+    forward-filled log price of the previous traded minute, so the
+    return at a bar after a gap spans the gap; spreads need both quotes.
     """
-    real = panel.real_mask(stock_id)
     if measure is MeasureKind.ABSOLUTE_RETURN:
-        lnp = panel.log_prices(stock_id)
-        ok = real.copy()
-        ok[0] = False
-        ok[1:] &= panel.present_mask(stock_id)[:-1]
-        out = np.full(lnp.size, np.nan)
-        out[1:] = np.abs(np.diff(lnp))
-        return np.where(ok, out, np.nan)
-    if measure is MeasureKind.VOLUME:
-        return np.where(real, panel.volumes(stock_id), np.nan)
-    spread = panel.asks(stock_id) - panel.bids(stock_id)
-    return np.where(real, spread, np.nan)
+        values = np.abs(np.diff(panel.log_prices(stock_id), prepend=np.nan))
+    elif measure is MeasureKind.VOLUME:
+        values = panel.volumes(stock_id)
+    else:
+        values = panel.asks(stock_id) - panel.bids(stock_id)
+    return np.where(panel.present_mask(stock_id), values, np.nan)
 
 
 def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
-    # calendar days on which the stock has at least one real bar
-    real = panel.real_mask(stock_id)
-    return np.flatnonzero(
-        real.reshape(panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1))
+    # calendar days on which the stock has at least one bar
+    return np.flatnonzero(panel.present_mask(stock_id).reshape(
+        panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1))
 
 
 def _lookback_days(panel: Panel, active: np.ndarray, rec: HaltRecord,
@@ -419,9 +412,10 @@ def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],
 
     Each event contributes the running sum of its event-time returns;
     the return at t = 0 is the jump from the last pre-halt price to the
-    first post-resumption price, however long the halt lasted. Events
-    are averaged with equal weights and the curve is then shifted
-    vertically so its t = 0 value is exactly zero.
+    first post-resumption price, however long the halt lasted, and
+    prices are forward-filled across gaps. Events are averaged with
+    equal weights and the curve is then shifted vertically so its t = 0
+    value is exactly zero.
     """
     ordered = sorted(events, key=lambda ev: ev.record.sort_key())
     if not ordered:
@@ -446,11 +440,7 @@ def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],
         lnp = panel.log_prices(rec.stock_id)
         gs = np.concatenate([np.arange(g_pre - window, g_pre + 1),
                              np.arange(g_resume, g_resume + window + 1)])
-        prices = lnp[gs]
-        if np.isnan(prices).any():
-            raise InsufficientWindow(
-                f"{rec.stock_id}: missing bar inside the return window")
-        acc.add(np.cumsum(np.diff(prices)))
+        acc.add(np.cumsum(np.diff(lnp[gs])))
     mean = acc.means()
     return CumulativeReturnCurve(halt_type, sign, np.arange(-window, window + 1),
                                  mean - mean[window], acc.stderrs(),
@@ -476,9 +466,9 @@ def reversal_stats(panel: Panel, events: Sequence[HaltEvent],
                    horizons: Sequence[int]) -> dict[int, float]:
     """Fraction of events whose early post-halt move opposed their trend.
 
-    For horizon k the move is the log-price change from the last
-    pre-halt bar to the k-th bar after resumption. Only a strictly
-    opposite sign counts; an unchanged price does not.
+    For horizon k the move is the forward-filled log-price change from
+    the last pre-halt minute to the k-th minute after resumption. Only a
+    strictly opposite sign counts; an unchanged price does not.
     """
     ordered = sorted(events, key=lambda ev: ev.record.sort_key())
     if not ordered:

@@ -148,7 +148,7 @@ class EligibilityConfig:
     halt; ``measure_pre_window`` is the shorter pre-halt stretch used by
     per-minute activity averages. ``max_halt_days`` caps the trading-day
     span of a halt and ``max_gap_fraction`` caps the tolerated share of
-    missing or filled-in minutes inside any required window.
+    minutes without a bar inside any required window.
     """
 
     trend_window: int = 240
@@ -210,12 +210,11 @@ def classify_sign(panel: Panel, record: HaltRecord,
             f"{record.stock_id}: trend window starts before the calendar")
     if record.stock_id not in panel:
         raise InsufficientHistory(f"no bars for stock {record.stock_id}")
-    present = panel.present_mask(record.stock_id)
-    if not (present[g_pre] and present[g_from]):
-        raise InsufficientHistory(
-            f"{record.stock_id}: no bar at a trend-window endpoint")
     lnp = panel.log_prices(record.stock_id)
     trend = lnp[g_pre] - lnp[g_from]
+    if np.isnan(trend):
+        raise InsufficientHistory(
+            f"{record.stock_id}: trend-window endpoint outside its bars")
     return EventSign.POSITIVE if trend > 0 else EventSign.NEGATIVE
 
 
@@ -237,7 +236,7 @@ def _has_coverage(panel: Panel, record: HaltRecord,
 def _real_bars(panel: Panel, stock_id: str) -> tuple[np.ndarray, np.ndarray]:
     # real-bar mask, and per calendar day the number of earlier days on
     # which the stock has a real bar
-    real = panel.real_mask(stock_id)
+    real = panel.present_mask(stock_id)
     per_day = real.reshape(panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1)
     return real, np.concatenate(([0], np.cumsum(per_day)))
 

@@ -92,7 +92,7 @@ class TradingCalendar:
 
 
 _FLOAT_ARRAYS = ("price", "volume", "bid", "ask")
-_ARRAYS = _FLOAT_ARRAYS + ("present", "synthetic")
+_ARRAYS = _FLOAT_ARRAYS + ("present",)
 
 
 class _StockData:
@@ -101,9 +101,8 @@ class _StockData:
     __slots__ = _ARRAYS + ("first", "last")
 
     def __init__(self, price: np.ndarray, volume: np.ndarray, bid: np.ndarray,
-                 ask: np.ndarray, present: np.ndarray, synthetic: np.ndarray):
-        for name, array in zip(_ARRAYS, (price, volume, bid, ask, present,
-                                         synthetic)):
+                 ask: np.ndarray, present: np.ndarray):
+        for name, array in zip(_ARRAYS, (price, volume, bid, ask, present)):
             array.setflags(write=False)
             setattr(self, name, array)
         idx = np.flatnonzero(present)
@@ -119,9 +118,9 @@ class Panel:
     """An immutable minute-bar panel for one calendar and many stocks.
 
     Bars are stored as flat numpy arrays indexed by global minute; absent
-    bars are NaN in the float arrays and False in ``present_mask``. All
-    array accessors return read-only views, so a Panel can be shared
-    freely.
+    bars are NaN in the float arrays and False in ``present_mask``; only
+    :meth:`log_prices` carries a price across a gap. All array accessors
+    return read-only views, so a Panel can be shared freely.
     """
 
     def __init__(self, calendar: TradingCalendar, stocks: dict[str, _StockData]):
@@ -165,17 +164,22 @@ class Panel:
     def present_mask(self, stock_id: str) -> np.ndarray:
         return self._data(stock_id).present
 
-    def real_mask(self, stock_id: str) -> np.ndarray:
-        """True at minutes with an observed, not forward-filled, bar."""
-        d = self._data(stock_id)
-        return d.present & ~d.synthetic
-
     def log_prices(self, stock_id: str) -> np.ndarray:
-        """Natural log of last prices (NaN where absent); cached per stock."""
+        """Natural log of last prices, cached per stock, and the one place
+        a gap is filled: each absent minute between the first and the last
+        bar carries the previous bar's price (a log return of exactly 0.0);
+        the minutes outside that span are NaN."""
         cached = self._log_cache.get(stock_id)
         if cached is None:
+            d = self._data(stock_id)
+            price = d.price
+            if d.first >= 0 and not d.present[d.first:d.last + 1].all():
+                pos = np.where(d.present, np.arange(price.size), 0)
+                np.maximum.accumulate(pos, out=pos)
+                price = price[pos]
+                price[:d.first] = price[d.last + 1:] = np.nan
             with np.errstate(invalid="ignore"):
-                cached = np.log(self._data(stock_id).price)
+                cached = np.log(price)
             cached.setflags(write=False)
             self._log_cache[stock_id] = cached
         return cached
@@ -229,8 +233,8 @@ class PanelBuilder:
             raise ValueError(f"{stock_id}: negative or non-finite volume")
         if np.any(ask < bid):
             raise CrossedQuote(f"{stock_id}: crossed quote")
-        self._stocks[stock_id] = _StockData(
-            price, volume, bid, ask, present.copy(), np.zeros(n, dtype=bool))
+        self._stocks[stock_id] = _StockData(price, volume, bid, ask,
+                                            present.copy())
 
     def build(self) -> Panel:
         return Panel(self._calendar, self._stocks)
@@ -367,7 +371,7 @@ def _float_texts(values) -> list[str]:
 
 
 def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
-    """Write the real (non-synthetic) bars back out in canonical order.
+    """Write the bars back out in canonical order.
 
     Floats are written with repr so parse -> write -> parse is lossless.
     """
@@ -375,7 +379,7 @@ def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
     writer.writerow(BAR_CSV_HEADER)
     days = [day.isoformat() for day in panel.calendar.trading_days]
     for stock_id in panel.stock_ids:
-        g = np.flatnonzero(panel.real_mask(stock_id))
+        g = np.flatnonzero(panel.present_mask(stock_id))
         day_idx, offset = np.divmod(g, MINUTES_PER_DAY)
         writer.writerows(zip(
             repeat(stock_id), map(days.__getitem__, day_idx.tolist()),
@@ -384,40 +388,3 @@ def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
             _float_texts(panel.volumes(stock_id)[g]),
             _float_texts(panel.bids(stock_id)[g]),
             _float_texts(panel.asks(stock_id)[g])))
-
-
-def _filled(d: _StockData) -> _StockData:
-    """``d`` with every gap of its covered span filled; ``d`` when gap-free
-    or without any bar."""
-    if d.first < 0:
-        return d
-    missing = ~d.present[d.first:d.last + 1]
-    if not missing.any():
-        return d
-    arrays = {name: getattr(d, name).copy() for name in _ARRAYS}
-    pos = np.where(d.present, np.arange(d.present.size), -1)
-    np.maximum.accumulate(pos, out=pos)
-    target = np.flatnonzero(missing) + d.first
-    src = pos[target]
-    for name in ("price", "bid", "ask"):
-        arrays[name][target] = arrays[name][src]
-    arrays["volume"][target] = 0.0
-    arrays["present"][target] = arrays["synthetic"][target] = True
-    return _StockData(**arrays)
-
-
-def forward_fill_all(panel: Panel) -> Panel:
-    """Fill every gap between each stock's first and last bar.
-
-    Filled bars repeat the previous last price (so their log return is
-    exactly zero), carry zero volume and the previous bar's quotes, and
-    count as present but not real (:meth:`Panel.real_mask`). Gap-free
-    input is returned unchanged, and a stock without gaps keeps its
-    arrays, which also makes the operation idempotent. A stock without
-    any bar has no span to fill and is returned as it is; the events on
-    it are rejected for insufficient history by eligibility.
-    """
-    stocks = {s: _filled(d) for s, d in panel._stocks.items()}
-    if all(stocks[s] is d for s, d in panel._stocks.items()):
-        return panel
-    return Panel(panel.calendar, stocks)

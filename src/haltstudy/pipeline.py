@@ -1,8 +1,8 @@
-"""End-to-end analysis: fill, filter, deseasonalize, average, fit, report.
+"""End-to-end analysis: filter, deseasonalize, average, fit, report.
 
 :func:`run_analysis` composes four stages that the command line and
 the recovery study also call on their own: :func:`select_events`
-(fill, classify, filter), :func:`average_groups` (trajectories, one
+(classify, filter), :func:`average_groups` (trajectories, one
 lockstep pass per stock, and group averages), :func:`curves_and_reversals`
 and :func:`fit_groups` (fits and bootstrap errors). Work runs in one
 thread in a fixed order, groups in :func:`group_sort_key` order, so
@@ -51,7 +51,7 @@ from .event_study import (
     reversal_stats,
     stability_stat,
 )
-from .market_data import Panel, _float_texts, forward_fill_all
+from .market_data import Panel, _float_texts
 from .powerlaw import (
     ExcessSeries,
     FitConfig,
@@ -148,21 +148,19 @@ class GroupCell:
 
 def select_events(panel: Panel, records: Sequence[HaltRecord],
                   config: AnalysisConfig = AnalysisConfig(),
-                  ) -> tuple[Panel, tuple[HaltEvent, ...]]:
-    """Forward-filled panel, and every record classified and filtered."""
-    filled = forward_fill_all(panel)
-    return filled, tuple(filter_eligibility(records, filled,
-                                            config.eligibility))
+                  ) -> tuple[HaltEvent, ...]:
+    """Every record classified and filtered."""
+    return tuple(filter_eligibility(records, panel, config.eligibility))
 
 
-def average_groups(filled: Panel, events: Sequence[HaltEvent],
+def average_groups(panel: Panel, events: Sequence[HaltEvent],
                    config: AnalysisConfig = AnalysisConfig(),
                    ) -> tuple[GroupCell, ...]:
     """Trajectories and group averages of the eligible events, per group."""
     eligible = [ev for ev in events if ev.eligible]
     elig = config.eligibility
     per_event = extract_stock_trajectories(
-        filled, eligible, config.measures, elig.lookback_days,
+        panel, eligible, config.measures, elig.lookback_days,
         elig.measure_pre_window, elig.post_window)
     groups: dict[tuple[HaltType, EventSign], list[int]] = {}
     for i, ev in enumerate(eligible):
@@ -178,7 +176,7 @@ def average_groups(filled: Panel, events: Sequence[HaltEvent],
     return tuple(cells)
 
 
-def curves_and_reversals(filled: Panel, cells: Sequence[GroupCell],
+def curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
                          config: AnalysisConfig = AnalysisConfig(),
                          ) -> tuple[tuple[CumulativeReturnCurve, ...],
                                     dict[str, dict[int, float]]]:
@@ -187,8 +185,8 @@ def curves_and_reversals(filled: Panel, cells: Sequence[GroupCell],
     reversals = {}
     for cell in cells:
         curves.append(average_cumulative_return(
-            filled, cell.events, config.eligibility.pre_window))
-        reversals[cell.group] = reversal_stats(filled, cell.events,
+            panel, cell.events, config.eligibility.pre_window))
+        reversals[cell.group] = reversal_stats(panel, cell.events,
                                                config.reversal_horizons)
     return tuple(curves), reversals
 
@@ -219,9 +217,9 @@ def fit_groups(cells: Sequence[GroupCell],
 def run_analysis(panel: Panel, records: Sequence[HaltRecord],
                  config: AnalysisConfig = AnalysisConfig()) -> AnalysisResult:
     """Run the full study over a raw panel and halt registry."""
-    filled, events = select_events(panel, records, config)
-    cells = average_groups(filled, events, config)
-    curves, reversals = curves_and_reversals(filled, cells, config)
+    events = select_events(panel, records, config)
+    cells = average_groups(panel, events, config)
+    curves, reversals = curves_and_reversals(panel, cells, config)
     averages = tuple(avg for cell in cells for avg in cell.averages.values())
     return AnalysisResult(events, tabulate_counts(events), averages, curves,
                           reversals, tuple(make_excess(avg) for avg in averages),

@@ -49,6 +49,10 @@ from .market_data import (
 from .pipeline import AnalysisConfig, average_groups, select_events
 from .powerlaw import FitConfig, fit_power_law_points, make_excess
 
+CALENDAR_START = date(2009, 1, 5)   # a Monday
+# the weekdays of the whole weeks from CALENDAR_START to date.max
+MAX_CALENDAR_DAYS = 5 * ((date.max - CALENDAR_START).days // 7)
+
 DEFAULT_BASE_LEVELS: Mapping[MeasureKind, float] = {
     MeasureKind.ABSOLUTE_RETURN: 0.002,
     MeasureKind.VOLUME: 10000.0,
@@ -148,9 +152,14 @@ class SyntheticSpec:
             raise ValueError("pattern_shape must be positive")
         object.__setattr__(self, "pattern_shape", shape)
         object.__setattr__(self, "events", tuple(self.events))
+        if self.n_days > MAX_CALENDAR_DAYS:
+            raise ValueError(f"n_days must be at most {MAX_CALENDAR_DAYS}: "
+                             f"{self.n_days} weekdays from {CALENDAR_START} "
+                             f"run past {date.max}")
         for m, s in self.sigma.items():
-            if s < 0:
-                raise ValueError(f"negative noise level for {m}")
+            if not 0 <= s < math.inf:
+                raise ValueError(f"noise level for {m} must be finite and "
+                                 f"non-negative, got {s}")
         for m in MeasureKind:
             if self.base_level.get(m, 0.0) <= 0:
                 raise ValueError(f"base level for {m} must be positive")
@@ -215,15 +224,11 @@ class GroundTruth:
         }
 
 
-def make_calendar(n_days: int, start: date = date(2009, 1, 5)) -> TradingCalendar:
-    """Consecutive weekdays starting at ``start``."""
-    days = []
-    d = start
-    while len(days) < n_days:
-        if d.weekday() < 5:
-            days.append(d)
-        d += timedelta(days=1)
-    return TradingCalendar(tuple(days))
+def make_calendar(n_days: int) -> TradingCalendar:
+    """Consecutive weekdays starting at CALENDAR_START, a Monday."""
+    return TradingCalendar(tuple(
+        CALENDAR_START + timedelta(days=7 * (i // 5) + i % 5)
+        for i in range(n_days)))
 
 
 def _validate_events(spec: SyntheticSpec, calendar: TradingCalendar,
@@ -469,11 +474,11 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
                               fit_range: tuple[int, int],
                               seed: int) -> list[RecoveryRow]:
     config = AnalysisConfig(measures=tuple(measures))
-    filled, events = select_events(panel, records, config)
+    events = select_events(panel, records, config)
     planted = {(row.record.stock_id, row.record.halt_day): row
                for row in truth.rows}
     rows = []
-    for cell in average_groups(filled, events, config):
+    for cell in average_groups(panel, events, config):
         truths = [planted[(ev.record.stock_id, ev.record.halt_day)]
                   for ev in cell.events]
         for measure, average in cell.averages.items():
@@ -528,9 +533,9 @@ def write_ground_truth(truth: GroundTruth, stream: IO[str]) -> None:
 
 def write_synthetic_dataset(spec: SyntheticSpec, out_dir: str | Path) -> None:
     """Emit bars.csv, halts.csv, calendar.txt and ground_truth.json."""
+    panel, records, truth = generate_panel(spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    panel, records, truth = generate_panel(spec)
     with open(out / "bars.csv", "w", newline="") as fh:
         write_bar_csv(panel, fh)
     with open(out / "halts.csv", "w", newline="") as fh:

@@ -12,7 +12,6 @@ from haltstudy import (
     HaltRecord,
     HaltType,
     MINUTES_PER_DAY,
-    Panel,
     PanelBuilder,
     TradingCalendar,
 )
@@ -24,11 +23,6 @@ def location(calendar: TradingCalendar,
     ``TradingCalendar.global_minute``."""
     day_idx, offset = divmod(global_minute, MINUTES_PER_DAY)
     return calendar.trading_days[day_idx], offset + 1
-
-
-def synthetic_mask(panel: Panel, stock_id: str):
-    """Minutes holding a forward-filled bar: present but not real."""
-    return panel.present_mask(stock_id) & ~panel.real_mask(stock_id)
 
 
 def add_stock(builder: PanelBuilder, calendar: TradingCalendar, stock_id: str,

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: the curve
 oracle is a literal per-event double loop over event-time returns, the
-grid oracle is a brute-force scan of the (A, alpha) grid, the per-event
+grid oracle is a brute-force scan of the (A, alpha) grid, the price
+fill is a minute-by-minute carry of the last bar's price, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
 reproduce bit for bit, the scalar fit is the one-series damped
 Gauss-Newton loop that the library's block fitter must reproduce bit
@@ -61,6 +62,22 @@ def naive_cumulative_curve(panel, events, window: int = 160) -> list[float]:
     mean = [sum(c[k] for c in per_event) / n for k in range(2 * window + 1)]
     shift = mean[window]
     return [m - shift for m in mean]
+
+
+def forward_filled_prices(panel, stock_id: str) -> np.ndarray:
+    """Last prices carried forward minute by minute: every minute from
+    the stock's first bar to its last holds the price of the last bar at
+    or before it; the minutes outside that span are NaN."""
+    price = panel.prices(stock_id)
+    present = panel.present_mask(stock_id)
+    out = np.full(price.size, np.nan)
+    bars = np.flatnonzero(present)
+    carried = np.nan
+    for g in range(bars[0], bars[-1] + 1) if bars.size else ():
+        if present[g]:
+            carried = price[g]
+        out[g] = carried
+    return out
 
 
 @dataclass(frozen=True)

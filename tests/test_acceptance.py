@@ -20,7 +20,6 @@ from haltstudy import (
     average_cumulative_return,
     extract_stock_trajectories,
     filter_eligibility,
-    forward_fill_all,
     generate_panel,
     make_calendar,
     power_law_jacobian,
@@ -124,10 +123,10 @@ def test_deseasonalization_identity(acceptance):
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", price=price, volume=100.0, spread=0.02,
               absent=[slice(9900, 9960)])
-    filled = forward_fill_all(builder.build())
+    panel = builder.build()
     ev = halt_event(cal, "A", (41, 61), (41, 121),
                     HaltType.INTRADAY, EventSign.NEGATIVE)
-    trajectories, = extract_stock_trajectories(filled, [ev])
+    trajectories, = extract_stock_trajectories(panel, [ev])
     deviations = {}
     for measure in MeasureKind:
         tr = trajectories[measure]
@@ -142,7 +141,7 @@ def test_classification_closure(acceptance):
     spec = build_group_spec({key: 3 for key in DEFAULT_RELAXATIONS},
                             seed=606)
     panel, records, truth = generate_panel(spec)
-    events = filter_eligibility(records, forward_fill_all(panel))
+    events = filter_eligibility(records, panel)
     planted = {(row.record.stock_id, row.record.halt_day):
                (row.halt_type, row.sign) for row in truth.rows}
     n_eligible = sum(1 for ev in events if ev.eligible)

@@ -420,6 +420,10 @@ def test_bad_robustness_window(flip_inputs, tmp_path, capsys):
     ("--max-gap-fraction", "1.5", "max_gap_fraction"),
     ("--fit-range", "abc", "fit_range"),
     ("--windows", "6x", "windows"),
+    # argparse usage errors: a value starting with "-" is read as an
+    # option (pass it as --fit-range=-5:10), and an unknown flag
+    ("--fit-range", "-5:10", "argument --fit-range: expected one argument"),
+    ("--nope", "1", "unrecognized arguments: --nope 1"),
 ])
 def test_bad_analysis_setting_reports_cleanly(synth_inputs, tmp_path, capsys,
                                               flag, value, needle):
@@ -460,6 +464,10 @@ def test_flags_are_parsed_like_file_values(synth_inputs, tmp_path, capsys,
     ("synth", ("--seed", "-1")),
     ("run", ("--seed", "-1", "--bootstrap", "5")),
     ("run", ("--seed", "-1", "--bootstrap", "0")),
+    ("synth", ("--sigma", "inf")),
+    # the calendar would run past date.max; a large valid value is never
+    # run here, as it allocates whole-calendar arrays
+    ("synth", ("--lookback-days", "100000000")),
 ])
 def test_rejected_settings_report_before_any_work(synth_inputs, tmp_path,
                                                   capsys, command, extra):
@@ -467,3 +475,10 @@ def test_rejected_settings_report_before_any_work(synth_inputs, tmp_path,
     assert main(_synth_or_run(command, synth_inputs, out, *extra)) == 1
     assert _stderr_error(capsys)["error"] == "ConfigError"
     assert not out.exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: haltstudy run [-h]")

@@ -20,7 +20,6 @@ from haltstudy import (
     ZeroBaseline,
     average_cumulative_return,
     extract_stock_trajectories,
-    forward_fill_all,
     group_average,
     make_calendar,
     measure_series,
@@ -46,23 +45,24 @@ def _intraday_event(cal, stock_id="A", day=1,
 def test_measure_series_semantics():
     cal = make_calendar(2)
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "A", volume=7.0, spread=0.02, absent=[100])
+    price = np.full(cal.n_minutes, 10.0)
+    price[99] = 11.0
+    add_stock(builder, cal, "A", price=price, volume=7.0, spread=0.02,
+              absent=[100])
     panel = builder.build()
-    filled = forward_fill_all(panel)
 
     vol = measure_series(panel, "A", V)
     assert vol[0] == 7.0
-    assert np.isnan(vol[100])
-    # filled bars never contribute observations
-    assert np.isnan(measure_series(filled, "A", V)[100])
+    assert np.isnan(vol[100])           # an absent minute has no volume
 
     absr = measure_series(panel, "A", A)
+    lnp = panel.log_prices("A")
     assert np.isnan(absr[0])            # no predecessor for the first bar
     assert np.isnan(absr[100])          # the bar itself is missing
-    assert np.isnan(absr[101])          # its predecessor is missing
+    # the return after the gap spans it, from the carried 11.0
+    assert lnp[100] == lnp[99]
+    assert absr[101] == abs(lnp[101] - lnp[99]) > 0.0
     assert absr[102] == 0.0             # constant price
-    # after filling, minute 101 regains a (synthetic) predecessor
-    assert measure_series(filled, "A", A)[101] == 0.0
 
     spread = measure_series(panel, "A", S)
     assert spread[1] == pytest.approx(0.02, abs=1e-12)
@@ -203,13 +203,13 @@ def _parity_panel():
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", price=price, volume=100.0, spread=0.02,
               absent=[slice(9900, 9960)])
-    return cal, forward_fill_all(builder.build())
+    return cal, builder.build()
 
 
 def test_trajectory_identity_when_measure_matches_baseline():
-    cal, filled = _parity_panel()
+    cal, panel = _parity_panel()
     ev = _intraday_event(cal, day=41)
-    trajectories, = extract_stock_trajectories(filled, [ev])
+    trajectories, = extract_stock_trajectories(panel, [ev])
     assert set(trajectories) == {A, V, S}
     for tr in trajectories.values():
         assert not np.isnan(tr.values).any()
@@ -232,10 +232,13 @@ def test_trajectory_marks_missing_minutes():
     assert tr.t[missing].tolist() == [40]       # g=640 sits 40 bars past 600
     assert np.all(tr.values[~missing] == 1.0)
     absr = _trajectory(panel, ev, A, lookback=1)
-    # unfilled panel: t = 0 also lacks a predecessor (the halted span)
+    # returns span gaps: t = 0 jumps from the carried 10.1 of g=579 to
+    # 10.0, like any parity step; t = 41 (g=641) stays at the 10.1
+    # carried from g=639, a zero return
     missing = np.isnan(absr.values)
-    assert absr.t[missing].tolist() == [0, 40, 41]
-    assert np.all(absr.values[~missing] == 1.0)
+    assert absr.t[missing].tolist() == [40]
+    assert absr.values[absr.t == 41].tolist() == [0.0]
+    assert np.all(absr.values[~missing & (absr.t != 41)] == 1.0)
 
 
 def test_trajectory_window_errors():
@@ -267,7 +270,7 @@ def test_trajectory_zero_baseline():
     add_stock(builder, cal, "A", volume=0.0, absent=[slice(9900, 9960)])
     ev = _intraday_event(cal, day=41)
     with pytest.raises(ZeroBaseline):
-        _trajectory(forward_fill_all(builder.build()), ev)
+        _trajectory(builder.build(), ev)
 
 
 # ---------------------------------------------------------------- averaging
@@ -408,12 +411,21 @@ def test_cumulative_curve_window_errors():
     ev = _intraday_event(cal, day=2)
 
     for absent in ([slice(540, 600), slice(0, 400)],        # short pre
-                   [slice(540, 600), slice(750, None)],     # short post
-                   [slice(540, 600), 700]):                 # hole inside
+                   [slice(540, 600), slice(750, None)]):    # short post
         builder = PanelBuilder(cal)
         add_stock(builder, cal, "A", absent=absent)
         with pytest.raises(InsufficientWindow):
             average_cumulative_return(builder.build(), [ev])
+
+    # a hole inside the window carries the price before it: a flat step
+    # at the hole (t = 100, g = 700), then the return across it
+    price = 10.0 + 0.001 * np.arange(cal.n_minutes)
+    builder = PanelBuilder(cal)
+    add_stock(builder, cal, "A", price=price, absent=[slice(540, 600), 700])
+    curve = average_cumulative_return(builder.build(), [ev])
+    step = np.diff(curve.mean)[curve.t[1:] >= 99]
+    assert step[1] == 0.0                       # t = 99 -> 100
+    assert step[0] > 0.0 and step[2] > 0.0
 
     early = halt_event(cal, "A", (0, 61), (0, 121),
                        HaltType.INTRADAY, EventSign.NEGATIVE)
@@ -518,12 +530,28 @@ def test_reversal_input_validation():
     with pytest.raises(ValueError):
         reversal_stats(panel, [unsigned], (1, 2))
 
+    # an absent minute inside the bars' span carries the price before
+    # it: resumption at g=360 repeats 10.0 (no move), g=361 has 10.5
+    price = np.full(cal.n_minutes, 10.0)
+    price[361:] = 10.5
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "S00", absent=[slice(300, 361)])
+    add_stock(builder, cal, "S00", price=price, absent=[slice(300, 361)])
+    assert reversal_stats(builder.build(), events, (1, 2)) == {1: 0.0,
+                                                               2: 1.0}
+    # the last pre-halt minute g=299 carries 10.6 from g=298, so the
+    # move to 10.5 falls and the negative event does not reverse
+    price[298] = 10.6
+    builder = PanelBuilder(cal)
+    add_stock(builder, cal, "S00", price=price,
+              absent=[299, slice(300, 360)])
+    assert reversal_stats(builder.build(), events, (2,)) == {2: 0.0}
+    # outside the bars' span there is nothing to carry
+    builder = PanelBuilder(cal)
+    add_stock(builder, cal, "S00", absent=[slice(300, None)])
     with pytest.raises(InsufficientPostWindow):
         reversal_stats(builder.build(), events, horizons=(1,))
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "S00", absent=[299, slice(300, 360)])
+    add_stock(builder, cal, "S00", absent=[slice(0, 360)])
     with pytest.raises(InsufficientHistory):
         reversal_stats(builder.build(), events, horizons=(1,))
 

@@ -22,7 +22,6 @@ from haltstudy import (
     classify_halt_type,
     classify_sign,
     filter_eligibility,
-    forward_fill_all,
     group_name,
     make_calendar,
     parse_halt_file,
@@ -133,15 +132,23 @@ def test_classify_sign_shorter_windows():
 def test_classify_sign_requires_history_and_endpoints():
     cal = make_calendar(3)
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "A", absent=[539 - 240])
+    # A's window starts at an absent minute after a bar at 9.0: the
+    # carried 9.0, not the 10.0 the minute would otherwise hold, is the
+    # start of a rising trend
+    price = np.full(cal.n_minutes, 10.0)
+    price[539 - 241] = 9.0
+    add_stock(builder, cal, "A", price=price, absent=[539 - 240])
     add_stock(builder, cal, "B")
+    add_stock(builder, cal, "C", absent=[slice(0, 539 - 239)])
     panel = builder.build()
     early = halt_record(cal, "B", (0, 61), (0, 121))
     with pytest.raises(InsufficientHistory):
         classify_sign(panel, early)             # window leaves the calendar
     rec = halt_record(cal, "A", (2, 61), (2, 121))
-    with pytest.raises(InsufficientHistory):
-        classify_sign(panel, rec)               # endpoint bar missing
+    assert classify_sign(panel, rec) is EventSign.POSITIVE
+    with pytest.raises(InsufficientHistory, match="endpoint"):
+        # C's first bar comes one minute after the window's start
+        classify_sign(panel, halt_record(cal, "C", (2, 61), (2, 121)))
     with pytest.raises(InsufficientHistory):
         classify_sign(panel, halt_record(cal, "Z", (2, 61), (2, 121)))
     with pytest.raises(ValueError):
@@ -248,10 +255,9 @@ def test_bars_inside_the_halt_rejected():
     rec = halt_record(cal, "A", (41, 61), (41, 121))
     # the last minute of the halted span [9900, 9960) traded
     panel = _panel_with(cal, {"A": [slice(9900, 9959)]})
-    for p in (panel, forward_fill_all(panel)):
-        ev = filter_eligibility([rec], p)[0]
-        assert ev.rejection_reason is RejectionReason.BARS_IN_HALT
-        assert ev.sign is EventSign.NEGATIVE
+    ev = filter_eligibility([rec], panel)[0]
+    assert ev.rejection_reason is RejectionReason.BARS_IN_HALT
+    assert ev.sign is EventSign.NEGATIVE
     # ranked after the halt-span cap and the ST flag, before history
     st = halt_record(cal, "A", (41, 61), (41, 121), is_st=True)
     assert filter_eligibility([st], panel)[0].rejection_reason \
@@ -259,9 +265,10 @@ def test_bars_inside_the_halt_rejected():
     thin = _panel_with(cal, {"A": [slice(0, 480), slice(9900, 9959)]})
     assert filter_eligibility([rec], thin)[0].rejection_reason \
         is RejectionReason.BARS_IN_HALT
-    # filled bars inside the span are not real bars
+    # prices carried across the halt by log_prices are not bars
     clean = _panel_with(cal, {"A": [slice(9900, 9960)]})
-    assert filter_eligibility([rec], forward_fill_all(clean))[0].eligible
+    assert not np.isnan(clean.log_prices("A")[9900:9960]).any()
+    assert filter_eligibility([rec], clean)[0].eligible
 
 
 def test_too_few_active_days_rejected_but_signed():
@@ -300,9 +307,8 @@ def test_gap_share_checked_per_window():
     panel = _panel_with(cal, {"A": [slice(9900, 9960), slice(9799, 9819)]})
     ev = filter_eligibility([rec], panel)[0]
     assert ev.rejection_reason is RejectionReason.DATA_GAP
-    # forward filling does not hide the gap
-    ev = filter_eligibility([rec], forward_fill_all(panel))[0]
-    assert ev.rejection_reason is RejectionReason.DATA_GAP
+    # the log prices carried across the gap do not hide it
+    assert not np.isnan(panel.log_prices("A")[9799:9819]).any()
 
 
 def test_small_gap_tolerated():

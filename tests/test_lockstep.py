@@ -25,7 +25,6 @@ from haltstudy import (
     PanelBuilder,
     bootstrap_alpha_stderr,
     extract_stock_trajectories,
-    forward_fill_all,
     group_average,
     make_calendar,
     make_excess,
@@ -109,7 +108,7 @@ def multi_halt_panel():
             absent.append(slice(rec.global_begin(cal), rec.global_resume(cal)))
         _noisy_stock(builder, cal, stock_id, rng, absent)
     events = [ev for evs in halts.values() for ev in evs]
-    return forward_fill_all(builder.build()), events
+    return builder.build(), events
 
 
 @pytest.mark.parametrize("lookback, pre, post", [(40, 80, 160), (7, 30, 45)])

@@ -1,4 +1,5 @@
-"""Session layout, bar parsing, panel invariants and forward filling."""
+"""Session layout, bar parsing, panel invariants and forward-filled log
+prices."""
 
 import io
 import math
@@ -18,13 +19,13 @@ from haltstudy import (
     PanelBuilder,
     TradingCalendar,
     UnknownDay,
-    forward_fill_all,
     make_calendar,
     parse_bar_file,
     write_bar_csv,
 )
 from haltstudy.market_data import BAR_CSV_HEADER
-from helpers import add_stock, location, random_walk_stock, synthetic_mask
+from helpers import add_stock, location, random_walk_stock
+from oracles import forward_filled_prices
 
 LN_101 = 0.009950330853168092  # ln(1.01)
 
@@ -97,7 +98,7 @@ def test_parse_single_bar():
     assert panel.volumes("600000")[g] == 500.0
     spread = panel.asks("600000")[g] - panel.bids("600000")[g]
     assert spread == pytest.approx(0.02, abs=1e-12)
-    assert not synthetic_mask(panel, "600000")[g]
+    assert panel.present_mask("600000")[g]
 
 
 def test_parse_accepts_bytes_stream_and_missing_quotes():
@@ -238,11 +239,9 @@ def test_written_bars_match_golden_text():
             present[g] = True
         builder.add_stock_arrays(stock_id, *columns, present)
     panel = builder.build()
-    # forward-filled bars are synthetic and never written
-    for p in (panel, forward_fill_all(panel)):
-        out = io.StringIO()
-        write_bar_csv(p, out)
-        assert out.getvalue() == GOLDEN_BARS_CSV
+    out = io.StringIO()
+    write_bar_csv(panel, out)
+    assert out.getvalue() == GOLDEN_BARS_CSV
     assert parse_bar_file(io.StringIO(GOLDEN_BARS_CSV), cal) == panel
 
 
@@ -334,22 +333,24 @@ def test_bulk_arrays_validate_contents():
 
 def test_forward_fill_single_gap():
     day = date(2010, 3, 1)
-    filled = forward_fill_all(_bars("A,2010-03-01,1,10.00,500.0,9.99,10.01",
-                                    "A,2010-03-01,3,10.10,200.0,,"))
+    panel = _bars("A,2010-03-01,1,10.00,500.0,9.99,10.01",
+                  "A,2010-03-01,3,10.10,200.0,,")
     g = MARCH.global_minute(day, 2)
-    assert synthetic_mask(filled, "A")[g]
-    assert filled.prices("A")[g] == 10.00
-    assert filled.volumes("A")[g] == 0.0
-    assert filled.bids("A")[g] == 9.99 and filled.asks("A")[g] == 10.01
+    # the bars stay as they were read: the gap holds no bar
+    assert not panel.present_mask("A")[g]
+    assert np.isnan(panel.prices("A")[g]) and np.isnan(panel.volumes("A")[g])
     # the filled minute repeats the previous price bit for bit
-    lnp = filled.log_prices("A")
+    lnp = panel.log_prices("A")
     assert lnp[g] - lnp[g - 1] == 0.0
     assert lnp[g + 1] - lnp[g] == pytest.approx(LN_101, abs=1e-15)
 
 
 def test_forward_fill_gap_free_returns_same_object():
     panel = _bars(*(f"A,2010-03-01,{minute},10.0,1.0,," for minute in (5, 6, 7)))
-    assert forward_fill_all(panel) is panel
+    lnp = panel.log_prices("A")
+    # cached: every call returns the one array, the log of the prices
+    assert panel.log_prices("A") is lnp
+    assert np.array_equal(lnp, np.log(panel.prices("A")), equal_nan=True)
 
 
 def test_forward_fill_is_idempotent_and_preserves_others():
@@ -359,30 +360,26 @@ def test_forward_fill_is_idempotent_and_preserves_others():
     random_walk_stock(builder, cal, "A", rng, absent=[slice(100, 130), 400])
     random_walk_stock(builder, cal, "B", rng)
     panel = builder.build()
-    filled = forward_fill_all(panel)
-    assert forward_fill_all(filled) is filled
-    # the gap-free stock shares its arrays with the source panel
-    assert filled.prices("B") is panel.prices("B")
-    assert synthetic_mask(filled, "A")[100:130].all()
-    assert not synthetic_mask(filled, "A")[:100].any()
-    # filling never invents bars outside the covered span
-    assert filled.coverage("A") == panel.coverage("A")
-
-
-def test_forward_fill_round_trip_drops_synthetic_bars():
-    cal = make_calendar(2)
-    builder = PanelBuilder(cal)
-    random_walk_stock(builder, cal, "A", np.random.default_rng(23),
-                      absent=[slice(50, 90)])
-    panel = builder.build()
-    out = io.StringIO()
-    write_bar_csv(forward_fill_all(panel), out)
-    assert parse_bar_file(io.StringIO(out.getvalue()), cal) == panel
+    lnp = panel.log_prices("A")
+    filled = forward_filled_prices(panel, "A")
+    assert np.array_equal(lnp, np.log(filled))
+    # bars at every minute of the span with the carried prices fill to
+    # the same log prices
+    again = PanelBuilder(cal)
+    add_stock(again, cal, "A", price=filled, absent=np.flatnonzero(
+        np.isnan(filled)).tolist())
+    assert np.array_equal(again.build().log_prices("A"), lnp, equal_nan=True)
+    # the gap-free stock's log prices are those of its own bars
+    assert np.array_equal(panel.log_prices("B"), np.log(panel.prices("B")))
+    # filling adds no bar and nothing outside the covered span
+    assert not panel.present_mask("A")[100:130].any()
+    first, last = panel.coverage("A")
+    assert np.isnan(lnp[:first]).all() and np.isnan(lnp[last + 1:]).all()
 
 
 def test_forward_fill_unknown_stock():
-    # a stock whose arrays hold no bar at all has no span to fill: it is
-    # kept as it is, and only its own coverage raises NoData
+    # a stock whose arrays hold no bar at all has no span to fill: its
+    # log prices are all NaN, and only its own coverage raises NoData
     builder = PanelBuilder(MARCH)
     nothing = np.full(MARCH.n_minutes, np.nan)
     builder.add_stock_arrays("A", nothing, nothing, nothing, nothing,
@@ -390,13 +387,13 @@ def test_forward_fill_unknown_stock():
     random_walk_stock(builder, MARCH, "B", np.random.default_rng(29),
                       absent=[slice(50, 90)])
     panel = builder.build()
-    filled = forward_fill_all(panel)
-    assert not filled.present_mask("A").any()
-    assert np.isnan(filled.prices("A")).all()
-    assert synthetic_mask(filled, "B")[50:90].all()
+    assert np.isnan(panel.log_prices("A")).all()
+    lnp = panel.log_prices("B")
+    assert np.all(lnp[50:90] == lnp[49])
     with pytest.raises(NoData, match="no bars for stock A"):
-        filled.coverage("A")
-    assert forward_fill_all(filled) is filled
+        panel.coverage("A")
+    with pytest.raises(NoData, match="no bars for stock Z"):
+        panel.log_prices("Z")
 
 
 def test_panel_equality_notices_any_difference():

@@ -17,7 +17,6 @@ from haltstudy import (
     PanelBuilder,
     TradingCalendar,
     average_cumulative_return,
-    forward_fill_all,
     group_average,
     make_calendar,
     parse_bar_file,
@@ -27,6 +26,7 @@ from haltstudy import (
 from haltstudy.events import HALT_CSV_HEADER
 from haltstudy.market_data import BAR_CSV_HEADER
 from helpers import add_stock, halt_event
+from oracles import forward_filled_prices
 
 CAL = TradingCalendar((date(2010, 3, 1), date(2010, 3, 2)))
 
@@ -80,13 +80,14 @@ _STOCK_IDS = st.text(alphabet="AZaz09,\"'._-", min_size=1, max_size=5)
 
 
 @st.composite
-def panels(draw):
+def panels(draw, min_bars=1):
+    # stocks with at least ``min_bars`` bars each
     n = CAL.n_minutes
     builder = PanelBuilder(CAL)
     for stock_id in draw(st.lists(_STOCK_IDS, min_size=1, max_size=3,
                                   unique=True)):
         bars = draw(st.dictionaries(st.integers(0, n - 1), _BAR,
-                                    min_size=1, max_size=12))
+                                    min_size=min_bars, max_size=12))
         columns = np.full((4, n), np.nan)
         present = np.zeros(n, dtype=bool)
         for g, (price, volume, bid, ask) in bars.items():
@@ -110,20 +111,24 @@ def _round_trip(panel):
 @given(panels())
 def test_written_panel_parses_back_equal(panel):
     assert _round_trip(panel) == panel
-    # forward-filled bars are synthetic and never written
-    assert _round_trip(forward_fill_all(panel)) == panel
 
 
 @settings(deadline=None)
-@given(panels())
-def test_forward_fill_all_is_idempotent(panel):
-    filled = forward_fill_all(panel)
-    assert forward_fill_all(filled) is filled
-    assert filled.n_bars >= panel.n_bars
+@given(panels(min_bars=0))
+def test_log_prices_fill_matches_reference(panel):
     for stock_id in panel.stock_ids:
-        assert filled.coverage(stock_id) == panel.coverage(stock_id)
-        real = filled.real_mask(stock_id)
-        assert np.array_equal(real, panel.present_mask(stock_id))
+        lnp = panel.log_prices(stock_id)
+        present = panel.present_mask(stock_id)
+        assert _same_bits(lnp, np.log(forward_filled_prices(panel, stock_id)))
+        if not present.any():
+            assert np.isnan(lnp).all()
+            continue
+        first, last = panel.coverage(stock_id)
+        assert np.isnan(lnp[:first]).all() and np.isnan(lnp[last + 1:]).all()
+        assert not np.isnan(lnp[first:last + 1]).any()
+        # the log return across every absent minute of the span is 0.0
+        gap = np.flatnonzero(~present[first:last + 1]) + first
+        assert np.all(lnp[gap] - lnp[gap - 1] == 0.0)
 
 
 # ---------------------------------------------------------------- averages

@@ -87,9 +87,23 @@ def test_spec_validation():
         SyntheticSpec(n_stocks=1, n_days=5, seed=1, initial_price=0.0)
     with pytest.raises(ValueError, match="seed"):
         SyntheticSpec(n_stocks=1, n_days=5, seed=-1)
+    with pytest.raises(ValueError, match="finite"):
+        SyntheticSpec(n_stocks=1, n_days=5, seed=1,
+                      sigma={MeasureKind.VOLUME: float("inf")})
+    with pytest.raises(ValueError, match="n_days"):
+        SyntheticSpec(n_stocks=1, n_days=10**8, seed=1)
     spec = SyntheticSpec(n_stocks=3, n_days=5, seed=1)
     assert spec.stock_ids == ("SYN0000", "SYN0001", "SYN0002")
     assert spec.noise_sigma(MeasureKind.VOLUME) == 0.0
+
+
+def test_failed_generation_writes_no_directory(tmp_path):
+    from haltstudy import write_synthetic_dataset
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match="unknown stock"):
+        write_synthetic_dataset(
+            SyntheticSpec(1, 44, 1, events=(_event("SYN0009"),)), out)
+    assert not out.exists()
 
 
 def test_event_placement_validation():
