@@ -3,11 +3,12 @@
 A small noisy synthetic dataset goes through ``synth``, ``run
 --bootstrap 20`` and ``robustness --windows 60,240``; the SHA-256 of
 the bar file, of all eight ``run`` artifacts and of ``sign_flips.csv``
-are pinned. Any change to how values are computed, ordered or
-formatted shows up here as a moved digest. The digests hold for the
-IEEE double arithmetic of the numpy/BLAS build they were taken with;
-a build that rounds a dot product differently moves the fitted
-columns.
+are pinned. A second ``run --fit-range 5:60 --bootstrap 20`` pins the
+fits and bootstrap errors off the default fit range. Any change to how
+values are computed, ordered or formatted shows up here as a moved
+digest. The digests hold for the IEEE double arithmetic of the
+numpy/BLAS build they were taken with; a build that rounds a dot
+product differently moves the fitted columns.
 """
 
 import hashlib
@@ -49,15 +50,36 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+GOLDEN_FIT_RANGE = {
+    "eligibility.csv": GOLDEN["eligibility.csv"],
+    "counts.csv": GOLDEN["counts.csv"],
+    "curves.csv": GOLDEN["curves.csv"],
+    "averages.csv": GOLDEN["averages.csv"],
+    "excess.csv": GOLDEN["excess.csv"],
+    "loglog.csv":
+        "5476ff7167b9206ba5c809c351bd202f680f4daf3f461cb2da99ae80e7a352dc",
+    "exponents.csv":
+        "49dfa63244c0f1df0135e521f8fbbc6efdb8972d4e282327521f60af5f888372",
+    "summary.json":
+        "c06dd0c65475a9e13d30e61efe1767d7feb6fec21feafa5a6dfc6d71cf45fcff",
+}
+
+
 @pytest.fixture(scope="module")
-def digests(tmp_path_factory):
+def dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    data, run, rob = root / "in", root / "run", root / "rob"
+    data = root / "in"
     assert main(["synth", "--out", str(data), "--seed", "11",
                  "--groups", GROUPS, "--sigma", "0.1"]) == 0
-    inputs = ["--bars", str(data / "bars.csv"),
-              "--calendar", str(data / "calendar.txt"),
-              "--halts", str(data / "halts.csv")]
+    return root, ["--bars", str(data / "bars.csv"),
+                  "--calendar", str(data / "calendar.txt"),
+                  "--halts", str(data / "halts.csv")]
+
+
+@pytest.fixture(scope="module")
+def digests(dataset):
+    root, inputs = dataset
+    data, run, rob = root / "in", root / "run", root / "rob"
     assert main(["run", *inputs, "--out", str(run), "--bootstrap", "20"]) == 0
     assert main(["robustness", *inputs, "--out", str(rob),
                  "--windows", "60,240", "--bootstrap", "0"]) == 0
@@ -69,3 +91,12 @@ def digests(tmp_path_factory):
 
 def test_every_artifact_matches_its_golden_digest(digests):
     assert digests == GOLDEN
+
+
+def test_fit_range_run_matches_its_golden_digests(dataset):
+    root, inputs = dataset
+    run = root / "run_fit_range"
+    assert main(["run", *inputs, "--out", str(run), "--fit-range", "5:60",
+                 "--bootstrap", "20"]) == 0
+    got = {path.name: _sha256(path) for path in run.iterdir()}
+    assert got == GOLDEN_FIT_RANGE
