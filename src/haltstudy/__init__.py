@@ -84,13 +84,11 @@ from .synthetic import (
     GroundTruth,
     MeasureRelaxation,
     PlantedEvent,
-    RecoveryReport,
     SyntheticSpec,
     build_group_spec,
     default_pattern,
     generate_panel,
     make_calendar,
-    recovery_study,
     write_ground_truth,
     write_synthetic_dataset,
 )

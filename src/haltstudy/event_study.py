@@ -15,13 +15,18 @@ so results are independent of input order and bitwise reproducible; it
 also keeps the mean of N identical series exactly equal to that series.
 Many averages are accumulated in lockstep: one update adds the next
 member to every slot of a block, such as every event and measure of a
-stock (one lookback day at a time) or every bootstrap resample (one
-sample position at a time). Each slot still sees the same IEEE
-operations in the same order as a lone average would, so lockstep and
-one-at-a-time results are bitwise equal. The two passes that need only
-means, the per-stock baselines and the bootstrap resamples, run the
-running-mean step alone; group averages and cumulative-return curves
-also carry the running spread for their standard errors.
+chunk of stocks (one lookback day at a time) or every bootstrap
+resample (one sample position at a time). Each slot still sees the same
+IEEE operations in the same order as a lone average would, so lockstep
+and one-at-a-time results are bitwise equal. One accumulator serves
+every pass: its buffers are allocated once per pass and each update is
+written into them in place. A chunk gathers consecutive stocks' used
+lookback days into one buffer capped in bytes, so one-event stocks
+share their mean steps; a stock whose days alone exceed the cap is
+averaged from its own series. The two passes that need only means,
+the baselines and the bootstrap resamples, run without the spread
+buffer; group averages and cumulative-return curves also carry the
+running spread for their standard errors.
 """
 
 from __future__ import annotations
@@ -60,19 +65,9 @@ class MeasureKind(Enum):
     BID_ASK_SPREAD = "bid_ask_spread"
 
 
-def _mean_step(n: np.ndarray, mean: np.ndarray,
-               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one running-mean update of every slot, skipping NaN entries in
-    # place; returns the observed mask and the pre-update deviation
-    ok = ~np.isnan(values)
-    n += ok
-    delta = np.where(ok, values - mean, 0.0)
-    mean += delta / np.maximum(n, 1)
-    return ok, delta
-
-
 class _Welford:
-    """Per-slot running mean and spread that skip missing (NaN) entries.
+    """Per-slot running mean and, optionally, spread that skip missing
+    (NaN) entries.
 
     Slots form an array of any shape; every update is elementwise, so a
     slot's result does not depend on the other slots it shares a block
@@ -80,22 +75,42 @@ class _Welford:
     is missing or identical to the running mean, so averaging N copies
     of one series reproduces it bit for bit and its spread is exactly 0;
     the one exception is -0.0, which the running mean (starting at +0.0)
-    returns as +0.0. :func:`_lockstep_means` runs the same mean step
-    without the spread, for the passes that read only means.
+    returns as +0.0. The count, mean, spread and step buffers are
+    allocated once, and :meth:`add` writes every update into them in
+    place. Counts are kept as float64, exact far beyond any member
+    count. Without ``spread`` the accumulator runs the mean step alone,
+    for the passes that read only means.
     """
 
-    def __init__(self, shape: int | tuple[int, ...]):
-        self.n = np.zeros(shape, dtype=np.int64)
+    def __init__(self, shape: int | tuple[int, ...], spread: bool = True):
+        self.n = np.zeros(shape)
         self.mean = np.zeros(shape)
-        self.m2 = np.zeros(shape)
+        self.m2 = np.zeros(shape) if spread else None
+        self._missing = np.empty(shape, dtype=bool)
+        self._observed = np.empty(shape, dtype=bool)
+        self._delta = np.empty(shape)
+        self._step = np.empty(shape)
 
     def add(self, values: np.ndarray) -> None:
-        ok, delta = _mean_step(self.n, self.mean, values)
-        delta2 = np.where(ok, values - self.mean, 0.0)
-        self.m2 += delta * delta2
+        # n += observed; delta = values - mean where observed, else 0;
+        # mean += delta / max(n, 1); m2 += delta * (values - new mean)
+        missing, delta, step = self._missing, self._delta, self._step
+        np.isnan(values, out=missing)
+        np.logical_not(missing, out=self._observed)
+        np.add(self.n, self._observed, out=self.n)
+        np.subtract(values, self.mean, out=delta)
+        np.putmask(delta, missing, 0.0)
+        np.maximum(self.n, 1.0, out=step)
+        np.divide(delta, step, out=step)
+        np.add(self.mean, step, out=self.mean)
+        if self.m2 is not None:
+            np.subtract(values, self.mean, out=step)
+            np.putmask(step, missing, 0.0)
+            np.multiply(delta, step, out=step)
+            np.add(self.m2, step, out=self.m2)
 
     def counts(self) -> np.ndarray:
-        return self.n.copy()
+        return self.n.astype(np.int64)
 
     def means(self) -> np.ndarray:
         return np.where(self.n > 0, self.mean, np.nan)
@@ -111,30 +126,23 @@ class _Welford:
             return self.sample_stds() / np.sqrt(self.n)
 
 
-def _lockstep_welford(rows: np.ndarray, members: np.ndarray) -> _Welford:
+def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
+                      spread: bool = True) -> _Welford:
     """Average ``rows`` (shape ``(..., N, W)``) over ``members`` in lockstep.
 
     ``members`` is a ``(B, K)`` matrix of row positions; slot block b
     averages rows ``members[b, 0], members[b, 1], ...`` in that order.
-    Each update adds column k for every block at once, giving a
-    ``(..., B, W)`` accumulator.
+    Each update gathers column k for every block at once into one
+    buffer and adds it, giving a ``(..., B, W)`` accumulator. ``rows``
+    is made contiguous once, since a gather would copy it every step.
     """
-    acc = _Welford(rows.shape[:-2] + (members.shape[0], rows.shape[-1]))
-    for k in range(members.shape[1]):
-        acc.add(rows[..., members[:, k], :])
-    return acc
-
-
-def _lockstep_means(rows: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """``_lockstep_welford(rows, members).means()`` without the spread:
-    the same mean step per member, bit for bit, and NaN where a slot saw
-    no value."""
+    rows = np.ascontiguousarray(rows)
     shape = rows.shape[:-2] + (members.shape[0], rows.shape[-1])
-    n = np.zeros(shape, dtype=np.int64)
-    mean = np.zeros(shape)
-    for k in range(members.shape[1]):
-        _mean_step(n, mean, rows[..., members[:, k], :])
-    return np.where(n > 0, mean, np.nan)
+    acc = _Welford(shape, spread)
+    gathered = np.empty(shape)
+    for column in np.ascontiguousarray(np.asarray(members, np.intp).T):
+        acc.add(np.take(rows, column, axis=-2, out=gathered, mode="clip"))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -255,6 +263,11 @@ def _deseasonalize_block(raw: np.ndarray,
     return values, bad
 
 
+# byte cap of the buffer that one chunk of stocks copies its lookback
+# days into; a stock whose days alone exceed it averages in place
+_CHUNK_BYTES = 512 * 1024
+
+
 def extract_stock_trajectories(
         panel: Panel, events: Sequence[HaltEvent],
         measures: Sequence[MeasureKind] = tuple(MeasureKind),
@@ -273,73 +286,125 @@ def extract_stock_trajectories(
     without an observation stay NaN, an observed minute over a zero or
     undefined baseline raises ZeroBaseline, and bars that do not cover
     the window raise InsufficientHistory or InsufficientPostWindow.
-    Per stock, the baselines of all its events and measures are
-    averaged in lockstep, one lookback day at a time, each bitwise
-    equal to a lone per-event average. Work runs in sorted (stock_id,
-    halt begin) order, then measure order; the first failing (event,
-    measure) in that order raises.
+    Consecutive stocks' used lookback days are copied into one buffer of
+    at most ``_CHUNK_BYTES``, and the baselines of all their events and
+    measures are averaged in lockstep, one lookback day at a time, each
+    bitwise equal to a lone per-event average; a stock whose days alone
+    exceed the buffer is averaged from its own series. Work runs in
+    sorted (stock_id, halt begin) order, then measure order; the first
+    failing (event, measure) in that order raises.
     """
     if lookback < 1:
         raise ValueError("lookback must be positive")
     if not measures:
         raise ValueError("need at least one measure")
     order = sorted(range(len(events)), key=lambda i: events[i].record.sort_key())
+    t = np.arange(-pre_window, post_window + 1)
+    t.setflags(write=False)
     out: list = [None] * len(events)
+    chunk = _BaselineChunk(panel, events, measures, t, out)
     for stock_id, run in groupby(order, key=lambda i: events[i].record.stock_id):
-        idx = list(run)
-        per_event = _stock_trajectories(panel, stock_id,
-                                        [events[i] for i in idx], measures,
-                                        lookback, pre_window, post_window)
-        for i, trajectories in zip(idx, per_event):
-            out[i] = trajectories
-    return out
-
-
-def _stock_trajectories(panel: Panel, stock_id: str,
-                        events: Sequence[HaltEvent],
-                        measures: Sequence[MeasureKind], lookback: int,
-                        pre_window: int, post_window: int,
-                        ) -> list[dict[MeasureKind, EventTrajectory]]:
-    # ``events`` are one stock's, sorted. The first event failing its
-    # window checks ends the batch; its error is raised only after the
-    # events before it have passed their per-measure baseline checks.
-    active = _active_days(panel, stock_id)
-    days, minutes = [], []
-    failure = None
-    for ev in events:
+        positions = list(run)
+        # the first event failing its window checks ends the run; its
+        # error is raised only after the events before it, in this and
+        # earlier stocks, have passed their baseline checks
+        days, minutes, failure = [], [], None
         try:
-            window = _lookback_days(panel, active, ev.record, lookback)
-            gs = _event_minutes(panel, ev.record, pre_window, post_window)
+            active = _active_days(panel, stock_id)
+            for i in positions:
+                rec = events[i].record
+                window = _lookback_days(panel, active, rec, lookback)
+                minutes.append(_event_minutes(panel, rec, pre_window,
+                                              post_window))
+                days.append(window)
         except HaltStudyError as exc:
             failure = exc
-            break
-        days.append(window)
-        minutes.append(gs)
-    out = []
-    if days:
-        series = np.stack([measure_series(panel, stock_id, m) for m in measures])
-        by_day = series.reshape(len(measures), panel.calendar.n_days,
-                                MINUTES_PER_DAY)
-        pattern = _lockstep_means(by_day, np.array(days))
-        gs = np.array(minutes)
-        rows = np.arange(gs.shape[0])[:, None]
-        values, bad = _deseasonalize_block(
-            series[:, gs], pattern[:, rows, gs % MINUTES_PER_DAY])
-        t = np.arange(-pre_window, post_window + 1)
-        t.setflags(write=False)
-        for e, ev in enumerate(events[:len(days)]):
-            trajectories = {}
-            for k, measure in enumerate(measures):
-                if bad[k, e].any():
-                    raise ZeroBaseline(
-                        f"{ev.record.stock_id}: unusable baseline at event "
-                        f"minute {int(t[bad[k, e]][0])}")
-                trajectories[measure] = EventTrajectory(ev, measure, t,
-                                                        values[k, e])
-            out.append(trajectories)
-    if failure is not None:
-        raise failure
+        if days:
+            chunk.add(stock_id, positions[:len(days)], np.array(days),
+                      np.array(minutes))
+        if failure is not None:
+            chunk.flush()
+            raise failure
+    chunk.flush()
     return out
+
+
+class _BaselineChunk:
+    """Stocks whose baselines are averaged in one lockstep pass.
+
+    :meth:`add` copies a stock's used lookback days (every measure) into
+    one buffer of ``_CHUNK_BYTES``, allocated when the first stock fits
+    in it; :meth:`flush` averages every pending event's baseline from
+    it, deseasonalizes the events in stock order and stores their
+    trajectories in ``out``.
+    """
+
+    def __init__(self, panel: Panel, events: Sequence[HaltEvent],
+                 measures: Sequence[MeasureKind], t: np.ndarray, out: list):
+        self.panel, self.events, self.measures = panel, events, measures
+        self.t, self.out = t, out
+        self.capacity = _CHUNK_BYTES // (len(measures) * MINUTES_PER_DAY * 8)
+        self.rows: np.ndarray | None = None
+        self.used = 0
+        # per stock: event positions, raw values, minutes, member rows
+        self.pending: list = []
+
+    def add(self, stock_id: str, positions: list[int], days: np.ndarray,
+            minutes: np.ndarray) -> None:
+        panel, n_days = self.panel, self.panel.calendar.n_days
+        used = np.zeros(n_days, dtype=bool)
+        used[days] = True
+        used = np.flatnonzero(used)
+        if self.used + used.size > self.capacity:
+            self.flush()
+        if used.size > self.capacity:
+            series = np.stack([measure_series(panel, stock_id, m)
+                               for m in self.measures])
+            self.pending.append((positions, series[:, minutes], minutes, days))
+            self._average(series.reshape(len(self.measures), n_days,
+                                         MINUTES_PER_DAY))
+            return
+        if self.rows is None:
+            self.rows = np.empty((len(self.measures), self.capacity,
+                                  MINUTES_PER_DAY))
+        block = self.rows[:, self.used:self.used + used.size]
+        raw = np.empty((len(self.measures),) + minutes.shape)
+        for k, measure in enumerate(self.measures):
+            series = measure_series(panel, stock_id, measure)
+            np.take(series, minutes, out=raw[k], mode="clip")
+            np.take(series.reshape(n_days, MINUTES_PER_DAY), used, axis=0,
+                    out=block[k], mode="clip")
+        self.pending.append((positions, raw, minutes,
+                             self.used + np.searchsorted(used, days)))
+        self.used += used.size
+
+    def flush(self) -> None:
+        # rows past ``used`` are stale, but no member points at them
+        if self.pending:
+            self._average(self.rows)
+
+    def _average(self, rows: np.ndarray) -> None:
+        members = np.concatenate([p[3] for p in self.pending])
+        pattern = _lockstep_welford(rows, members, spread=False).means()
+        first = 0
+        for positions, raw, minutes, _ in self.pending:
+            slots = np.arange(first, first + len(positions))[:, None]
+            values, bad = _deseasonalize_block(
+                raw, pattern[:, slots, minutes % MINUTES_PER_DAY])
+            for e, i in enumerate(positions):
+                trajectories = {}
+                for k, measure in enumerate(self.measures):
+                    if bad[k, e].any():
+                        raise ZeroBaseline(
+                            f"{self.events[i].record.stock_id}: unusable "
+                            "baseline at event minute "
+                            f"{int(self.t[bad[k, e]][0])}")
+                    trajectories[measure] = EventTrajectory(
+                        self.events[i], measure, self.t, values[k, e])
+                self.out[i] = trajectories
+            first += len(positions)
+        self.pending = []
+        self.used = 0
 
 
 def _check_same_group(events: Sequence[HaltEvent]) -> tuple[HaltType, EventSign]:
@@ -385,12 +450,14 @@ def group_average(trajectories: Iterable[EventTrajectory]) -> GroupAverage:
 
 
 def resampled_means(trajectories: Sequence[EventTrajectory],
-                    indices: np.ndarray) -> np.ndarray:
+                    indices: np.ndarray,
+                    columns: np.ndarray | None = None) -> np.ndarray:
     """Per-t group means of many resamples at once, one row per resample.
 
     ``indices`` holds one row per resample of positions into the
     trajectories sorted by event key. Row r is bitwise equal to the mean
-    of :func:`group_average` over ``[sorted[i] for i in indices[r]]``:
+    of :func:`group_average` over ``[sorted[i] for i in indices[r]]``,
+    restricted to the positions ``columns`` of the t axis when given:
     each row is put into the order that function sorts its members in,
     and all rows are then accumulated together, one sample position at
     a time.
@@ -402,7 +469,10 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     indices = np.asarray(indices)
     order = np.argsort(rank[indices], axis=1, kind="stable")
     members = np.take_along_axis(indices, order, axis=1)
-    return _lockstep_means(np.stack([tr.values for tr in trajs]), members)
+    rows = np.stack([tr.values for tr in trajs])
+    if columns is not None:
+        rows = rows[:, columns]
+    return _lockstep_welford(rows, members, spread=False).means()
 
 
 def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],

@@ -1,10 +1,10 @@
 """End-to-end analysis: filter, deseasonalize, average, fit, report.
 
-:func:`run_analysis` composes four stages that the command line and
-the recovery study also call on their own: :func:`select_events`
-(classify, filter), :func:`average_groups` (trajectories, one
-lockstep pass per stock, and group averages), :func:`curves_and_reversals`
-and :func:`fit_groups` (fits and bootstrap errors). Work runs in one
+:func:`run_analysis` composes four stages that the command line also
+calls on their own: :func:`select_events` (classify, filter),
+:func:`average_groups` (trajectories, one lockstep pass per chunk of
+stocks, and group averages), :func:`curves_and_reversals` and
+:func:`fit_groups` (fits and bootstrap errors). Work runs in one
 thread in a fixed order, groups in :func:`group_sort_key` order, so
 reruns are bitwise identical. Each output file has one writer here: the
 table behind :func:`write_analysis_outputs`, and

@@ -129,16 +129,11 @@ class BootstrapResult:
     n_failed: int
 
 
-def _excess(t: np.ndarray, mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # z - 1 on t >= 1; ``mean`` may hold one row per resample
-    keep = t >= 1
-    return t[keep], mean[..., keep] - 1.0
-
-
 def make_excess(avg: GroupAverage) -> ExcessSeries:
     """Subtract the baseline level 1 pointwise on t >= 1."""
-    t, values = _excess(avg.t, avg.mean)
-    return ExcessSeries(avg.measure, avg.halt_type, avg.sign, t, values, avg)
+    keep = avg.t >= 1
+    return ExcessSeries(avg.measure, avg.halt_type, avg.sign, avg.t[keep],
+                        avg.mean[keep] - 1.0, avg)
 
 
 def _initial_guesses(t: np.ndarray,
@@ -375,12 +370,13 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
     fails are dropped and counted. The resample index matrix is drawn up
     front from one seeded generator, so the result is reproducible and
     independent of evaluation order. All resamples are averaged in
-    lockstep (:func:`resampled_means`), each bitwise equal to its own
-    :func:`group_average`, then fitted together as blocks, each row
-    bitwise equal to its own :func:`fit_power_law_points`; the spread
-    is taken over the exponents in resample order. Identical
-    trajectories give a spread of exactly 0. ``n_resamples`` and ``seed``
-    have no defaults here; a run takes them from its AnalysisConfig.
+    lockstep (:func:`resampled_means`) over the fit range's columns
+    only, each bitwise equal to its own :func:`group_average` there,
+    then fitted together as blocks, each row bitwise equal to its own
+    :func:`fit_power_law_points`; the spread is taken over the
+    exponents in resample order. Identical trajectories give a spread
+    of exactly 0. ``n_resamples`` and ``seed`` have no defaults here; a
+    run takes them from its AnalysisConfig.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
     if len(trajs) < 2:
@@ -389,12 +385,14 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
         raise ValueError("n_resamples must be positive")
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
-    t, excess = _excess(trajs[0].t, resampled_means(trajs, indices))
+    lo, hi = FitConfig(fit_range).fit_range
+    columns = np.flatnonzero((trajs[0].t >= lo) & (trajs[0].t <= hi))
+    excess = resampled_means(trajs, indices, columns) - 1.0
     count = 0
     mean = 0.0
     m2 = 0.0
     failed = 0
-    for fit in _fit_rows(t, excess, fit_range):
+    for fit in _fit_rows(trajs[0].t[columns], excess, fit_range):
         if not isinstance(fit, _RowFit):
             failed += 1
             continue

@@ -8,7 +8,7 @@ baseline and trajectory are what the per-stock lockstep stage must
 reproduce bit for bit, the scalar fit is the one-series damped
 Gauss-Newton loop that the library's block fitter must reproduce bit
 for bit, and the masked Welford update is the running-mean-and-spread
-step the library's counting step must reproduce bit for bit.
+step the library's buffered accumulator must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -128,9 +128,10 @@ def extract_trajectory(panel, event, measure: MeasureKind,
 
 
 def masked_welford_add(acc, values) -> None:
-    """One Welford update of ``acc`` (a ``_Welford``), counting the
-    observed slots with a masked scatter: the update as it was before
-    the running-mean step was shared with the mean-only passes."""
+    """One Welford update of ``acc`` (anything holding ``n``, ``mean`` and
+    ``m2`` arrays, such as a ``_Welford``), counting the observed slots
+    with a masked scatter and allocating fresh temporaries: the update
+    the library's buffered accumulator must reproduce bit for bit."""
     ok = ~np.isnan(values)
     acc.n[ok] += 1
     delta = np.where(ok, values - acc.mean, 0.0)

@@ -24,7 +24,6 @@ from haltstudy import (
     make_calendar,
     power_law_jacobian,
     power_law_model,
-    recovery_study,
     reversal_stats,
     run_analysis,
     stability_stat,
@@ -34,6 +33,7 @@ from haltstudy import (
 from haltstudy.powerlaw import fit_power_law_points
 from helpers import add_stock, halt_event, random_walk_stock
 from oracles import grid_power_law, naive_cumulative_curve
+from recovery import recovery_study
 
 ALL_SIX = {key: 1 for key in DEFAULT_RELAXATIONS}
 

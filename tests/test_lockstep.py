@@ -1,11 +1,12 @@
 """Lockstep averaging against the one-at-a-time reference it replaces.
 
-The per-stock trajectory stage, the N-D running average and the
+The chunked trajectory stage, the N-D running average and the
 lockstep bootstrap must reproduce the per-event / per-resample loops
 bit for bit, and raise the same first error in the same order.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ from haltstudy import (
     make_excess,
     resampled_means,
 )
-from haltstudy.event_study import _Welford, _lockstep_means, _lockstep_welford
+from haltstudy import event_study
+from haltstudy.event_study import (_Welford, _active_days, _lockstep_welford,
+                                   _lookback_days)
 from helpers import add_stock, halt_event
 from oracles import (compute_intraday_pattern, extract_trajectory,
                      masked_welford_add, scalar_power_law_fit)
@@ -148,6 +151,75 @@ def test_stage_measure_subset_and_empty_input(multi_halt_panel):
         extract_stock_trajectories(panel, events, ())
 
 
+@pytest.fixture(scope="module")
+def mixed_panel():
+    # one-event and multi-event stocks side by side: suspended days in
+    # the lookbacks, quotes missing at stray minutes (NAQ) or always
+    # (NOQ), and one-event stocks between multi-event ones in key order
+    cal = make_calendar(64)
+    rng = np.random.default_rng(29)
+    day = lambda d: slice(d * 240, (d + 1) * 240)    # noqa: E731
+    halts = {
+        "AAA": [_intraday(cal, "AAA", 44), _oneday(cal, "AAA", 50),
+                _intraday(cal, "AAA", 57)],
+        "NAQ": [_oneday(cal, "NAQ", 47)],
+        "NOQ": [_intraday(cal, "NOQ", 52)],
+        "ONE": [_intraday(cal, "ONE", 45)],
+        "PPP": [_intraday(cal, "PPP", 46), _oneday(cal, "PPP", 58)],
+        "QQQ": [_intraday(cal, "QQQ", 49)],
+    }
+    suspended = {"AAA": [3, 43], "NAQ": [30], "NOQ": [], "ONE": [5, 20, 44],
+                 "PPP": [0, 45], "QQQ": [12, 13]}
+    builder = PanelBuilder(cal)
+    for stock_id, events in halts.items():
+        absent = [day(d) for d in suspended[stock_id]]
+        absent += list(rng.integers(0, cal.n_minutes, 100))
+        for ev in events:
+            rec = ev.record
+            absent.append(slice(rec.global_begin(cal), rec.global_resume(cal)))
+        n = cal.n_minutes
+        price = 20.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, n)))
+        spread = rng.uniform(0.01, 0.05, n)
+        if stock_id == "NAQ":
+            spread[rng.random(n) < 0.2] = np.nan
+        add_stock(builder, cal, stock_id, price=price,
+                  volume=rng.integers(0, 500, n).astype(float),
+                  spread=None if stock_id == "NOQ" else spread, absent=absent)
+    return builder.build(), [ev for evs in halts.values() for ev in evs]
+
+
+def _stock_row_bytes(panel, events, lookback):
+    # bytes of each stock's used lookback days over every measure
+    per_stock: dict = {}
+    for ev in events:
+        rec = ev.record
+        per_stock.setdefault(rec.stock_id, []).append(_lookback_days(
+            panel, _active_days(panel, rec.stock_id), rec, lookback))
+    return {s: np.unique(np.concatenate(d)).size * len(MEASURES) * 240 * 8
+            for s, d in per_stock.items()}
+
+
+@pytest.mark.parametrize("cap", ["zero", "one_stock", "every_stock"])
+def test_chunked_baselines_match_per_event_reference(mixed_panel, monkeypatch,
+                                                     cap):
+    panel, events = mixed_panel
+    sizes = _stock_row_bytes(panel, events, 40)
+    monkeypatch.setattr(event_study, "_CHUNK_BYTES", {
+        "zero": 0, "one_stock": sizes["ONE"],
+        "every_stock": sum(sizes.values())}[cap])
+    shuffled = events[::-1]
+    got = extract_stock_trajectories(panel, shuffled, MEASURES)
+    want = _reference_trajectories(panel, shuffled, MEASURES, 40, 80, 160)
+    for ev, got_ev, want_ev in zip(shuffled, got, want):
+        for m in MEASURES:
+            assert got_ev[m].event is ev
+            assert _same_bits(got_ev[m].values, want_ev[m].values)
+    spreads = {ev.record.stock_id: got_ev[MeasureKind.BID_ASK_SPREAD].values
+               for ev, got_ev in zip(shuffled, got)}
+    assert np.isnan(spreads["NOQ"]).all()
+    assert np.isnan(spreads["NAQ"]).any() and not np.isnan(spreads["NAQ"]).all()
+
+
 # ---------------------------------------------------------------- errors
 
 
@@ -197,6 +269,30 @@ NO_SPREAD = (MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME)
 def test_stage_raises_the_first_reference_error(faulty_panel, keys, measures,
                                                 expected):
     panel, by_key = faulty_panel
+    events = [by_key[k] for k in keys]
+    want = _reference_error(panel, events, measures)
+    assert type(want).__name__ == expected
+    with pytest.raises(type(want)) as caught:
+        extract_stock_trajectories(panel, events, measures)
+    assert str(caught.value) == str(want)
+
+
+@pytest.mark.parametrize("keys, measures, expected", [
+    # an earlier stock's baseline error beats a later stock's window error
+    ([("SHORT", 52), ("QUIET", 45)], SPREAD_LAST, "ZeroBaseline"),
+    ([("THIN", 45), ("QUIET", 52)], NO_SPREAD, "ZeroBaseline"),
+    # a window error of the earlier stock beats any error of the later one
+    ([("ZERO", 45), ("THIN", 45)], SPREAD_LAST, "InsufficientHistory"),
+    ([("ZERO", 45), ("SHORT", 45), ("SHORT", 52)], SPREAD_LAST,
+     "InsufficientPostWindow"),
+    ([("ZERO", 52), ("THIN", 52), ("THIN", 45)], SPREAD_LAST,
+     "InsufficientHistory"),
+])
+@pytest.mark.parametrize("cap", [0, 1 << 24])
+def test_error_order_inside_one_chunk(faulty_panel, monkeypatch, keys,
+                                      measures, expected, cap):
+    panel, by_key = faulty_panel
+    monkeypatch.setattr(event_study, "_CHUNK_BYTES", cap)
     events = [by_key[k] for k in keys]
     want = _reference_error(panel, events, measures)
     assert type(want).__name__ == expected
@@ -269,7 +365,7 @@ def _blocks_and_members(draw):
 @given(_blocks_and_members())
 def test_mean_only_pass_matches_full_welford(case):
     rows, members = case
-    assert _same_bits(_lockstep_means(rows, members),
+    assert _same_bits(_lockstep_welford(rows, members, spread=False).means(),
                       _lockstep_welford(rows, members).means())
 
 
@@ -285,6 +381,38 @@ def test_counting_step_matches_masked_update(case):
     assert _same_bits(acc.means(), ref.means())
     assert _same_bits(acc.m2, ref.m2)
     assert _same_bits(acc.stderrs(), ref.stderrs())
+
+
+@st.composite
+def _member_stacks(draw):
+    # K members of one slot shape, NaNs included; the flagged members
+    # repeat member 0, so some slots see identical members
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=4))
+    k = draw(st.integers(1, 6))
+    members = draw(hnp.arrays(float, (k,) + shape, elements=_VALUES))
+    for i, same in enumerate(draw(st.lists(st.booleans(), min_size=k,
+                                           max_size=k))):
+        if same:
+            members[i] = members[0]
+    return members
+
+
+@settings(deadline=None)
+@given(_member_stacks(), st.booleans())
+def test_buffered_accumulator_matches_masked_update(members, spread):
+    shape = members.shape[1:]
+    acc = _Welford(shape, spread)
+    ref = SimpleNamespace(n=np.zeros(shape, np.int64), mean=np.zeros(shape),
+                          m2=np.zeros(shape))
+    for member in members:
+        acc.add(member)
+        masked_welford_add(ref, member)
+    assert _same_bits(acc.counts(), ref.n)
+    assert _same_bits(acc.mean, ref.mean)
+    if spread:
+        assert _same_bits(acc.m2, ref.m2)
+    else:
+        assert acc.m2 is None
 
 
 # ---------------------------------------------------------------- bootstrap
@@ -369,3 +497,18 @@ def test_resampled_means_follow_group_average_order():
     means = resampled_means(trajs, indices)
     for row, got in zip(indices, means):
         assert _same_bits(got, group_average([trajs[i] for i in row]).mean)
+
+
+def test_resampled_means_over_fit_columns_match_full_width():
+    rng = np.random.default_rng(13)
+    trajs = _trajectories([_decay(rng, 1.5, 0.7, noise=0.2) for _ in range(6)])
+    indices = rng.integers(0, 6, size=(40, 6))
+    t = trajs[0].t
+    columns = np.flatnonzero((t >= 5) & (t <= 60))
+    full = resampled_means(trajs, indices)
+    assert _same_bits(resampled_means(trajs, indices, columns),
+                      np.ascontiguousarray(full[:, columns]))
+    for seed in (0, 1):
+        assert (bootstrap_alpha_stderr(trajs, (5, 60), n_resamples=30,
+                                       seed=seed)
+                == _reference_bootstrap(trajs, (5, 60), 30, seed))

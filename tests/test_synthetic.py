@@ -13,7 +13,6 @@ from haltstudy import (
     MeasureRelaxation,
     OverlapViolation,
     PlantedEvent,
-    RecoveryReport,
     SyntheticSpec,
     TradingCalendar,
     build_group_spec,
@@ -23,9 +22,8 @@ from haltstudy import (
     make_calendar,
     parse_bar_file,
     parse_halt_file,
-    recovery_study,
 )
-from haltstudy.synthetic import RecoveryRow
+from recovery import RecoveryReport, RecoveryRow, recovery_study
 
 INTRA_POS = DEFAULT_RELAXATIONS[(HaltType.INTRADAY, EventSign.POSITIVE)]
 ALL_SIX = {key: 1 for key in DEFAULT_RELAXATIONS}
