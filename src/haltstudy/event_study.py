@@ -135,6 +135,10 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
     Each update gathers column k for every block at once into one
     buffer and adds it, giving a ``(..., B, W)`` accumulator. ``rows``
     is made contiguous once, since a gather would copy it every step.
+    Callers pass only positions inside ``rows``: the gather's
+    ``mode="clip"`` exists to let it write straight into the buffer
+    (the default mode buffers ``out``), and would clamp a bad position
+    silently.
     """
     rows = np.ascontiguousarray(rows)
     shape = rows.shape[:-2] + (members.shape[0], rows.shape[-1])
@@ -467,6 +471,9 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     rank = np.array([first.setdefault(tr.event.record.sort_key(), i)
                      for i, tr in enumerate(trajs)])
     indices = np.asarray(indices)
+    if indices.size and not (0 <= indices.min() and
+                             indices.max() < len(trajs)):
+        raise ValueError(f"resample indices outside [0, {len(trajs)})")
     order = np.argsort(rank[indices], axis=1, kind="stable")
     members = np.take_along_axis(indices, order, axis=1)
     rows = np.stack([tr.values for tr in trajs])

@@ -295,6 +295,13 @@ class _RowFit:
             int(self.t.size), self.n_iterations)
 
 
+def _fit_columns(t: np.ndarray, fit_range: tuple[int, int]) -> np.ndarray:
+    """Positions of ``t`` inside ``fit_range``, once FitConfig accepts it."""
+    lo, hi = FitConfig(fit_range).fit_range
+    t = np.asarray(t, float)
+    return np.flatnonzero((t >= lo) & (t <= hi))
+
+
 def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
               ) -> list[_RowFit | DegenerateData | NonConvergence]:
     """Fit each row of ``values`` (rows x len(t)) on the points in
@@ -304,10 +311,10 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
     each pattern is fitted as one block on its own points, so no row is
     ever padded.
     """
-    lo, hi = FitConfig(fit_range).fit_range     # FitConfig's range check
-    t = np.asarray(t, float)
-    in_range = (t >= lo) & (t <= hi)
-    t, values = t[in_range], np.asarray(values, float)[:, in_range]
+    columns = _fit_columns(t, fit_range)
+    lo, hi = fit_range
+    t = np.asarray(t, float)[columns]
+    values = np.asarray(values, float)[:, columns]
     missing = np.isnan(values)
     patterns: dict[bytes, list[int]] = {}
     for i, row in enumerate(missing):
@@ -385,8 +392,7 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
         raise ValueError("n_resamples must be positive")
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
-    lo, hi = FitConfig(fit_range).fit_range
-    columns = np.flatnonzero((trajs[0].t >= lo) & (trajs[0].t <= hi))
+    columns = _fit_columns(trajs[0].t, fit_range)
     excess = resampled_means(trajs, indices, columns) - 1.0
     count = 0
     mean = 0.0

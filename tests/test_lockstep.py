@@ -499,6 +499,15 @@ def test_resampled_means_follow_group_average_order():
         assert _same_bits(got, group_average([trajs[i] for i in row]).mean)
 
 
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_resampled_means_reject_positions_outside_the_group(bad):
+    # the gather clamps silently, so positions are checked up front
+    rng = np.random.default_rng(3)
+    trajs = _trajectories([_decay(rng, 1.0, 0.6) for _ in range(4)])
+    with pytest.raises(ValueError, match="outside"):
+        resampled_means(trajs, np.array([[0, 1, 2, 3], [bad, 0, 1, 2]]))
+
+
 def test_resampled_means_over_fit_columns_match_full_width():
     rng = np.random.default_rng(13)
     trajs = _trajectories([_decay(rng, 1.5, 0.7, noise=0.2) for _ in range(6)])
