@@ -245,9 +245,12 @@ def _gauss_newton_block(t: np.ndarray, z: np.ndarray, amplitude: np.ndarray,
             positive = trial_a > 0
             idx, trial_a = idx[positive], trial_a[positive]
             trial_alpha = al[idx] + lam * delta[idx, 1]
-            trial_decay = np.power(t, -trial_alpha[:, None])
-            trial_resid = z[rows[idx]] - trial_a[:, None] * trial_decay
-            trial_sse = _row_dots(trial_resid)
+            # an overshooting step can overflow t**-alpha or its SSE; the
+            # SSE is then inf, so the test below rejects that trial
+            with np.errstate(over="ignore"):
+                trial_decay = np.power(t, -trial_alpha[:, None])
+                trial_resid = z[rows[idx]] - trial_a[:, None] * trial_decay
+                trial_sse = _row_dots(trial_resid)
             better = trial_sse <= sse[rows[idx]]
             idx = idx[better]
             won = rows[idx]

@@ -23,6 +23,7 @@ from haltstudy import (
     parse_bar_file,
     write_bar_csv,
 )
+from haltstudy import market_data
 from haltstudy.market_data import BAR_CSV_HEADER
 from helpers import add_stock, location, random_walk_stock
 from oracles import forward_filled_prices
@@ -180,6 +181,44 @@ def test_parse_rejects_oversized_field_with_line_number():
     text = _row("600000,2010-03-01,1,10.0,500,,") + "A" * 200_000 + ",x\n"
     with pytest.raises(MalformedRow, match="^line 3: field larger than field limit"):
         parse_bar_file(io.StringIO(text), MARCH)
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    # the stream decodes 8 KiB at a time, and the chunk holding the bad
+    # byte is read while csv asks for line 198: lines 2-197 are stored
+    (None, "line 198: 'utf-8' codec can't decode byte 0xff"),
+    # a bad row handed over before that read is reported first
+    (195, "line 195: bad minute 'x'"),
+])
+def test_parse_text_stream_decode_error_reports_the_next_line(bad_row,
+                                                              message):
+    lines = [f"600000,2010-03-01,{m},10.0,500,9.99,10.01" for m in range(1, 201)]
+    if bad_row is not None:
+        lines[bad_row - 2] = "600000,2010-03-01,x,10.0,500,,"
+    data = _row("\n".join(lines)).encode() + b"600000,2010-03-02,1,1\xff.0,500,,\n"
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    with pytest.raises(MalformedRow, match=f"^{message}"):
+        parse_bar_file(stream, MARCH)
+
+
+@pytest.mark.parametrize("last", [
+    "B,2010-03-01,1,10.0,500,,",        # a duplicate inside the block
+    "A,2010-03-01,2,10.0,500,,",        # a bar stored by an earlier block
+    "B,2010-03-01,3,10.0,500,,x",       # an unparseable field
+    'B,2010-03-01,3,10.0,500,,""',      # a quote: not a plain line
+])
+def test_declined_block_stores_nothing(last):
+    days, columns = {}, {}
+    assert market_data._store_block(["A,2010-03-01,2,10.0,500,9.9,10.1\n"],
+                                    MARCH, days, columns)
+    before = {s: (v.copy(), p.copy()) for s, (v, p) in columns.items()}
+    block = ["C,2010-03-02,1,10.0,500,,\n", "A,2010-03-02,5,10.0,500,,\n",
+             "B,2010-03-01,1,10.0,500,,\n", last + "\n"]
+    assert not market_data._store_block(block, MARCH, days, columns)
+    assert columns.keys() == before.keys() == {"A"}
+    values, present = columns["A"]
+    assert np.array_equal(values, before["A"][0], equal_nan=True)
+    assert np.array_equal(present, before["A"][1])
 
 
 def test_parse_rejects_bad_header_and_duplicates():

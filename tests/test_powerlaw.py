@@ -144,6 +144,22 @@ def test_constant_series_fits_zero_exponent():
     assert fit.r2_positive == 1.0       # no variance left to explain
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("low, want", [
+    (-0.1, (1.0501254341298227e-07, 8.312837945707235, 13)),   # power
+    (-0.2, (3.6145703142064225e-09, 3.459259631133243, 18)),   # SSE
+])
+def test_overflowing_trial_steps_are_rejected_quietly(low, want):
+    # one positive point among negative ones: early Gauss-Newton steps
+    # overshoot alpha so far that t**-alpha or the trial SSE overflows;
+    # those trials are rejected without a warning, and the fit ends
+    # where it ended when numpy printed them
+    z = np.array([low, 0.01, -0.2, -0.2, low, low, low, low])
+    fit = fit_power_law_points(np.arange(1.0, 9.0), z, fit_range=(1, 8))
+    assert (fit.amplitude, fit.alpha, fit.n_iterations) == pytest.approx(
+        want, rel=1e-12)
+
+
 def test_degenerate_inputs():
     with pytest.raises(DegenerateData):
         fit_power_law_points(T160, -np.ones(160))       # nothing positive

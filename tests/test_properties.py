@@ -3,8 +3,10 @@ ignore member order and reproduce identical members exactly."""
 
 import io
 from datetime import date
+from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from haltstudy import (
     parse_halt_file,
     write_bar_csv,
 )
+from haltstudy import market_data
 from haltstudy.events import HALT_CSV_HEADER
 from haltstudy.market_data import BAR_CSV_HEADER
 from helpers import add_stock, halt_event
@@ -66,6 +69,88 @@ def test_halt_parser_accepts_or_raises_its_own_errors(body):
         parse_halt_file(_stream(HALT_CSV_HEADER, body), CAL)
     except HaltStudyError:
         pass
+
+
+_GOOD_LINES = st.builds(
+    lambda *fields: ",".join(fields),
+    st.sampled_from(["A", "B", " A", "B ", "A\x00"]),
+    st.sampled_from(["2010-03-01", "2010-03-02", " 2010-03-02"]),
+    st.integers(1, 240).map(str) | st.integers(1, 240).map(" {} ".format),
+    st.sampled_from(["10.0", "9.5", "1e-3", " 10.25 ", "1_000"]),
+    st.sampled_from(["500", "0", "-0.0", "1_000", "2.5"]),
+    st.sampled_from(["", " ", "\t", "9.9", "10.0"]),
+    st.sampled_from(["", " ", "10.0", "10.1"]))
+_DEFECTS = [
+    # the rows test_parse_rejects_malformed_rows rejects
+    "600000,2010-03-01,1,10.0,500", "600000,2010-03-01,1,10.0,500,9.99,10.01,9",
+    ",2010-03-01,1,10.0,500,,", "600000,2010-13-01,1,10.0,500,,",
+    "600000,2010-03-01,zero,10.0,500,,", "600000,2010-03-01,0,10.0,500,,",
+    "600000,2010-03-01,241,10.0,500,,", "600000,2010-03-01,1,ten,500,,",
+    "600000,2010-03-01,1,inf,500,,", "600000,2010-03-01,1,10.0,-5,,",
+    "600000,2010-03-01,1,0.0,500,,", "600000,2010-03-01,1,-1.0,500,,",
+    "600000,2010-03-01,1,10.0,500,10.02,10.01", "600000,2010-03-08,1,10.0,500,,",
+    # quotes and carriage returns, which only csv splits right; a blank
+    # line; lone surrogates, a field over csv's limit, non-finite
+    # numbers and a minute too large for int64
+    '"A,B",2010-03-01,3,10.0,500,,', '"A""q",2010-03-01,4,10.0,500,"",',
+    "", "A,2010-03-01,5,10.0,500,\udcff,", "\udcffB,2010-03-01,5,10.0,500,,",
+    "A" * 200_000 + ",2010-03-01,6,10.0,500,,", "A,2010-03-01,7,nan,1,,",
+    "A,2010-03-01,7,10.0,1,inf,", "A,2010-03-01,99999999999999999999,1,1,,",
+    "A,2010-03-01,8,10.0,500,,\r", "A,2010-03-01,8,10.0,500,\r,",
+]
+
+
+def _bar_stream(lines: list[str], end: str, as_bytes: bool):
+    text = "".join(line + end for line in [",".join(BAR_CSV_HEADER), *lines])
+    if as_bytes:
+        return io.BytesIO(text.encode("utf-8", "surrogateescape"))
+    return io.StringIO(text)
+
+
+def _outcome(stream):
+    stream.seek(0)
+    try:
+        panel = parse_bar_file(stream, CAL)
+    except HaltStudyError as exc:
+        return type(exc), str(exc)
+    return {s: [a.tobytes() for a in (panel.prices(s), panel.volumes(s),
+                                      panel.bids(s), panel.asks(s),
+                                      panel.present_mask(s))]
+            for s in panel.stock_ids}
+
+
+def _assert_blocks_match_row_loop(stream):
+    # declining every block leaves the whole file to the row loop; a
+    # block of 64 characters holds a line or two, so runs of one stock
+    # and duplicate bars straddle blocks
+    with patch.object(market_data, "_store_block", lambda *args: False):
+        want = _outcome(stream)
+    assert _outcome(stream) == want
+    with patch.object(market_data, "_BLOCK_CHARS", 64):
+        assert _outcome(stream) == want
+
+
+@st.composite
+def _bar_files(draw):
+    lines = draw(st.lists(_GOOD_LINES, max_size=30))
+    for bad in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"]))
+    return _bar_stream(lines, end, draw(st.booleans()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_bar_files())
+def test_block_reads_match_the_row_loop(stream):
+    _assert_blocks_match_row_loop(stream)
+
+
+@pytest.mark.parametrize("as_bytes", [False, True])
+@pytest.mark.parametrize("defect", _DEFECTS, ids=lambda line: line[:30])
+def test_block_reads_match_the_row_loop_on_each_defect(defect, as_bytes):
+    good = [f"G,2010-03-02,{m},10.0,500,9.9,10.0" for m in range(1, 9)]
+    _assert_blocks_match_row_loop(
+        _bar_stream(good[:4] + [defect] + good[4:], "\n", as_bytes))
 
 
 # ---------------------------------------------------------------- panels
