@@ -57,7 +57,9 @@ class TradingCalendar:
         """Load a calendar file: one YYYY-MM-DD per line, sorted."""
         days = []
         text = Path(path).read_text(encoding="utf-8", errors="surrogateescape")
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        # read_text turns every line end into \n; splitlines() would also
+        # break at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -109,9 +111,18 @@ class _StockData:
         self.first, self.last = (int(idx[0]), int(idx[-1])) if idx.size else (-1, -1)
 
     def equals(self, other: "_StockData") -> bool:
-        return all(np.array_equal(getattr(self, name), getattr(other, name),
-                                  equal_nan=name in _FLOAT_ARRAYS)
-                   for name in _ARRAYS)
+        """Same arrays: floats by value with NaN equal to NaN, and zeros
+        by their sign, so -0.0 and 0.0 differ."""
+        if not np.array_equal(self.present, other.present):
+            return False
+        for name in _FLOAT_ARRAYS:
+            a, b = getattr(self, name), getattr(other, name)
+            if not np.array_equal(a, b, equal_nan=True):
+                return False
+            zero = a == 0
+            if not np.array_equal(np.signbit(a[zero]), np.signbit(b[zero])):
+                return False
+        return True
 
 
 class Panel:

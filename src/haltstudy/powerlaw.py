@@ -29,7 +29,9 @@ row sees the same floating-point operations:
 * rows are grouped by their pattern of missing points and each pattern
   is fitted on its own points, never padded;
 * the log-log starting points come from one function per block that
-  takes ``np.polyfit``'s own steps for each row, without its wrapper.
+  takes ``np.polyfit``'s own steps: rows with equal counts of positive
+  points share one call of the LAPACK gufunc behind ``np.linalg.lstsq``,
+  which runs the same ``dgelsd`` per row as a call with that row alone.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegenerateData, EmptyGroup, NonConvergence
 from .event_study import (
@@ -56,6 +59,10 @@ STEP_ATOL = 1e-8
 
 FLAG_OK = "ok"
 FLAG_NO_POWER_LAW = "no_power_law"
+
+# the stacked least-squares gufunc that np.linalg.lstsq calls; bound here
+# so that a numpy without it fails at import, not in the middle of a run
+_lstsq = _umath_linalg.lstsq
 
 
 @dataclass(frozen=True)
@@ -136,6 +143,10 @@ def make_excess(avg: GroupAverage) -> ExcessSeries:
                         avg.mean[keep] - 1.0, avg)
 
 
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _initial_guesses(t: np.ndarray,
                      z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Starting (amplitude, alpha) per row of ``z`` (rows x len(t)), each
@@ -143,31 +154,55 @@ def _initial_guesses(t: np.ndarray,
     positive points, crude but close enough for the damped iteration to
     take over.
 
-    The regression takes ``np.polyfit(deg=1)``'s own steps without its
-    wrapper: the [x, 1] Vandermonde, scaled to unit column norms, solved
-    by ``lstsq`` with rcond len(x) * eps and unscaled, so each row gets
-    polyfit's bits. Rows with fewer than two distinct positive t, or a
-    non-finite or non-positive amplitude, start at (max z, 0.5).
+    The regression takes ``np.polyfit(deg=1)``'s own steps: the [x, 1]
+    Vandermonde, scaled to unit column norms, solved by least squares
+    with rcond len(x) * eps and unscaled. Rows are ordered by their count
+    m of positive points (stable, so equal counts keep row order), and
+    each count's rows go to ``np.linalg.lstsq``'s own gufunc as one
+    (rows, m, 2) stack, with the wrapper's signature and errstate. Its
+    inner loop runs the same ``dgelsd`` call, after the same workspace
+    query for an m x 2 system, on each stacked row as on a row passed
+    alone, so each row gets polyfit's bits. Rows with fewer than two
+    distinct positive t, or a non-finite or non-positive amplitude,
+    start at (max z, 0.5).
     """
     pos = z > 0
     amplitude = np.where(pos, z, -np.inf).max(axis=1)
     alpha = np.full(len(z), 0.5)
     spread = (np.where(pos, t, np.inf).min(axis=1)
               < np.where(pos, t, -np.inf).max(axis=1))
+    rows = np.flatnonzero(spread)
+    counts = pos[rows].sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    rows, counts = rows[order], counts[order]
+    keep = pos[rows]
+    # every row's positive points, row after row, so each count's rows
+    # hold one contiguous run of points
+    x = np.log(np.broadcast_to(t, keep.shape)[keep])
+    y = np.log(z[rows][keep])
+    starts = np.cumsum(counts) - counts
+    coef = np.empty((rows.size, 2))
     eps = np.finfo(float).eps
-    for i in np.flatnonzero(spread):
-        x = np.log(t[pos[i]])
-        lhs = np.empty((x.size, 2))
-        lhs[:, 0] = x
-        lhs[:, 1] = 1.0
-        scale = np.sqrt((lhs * lhs).sum(axis=0))
-        lhs /= scale
-        slope, intercept = np.linalg.lstsq(
-            lhs, np.log(z[i, pos[i]]), x.size * eps)[0] / scale
-        a = float(np.exp(intercept))
-        al = float(-slope)
-        if math.isfinite(a) and a > 0 and math.isfinite(al):
-            amplitude[i], alpha[i] = a, al
+    sizes, firsts, n_rows = np.unique(counts, return_index=True,
+                                      return_counts=True)
+    for m, lo, k in zip(sizes.tolist(), firsts.tolist(), n_rows.tolist()):
+        first = int(starts[lo])
+        points = slice(first, first + k * m)
+        lhs = np.empty((k, m, 2))
+        lhs[:, :, 0] = x[points].reshape(k, m)
+        lhs[:, :, 1] = 1.0
+        scale = np.sqrt((lhs * lhs).sum(axis=1))
+        lhs /= scale[:, None, :]
+        with np.errstate(call=_raise_lstsq_error, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            solution = _lstsq(lhs, y[points].reshape(k, m, 1), m * eps,
+                              signature="ddd->ddid")[0]
+        coef[lo:lo + k] = solution[:, :, 0] / scale
+    a = np.exp(coef[:, 1])
+    al = -coef[:, 0]
+    ok = np.isfinite(a) & (a > 0) & np.isfinite(al)
+    amplitude[rows[ok]] = a[ok]
+    alpha[rows[ok]] = al[ok]
     return amplitude, alpha
 
 

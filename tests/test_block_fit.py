@@ -124,6 +124,58 @@ def test_block_start_falls_back_where_polyfit_cannot_start():
     assert (amplitude[0], alpha[0]) == (steep.max(), 0.5)
 
 
+def test_block_start_returns_every_count_in_row_order():
+    # two rows per count of positive points, 2 to len(t), shuffled: the
+    # stacked regression orders rows by count and must put them back
+    rng = np.random.default_rng(23)
+    counts = np.repeat(np.arange(2, T160.size + 1), 2)
+    block = -np.abs(_noisy_block(rng, counts.size))
+    for row, count in zip(block, counts):
+        keep = rng.permutation(T160.size)[:count]
+        row[keep] = rng.uniform(0.01, 3.0, count)
+    block = block[rng.permutation(counts.size)]
+    _assert_starts_match_oracle(T160, block)
+
+
+def test_block_start_where_every_row_falls_back():
+    steep_t = np.arange(100.0, 141.0)
+    block = np.vstack([np.exp(750.0 - 300.0 * np.log(steep_t)),
+                       np.exp(760.0 - 310.0 * np.log(steep_t)),
+                       np.where(steep_t == 120.0, 0.25, -1.0)])
+    with np.errstate(over="ignore"):
+        _assert_starts_match_oracle(steep_t, block)
+        amplitude, alpha = _initial_guesses(steep_t, block)
+    assert amplitude.tobytes() == block.max(axis=1).tobytes()
+    assert alpha.tolist() == [0.5, 0.5, 0.5]
+
+
+def test_block_start_with_no_row_to_regress():
+    t = np.array([1.0, 1.0, 2.0, 3.0])
+    block = np.array([[0.3, 0.7, -1.0, -1.0], [-1.0, -1.0, 0.4, 0.0],
+                      [-0.5, -0.5, -0.5, 2.0]])
+    _assert_starts_match_oracle(t, block)
+    amplitude, alpha = _initial_guesses(t, block)
+    assert amplitude.tolist() == [0.7, 0.4, 2.0]
+    assert alpha.tolist() == [0.5, 0.5, 0.5]
+    amplitude, alpha = _initial_guesses(t, block[:0])
+    assert amplitude.shape == alpha.shape == (0,)
+
+
+def test_stacked_lstsq_is_the_lstsq_wrapper_one_row_at_a_time():
+    # pins the private gufunc the starts call against the public wrapper
+    rng = np.random.default_rng(31)
+    lhs = np.column_stack((np.log(rng.uniform(1.0, 160.0, 37)), np.ones(37)))
+    lhs /= np.sqrt((lhs * lhs).sum(axis=0))
+    rhs = rng.normal(0.0, 1.0, 37)
+    rcond = 37 * np.finfo(float).eps
+    want, _, want_rank, want_sv = np.linalg.lstsq(lhs, rhs, rcond)
+    got, _, rank, sv = powerlaw._lstsq(lhs[None], rhs[None, :, None], rcond,
+                                       signature="ddd->ddid")
+    assert got[0, :, 0].tobytes() == want.tobytes()
+    assert rank[0] == want_rank
+    assert sv[0].tobytes() == want_sv.tobytes()
+
+
 def test_rows_at_the_iteration_cap_fail_alone(monkeypatch):
     monkeypatch.setattr(powerlaw, "MAX_ITERATIONS", 6)
     rng = np.random.default_rng(0)

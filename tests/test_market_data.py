@@ -85,6 +85,16 @@ def test_calendar_from_file(tmp_path):
         TradingCalendar.from_file(bad)
 
 
+def test_calendar_file_breaks_lines_only_at_line_ends(tmp_path):
+    # a form feed is not a line end: the first line is one bad date
+    path = tmp_path / "days.txt"
+    path.write_text("2010-03-01\x0c2010-03-02\nbad\n")
+    with pytest.raises(MalformedRow, match=r"days\.txt:1: bad date"):
+        TradingCalendar.from_file(path)
+    path.write_bytes(b"2010-03-01\r\n2010-03-02\r2010-03-03\n")
+    assert TradingCalendar.from_file(path) == MARCH
+
+
 # ---------------------------------------------------------------- bars
 
 
@@ -443,3 +453,13 @@ def test_panel_equality_notices_any_difference():
     assert build(10.0) != build(10.5)
     assert build(10.0) != PanelBuilder(MARCH).build()
     assert Panel.__eq__(build(10.0), object()) is NotImplemented
+
+
+def test_panel_equality_tells_signed_zeros_apart():
+    def build(volume):
+        return _bars(f"A,2010-03-01,1,10.0,{volume},,")
+
+    assert build("-0.0").volumes("A")[0].tobytes() == np.float64(-0.0).tobytes()
+    assert build("-0.0") == build("-0.0")
+    assert build("-0.0") != build("0")
+    assert build("0.0") == build("0")
