@@ -67,7 +67,6 @@ from .event_study import (
 )
 from .powerlaw import (
     BootstrapResult,
-    ExcessSeries,
     FitConfig,
     GroupFitRow,
     PowerLawFit,

@@ -169,7 +169,8 @@ def parse_config_file(path: Path) -> dict:
     """
     values = {}
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at \n only, as in TradingCalendar.from_file (see there)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -22,11 +22,11 @@ and one-at-a-time results are bitwise equal. One accumulator serves
 every pass: its buffers are allocated once per pass and each update is
 written into them in place. A chunk gathers consecutive stocks' used
 lookback days into one buffer capped in bytes, so one-event stocks
-share their mean steps; a stock whose days alone exceed the cap is
-averaged from its own series. The two passes that need only means,
-the baselines and the bootstrap resamples, run without the spread
-buffer; group averages and cumulative-return curves also carry the
-running spread for their standard errors.
+share their mean steps; a stock whose days alone exceed the cap is a
+chunk of its own, in the buffer grown to fit it. The two passes that
+need only means, the baselines and the bootstrap resamples, run
+without the spread buffer; group averages and cumulative-return curves
+also carry the running spread for their standard errors.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .events import (
     HaltEvent,
     HaltRecord,
     HaltType,
+    _active_days,
     group_name,
 )
 from .market_data import MINUTES_PER_DAY, Panel
@@ -213,21 +214,16 @@ def measure_series(panel: Panel, stock_id: str,
     return np.where(panel.present_mask(stock_id), values, np.nan)
 
 
-def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
-    # calendar days on which the stock has at least one bar
-    return np.flatnonzero(panel.present_mask(stock_id).reshape(
-        panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1))
-
-
 def _lookback_days(panel: Panel, active: np.ndarray, rec: HaltRecord,
                    lookback: int) -> np.ndarray:
     # the ``lookback`` most recent active days before the halt day
-    active = active[active < panel.calendar.day_index(rec.halt_day)]
-    if active.size < lookback:
+    day = panel.calendar.day_index(rec.halt_day)
+    prior = int(np.searchsorted(active, day))
+    if prior < lookback:
         raise InsufficientHistory(
-            f"{rec.stock_id}: {active.size} active days before "
+            f"{rec.stock_id}: {prior} active days before "
             f"{rec.halt_day}, need {lookback}")
-    return active[-lookback:]
+    return active[prior - lookback:prior]
 
 
 def _event_minutes(panel: Panel, rec: HaltRecord, pre_window: int,
@@ -268,7 +264,7 @@ def _deseasonalize_block(raw: np.ndarray,
 
 
 # byte cap of the buffer that one chunk of stocks copies its lookback
-# days into; a stock whose days alone exceed it averages in place
+# days into; a stock whose days alone exceed it grows the buffer to fit
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -294,9 +290,9 @@ def extract_stock_trajectories(
     at most ``_CHUNK_BYTES``, and the baselines of all their events and
     measures are averaged in lockstep, one lookback day at a time, each
     bitwise equal to a lone per-event average; a stock whose days alone
-    exceed the buffer is averaged from its own series. Work runs in
-    sorted (stock_id, halt begin) order, then measure order; the first
-    failing (event, measure) in that order raises.
+    exceed the cap is a chunk of its own, in the buffer grown to fit
+    it. Work runs in sorted (stock_id, halt begin) order, then measure
+    order; the first failing (event, measure) in that order raises.
     """
     if lookback < 1:
         raise ValueError("lookback must be positive")
@@ -337,10 +333,11 @@ class _BaselineChunk:
     """Stocks whose baselines are averaged in one lockstep pass.
 
     :meth:`add` copies a stock's used lookback days (every measure) into
-    one buffer of ``_CHUNK_BYTES``, allocated when the first stock fits
-    in it; :meth:`flush` averages every pending event's baseline from
-    it, deseasonalizes the events in stock order and stores their
-    trajectories in ``out``.
+    one buffer of ``_CHUNK_BYTES``, allocated for the first stock and
+    grown for a stock whose days alone exceed it, which then stays a
+    chunk of its own; :meth:`flush` averages every pending event's
+    baseline from it, deseasonalizes the events in stock order and
+    stores their trajectories in ``out``.
     """
 
     def __init__(self, panel: Panel, events: Sequence[HaltEvent],
@@ -348,7 +345,7 @@ class _BaselineChunk:
         self.panel, self.events, self.measures = panel, events, measures
         self.t, self.out = t, out
         self.capacity = _CHUNK_BYTES // (len(measures) * MINUTES_PER_DAY * 8)
-        self.rows: np.ndarray | None = None
+        self.rows = np.empty((len(measures), 0, MINUTES_PER_DAY))
         self.used = 0
         # per stock: event positions, raw values, minutes, member rows
         self.pending: list = []
@@ -356,20 +353,17 @@ class _BaselineChunk:
     def add(self, stock_id: str, positions: list[int], days: np.ndarray,
             minutes: np.ndarray) -> None:
         panel, n_days = self.panel, self.panel.calendar.n_days
+        # distinct days, sorted; np.unique's first call imports numpy.ma
         used = np.zeros(n_days, dtype=bool)
         used[days] = True
         used = np.flatnonzero(used)
         if self.used + used.size > self.capacity:
             self.flush()
-        if used.size > self.capacity:
-            series = np.stack([measure_series(panel, stock_id, m)
-                               for m in self.measures])
-            self.pending.append((positions, series[:, minutes], minutes, days))
-            self._average(series.reshape(len(self.measures), n_days,
-                                         MINUTES_PER_DAY))
-            return
-        if self.rows is None:
-            self.rows = np.empty((len(self.measures), self.capacity,
+        # a stock past the cap grows the buffer; it fills the buffer past
+        # the cap, so the next add flushes it as a chunk of its own
+        if self.rows.shape[1] < used.size:
+            self.rows = np.empty((len(self.measures),
+                                  max(self.capacity, used.size),
                                   MINUTES_PER_DAY))
         block = self.rows[:, self.used:self.used + used.size]
         raw = np.empty((len(self.measures),) + minutes.shape)
@@ -384,12 +378,10 @@ class _BaselineChunk:
 
     def flush(self) -> None:
         # rows past ``used`` are stale, but no member points at them
-        if self.pending:
-            self._average(self.rows)
-
-    def _average(self, rows: np.ndarray) -> None:
+        if not self.pending:
+            return
         members = np.concatenate([p[3] for p in self.pending])
-        pattern = _lockstep_welford(rows, members, spread=False).means()
+        pattern = _lockstep_welford(self.rows, members, spread=False).means()
         first = 0
         for positions, raw, minutes, _ in self.pending:
             slots = np.arange(first, first + len(positions))[:, None]

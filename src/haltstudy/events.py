@@ -233,12 +233,11 @@ def _has_coverage(panel: Panel, record: HaltRecord,
     return first <= g_pre - config.history_minutes and g_pre <= last
 
 
-def _real_bars(panel: Panel, stock_id: str) -> tuple[np.ndarray, np.ndarray]:
-    # real-bar mask, and per calendar day the number of earlier days on
-    # which the stock has a real bar
-    real = panel.present_mask(stock_id)
-    per_day = real.reshape(panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1)
-    return real, np.concatenate(([0], np.cumsum(per_day)))
+def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
+    """Calendar days on which the stock has at least one bar: its history
+    for the lookback check here and for the baselines of event_study."""
+    return np.flatnonzero(panel.present_mask(stock_id).reshape(
+        panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1))
 
 
 def _worst_gap_fraction(real: np.ndarray, calendar: TradingCalendar,
@@ -260,8 +259,8 @@ def _worst_gap_fraction(real: np.ndarray, calendar: TradingCalendar,
 
 def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
                       successive: list[bool], config: EligibilityConfig,
-                      real_bars: tuple[np.ndarray, np.ndarray] | None,
-                      ) -> RejectionReason | None:
+                      active: np.ndarray | None) -> RejectionReason | None:
+    # ``active`` holds the stock's active days, None when it has no bars
     cal = panel.calendar
     if successive[index]:
         return RejectionReason.SUCCESSIVE
@@ -270,13 +269,14 @@ def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
     if cal.day_index(record.resume_day) - cal.day_index(record.halt_day) \
             > config.max_halt_days:
         return RejectionReason.TOO_LONG
-    if real_bars is not None and real_bars[0][
-            record.global_begin(cal):record.global_resume(cal)].any():
-        return RejectionReason.BARS_IN_HALT
-    if not _has_coverage(panel, record, config):
+    if active is None:
         return RejectionReason.INSUFFICIENT_HISTORY
-    real, prior_days = real_bars
-    if prior_days[cal.day_index(record.halt_day)] < config.lookback_days:
+    real = panel.present_mask(record.stock_id)
+    if real[record.global_begin(cal):record.global_resume(cal)].any():
+        return RejectionReason.BARS_IN_HALT
+    if (not _has_coverage(panel, record, config)
+            or np.searchsorted(active, cal.day_index(record.halt_day))
+            < config.lookback_days):
         return RejectionReason.INSUFFICIENT_HISTORY
     last = panel.coverage(record.stock_id)[1]
     if last < record.global_resume(cal) + config.post_window:
@@ -315,7 +315,7 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
             for j in indices:
                 if j != i and lo <= begins[j] <= hi:
                     successive[i] = successive[j] = True
-    real_bars = {s: _real_bars(panel, s) for s in by_stock if s in panel}
+    active = {s: _active_days(panel, s) for s in by_stock if s in panel}
     events = []
     for i, rec in enumerate(ordered):
         halt_type = classify_halt_type(rec, cal)
@@ -323,7 +323,7 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
         if _has_coverage(panel, rec, config):
             sign = classify_sign(panel, rec, config.trend_window)
         reason = _rejection_reason(panel, rec, i, successive, config,
-                                   real_bars.get(rec.stock_id))
+                                   active.get(rec.stock_id))
         events.append(HaltEvent(rec, halt_type, sign, reason))
     return events
 

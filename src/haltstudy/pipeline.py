@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
@@ -53,7 +53,6 @@ from .event_study import (
 )
 from .market_data import Panel, _float_texts
 from .powerlaw import (
-    ExcessSeries,
     FitConfig,
     GroupFitRow,
     PowerLawFit,
@@ -118,7 +117,7 @@ class AnalysisResult:
     averages: tuple[GroupAverage, ...] = ()
     curves: tuple[CumulativeReturnCurve, ...] = ()
     reversals: Mapping[str, Mapping[int, float]] = field(default_factory=dict)
-    excess: tuple[ExcessSeries, ...] = ()
+    excess: tuple[GroupAverage, ...] = ()
     fit_rows: tuple[GroupFitRow, ...] = ()
 
     @property
@@ -226,15 +225,9 @@ def run_analysis(panel: Panel, records: Sequence[HaltRecord],
                           fit_groups(cells, config))
 
 
-def _excess_average(series: ExcessSeries) -> GroupAverage:
-    # the excess in the averages layout, with its source's stderr and n
-    keep = np.isin(series.source.t, series.t)
-    return replace(series.source, t=series.t, mean=series.values,
-                   stderr=series.source.stderr[keep], n=series.source.n[keep])
-
-
-def _null_if_nan(x: float | None) -> float | None:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
+def _json_float(x: float | None) -> float | None:
+    # JSON has no NaN or infinity: a non-finite float is written null
+    if x is None or not math.isfinite(x):
         return None
     return float(x)
 
@@ -252,13 +245,13 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
             "measure": row.measure.value,
             "halt_type": row.halt_type.value,
             "sign": row.sign.value,
-            "amplitude": _null_if_nan(fit.amplitude) if fit else None,
-            "alpha": _null_if_nan(fit.alpha) if fit else None,
-            "alpha_se_asymptotic": _null_if_nan(fit.alpha_stderr) if fit else None,
+            "amplitude": _json_float(fit.amplitude) if fit else None,
+            "alpha": _json_float(fit.alpha) if fit else None,
+            "alpha_se_asymptotic": _json_float(fit.alpha_stderr) if fit else None,
             "alpha_se_bootstrap":
-                _null_if_nan(fit.bootstrap_alpha_stderr) if fit else None,
-            "sse": _null_if_nan(fit.sse) if fit else None,
-            "r2": _null_if_nan(fit.r2_positive) if fit else None,
+                _json_float(fit.bootstrap_alpha_stderr) if fit else None,
+            "sse": _json_float(fit.sse) if fit else None,
+            "r2": _json_float(fit.r2_positive) if fit else None,
             "converged": fit is not None,   # a fit exists only once converged
             "flag": row.flag,
         })
@@ -275,7 +268,7 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
         "n_events": len(result.events),
         "n_eligible": result.n_eligible,
         "counts": counts,
-        "stability": {g: _null_if_nan(s) for g, s in result.stability.items()},
+        "stability": {g: _json_float(s) for g, s in result.stability.items()},
         "reversals": {g: {str(k): frac for k, frac in per.items()}
                       for g, per in result.reversals.items()},
         "exponents": exponents,
@@ -314,14 +307,14 @@ def write_curve_csv(curves: Iterable[CumulativeReturnCurve],
                       repeat(curve.n))
 
 
-def write_loglog_csv(pairs: Iterable[tuple[ExcessSeries, PowerLawFit | None]],
+def write_loglog_csv(pairs: Iterable[tuple[GroupAverage, PowerLawFit | None]],
                      stream: IO[str]) -> None:
     """Excess values next to fitted values, for log-log plotting."""
     writer = _csv_writer(stream, LOGLOG_CSV_HEADER)
     for series, fit in sorted(pairs, key=lambda p: (p[0].group,
                                                      p[0].measure.value)):
         _write_series(writer, series.group, series.measure.value, series.t,
-                      _float_texts(series.values),
+                      _float_texts(series.mean),
                       repeat("") if fit is None
                       else _float_texts(fit.model(series.t)))
 
@@ -360,8 +353,7 @@ _WRITERS: dict[str, Callable[[AnalysisResult, AnalysisConfig, IO[str]],
     "counts.csv": lambda r, c, fh: write_count_csv(r.counts, fh),
     "curves.csv": lambda r, c, fh: write_curve_csv(r.curves, fh),
     "averages.csv": lambda r, c, fh: write_group_average_csv(r.averages, fh),
-    "excess.csv": lambda r, c, fh: write_group_average_csv(
-        map(_excess_average, r.excess), fh),
+    "excess.csv": lambda r, c, fh: write_group_average_csv(r.excess, fh),
     "loglog.csv": lambda r, c, fh: _write_loglog(r, fh),
     "exponents.csv": lambda r, c, fh: write_exponent_csv(r.fit_rows, fh),
     "summary.json": _write_summary,

@@ -94,22 +94,6 @@ def power_law_jacobian(t: np.ndarray, amplitude: float,
 
 
 @dataclass(frozen=True)
-class ExcessSeries:
-    """Group-average excess over the baseline level, z - 1, on t >= 1."""
-
-    measure: MeasureKind
-    halt_type: HaltType
-    sign: EventSign
-    t: np.ndarray
-    values: np.ndarray
-    source: GroupAverage | None = None
-
-    @property
-    def group(self) -> str:
-        return group_name(self.halt_type, self.sign)
-
-
-@dataclass(frozen=True)
 class PowerLawFit:
     """Result of one damped least-squares fit of A * t**(-alpha)."""
 
@@ -136,11 +120,12 @@ class BootstrapResult:
     n_failed: int
 
 
-def make_excess(avg: GroupAverage) -> ExcessSeries:
-    """Subtract the baseline level 1 pointwise on t >= 1."""
+def make_excess(avg: GroupAverage) -> GroupAverage:
+    """The average's excess over the baseline level 1 on t >= 1: its
+    slice there, with 1 subtracted from the mean, the same stderr and n."""
     keep = avg.t >= 1
-    return ExcessSeries(avg.measure, avg.halt_type, avg.sign, avg.t[keep],
-                        avg.mean[keep] - 1.0, avg)
+    return replace(avg, t=avg.t[keep], mean=avg.mean[keep] - 1.0,
+                   stderr=avg.stderr[keep], n=avg.n[keep])
 
 
 def _raise_lstsq_error(err, flag):
@@ -481,7 +466,7 @@ def fit_all_groups(averages: Iterable[GroupAverage],
         by_axis.setdefault(np.asarray(s.t, float).tobytes(), []).append(i)
     fits: list[PowerLawFit | None] = [None] * len(series)
     for members in by_axis.values():
-        block = np.stack([series[i].values for i in members])
+        block = np.stack([series[i].mean for i in members])
         for i, fit in zip(members, _fit_rows(series[members[0]].t, block,
                                              config.fit_range)):
             if isinstance(fit, _RowFit):

@@ -20,10 +20,11 @@ import numpy as np
 
 from haltstudy import powerlaw
 from haltstudy.errors import DegenerateData, NonConvergence, ZeroBaseline
-from haltstudy.event_study import (EventTrajectory, MeasureKind, _active_days,
+from haltstudy.event_study import (EventTrajectory, MeasureKind,
                                    _deseasonalize_block, _event_minutes,
                                    _lockstep_welford, _lookback_days,
                                    measure_series)
+from haltstudy.events import _active_days
 from haltstudy.market_data import MINUTES_PER_DAY
 from haltstudy.powerlaw import (MIN_FIT_POINTS, SSE_RTOL, STEP_ATOL,
                                 FitConfig, PowerLawFit, power_law_jacobian,

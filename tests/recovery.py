@@ -94,7 +94,7 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
             failure = None
             try:
                 series = make_excess(average)
-                fit = fit_power_law_points(series.t, series.values, fit_range)
+                fit = fit_power_law_points(series.t, series.mean, fit_range)
                 fitted_alpha = fit.alpha
                 fitted_amplitude = fit.amplitude
             except (DegenerateData, NonConvergence) as exc:

@@ -226,7 +226,7 @@ def test_fit_all_groups_blocks_cells_with_different_nan_patterns():
     n_fitted = 0
     for avg in averages:
         series = make_excess(avg)
-        want = _outcome(scalar_power_law_fit, series.t, series.values)
+        want = _outcome(scalar_power_law_fit, series.t, series.mean)
         got = by_cell[(avg.measure, avg.halt_type, avg.sign)].fit
         if isinstance(want, HaltStudyError):
             assert got is None

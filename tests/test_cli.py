@@ -269,6 +269,20 @@ def test_parse_config_file(tmp_path):
         parse_config_file(bad_byte)
 
 
+@pytest.mark.parametrize("mark", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                  "\x85", "\u2028", "\u2029"])
+def test_config_lines_end_only_at_line_ends(tmp_path, mark):
+    # str.splitlines would break at these too, and report the bad value
+    # as a missing "=" on a line that does not exist
+    cfg = tmp_path / "marks.cfg"
+    cfg.write_bytes(f"seed = 3{mark}bogus\nmin_r2 = 0.5\n".encode())
+    with pytest.raises(ConfigError,
+                       match="^.*marks.cfg:1: seed: not an integer"):
+        parse_config_file(cfg)
+    cfg.write_bytes(b"seed = 3\r\nmin_r2 = 0.5\r# end\n")
+    assert parse_config_file(cfg) == {"seed": 3, "min_r2": 0.5}
+
+
 # ---------------------------------------------------------------- errors
 
 

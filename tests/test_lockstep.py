@@ -32,8 +32,8 @@ from haltstudy import (
     resampled_means,
 )
 from haltstudy import event_study
-from haltstudy.event_study import (_Welford, _active_days, _lockstep_welford,
-                                   _lookback_days)
+from haltstudy.event_study import _Welford, _lockstep_welford, _lookback_days
+from haltstudy.events import _active_days
 from helpers import add_stock, halt_event
 from oracles import (compute_intraday_pattern, extract_trajectory,
                      masked_welford_add, scalar_power_law_fit)
@@ -301,6 +301,87 @@ def test_error_order_inside_one_chunk(faulty_panel, monkeypatch, keys,
     assert str(caught.value) == str(want)
 
 
+@pytest.fixture(scope="module")
+def over_cap_panel():
+    # multi-event stocks whose lookbacks cover 84-85 days (BBB, and OVZ with
+    # a zero spread) beside one-event stocks (AAA, CCC, and PST, whose
+    # bars end on its halt day); suspended days and stray missing
+    # minutes leave holes in the lookbacks
+    cal = make_calendar(100)
+    rng = np.random.default_rng(41)
+    day = lambda d: slice(d * 240, (d + 1) * 240)    # noqa: E731
+    halts = {
+        "AAA": [_intraday(cal, "AAA", 45)],
+        "BBB": [_intraday(cal, "BBB", 44), _oneday(cal, "BBB", 62),
+                _intraday(cal, "BBB", 90)],
+        "CCC": [_intraday(cal, "CCC", 50)],
+        "PST": [_intraday(cal, "PST", 50)],
+        "OVZ": [_intraday(cal, "OVZ", 44), _oneday(cal, "OVZ", 62),
+                _intraday(cal, "OVZ", 90)],
+    }
+    suspended = {"AAA": [7], "BBB": [9, 30, 61], "CCC": [], "PST": [],
+                 "OVZ": [12]}
+    builder = PanelBuilder(cal)
+    for stock_id, events in halts.items():
+        absent = [day(d) for d in suspended[stock_id]]
+        absent += list(rng.integers(0, cal.n_minutes, 100))
+        if stock_id == "PST":
+            absent.append(slice(51 * 240, None))
+        for ev in events:
+            rec = ev.record
+            absent.append(slice(rec.global_begin(cal), rec.global_resume(cal)))
+        n = cal.n_minutes
+        add_stock(builder, cal, stock_id,
+                  price=20.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, n))),
+                  volume=rng.integers(0, 500, n).astype(float),
+                  spread=(0.0 if stock_id == "OVZ"
+                          else rng.uniform(0.01, 0.05, n)),
+                  absent=absent)
+    return builder.build(), halts
+
+
+@pytest.mark.parametrize("measures", [SPREAD_LAST, NO_SPREAD])
+def test_over_cap_stock_between_one_event_stocks(over_cap_panel, monkeypatch,
+                                                 measures):
+    # the cap holds one one-event stock; BBB's days alone exceed it, so
+    # BBB is a chunk of its own and CCC starts the next one
+    panel, halts = over_cap_panel
+    events = [ev for s in ("CCC", "BBB", "AAA") for ev in halts[s]]
+    sizes = _stock_row_bytes(panel, events, 40)
+    days = {s: size // (len(MEASURES) * 240 * 8) for s, size in sizes.items()}
+    monkeypatch.setattr(event_study, "_CHUNK_BYTES", sizes["AAA"])
+    capacity = sizes["AAA"] // (len(measures) * 240 * 8)
+    assert days["BBB"] > capacity >= days["CCC"]
+    got = extract_stock_trajectories(panel, events, measures)
+    want = _reference_trajectories(panel, events, measures, 40, 80, 160)
+    for ev, got_ev, want_ev in zip(events, got, want):
+        assert list(got_ev) == list(measures)
+        for m in measures:
+            assert got_ev[m].event is ev
+            assert _same_bits(got_ev[m].values, want_ev[m].values)
+
+
+@pytest.mark.parametrize("measures, expected", [
+    # the over-cap stock's baseline error beats the next stock's window
+    # error, and passes it when that measure is skipped
+    (SPREAD_LAST, "ZeroBaseline"),
+    (NO_SPREAD, "InsufficientPostWindow"),
+])
+def test_error_order_around_an_over_cap_stock(over_cap_panel, monkeypatch,
+                                              measures, expected):
+    panel, halts = over_cap_panel
+    events = [ev for s in ("PST", "OVZ", "AAA") for ev in halts[s]]
+    sizes = _stock_row_bytes(panel, events, 40)
+    monkeypatch.setattr(event_study, "_CHUNK_BYTES", sizes["AAA"])
+    capacity = sizes["AAA"] // (len(measures) * 240 * 8)
+    assert sizes["OVZ"] // (len(MEASURES) * 240 * 8) > capacity
+    want = _reference_error(panel, events, measures)
+    assert type(want).__name__ == expected
+    with pytest.raises(type(want)) as caught:
+        extract_stock_trajectories(panel, events, measures)
+    assert str(caught.value) == str(want)
+
+
 # ---------------------------------------------------------------- Welford
 
 
@@ -427,7 +508,7 @@ def _reference_bootstrap(trajectories, fit_range, n_resamples, seed):
     for row in indices:
         series = make_excess(group_average([trajs[i] for i in row]))
         try:
-            fit = scalar_power_law_fit(series.t, series.values, fit_range)
+            fit = scalar_power_law_fit(series.t, series.mean, fit_range)
         except (DegenerateData, NonConvergence):
             failed += 1
             continue

@@ -2,21 +2,27 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
+from datetime import timedelta
 
 import numpy as np
 import pytest
 
 from haltstudy import (
     AnalysisConfig,
+    BootstrapResult,
     DEFAULT_RELAXATIONS,
     EligibilityConfig,
     EventSign,
     FitConfig,
     HaltType,
+    MINUTES_PER_DAY,
     MeasureKind,
     PanelBuilder,
     RejectionReason,
+    TradingCalendar,
+    attach_bootstrap,
     build_group_spec,
     generate_panel,
     run_analysis,
@@ -209,3 +215,95 @@ def test_excess_file_mirrors_averages(tmp_path):
         assert float(row["mean"]) == float(src["mean"]) - 1.0
         assert row["stderr"] == src["stderr"]
         assert row["n"] == src["n"]
+
+
+def test_non_finite_fit_values_are_null_in_summary(six_group_run, tmp_path):
+    # JSON has no infinity: summary.json writes null for every
+    # non-finite float, as for NaN, while exponents.csv keeps the repr
+    result, _ = six_group_run
+    rows = list(result.fit_rows)
+    rows[0] = attach_bootstrap(rows[0], BootstrapResult(math.inf, 2, 0))
+    rows[1] = replace(rows[1], fit=replace(rows[1].fit, sse=-math.inf))
+    rows[2] = replace(rows[2], fit=replace(rows[2].fit, alpha_stderr=math.nan))
+    config = AnalysisConfig(n_bootstrap=0)
+    write_analysis_outputs(replace(result, fit_rows=tuple(rows)), config,
+                           tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    exponents = summary["exponents"]
+    assert exponents[0]["alpha_se_bootstrap"] is None
+    assert exponents[1]["sse"] is None
+    assert exponents[2]["alpha_se_asymptotic"] is None
+    assert exponents[0]["alpha"] == rows[0].fit.alpha
+    with open(tmp_path / "exponents.csv") as fh:
+        table = list(csv.DictReader(fh))
+    assert table[0]["alpha_se_bootstrap"] == "inf"
+    assert table[1]["sse"] == "-inf"
+    assert table[2]["alpha_se_asymptotic"] == ""
+
+
+# ---------------------------------------------------------------- metamorphic
+
+
+def _rebuilt(panel, calendar, pad=0, scale=1.0, extra=()):
+    # every stock after ``pad`` bar-free days of ``calendar``, volumes and
+    # quotes times ``scale``, plus (new id, source id) copies in ``extra``
+    builder = PanelBuilder(calendar)
+    head = np.full(pad * MINUTES_PER_DAY, np.nan)
+    for new_id, stock_id in [(s, s) for s in panel.stock_ids] + list(extra):
+        arrays = (panel.prices(stock_id), scale * panel.volumes(stock_id),
+                  scale * panel.bids(stock_id), scale * panel.asks(stock_id))
+        builder.add_stock_arrays(
+            new_id, *(np.concatenate([head, a]) for a in arrays),
+            np.concatenate([head > 0, panel.present_mask(stock_id)]))
+    return builder.build()
+
+
+def _halt_free_stock(panel):
+    # a copy of the first stock that sorts between two halted stocks
+    ids = panel.stock_ids
+    return _rebuilt(panel, panel.calendar,
+                    extra=[(ids[len(ids) // 2] + "X", ids[0])])
+
+
+def _scaled_by_four(panel):
+    return _rebuilt(panel, panel.calendar, scale=4.0)
+
+
+def _five_bar_free_days_first(panel):
+    first = panel.calendar.trading_days[0]
+    days = tuple(first - timedelta(days=7 - i) for i in range(5))
+    return _rebuilt(panel, TradingCalendar(days + panel.calendar.trading_days),
+                    pad=5)
+
+
+def _artifacts(panel, records, config, out):
+    write_analysis_outputs(run_analysis(panel, records, config), config, out)
+    return {name: (out / name).read_bytes() for name in ARTIFACTS}
+
+
+@pytest.fixture(scope="module")
+def metamorphic_base(tmp_path_factory):
+    # two seeds: multi-event cells get bootstrap errors, one-event cells not
+    sizes = {(HaltType.INTRADAY, EventSign.POSITIVE): 2,
+             (HaltType.ONE_DAY, EventSign.NEGATIVE): 2,
+             (HaltType.INTER_DAY, EventSign.POSITIVE): 1}
+    config = AnalysisConfig(n_bootstrap=4, seed=7)
+    base = {}
+    for seed in (3, 4):
+        panel, records, _ = generate_panel(
+            build_group_spec(sizes, seed=seed, sigma=0.2))
+        out = tmp_path_factory.mktemp(f"base{seed}")
+        base[seed] = panel, records, _artifacts(panel, records, config, out)
+    return config, base
+
+
+@pytest.mark.parametrize("relation", [_halt_free_stock, _scaled_by_four,
+                                      _five_bar_free_days_first])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_metamorphic_relations_keep_every_artifact(metamorphic_base, tmp_path,
+                                                    relation, seed):
+    config, base = metamorphic_base
+    panel, records, want = base[seed]
+    got = _artifacts(relation(panel), records, config, tmp_path)
+    for name in ARTIFACTS:
+        assert got[name] == want[name], name

@@ -1,6 +1,7 @@
 """Decay fitting: model, least squares, bootstrap spread, group tables."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from haltstudy import (
     EmptyGroup,
     EventSign,
     EventTrajectory,
-    ExcessSeries,
     FitConfig,
     GroupAverage,
     GroupFitRow,
@@ -40,8 +40,9 @@ def _series(values, t=None, measure=A, halt_type=HaltType.INTRADAY,
             sign=EventSign.POSITIVE):
     if t is None:
         t = np.arange(1, len(values) + 1)
-    return ExcessSeries(measure, halt_type, sign, np.asarray(t),
-                        np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float)
+    return GroupAverage(measure, halt_type, sign, np.asarray(t), values,
+                        np.zeros(values.size), np.ones(values.size, dtype=int))
 
 
 def _avg(mean, measure=A, halt_type=HaltType.INTRADAY,
@@ -80,11 +81,13 @@ def test_jacobian_matches_finite_differences():
 
 def test_make_excess():
     mean = np.linspace(0.5, 2.9, 241)
-    avg = _avg(mean)
+    avg = replace(_avg(mean), stderr=np.linspace(0.0, 0.3, 241),
+                  n=np.arange(241))
     ex = make_excess(avg)
     assert ex.t.tolist() == list(range(1, 161))
-    assert np.array_equal(ex.values, mean[81:] - 1.0)
-    assert ex.source is avg
+    assert np.array_equal(ex.mean, mean[81:] - 1.0)
+    assert np.array_equal(ex.stderr, avg.stderr[81:])
+    assert np.array_equal(ex.n, avg.n[81:])
     assert ex.group == "intraday_pos"
 
 
@@ -92,7 +95,7 @@ def test_make_excess_keeps_missing_values():
     mean = np.ones(241)
     mean[100] = np.nan
     ex = make_excess(_avg(mean))
-    assert np.isnan(ex.values[ex.t == 20][0])
+    assert np.isnan(ex.mean[ex.t == 20][0])
 
 
 # ---------------------------------------------------------------- fitting
@@ -192,7 +195,7 @@ def test_fit_beats_a_parameter_grid():
 
 def test_fit_on_series_object():
     series = _series(1.5 * T160 ** -0.7)
-    fit = fit_power_law_points(series.t, series.values, (1, 160))
+    fit = fit_power_law_points(series.t, series.mean, (1, 160))
     assert fit.alpha == pytest.approx(0.7, abs=1e-8)
 
 
@@ -226,7 +229,7 @@ def test_bootstrap_of_identical_events_is_exactly_zero():
 
 def _excess_alpha(avg):
     series = make_excess(avg)
-    return fit_power_law_points(series.t, series.values).alpha
+    return fit_power_law_points(series.t, series.mean).alpha
 
 
 def test_bootstrap_matches_hand_enumeration():

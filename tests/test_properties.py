@@ -2,6 +2,7 @@
 ignore member order and reproduce identical members exactly."""
 
 import io
+from dataclasses import replace
 from datetime import date
 from unittest.mock import patch
 
@@ -11,14 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltstudy import (
+    EligibilityConfig,
     EventSign,
     EventTrajectory,
     HaltStudyError,
     HaltType,
+    InsufficientHistory,
     MeasureKind,
     PanelBuilder,
+    RejectionReason,
     TradingCalendar,
     average_cumulative_return,
+    filter_eligibility,
     group_average,
     make_calendar,
     parse_bar_file,
@@ -26,9 +31,10 @@ from haltstudy import (
     write_bar_csv,
 )
 from haltstudy import market_data
-from haltstudy.events import HALT_CSV_HEADER
+from haltstudy.event_study import _lookback_days
+from haltstudy.events import HALT_CSV_HEADER, _active_days
 from haltstudy.market_data import BAR_CSV_HEADER
-from helpers import add_stock, halt_event
+from helpers import add_stock, halt_event, halt_record
 from oracles import forward_filled_prices
 
 CAL = TradingCalendar((date(2010, 3, 1), date(2010, 3, 2)))
@@ -293,3 +299,43 @@ def test_cumulative_curve_ignores_event_order(inputs):
     assert got.n == want.n
     for field in ("t", "mean", "stderr"):
         assert _same_bits(getattr(got, field), getattr(want, field))
+
+
+# ---------------------------------------------------------------- history
+
+
+CAL12 = make_calendar(12)
+SHORT_WINDOWS = EligibilityConfig(trend_window=10, pre_window=10,
+                                  post_window=10, measure_pre_window=10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(["full", "none", "one_bar"]),
+                min_size=12, max_size=12),
+       st.integers(0, 11), st.integers(1, 12), st.integers(0, 239))
+def test_history_rejection_agrees_with_lookback_days(days, halt_day, lookback,
+                                                     minute):
+    # a day with any bar is active, for the eligibility filter and for
+    # the baselines alike; the halt day keeps its bars outside the halt,
+    # so the coverage checks always pass
+    absent = [slice(halt_day * 240 + 60, halt_day * 240 + 120)]
+    for d, kind in enumerate(days):
+        if d == halt_day or kind == "full":
+            continue
+        if kind == "none":
+            absent.append(slice(d * 240, (d + 1) * 240))
+        else:
+            absent += [slice(d * 240, d * 240 + minute),
+                       slice(d * 240 + minute + 1, (d + 1) * 240)]
+    builder = PanelBuilder(CAL12)
+    add_stock(builder, CAL12, "A", absent=absent)
+    panel = builder.build()
+    rec = halt_record(CAL12, "A", (halt_day, 61), (halt_day, 121))
+    config = replace(SHORT_WINDOWS, lookback_days=lookback)
+    reason = filter_eligibility([rec], panel, config)[0].rejection_reason
+    try:
+        _lookback_days(panel, _active_days(panel, "A"), rec, lookback)
+        too_few = False
+    except InsufficientHistory:
+        too_few = True
+    assert (reason is RejectionReason.INSUFFICIENT_HISTORY) == too_few
