@@ -29,7 +29,7 @@ from .events import (
     parse_halt_file,
     tabulate_counts,
 )
-from .market_data import TradingCalendar, parse_bar_file
+from .market_data import TradingCalendar, load_bar_file
 from .pipeline import (
     FIT_ARTIFACTS,
     SELECTION_ARTIFACTS,
@@ -235,8 +235,7 @@ def _require(settings: Mapping[str, Any], *names: str) -> None:
 def _load_inputs(settings: Mapping[str, Any]):
     _require(settings, "bars", "calendar", "halts", "out")
     calendar = TradingCalendar.from_file(settings["calendar"])
-    with open(settings["bars"], "rb") as fh:
-        panel = parse_bar_file(fh, calendar)
+    panel = load_bar_file(settings["bars"], calendar)
     with open(settings["halts"], "rb") as fh:
         records = parse_halt_file(fh, calendar)
     return panel, records

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
+import os
+import stat
+import tempfile
+import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
@@ -542,6 +548,150 @@ def parse_bar_file(stream: IO[bytes] | IO[str], calendar: TradingCalendar) -> Pa
         stock_id, (values, present) = columns.popitem()
         builder.add_stock_arrays(stock_id, *values, present)
     return builder.build()
+
+
+class _ChecksummedFile(io.FileIO):
+    """A file opened for reading that keeps the CRC-32 and the length of
+    every byte :meth:`read` returns since it was opened or rewound.
+
+    A FileIO itself rather than a wrapper around one, read without a
+    buffer in between: text read through it then pays no Python call
+    per line, only one per chunk.
+    """
+
+    crc = size = 0
+
+    def rewind(self) -> None:
+        self.seek(0)
+        self.crc = self.size = 0
+
+    def read(self, size: int = -1) -> bytes:
+        data = super().read(size)
+        if data:
+            self.crc = zlib.crc32(data, self.crc)
+            self.size += len(data)
+        return data
+
+
+# version of the packed copy's layout; a copy of any other is not read
+_PACKED_VERSION = 1
+
+
+def _load_packed(packed: Path, raw: _ChecksummedFile,
+                 calendar: TradingCalendar) -> Panel | None:
+    """The panel a packed copy holds when it was made from bytes of the
+    length and checksum of ``raw``'s, on this calendar; None when it is
+    not. ``raw`` is read to its end, unless the lengths already differ.
+
+    Its arrays go through :meth:`PanelBuilder.add_stock_arrays` like
+    parsed ones. A copy that cannot be read raises.
+    """
+    with np.load(packed) as npz:
+        meta = json.loads(npz["meta"].tobytes())
+        days = [day.isoformat() for day in calendar.trading_days]
+        if (meta["version"], meta["size"], meta["days"]) != (
+                _PACKED_VERSION, os.fstat(raw.fileno()).st_size, days):
+            return None
+        while raw.read(1 << 16):
+            pass
+        if (raw.size, raw.crc) != (meta["size"], meta["crc32"]):
+            return None
+        builder = PanelBuilder(calendar)
+        for k, stock_id in enumerate(meta["stocks"]):
+            # one stock's packed arrays are released before the next is read
+            builder.add_stock_arrays(stock_id, *_packed_stock(npz, k, calendar))
+    return builder.build()
+
+
+def _packed_stock(npz, k: int, calendar: TradingCalendar) -> list[np.ndarray]:
+    """Stock ``k``'s price, volume, bid and ask rows and present mask."""
+    values, present = npz[f"values{k}"], npz[f"present{k}"]
+    n = calendar.n_minutes
+    if (values.dtype, values.shape, present.dtype, present.shape) != (
+            np.float64, (4, n), np.bool_, (n,)):
+        raise ValueError(f"packed stock {k} has the wrong layout")
+    return [*values, present]
+
+
+def _write_packed(packed: Path, panel: Panel, size: int, crc: int) -> None:
+    """Write ``panel`` as the packed copy of ``size`` bytes whose CRC-32
+    is ``crc``: into a temporary file beside it, then renamed into place.
+
+    The copy is an uncompressed ``.npz``: a ``meta`` member (the layout
+    version, length, checksum, calendar days and stock ids as JSON) and
+    per stock ``k`` its price, volume, bid and ask rows as ``values{k}``
+    and its ``present{k}`` mask. Each member is written from the panel's
+    own arrays, so nothing is copied whole.
+    """
+    stocks = panel.stock_ids
+    meta = {"version": _PACKED_VERSION, "size": size, "crc32": crc,
+            "days": [day.isoformat() for day in panel.calendar.trading_days],
+            "stocks": list(stocks)}
+    fd, tmp = tempfile.mkstemp(prefix=f".{packed.name}.", suffix=".tmp",
+                               dir=packed.parent)
+    try:
+        with open(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+            def member(name: str, shape: tuple, *rows: np.ndarray) -> None:
+                # the .npy of ``rows`` laid end to end in ``shape``; a
+                # ZipInfo of its own has no time stamp, so equal panels
+                # give equal bytes
+                header = np.lib.format.header_data_from_array_1_0(rows[0])
+                header["shape"] = shape
+                info = zipfile.ZipInfo(f"{name}.npy")
+                with zf.open(info, "w", force_zip64=True) as out:
+                    np.lib.format.write_array_header_1_0(out, header)
+                    for row in rows:
+                        out.write(row.data)
+            text = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+            member("meta", text.shape, text)
+            n = panel.calendar.n_minutes
+            for k, stock_id in enumerate(stocks):
+                member(f"values{k}", (4, n), panel.prices(stock_id),
+                       panel.volumes(stock_id), panel.bids(stock_id),
+                       panel.asks(stock_id))
+                member(f"present{k}", (n,), panel.present_mask(stock_id))
+        os.replace(tmp, packed)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def load_bar_file(path: str | Path, calendar: TradingCalendar) -> Panel:
+    """The panel of the bar CSV at ``path``, as :func:`parse_bar_file`
+    reads it.
+
+    A regular file keeps a packed copy of its panel beside it
+    (``bars.csv.npz``), tagged with the byte length and CRC-32 of the
+    bytes parsed and with the calendar's days. When all three match the
+    file, the panel is loaded from that copy instead of parsed. A copy
+    that is missing, stale or unreadable, or a directory that cannot be
+    written, only means a parse, and the parse writes the copy anew;
+    errors are always the parser's. Anything that is not a regular file
+    is parsed from its stream and keeps no copy.
+    """
+    path = Path(path)
+    packed = path.with_name(path.name + ".npz")
+    # a str, as open() passes it on, so an error names the file the same way
+    with _ChecksummedFile(os.fspath(path)) as raw:
+        if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+            return parse_bar_file(raw, calendar)
+        try:
+            panel = _load_packed(packed, raw, calendar)
+        except Exception:
+            # the copy is only a cache: whatever reading it raises (a
+            # missing, truncated or foreign file), the parse decides
+            panel = None
+        if panel is not None:
+            return panel
+        raw.rewind()
+        panel = parse_bar_file(raw, calendar)
+        # a file that changed length while it was read keeps no copy
+        if raw.size == os.fstat(raw.fileno()).st_size:
+            try:
+                _write_packed(packed, panel, raw.size, raw.crc)
+            except OSError:
+                pass        # a directory that cannot be written, a full disk
+    return panel
 
 
 def _float_texts(values) -> list[str]:

@@ -237,7 +237,8 @@ def _gauss_newton_block(t: np.ndarray, z: np.ndarray, amplitude: np.ndarray,
     stalls or hits a singular system; one step-halving ladder serves all
     rows still searching. ``amplitude`` and ``alpha`` hold the starting
     points and are updated in place. Returns amplitude, alpha, SSE and
-    iteration count per row, and the mask of rows that converged.
+    iteration count per row, the mask of rows that converged and each
+    row's decay t**-alpha at its final alpha.
     """
     log_t = np.log(t)
     decay = np.power(t, -alpha[:, None])
@@ -287,7 +288,7 @@ def _gauss_newton_block(t: np.ndarray, z: np.ndarray, amplitude: np.ndarray,
         # no improving step: the direction only fails to descend at a
         # stationary point, so a stall counts as converged
         active[rows[searching]] = False
-    return amplitude, alpha, sse, iterations, ~active
+    return amplitude, alpha, sse, iterations, ~active, decay
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,8 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
 
     Rows are grouped by their pattern of missing points in the range and
     each pattern is fitted as one block on its own points, so no row is
-    ever padded.
+    ever padded. A row whose decay t**-alpha ends at 0 for every t > 1
+    fails: its SSE no longer depends on alpha, so any alpha would do.
     """
     columns = _fit_columns(t, fit_range)
     lo, hi = fit_range
@@ -359,14 +361,22 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
         rows, z = rows[anchored], z[anchored]
         if not rows.size:
             continue
-        amplitude, alpha, sse, iterations, converged = _gauss_newton_block(
-            tp, z, *_initial_guesses(tp, z))
+        amplitude, alpha, sse, iterations, converged, decay = \
+            _gauss_newton_block(tp, z, *_initial_guesses(tp, z))
+        later = tp > 1
+        vanished = later.any() & ~decay[:, later].any(axis=1)
         for k, i in enumerate(rows):
-            out[i] = (_RowFit(tp, z[k], (lo, hi), float(amplitude[k]),
-                              float(alpha[k]), float(sse[k]),
-                              int(iterations[k]))
-                      if converged[k] else NonConvergence(
-                          f"no convergence in {MAX_ITERATIONS} iterations"))
+            if not converged[k]:
+                out[i] = NonConvergence(
+                    f"no convergence in {MAX_ITERATIONS} iterations")
+            elif vanished[k]:
+                out[i] = NonConvergence(
+                    f"alpha {float(alpha[k])!r} leaves t**-alpha at 0 for "
+                    "every t > 1, where the fit no longer depends on alpha")
+            else:
+                out[i] = _RowFit(tp, z[k], (lo, hi), float(amplitude[k]),
+                                 float(alpha[k]), float(sse[k]),
+                                 int(iterations[k]))
     return out
 
 
@@ -380,7 +390,8 @@ def fit_power_law_points(t: np.ndarray, values: np.ndarray,
     ends when the relative SSE drop or the parameter step falls under
     tolerance, and a stall (no improving step) counts as converged
     because the Gauss-Newton direction only fails to descend at a
-    stationary point. Hitting the iteration cap raises NonConvergence.
+    stationary point. Hitting the iteration cap raises NonConvergence,
+    and so does a fit whose decay t**-alpha is 0 at every t > 1.
     This is the one-row case of the block fitter that the bootstrap and
     :func:`fit_all_groups` use.
     """

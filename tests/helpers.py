@@ -14,6 +14,7 @@ from haltstudy import (
     MINUTES_PER_DAY,
     PanelBuilder,
     TradingCalendar,
+    market_data,
 )
 
 
@@ -82,3 +83,16 @@ def random_walk_stock(builder: PanelBuilder, calendar: TradingCalendar,
     inc[0] = 0.0
     price = 20.0 * np.exp(np.cumsum(inc))
     add_stock(builder, calendar, stock_id, price=price, absent=absent)
+
+
+def count_bar_parses(monkeypatch) -> list:
+    """Make every ``parse_bar_file`` call that ``load_bar_file`` makes
+    append its stream to the returned list, then parse as before."""
+    calls = []
+    parse = market_data.parse_bar_file
+
+    def spy(stream, calendar):
+        calls.append(stream)
+        return parse(stream, calendar)
+    monkeypatch.setattr(market_data, "parse_bar_file", spy)
+    return calls

@@ -249,6 +249,11 @@ def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range):
     if not converged:
         raise NonConvergence(
             f"no convergence in {powerlaw.MAX_ITERATIONS} iterations")
+    later = t[t > 1]
+    if later.size and not np.power(later, -alpha).any():
+        raise NonConvergence(
+            f"alpha {float(alpha)!r} leaves t**-alpha at 0 for every t > 1, "
+            "where the fit no longer depends on alpha")
 
     jac = power_law_jacobian(t, amplitude, alpha)
     dof = t.size - 2

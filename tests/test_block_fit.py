@@ -11,17 +11,22 @@ import pytest
 from haltstudy import (
     DegenerateData,
     EventSign,
+    EventTrajectory,
     GroupAverage,
     HaltStudyError,
     HaltType,
     MeasureKind,
     NonConvergence,
+    bootstrap_alpha_stderr,
     fit_all_groups,
     fit_power_law_points,
+    make_calendar,
     make_excess,
     powerlaw,
 )
-from haltstudy.powerlaw import _fit_rows, _initial_guesses, _RowFit
+from haltstudy.powerlaw import (FLAG_NO_POWER_LAW, _fit_rows, _initial_guesses,
+                                _RowFit)
+from helpers import halt_event
 from oracles import _scalar_initial_guess, scalar_power_law_fit
 
 T160 = np.arange(1, 161, dtype=float)
@@ -202,6 +207,33 @@ def test_singular_systems_stop_only_their_rows():
     rows = _assert_block_matches_oracle(t, block, (1, 12))
     assert rows[1].n_iterations == 1
     assert rows[0].n_iterations > 1 and rows[2].n_iterations > 1
+
+
+def test_a_decay_that_vanishes_after_t1_is_no_fit():
+    # 1 at t = 1 and a small negative level after it: Gauss-Newton raises
+    # alpha until t**-alpha is 0 at every t > 1, where the SSE no longer
+    # depends on alpha and the step test accepts any alpha
+    runaway = np.r_[1.0, np.full(159, -0.01)]
+    block = np.vstack([2.0 * T160 ** -0.8 + 0.01 * np.sin(T160), runaway])
+    rows = _assert_block_matches_oracle(T160, block, (1, 160))
+    assert isinstance(rows[0], _RowFit)
+    assert isinstance(rows[1], NonConvergence)
+    assert "0 for every t > 1" in str(rows[1])
+    # a resample that averages to such a series is a failed resample
+    cal = make_calendar(12)
+    t = np.arange(-80, 161)
+    trajs = [EventTrajectory(
+        halt_event(cal, stock, (5, 61), (5, 121), HaltType.INTRADAY,
+                   EventSign.POSITIVE),
+        MeasureKind.VOLUME, t, np.r_[np.ones(81), 1.0 + runaway])
+        for stock in ("S00", "S01")]
+    result = bootstrap_alpha_stderr(trajs, n_resamples=8, seed=0)
+    assert (result.n_success, result.n_failed) == (0, 8)
+    # and a cell whose average is such a series has no power law
+    row, = fit_all_groups([_average(np.r_[np.ones(81), 1.0 + runaway],
+                                    MeasureKind.VOLUME, HaltType.INTRADAY,
+                                    EventSign.POSITIVE)])
+    assert row.fit is None and row.flag == FLAG_NO_POWER_LAW
 
 
 def _average(mean, measure, halt_type, sign):

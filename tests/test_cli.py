@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import shutil
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from haltstudy import (
     write_bar_csv,
     write_halt_csv,
 )
+from haltstudy import market_data
 from haltstudy.cli import (
     analysis_config,
     build_parser,
@@ -23,7 +27,7 @@ from haltstudy.cli import (
     parse_config_file,
     resolve_config,
 )
-from helpers import add_stock
+from helpers import add_stock, count_bar_parses
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -182,6 +186,119 @@ def test_robustness_single_window_matches_plain_run(flip_inputs, tmp_path):
     assert [row.split(",")[-1] for row in flips[1:]] == ["0", "0"]
 
 
+# ---------------------------------------------------------------- packed copy
+
+
+def _copy_inputs(source: Path, root: Path) -> Path:
+    """The three input files of ``source`` in a new directory ``root``."""
+    root.mkdir()
+    for name in ("bars.csv", "calendar.txt", "halts.csv"):
+        shutil.copyfile(source / name, root / name)
+    return root
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("parsed although the packed copy was current")
+
+
+@pytest.mark.parametrize("command, extra, n_files", [
+    ("run", ("--bootstrap", "4"), 8),
+    ("counts", (), 2),
+    ("fit", ("--bootstrap", "4"), 2),
+    ("robustness", ("--windows", "60,240", "--bootstrap", "4"), 2 * 8 + 1),
+])
+def test_packed_copy_gives_the_parsed_artifacts(synth_inputs, tmp_path,
+                                                monkeypatch, capsys, command,
+                                                extra, n_files):
+    data = _copy_inputs(synth_inputs, tmp_path / "in")
+    assert main([command, *_args(data, tmp_path / "miss", *extra)]) == 0
+    assert (data / "bars.csv.npz").is_file()
+    miss_out = capsys.readouterr().out
+    monkeypatch.setattr(market_data, "parse_bar_file", _no_parse)
+    assert main([command, *_args(data, tmp_path / "hit", *extra)]) == 0
+    hit = capsys.readouterr()
+    assert (hit.out, hit.err) == (
+        miss_out.replace(str(tmp_path / "miss"), str(tmp_path / "hit")), "")
+    miss = _tree(tmp_path / "miss")
+    assert len(miss) == n_files
+    assert _tree(tmp_path / "hit") == miss
+
+
+@pytest.mark.parametrize("damage", [
+    lambda blob: blob[:len(blob) // 2],
+    lambda blob: b"not a zip file\n" * 1000,
+    lambda blob: blob[:-1],
+], ids=["truncated", "garbage", "last_byte_cut"])
+def test_damaged_packed_copy_is_parsed_again(synth_inputs, tmp_path,
+                                             monkeypatch, capsys, damage):
+    data = _copy_inputs(synth_inputs, tmp_path / "in")
+    assert main(["run", *_args(data, tmp_path / "a", "--bootstrap", "4")]) == 0
+    packed = data / "bars.csv.npz"
+    blob = packed.read_bytes()
+    packed.write_bytes(damage(blob))
+    capsys.readouterr()
+    parses = count_bar_parses(monkeypatch)
+    rc = main(["run", *_args(data, tmp_path / "b", "--bootstrap", "4")])
+    assert (rc, capsys.readouterr().err, len(parses)) == (0, "", 1)
+    assert _tree(tmp_path / "b") == _tree(tmp_path / "a")
+    # the parse put a sound copy back
+    assert packed.read_bytes() == blob
+
+
+def test_read_only_data_directory_keeps_no_copy(synth_inputs, tmp_path,
+                                                monkeypatch, capsys):
+    assert main(["run", *_args(_copy_inputs(synth_inputs, tmp_path / "rw"),
+                               tmp_path / "a", "--bootstrap", "4")]) == 0
+    data = _copy_inputs(synth_inputs, tmp_path / "in")
+    data.chmod(0o555)
+    try:
+        if os.access(data, os.W_OK):
+            # permission bits do not bind this user (root): fail the
+            # write as the system would for anyone else
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(data))
+            monkeypatch.setattr(market_data.tempfile, "mkstemp", refuse)
+        capsys.readouterr()
+        rc = main(["run", *_args(data, tmp_path / "b", "--bootstrap", "4")])
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert sorted(p.name for p in data.iterdir()) == [
+            "bars.csv", "calendar.txt", "halts.csv"]
+    finally:
+        data.chmod(0o755)
+    assert _tree(tmp_path / "b") == _tree(tmp_path / "a")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_fifo_bars_are_parsed_once_and_keep_no_copy(synth_inputs, tmp_path,
+                                                    monkeypatch):
+    data = _copy_inputs(synth_inputs, tmp_path / "in")
+    fifo = data / "bars.fifo"
+    os.mkfifo(fifo)
+    blob = (data / "bars.csv").read_bytes()
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(blob)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    parses = count_bar_parses(monkeypatch)
+    args = _args(data, tmp_path / "fifo", "--bootstrap", "4")
+    args[args.index("--bars") + 1] = str(fifo)
+    rc = main(["run", *args])
+    writer.join(timeout=60)
+    assert (rc, len(parses), writer.is_alive()) == (0, 1, False)
+    assert sorted(p.name for p in data.iterdir()) == [
+        "bars.csv", "bars.fifo", "calendar.txt", "halts.csv"]
+    assert main(["run", *_args(data, tmp_path / "file", "--bootstrap",
+                               "4")]) == 0
+    assert _tree(tmp_path / "fifo") == _tree(tmp_path / "file")
+
+
 # ---------------------------------------------------------------- config
 
 
@@ -292,14 +409,17 @@ def _stderr_error(capsys):
     return json.loads(err[0])
 
 
-def test_missing_input_file_reports_cleanly(synth_inputs, tmp_path, capsys):
+@pytest.mark.parametrize("flag", ["--calendar", "--bars"])
+def test_missing_input_file_reports_cleanly(synth_inputs, tmp_path, capsys,
+                                            flag):
     args = _args(synth_inputs, tmp_path / "out")
-    args[3] = str(tmp_path / "nowhere.txt")     # the calendar path
+    missing = str(tmp_path / "nowhere.txt")
+    args[args.index(flag) + 1] = missing
     rc = main(["run", *args])
     assert rc == 1
     blob = _stderr_error(capsys)
-    assert blob["error"] == "FileNotFoundError"
-    assert "nowhere.txt" in blob["message"]
+    assert blob == {"error": "FileNotFoundError", "message":
+                    f"[Errno 2] No such file or directory: {missing!r}"}
 
 
 def _bad_byte(data: bytes) -> bytes:

@@ -3,10 +3,17 @@ prices."""
 
 import io
 import math
+import tempfile
+from contextlib import contextmanager
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from haltstudy import (
     MINUTES_PER_DAY,
@@ -25,7 +32,8 @@ from haltstudy import (
 )
 from haltstudy import market_data
 from haltstudy.market_data import BAR_CSV_HEADER
-from helpers import add_stock, location, random_walk_stock
+from helpers import (add_stock, count_bar_parses, location,
+                     random_walk_stock)
 from oracles import forward_filled_prices
 
 LN_101 = 0.009950330853168092  # ln(1.01)
@@ -463,3 +471,136 @@ def test_panel_equality_tells_signed_zeros_apart():
     assert build("-0.0") == build("-0.0")
     assert build("-0.0") != build("0")
     assert build("0.0") == build("0")
+
+
+# ---------------------------------------------------------------- packed copy
+
+
+def _write_bars(path, panel):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_bar_csv(panel, fh)
+
+
+def _parse_path(path, calendar):
+    with open(path, "rb") as fh:
+        return parse_bar_file(fh, calendar)
+
+
+def _assert_same_bytes(got: Panel, want: Panel):
+    """Same calendar, the same ids as exact strings, and every array with
+    the same dtype and bytes: NaN payloads and the sign of zero included."""
+    assert got.calendar == want.calendar
+    assert got.stock_ids == want.stock_ids
+    assert [type(s) for s in got.stock_ids] == [str] * len(want.stock_ids)
+    for stock_id in want.stock_ids:
+        for accessor in (Panel.prices, Panel.volumes, Panel.bids, Panel.asks,
+                         Panel.present_mask):
+            a, b = accessor(got, stock_id), accessor(want, stock_id)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes(), (stock_id, accessor.__name__)
+    assert got == want
+
+
+@contextmanager
+def _parse_forbidden():
+    """Fail the test if the bars are parsed inside the block."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("parsed although the packed copy was current")
+    with mock.patch.object(market_data, "parse_bar_file", forbidden):
+        yield
+
+
+# non-ASCII letters, and ids csv must quote or that end in a NUL, which a
+# numpy unicode array would drop
+_ID_CHARS = st.sampled_from("AZaz09_-é股Ωß,\"")
+_STOCK_IDS = st.builds(
+    lambda core, nul: core + ("\x00" if nul else ""),
+    st.text(_ID_CHARS, min_size=1, max_size=4), st.booleans())
+
+
+@st.composite
+def _small_panels(draw):
+    cal = TradingCalendar(MARCH.trading_days[:draw(st.integers(1, 2))])
+    n = cal.n_minutes
+    builder = PanelBuilder(cal)
+    for stock_id in draw(st.lists(_STOCK_IDS, max_size=3, unique=True)):
+        present = draw(hnp.arrays(bool, n))
+        price = draw(hnp.arrays(float, n, elements=st.floats(0.01, 1e6)))
+        volume = draw(hnp.arrays(float, n, elements=st.sampled_from(
+            [0.0, -0.0, 1.0, 2.5, 1e16])))
+        below, above = (draw(hnp.arrays(float, n, elements=st.one_of(
+            st.just(np.nan), st.floats(0.0, 1.0)))) for _ in range(2))
+        builder.add_stock_arrays(stock_id, price, volume, price - below,
+                                 price + above, present)
+    return builder.build()
+
+
+@given(panel=_small_panels())
+@settings(max_examples=40, deadline=None)
+def test_packed_copy_round_trips_the_parsed_panel(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        bars = Path(tmp) / "bars.csv"
+        _write_bars(bars, panel)
+        parsed = _parse_path(bars, panel.calendar)
+        _assert_same_bytes(market_data.load_bar_file(bars, panel.calendar),
+                           parsed)
+        assert (Path(tmp) / "bars.csv.npz").is_file()
+        with _parse_forbidden():
+            loaded = market_data.load_bar_file(str(bars), panel.calendar)
+        _assert_same_bytes(loaded, parsed)
+
+
+def test_packed_copy_of_an_empty_file(tmp_path):
+    bars = tmp_path / "bars.csv"
+    bars.write_bytes(b"")
+    assert market_data.load_bar_file(bars, MARCH).stock_ids == ()
+    with _parse_forbidden():
+        assert market_data.load_bar_file(bars, MARCH) == \
+            PanelBuilder(MARCH).build()
+
+
+def _dated_panel(cal):
+    # bars on the last two days only, so a calendar that drops the first
+    # day and appends one keeps its length but moves every bar
+    builder = PanelBuilder(cal)
+    absent = [slice(0, MINUTES_PER_DAY)]
+    add_stock(builder, cal, "A", price=12.25, volume=100.0, absent=absent)
+    add_stock(builder, cal, "B", price=7.5, volume=3.0, spread=0.5,
+              absent=absent)
+    return builder.build()
+
+
+def test_one_byte_edit_forces_a_reparse(tmp_path, monkeypatch):
+    bars = tmp_path / "bars.csv"
+    _write_bars(bars, _dated_panel(MARCH))
+    parses = count_bar_parses(monkeypatch)
+    market_data.load_bar_file(bars, MARCH)
+    market_data.load_bar_file(bars, MARCH)
+    assert len(parses) == 1
+    data = bars.read_bytes()
+    edited = data.replace(b",12.25,", b",12.75,", 1)
+    assert len(edited) == len(data) and edited != data
+    bars.write_bytes(edited)
+    got = market_data.load_bar_file(bars, MARCH)
+    assert len(parses) == 2
+    _assert_same_bytes(got, _parse_path(bars, MARCH))
+    assert got.prices("A")[MINUTES_PER_DAY] == 12.75
+    # the reparse wrote a copy for the edited bytes
+    market_data.load_bar_file(bars, MARCH)
+    assert len(parses) == 2
+
+
+def test_edited_calendar_forces_a_reparse(tmp_path, monkeypatch):
+    bars, calendar = tmp_path / "bars.csv", tmp_path / "calendar.txt"
+    _write_bars(bars, _dated_panel(MARCH))
+    days = [d.isoformat() for d in MARCH.trading_days]
+    calendar.write_text("\n".join(days) + "\n")
+    parses = count_bar_parses(monkeypatch)
+    old = market_data.load_bar_file(bars, TradingCalendar.from_file(calendar))
+    calendar.write_text("\n".join(days[1:] + ["2010-03-04"]) + "\n")
+    new_cal = TradingCalendar.from_file(calendar)
+    assert new_cal.n_minutes == MARCH.n_minutes
+    got = market_data.load_bar_file(bars, new_cal)
+    assert len(parses) == 2
+    _assert_same_bytes(got, _parse_path(bars, new_cal))
+    assert got.present_mask("A").tobytes() != old.present_mask("A").tobytes()

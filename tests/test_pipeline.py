@@ -29,6 +29,7 @@ from haltstudy import (
     summary_dict,
     write_analysis_outputs,
 )
+from haltstudy.pipeline import average_groups, select_events
 
 ALL_SIX = {key: 1 for key in DEFAULT_RELAXATIONS}
 GROUP_ORDER = ["intraday_pos", "intraday_neg", "oneday_pos", "oneday_neg",
@@ -307,3 +308,65 @@ def test_metamorphic_relations_keep_every_artifact(metamorphic_base, tmp_path,
     got = _artifacts(relation(panel), records, config, tmp_path)
     for name in ARTIFACTS:
         assert got[name] == want[name], name
+
+
+def _sub_panel(panel, stock_ids, new_id=None):
+    # the stocks ``stock_ids`` of ``panel``, each renamed by ``new_id``
+    builder = PanelBuilder(panel.calendar)
+    for s in stock_ids:
+        builder.add_stock_arrays((new_id or {}).get(s, s), panel.prices(s),
+                                 panel.volumes(s), panel.bids(s),
+                                 panel.asks(s), panel.present_mask(s))
+    return builder.build()
+
+
+def _trajectory_bytes(panel, records, config):
+    # every eligible event's trajectories by (event, measure), as bytes
+    events = select_events(panel, records, config)
+    return {(tr.event.record, m): (tr.t.tobytes(), tr.values.tobytes())
+            for cell in average_groups(panel, events, config)
+            for m, trajs in cell.trajectories.items() for tr in trajs}
+
+
+@pytest.mark.parametrize("split", [
+    lambda ids: ids[::2], lambda ids: ids[:1], lambda ids: ids[1:-1]],
+    ids=["alternate", "first", "middle"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_split_panels_keep_every_trajectory(metamorphic_base, seed, split):
+    config, base = metamorphic_base
+    panel, records, _ = base[seed]
+    whole = _trajectory_bytes(panel, records, config)
+    assert len(whole) == len(records) * len(config.measures)
+    part = set(split(panel.stock_ids))
+    assert part and part != set(panel.stock_ids)
+    got = {}
+    for ids in (part, set(panel.stock_ids) - part):
+        got.update(_trajectory_bytes(
+            _sub_panel(panel, sorted(ids)),
+            [r for r in records if r.stock_id in ids], config))
+    assert got.keys() == whole.keys()
+    for key, value in whole.items():
+        assert got[key] == value, key
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_order_keeping_rename_changes_only_eligibility_ids(metamorphic_base,
+                                                          tmp_path, seed):
+    config, base = metamorphic_base
+    panel, records, want = base[seed]
+    # a common prefix keeps the sort order, whatever the ids are
+    new_id = {s: "股-" + s for s in panel.stock_ids}
+    got = _artifacts(_sub_panel(panel, panel.stock_ids, new_id),
+                     [replace(r, stock_id=new_id[r.stock_id])
+                      for r in records], config, tmp_path)
+    for name in ARTIFACTS:
+        if name != "eligibility.csv":
+            assert got[name] == want[name], name
+    rows, want_rows = (list(csv.reader(blob.decode().splitlines()))
+                       for blob in (got["eligibility.csv"],
+                                    want["eligibility.csv"]))
+    assert len(rows) == len(records) + 1
+    assert [row[1:] for row in rows] == [row[1:] for row in want_rows]
+    assert rows[0] == want_rows[0]
+    assert [row[0] for row in rows[1:]] == [new_id[row[0]]
+                                            for row in want_rows[1:]]
