@@ -599,17 +599,19 @@ def _load_packed(packed: Path, raw: _ChecksummedFile,
         builder = PanelBuilder(calendar)
         for k, stock_id in enumerate(meta["stocks"]):
             # one stock's packed arrays are released before the next is read
-            builder.add_stock_arrays(stock_id, *_packed_stock(npz, k, calendar))
+            builder.add_stock_arrays(stock_id, *_packed_stock(npz, k))
     return builder.build()
 
 
-def _packed_stock(npz, k: int, calendar: TradingCalendar) -> list[np.ndarray]:
-    """Stock ``k``'s price, volume, bid and ask rows and present mask."""
+def _packed_stock(npz, k: int) -> list[np.ndarray]:
+    """Stock ``k``'s price, volume, bid and ask rows and present mask.
+
+    Their dtypes are checked here, since the builder would convert any
+    other; it checks their shapes.
+    """
     values, present = npz[f"values{k}"], npz[f"present{k}"]
-    n = calendar.n_minutes
-    if (values.dtype, values.shape, present.dtype, present.shape) != (
-            np.float64, (4, n), np.bool_, (n,)):
-        raise ValueError(f"packed stock {k} has the wrong layout")
+    if (values.dtype, present.dtype) != (np.float64, np.bool_):
+        raise ValueError(f"packed stock {k} has the wrong dtypes")
     return [*values, present]
 
 
