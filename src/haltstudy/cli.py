@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: ``run`` (full analysis), ``robustness`` (rerun per trend
+Subcommands: ``run`` (full analysis), ``robustness`` (analyse per trend
 window and count sign flips), ``synth`` (emit a synthetic dataset with
 ground truth), ``counts`` (eligibility and the count table only) and
 ``fit`` (analysis with only the fit artifacts written). Every setting
@@ -27,17 +27,17 @@ from .events import (
     HaltType,
     group_name,
     parse_halt_file,
-    tabulate_counts,
 )
 from .market_data import TradingCalendar, load_bar_file
 from .pipeline import (
+    ARTIFACTS,
     FIT_ARTIFACTS,
     SELECTION_ARTIFACTS,
     AnalysisConfig,
     AnalysisResult,
     FitConfig,
     run_analysis,
-    select_events,
+    run_windows,
     write_analysis_outputs,
     write_sign_flip_csv,
 )
@@ -150,7 +150,7 @@ _ANALYSIS_FLAGS = ("bars", "calendar", "halts", "out", "seed",
 # subcommand: (help, the keys it takes as flags, in --help order)
 _SUBCOMMANDS = {
     "run": ("full analysis with all artifacts", _ANALYSIS_FLAGS),
-    "robustness": ("rerun per trend window, count sign flips",
+    "robustness": ("analyse per trend window, count sign flips",
                    _ANALYSIS_FLAGS + ("windows",)),
     "counts": ("eligibility report and count table only", _ANALYSIS_FLAGS),
     "fit": ("analysis with fit artifacts only", _ANALYSIS_FLAGS),
@@ -241,22 +241,24 @@ def _load_inputs(settings: Mapping[str, Any]):
     return panel, records
 
 
-def cmd_run(settings: Mapping[str, Any]) -> int:
+def _analyse(settings: Mapping[str, Any],
+             names: Sequence[str]) -> AnalysisResult:
+    # the stages that the artifacts ``names`` read, and those artifacts
     panel, records = _load_inputs(settings)
     analysis = analysis_config(settings)
-    result = run_analysis(panel, records, analysis)
-    written = write_analysis_outputs(result, analysis, settings["out"])
-    print(f"wrote {len(written)} files to {settings['out']}")
+    result = run_analysis(panel, records, analysis, names)
+    write_analysis_outputs(result, analysis, settings["out"], names)
+    return result
+
+
+def cmd_run(settings: Mapping[str, Any]) -> int:
+    _analyse(settings, ARTIFACTS)
+    print(f"wrote {len(ARTIFACTS)} files to {settings['out']}")
     return 0
 
 
 def cmd_counts(settings: Mapping[str, Any]) -> int:
-    panel, records = _load_inputs(settings)
-    analysis = analysis_config(settings)
-    events = select_events(panel, records, analysis)
-    table = tabulate_counts(events)
-    write_analysis_outputs(AnalysisResult(events, table), analysis,
-                           settings["out"], SELECTION_ARTIFACTS)
+    table = _analyse(settings, SELECTION_ARTIFACTS).counts
     print(f"{'halt_type':<10}{'pos':>6}{'neg':>6}{'total':>7}")
     for ht in HaltType:
         print(f"{ht.value:<10}{table.count(ht, EventSign.POSITIVE):>6}"
@@ -268,10 +270,7 @@ def cmd_counts(settings: Mapping[str, Any]) -> int:
 
 
 def cmd_fit(settings: Mapping[str, Any]) -> int:
-    panel, records = _load_inputs(settings)
-    analysis = analysis_config(settings)
-    result = run_analysis(panel, records, analysis)
-    write_analysis_outputs(result, analysis, settings["out"], FIT_ARTIFACTS)
+    result = _analyse(settings, FIT_ARTIFACTS)
     print(f"wrote exponents for {len(result.fit_rows)} group-measure cells")
     return 0
 
@@ -283,9 +282,8 @@ def cmd_robustness(settings: Mapping[str, Any]) -> int:
     panel, records = _load_inputs(settings)
     out = settings["out"]
     results = []
-    for window in windows:
-        analysis = analysis_config({**settings, "trend_window": window})
-        result = run_analysis(panel, records, analysis)
+    for window, (analysis, result) in zip(windows, run_windows(
+            panel, records, analysis_config(settings), windows)):
         write_analysis_outputs(result, analysis, out / f"window_{window:03d}")
         results.append(result)
     with open(out / "sign_flips.csv", "w", newline="") as fh:

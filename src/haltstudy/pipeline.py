@@ -1,27 +1,37 @@
 """End-to-end analysis: filter, deseasonalize, average, fit, report.
 
-:func:`run_analysis` composes four stages that the command line also
-calls on their own: :func:`select_events` (classify, filter),
-:func:`average_groups` (trajectories, one lockstep pass per chunk of
-stocks, and group averages), :func:`curves_and_reversals` and
-:func:`fit_groups` (fits and bootstrap errors). Work runs in one
-thread in a fixed order, groups in :func:`group_sort_key` order, so
-reruns are bitwise identical. Each output file has one writer here: the
-table behind :func:`write_analysis_outputs`, and
-:func:`write_sign_flip_csv` for the robustness summary. Event-time
-series are written by column, and every float field goes through one
-formatter (``repr``, empty for NaN).
+:func:`run_windows` is one staged pass over one or more trend windows,
+and :func:`run_analysis` its one-window case. Per window it runs
+:func:`select_events` (classify, filter), the only stage the trend
+window reaches, then :func:`average_groups` (trajectories, one lockstep
+pass per chunk of stocks, and group averages),
+:func:`add_curves_and_reversals` and :func:`fit_groups` (fits and
+bootstrap errors), each only when an artifact to be written reads it.
+A pass extracts each event's trajectories once, and builds each group
+cell once per distinct membership: a window whose cell has the members
+of an earlier window's reuses it whole, with its averages, curve,
+reversal fractions, fit rows, bootstrap results and rendered rows.
+Work runs in one thread in a fixed order, groups in
+:func:`group_sort_key` order, so reruns are bitwise identical. Each
+output file has one writer here: the table behind
+:func:`write_analysis_outputs`, and :func:`write_sign_flip_csv` for the
+robustness summary. Event-time series are written by column, and every
+float field goes through one formatter (``repr``, empty for NaN), once
+per column and write.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import (IO, Callable, Collection, Iterable, Iterator, Mapping,
+                    Sequence)
 
 import numpy as np
 
@@ -53,9 +63,9 @@ from .event_study import (
 )
 from .market_data import Panel, _float_texts
 from .powerlaw import (
+    BootstrapResult,
     FitConfig,
     GroupFitRow,
-    PowerLawFit,
     attach_bootstrap,
     bootstrap_alpha_stderr,
     fit_all_groups,
@@ -105,20 +115,73 @@ class AnalysisConfig:
                 f"{self.eligibility.post_window} minutes")
 
 
+@dataclass(eq=False)
+class GroupCell:
+    """One (halt type, sign) group of eligible events, and per measure
+    their group average.
+
+    A pass builds one cell per distinct membership and hands it to every
+    window with those members. The later stages fill in, once per cell,
+    what they derive from it: the cumulative-return ``curve`` and
+    ``reversals``, the fit row per measure and the bootstrap result per
+    (measure, spawn index). ``texts`` holds its rendered rows per
+    (artifact, measure), the measure None for curves.csv, while the pass
+    runs, and is None once the pass is over.
+    """
+
+    halt_type: HaltType
+    sign: EventSign
+    events: tuple[HaltEvent, ...]
+    averages: Mapping[MeasureKind, GroupAverage]
+    curve: CumulativeReturnCurve | None = None
+    reversals: Mapping[int, float] | None = None
+    fits: dict[MeasureKind, GroupFitRow] = field(default_factory=dict)
+    bootstraps: dict[tuple[MeasureKind, int], BootstrapResult] = field(
+        default_factory=dict)
+    texts: dict[tuple[str, MeasureKind | None], str] | None = field(
+        default_factory=dict)
+
+    @property
+    def group(self) -> str:
+        return group_name(self.halt_type, self.sign)
+
+    @cached_property
+    def excess(self) -> dict[MeasureKind, GroupAverage]:
+        return {m: make_excess(avg) for m, avg in self.averages.items()}
+
+
 @dataclass(frozen=True)
 class AnalysisResult:
-    """All analysis products, in deterministic order.
+    """All analysis products of one window, in deterministic order.
 
-    A result of the selection stage alone leaves the later fields empty.
+    A stage that did not run leaves its products empty: a result of the
+    selection stage alone has no cells, and one without the curve stage
+    no curves, reversals or stability.
     """
 
     events: tuple[HaltEvent, ...]
     counts: CountTable
-    averages: tuple[GroupAverage, ...] = ()
-    curves: tuple[CumulativeReturnCurve, ...] = ()
-    reversals: Mapping[str, Mapping[int, float]] = field(default_factory=dict)
-    excess: tuple[GroupAverage, ...] = ()
+    cells: tuple[GroupCell, ...] = ()
     fit_rows: tuple[GroupFitRow, ...] = ()
+
+    @property
+    def averages(self) -> tuple[GroupAverage, ...]:
+        return tuple(avg for cell in self.cells
+                     for avg in cell.averages.values())
+
+    @property
+    def excess(self) -> tuple[GroupAverage, ...]:
+        return tuple(ex for cell in self.cells for ex in cell.excess.values())
+
+    @property
+    def curves(self) -> tuple[CumulativeReturnCurve, ...]:
+        return tuple(cell.curve for cell in self.cells
+                     if cell.curve is not None)
+
+    @property
+    def reversals(self) -> dict[str, Mapping[int, float]]:
+        return {cell.group: cell.reversals for cell in self.cells
+                if cell.reversals is not None}
 
     @property
     def stability(self) -> dict[str, float]:
@@ -129,22 +192,6 @@ class AnalysisResult:
         return sum(1 for ev in self.events if ev.eligible)
 
 
-@dataclass(frozen=True)
-class GroupCell:
-    """One (halt type, sign) group of eligible events, and per measure
-    their trajectories (aligned with ``events``) and group average."""
-
-    halt_type: HaltType
-    sign: EventSign
-    events: tuple[HaltEvent, ...]
-    trajectories: Mapping[MeasureKind, tuple[EventTrajectory, ...]]
-    averages: Mapping[MeasureKind, GroupAverage]
-
-    @property
-    def group(self) -> str:
-        return group_name(self.halt_type, self.sign)
-
-
 def select_events(panel: Panel, records: Sequence[HaltRecord],
                   config: AnalysisConfig = AnalysisConfig(),
                   ) -> tuple[HaltEvent, ...]:
@@ -152,77 +199,110 @@ def select_events(panel: Panel, records: Sequence[HaltRecord],
     return tuple(filter_eligibility(records, panel, config.eligibility))
 
 
+Trajectories = dict[HaltRecord, dict[MeasureKind, EventTrajectory]]
+
+
+def _member_trajectories(trajectories: Trajectories,
+                         events: Sequence[HaltEvent],
+                         measure: MeasureKind) -> list[EventTrajectory]:
+    # each event's trajectory of ``measure``, re-bound to that event: it
+    # may have been extracted for an earlier window's copy of the event,
+    # with another sign, and its values do not depend on the sign
+    out = []
+    for ev in events:
+        trajectory = trajectories[ev.record][measure]
+        out.append(trajectory if trajectory.event is ev
+                   else replace(trajectory, event=ev))
+    return out
+
+
 def average_groups(panel: Panel, events: Sequence[HaltEvent],
                    config: AnalysisConfig = AnalysisConfig(),
+                   trajectories: Trajectories | None = None,
+                   cells: dict[tuple, GroupCell] | None = None,
                    ) -> tuple[GroupCell, ...]:
-    """Trajectories and group averages of the eligible events, per group."""
+    """Group averages of the eligible events' trajectories, per group.
+
+    ``trajectories`` (by record) and ``cells`` (by halt type, sign and
+    member records) hold what earlier windows of a pass built, and take
+    what this one adds. Only events without trajectories there are
+    extracted, in one pass in sorted order; a cell with the members of
+    one there is that cell.
+    """
+    trajectories = {} if trajectories is None else trajectories
+    cells = {} if cells is None else cells
     eligible = [ev for ev in events if ev.eligible]
-    elig = config.eligibility
-    per_event = extract_stock_trajectories(
-        panel, eligible, config.measures, elig.lookback_days,
-        elig.measure_pre_window, elig.post_window)
-    groups: dict[tuple[HaltType, EventSign], list[int]] = {}
-    for i, ev in enumerate(eligible):
-        groups.setdefault((ev.halt_type, ev.sign), []).append(i)
-    cells = []
+    new = [ev for ev in eligible if ev.record not in trajectories]
+    if new:
+        elig = config.eligibility
+        trajectories.update(zip(
+            [ev.record for ev in new],
+            extract_stock_trajectories(
+                panel, new, config.measures, elig.lookback_days,
+                elig.measure_pre_window, elig.post_window)))
+    groups: dict[tuple[HaltType, EventSign], list[HaltEvent]] = {}
+    for ev in eligible:
+        groups.setdefault((ev.halt_type, ev.sign), []).append(ev)
+    out = []
     for key in sorted(groups, key=lambda k: group_sort_key(*k)):
-        indices = groups[key]
-        trajectories = {m: tuple(per_event[i][m] for i in indices)
-                        for m in config.measures}
-        cells.append(GroupCell(
-            *key, tuple(eligible[i] for i in indices), trajectories,
-            {m: group_average(trajs) for m, trajs in trajectories.items()}))
-    return tuple(cells)
+        members = tuple(groups[key])
+        cell_key = (*key, tuple(ev.record for ev in members))
+        if cell_key not in cells:
+            cells[cell_key] = GroupCell(*key, members, {
+                m: group_average(_member_trajectories(trajectories, members, m))
+                for m in config.measures})
+        out.append(cells[cell_key])
+    return tuple(out)
 
 
-def curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
-                         config: AnalysisConfig = AnalysisConfig(),
-                         ) -> tuple[tuple[CumulativeReturnCurve, ...],
-                                    dict[str, dict[int, float]]]:
-    """Each group's cumulative-return curve and its reversal fractions."""
-    curves = []
-    reversals = {}
+def add_curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
+                             config: AnalysisConfig = AnalysisConfig(),
+                             ) -> None:
+    """Give each cell that lacks them its cumulative-return curve and its
+    reversal fractions, in cell order."""
     for cell in cells:
-        curves.append(average_cumulative_return(
-            panel, cell.events, config.eligibility.pre_window))
-        reversals[cell.group] = reversal_stats(panel, cell.events,
-                                               config.reversal_horizons)
-    return tuple(curves), reversals
+        if cell.curve is None:
+            cell.curve = average_cumulative_return(
+                panel, cell.events, config.eligibility.pre_window)
+            cell.reversals = reversal_stats(panel, cell.events,
+                                            config.reversal_horizons)
 
 
-def fit_groups(cells: Sequence[GroupCell],
+def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
                config: AnalysisConfig = AnalysisConfig(),
                ) -> tuple[GroupFitRow, ...]:
     """Fit every group average, then bootstrap each fitted multi-event cell
-    from its own child of one seed sequence, spawned in row order."""
-    rows = fit_all_groups([avg for cell in cells
-                           for avg in cell.averages.values()], config.fit)
-    if config.n_bootstrap == 0 or not rows:
-        return tuple(rows)
-    trajectories = {(cell.group, m): trajs for cell in cells
-                    for m, trajs in cell.trajectories.items()}
-    children = np.random.SeedSequence(config.seed).spawn(len(rows))
+    from its own child of one seed sequence, spawned in row order; the
+    members' ``trajectories`` are those :func:`average_groups` kept.
+
+    Rows sort by measure, then group. A fit row is bitwise the same
+    fitted alone as in a block, so only the cells without fit rows are
+    fitted, and the others keep theirs. A cell keeps its bootstrap
+    results by measure and spawn index: a window without some cell
+    shifts the children of every later row.
+    """
+    new = {cell.group: cell for cell in cells if not cell.fits}
+    for row in fit_all_groups([avg for cell in new.values()
+                               for avg in cell.averages.values()], config.fit):
+        new[row.group].fits[row.measure] = row
+    ordered = sorted(((cell, m) for cell in cells for m in cell.fits),
+                     key=lambda p: (p[1].value,
+                                    group_sort_key(p[0].halt_type, p[0].sign)))
+    if config.n_bootstrap == 0 or not ordered:
+        return tuple(cell.fits[m] for cell, m in ordered)
+    children = np.random.SeedSequence(config.seed).spawn(len(ordered))
     patched = []
-    for row, child in zip(rows, children):
-        trajs = trajectories[(row.group, row.measure)]
-        if row.fit is not None and len(trajs) >= 2:
-            row = attach_bootstrap(row, bootstrap_alpha_stderr(
-                trajs, config.fit.fit_range, n_resamples=config.n_bootstrap,
-                seed=child))
+    for i, ((cell, m), child) in enumerate(zip(ordered, children)):
+        row = cell.fits[m]
+        if row.fit is not None and len(cell.events) >= 2:
+            if (m, i) not in cell.bootstraps:
+                cell.bootstraps[m, i] = bootstrap_alpha_stderr(
+                    _member_trajectories(trajectories, cell.events, m),
+                    config.fit.fit_range,
+                    n_resamples=config.n_bootstrap, seed=child)
+            row = attach_bootstrap(row, cell.bootstraps[m, i])
         patched.append(row)
     return tuple(patched)
-
-
-def run_analysis(panel: Panel, records: Sequence[HaltRecord],
-                 config: AnalysisConfig = AnalysisConfig()) -> AnalysisResult:
-    """Run the full study over a raw panel and halt registry."""
-    events = select_events(panel, records, config)
-    cells = average_groups(panel, events, config)
-    curves, reversals = curves_and_reversals(panel, cells, config)
-    averages = tuple(avg for cell in cells for avg in cell.averages.values())
-    return AnalysisResult(events, tabulate_counts(events), averages, curves,
-                          reversals, tuple(make_excess(avg) for avg in averages),
-                          fit_groups(cells, config))
 
 
 def _json_float(x: float | None) -> float | None:
@@ -281,42 +361,61 @@ def _csv_writer(stream: IO[str], header: Sequence[str]):
     return writer
 
 
-def _write_series(writer, group: str, label: str, t: np.ndarray,
-                  *columns: Iterable) -> None:
-    # one event-time series by column, a row per t
-    writer.writerows(zip(repeat(group), repeat(label), t.tolist(), *columns))
+def _series_text(group: str, label: str, t: np.ndarray,
+                 *columns: Iterable) -> str:
+    # the rows of one event-time series, by column, a row per t
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        zip(repeat(group), repeat(label), t.tolist(), *columns))
+    return buf.getvalue()
 
 
-def write_group_average_csv(averages: Iterable[GroupAverage],
-                            stream: IO[str]) -> None:
-    """Rows ``group,measure,t,mean,stderr,n``, sorted by group and measure."""
-    writer = _csv_writer(stream, SERIES_CSV_HEADER)
-    for ga in sorted(averages, key=lambda a: (a.group, a.measure.value)):
-        _write_series(writer, ga.group, ga.measure.value, ga.t,
-                      _float_texts(ga.mean), _float_texts(ga.stderr),
-                      ga.n.tolist())
+def _render_cell(cell: GroupCell, names: Collection[str]) -> None:
+    """Render into ``cell.texts`` its rows in each series artifact of
+    ``names`` that it lacks.
+
+    A float column that two artifacts repeat is formatted once:
+    excess.csv's stderr and n are averages.csv's on t >= 1, and
+    loglog.csv's z_ex is excess.csv's mean.
+    """
+    group = cell.group
+    if "curves.csv" in names and ("curves.csv", None) not in cell.texts:
+        c = cell.curve
+        cell.texts["curves.csv", None] = _series_text(
+            group, CUMULATIVE_LABEL, c.t, _float_texts(c.mean),
+            _float_texts(c.stderr), repeat(c.n))
+    for m, avg in cell.averages.items():
+        todo = {name for name in ("averages.csv", "excess.csv", "loglog.csv")
+                if name in names and (name, m) not in cell.texts}
+        if not todo:
+            continue
+        ex = cell.excess[m]
+        stderr, n, z_ex = (_float_texts(avg.stderr), avg.n.tolist(),
+                           _float_texts(ex.mean))
+        if "averages.csv" in todo:
+            cell.texts["averages.csv", m] = _series_text(
+                group, m.value, avg.t, _float_texts(avg.mean), stderr, n)
+        if "excess.csv" in todo:
+            # make_excess keeps t >= 1, a suffix of the ascending t axis
+            tail = int(np.searchsorted(avg.t, 1))
+            cell.texts["excess.csv", m] = _series_text(
+                group, m.value, ex.t, z_ex, stderr[tail:], n[tail:])
+        if "loglog.csv" in todo:
+            fit = cell.fits[m].fit if m in cell.fits else None
+            cell.texts["loglog.csv", m] = _series_text(
+                group, m.value, ex.t, z_ex,
+                repeat("") if fit is None else _float_texts(fit.model(ex.t)))
 
 
-def write_curve_csv(curves: Iterable[CumulativeReturnCurve],
-                    stream: IO[str]) -> None:
-    """Cumulative curves in the same layout as the measure averages."""
-    writer = _csv_writer(stream, SERIES_CSV_HEADER)
-    for curve in sorted(curves, key=lambda c: c.group):
-        _write_series(writer, curve.group, CUMULATIVE_LABEL, curve.t,
-                      _float_texts(curve.mean), _float_texts(curve.stderr),
-                      repeat(curve.n))
-
-
-def write_loglog_csv(pairs: Iterable[tuple[GroupAverage, PowerLawFit | None]],
+def _write_cell_rows(result: AnalysisResult, name: str,
                      stream: IO[str]) -> None:
-    """Excess values next to fitted values, for log-log plotting."""
-    writer = _csv_writer(stream, LOGLOG_CSV_HEADER)
-    for series, fit in sorted(pairs, key=lambda p: (p[0].group,
-                                                     p[0].measure.value)):
-        _write_series(writer, series.group, series.measure.value, series.t,
-                      _float_texts(series.mean),
-                      repeat("") if fit is None
-                      else _float_texts(fit.model(series.t)))
+    # every cell's rendered rows of ``name``, by group, then measure
+    _csv_writer(stream, LOGLOG_CSV_HEADER if name == "loglog.csv"
+                else SERIES_CSV_HEADER)
+    for cell in sorted(result.cells, key=lambda c: c.group):
+        measures = ([None] if name == "curves.csv"
+                    else sorted(cell.averages, key=lambda m: m.value))
+        stream.writelines(cell.texts[name, m] for m in measures)
 
 
 def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
@@ -333,12 +432,6 @@ def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
                          row.flag))
 
 
-def _write_loglog(result: AnalysisResult, stream: IO[str]) -> None:
-    fits = {(row.group, row.measure): row.fit for row in result.fit_rows}
-    write_loglog_csv([(series, fits.get((series.group, series.measure)))
-                      for series in result.excess], stream)
-
-
 def _write_summary(result: AnalysisResult, config: AnalysisConfig,
                    stream: IO[str]) -> None:
     json.dump(summary_dict(result, config), stream, indent=2, sort_keys=True,
@@ -351,30 +444,104 @@ _WRITERS: dict[str, Callable[[AnalysisResult, AnalysisConfig, IO[str]],
                              None]] = {
     "eligibility.csv": lambda r, c, fh: write_eligibility_report(r.events, fh),
     "counts.csv": lambda r, c, fh: write_count_csv(r.counts, fh),
-    "curves.csv": lambda r, c, fh: write_curve_csv(r.curves, fh),
-    "averages.csv": lambda r, c, fh: write_group_average_csv(r.averages, fh),
-    "excess.csv": lambda r, c, fh: write_group_average_csv(r.excess, fh),
-    "loglog.csv": lambda r, c, fh: _write_loglog(r, fh),
+    "curves.csv": lambda r, c, fh: _write_cell_rows(r, "curves.csv", fh),
+    "averages.csv": lambda r, c, fh: _write_cell_rows(r, "averages.csv", fh),
+    "excess.csv": lambda r, c, fh: _write_cell_rows(r, "excess.csv", fh),
+    "loglog.csv": lambda r, c, fh: _write_cell_rows(r, "loglog.csv", fh),
     "exponents.csv": lambda r, c, fh: write_exponent_csv(r.fit_rows, fh),
     "summary.json": _write_summary,
 }
 ARTIFACTS = tuple(_WRITERS)
 SELECTION_ARTIFACTS = ("eligibility.csv", "counts.csv")
 FIT_ARTIFACTS = ("exponents.csv", "loglog.csv")
+# the stages after selection whose products each artifact reads
+_READS = {
+    "eligibility.csv": (),
+    "counts.csv": (),
+    "curves.csv": ("cells", "curves"),
+    "averages.csv": ("cells",),
+    "excess.csv": ("cells",),
+    "loglog.csv": ("cells", "fits"),
+    "exponents.csv": ("cells", "fits"),
+    "summary.json": ("cells", "curves", "fits"),
+}
+
+
+def run_windows(panel: Panel, records: Sequence[HaltRecord],
+                config: AnalysisConfig, windows: Iterable[int],
+                names: Collection[str] = ARTIFACTS,
+                ) -> Iterator[tuple[AnalysisConfig, AnalysisResult]]:
+    """Analyse the data at each trend window in ``windows``, in that order,
+    as one staged pass; yields each window's configuration and result.
+
+    ``config`` gives every other setting. Only the stages that the
+    artifacts ``names`` read run. Selection runs per window. The
+    trajectories of each eligible event are extracted in the first window
+    that has it, and a group cell is built in the first window with its
+    members; a later window reuses both (see :func:`average_groups`),
+    and with a cell everything derived from it. A window's result is
+    yielded before the next window's selection starts, so a caller that
+    writes it there has written every window before the first failing
+    one, and that window raises the error a lone run of it would.
+    """
+    stages = {stage for name in names for stage in _READS[name]}
+    trajectories: Trajectories = {}
+    cells: dict[tuple, GroupCell] = {}
+    for window in windows:
+        analysis = replace(config, eligibility=replace(config.eligibility,
+                                                       trend_window=window))
+        events = select_events(panel, records, analysis)
+        group_cells = fit_rows = ()
+        if "cells" in stages:
+            group_cells = average_groups(panel, events, analysis,
+                                         trajectories, cells)
+        if "curves" in stages:
+            add_curves_and_reversals(panel, group_cells, analysis)
+        if "fits" in stages:
+            fit_rows = fit_groups(group_cells, trajectories, analysis)
+        yield analysis, AnalysisResult(events, tabulate_counts(events),
+                                       group_cells, fit_rows)
+    # no window is left to copy the rows, and a caller that keeps the
+    # results should not keep their text
+    for cell in cells.values():
+        cell.texts = None
+
+
+def run_analysis(panel: Panel, records: Sequence[HaltRecord],
+                 config: AnalysisConfig = AnalysisConfig(),
+                 names: Collection[str] = ARTIFACTS) -> AnalysisResult:
+    """Run the study over a raw panel and halt registry, as far as the
+    artifacts ``names`` need: the one-window case of :func:`run_windows`."""
+    ((_, result),) = run_windows(panel, records, config,
+                                 [config.eligibility.trend_window], names)
+    return result
 
 
 def write_analysis_outputs(result: AnalysisResult, config: AnalysisConfig,
                            out_dir: str | Path,
                            names: Sequence[str] = ARTIFACTS) -> list[Path]:
-    """Write the named artifact files (all by default); returns their paths."""
+    """Write the named artifact files (all by default); returns their paths.
+
+    While the pass that built a cell runs, its rows are rendered into it
+    once, and a later write of any result that shares the cell copies
+    them; after the pass, they are rendered for each write.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # cells whose pass is over keep their rows for this write only
+    done = [cell for cell in result.cells if cell.texts is None]
+    for cell in done:
+        cell.texts = {}
+    for cell in result.cells:
+        _render_cell(cell, names)
     written = []
     for name in names:
         path = out / name
         with open(path, "w", newline="") as fh:
             _WRITERS[name](result, config, fh)
         written.append(path)
+    for cell in done:
+        cell.texts = None
     return written
 
 

@@ -7,6 +7,8 @@ from datetime import date
 import numpy as np
 
 from haltstudy import (
+    AnalysisConfig,
+    AnalysisResult,
     EventSign,
     HaltEvent,
     HaltRecord,
@@ -15,6 +17,8 @@ from haltstudy import (
     PanelBuilder,
     TradingCalendar,
     market_data,
+    tabulate_counts,
+    write_analysis_outputs,
 )
 
 
@@ -96,3 +100,11 @@ def count_bar_parses(monkeypatch) -> list:
         return parse(stream, calendar)
     monkeypatch.setattr(market_data, "parse_bar_file", spy)
     return calls
+
+
+def cell_artifact(out_dir, name: str, cell) -> str:
+    """The text of artifact ``name`` for a result of the one group cell
+    ``cell``, as the pipeline writes it."""
+    result = AnalysisResult((), tabulate_counts([]), (cell,))
+    (path,) = write_analysis_outputs(result, AnalysisConfig(), out_dir, [name])
+    return path.read_text()

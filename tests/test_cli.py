@@ -19,14 +19,16 @@ from haltstudy import (
     write_bar_csv,
     write_halt_csv,
 )
-from haltstudy import market_data
+from haltstudy import EventSign, market_data, pipeline
 from haltstudy.cli import (
+    _load_inputs,
     analysis_config,
     build_parser,
     main,
     parse_config_file,
     resolve_config,
 )
+from haltstudy.pipeline import run_windows
 from helpers import add_stock, count_bar_parses
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -43,28 +45,67 @@ def _write_inputs(out: Path, cal, panel, records):
         write_halt_csv(records, fh)
 
 
+def _add_trending(builder, cal, stock_id, begin, resume, down_leg=0,
+                  spread=0.02, first=0, decay=None):
+    # trends up over the 240 minutes before the halt at global minute
+    # ``begin``, down over the last ``down_leg`` of them, and has no bars
+    # from ``begin`` to ``resume`` nor before ``first``; a faint
+    # alternating wiggle keeps every per-minute baseline positive. With
+    # a ``decay`` exponent, the volume t minutes after resumption is
+    # 1 + 3 t**-decay times its usual level, so its fit converges
+    n = cal.n_minutes
+    inc = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * 2e-4
+    inc[0] = 0.0
+    inc[begin - 240:begin] = 1e-3
+    if down_leg:
+        inc[begin - down_leg:begin] = -1e-3
+    inc[begin:resume] = 0.0
+    volume = np.full(n, 100.0)
+    if decay is not None:
+        volume[resume + 1:resume + 161] *= 1 + 3 * np.arange(1, 161) ** -decay
+    add_stock(builder, cal, stock_id, price=10.0 * np.exp(np.cumsum(inc)),
+              volume=volume, spread=spread,
+              absent=[slice(0, first), slice(begin, resume)])
+
+
 @pytest.fixture(scope="module")
 def flip_inputs(tmp_path_factory):
     # stock FLIP trends up for 185 minutes and down for the last 55, so
     # the 60-minute window reads negative while 120/180/240 read
-    # positive; stock MONO trends up throughout; a faint alternating
-    # wiggle keeps every per-minute baseline positive
+    # positive; stock MONO trends up throughout
     cal = make_calendar(43)
-    n = cal.n_minutes
     builder = PanelBuilder(cal)
-    for stock_id, down_leg in (("FLIP", 55), ("MONO", 0)):
-        inc = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * 2e-4
-        inc[0] = 0.0
-        inc[9660:9900] = 1e-3
-        if down_leg:
-            inc[9900 - down_leg:9900] = -1e-3
-        inc[9900:9960] = 0.0
-        add_stock(builder, cal, stock_id, price=10.0 * np.exp(np.cumsum(inc)),
-                  volume=100.0, spread=0.02, absent=[slice(9900, 9960)])
+    _add_trending(builder, cal, "FLIP", 9900, 9960, down_leg=55)
+    _add_trending(builder, cal, "MONO", 9900, 9960)
     records = [HaltRecord(s, cal.trading_days[41], 61,
                           cal.trading_days[41], 121)
                for s in ("FLIP", "MONO")]
     root = tmp_path_factory.mktemp("flip")
+    _write_inputs(root, cal, builder.build(), records)
+    return root
+
+
+@pytest.fixture(scope="module")
+def regroup_inputs(tmp_path_factory):
+    # F1 and F2 flip like FLIP above, M1 trends up throughout; O1 and O2
+    # trend up into a one-day halt (day 41, resuming on day 42). Window
+    # 60 splits the intraday events into two cells, and the one-day
+    # cell, which every window has, moves from row 2k+1 to row 3k+2 of
+    # the exponent table, so its bootstrap children change; its members
+    # decay at different rates, so its bootstrap spread depends on them
+    cal = make_calendar(43)
+    builder = PanelBuilder(cal)
+    for stock_id in ("F1", "F2"):
+        _add_trending(builder, cal, stock_id, 9900, 9960, down_leg=55,
+                      decay=0.7)
+    _add_trending(builder, cal, "M1", 9900, 9960, decay=0.7)
+    for stock_id, decay in (("O1", 0.7), ("O2", 1.0)):
+        _add_trending(builder, cal, stock_id, 9840, 10080, decay=decay)
+    days = cal.trading_days
+    records = [HaltRecord(s, days[41], 61, days[41], 121)
+               for s in ("F1", "F2", "M1")]
+    records += [HaltRecord(s, days[41], 1, days[42], 1) for s in ("O1", "O2")]
+    root = tmp_path_factory.mktemp("regroup")
     _write_inputs(root, cal, builder.build(), records)
     return root
 
@@ -132,6 +173,27 @@ def test_counts_prints_table(synth_inputs, tmp_path, capsys):
         assert (out / name).read_bytes() == (run / name).read_bytes()
 
 
+def _fail(*args, **kwargs):
+    raise AssertionError("a stage that no written artifact reads ran")
+
+
+@pytest.mark.parametrize("command, skipped", [
+    ("fit", ("average_cumulative_return", "reversal_stats")),
+    ("counts", ("extract_stock_trajectories", "group_average",
+                "average_cumulative_return", "fit_all_groups")),
+])
+def test_commands_run_only_the_stages_they_write(synth_inputs, tmp_path,
+                                                 monkeypatch, command,
+                                                 skipped):
+    want = tmp_path / "want"
+    assert main([command, *_args(synth_inputs, want, "--bootstrap", "4")]) == 0
+    for name in skipped:
+        monkeypatch.setattr(pipeline, name, _fail)
+    got = tmp_path / "got"
+    assert main([command, *_args(synth_inputs, got, "--bootstrap", "4")]) == 0
+    assert _tree(got) == _tree(want)
+
+
 def test_fit_writes_only_fit_artifacts(synth_inputs, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["fit", *_args(synth_inputs, out, "--bootstrap", "0")])
@@ -184,6 +246,147 @@ def test_robustness_single_window_matches_plain_run(flip_inputs, tmp_path):
             == path.read_bytes()
     flips = (rob / "sign_flips.csv").read_text().splitlines()
     assert [row.split(",")[-1] for row in flips[1:]] == ["0", "0"]
+
+
+@pytest.fixture(scope="module")
+def failing_inputs(tmp_path_factory):
+    # all three halt at day 41, minute 61 (global minutes 9900-9959);
+    # A1's bars start 200 minutes before the halt, so it has the history
+    # of window 60 (160 minutes) but not of window 240, and its one
+    # lookback day has no bars at the pre window's morning minutes: an
+    # unusable baseline; B2 quotes bid = ask, a zero spread baseline;
+    # OK is sound
+    cal = make_calendar(43)
+    builder = PanelBuilder(cal)
+    _add_trending(builder, cal, "A1", 9900, 9960, first=9899 - 200)
+    _add_trending(builder, cal, "B2", 9900, 9960, spread=0.0)
+    _add_trending(builder, cal, "OK", 9900, 9960)
+    panel = builder.build()
+    roots = {}
+    for name, stocks in (("both", ("A1", "B2", "OK")),
+                         ("short_only", ("A1", "OK"))):
+        roots[name] = tmp_path_factory.mktemp(name)
+        _write_inputs(roots[name], cal, panel,
+                      [HaltRecord(s, cal.trading_days[41], 61,
+                                  cal.trading_days[41], 121) for s in stocks])
+    return roots
+
+
+@pytest.mark.parametrize("registry, stock, windows_left", [
+    # A1 sorts first but is eligible only in the later window 60; B2
+    # fails in the first window, 240, before anything is written
+    ("both", "B2", set()),
+    # without B2, window 240 is written before A1 fails in window 60
+    ("short_only", "A1", {"window_240"}),
+])
+def test_robustness_reports_the_first_failing_window(failing_inputs, tmp_path,
+                                                     capsys, registry, stock,
+                                                     windows_left):
+    out = tmp_path / "rob"
+    rc = main(["robustness", *_args(failing_inputs[registry], out,
+                                    "--windows", "240,60", "--bootstrap", "0",
+                                    "--lookback-days", "1")])
+    assert rc == 1
+    blob = _stderr_error(capsys)
+    assert blob["error"] == "ZeroBaseline"
+    assert blob["message"].startswith(f"{stock}: unusable baseline")
+    left = {p.name for p in out.iterdir()} if out.exists() else set()
+    assert left == windows_left
+    for window in windows_left:
+        assert len(list((out / window).iterdir())) == 8
+
+
+@pytest.mark.parametrize("inputs", ["flip_inputs", "regroup_inputs"])
+def test_robustness_windows_match_plain_runs(request, tmp_path, inputs):
+    root = request.getfixturevalue(inputs)
+    rob = tmp_path / "rob"
+    assert main(["robustness", *_args(root, rob, "--bootstrap", "4",
+                                      "--windows", "240,60,120")]) == 0
+    flips = (rob / "sign_flips.csv").read_text().splitlines()
+    assert "1" in [row.split(",")[-1] for row in flips[1:]]
+    for window in (240, 60, 120):
+        run = tmp_path / f"run_{window}"
+        assert main(["run", *_args(root, run, "--bootstrap", "4",
+                                   "--trend-window", str(window))]) == 0
+        assert _tree(rob / f"window_{window:03d}") == _tree(run)
+
+
+def _count_calls(monkeypatch, name):
+    # the positional arguments of every call of pipeline's ``name``
+    calls = []
+    real = getattr(pipeline, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_robustness_builds_each_cell_once(synth_inputs, tmp_path, capsys,
+                                          monkeypatch):
+    # no event changes sign, so windows 2-4 reuse every cell of window 1
+    extracted = _count_calls(monkeypatch, "extract_stock_trajectories")
+    averaged = _count_calls(monkeypatch, "group_average")
+    booted = _count_calls(monkeypatch, "bootstrap_alpha_stderr")
+    rob = tmp_path / "rob"
+    assert main(["robustness", *_args(synth_inputs, rob, "--bootstrap", "4")]) == 0
+    assert "0 of 4 events change sign" in capsys.readouterr().out
+    assert len(extracted) == 1
+    assert sorted(ev.record.stock_id for ev in extracted[0][1]) == \
+        sorted(line.split(",")[0] for line in
+               (rob / "sign_flips.csv").read_text().splitlines()[1:])
+    # 2 cells x 3 measures, rather than 6 in each of 4 windows
+    assert len(averaged) == 6
+    assert len(booted) == 6
+    for w in ("window_120", "window_180", "window_240"):
+        assert _tree(rob / w) == {
+            **_tree(rob / "window_060"),
+            "summary.json": (rob / w / "summary.json").read_bytes()}
+
+
+def test_robustness_reuses_unchanged_cells_only(regroup_inputs, tmp_path,
+                                                monkeypatch):
+    averaged = _count_calls(monkeypatch, "group_average")
+    booted = _count_calls(monkeypatch, "bootstrap_alpha_stderr")
+    assert main(["robustness", *_args(regroup_inputs, tmp_path,
+                                      "--bootstrap", "4",
+                                      "--windows", "240,60,120")]) == 0
+    # window 240: intraday_pos [F1 F2 M1] and oneday_pos [O1 O2], both
+    # new; window 60: intraday_pos [M1] and intraday_neg [F1 F2] new,
+    # oneday_pos reused but bootstrapped again at its new rows; window
+    # 120: everything reused. Only the volume fits converge, and only
+    # converged multi-event fits are bootstrapped
+    assert len(averaged) == (2 + 2) * 3
+    assert len(booted) == 2 + 2
+
+
+def test_reused_trajectory_carries_its_windows_event(flip_inputs, tmp_path,
+                                                     monkeypatch):
+    extracted = _count_calls(monkeypatch, "extract_stock_trajectories")
+    averaged = _count_calls(monkeypatch, "group_average")
+    panel, records = _load_inputs({
+        "bars": flip_inputs / "bars.csv", "halts": flip_inputs / "halts.csv",
+        "calendar": flip_inputs / "calendar.txt", "out": tmp_path})
+    (_, first), (_, second) = run_windows(
+        panel, records, AnalysisConfig(n_bootstrap=0), [240, 60])
+    assert len(extracted) == 1
+    flip = {ev.record.stock_id: ev for ev in second.events}["FLIP"]
+    assert flip.sign is EventSign.NEGATIVE
+    (cell,) = [c for c in second.cells if c.sign is EventSign.NEGATIVE]
+    assert cell.events == (flip,)
+    # window 240 averages [FLIP, MONO] per measure, window 60 [MONO],
+    # then [FLIP], whose trajectory window 240 extracted
+    assert len(averaged) == 3 * 3
+    for (old_flip, _), (new_flip,) in zip(
+            [args[0] for args in averaged[:3]],
+            [args[0] for args in averaged[6:]]):
+        assert old_flip.event.sign is EventSign.POSITIVE
+        assert new_flip.event is flip
+        assert new_flip.values is old_flip.values
+    assert [avg.sign for avg in cell.averages.values()] == \
+        [EventSign.NEGATIVE] * 3
 
 
 # ---------------------------------------------------------------- packed copy

@@ -1,7 +1,5 @@
 """Deseasonalization, event-time trajectories, curves and reversal rates."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -26,8 +24,8 @@ from haltstudy import (
     reversal_stats,
     stability_stat,
 )
-from haltstudy.pipeline import write_curve_csv, write_group_average_csv
-from helpers import add_stock, halt_event, location
+from haltstudy.pipeline import GroupCell
+from helpers import add_stock, cell_artifact, halt_event, location
 
 A, V, S = (MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME,
            MeasureKind.BID_ASK_SPREAD)
@@ -559,26 +557,25 @@ def test_reversal_input_validation():
 # ---------------------------------------------------------------- csv output
 
 
-def test_group_average_csv_layout():
+def test_group_average_csv_layout(tmp_path):
     ga = GroupAverage(V, HaltType.INTRADAY, EventSign.POSITIVE,
                       np.array([-1, 0, 1]),
                       np.array([1.0, np.nan, 2.5]),
                       np.array([0.0, np.nan, 0.5]),
                       np.array([2, 0, 2]))
-    out = io.StringIO()
-    write_group_average_csv([ga], out)
-    assert out.getvalue() == (
+    cell = GroupCell(HaltType.INTRADAY, EventSign.POSITIVE, (), {V: ga})
+    assert cell_artifact(tmp_path, "averages.csv", cell) == (
         "group,measure,t,mean,stderr,n\n"
         "intraday_pos,volume,-1,1.0,0.0,2\n"
         "intraday_pos,volume,0,,,0\n"
         "intraday_pos,volume,1,2.5,0.5,2\n")
 
 
-def test_curve_csv_layout():
+def test_curve_csv_layout(tmp_path):
     curve = _curve([0.1, 0.0, -0.2])
-    out = io.StringIO()
-    write_curve_csv([curve], out)
-    assert out.getvalue() == (
+    cell = GroupCell(HaltType.INTRADAY, EventSign.POSITIVE, (), {},
+                     curve=curve)
+    assert cell_artifact(tmp_path, "curves.csv", cell) == (
         "group,measure,t,mean,stderr,n\n"
         "intraday_pos,cumulative_return,-1,0.1,0.0,1\n"
         "intraday_pos,cumulative_return,0,0.0,0.0,1\n"

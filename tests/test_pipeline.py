@@ -105,6 +105,23 @@ def test_results_do_not_depend_on_worker_count(tmp_path):
         assert (dirs[2] / name).read_bytes() == ref
 
 
+def test_finished_run_keeps_no_rendered_rows(tmp_path):
+    # a caller that holds results holds no artifact text with them, and
+    # every write of a finished run renders the same bytes
+    spec = build_group_spec({(HaltType.INTRADAY, EventSign.POSITIVE): 2},
+                            seed=17, sigma=0.1)
+    panel, records, _ = generate_panel(spec)
+    config = AnalysisConfig(n_bootstrap=0)
+    result = run_analysis(panel, records, config)
+    for name in ("a", "b"):
+        assert result.cells and all(c.texts is None for c in result.cells)
+        write_analysis_outputs(result, config, tmp_path / name)
+    for name in ARTIFACTS:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+    assert all(c.texts is None for c in result.cells)
+
+
 def test_bootstrap_errors_attach_to_multi_event_groups():
     spec = build_group_spec({(HaltType.ONE_DAY, EventSign.NEGATIVE): 2},
                             seed=23)
@@ -323,9 +340,10 @@ def _sub_panel(panel, stock_ids, new_id=None):
 def _trajectory_bytes(panel, records, config):
     # every eligible event's trajectories by (event, measure), as bytes
     events = select_events(panel, records, config)
-    return {(tr.event.record, m): (tr.t.tobytes(), tr.values.tobytes())
-            for cell in average_groups(panel, events, config)
-            for m, trajs in cell.trajectories.items() for tr in trajs}
+    trajectories = {}
+    average_groups(panel, events, config, trajectories)
+    return {(record, m): (tr.t.tobytes(), tr.values.tobytes())
+            for record, per in trajectories.items() for m, tr in per.items()}
 
 
 @pytest.mark.parametrize("split", [

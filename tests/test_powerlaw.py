@@ -28,8 +28,8 @@ from haltstudy import (
     power_law_jacobian,
     power_law_model,
 )
-from haltstudy.pipeline import write_exponent_csv, write_loglog_csv
-from helpers import halt_event
+from haltstudy.pipeline import GroupCell, write_exponent_csv
+from helpers import cell_artifact, halt_event
 from oracles import grid_power_law
 
 T160 = np.arange(1, 161, dtype=float)
@@ -340,16 +340,17 @@ def test_exponent_csv_round_trip():
     assert failed[3:] == ["", "", "", "", "", "", "0", "no_power_law"]
 
 
-def test_loglog_csv_layout():
-    series = _series([2.0, 1.0, 0.5, 0.25], t=[1, 2, 4, 8])
+def test_loglog_csv_layout(tmp_path):
+    # an average whose excess over 1 is 2.0, 1.0, 0.5, 0.25
+    average = _series([3.0, 2.0, 1.5, 1.25], t=[1, 2, 4, 8])
     fit = PowerLawFit(2.0, 1.0, 0.0, (1, 160), 0.0, 1.0, 4, 3)
-    out = io.StringIO()
-    write_loglog_csv([(series, fit)], out)
-    lines = out.getvalue().splitlines()
+    cell = GroupCell(HaltType.INTRADAY, EventSign.POSITIVE, (), {A: average},
+                     fits={A: GroupFitRow(A, HaltType.INTRADAY,
+                                          EventSign.POSITIVE, fit, "ok")})
+    lines = cell_artifact(tmp_path / "fit", "loglog.csv", cell).splitlines()
     assert lines[0] == "group,measure,t,z_ex,fit_value"
     assert lines[1] == "intraday_pos,absolute_return,1,2.0,2.0"
     assert lines[3] == "intraday_pos,absolute_return,4,0.5,0.5"
-    bare = io.StringIO()
-    write_loglog_csv([(series, None)], bare)
-    assert bare.getvalue().splitlines()[1] == \
-        "intraday_pos,absolute_return,1,2.0,"
+    bare = GroupCell(HaltType.INTRADAY, EventSign.POSITIVE, (), {A: average})
+    assert cell_artifact(tmp_path / "bare", "loglog.csv", bare).splitlines()[1] \
+        == "intraday_pos,absolute_return,1,2.0,"
