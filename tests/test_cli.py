@@ -46,14 +46,16 @@ def _write_inputs(out: Path, cal, panel, records):
 
 
 def _add_trending(builder, cal, stock_id, begin, resume, down_leg=0,
-                  spread=0.02, first=0, decay=None):
+                  spread=0.02, first=0, decay=None, end=None):
     # trends up over the 240 minutes before the halt at global minute
     # ``begin``, down over the last ``down_leg`` of them, and has no bars
-    # from ``begin`` to ``resume`` nor before ``first``; a faint
+    # from ``begin`` to ``resume`` nor before ``first`` or from ``end``
+    # on; a faint
     # alternating wiggle keeps every per-minute baseline positive. With
     # a ``decay`` exponent, the volume t minutes after resumption is
     # 1 + 3 t**-decay times its usual level, so its fit converges
     n = cal.n_minutes
+    end = n if end is None else end
     inc = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * 2e-4
     inc[0] = 0.0
     inc[begin - 240:begin] = 1e-3
@@ -65,7 +67,7 @@ def _add_trending(builder, cal, stock_id, begin, resume, down_leg=0,
         volume[resume + 1:resume + 161] *= 1 + 3 * np.arange(1, 161) ** -decay
     add_stock(builder, cal, stock_id, price=10.0 * np.exp(np.cumsum(inc)),
               volume=volume, spread=spread,
-              absent=[slice(0, first), slice(begin, resume)])
+              absent=[slice(0, first), slice(begin, resume), slice(end, None)])
 
 
 @pytest.fixture(scope="module")
@@ -735,6 +737,39 @@ def test_worker_count_key_is_unknown(synth_inputs, tmp_path, capsys):
     assert blob["error"] == "ConfigError"
     assert "unknown key 'n_workers'" in blob["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_first_failing_cell_raises_its_curve_or_reversal_error(
+        tmp_path, capsys):
+    # both events pass the 100-minute post window, so both are eligible.
+    # EARLY (intraday_pos, first in report order) has bars for 170
+    # minutes after resumption: its 160-minute curve is covered, its
+    # 200-minute reversal is not. LATE (intraday_neg) has 130: its
+    # curve fails. Curve, then reversals, cell by cell, raise EARLY's
+    # error; all curves before any reversal would raise LATE's
+    cal = make_calendar(43)
+    builder = PanelBuilder(cal)
+    _add_trending(builder, cal, "EARLY", 9900, 9960, end=9960 + 171)
+    _add_trending(builder, cal, "LATE", 9900, 9960, down_leg=240,
+                  end=9960 + 131)
+    records = [HaltRecord(s, cal.trading_days[41], 61,
+                          cal.trading_days[41], 121)
+               for s in ("EARLY", "LATE")]
+    _write_inputs(tmp_path, cal, builder.build(), records)
+    cfg = tmp_path / "horizons.cfg"
+    cfg.write_text("reversal_horizons = 200\n")
+    windows = ("--post-window", "100", "--fit-range", "1:100")
+    out = tmp_path / "out"
+    assert main(["counts", *_args(tmp_path, out, *windows)]) == 0
+    assert (out / "counts.csv").read_text().splitlines()[1] == \
+        "intraday,1,1,2"
+    rc = main(["run", "--config", str(cfg),
+               *_args(tmp_path, tmp_path / "run", *windows,
+                      "--bootstrap", "0")])
+    assert rc == 1
+    blob = _stderr_error(capsys)
+    assert blob == {"error": "InsufficientPostWindow",
+                    "message": "EARLY: no bar 200 minutes after resumption"}
 
 
 def test_bad_robustness_window(flip_inputs, tmp_path, capsys):

@@ -4,7 +4,10 @@ A small noisy synthetic dataset goes through ``synth``, ``run
 --bootstrap 20`` and ``robustness --windows 60,240``; the SHA-256 of
 the bar file, of all eight ``run`` artifacts and of ``sign_flips.csv``
 are pinned. A second ``run --fit-range 5:60 --bootstrap 20`` pins the
-fits and bootstrap errors off the default fit range. Any change to how
+fits and bootstrap errors off the default fit range. That spec has one
+halt per stock; a multi-halt spec, whose stocks halt every few days
+through all six groups, pins ``run --bootstrap 20`` on cells of
+several events of one stock each. Any change to how
 values are computed, ordered or formatted shows up here as a moved
 digest. The digests hold for the IEEE double arithmetic of the
 numpy/BLAS build they were taken with; a build that rounds a dot
@@ -15,6 +18,8 @@ import hashlib
 
 import pytest
 
+from haltstudy import (DEFAULT_RELAXATIONS, EventSign, HaltType, MeasureKind,
+                       PlantedEvent, SyntheticSpec, write_synthetic_dataset)
 from haltstudy.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -100,3 +105,56 @@ def test_fit_range_run_matches_its_golden_digests(dataset):
                  "--bootstrap", "20"]) == 0
     got = {path.name: _sha256(path) for path in run.iterdir()}
     assert got == GOLDEN_FIT_RANGE
+
+
+# multi-halt spec: each stock halts every 4 trading days once it has 40
+# days of history, its k-th halt in group (stock + k) mod 6
+MULTI_STOCKS, MULTI_DAYS, MULTI_SPACING = 4, 60, 4
+LAYOUTS = {HaltType.INTRADAY: (0, 61, 0, 121), HaltType.ONE_DAY: (0, 1, 1, 1),
+           HaltType.INTER_DAY: (0, 1, 2, 1)}
+
+GOLDEN_MULTI = {
+    "eligibility.csv":
+        "9ef270f1fdf15b42bb641dde7479831cb42f61bdfd8ee3cdb05c994d60ec60e8",
+    "counts.csv":
+        "06557cab04baefe022c92507f736ce5d1b65b921f8e0d81f85275b9b38ad23f3",
+    "curves.csv":
+        "8f2d8ee7b4352b359c82875874c0ff7ab4d821683d52d1f8016d5ef0d1c0553e",
+    "averages.csv":
+        "57c1086e75cf1edc9b8d88b730e6dd7f8470cc2d5fc0dc3ad79ffb0814c7600a",
+    "excess.csv":
+        "c1930ef0fe292ed6f63534d8e052565fc212756df2b745ce384f71e3b93b7769",
+    "loglog.csv":
+        "e1bad7edd67dd854b98f6db4baac12bd30bc9862cc7a3b80fda66d2b3cb000d4",
+    "exponents.csv":
+        "eff5af9106d12bea5dd7f806d4a0c375c0fb81c1c99ef00c46daeea081115d86",
+    "summary.json":
+        "c44f47275e0cad2b40e8890ae389d91950864a31726df0af07eb14d8a95a29af",
+}
+
+
+def _multi_halt_spec() -> SyntheticSpec:
+    groups = [(ht, s) for ht in HaltType for s in EventSign]
+    events = []
+    for i in range(MULTI_STOCKS):
+        for k, day in enumerate(range(40, MULTI_DAYS - 3, MULTI_SPACING)):
+            halt_type, sign = groups[(i + k) % len(groups)]
+            b, b_min, r, r_min = LAYOUTS[halt_type]
+            trend = 0.08 if sign is EventSign.POSITIVE else -0.08
+            events.append(PlantedEvent(
+                f"SYN{i:04d}", day + b, b_min, day + r, r_min, trend,
+                DEFAULT_RELAXATIONS[halt_type, sign]))
+    return SyntheticSpec(n_stocks=MULTI_STOCKS, n_days=MULTI_DAYS, seed=23,
+                         events=tuple(events),
+                         sigma={m: 0.2 for m in MeasureKind})
+
+
+def test_multi_halt_run_matches_its_golden_digests(tmp_path):
+    data, run = tmp_path / "in", tmp_path / "run"
+    write_synthetic_dataset(_multi_halt_spec(), data)
+    assert main(["run", "--bars", str(data / "bars.csv"),
+                 "--calendar", str(data / "calendar.txt"),
+                 "--halts", str(data / "halts.csv"),
+                 "--out", str(run), "--bootstrap", "20"]) == 0
+    got = {path.name: _sha256(path) for path in run.iterdir()}
+    assert got == GOLDEN_MULTI
