@@ -60,6 +60,7 @@ from .event_study import (
     average_cumulative_return,
     extract_stock_trajectories,
     group_average,
+    group_averages,
     measure_series,
     resampled_means,
     reversal_stats,

@@ -26,7 +26,12 @@ share their mean steps; a stock whose days alone exceed the cap is a
 chunk of its own, in the buffer grown to fit it. The two passes that
 need only means, the baselines and the bootstrap resamples, run
 without the spread buffer; group averages and cumulative-return curves
-also carry the running spread for their standard errors.
+also carry the running spread for their standard errors. A stage's
+new groups share those passes: one per measure for the group averages
+and one for the curves, each group a block of consecutive rows padded
+to the largest block with one all-NaN row, which leaves every bit as
+a lone average would. A curve's rows come from one price gather per
+stock.
 """
 
 from __future__ import annotations
@@ -140,6 +145,13 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
     ``mode="clip"`` exists to let it write straight into the buffer
     (the default mode buffers ``out``), and would clamp a bad position
     silently.
+
+    The group averages of one measure, and the cumulative-return curves,
+    of every group a stage builds share one pass: blocks of unequal size
+    are padded to the largest with an all-NaN row (see
+    :func:`_padded_members`). A pad adds a zero step, and ``mean + 0.0``
+    is exact because the running mean, starting at +0.0, is never -0.0;
+    an accumulator whose mean could be -0.0 would have to skip pads.
     """
     rows = np.ascontiguousarray(rows)
     shape = rows.shape[:-2] + (members.shape[0], rows.shape[-1])
@@ -148,6 +160,16 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
     for column in np.ascontiguousarray(np.asarray(members, np.intp).T):
         acc.add(np.take(rows, column, axis=-2, out=gathered, mode="clip"))
     return acc
+
+
+def _padded_members(sizes: Sequence[int]) -> np.ndarray:
+    # member matrix of consecutive row blocks, block b the next sizes[b]
+    # rows, padded to the largest block with the position after them
+    # all, which the caller fills with NaN
+    sizes = np.asarray(sizes)
+    k = np.arange(sizes.max())
+    starts = np.cumsum(sizes) - sizes
+    return np.where(k < sizes[:, None], starts[:, None] + k, sizes.sum())
 
 
 @dataclass(frozen=True)
@@ -425,7 +447,7 @@ def _sorted_group(trajectories: Iterable[EventTrajectory],
     for tr in trajs:
         if tr.measure is not head.measure:
             raise ValueError("trajectories mix measures")
-        if not np.array_equal(tr.t, head.t):
+        if tr.t is not head.t and not np.array_equal(tr.t, head.t):
             raise ValueError("trajectories use different event-time axes")
     return trajs, halt_type, sign
 
@@ -435,14 +457,42 @@ def group_average(trajectories: Iterable[EventTrajectory]) -> GroupAverage:
 
     Only non-missing values enter each t's average. Accumulation runs in
     ascending (stock_id, halt begin) order, so the result is identical
-    however the trajectories were produced or ordered.
+    however the trajectories were produced or ordered. The one-group
+    case of :func:`group_averages`.
     """
-    trajs, halt_type, sign = _sorted_group(trajectories)
-    acc = _lockstep_welford(np.stack([tr.values for tr in trajs]),
-                            np.arange(len(trajs))[None, :])
-    head = trajs[0]
-    return GroupAverage(head.measure, halt_type, sign, head.t.copy(),
-                        acc.means()[0], acc.stderrs()[0], acc.counts()[0])
+    return group_averages([trajectories])[0]
+
+
+def group_averages(groups: Iterable[Iterable[EventTrajectory]],
+                   ) -> list[GroupAverage]:
+    """Per group of trajectories, its :func:`group_average`, bitwise.
+
+    Every group is sorted and checked first, in the order given, so the
+    first bad group raises. Then the groups of each measure are averaged
+    in one lockstep pass over that measure's stacked members, each group
+    a block padded to the largest with an all-NaN row.
+    """
+    checked = [_sorted_group(trajs) for trajs in groups]
+    passes: dict[tuple, list[int]] = {}
+    for i, (trajs, _, _) in enumerate(checked):
+        head = trajs[0]
+        passes.setdefault((head.measure, len(head.values)), []).append(i)
+    out: list = [None] * len(checked)
+    for (_, width), positions in passes.items():
+        blocks = [checked[i][0] for i in positions]
+        sizes = [len(trajs) for trajs in blocks]
+        rows = np.empty((sum(sizes) + 1, width))
+        rows[-1] = np.nan
+        np.stack([tr.values for trajs in blocks for tr in trajs],
+                 out=rows[:-1])
+        acc = _lockstep_welford(rows, _padded_members(sizes))
+        mean, stderr, n = acc.means(), acc.stderrs(), acc.counts()
+        for b, i in enumerate(positions):
+            trajs, halt_type, sign = checked[i]
+            head = trajs[0]
+            out[i] = GroupAverage(head.measure, halt_type, sign,
+                                  head.t.copy(), mean[b], stderr[b], n[b])
+    return out
 
 
 def resampled_means(trajectories: Sequence[EventTrajectory],
@@ -484,18 +534,26 @@ def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],
     first post-resumption price, however long the halt lasted, and
     prices are forward-filled across gaps. Events are averaged with
     equal weights and the curve is then shifted vertically so its t = 0
-    value is exactly zero.
+    value is exactly zero. The one-group case of the two steps a stage
+    runs: :func:`_return_window_events` checks a group, and one
+    :func:`_cumulative_return_curves` pass averages all checked groups.
     """
+    return _cumulative_return_curves(
+        panel, [_return_window_events(panel, events, window)], window)[0]
+
+
+def _return_window_events(panel: Panel, events: Sequence[HaltEvent],
+                          window: int) -> list[HaltEvent]:
+    # ``events`` in event-key order, checked to form one group whose
+    # bars cover both return windows; the first failing event raises
     ordered = sorted(events, key=lambda ev: ev.record.sort_key())
     if not ordered:
         raise EmptyGroup("no events to average")
-    halt_type, sign = _check_same_group(ordered)
+    _check_same_group(ordered)
     cal = panel.calendar
-    acc = _Welford(2 * window + 1)
     for ev in ordered:
         rec = ev.record
         g_pre = rec.global_pre(cal)
-        g_resume = rec.global_resume(cal)
         if g_pre - window < 0:
             raise InsufficientWindow(
                 f"{rec.stock_id}: return window starts before the calendar")
@@ -503,17 +561,46 @@ def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],
             first, last = panel.coverage(rec.stock_id)
         except NoData as exc:
             raise InsufficientWindow(str(exc)) from None
-        if first > g_pre - window or last < g_resume + window:
+        if first > g_pre - window or last < rec.global_resume(cal) + window:
             raise InsufficientWindow(
                 f"{rec.stock_id}: bars do not cover both return windows")
-        lnp = panel.log_prices(rec.stock_id)
-        gs = np.concatenate([np.arange(g_pre - window, g_pre + 1),
-                             np.arange(g_resume, g_resume + window + 1)])
-        acc.add(np.cumsum(np.diff(lnp[gs])))
-    mean = acc.means()
-    return CumulativeReturnCurve(halt_type, sign, np.arange(-window, window + 1),
-                                 mean - mean[window], acc.stderrs(),
-                                 len(ordered))
+    return ordered
+
+
+def _cumulative_return_curves(panel: Panel,
+                              groups: Sequence[Sequence[HaltEvent]],
+                              window: int) -> list[CumulativeReturnCurve]:
+    """Curves of groups that :func:`_return_window_events` checked, in one
+    lockstep pass; it cannot fail.
+
+    Each stock's events read their prices at t = -window-1..-1 and
+    0..window in one gather; the returns are their differences, summed
+    along each event's row.
+    """
+    if not groups:
+        return []
+    cal = panel.calendar
+    records = [ev.record for events in groups for ev in events]
+    rows = np.empty((len(records) + 1, 2 * window + 1))
+    rows[-1] = np.nan
+    by_stock: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        by_stock.setdefault(rec.stock_id, []).append(i)
+    steps = np.arange(window + 1)
+    for stock_id, positions in by_stock.items():
+        pre = np.array([records[i].global_pre(cal) for i in positions])
+        resume = np.array([records[i].global_resume(cal) for i in positions])
+        minutes = np.hstack([pre[:, None] - window + steps,
+                             resume[:, None] + steps])
+        rows[positions] = np.cumsum(
+            np.diff(panel.log_prices(stock_id)[minutes], axis=1), axis=1)
+    acc = _lockstep_welford(rows, _padded_members([len(g) for g in groups]))
+    mean, stderr = acc.means(), acc.stderrs()
+    return [CumulativeReturnCurve(events[0].halt_type, events[0].sign,
+                                  np.arange(-window, window + 1),
+                                  mean[b] - mean[b, window], stderr[b],
+                                  len(events))
+            for b, events in enumerate(groups)]
 
 
 def stability_stat(curve: CumulativeReturnCurve) -> float:

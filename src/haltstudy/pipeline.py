@@ -55,9 +55,11 @@ from .event_study import (
     EventTrajectory,
     GroupAverage,
     MeasureKind,
-    average_cumulative_return,
+    _cumulative_return_curves,
+    _return_window_events,
     extract_stock_trajectories,
-    group_average,
+    group_average,  # bound here for bench/tests' tracer check
+    group_averages,
     reversal_stats,
     stability_stat,
 )
@@ -88,7 +90,9 @@ class AnalysisConfig:
     :class:`FitConfig`, are the only source of analysis defaults; the
     command line reads its defaults from them. ``n_bootstrap`` of 0
     skips bootstrap errors entirely. The fit range must end inside the
-    post window, where the averages have points.
+    post window, where the averages have points, and the cumulative
+    window must leave a curve at least two points after t = 0, the
+    fewest its stability statistic needs.
     """
 
     eligibility: EligibilityConfig = EligibilityConfig()
@@ -113,6 +117,10 @@ class AnalysisConfig:
             raise ValueError(
                 f"fit range [{lo}, {hi}] ends past the post window of "
                 f"{self.eligibility.post_window} minutes")
+        if self.eligibility.pre_window < 2:
+            raise ValueError(
+                "cumulative window (pre_window) must be at least 2, got "
+                f"{self.eligibility.pre_window}")
 
 
 @dataclass(eq=False)
@@ -204,15 +212,17 @@ Trajectories = dict[HaltRecord, dict[MeasureKind, EventTrajectory]]
 
 def _member_trajectories(trajectories: Trajectories,
                          events: Sequence[HaltEvent],
-                         measure: MeasureKind) -> list[EventTrajectory]:
-    # each event's trajectory of ``measure``, re-bound to that event: it
+                         measures: Sequence[MeasureKind],
+                         ) -> dict[MeasureKind, list[EventTrajectory]]:
+    # per measure, each event's trajectory re-bound to that event: it
     # may have been extracted for an earlier window's copy of the event,
     # with another sign, and its values do not depend on the sign
-    out = []
-    for ev in events:
-        trajectory = trajectories[ev.record][measure]
-        out.append(trajectory if trajectory.event is ev
-                   else replace(trajectory, event=ev))
+    per_event = [trajectories[ev.record] for ev in events]
+    out = {}
+    for m in measures:
+        out[m] = [by_measure[m] if by_measure[m].event is ev
+                  else replace(by_measure[m], event=ev)
+                  for ev, by_measure in zip(events, per_event)]
     return out
 
 
@@ -227,7 +237,8 @@ def average_groups(panel: Panel, events: Sequence[HaltEvent],
     member records) hold what earlier windows of a pass built, and take
     what this one adds. Only events without trajectories there are
     extracted, in one pass in sorted order; a cell with the members of
-    one there is that cell.
+    one there is that cell. The new cells' averages come from one
+    :func:`group_averages` call: one lockstep pass per measure.
     """
     trajectories = {} if trajectories is None else trajectories
     cells = {} if cells is None else cells
@@ -243,29 +254,40 @@ def average_groups(panel: Panel, events: Sequence[HaltEvent],
     groups: dict[tuple[HaltType, EventSign], list[HaltEvent]] = {}
     for ev in eligible:
         groups.setdefault((ev.halt_type, ev.sign), []).append(ev)
-    out = []
-    for key in sorted(groups, key=lambda k: group_sort_key(*k)):
-        members = tuple(groups[key])
-        cell_key = (*key, tuple(ev.record for ev in members))
-        if cell_key not in cells:
-            cells[cell_key] = GroupCell(*key, members, {
-                m: group_average(_member_trajectories(trajectories, members, m))
-                for m in config.measures})
-        out.append(cells[cell_key])
-    return tuple(out)
+    order = sorted(groups, key=lambda k: group_sort_key(*k))
+    cell_keys = {key: (*key, tuple(ev.record for ev in groups[key]))
+                 for key in order}
+    todo = [key for key in order if cell_keys[key] not in cells]
+    measures = config.measures
+    averages = iter(group_averages([
+        trajs for key in todo for trajs in _member_trajectories(
+            trajectories, groups[key], measures).values()]))
+    for key in todo:
+        cells[cell_keys[key]] = GroupCell(*key, tuple(groups[key]),
+                                          {m: next(averages) for m in measures})
+    return tuple(cells[cell_keys[key]] for key in order)
 
 
 def add_curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
                              config: AnalysisConfig = AnalysisConfig(),
                              ) -> None:
     """Give each cell that lacks them its cumulative-return curve and its
-    reversal fractions, in cell order."""
-    for cell in cells:
-        if cell.curve is None:
-            cell.curve = average_cumulative_return(
-                panel, cell.events, config.eligibility.pre_window)
-            cell.reversals = reversal_stats(panel, cell.events,
-                                            config.reversal_horizons)
+    reversal fractions.
+
+    Cell by cell, in cell order, the curve's window checks run, then the
+    reversals, so the first failing cell raises; one lockstep pass then
+    averages every new curve.
+    """
+    new = [cell for cell in cells if cell.curve is None]
+    window = config.eligibility.pre_window
+    checked, reversals = [], []
+    for cell in new:
+        checked.append(_return_window_events(panel, cell.events, window))
+        reversals.append(reversal_stats(panel, cell.events,
+                                        config.reversal_horizons))
+    curves = _cumulative_return_curves(panel, checked, window)
+    for cell, curve, fractions in zip(new, curves, reversals):
+        cell.curve, cell.reversals = curve, fractions
 
 
 def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
@@ -297,7 +319,7 @@ def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
         if row.fit is not None and len(cell.events) >= 2:
             if (m, i) not in cell.bootstraps:
                 cell.bootstraps[m, i] = bootstrap_alpha_stderr(
-                    _member_trajectories(trajectories, cell.events, m),
+                    _member_trajectories(trajectories, cell.events, (m,))[m],
                     config.fit.fit_range,
                     n_resamples=config.n_bootstrap, seed=child)
             row = attach_bootstrap(row, cell.bootstraps[m, i])

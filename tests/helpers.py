@@ -7,6 +7,7 @@ from datetime import date
 import numpy as np
 
 from haltstudy import (
+    DEFAULT_RELAXATIONS,
     AnalysisConfig,
     AnalysisResult,
     EventSign,
@@ -14,7 +15,10 @@ from haltstudy import (
     HaltRecord,
     HaltType,
     MINUTES_PER_DAY,
+    MeasureKind,
     PanelBuilder,
+    PlantedEvent,
+    SyntheticSpec,
     TradingCalendar,
     market_data,
     tabulate_counts,
@@ -87,6 +91,31 @@ def random_walk_stock(builder: PanelBuilder, calendar: TradingCalendar,
     inc[0] = 0.0
     price = 20.0 * np.exp(np.cumsum(inc))
     add_stock(builder, calendar, stock_id, price=price, absent=absent)
+
+
+# begin day offset, begin minute, resume day offset, resume minute
+_LAYOUTS = {HaltType.INTRADAY: (0, 61, 0, 121), HaltType.ONE_DAY: (0, 1, 1, 1),
+            HaltType.INTER_DAY: (0, 1, 2, 1)}
+
+
+def multi_halt_spec(n_stocks: int, n_days: int, seed: int,
+                    sigma: float) -> SyntheticSpec:
+    """Spec whose stocks halt every 4 trading days once they have 40
+    days of history, while the longest layout still fits; stock i's
+    k-th halt is in group (i + k) mod 6 of the report order."""
+    groups = [(ht, s) for ht in HaltType for s in EventSign]
+    events = []
+    for i in range(n_stocks):
+        for k, day in enumerate(range(40, n_days - 3, 4)):
+            halt_type, sign = groups[(i + k) % len(groups)]
+            b, b_min, r, r_min = _LAYOUTS[halt_type]
+            trend = 0.08 if sign is EventSign.POSITIVE else -0.08
+            events.append(PlantedEvent(
+                f"SYN{i:04d}", day + b, b_min, day + r, r_min, trend,
+                DEFAULT_RELAXATIONS[halt_type, sign]))
+    return SyntheticSpec(n_stocks=n_stocks, n_days=n_days, seed=seed,
+                         events=tuple(events),
+                         sigma={m: sigma for m in MeasureKind})
 
 
 def count_bar_parses(monkeypatch) -> list:

@@ -5,7 +5,8 @@ oracle is a literal per-event double loop over event-time returns, the
 grid oracle is a brute-force scan of the (A, alpha) grid, the price
 fill is a minute-by-minute carry of the last bar's price, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
-reproduce bit for bit, the scalar fit is the one-series damped
+reproduce bit for bit, the per-group average is what every group of
+the shared, padded group-average pass must reproduce bit for bit, the scalar fit is the one-series damped
 Gauss-Newton loop that the library's block fitter must reproduce bit
 for bit, and the masked Welford update is the running-mean-and-spread
 step the library's buffered accumulator must reproduce bit for bit.
@@ -20,9 +21,10 @@ import numpy as np
 
 from haltstudy import powerlaw
 from haltstudy.errors import DegenerateData, NonConvergence, ZeroBaseline
-from haltstudy.event_study import (EventTrajectory, MeasureKind,
-                                   _deseasonalize_block, _event_minutes,
-                                   _lockstep_welford, _lookback_days,
+from haltstudy.event_study import (EventTrajectory, GroupAverage,
+                                   MeasureKind, _deseasonalize_block,
+                                   _event_minutes, _lockstep_welford,
+                                   _lookback_days, _sorted_group,
                                    measure_series)
 from haltstudy.events import _active_days
 from haltstudy.market_data import MINUTES_PER_DAY
@@ -126,6 +128,17 @@ def extract_trajectory(panel, event, measure: MeasureKind,
         raise ZeroBaseline(f"{rec.stock_id}: unusable baseline at event "
                            f"minute {int(t[bad][0])}")
     return EventTrajectory(event, measure, t, values)
+
+
+def group_average(trajectories) -> GroupAverage:
+    """One group averaged alone: sorted and checked, then one lockstep
+    pass over its own members and no padding row."""
+    trajs, halt_type, sign = _sorted_group(trajectories)
+    acc = _lockstep_welford(np.stack([tr.values for tr in trajs]),
+                            np.arange(len(trajs))[None, :])
+    head = trajs[0]
+    return GroupAverage(head.measure, halt_type, sign, head.t.copy(),
+                        acc.means()[0], acc.stderrs()[0], acc.counts()[0])
 
 
 def masked_welford_add(acc, values) -> None:

@@ -12,6 +12,7 @@ import numpy as np
 from haltstudy import (
     AnalysisConfig,
     DEFAULT_RELAXATIONS,
+    EligibilityConfig,
     EventSign,
     HaltType,
     MeasureKind,
@@ -31,7 +32,7 @@ from haltstudy import (
     write_analysis_outputs,
 )
 from haltstudy.powerlaw import fit_power_law_points
-from helpers import add_stock, halt_event, random_walk_stock
+from helpers import add_stock, halt_event, multi_halt_spec, random_walk_stock
 from oracles import grid_power_law, naive_cumulative_curve
 from recovery import recovery_study
 
@@ -91,9 +92,20 @@ def test_cumulative_curve_matches_naive_oracle(acceptance):
         oracle = naive_cumulative_curve(builder.build(), events, 160)
         worst = max(worst, float(np.max(np.abs(curve.mean
                                                - np.array(oracle)))))
-    ok = worst < 1e-12
+    # a multi-halt panel: the pipeline's one pass over cells of unequal
+    # size, whose stocks have events in several cells, some two in one
+    panel, records, _ = generate_panel(multi_halt_spec(3, 72, 5, 0.2))
+    config = AnalysisConfig(eligibility=EligibilityConfig(pre_window=60))
+    cells = run_analysis(panel, records, config, ("curves.csv",)).cells
+    sizes = sorted(len(cell.events) for cell in cells)
+    for cell in cells:
+        oracle = naive_cumulative_curve(panel, cell.events, 60)
+        worst = max(worst, float(np.max(np.abs(cell.curve.mean
+                                               - np.array(oracle)))))
+    ok = worst < 1e-12 and sizes == [3, 3, 4, 4, 5, 5]
     acceptance("cumulative_curve_oracle", ok,
-               f"20 two-event fixtures, max |curve - oracle| {worst:.2e}")
+               f"20 two-event fixtures and {len(cells)} multi-halt cells, "
+               f"max |curve - oracle| {worst:.2e}")
 
 
 def test_fit_beats_exhaustive_grid(acceptance):

@@ -180,9 +180,9 @@ def _fail(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command, skipped", [
-    ("fit", ("average_cumulative_return", "reversal_stats")),
-    ("counts", ("extract_stock_trajectories", "group_average",
-                "average_cumulative_return", "fit_all_groups")),
+    ("fit", ("_cumulative_return_curves", "reversal_stats")),
+    ("counts", ("extract_stock_trajectories", "group_averages",
+                "_cumulative_return_curves", "fit_all_groups")),
 ])
 def test_commands_run_only_the_stages_they_write(synth_inputs, tmp_path,
                                                  monkeypatch, command,
@@ -326,11 +326,24 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_groups(monkeypatch):
+    # every (cell, measure) group of trajectories that pipeline averages
+    groups = []
+    real = pipeline.group_averages
+
+    def counted(trajectory_groups):
+        groups.extend(trajectory_groups)
+        return real(trajectory_groups)
+
+    monkeypatch.setattr(pipeline, "group_averages", counted)
+    return groups
+
+
 def test_robustness_builds_each_cell_once(synth_inputs, tmp_path, capsys,
                                           monkeypatch):
     # no event changes sign, so windows 2-4 reuse every cell of window 1
     extracted = _count_calls(monkeypatch, "extract_stock_trajectories")
-    averaged = _count_calls(monkeypatch, "group_average")
+    averaged = _count_groups(monkeypatch)
     booted = _count_calls(monkeypatch, "bootstrap_alpha_stderr")
     rob = tmp_path / "rob"
     assert main(["robustness", *_args(synth_inputs, rob, "--bootstrap", "4")]) == 0
@@ -350,7 +363,7 @@ def test_robustness_builds_each_cell_once(synth_inputs, tmp_path, capsys,
 
 def test_robustness_reuses_unchanged_cells_only(regroup_inputs, tmp_path,
                                                 monkeypatch):
-    averaged = _count_calls(monkeypatch, "group_average")
+    averaged = _count_groups(monkeypatch)
     booted = _count_calls(monkeypatch, "bootstrap_alpha_stderr")
     assert main(["robustness", *_args(regroup_inputs, tmp_path,
                                       "--bootstrap", "4",
@@ -367,7 +380,7 @@ def test_robustness_reuses_unchanged_cells_only(regroup_inputs, tmp_path,
 def test_reused_trajectory_carries_its_windows_event(flip_inputs, tmp_path,
                                                      monkeypatch):
     extracted = _count_calls(monkeypatch, "extract_stock_trajectories")
-    averaged = _count_calls(monkeypatch, "group_average")
+    averaged = _count_groups(monkeypatch)
     panel, records = _load_inputs({
         "bars": flip_inputs / "bars.csv", "halts": flip_inputs / "halts.csv",
         "calendar": flip_inputs / "calendar.txt", "out": tmp_path})
@@ -381,9 +394,7 @@ def test_reused_trajectory_carries_its_windows_event(flip_inputs, tmp_path,
     # window 240 averages [FLIP, MONO] per measure, window 60 [MONO],
     # then [FLIP], whose trajectory window 240 extracted
     assert len(averaged) == 3 * 3
-    for (old_flip, _), (new_flip,) in zip(
-            [args[0] for args in averaged[:3]],
-            [args[0] for args in averaged[6:]]):
+    for (old_flip, _), (new_flip,) in zip(averaged[:3], averaged[6:]):
         assert old_flip.event.sign is EventSign.POSITIVE
         assert new_flip.event is flip
         assert new_flip.values is old_flip.values
@@ -786,6 +797,7 @@ def test_bad_robustness_window(flip_inputs, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value, needle", [
     ("--fit-range", "200:300", "post window"),
+    ("--cumulative-window", "1", "cumulative window"),
     ("--bootstrap", "-1", "n_bootstrap"),
     ("--lookback-days", "0", "lookback_days"),
     ("--fit-range", "0:10", "fit range"),

@@ -18,9 +18,9 @@ import hashlib
 
 import pytest
 
-from haltstudy import (DEFAULT_RELAXATIONS, EventSign, HaltType, MeasureKind,
-                       PlantedEvent, SyntheticSpec, write_synthetic_dataset)
+from haltstudy import write_synthetic_dataset
 from haltstudy.cli import main
+from helpers import multi_halt_spec
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -107,12 +107,6 @@ def test_fit_range_run_matches_its_golden_digests(dataset):
     assert got == GOLDEN_FIT_RANGE
 
 
-# multi-halt spec: each stock halts every 4 trading days once it has 40
-# days of history, its k-th halt in group (stock + k) mod 6
-MULTI_STOCKS, MULTI_DAYS, MULTI_SPACING = 4, 60, 4
-LAYOUTS = {HaltType.INTRADAY: (0, 61, 0, 121), HaltType.ONE_DAY: (0, 1, 1, 1),
-           HaltType.INTER_DAY: (0, 1, 2, 1)}
-
 GOLDEN_MULTI = {
     "eligibility.csv":
         "9ef270f1fdf15b42bb641dde7479831cb42f61bdfd8ee3cdb05c994d60ec60e8",
@@ -133,25 +127,10 @@ GOLDEN_MULTI = {
 }
 
 
-def _multi_halt_spec() -> SyntheticSpec:
-    groups = [(ht, s) for ht in HaltType for s in EventSign]
-    events = []
-    for i in range(MULTI_STOCKS):
-        for k, day in enumerate(range(40, MULTI_DAYS - 3, MULTI_SPACING)):
-            halt_type, sign = groups[(i + k) % len(groups)]
-            b, b_min, r, r_min = LAYOUTS[halt_type]
-            trend = 0.08 if sign is EventSign.POSITIVE else -0.08
-            events.append(PlantedEvent(
-                f"SYN{i:04d}", day + b, b_min, day + r, r_min, trend,
-                DEFAULT_RELAXATIONS[halt_type, sign]))
-    return SyntheticSpec(n_stocks=MULTI_STOCKS, n_days=MULTI_DAYS, seed=23,
-                         events=tuple(events),
-                         sigma={m: 0.2 for m in MeasureKind})
-
-
 def test_multi_halt_run_matches_its_golden_digests(tmp_path):
     data, run = tmp_path / "in", tmp_path / "run"
-    write_synthetic_dataset(_multi_halt_spec(), data)
+    # 4 stocks x 60 days: 5 halts each, 20 events in cells of 3-4
+    write_synthetic_dataset(multi_halt_spec(4, 60, seed=23, sigma=0.2), data)
     assert main(["run", "--bars", str(data / "bars.csv"),
                  "--calendar", str(data / "calendar.txt"),
                  "--halts", str(data / "halts.csv"),

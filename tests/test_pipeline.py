@@ -209,6 +209,10 @@ def test_analysis_config_validation():
                    eligibility=EligibilityConfig(post_window=200))
     with pytest.raises(ValueError):
         AnalysisConfig(reversal_horizons=(0,))
+    # stability_stat needs two curve points after t = 0
+    with pytest.raises(ValueError, match="pre_window"):
+        AnalysisConfig(eligibility=EligibilityConfig(pre_window=1))
+    AnalysisConfig(eligibility=EligibilityConfig(pre_window=2))
 
 
 def test_excess_file_mirrors_averages(tmp_path):
