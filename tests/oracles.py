@@ -6,9 +6,9 @@ grid oracle is a brute-force scan of the (A, alpha) grid, the price
 fill is a minute-by-minute carry of the last bar's price, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
 reproduce bit for bit, the per-group average is what every group of
-the shared, padded group-average pass must reproduce bit for bit, the scalar fit is the one-series damped
-Gauss-Newton loop that the library's block fitter must reproduce bit
-for bit, and the masked Welford update is the running-mean-and-spread
+the shared, padded group-average pass must reproduce bit for bit, the
+scalar fit is the one-series damped Gauss-Newton loop that the
+library's block fitter must reproduce bit for bit, and the masked Welford update is the running-mean-and-spread
 step the library's buffered accumulator must reproduce bit for bit.
 """
 

@@ -50,9 +50,8 @@ def _add_trending(builder, cal, stock_id, begin, resume, down_leg=0,
     # trends up over the 240 minutes before the halt at global minute
     # ``begin``, down over the last ``down_leg`` of them, and has no bars
     # from ``begin`` to ``resume`` nor before ``first`` or from ``end``
-    # on; a faint
-    # alternating wiggle keeps every per-minute baseline positive. With
-    # a ``decay`` exponent, the volume t minutes after resumption is
+    # on; a faint alternating wiggle keeps every per-minute baseline
+    # positive. With a ``decay`` exponent, the volume t minutes after resumption is
     # 1 + 3 t**-decay times its usual level, so its fit converges
     n = cal.n_minutes
     end = n if end is None else end

@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from haltstudy import (
     BootstrapResult,
     DegenerateData,
+    EmptyGroup,
     EventSign,
     EventTrajectory,
     HaltStudyError,
@@ -27,7 +28,6 @@ from haltstudy import (
     NonConvergence,
     PanelBuilder,
     bootstrap_alpha_stderr,
-    EmptyGroup,
     extract_stock_trajectories,
     group_average,
     group_averages,
@@ -39,8 +39,8 @@ from haltstudy import event_study
 from haltstudy.event_study import _Welford, _lockstep_welford, _lookback_days
 from haltstudy.events import _active_days
 from helpers import add_stock, halt_event
-import oracles
 from oracles import (compute_intraday_pattern, extract_trajectory,
+                     group_average as lone_group_average,
                      masked_welford_add, scalar_power_law_fit)
 
 MEASURES = tuple(MeasureKind)
@@ -537,7 +537,7 @@ def test_shared_pass_matches_each_group_averaged_alone(groups):
     # a pad adds 0.0, exact only while no running mean is -0.0: a -0.0
     # member of a padded group catches an accumulator that keeps -0.0
     for got, trajs in zip(group_averages(groups), groups):
-        want = oracles.group_average(trajs)
+        want = lone_group_average(trajs)
         assert (got.measure, got.halt_type, got.sign) == \
             (want.measure, want.halt_type, want.sign)
         for field in ("t", "mean", "stderr", "n"):
