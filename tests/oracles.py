@@ -5,7 +5,9 @@ oracle is a literal per-event double loop over event-time returns, the
 grid oracle is a brute-force scan of the (A, alpha) grid, the price
 fill is a minute-by-minute carry of the last bar's price, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
-reproduce bit for bit, the per-group average is what every group of
+reproduce bit for bit, the window checks of eligibility, trend signs and
+trajectories are written out site by site, each with its own arithmetic,
+as the rule one coverage decision must reproduce, the per-group average is what every group of
 the shared, padded group-average pass must reproduce bit for bit, the
 scalar fit is the one-series damped Gauss-Newton loop that the
 library's block fitter must reproduce bit for bit, and the masked Welford update is the running-mean-and-spread
@@ -20,13 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from haltstudy import powerlaw
-from haltstudy.errors import DegenerateData, NonConvergence, ZeroBaseline
+from haltstudy.errors import (DegenerateData, InsufficientHistory,
+                              InsufficientPostWindow, NoData,
+                              NonConvergence, ZeroBaseline)
 from haltstudy.event_study import (EventTrajectory, GroupAverage,
                                    MeasureKind, _deseasonalize_block,
-                                   _event_minutes, _lockstep_welford,
-                                   _lookback_days, _sorted_group,
-                                   measure_series)
-from haltstudy.events import _active_days
+                                   _lockstep_welford, _lookback_days,
+                                   _sorted_group, measure_series)
+from haltstudy.events import (EventSign, RejectionReason, _active_days,
+                              _worst_gap_fraction)
 from haltstudy.market_data import MINUTES_PER_DAY
 from haltstudy.powerlaw import (MIN_FIT_POINTS, SSE_RTOL, STEP_ATOL,
                                 FitConfig, PowerLawFit, power_law_jacobian,
@@ -83,6 +87,94 @@ def forward_filled_prices(panel, stock_id: str) -> np.ndarray:
     return out
 
 
+def trend_sign(panel, record, trend_window: int = 240) -> EventSign:
+    """The sign of the log-price change over the trend window, whose
+    ends are checked by looking for NaN in the filled log prices."""
+    if trend_window < 1:
+        raise ValueError("trend_window must be positive")
+    g_pre = record.global_pre(panel.calendar)
+    g_from = g_pre - trend_window
+    if g_from < 0:
+        raise InsufficientHistory(
+            f"{record.stock_id}: trend window starts before the calendar")
+    if record.stock_id not in panel:
+        raise InsufficientHistory(f"no bars for stock {record.stock_id}")
+    lnp = panel.log_prices(record.stock_id)
+    trend = lnp[g_pre] - lnp[g_from]
+    if np.isnan(trend):
+        raise InsufficientHistory(
+            f"{record.stock_id}: trend-window endpoint outside its bars")
+    return EventSign.POSITIVE if trend > 0 else EventSign.NEGATIVE
+
+
+def _has_coverage(panel, record, config) -> bool:
+    if record.stock_id not in panel:
+        return False
+    g_pre = record.global_pre(panel.calendar)
+    if g_pre - config.history_minutes < 0:
+        return False
+    try:
+        first, last = panel.coverage(record.stock_id)
+    except NoData:
+        return False
+    return first <= g_pre - config.history_minutes and g_pre <= last
+
+
+def eligibility(panel, record, config):
+    """(rejection reason, sign) of a record with no other halt of its
+    stock, the checks in the order ``filter_eligibility`` documents;
+    history is covered when the bars span ``history_minutes`` before the
+    last pre-halt minute through that minute, and only then is the
+    sign classified."""
+    cal = panel.calendar
+    covered = _has_coverage(panel, record, config)
+    sign = trend_sign(panel, record, config.trend_window) if covered else None
+    if record.is_st_stock:
+        return RejectionReason.ST_STOCK, sign
+    if cal.day_index(record.resume_day) - cal.day_index(record.halt_day) \
+            > config.max_halt_days:
+        return RejectionReason.TOO_LONG, sign
+    if record.stock_id not in panel:
+        return RejectionReason.INSUFFICIENT_HISTORY, sign
+    real = panel.present_mask(record.stock_id)
+    if real[record.global_begin(cal):record.global_resume(cal)].any():
+        return RejectionReason.BARS_IN_HALT, sign
+    active = _active_days(panel, record.stock_id)
+    if (not covered or np.searchsorted(active, cal.day_index(record.halt_day))
+            < config.lookback_days):
+        return RejectionReason.INSUFFICIENT_HISTORY, sign
+    last = panel.coverage(record.stock_id)[1]
+    if last < record.global_resume(cal) + config.post_window:
+        return RejectionReason.INSUFFICIENT_POST_WINDOW, sign
+    if _worst_gap_fraction(real, cal, record, config) > config.max_gap_fraction:
+        return RejectionReason.DATA_GAP, sign
+    return None, sign
+
+
+def event_minutes(panel, rec, pre_window: int, post_window: int) -> np.ndarray:
+    """Global minutes of t = -pre_window..post_window, once the stock's
+    bars are known to cover them."""
+    cal = panel.calendar
+    g_begin = rec.global_begin(cal)
+    g_resume = rec.global_resume(cal)
+    if g_begin - pre_window < 0:
+        raise InsufficientHistory(
+            f"{rec.stock_id}: pre window starts before the calendar")
+    try:
+        first, last = panel.coverage(rec.stock_id)
+    except NoData as exc:
+        raise InsufficientHistory(str(exc)) from None
+    if first > g_begin - pre_window:
+        raise InsufficientHistory(
+            f"{rec.stock_id}: bars start inside the pre window")
+    if last < g_resume + post_window:
+        raise InsufficientPostWindow(
+            f"{rec.stock_id}: bars end {g_resume + post_window - last} "
+            "minutes short of the post window")
+    return np.concatenate([np.arange(g_begin - pre_window, g_begin),
+                           np.arange(g_resume, g_resume + post_window + 1)])
+
+
 @dataclass(frozen=True)
 class IntradayPattern:
     """Per-minute baseline I(1..240) for one stock, measure and event.
@@ -119,7 +211,7 @@ def extract_trajectory(panel, event, measure: MeasureKind,
     """One event's series over t = -pre_window..post_window, each raw
     value divided by ``pattern`` at its own intraday minute."""
     rec = event.record
-    gs = _event_minutes(panel, rec, pre_window, post_window)
+    gs = event_minutes(panel, rec, pre_window, post_window)
     series = measure_series(panel, rec.stock_id, measure)
     t = np.arange(-pre_window, post_window + 1)
     values, bad = _deseasonalize_block(series[gs],

@@ -9,10 +9,14 @@ message (or, for eligibility, the rejection reason and sign).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltstudy import (
     EligibilityConfig,
     EventSign,
+    HaltEvent,
+    HaltRecord,
     HaltType,
     InsufficientHistory,
     InsufficientPostWindow,
@@ -20,6 +24,7 @@ from haltstudy import (
     NoData,
     PanelBuilder,
     RejectionReason,
+    ZeroBaseline,
     average_cumulative_return,
     classify_sign,
     extract_stock_trajectories,
@@ -27,7 +32,10 @@ from haltstudy import (
     make_calendar,
     reversal_stats,
 )
-from helpers import add_stock, halt_event, halt_record
+from haltstudy.event_study import _event_minutes
+from helpers import add_stock, halt_event, halt_record, location
+from oracles import eligibility as reference_eligibility
+from oracles import event_minutes as reference_event_minutes
 
 CAL = make_calendar(5)
 DAY2 = CAL.trading_days[2]
@@ -185,3 +193,74 @@ def test_window_failures(panel, stage, stock_id, halt, error, expected):
         stage(panel, stock_id, halt)
     assert type(caught.value) is error
     assert str(caught.value) == expected
+
+
+# ---------------------------------------------------------------- random
+
+
+def _outcome(call):
+    # the value of ``call()``, or the type and text of what it raised
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def windowed_halts(draw):
+    # one halt on a 6-day calendar, often from its third day on; one
+    # stock whose bars span random minutes, often from the calendar's
+    # first minute or to its last (or that has none, or is not in the
+    # panel), usually without bars inside the halt; random windows
+    cal = make_calendar(6)
+    n = cal.n_minutes
+    begin = draw(st.integers(480, n - 2) | st.integers(0, n - 2))
+    resume = draw(st.integers(begin + 1, min(begin + 600, n - 1)))
+    rec = HaltRecord("S", *location(cal, begin), *location(cal, resume))
+    window = st.integers(1, 300)
+    config = EligibilityConfig(
+        trend_window=draw(window), lookback_days=draw(st.integers(1, 2)),
+        pre_window=draw(window), post_window=draw(window),
+        measure_pre_window=draw(window))
+    builder = PanelBuilder(cal)
+    kind = draw(st.sampled_from(["span"] * 8 + ["empty", "gone"]))
+    if kind != "gone":
+        first = draw(st.just(0) | st.integers(0, begin))
+        last = draw(st.just(n - 1) | st.integers(first, n - 1))
+        absent = [slice(0, first), slice(last + 1, None)]
+        if kind == "empty":
+            absent = [slice(None)]
+        if draw(st.integers(0, 9)):
+            absent.append(slice(begin, resume))
+        add_stock(builder, cal, "S",
+                  price=10.0 * np.exp(np.arange(n) * 1e-4), spread=0.02,
+                  absent=absent)
+    windows = (draw(st.integers(0, 300)), draw(st.integers(0, 300)))
+    return builder.build(), rec, config, windows
+
+
+@settings(deadline=None, max_examples=300)
+@given(windowed_halts())
+def test_windows_match_the_site_by_site_checks(case):
+    # the reason, sign and event minutes equal the reference's checks
+    # (each site with its own arithmetic), and an event marked eligible
+    # passes every window check of the trajectory stage
+    panel, rec, config, (pre, post) = case
+    ev, = filter_eligibility([rec], panel, config)
+    assert (ev.rejection_reason, ev.sign) == \
+        reference_eligibility(panel, rec, config)
+    got = _outcome(lambda: _event_minutes(panel, rec, pre, post))
+    want = _outcome(lambda: reference_event_minutes(panel, rec, pre, post))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
+    if ev.eligible:
+        try:
+            extract_stock_trajectories(
+                panel, [HaltEvent(rec, ev.halt_type, ev.sign)],
+                lookback=config.lookback_days,
+                pre_window=config.measure_pre_window,
+                post_window=config.post_window)
+        except ZeroBaseline:
+            pass        # a lookback day that misses an event's minute
