@@ -49,7 +49,6 @@ from .errors import (
     InsufficientHistory,
     InsufficientPostWindow,
     InsufficientWindow,
-    NoData,
     ZeroBaseline,
 )
 from .events import (
@@ -59,6 +58,7 @@ from .events import (
     HaltRecord,
     HaltType,
     _active_days,
+    _coverage_gap,
     group_name,
 )
 from .market_data import MINUTES_PER_DAY, Panel
@@ -255,20 +255,21 @@ def _event_minutes(panel: Panel, rec: HaltRecord, pre_window: int,
     cal = panel.calendar
     g_begin = rec.global_begin(cal)
     g_resume = rec.global_resume(cal)
-    if g_begin - pre_window < 0:
+    gap, short = _coverage_gap(panel, rec.stock_id, g_begin - pre_window,
+                               g_resume + post_window, pre_window=pre_window,
+                               post_window=post_window)
+    if gap == "calendar":
         raise InsufficientHistory(
             f"{rec.stock_id}: pre window starts before the calendar")
-    try:
-        first, last = panel.coverage(rec.stock_id)
-    except NoData as exc:
-        raise InsufficientHistory(str(exc)) from None
-    if first > g_begin - pre_window:
+    if gap == "bars":
+        raise InsufficientHistory(f"no bars for stock {rec.stock_id}")
+    if gap == "start":
         raise InsufficientHistory(
             f"{rec.stock_id}: bars start inside the pre window")
-    if last < g_resume + post_window:
+    if gap == "end":
         raise InsufficientPostWindow(
-            f"{rec.stock_id}: bars end {g_resume + post_window - last} "
-            "minutes short of the post window")
+            f"{rec.stock_id}: bars end {short} minutes short of the post "
+            "window")
     return np.concatenate([np.arange(g_begin - pre_window, g_begin),
                            np.arange(g_resume, g_resume + post_window + 1)])
 
@@ -553,15 +554,14 @@ def _return_window_events(panel: Panel, events: Sequence[HaltEvent],
     cal = panel.calendar
     for ev in ordered:
         rec = ev.record
-        g_pre = rec.global_pre(cal)
-        if g_pre - window < 0:
+        gap, _ = _coverage_gap(panel, rec.stock_id, rec.global_pre(cal) - window,
+                               rec.global_resume(cal) + window, window=window)
+        if gap == "calendar":
             raise InsufficientWindow(
                 f"{rec.stock_id}: return window starts before the calendar")
-        try:
-            first, last = panel.coverage(rec.stock_id)
-        except NoData as exc:
-            raise InsufficientWindow(str(exc)) from None
-        if first > g_pre - window or last < rec.global_resume(cal) + window:
+        if gap == "bars":
+            raise InsufficientWindow(f"no bars for stock {rec.stock_id}")
+        if gap is not None:
             raise InsufficientWindow(
                 f"{rec.stock_id}: bars do not cover both return windows")
     return ordered
@@ -639,13 +639,14 @@ def reversal_stats(panel: Panel, events: Sequence[HaltEvent],
             if ev.sign is None:
                 raise ValueError("event without a trend sign")
             rec = ev.record
+            # an unknown stock raises NoData here, before any window check
             lnp = panel.log_prices(rec.stock_id)
             g_pre = rec.global_pre(cal)
             g_post = rec.global_resume(cal) + k - 1
-            if g_pre < 0 or np.isnan(lnp[g_pre]):
+            if _coverage_gap(panel, rec.stock_id, g_pre, g_pre)[0]:
                 raise InsufficientHistory(
                     f"{rec.stock_id}: no pre-halt bar")
-            if g_post >= lnp.size or np.isnan(lnp[g_post]):
+            if _coverage_gap(panel, rec.stock_id, g_pre, g_post)[0]:
                 raise InsufficientPostWindow(
                     f"{rec.stock_id}: no bar {k} minutes after resumption")
             move = lnp[g_post] - lnp[g_pre]

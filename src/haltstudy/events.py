@@ -204,33 +204,42 @@ def classify_sign(panel: Panel, record: HaltRecord,
     if trend_window < 1:
         raise ValueError("trend_window must be positive")
     g_pre = record.global_pre(panel.calendar)
-    g_from = g_pre - trend_window
-    if g_from < 0:
+    gap, _ = _coverage_gap(panel, record.stock_id, g_pre - trend_window, g_pre)
+    if gap == "calendar":
         raise InsufficientHistory(
             f"{record.stock_id}: trend window starts before the calendar")
     if record.stock_id not in panel:
         raise InsufficientHistory(f"no bars for stock {record.stock_id}")
-    lnp = panel.log_prices(record.stock_id)
-    trend = lnp[g_pre] - lnp[g_from]
-    if np.isnan(trend):
+    if gap is not None:
         raise InsufficientHistory(
             f"{record.stock_id}: trend-window endpoint outside its bars")
+    lnp = panel.log_prices(record.stock_id)
+    trend = lnp[g_pre] - lnp[g_pre - trend_window]
     return EventSign.POSITIVE if trend > 0 else EventSign.NEGATIVE
 
 
-def _has_coverage(panel: Panel, record: HaltRecord,
-                  config: EligibilityConfig) -> bool:
-    # enough contiguous bars before the halt to classify and extract
-    if record.stock_id not in panel:
-        return False
-    g_pre = record.global_pre(panel.calendar)
-    if g_pre - config.history_minutes < 0:
-        return False
+def _coverage_gap(panel: Panel, stock_id: str, lo: int, hi: int,
+                  **windows: int) -> tuple[str | None, int]:
+    """The one coverage rule of every event window: where the stock's bars
+    first miss global minutes lo..hi, and by how many minutes. The span
+    may start before the calendar ("calendar"), the stock may have no
+    bars ("bars"), they may start after lo ("start") or end before hi
+    ("end"); (None, 0) when they cover it. ``windows`` name the lengths
+    that set lo and hi, and a negative one raises ValueError."""
+    for name, length in windows.items():
+        if length < 0:
+            raise ValueError(f"{name} must not be negative")
+    if lo < 0:
+        return "calendar", -lo
     try:
-        first, last = panel.coverage(record.stock_id)
+        first, last = panel.coverage(stock_id)
     except NoData:
-        return False
-    return first <= g_pre - config.history_minutes and g_pre <= last
+        return "bars", hi - lo + 1
+    if first > lo:
+        return "start", first - lo
+    if last < hi:
+        return "end", hi - last
+    return None, 0
 
 
 def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
@@ -259,8 +268,10 @@ def _worst_gap_fraction(real: np.ndarray, calendar: TradingCalendar,
 
 def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
                       successive: list[bool], config: EligibilityConfig,
-                      active: np.ndarray | None) -> RejectionReason | None:
-    # ``active`` holds the stock's active days, None when it has no bars
+                      active: np.ndarray | None,
+                      history: bool) -> RejectionReason | None:
+    # ``active`` holds the stock's active days, None when it has no bars;
+    # ``history`` tells whether its bars cover the history before the halt
     cal = panel.calendar
     if successive[index]:
         return RejectionReason.SUCCESSIVE
@@ -274,12 +285,12 @@ def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
     real = panel.present_mask(record.stock_id)
     if real[record.global_begin(cal):record.global_resume(cal)].any():
         return RejectionReason.BARS_IN_HALT
-    if (not _has_coverage(panel, record, config)
-            or np.searchsorted(active, cal.day_index(record.halt_day))
+    if (not history or np.searchsorted(active, cal.day_index(record.halt_day))
             < config.lookback_days):
         return RejectionReason.INSUFFICIENT_HISTORY
-    last = panel.coverage(record.stock_id)[1]
-    if last < record.global_resume(cal) + config.post_window:
+    g_resume = record.global_resume(cal)
+    if _coverage_gap(panel, record.stock_id, g_resume,
+                     g_resume + config.post_window)[0] is not None:
         return RejectionReason.INSUFFICIENT_POST_WINDOW
     if _worst_gap_fraction(real, cal, record, config) > config.max_gap_fraction:
         return RejectionReason.DATA_GAP
@@ -319,11 +330,15 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
     events = []
     for i, rec in enumerate(ordered):
         halt_type = classify_halt_type(rec, cal)
-        sign = None
-        if _has_coverage(panel, rec, config):
-            sign = classify_sign(panel, rec, config.trend_window)
+        # enough bars before the halt to classify and extract the event
+        g_pre = rec.global_pre(cal)
+        history = _coverage_gap(panel, rec.stock_id,
+                                g_pre - config.history_minutes,
+                                g_pre)[0] is None
+        sign = classify_sign(panel, rec, config.trend_window) if history \
+            else None
         reason = _rejection_reason(panel, rec, i, successive, config,
-                                   active.get(rec.stock_id))
+                                   active.get(rec.stock_id), history)
         events.append(HaltEvent(rec, halt_type, sign, reason))
     return events
 

@@ -92,14 +92,15 @@ def _eligibility(panel, stock_id, halt):
     return ev.rejection_reason, ev.sign
 
 
-def _trajectories(panel, stock_id, halt):
+def _trajectories(panel, stock_id, halt, pre_window=TREND,
+                  post_window=CONFIG.post_window):
     return extract_stock_trajectories(panel, [_event(stock_id, halt)],
-                                      lookback=1, pre_window=TREND,
-                                      post_window=CONFIG.post_window)
+                                      lookback=1, pre_window=pre_window,
+                                      post_window=post_window)
 
 
-def _curve(panel, stock_id, halt):
-    return average_cumulative_return(panel, [_event(stock_id, halt)], TREND)
+def _curve(panel, stock_id, halt, window=TREND):
+    return average_cumulative_return(panel, [_event(stock_id, halt)], window)
 
 
 def _reversals(panel, stock_id, halt):
@@ -193,6 +194,28 @@ def test_window_failures(panel, stage, stock_id, halt, error, expected):
         stage(panel, stock_id, halt)
     assert type(caught.value) is error
     assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("stage, name, length", [
+    (_trajectories, "pre_window", -3),
+    (_trajectories, "post_window", -2),
+    (_curve, "window", -1),
+], ids=["pre_window", "post_window", "window"])
+def test_negative_windows_are_rejected(panel, stage, name, length):
+    with pytest.raises(ValueError, match=f"^{name} must not be negative$"):
+        stage(panel, "FULL", MAIN, **{name: length})
+
+
+@pytest.mark.parametrize("pre, post", [(0, 100), (80, 0), (0, 0)])
+def test_empty_sides_of_the_event_window_are_valid(panel, pre, post):
+    # LAST's lookback day has a bar at every minute
+    trajectories, = _trajectories(panel, "FULL", LAST, pre_window=pre,
+                                  post_window=post)
+    for tr in trajectories.values():
+        assert tr.t.tolist() == list(range(-pre, post + 1))
+        assert tr.values.shape == tr.t.shape
+    curve = _curve(panel, "FULL", MAIN, window=0)
+    assert curve.t.tolist() == [0] and curve.mean.tolist() == [0.0]
 
 
 # ---------------------------------------------------------------- random
