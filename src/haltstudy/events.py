@@ -220,11 +220,9 @@ def classify_sign(panel: Panel, record: HaltRecord,
 
 def _coverage_gap(panel: Panel, stock_id: str, lo: int, hi: int,
                   **windows: int) -> tuple[str | None, int]:
-    """The one coverage rule of every event window: where the stock's bars
-    first miss global minutes lo..hi, and by how many minutes. The span
-    may start before the calendar ("calendar"), the stock may have no
-    bars ("bars"), they may start after lo ("start") or end before hi
-    ("end"); (None, 0) when they cover it. ``windows`` name the lengths
+    """Where the stock's bars first miss global minutes lo..hi, and by how
+    many minutes: "calendar" (lo < 0), "bars" (it has none), "start" or
+    "end"; (None, 0) when they cover it. ``windows`` name the lengths
     that set lo and hi, and a negative one raises ValueError."""
     for name, length in windows.items():
         if length < 0:

@@ -5,13 +5,15 @@ oracle is a literal per-event double loop over event-time returns, the
 grid oracle is a brute-force scan of the (A, alpha) grid, the price
 fill is a minute-by-minute carry of the last bar's price, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
-reproduce bit for bit, the window checks of eligibility, trend signs and
-trajectories are written out site by site, each with its own arithmetic,
-as the rule one coverage decision must reproduce, the per-group average is what every group of
-the shared, padded group-average pass must reproduce bit for bit, the
-scalar fit is the one-series damped Gauss-Newton loop that the
-library's block fitter must reproduce bit for bit, and the masked Welford update is the running-mean-and-spread
-step the library's buffered accumulator must reproduce bit for bit.
+reproduce bit for bit, the window checks of eligibility, the trend sign
+and the event minutes are written out site by site, each with its own
+arithmetic, as the rule that the library's one coverage decision must
+reproduce, the per-group average is what every group of the shared,
+padded group-average pass must reproduce bit for bit, the scalar fit is
+the one-series damped Gauss-Newton loop that the library's block fitter
+must reproduce bit for bit, and the masked Welford update is the
+running-mean-and-spread step the library's buffered accumulator must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
