@@ -5,10 +5,10 @@ oracle is a literal per-event double loop over event-time returns, the
 grid oracle is a brute-force scan of the (A, alpha) grid, the price
 fill is a minute-by-minute carry of the last bar's price, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
-reproduce bit for bit, the window checks of eligibility, the trend sign
-and the event minutes are written out site by site, each with its own
-arithmetic, as the rule that the library's one coverage decision must
-reproduce, the per-group average is what every group of the shared,
+reproduce bit for bit, the window checks of eligibility, the trend sign,
+the event minutes, the return windows and the reversal horizons are
+written out site by site, each with its own arithmetic, as the rule
+that the library's one coverage decision must reproduce, the per-group average is what every group of the shared,
 padded group-average pass must reproduce bit for bit, the scalar fit is
 the one-series damped Gauss-Newton loop that the library's block fitter
 must reproduce bit for bit, and the masked Welford update is the
@@ -25,8 +25,8 @@ import numpy as np
 
 from haltstudy import powerlaw
 from haltstudy.errors import (DegenerateData, InsufficientHistory,
-                              InsufficientPostWindow, NoData,
-                              NonConvergence, ZeroBaseline)
+                              InsufficientPostWindow, InsufficientWindow,
+                              NoData, NonConvergence, ZeroBaseline)
 from haltstudy.event_study import (EventTrajectory, GroupAverage,
                                    MeasureKind, _deseasonalize_block,
                                    _lockstep_welford, _lookback_days,
@@ -175,6 +175,38 @@ def event_minutes(panel, rec, pre_window: int, post_window: int) -> np.ndarray:
             "minutes short of the post window")
     return np.concatenate([np.arange(g_begin - pre_window, g_begin),
                            np.arange(g_resume, g_resume + post_window + 1)])
+
+
+def check_return_windows(panel, rec, window: int) -> None:
+    """Raise when the stock's bars do not cover ``window`` minutes up to
+    the last pre-halt minute and ``window`` minutes after resumption."""
+    cal = panel.calendar
+    g_pre = rec.global_pre(cal)
+    if g_pre - window < 0:
+        raise InsufficientWindow(
+            f"{rec.stock_id}: return window starts before the calendar")
+    try:
+        first, last = panel.coverage(rec.stock_id)
+    except NoData as exc:
+        raise InsufficientWindow(str(exc)) from None
+    if first > g_pre - window or last < rec.global_resume(cal) + window:
+        raise InsufficientWindow(
+            f"{rec.stock_id}: bars do not cover both return windows")
+
+
+def reversal_move(panel, rec, k: int) -> float:
+    """Filled log-price change from the last pre-halt minute to the k-th
+    minute after resumption, each end checked by looking for NaN."""
+    cal = panel.calendar
+    lnp = panel.log_prices(rec.stock_id)
+    g_pre = rec.global_pre(cal)
+    g_post = rec.global_resume(cal) + k - 1
+    if g_pre < 0 or np.isnan(lnp[g_pre]):
+        raise InsufficientHistory(f"{rec.stock_id}: no pre-halt bar")
+    if g_post >= lnp.size or np.isnan(lnp[g_post]):
+        raise InsufficientPostWindow(
+            f"{rec.stock_id}: no bar {k} minutes after resumption")
+    return lnp[g_post] - lnp[g_pre]
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,9 @@ from haltstudy import (
     make_calendar,
     reversal_stats,
 )
-from haltstudy.event_study import _event_minutes
+from haltstudy.event_study import _event_minutes, _return_window_events
 from helpers import add_stock, halt_event, halt_record, location
+from oracles import (check_return_windows, reversal_move, trend_sign)
 from oracles import eligibility as reference_eligibility
 from oracles import event_minutes as reference_event_minutes
 
@@ -231,10 +232,11 @@ def _outcome(call):
 
 @st.composite
 def windowed_halts(draw):
-    # one halt on a 6-day calendar, often from its third day on; one
-    # stock whose bars span random minutes, often from the calendar's
-    # first minute or to its last (or that has none, or is not in the
-    # panel), usually without bars inside the halt; random windows
+    # one halt on a 6-day calendar, often from its third day on, and
+    # random windows; one stock whose first and last bars fall at random,
+    # at the calendar's ends or within a minute of an end of some
+    # window (or that has none, or is not in the panel), usually without
+    # bars inside the halt
     cal = make_calendar(6)
     n = cal.n_minutes
     begin = draw(st.integers(480, n - 2) | st.integers(0, n - 2))
@@ -245,11 +247,25 @@ def windowed_halts(draw):
         trend_window=draw(window), lookback_days=draw(st.integers(1, 2)),
         pre_window=draw(window), post_window=draw(window),
         measure_pre_window=draw(window))
+    pre, post, curve = (draw(st.integers(0, 300)) for _ in range(3))
+    horizon = draw(st.integers(1, 300))
+    g_pre = begin - 1
+    starts = [g_pre - config.history_minutes, g_pre - config.trend_window,
+              begin - pre, g_pre - curve, g_pre]
+    ends = [g_pre, resume + config.post_window, resume + post,
+            resume + curve, resume + horizon - 1]
+
+    def near(points):
+        return st.sampled_from(points).flatmap(
+            lambda p: st.integers(p - 1, p + 1))
+
     builder = PanelBuilder(cal)
     kind = draw(st.sampled_from(["span"] * 8 + ["empty", "gone"]))
     if kind != "gone":
-        first = draw(st.just(0) | st.integers(0, begin))
-        last = draw(st.just(n - 1) | st.integers(first, n - 1))
+        first = draw(st.just(0) | st.integers(0, begin) | near(starts))
+        first = min(max(first, 0), n - 1)
+        last = draw(st.just(n - 1) | st.integers(first, n - 1) | near(ends))
+        last = min(max(last, first), n - 1)
         absent = [slice(0, first), slice(last + 1, None)]
         if kind == "empty":
             absent = [slice(None)]
@@ -258,26 +274,36 @@ def windowed_halts(draw):
         add_stock(builder, cal, "S",
                   price=10.0 * np.exp(np.arange(n) * 1e-4), spread=0.02,
                   absent=absent)
-    windows = (draw(st.integers(0, 300)), draw(st.integers(0, 300)))
-    return builder.build(), rec, config, windows
+    return builder.build(), rec, config, (pre, post, curve, horizon)
 
 
 @settings(deadline=None, max_examples=300)
 @given(windowed_halts())
 def test_windows_match_the_site_by_site_checks(case):
-    # the reason, sign and event minutes equal the reference's checks
-    # (each site with its own arithmetic), and an event marked eligible
-    # passes every window check of the trajectory stage
-    panel, rec, config, (pre, post) = case
+    # every stage's window verdict equals the reference's (each site
+    # with its own arithmetic), and an event marked eligible passes
+    # every window check of the trajectory stage
+    panel, rec, config, (pre, post, curve, horizon) = case
     ev, = filter_eligibility([rec], panel, config)
     assert (ev.rejection_reason, ev.sign) == \
         reference_eligibility(panel, rec, config)
+    assert _outcome(lambda: classify_sign(panel, rec, config.trend_window)) \
+        == _outcome(lambda: trend_sign(panel, rec, config.trend_window))
     got = _outcome(lambda: _event_minutes(panel, rec, pre, post))
     want = _outcome(lambda: reference_event_minutes(panel, rec, pre, post))
     if isinstance(want, tuple):
         assert got == want
     else:
         assert np.array_equal(got, want)
+    # a negative event reverses when its move is up
+    signed = HaltEvent(rec, HaltType.INTRADAY, EventSign.NEGATIVE)
+    got = _outcome(lambda: _return_window_events(panel, [signed], curve))
+    want = _outcome(lambda: check_return_windows(panel, rec, curve))
+    assert got == (want if isinstance(want, tuple) else [signed])
+    got = _outcome(lambda: reversal_stats(panel, [signed], (horizon,)))
+    want = _outcome(lambda: reversal_move(panel, rec, horizon))
+    assert got == (want if isinstance(want, tuple)
+                   else {horizon: float(want > 0)})
     if ev.eligible:
         try:
             extract_stock_trajectories(
