@@ -554,14 +554,15 @@ def _return_window_events(panel: Panel, events: Sequence[HaltEvent],
     cal = panel.calendar
     for ev in ordered:
         rec = ev.record
-        gap, _ = _coverage_gap(panel, rec.stock_id, rec.global_pre(cal) - window,
+        gap, _ = _coverage_gap(panel, rec.stock_id,
+                               rec.global_pre(cal) - window,
                                rec.global_resume(cal) + window, window=window)
         if gap == "calendar":
             raise InsufficientWindow(
                 f"{rec.stock_id}: return window starts before the calendar")
         if gap == "bars":
             raise InsufficientWindow(f"no bars for stock {rec.stock_id}")
-        if gap is not None:
+        if gap:
             raise InsufficientWindow(
                 f"{rec.stock_id}: bars do not cover both return windows")
     return ordered

@@ -210,7 +210,7 @@ def classify_sign(panel: Panel, record: HaltRecord,
             f"{record.stock_id}: trend window starts before the calendar")
     if record.stock_id not in panel:
         raise InsufficientHistory(f"no bars for stock {record.stock_id}")
-    if gap is not None:
+    if gap:
         raise InsufficientHistory(
             f"{record.stock_id}: trend-window endpoint outside its bars")
     lnp = panel.log_prices(record.stock_id)
@@ -288,7 +288,7 @@ def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
         return RejectionReason.INSUFFICIENT_HISTORY
     g_resume = record.global_resume(cal)
     if _coverage_gap(panel, record.stock_id, g_resume,
-                     g_resume + config.post_window)[0] is not None:
+                     g_resume + config.post_window)[0]:
         return RejectionReason.INSUFFICIENT_POST_WINDOW
     if _worst_gap_fraction(real, cal, record, config) > config.max_gap_fraction:
         return RejectionReason.DATA_GAP
@@ -330,11 +330,10 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
         halt_type = classify_halt_type(rec, cal)
         # enough bars before the halt to classify and extract the event
         g_pre = rec.global_pre(cal)
-        history = _coverage_gap(panel, rec.stock_id,
-                                g_pre - config.history_minutes,
-                                g_pre)[0] is None
-        sign = classify_sign(panel, rec, config.trend_window) if history \
-            else None
+        history = not _coverage_gap(panel, rec.stock_id,
+                                    g_pre - config.history_minutes, g_pre)[0]
+        sign = (classify_sign(panel, rec, config.trend_window) if history
+                else None)
         reason = _rejection_reason(panel, rec, i, successive, config,
                                    active.get(rec.stock_id), history)
         events.append(HaltEvent(rec, halt_type, sign, reason))
