@@ -4,7 +4,9 @@ Every stage that measures an event first asks whether the stock's bars
 cover a span of global minutes around the halt, and reports a failing
 span with its own exception type and wording. The table below pins, for
 every stage and every way a span can fail, the exact exception type and
-message (or, for eligibility, the rejection reason and sign).
+message (or, for eligibility, the rejection reason and sign); a property
+compares every stage with the site-by-site copies of the checks in
+``oracles`` over random bars, halts and windows.
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ from haltstudy import (
 )
 from haltstudy.event_study import _event_minutes, _return_window_events
 from helpers import add_stock, halt_event, halt_record, location
-from oracles import (check_return_windows, reversal_move, trend_sign)
+from oracles import check_return_windows, reversal_move, trend_sign
 from oracles import eligibility as reference_eligibility
 from oracles import event_minutes as reference_event_minutes
 
