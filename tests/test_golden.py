@@ -2,8 +2,8 @@
 
 A small noisy synthetic dataset goes through ``synth``, ``run
 --bootstrap 20`` and ``robustness --windows 60,240``; the SHA-256 of
-the bar file, of all eight ``run`` artifacts and of ``sign_flips.csv``
-are pinned. A second ``run --fit-range 5:60 --bootstrap 20`` pins the
+all four ``synth`` files, of all eight ``run`` artifacts and of
+``sign_flips.csv`` are pinned. A second ``run --fit-range 5:60 --bootstrap 20`` pins the
 fits and bootstrap errors off the default fit range. That spec has one
 halt per stock; a multi-halt spec, whose stocks halt every few days
 through all six groups, pins ``run --bootstrap 20`` on cells of
@@ -30,6 +30,12 @@ GROUPS = ("intraday_pos:2,intraday_neg:2,oneday_pos:2,oneday_neg:1,"
 GOLDEN = {
     "bars.csv":
         "9f1725ae8468acd559ce14a5a91a83853d6eb2da5304d1e8456c12932a849673",
+    "halts.csv":
+        "94a10ebe0902eea15096687173ad31a77e5a489d1c6b20f8a7f70856dec3e08f",
+    "calendar.txt":
+        "17ddc1a2680f63814b81d4caf8f5e4f25fe289ecb024ae674a31233d93a38bbf",
+    "ground_truth.json":
+        "241b9fac101fd9d87fcd4368f211dcdd0993c020d662a51fffb311aee011aadf",
     "eligibility.csv":
         "da0595017c0659ee8e089dba3aeec0a473a27d6106617011681b899999bd2332",
     "counts.csv":
@@ -88,8 +94,9 @@ def digests(dataset):
     assert main(["run", *inputs, "--out", str(run), "--bootstrap", "20"]) == 0
     assert main(["robustness", *inputs, "--out", str(rob),
                  "--windows", "60,240", "--bootstrap", "0"]) == 0
-    out = {"bars.csv": _sha256(data / "bars.csv"),
-           "sign_flips.csv": _sha256(rob / "sign_flips.csv")}
+    out = {"sign_flips.csv": _sha256(rob / "sign_flips.csv")}
+    out.update((name, _sha256(data / name)) for name in
+               ("bars.csv", "halts.csv", "calendar.txt", "ground_truth.json"))
     out.update((path.name, _sha256(path)) for path in run.iterdir())
     return out
 
