@@ -13,7 +13,6 @@ that did trade is rejected too: its halt never happened as recorded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -29,7 +28,8 @@ from .errors import (
     UnknownDay,
 )
 from .market_data import (MINUTES_PER_DAY, Panel, TradingCalendar,
-                          _check_stock_id, _csv_reader)
+                          _check_stock_id, _csv_field, _csv_reader,
+                          _csv_text)
 
 HALT_CSV_HEADER = ("stock_id", "halt_date", "halt_minute",
                    "resume_date", "resume_minute", "is_st")
@@ -377,17 +377,13 @@ def tabulate_counts(events: Iterable[HaltEvent]) -> CountTable:
 
 def write_count_csv(table: CountTable, stream: IO[str]) -> None:
     """Write the count table with row, column and grand totals."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("halt_type", "positive", "negative", "total"))
-    for ht in HaltType:
-        writer.writerow((ht.value,
-                         table.count(ht, EventSign.POSITIVE),
-                         table.count(ht, EventSign.NEGATIVE),
-                         table.row_total(ht)))
-    writer.writerow(("total",
-                     table.sign_total(EventSign.POSITIVE),
-                     table.sign_total(EventSign.NEGATIVE),
-                     table.total))
+    rows = [(ht.value, table.count(ht, EventSign.POSITIVE),
+             table.count(ht, EventSign.NEGATIVE), table.row_total(ht))
+            for ht in HaltType]
+    rows.append(("total", table.sign_total(EventSign.POSITIVE),
+                 table.sign_total(EventSign.NEGATIVE), table.total))
+    stream.write(_csv_text([("halt_type", "positive", "negative", "total"),
+                            *((label, *map(str, n)) for label, *n in rows)]))
 
 
 def parse_halt_file(stream: IO[bytes] | IO[str],
@@ -440,26 +436,24 @@ def parse_halt_file(stream: IO[bytes] | IO[str],
     return records
 
 
+def _record_fields(rec: HaltRecord) -> tuple[str, ...]:
+    # the texts of a record's stock, halt and resume fields
+    return (_csv_field(rec.stock_id), rec.halt_day.isoformat(),
+            str(rec.halt_minute), rec.resume_day.isoformat(),
+            str(rec.resume_minute))
+
+
 def write_halt_csv(records: Iterable[HaltRecord], stream: IO[str]) -> None:
     """Write a halt registry in canonical (stock_id, begin) order."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(HALT_CSV_HEADER)
-    for rec in sorted(records, key=HaltRecord.sort_key):
-        writer.writerow((rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
-                         rec.resume_day.isoformat(), rec.resume_minute,
-                         int(rec.is_st_stock)))
+    stream.write(_csv_text([HALT_CSV_HEADER, *(
+        (*_record_fields(rec), str(int(rec.is_st_stock)))
+        for rec in sorted(records, key=HaltRecord.sort_key))]))
 
 
 def write_eligibility_report(events: Iterable[HaltEvent], stream: IO[str]) -> None:
     """Write one row per event with its classification and verdict."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(REPORT_CSV_HEADER)
-    for ev in events:
-        rec = ev.record
-        writer.writerow((rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
-                         rec.resume_day.isoformat(), rec.resume_minute,
-                         ev.halt_type.value,
-                         "" if ev.sign is None else ev.sign.value,
-                         int(ev.eligible),
-                         "" if ev.rejection_reason is None
-                         else ev.rejection_reason.value))
+    stream.write(_csv_text([REPORT_CSV_HEADER, *(
+        (*_record_fields(ev.record), ev.halt_type.value,
+         "" if ev.sign is None else ev.sign.value, str(int(ev.eligible)),
+         "" if ev.rejection_reason is None else ev.rejection_reason.value)
+        for ev in events)]))

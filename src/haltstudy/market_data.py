@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from datetime import date
 from itertools import chain, repeat
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -699,8 +699,36 @@ def load_bar_file(path: str | Path, calendar: TradingCalendar) -> Panel:
 def _float_texts(values) -> list[str]:
     """The one float format of every written file: ``repr``, which reads
     back to the same bits, or an empty field for NaN (and for None)."""
-    return ["" if math.isnan(v) else repr(v)
-            for v in np.asarray(values, float).tolist()]
+    values = np.asarray(values, float)
+    texts = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        texts[i] = ""
+    return texts
+
+
+# the characters that make a text field quoted; csv.writer's minimal
+# quoting with a "\n" line ending would leave "\r" bare
+_QUOTED = frozenset(',"\n\r')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: as it is, or, when it holds a comma, a
+    quote or a line break, quoted with each quote doubled."""
+    if _QUOTED.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """The CSV text of ``rows``, each two or more field texts: fields
+    joined by commas, every line ended by ``\\n``.
+
+    The one line writer of every CSV file the package writes. A field
+    is written as it is given, so text that may hold a comma, a quote or
+    a line break goes through :func:`_csv_field` first.
+    """
+    text = "\n".join(map(",".join, rows))
+    return text + "\n" if text else text
 
 
 def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
@@ -708,16 +736,16 @@ def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
 
     Floats are written with repr so parse -> write -> parse is lossless.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(BAR_CSV_HEADER)
+    stream.write(_csv_text([BAR_CSV_HEADER]))
     days = [day.isoformat() for day in panel.calendar.trading_days]
     for stock_id in panel.stock_ids:
         g = np.flatnonzero(panel.present_mask(stock_id))
         day_idx, offset = np.divmod(g, MINUTES_PER_DAY)
-        writer.writerows(zip(
-            repeat(stock_id), map(days.__getitem__, day_idx.tolist()),
-            (offset + 1).tolist(),
+        stream.write(_csv_text(zip(
+            repeat(_csv_field(stock_id)),
+            map(days.__getitem__, day_idx.tolist()),
+            map(str, (offset + 1).tolist()),
             _float_texts(panel.prices(stock_id)[g]),
             _float_texts(panel.volumes(stock_id)[g]),
             _float_texts(panel.bids(stock_id)[g]),
-            _float_texts(panel.asks(stock_id)[g])))
+            _float_texts(panel.asks(stock_id)[g]))))

@@ -22,10 +22,11 @@ per column and write.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
@@ -43,6 +44,7 @@ from .events import (
     HaltEvent,
     HaltRecord,
     HaltType,
+    _record_fields,
     filter_eligibility,
     group_name,
     group_sort_key,
@@ -63,7 +65,7 @@ from .event_study import (
     reversal_stats,
     stability_stat,
 )
-from .market_data import Panel, _float_texts
+from .market_data import Panel, _csv_text, _float_texts
 from .powerlaw import (
     BootstrapResult,
     FitConfig,
@@ -377,19 +379,12 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
     }
 
 
-def _csv_writer(stream: IO[str], header: Sequence[str]):
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    return writer
-
-
 def _series_text(group: str, label: str, t: np.ndarray,
-                 *columns: Iterable) -> str:
-    # the rows of one event-time series, by column, a row per t
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(
-        zip(repeat(group), repeat(label), t.tolist(), *columns))
-    return buf.getvalue()
+                 *columns: Iterable[str]) -> str:
+    # the rows of one event-time series, by column of field texts, a row
+    # per t
+    return _csv_text(zip(repeat(group), repeat(label), map(str, t.tolist()),
+                         *columns))
 
 
 def _render_cell(cell: GroupCell, names: Collection[str]) -> None:
@@ -405,14 +400,15 @@ def _render_cell(cell: GroupCell, names: Collection[str]) -> None:
         c = cell.curve
         cell.texts["curves.csv", None] = _series_text(
             group, CUMULATIVE_LABEL, c.t, _float_texts(c.mean),
-            _float_texts(c.stderr), repeat(c.n))
+            _float_texts(c.stderr), repeat(str(c.n)))
     for m, avg in cell.averages.items():
         todo = {name for name in ("averages.csv", "excess.csv", "loglog.csv")
                 if name in names and (name, m) not in cell.texts}
         if not todo:
             continue
         ex = cell.excess[m]
-        stderr, n, z_ex = (_float_texts(avg.stderr), avg.n.tolist(),
+        stderr, n, z_ex = (_float_texts(avg.stderr),
+                           list(map(str, avg.n.tolist())),
                            _float_texts(ex.mean))
         if "averages.csv" in todo:
             cell.texts["averages.csv", m] = _series_text(
@@ -432,8 +428,8 @@ def _render_cell(cell: GroupCell, names: Collection[str]) -> None:
 def _write_cell_rows(result: AnalysisResult, name: str,
                      stream: IO[str]) -> None:
     # every cell's rendered rows of ``name``, by group, then measure
-    _csv_writer(stream, LOGLOG_CSV_HEADER if name == "loglog.csv"
-                else SERIES_CSV_HEADER)
+    stream.write(_csv_text([LOGLOG_CSV_HEADER if name == "loglog.csv"
+                            else SERIES_CSV_HEADER]))
     for cell in sorted(result.cells, key=lambda c: c.group):
         measures = ([None] if name == "curves.csv"
                     else sorted(cell.averages, key=lambda m: m.value))
@@ -442,16 +438,16 @@ def _write_cell_rows(result: AnalysisResult, name: str,
 
 def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
     """Exponent table, one row per (measure, halt type, sign)."""
-    writer = _csv_writer(stream, EXPONENT_CSV_HEADER)
+    lines = [EXPONENT_CSV_HEADER]
     for row in rows:
         fit = row.fit
         values = ([""] * 6 if fit is None else _float_texts(
             [fit.amplitude, fit.alpha, fit.alpha_stderr,
              fit.bootstrap_alpha_stderr, fit.sse, fit.r2_positive]))
         # a fit exists only once converged
-        writer.writerow((row.measure.value, row.halt_type.value,
-                         row.sign.value, *values, int(fit is not None),
-                         row.flag))
+        lines.append((row.measure.value, row.halt_type.value, row.sign.value,
+                      *values, str(int(fit is not None)), row.flag))
+    stream.write(_csv_text(lines))
 
 
 def _write_summary(result: AnalysisResult, config: AnalysisConfig,
@@ -544,27 +540,36 @@ def write_analysis_outputs(result: AnalysisResult, config: AnalysisConfig,
                            names: Sequence[str] = ARTIFACTS) -> list[Path]:
     """Write the named artifact files (all by default); returns their paths.
 
+    The files are written into a hidden temporary directory in
+    ``out_dir``, on the same file system as the files they replace, and
+    moved into place only once all of them are complete. A write that
+    fails leaves no partial file and no temporary directory, and a file
+    that it would have replaced keeps its old contents.
+
     While the pass that built a cell runs, its rows are rendered into it
     once, and a later write of any result that shares the cell copies
     them; after the pass, they are rendered for each write.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=".writing-", dir=out))
     # cells whose pass is over keep their rows for this write only
     done = [cell for cell in result.cells if cell.texts is None]
-    for cell in done:
-        cell.texts = {}
-    for cell in result.cells:
-        _render_cell(cell, names)
-    written = []
-    for name in names:
-        path = out / name
-        with open(path, "w", newline="") as fh:
-            _WRITERS[name](result, config, fh)
-        written.append(path)
-    for cell in done:
-        cell.texts = None
-    return written
+    try:
+        for cell in done:
+            cell.texts = {}
+        for cell in result.cells:
+            _render_cell(cell, names)
+        for name in names:
+            with open(tmp / name, "w", newline="") as fh:
+                _WRITERS[name](result, config, fh)
+        for name in names:
+            os.replace(tmp / name, out / name)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+        for cell in done:
+            cell.texts = None
+    return [out / name for name in names]
 
 
 def write_sign_flip_csv(windows: Sequence[int],
@@ -572,16 +577,15 @@ def write_sign_flip_csv(windows: Sequence[int],
                         stream: IO[str]) -> int:
     """Per event, its sign in each window's run and whether those differ;
     returns the number of events that flip."""
-    writer = _csv_writer(stream, [*HALT_CSV_HEADER[:5],
-                                  *(f"sign_w{w}" for w in windows), "flipped"])
+    lines = [(*HALT_CSV_HEADER[:5], *(f"sign_w{w}" for w in windows),
+              "flipped")]
     n_flipped = 0
     for i, ev in enumerate(results[-1].events):
         signs = [result.events[i].sign for result in results]
         flipped = int(len({s for s in signs if s is not None}) > 1)
         n_flipped += flipped
-        rec = ev.record
-        writer.writerow(
-            [rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
-             rec.resume_day.isoformat(), rec.resume_minute]
-            + ["" if s is None else s.value for s in signs] + [flipped])
+        lines.append((*_record_fields(ev.record),
+                      *("" if s is None else s.value for s in signs),
+                      str(flipped)))
+    stream.write(_csv_text(lines))
     return n_flipped

@@ -13,13 +13,18 @@ padded group-average pass must reproduce bit for bit, the scalar fit is
 the one-series damped Gauss-Newton loop that the library's block fitter
 must reproduce bit for bit, and the masked Welford update is the
 running-mean-and-spread step the library's buffered accumulator must
-reproduce bit for bit.
+reproduce bit for bit, and the ``csv.writer`` writers of every CSV file
+are the bytes that the library's one line writer must reproduce.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -31,12 +36,15 @@ from haltstudy.event_study import (EventTrajectory, GroupAverage,
                                    MeasureKind, _deseasonalize_block,
                                    _lockstep_welford, _lookback_days,
                                    _sorted_group, measure_series)
-from haltstudy.events import (EventSign, RejectionReason, _active_days,
+from haltstudy.events import (HALT_CSV_HEADER, REPORT_CSV_HEADER, CountTable,
+                              EventSign, HaltEvent, HaltRecord, HaltType,
+                              RejectionReason, _active_days,
                               _worst_gap_fraction)
-from haltstudy.market_data import MINUTES_PER_DAY
+from haltstudy.market_data import BAR_CSV_HEADER, MINUTES_PER_DAY, Panel
+from haltstudy.pipeline import EXPONENT_CSV_HEADER, AnalysisResult
 from haltstudy.powerlaw import (MIN_FIT_POINTS, SSE_RTOL, STEP_ATOL,
-                                FitConfig, PowerLawFit, power_law_jacobian,
-                                power_law_model)
+                                FitConfig, GroupFitRow, PowerLawFit,
+                                power_law_jacobian, power_law_model)
 
 
 def naive_cumulative_curve(panel, events, window: int = 160) -> list[float]:
@@ -404,3 +412,125 @@ def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range):
     return PowerLawFit(amplitude, alpha, alpha_stderr, (lo, hi), sse,
                        _scalar_r2_positive(t, z, amplitude, alpha),
                        int(t.size), iterations)
+
+
+# ------------------------------------------------- csv.writer text writers
+# The writers of every CSV file before the package wrote its lines itself,
+# copied literally: the bytes that its one line writer must reproduce,
+# except for a stock id that holds a "\r", which these leave unquoted.
+
+
+def _float_texts(values) -> list[str]:
+    """The one float format of every written file: ``repr``, which reads
+    back to the same bits, or an empty field for NaN (and for None)."""
+    return ["" if math.isnan(v) else repr(v)
+            for v in np.asarray(values, float).tolist()]
+
+
+def write_bar_csv(panel: Panel, stream: IO[str]) -> None:
+    """Write the bars back out in canonical order.
+
+    Floats are written with repr so parse -> write -> parse is lossless.
+    """
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(BAR_CSV_HEADER)
+    days = [day.isoformat() for day in panel.calendar.trading_days]
+    for stock_id in panel.stock_ids:
+        g = np.flatnonzero(panel.present_mask(stock_id))
+        day_idx, offset = np.divmod(g, MINUTES_PER_DAY)
+        writer.writerows(zip(
+            repeat(stock_id), map(days.__getitem__, day_idx.tolist()),
+            (offset + 1).tolist(),
+            _float_texts(panel.prices(stock_id)[g]),
+            _float_texts(panel.volumes(stock_id)[g]),
+            _float_texts(panel.bids(stock_id)[g]),
+            _float_texts(panel.asks(stock_id)[g])))
+
+
+def write_count_csv(table: CountTable, stream: IO[str]) -> None:
+    """Write the count table with row, column and grand totals."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(("halt_type", "positive", "negative", "total"))
+    for ht in HaltType:
+        writer.writerow((ht.value,
+                         table.count(ht, EventSign.POSITIVE),
+                         table.count(ht, EventSign.NEGATIVE),
+                         table.row_total(ht)))
+    writer.writerow(("total",
+                     table.sign_total(EventSign.POSITIVE),
+                     table.sign_total(EventSign.NEGATIVE),
+                     table.total))
+
+
+def write_halt_csv(records: Iterable[HaltRecord], stream: IO[str]) -> None:
+    """Write a halt registry in canonical (stock_id, begin) order."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(HALT_CSV_HEADER)
+    for rec in sorted(records, key=HaltRecord.sort_key):
+        writer.writerow((rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
+                         rec.resume_day.isoformat(), rec.resume_minute,
+                         int(rec.is_st_stock)))
+
+
+def write_eligibility_report(events: Iterable[HaltEvent], stream: IO[str]) -> None:
+    """Write one row per event with its classification and verdict."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(REPORT_CSV_HEADER)
+    for ev in events:
+        rec = ev.record
+        writer.writerow((rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
+                         rec.resume_day.isoformat(), rec.resume_minute,
+                         ev.halt_type.value,
+                         "" if ev.sign is None else ev.sign.value,
+                         int(ev.eligible),
+                         "" if ev.rejection_reason is None
+                         else ev.rejection_reason.value))
+
+
+def _csv_writer(stream: IO[str], header: Sequence[str]):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(header)
+    return writer
+
+
+def _series_text(group: str, label: str, t: np.ndarray,
+                 *columns: Iterable) -> str:
+    # the rows of one event-time series, by column, a row per t
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        zip(repeat(group), repeat(label), t.tolist(), *columns))
+    return buf.getvalue()
+
+
+def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
+    """Exponent table, one row per (measure, halt type, sign)."""
+    writer = _csv_writer(stream, EXPONENT_CSV_HEADER)
+    for row in rows:
+        fit = row.fit
+        values = ([""] * 6 if fit is None else _float_texts(
+            [fit.amplitude, fit.alpha, fit.alpha_stderr,
+             fit.bootstrap_alpha_stderr, fit.sse, fit.r2_positive]))
+        # a fit exists only once converged
+        writer.writerow((row.measure.value, row.halt_type.value,
+                         row.sign.value, *values, int(fit is not None),
+                         row.flag))
+
+
+def write_sign_flip_csv(windows: Sequence[int],
+                        results: Sequence[AnalysisResult],
+                        stream: IO[str]) -> int:
+    """Per event, its sign in each window's run and whether those differ;
+    returns the number of events that flip."""
+    writer = _csv_writer(stream, [*HALT_CSV_HEADER[:5],
+                                  *(f"sign_w{w}" for w in windows), "flipped"])
+    n_flipped = 0
+    for i, ev in enumerate(results[-1].events):
+        signs = [result.events[i].sign for result in results]
+        flipped = int(len({s for s in signs if s is not None}) > 1)
+        n_flipped += flipped
+        rec = ev.record
+        writer.writerow(
+            [rec.stock_id, rec.halt_day.isoformat(), rec.halt_minute,
+             rec.resume_day.isoformat(), rec.resume_minute]
+            + ["" if s is None else s.value for s in signs] + [flipped])
+    return n_flipped

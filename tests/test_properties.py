@@ -166,8 +166,10 @@ _BAR = st.tuples(
     st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     st.floats(min_value=0.0, allow_infinity=False),
     st.none() | _FINITE, st.none() | _FINITE)
-# csv quoting characters included; no whitespace, which parsing strips
-_STOCK_IDS = st.text(alphabet="AZaz09,\"'._-", min_size=1, max_size=5)
+# csv quoting characters and line breaks included; no leading or
+# trailing whitespace, which parsing strips
+_STOCK_IDS = st.text(alphabet="AZaz09,\"'._-\r\n", min_size=1,
+                     max_size=5).filter(lambda s: s == s.strip())
 
 
 @st.composite
