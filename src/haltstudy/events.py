@@ -383,7 +383,8 @@ def write_count_csv(table: CountTable, stream: IO[str]) -> None:
     rows.append(("total", table.sign_total(EventSign.POSITIVE),
                  table.sign_total(EventSign.NEGATIVE), table.total))
     stream.write(_csv_text([("halt_type", "positive", "negative", "total"),
-                            *((label, *map(str, n)) for label, *n in rows)]))
+                            *((label, *map(str, counts))
+                              for label, *counts in rows)]))
 
 
 def parse_halt_file(stream: IO[bytes] | IO[str],

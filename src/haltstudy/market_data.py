@@ -706,8 +706,9 @@ def _float_texts(values) -> list[str]:
     return texts
 
 
-# the characters that make a text field quoted; csv.writer's minimal
-# quoting with a "\n" line ending would leave "\r" bare
+# the characters that make a text field quoted: csv's minimal quoting
+# for a "\n" line ending, plus "\r", which a reader also takes for a
+# line break
 _QUOTED = frozenset(',"\n\r')
 
 

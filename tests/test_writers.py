@@ -82,12 +82,12 @@ def _panels(draw):
 
 
 @st.composite
-def _records(draw, stock_ids=_IDS):
+def _records(draw):
     days = CAL.trading_days
     begin = draw(st.tuples(st.integers(0, 2), st.integers(1, 240)))
     resume = draw(st.tuples(st.integers(begin[0], 2), st.integers(1, 240)))
     try:
-        return HaltRecord(draw(stock_ids), days[begin[0]], begin[1],
+        return HaltRecord(draw(_IDS), days[begin[0]], begin[1],
                           days[resume[0]], resume[1], draw(st.booleans()))
     except InvalidInterval:
         assume(False)
