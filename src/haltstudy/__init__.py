@@ -57,7 +57,6 @@ from .event_study import (
     EventTrajectory,
     GroupAverage,
     MeasureKind,
-    average_cumulative_return,
     extract_stock_trajectories,
     group_average,
     group_averages,
@@ -74,7 +73,6 @@ from .powerlaw import (
     attach_bootstrap,
     bootstrap_alpha_stderr,
     fit_all_groups,
-    fit_power_law_points,
     make_excess,
     power_law_jacobian,
     power_law_model,

@@ -251,7 +251,8 @@ def _lookback_days(panel: Panel, active: np.ndarray, rec: HaltRecord,
 def _event_minutes(panel: Panel, rec: HaltRecord, pre_window: int,
                    post_window: int) -> np.ndarray:
     # global minutes of t = -pre_window..post_window, once the stock's
-    # bars are known to cover them
+    # bars are known to cover them; a stock without bars never gets here,
+    # as its caller's lookback check fails first
     cal = panel.calendar
     g_begin = rec.global_begin(cal)
     g_resume = rec.global_resume(cal)
@@ -261,8 +262,6 @@ def _event_minutes(panel: Panel, rec: HaltRecord, pre_window: int,
     if gap == "calendar":
         raise InsufficientHistory(
             f"{rec.stock_id}: pre window starts before the calendar")
-    if gap == "bars":
-        raise InsufficientHistory(f"no bars for stock {rec.stock_id}")
     if gap == "start":
         raise InsufficientHistory(
             f"{rec.stock_id}: bars start inside the pre window")
@@ -525,32 +524,11 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     return _lockstep_welford(rows, members, spread=False).means()
 
 
-def average_cumulative_return(panel: Panel, events: Sequence[HaltEvent],
-                              window: int = EligibilityConfig.pre_window,
-                              ) -> CumulativeReturnCurve:
-    """Average cumulative log-return path over t = -window..window.
-
-    Each event contributes the running sum of its event-time returns;
-    the return at t = 0 is the jump from the last pre-halt price to the
-    first post-resumption price, however long the halt lasted, and
-    prices are forward-filled across gaps. Events are averaged with
-    equal weights and the curve is then shifted vertically so its t = 0
-    value is exactly zero. The one-group case of the two steps a stage
-    runs: :func:`_return_window_events` checks a group, and one
-    :func:`_cumulative_return_curves` pass averages all checked groups.
-    """
-    return _cumulative_return_curves(
-        panel, [_return_window_events(panel, events, window)], window)[0]
-
-
 def _return_window_events(panel: Panel, events: Sequence[HaltEvent],
                           window: int) -> list[HaltEvent]:
-    # ``events`` in event-key order, checked to form one group whose
-    # bars cover both return windows; the first failing event raises
+    # one cell's events in event-key order, checked that their bars
+    # cover both return windows; the first failing event raises
     ordered = sorted(events, key=lambda ev: ev.record.sort_key())
-    if not ordered:
-        raise EmptyGroup("no events to average")
-    _check_same_group(ordered)
     cal = panel.calendar
     for ev in ordered:
         rec = ev.record
@@ -571,12 +549,17 @@ def _return_window_events(panel: Panel, events: Sequence[HaltEvent],
 def _cumulative_return_curves(panel: Panel,
                               groups: Sequence[Sequence[HaltEvent]],
                               window: int) -> list[CumulativeReturnCurve]:
-    """Curves of groups that :func:`_return_window_events` checked, in one
-    lockstep pass; it cannot fail.
+    """Average cumulative log-return paths over t = -window..window of
+    groups that :func:`_return_window_events` checked, in one lockstep
+    pass; it cannot fail.
 
-    Each stock's events read their prices at t = -window-1..-1 and
-    0..window in one gather; the returns are their differences, summed
-    along each event's row.
+    Each event contributes the running sum of its event-time returns;
+    the return at t = 0 is the jump from the last pre-halt price to the
+    first post-resumption price, however long the halt lasted, and
+    prices are forward-filled across gaps. Each stock's events read
+    their prices at t = -window-1..-1 and 0..window in one gather. The
+    events of a group are averaged with equal weights and its curve is
+    then shifted vertically so its t = 0 value is exactly zero.
     """
     if not groups:
         return []

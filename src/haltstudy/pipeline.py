@@ -175,15 +175,6 @@ class AnalysisResult:
     fit_rows: tuple[GroupFitRow, ...] = ()
 
     @property
-    def averages(self) -> tuple[GroupAverage, ...]:
-        return tuple(avg for cell in self.cells
-                     for avg in cell.averages.values())
-
-    @property
-    def excess(self) -> tuple[GroupAverage, ...]:
-        return tuple(ex for cell in self.cells for ex in cell.excess.values())
-
-    @property
     def curves(self) -> tuple[CumulativeReturnCurve, ...]:
         return tuple(cell.curve for cell in self.cells
                      if cell.curve is not None)

@@ -12,10 +12,10 @@ events.
 Every fit runs through one block fitter: a (rows x points) matrix on
 one shared t, each row with its own state (amplitude, alpha, residual,
 SSE, iteration count, step length, and whether it is still active).
-The bootstrap hands it all resamples of a cell, :func:`fit_all_groups`
-all cells on one time axis, and :func:`fit_power_law_points` one row.
-Each row ends bit for bit where a one-series loop ends, because each
-row sees the same floating-point operations:
+The bootstrap hands it all resamples of a cell and :func:`fit_all_groups`
+all cells on one time axis. Each row ends bit for bit where a one-row
+call, or a one-series loop, ends, because each row sees the same
+floating-point operations:
 
 * the Jacobian is stacked as (rows, n, 2), so each row is the
   C-ordered (n, 2) block of :func:`power_law_jacobian`;
@@ -380,27 +380,6 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
     return out
 
 
-def fit_power_law_points(t: np.ndarray, values: np.ndarray,
-                         fit_range: tuple[int, int] = FitConfig.fit_range,
-                         ) -> PowerLawFit:
-    """Fit A * t**(-alpha) to points selected by ``fit_range``.
-
-    Gauss-Newton steps are damped by halving until the residual sum
-    stops growing and the trial amplitude stays positive; the iteration
-    ends when the relative SSE drop or the parameter step falls under
-    tolerance, and a stall (no improving step) counts as converged
-    because the Gauss-Newton direction only fails to descend at a
-    stationary point. Hitting the iteration cap raises NonConvergence,
-    and so does a fit whose decay t**-alpha is 0 at every t > 1.
-    This is the one-row case of the block fitter that the bootstrap and
-    :func:`fit_all_groups` use.
-    """
-    fit, = _fit_rows(t, np.asarray(values, float)[None, :], fit_range)
-    if not isinstance(fit, _RowFit):
-        raise fit
-    return fit.complete()
-
-
 def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
                            fit_range: tuple[int, int] = FitConfig.fit_range,
                            *, n_resamples: int,
@@ -413,8 +392,8 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
     independent of evaluation order. All resamples are averaged in
     lockstep (:func:`resampled_means`) over the fit range's columns
     only, each bitwise equal to its own :func:`group_average` there,
-    then fitted together as blocks, each row bitwise equal to its own
-    :func:`fit_power_law_points`; the spread is taken over the
+    then fitted together as blocks, each row bitwise equal to a one-row
+    :func:`_fit_rows` call; the spread is taken over the
     exponents in resample order. Identical trajectories give a spread
     of exactly 0. ``n_resamples`` and ``seed`` have no defaults here; a
     run takes them from its AnalysisConfig.
@@ -466,8 +445,8 @@ def fit_all_groups(averages: Iterable[GroupAverage],
     the positive excess values) at or above the gate; everything else,
     including series too degenerate to fit, is flagged no_power_law.
     Failures are encoded in the row, never raised. Cells sharing one
-    time axis are fitted together as blocks, each bitwise equal to its
-    own :func:`fit_power_law_points`; stderr and R-squared come per fitted row.
+    time axis are fitted together as blocks, each bitwise equal to a
+    one-row :func:`_fit_rows` call; stderr and R-squared come per fitted row.
     """
     ordered = sorted(averages, key=lambda a: (
         a.measure.value, group_sort_key(a.halt_type, a.sign)))

@@ -10,7 +10,9 @@ from haltstudy import (
     DEFAULT_RELAXATIONS,
     AnalysisConfig,
     AnalysisResult,
+    EligibilityConfig,
     EventSign,
+    FitConfig,
     HaltEvent,
     HaltRecord,
     HaltType,
@@ -24,6 +26,9 @@ from haltstudy import (
     tabulate_counts,
     write_analysis_outputs,
 )
+from haltstudy.event_study import (_cumulative_return_curves,
+                                   _return_window_events)
+from haltstudy.powerlaw import _fit_rows
 
 
 def location(calendar: TradingCalendar,
@@ -137,3 +142,16 @@ def cell_artifact(out_dir, name: str, cell) -> str:
     result = AnalysisResult((), tabulate_counts([]), (cell,))
     (path,) = write_analysis_outputs(result, AnalysisConfig(), out_dir, [name])
     return path.read_text()
+
+
+def cumulative_curve(panel, events, window: int = EligibilityConfig.pre_window):
+    """The curve stage on one group of ``events``: its window check,
+    then the lockstep curve pass over that one group."""
+    return _cumulative_return_curves(
+        panel, [_return_window_events(panel, events, window)], window)[0]
+
+
+def fit_row(t, values, fit_range: tuple[int, int] = FitConfig.fit_range):
+    """The block fitter on the one row ``values``: a ``_RowFit``, whose
+    ``complete()`` is its PowerLawFit, or the error the row fails with."""
+    return _fit_rows(t, np.asarray(values, float)[None], fit_range)[0]

@@ -15,21 +15,20 @@ import numpy as np
 
 from haltstudy import (
     AnalysisConfig,
-    DegenerateData,
     EventSign,
     FitConfig,
     GroundTruth,
     HaltRecord,
+    HaltStudyError,
     HaltType,
     MeasureKind,
-    NonConvergence,
     Panel,
     SyntheticSpec,
-    fit_power_law_points,
     generate_panel,
     make_excess,
 )
 from haltstudy.pipeline import average_groups, select_events
+from helpers import fit_row
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,13 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
             fitted_alpha = float("nan")
             fitted_amplitude = float("nan")
             failure = None
-            try:
-                series = make_excess(average)
-                fit = fit_power_law_points(series.t, series.mean, fit_range)
+            series = make_excess(average)
+            fit = fit_row(series.t, series.mean, fit_range)
+            if isinstance(fit, HaltStudyError):
+                failure = f"{type(fit).__name__}: {fit}"
+            else:
                 fitted_alpha = fit.alpha
                 fitted_amplitude = fit.amplitude
-            except (DegenerateData, NonConvergence) as exc:
-                failure = f"{type(exc).__name__}: {exc}"
             rows.append(RecoveryRow(seed, measure, cell.halt_type, cell.sign,
                                     relax.alpha, relax.amplitude,
                                     fitted_alpha, fitted_amplitude, failure))

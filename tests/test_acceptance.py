@@ -18,7 +18,6 @@ from haltstudy import (
     MeasureKind,
     PanelBuilder,
     build_group_spec,
-    average_cumulative_return,
     extract_stock_trajectories,
     filter_eligibility,
     generate_panel,
@@ -31,8 +30,8 @@ from haltstudy import (
     tabulate_counts,
     write_analysis_outputs,
 )
-from haltstudy.powerlaw import fit_power_law_points
-from helpers import add_stock, halt_event, multi_halt_spec, random_walk_stock
+from helpers import (add_stock, cumulative_curve, fit_row, halt_event,
+                     multi_halt_spec, random_walk_stock)
 from oracles import grid_power_law, naive_cumulative_curve
 from recovery import recovery_study
 
@@ -88,7 +87,7 @@ def test_cumulative_curve_matches_naive_oracle(acceptance):
             random_walk_stock(builder, cal, stock_id, rng, absent=[absent])
             events.append(halt_event(cal, stock_id, begin, resume,
                                      halt_type, EventSign.POSITIVE))
-        curve = average_cumulative_return(builder.build(), events, 160)
+        curve = cumulative_curve(builder.build(), events, 160)
         oracle = naive_cumulative_curve(builder.build(), events, 160)
         worst = max(worst, float(np.max(np.abs(curve.mean
                                                - np.array(oracle)))))
@@ -116,7 +115,7 @@ def test_fit_beats_exhaustive_grid(acceptance):
         amp = float(np.exp(rng.uniform(np.log(0.3), np.log(4.0))))
         alpha = float(rng.uniform(0.3, 1.5))
         z = amp * t ** -alpha + rng.normal(0.0, 0.03, t.size)
-        fit = fit_power_law_points(t, z, fit_range=(1, 40))
+        fit = fit_row(t, z, (1, 40)).complete()
         _, _, grid_sse = grid_power_law(
             t, z,
             (max(1e-3, fit.amplitude - 0.2), fit.amplitude + 0.2),
@@ -178,7 +177,7 @@ def test_stability_and_reversal_exactness(acceptance):
     flat_ev = halt_event(cal, "A", (2, 61), (2, 121),
                          HaltType.INTRADAY, EventSign.NEGATIVE)
     stability = stability_stat(
-        average_cumulative_return(builder.build(), [flat_ev]))
+        cumulative_curve(builder.build(), [flat_ev]))
 
     cal3 = make_calendar(3)
     builder3 = PanelBuilder(cal3)

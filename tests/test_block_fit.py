@@ -19,7 +19,6 @@ from haltstudy import (
     NonConvergence,
     bootstrap_alpha_stderr,
     fit_all_groups,
-    fit_power_law_points,
     make_calendar,
     make_excess,
     powerlaw,
@@ -59,9 +58,10 @@ def _assert_block_matches_oracle(t, block, fit_range):
     assert len(rows) == len(block)
     for values, row in zip(block, rows):
         want = _outcome(scalar_power_law_fit, t, values, fit_range)
-        _assert_same(row.complete() if isinstance(row, _RowFit) else row, want)
-        _assert_same(_outcome(fit_power_law_points, t, values, fit_range),
-                     want)
+        alone, = _fit_rows(t, values[None], fit_range)
+        for got in (row, alone):
+            _assert_same(got.complete() if isinstance(got, _RowFit) else got,
+                         want)
     return rows
 
 

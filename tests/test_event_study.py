@@ -16,7 +16,6 @@ from haltstudy import (
     MeasureKind,
     PanelBuilder,
     ZeroBaseline,
-    average_cumulative_return,
     extract_stock_trajectories,
     group_average,
     make_calendar,
@@ -25,7 +24,8 @@ from haltstudy import (
     stability_stat,
 )
 from haltstudy.pipeline import GroupCell
-from helpers import add_stock, cell_artifact, halt_event, location
+from helpers import (add_stock, cell_artifact, cumulative_curve, halt_event,
+                     location)
 
 A, V, S = (MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME,
            MeasureKind.BID_ASK_SPREAD)
@@ -355,7 +355,7 @@ def test_cumulative_curve_of_constant_prices_is_flat_zero():
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", absent=[slice(540, 600)])
     ev = _intraday_event(cal, day=2)
-    curve = average_cumulative_return(builder.build(), [ev])
+    curve = cumulative_curve(builder.build(), [ev])
     assert np.array_equal(curve.t, np.arange(-160, 161))
     assert np.all(curve.mean == 0.0)
     assert curve.n == 1
@@ -376,7 +376,7 @@ def _ramp_panel():
 def test_cumulative_curve_pins_resumption_at_zero():
     cal, panel = _ramp_panel()
     ev = _intraday_event(cal, day=2)
-    curve = average_cumulative_return(panel, [ev])
+    curve = cumulative_curve(panel, [ev])
     post = curve.mean[curve.t >= 0]
     assert np.all(post == 0.0)                  # frozen price, exact
     pre = curve.mean[curve.t < 0]
@@ -399,7 +399,7 @@ def test_cumulative_curve_price_scale_invariance():
         builder = PanelBuilder(cal)
         add_stock(builder, cal, "A", price=scale * np.exp(lnp),
                   absent=[slice(540, 600)])
-        curves.append(average_cumulative_return(builder.build(), [ev]))
+        curves.append(cumulative_curve(builder.build(), [ev]))
     assert curves[0].mean == pytest.approx(curves[1].mean, abs=1e-12)
     assert curves[0].mean[160] == 0.0
 
@@ -413,14 +413,14 @@ def test_cumulative_curve_window_errors():
         builder = PanelBuilder(cal)
         add_stock(builder, cal, "A", absent=absent)
         with pytest.raises(InsufficientWindow):
-            average_cumulative_return(builder.build(), [ev])
+            cumulative_curve(builder.build(), [ev])
 
     # a hole inside the window carries the price before it: a flat step
     # at the hole (t = 100, g = 700), then the return across it
     price = 10.0 + 0.001 * np.arange(cal.n_minutes)
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", price=price, absent=[slice(540, 600), 700])
-    curve = average_cumulative_return(builder.build(), [ev])
+    curve = cumulative_curve(builder.build(), [ev])
     step = np.diff(curve.mean)[curve.t[1:] >= 99]
     assert step[1] == 0.0                       # t = 99 -> 100
     assert step[0] > 0.0 and step[2] > 0.0
@@ -430,9 +430,7 @@ def test_cumulative_curve_window_errors():
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A")
     with pytest.raises(InsufficientWindow):
-        average_cumulative_return(builder.build(), [early])
-    with pytest.raises(EmptyGroup):
-        average_cumulative_return(builder.build(), [])
+        cumulative_curve(builder.build(), [early])
 
 
 # ---------------------------------------------------------------- stability

@@ -53,11 +53,13 @@ def test_full_run_counts_and_order(six_group_run):
         for sign in EventSign:
             assert result.counts.count(ht, sign) == 1
 
-    assert [(a.group, a.measure) for a in result.averages] == [
+    averages = [avg for cell in result.cells for avg in cell.averages.values()]
+    assert [(a.group, a.measure) for a in averages] == [
         (g, m) for g in GROUP_ORDER for m in MeasureKind]
     assert [c.group for c in result.curves] == GROUP_ORDER
-    assert [(e.group, e.measure) for e in result.excess] == \
-        [(a.group, a.measure) for a in result.averages]
+    excess = [ex for cell in result.cells for ex in cell.excess.values()]
+    assert [(e.group, e.measure) for e in excess] == \
+        [(a.group, a.measure) for a in averages]
     # fit rows sort by measure name first, then group
     measure_names = sorted(m.value for m in MeasureKind)
     assert [(r.measure.value, r.group) for r in result.fit_rows] == [
@@ -155,8 +157,10 @@ def test_stock_without_bars_rejects_only_its_own_events():
     assert verdicts.pop("ZZZ") is RejectionReason.INSUFFICIENT_HISTORY
     assert set(verdicts.values()) == {None}
     assert result.n_eligible == alone.n_eligible == 2
-    for got, want in zip(result.averages, alone.averages, strict=True):
-        assert got.mean.tobytes() == want.mean.tobytes()
+    for got, want in zip(result.cells, alone.cells, strict=True):
+        for measure, average in want.averages.items():
+            assert got.averages[measure].mean.tobytes() == \
+                average.mean.tobytes()
     assert result.fit_rows == alone.fit_rows
 
 
@@ -182,7 +186,7 @@ def test_empty_registry_writes_header_only_artifacts(tmp_path):
     result = run_analysis(panel, [], config)
     assert result.events == ()
     assert result.counts.total == 0
-    assert result.averages == ()
+    assert result.cells == ()
     assert result.curves == ()
     assert result.fit_rows == ()
     paths = write_analysis_outputs(result, config, tmp_path)

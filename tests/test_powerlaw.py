@@ -21,7 +21,6 @@ from haltstudy import (
     attach_bootstrap,
     bootstrap_alpha_stderr,
     fit_all_groups,
-    fit_power_law_points,
     group_average,
     make_calendar,
     make_excess,
@@ -29,7 +28,7 @@ from haltstudy import (
     power_law_model,
 )
 from haltstudy.pipeline import GroupCell, write_exponent_csv
-from helpers import cell_artifact, halt_event
+from helpers import cell_artifact, fit_row, halt_event
 from oracles import grid_power_law
 
 T160 = np.arange(1, 161, dtype=float)
@@ -103,7 +102,7 @@ def test_make_excess_keeps_missing_values():
 
 @pytest.mark.parametrize("amp,alpha", [(1.0, 0.5), (2.0, 1.0), (0.3, 1.7)])
 def test_exact_recovery_from_clean_decay(amp, alpha):
-    fit = fit_power_law_points(T160, amp * T160 ** -alpha)
+    fit = fit_row(T160, amp * T160 ** -alpha).complete()
     assert fit.amplitude == pytest.approx(amp, abs=1e-8)
     assert fit.alpha == pytest.approx(alpha, abs=1e-8)
     assert fit.sse < 1e-18
@@ -117,7 +116,7 @@ def test_recovery_over_random_parameters():
     for _ in range(25):
         amp = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         alpha = float(rng.uniform(0.2, 2.0))
-        fit = fit_power_law_points(T160, amp * T160 ** -alpha)
+        fit = fit_row(T160, amp * T160 ** -alpha).complete()
         assert abs(fit.alpha - alpha) < 1e-6
         assert abs(fit.amplitude - amp) / amp < 1e-6
 
@@ -125,23 +124,23 @@ def test_recovery_over_random_parameters():
 def test_fit_range_restricts_the_points():
     values = 2.0 * T160 ** -0.8
     values[0] = 50.0                    # poisoned first minute
-    fit = fit_power_law_points(T160, values, fit_range=(2, 160))
+    fit = fit_row(T160, values, (2, 160)).complete()
     assert fit.alpha == pytest.approx(0.8, abs=1e-8)
     assert fit.n_points == 159
     assert fit.fit_range == (2, 160)
-    poisoned = fit_power_law_points(T160, values)
+    poisoned = fit_row(T160, values).complete()
     assert abs(poisoned.alpha - 0.8) > 0.01
 
 
 def test_amplitude_scale_equivariance():
-    base = fit_power_law_points(T160, 0.9 * T160 ** -0.6)
-    scaled = fit_power_law_points(T160, 7.5 * 0.9 * T160 ** -0.6)
+    base = fit_row(T160, 0.9 * T160 ** -0.6).complete()
+    scaled = fit_row(T160, 7.5 * 0.9 * T160 ** -0.6).complete()
     assert scaled.alpha == pytest.approx(base.alpha, abs=1e-8)
     assert scaled.amplitude == pytest.approx(7.5 * base.amplitude, rel=1e-8)
 
 
 def test_constant_series_fits_zero_exponent():
-    fit = fit_power_law_points(T160, np.full(160, 0.5))
+    fit = fit_row(T160, np.full(160, 0.5)).complete()
     assert fit.amplitude == pytest.approx(0.5, abs=1e-12)
     assert abs(fit.alpha) < 1e-8
     assert fit.r2_positive == 1.0       # no variance left to explain
@@ -158,24 +157,23 @@ def test_overflowing_trial_steps_are_rejected_quietly(low, want):
     # those trials are rejected without a warning, and the fit ends
     # where it ended when numpy printed them
     z = np.array([low, 0.01, -0.2, -0.2, low, low, low, low])
-    fit = fit_power_law_points(np.arange(1.0, 9.0), z, fit_range=(1, 8))
+    fit = fit_row(np.arange(1.0, 9.0), z, (1, 8)).complete()
     assert (fit.amplitude, fit.alpha, fit.n_iterations) == pytest.approx(
         want, rel=1e-12)
 
 
 def test_degenerate_inputs():
-    with pytest.raises(DegenerateData):
-        fit_power_law_points(T160, -np.ones(160))       # nothing positive
-    with pytest.raises(DegenerateData):
-        fit_power_law_points(T160[:7], 2.0 * T160[:7] ** -0.5)
+    assert isinstance(fit_row(T160, -np.ones(160)),     # nothing positive
+                      DegenerateData)
+    assert isinstance(fit_row(T160[:7], 2.0 * T160[:7] ** -0.5),
+                      DegenerateData)
     thinned = 2.0 * T160[:12] ** -0.5
     thinned[3:8] = np.nan
-    with pytest.raises(DegenerateData):
-        fit_power_law_points(T160[:12], thinned)
+    assert isinstance(fit_row(T160[:12], thinned), DegenerateData)
     with pytest.raises(ValueError):
-        fit_power_law_points(T160, np.ones(160), fit_range=(0, 160))
+        fit_row(T160, np.ones(160), (0, 160))
     with pytest.raises(ValueError):
-        fit_power_law_points(T160, np.ones(160), fit_range=(10, 9))
+        fit_row(T160, np.ones(160), (10, 9))
 
 
 def test_fit_beats_a_parameter_grid():
@@ -185,7 +183,7 @@ def test_fit_beats_a_parameter_grid():
         amp = float(np.exp(rng.uniform(np.log(0.3), np.log(4.0))))
         alpha = float(rng.uniform(0.3, 1.5))
         z = amp * t ** -alpha + rng.normal(0.0, 0.03, t.size)
-        fit = fit_power_law_points(t, z, fit_range=(1, 40))
+        fit = fit_row(t, z, (1, 40)).complete()
         a_lo = max(1e-3, fit.amplitude - 0.2)
         _, _, grid_sse = grid_power_law(
             t, z, (a_lo, fit.amplitude + 0.2),
@@ -195,7 +193,7 @@ def test_fit_beats_a_parameter_grid():
 
 def test_fit_on_series_object():
     series = _series(1.5 * T160 ** -0.7)
-    fit = fit_power_law_points(series.t, series.mean, (1, 160))
+    fit = fit_row(series.t, series.mean, (1, 160)).complete()
     assert fit.alpha == pytest.approx(0.7, abs=1e-8)
 
 
@@ -229,7 +227,7 @@ def test_bootstrap_of_identical_events_is_exactly_zero():
 
 def _excess_alpha(avg):
     series = make_excess(avg)
-    return fit_power_law_points(series.t, series.mean).alpha
+    return fit_row(series.t, series.mean).alpha
 
 
 def test_bootstrap_matches_hand_enumeration():

@@ -22,7 +22,6 @@ from haltstudy import (
     PanelBuilder,
     RejectionReason,
     TradingCalendar,
-    average_cumulative_return,
     filter_eligibility,
     group_average,
     make_calendar,
@@ -34,7 +33,7 @@ from haltstudy import market_data
 from haltstudy.event_study import _lookback_days
 from haltstudy.events import HALT_CSV_HEADER, _active_days
 from haltstudy.market_data import BAR_CSV_HEADER
-from helpers import add_stock, halt_event, halt_record
+from helpers import add_stock, cumulative_curve, halt_event, halt_record
 from oracles import forward_filled_prices
 
 CAL = TradingCalendar((date(2010, 3, 1), date(2010, 3, 2)))
@@ -296,8 +295,8 @@ def _curve_inputs(draw):
 @given(_curve_inputs())
 def test_cumulative_curve_ignores_event_order(inputs):
     panel, events, shuffled = inputs
-    want = average_cumulative_return(panel, events)
-    got = average_cumulative_return(panel, shuffled)
+    want = cumulative_curve(panel, events)
+    got = cumulative_curve(panel, shuffled)
     assert got.n == want.n
     for field in ("t", "mean", "stderr"):
         assert _same_bits(getattr(got, field), getattr(want, field))
