@@ -86,7 +86,11 @@ def _parse_window(text: str, key: str) -> int:
 
 
 def _parse_windows(text: str, key: str) -> tuple[int, ...]:
-    return _parse_int_list(text, key, _parse_window)
+    windows = _parse_int_list(text, key, _parse_window)
+    for i, window in enumerate(windows):
+        if window in windows[:i]:
+            raise ConfigError(f"{key}: window {window} given twice")
+    return windows
 
 
 def _parse_groups(text: str,
@@ -100,6 +104,8 @@ def _parse_groups(text: str,
         name, _, count = token.partition(":")
         if name not in by_name:
             raise ConfigError(f"{key}: bad group name {name!r}")
+        if by_name[name] in sizes:
+            raise ConfigError(f"{key}: group {name!r} given twice")
         sizes[by_name[name]] = _parse_int(count or "1", key)
     if not sizes:
         raise ConfigError(f"{key}: no groups requested")

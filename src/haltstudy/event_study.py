@@ -56,10 +56,8 @@ from .events import (
     EventSign,
     HaltEvent,
     HaltRecord,
-    HaltType,
     _active_days,
     _coverage_gap,
-    group_name,
 )
 from .market_data import MINUTES_PER_DAY, Panel
 
@@ -174,13 +172,15 @@ def _padded_members(sizes: Sequence[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EventTrajectory:
-    """Deseasonalized series z(t) for one event and measure.
+    """Deseasonalized series z(t) for one halt record and measure.
 
     ``t`` runs -measure_pre_window..post_window; NaN marks minutes with
-    no usable observation (no bar, or missing quotes for spreads).
+    no usable observation (no bar, or missing quotes for spreads). The
+    series does not depend on the trend window, so it carries the record
+    and not the event, whose sign does.
     """
 
-    event: HaltEvent
+    record: HaltRecord
     measure: MeasureKind
     t: np.ndarray
     values: np.ndarray
@@ -188,35 +188,23 @@ class EventTrajectory:
 
 @dataclass(frozen=True)
 class GroupAverage:
-    """Equal-weight per-t average of one measure over one event group."""
+    """Equal-weight per-t average of one measure over a set of events."""
 
     measure: MeasureKind
-    halt_type: HaltType
-    sign: EventSign
     t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
     n: np.ndarray
-
-    @property
-    def group(self) -> str:
-        return group_name(self.halt_type, self.sign)
 
 
 @dataclass(frozen=True)
 class CumulativeReturnCurve:
     """Averaged cumulative log-return path, shifted so the t = 0 value is 0."""
 
-    halt_type: HaltType
-    sign: EventSign
     t: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
     n: int
-
-    @property
-    def group(self) -> str:
-        return group_name(self.halt_type, self.sign)
 
 
 def measure_series(panel: Panel, stock_id: str,
@@ -418,38 +406,26 @@ class _BaselineChunk:
                             "baseline at event minute "
                             f"{int(self.t[bad[k, e]][0])}")
                     trajectories[measure] = EventTrajectory(
-                        self.events[i], measure, self.t, values[k, e])
+                        self.events[i].record, measure, self.t, values[k, e])
                 self.out[i] = trajectories
             first += len(positions)
         self.pending = []
         self.used = 0
 
 
-def _check_same_group(events: Sequence[HaltEvent]) -> tuple[HaltType, EventSign]:
-    halt_type = events[0].halt_type
-    sign = events[0].sign
-    if sign is None:
-        raise ValueError("event without a trend sign")
-    for ev in events[1:]:
-        if ev.halt_type is not halt_type or ev.sign is not sign:
-            raise ValueError("events from different groups")
-    return halt_type, sign
-
-
 def _sorted_group(trajectories: Iterable[EventTrajectory],
-                  ) -> tuple[list[EventTrajectory], HaltType, EventSign]:
-    # event-key order, checked to share one group, measure and t axis
-    trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
+                  ) -> list[EventTrajectory]:
+    # record-key order, checked to share one measure and t axis
+    trajs = sorted(trajectories, key=lambda tr: tr.record.sort_key())
     if not trajs:
         raise EmptyGroup("no trajectories to average")
-    halt_type, sign = _check_same_group([tr.event for tr in trajs])
     head = trajs[0]
     for tr in trajs:
         if tr.measure is not head.measure:
             raise ValueError("trajectories mix measures")
         if tr.t is not head.t and not np.array_equal(tr.t, head.t):
             raise ValueError("trajectories use different event-time axes")
-    return trajs, halt_type, sign
+    return trajs
 
 
 def group_average(trajectories: Iterable[EventTrajectory]) -> GroupAverage:
@@ -474,12 +450,12 @@ def group_averages(groups: Iterable[Iterable[EventTrajectory]],
     """
     checked = [_sorted_group(trajs) for trajs in groups]
     passes: dict[tuple, list[int]] = {}
-    for i, (trajs, _, _) in enumerate(checked):
+    for i, trajs in enumerate(checked):
         head = trajs[0]
         passes.setdefault((head.measure, len(head.values)), []).append(i)
     out: list = [None] * len(checked)
     for (_, width), positions in passes.items():
-        blocks = [checked[i][0] for i in positions]
+        blocks = [checked[i] for i in positions]
         sizes = [len(trajs) for trajs in blocks]
         rows = np.empty((sum(sizes) + 1, width))
         rows[-1] = np.nan
@@ -488,10 +464,9 @@ def group_averages(groups: Iterable[Iterable[EventTrajectory]],
         acc = _lockstep_welford(rows, _padded_members(sizes))
         mean, stderr, n = acc.means(), acc.stderrs(), acc.counts()
         for b, i in enumerate(positions):
-            trajs, halt_type, sign = checked[i]
-            head = trajs[0]
-            out[i] = GroupAverage(head.measure, halt_type, sign,
-                                  head.t.copy(), mean[b], stderr[b], n[b])
+            head = checked[i][0]
+            out[i] = GroupAverage(head.measure, head.t.copy(), mean[b],
+                                  stderr[b], n[b])
     return out
 
 
@@ -508,9 +483,9 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     and all rows are then accumulated together, one sample position at
     a time.
     """
-    trajs, _, _ = _sorted_group(trajectories)
+    trajs = _sorted_group(trajectories)
     first: dict = {}
-    rank = np.array([first.setdefault(tr.event.record.sort_key(), i)
+    rank = np.array([first.setdefault(tr.record.sort_key(), i)
                      for i, tr in enumerate(trajs)])
     indices = np.asarray(indices)
     if indices.size and not (0 <= indices.min() and
@@ -580,8 +555,7 @@ def _cumulative_return_curves(panel: Panel,
             np.diff(panel.log_prices(stock_id)[minutes], axis=1), axis=1)
     acc = _lockstep_welford(rows, _padded_members([len(g) for g in groups]))
     mean, stderr = acc.means(), acc.stderrs()
-    return [CumulativeReturnCurve(events[0].halt_type, events[0].sign,
-                                  np.arange(-window, window + 1),
+    return [CumulativeReturnCurve(np.arange(-window, window + 1),
                                   mean[b] - mean[b, window], stderr[b],
                                   len(events))
             for b, events in enumerate(groups)]

@@ -130,13 +130,15 @@ class GroupCell:
     """One (halt type, sign) group of eligible events, and per measure
     their group average.
 
-    A pass builds one cell per distinct membership and hands it to every
-    window with those members. The later stages fill in, once per cell,
-    what they derive from it: the cumulative-return ``curve`` and
-    ``reversals``, the fit row per measure and the bootstrap result per
-    (measure, spawn index). ``texts`` holds its rendered rows per
-    (artifact, measure), the measure None for curves.csv, while the pass
-    runs, and is None once the pass is over.
+    The cell alone holds the group's identity; trajectories, averages
+    and curves carry none. A pass builds one cell per distinct
+    membership and hands it to every window with those members. The
+    later stages fill in, once per cell, what they derive from it: the
+    cumulative-return ``curve`` and ``reversals``, the fit row per
+    measure and the bootstrap result per (measure, spawn index).
+    ``texts`` holds its rendered rows per (artifact, measure), the
+    measure None for curves.csv, while the pass runs, and is None once
+    the pass is over.
     """
 
     halt_type: HaltType
@@ -166,7 +168,7 @@ class AnalysisResult:
 
     A stage that did not run leaves its products empty: a result of the
     selection stage alone has no cells, and one without the curve stage
-    no curves, reversals or stability.
+    cells without curves, and no reversals or stability.
     """
 
     events: tuple[HaltEvent, ...]
@@ -175,18 +177,14 @@ class AnalysisResult:
     fit_rows: tuple[GroupFitRow, ...] = ()
 
     @property
-    def curves(self) -> tuple[CumulativeReturnCurve, ...]:
-        return tuple(cell.curve for cell in self.cells
-                     if cell.curve is not None)
-
-    @property
     def reversals(self) -> dict[str, Mapping[int, float]]:
         return {cell.group: cell.reversals for cell in self.cells
                 if cell.reversals is not None}
 
     @property
     def stability(self) -> dict[str, float]:
-        return {curve.group: stability_stat(curve) for curve in self.curves}
+        return {cell.group: stability_stat(cell.curve) for cell in self.cells
+                if cell.curve is not None}
 
     @property
     def n_eligible(self) -> int:
@@ -201,22 +199,6 @@ def select_events(panel: Panel, records: Sequence[HaltRecord],
 
 
 Trajectories = dict[HaltRecord, dict[MeasureKind, EventTrajectory]]
-
-
-def _member_trajectories(trajectories: Trajectories,
-                         events: Sequence[HaltEvent],
-                         measures: Sequence[MeasureKind],
-                         ) -> dict[MeasureKind, list[EventTrajectory]]:
-    # per measure, each event's trajectory re-bound to that event: it
-    # may have been extracted for an earlier window's copy of the event,
-    # with another sign, and its values do not depend on the sign
-    per_event = [trajectories[ev.record] for ev in events]
-    out = {}
-    for m in measures:
-        out[m] = [by_measure[m] if by_measure[m].event is ev
-                  else replace(by_measure[m], event=ev)
-                  for ev, by_measure in zip(events, per_event)]
-    return out
 
 
 def average_groups(panel: Panel, events: Sequence[HaltEvent],
@@ -253,8 +235,8 @@ def average_groups(panel: Panel, events: Sequence[HaltEvent],
     todo = [key for key in order if cell_keys[key] not in cells]
     measures = config.measures
     averages = iter(group_averages([
-        trajs for key in todo for trajs in _member_trajectories(
-            trajectories, groups[key], measures).values()]))
+        [trajectories[ev.record][m] for ev in groups[key]]
+        for key in todo for m in measures]))
     for key in todo:
         cells[cell_keys[key]] = GroupCell(*key, tuple(groups[key]),
                                           {m: next(averages) for m in measures})
@@ -296,10 +278,11 @@ def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
     results by measure and spawn index: a window without some cell
     shifts the children of every later row.
     """
-    new = {cell.group: cell for cell in cells if not cell.fits}
-    for row in fit_all_groups([avg for cell in new.values()
-                               for avg in cell.averages.values()], config.fit):
-        new[row.group].fits[row.measure] = row
+    new = [(cell, m) for cell in cells if not cell.fits
+           for m in cell.averages]
+    for (cell, m), (fit, flag) in zip(new, fit_all_groups(
+            [cell.averages[m] for cell, m in new], config.fit)):
+        cell.fits[m] = GroupFitRow(m, cell.halt_type, cell.sign, fit, flag)
     ordered = sorted(((cell, m) for cell in cells for m in cell.fits),
                      key=lambda p: (p[1].value,
                                     group_sort_key(p[0].halt_type, p[0].sign)))
@@ -312,7 +295,7 @@ def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
         if row.fit is not None and len(cell.events) >= 2:
             if (m, i) not in cell.bootstraps:
                 cell.bootstraps[m, i] = bootstrap_alpha_stderr(
-                    _member_trajectories(trajectories, cell.events, (m,))[m],
+                    [trajectories[ev.record][m] for ev in cell.events],
                     config.fit.fit_range,
                     n_resamples=config.n_bootstrap, seed=child)
             row = attach_bootstrap(row, cell.bootstraps[m, i])

@@ -13,7 +13,7 @@ Every fit runs through one block fitter: a (rows x points) matrix on
 one shared t, each row with its own state (amplitude, alpha, residual,
 SSE, iteration count, step length, and whether it is still active).
 The bootstrap hands it all resamples of a cell and :func:`fit_all_groups`
-all cells on one time axis. Each row ends bit for bit where a one-row
+all averages on one time axis. Each row ends bit for bit where a one-row
 call, or a one-series loop, ends, because each row sees the same
 floating-point operations:
 
@@ -50,7 +50,7 @@ from .event_study import (
     MeasureKind,
     resampled_means,
 )
-from .events import EventSign, HaltType, group_name, group_sort_key
+from .events import EventSign, HaltType, group_name
 
 MIN_FIT_POINTS = 8
 MAX_ITERATIONS = 200
@@ -398,7 +398,7 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
     of exactly 0. ``n_resamples`` and ``seed`` have no defaults here; a
     run takes them from its AnalysisConfig.
     """
-    trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
+    trajs = sorted(trajectories, key=lambda tr: tr.record.sort_key())
     if len(trajs) < 2:
         raise EmptyGroup(f"{len(trajs)} trajectories, need at least 2")
     if n_resamples < 1:
@@ -437,20 +437,21 @@ class GroupFitRow:
     def group(self) -> str:
         return group_name(self.halt_type, self.sign)
 
-def fit_all_groups(averages: Iterable[GroupAverage],
-                   config: FitConfig = FitConfig()) -> list[GroupFitRow]:
-    """Fit every group average and apply the quality gate.
 
-    A row is flagged ok only when the fit converged with R-squared (over
-    the positive excess values) at or above the gate; everything else,
+def fit_all_groups(averages: Iterable[GroupAverage],
+                   config: FitConfig = FitConfig(),
+                   ) -> list[tuple[PowerLawFit | None, str]]:
+    """Fit every group average and apply the quality gate; per average,
+    in the order given, its fit (None when fitting failed) and its flag.
+
+    A fit is flagged ok only when it converged with R-squared (over the
+    positive excess values) at or above the gate; everything else,
     including series too degenerate to fit, is flagged no_power_law.
-    Failures are encoded in the row, never raised. Cells sharing one
+    Failures are encoded in the flag, never raised. Averages sharing one
     time axis are fitted together as blocks, each bitwise equal to a
     one-row :func:`_fit_rows` call; stderr and R-squared come per fitted row.
     """
-    ordered = sorted(averages, key=lambda a: (
-        a.measure.value, group_sort_key(a.halt_type, a.sign)))
-    series = [make_excess(avg) for avg in ordered]
+    series = [make_excess(avg) for avg in averages]
     by_axis: dict[bytes, list[int]] = {}
     for i, s in enumerate(series):
         by_axis.setdefault(np.asarray(s.t, float).tobytes(), []).append(i)
@@ -461,12 +462,9 @@ def fit_all_groups(averages: Iterable[GroupAverage],
                                              config.fit_range)):
             if isinstance(fit, _RowFit):
                 fits[i] = fit.complete()
-    rows = []
-    for avg, fit in zip(ordered, fits):
-        ok = fit is not None and fit.r2_positive >= config.min_r2
-        rows.append(GroupFitRow(avg.measure, avg.halt_type, avg.sign, fit,
-                                FLAG_OK if ok else FLAG_NO_POWER_LAW))
-    return rows
+    flags = [FLAG_OK if fit is not None and fit.r2_positive >= config.min_r2
+             else FLAG_NO_POWER_LAW for fit in fits]
+    return list(zip(fits, flags))
 
 
 def attach_bootstrap(row: GroupFitRow, result: BootstrapResult) -> GroupFitRow:

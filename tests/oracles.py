@@ -261,18 +261,18 @@ def extract_trajectory(panel, event, measure: MeasureKind,
     if bad.any():
         raise ZeroBaseline(f"{rec.stock_id}: unusable baseline at event "
                            f"minute {int(t[bad][0])}")
-    return EventTrajectory(event, measure, t, values)
+    return EventTrajectory(rec, measure, t, values)
 
 
 def group_average(trajectories) -> GroupAverage:
     """One group averaged alone: sorted and checked, then one lockstep
     pass over its own members and no padding row."""
-    trajs, halt_type, sign = _sorted_group(trajectories)
+    trajs = _sorted_group(trajectories)
     acc = _lockstep_welford(np.stack([tr.values for tr in trajs]),
                             np.arange(len(trajs))[None, :])
     head = trajs[0]
-    return GroupAverage(head.measure, halt_type, sign, head.t.copy(),
-                        acc.means()[0], acc.stderrs()[0], acc.counts()[0])
+    return GroupAverage(head.measure, head.t.copy(), acc.means()[0],
+                        acc.stderrs()[0], acc.counts()[0])
 
 
 def masked_welford_add(acc, values) -> None:

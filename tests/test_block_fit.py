@@ -224,21 +224,20 @@ def test_a_decay_that_vanishes_after_t1_is_no_fit():
     t = np.arange(-80, 161)
     trajs = [EventTrajectory(
         halt_event(cal, stock, (5, 61), (5, 121), HaltType.INTRADAY,
-                   EventSign.POSITIVE),
+                   EventSign.POSITIVE).record,
         MeasureKind.VOLUME, t, np.r_[np.ones(81), 1.0 + runaway])
         for stock in ("S00", "S01")]
     result = bootstrap_alpha_stderr(trajs, n_resamples=8, seed=0)
     assert (result.n_success, result.n_failed) == (0, 8)
     # and a cell whose average is such a series has no power law
-    row, = fit_all_groups([_average(np.r_[np.ones(81), 1.0 + runaway],
-                                    MeasureKind.VOLUME, HaltType.INTRADAY,
-                                    EventSign.POSITIVE)])
-    assert row.fit is None and row.flag == FLAG_NO_POWER_LAW
+    (fit, flag), = fit_all_groups([_average(
+        np.r_[np.ones(81), 1.0 + runaway], MeasureKind.VOLUME)])
+    assert fit is None and flag == FLAG_NO_POWER_LAW
 
 
-def _average(mean, measure, halt_type, sign):
+def _average(mean, measure):
     t = np.arange(-80, 161)
-    return GroupAverage(measure, halt_type, sign, t, np.asarray(mean, float),
+    return GroupAverage(measure, t, np.asarray(mean, float),
                         np.zeros(t.size), np.ones(t.size, dtype=int))
 
 
@@ -250,16 +249,14 @@ def test_fit_all_groups_blocks_cells_with_different_nan_patterns():
     means[4:6, 85] = np.nan
     means[6, 82:] = np.nan                      # too few points: no fit
     means[7, 81:] = 0.5                         # nothing positive: no fit
-    cells = [(m, ht, s) for m in MeasureKind for ht in HaltType
-             for s in EventSign][:12]
-    averages = [_average(mean, *cell) for mean, cell in zip(means, cells)]
-    rows = fit_all_groups(averages[::-1])
-    by_cell = {(row.measure, row.halt_type, row.sign): row for row in rows}
+    measures = [m for m in MeasureKind for _ in range(6)][:12]
+    averages = [_average(mean, m) for mean, m in zip(means, measures)]
+    # fits come back in the order given, here reversed
+    fits = fit_all_groups(averages[::-1])[::-1]
     n_fitted = 0
-    for avg in averages:
+    for avg, (got, _) in zip(averages, fits):
         series = make_excess(avg)
         want = _outcome(scalar_power_law_fit, series.t, series.mean)
-        got = by_cell[(avg.measure, avg.halt_type, avg.sign)].fit
         if isinstance(want, HaltStudyError):
             assert got is None
         else:

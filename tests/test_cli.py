@@ -376,8 +376,8 @@ def test_robustness_reuses_unchanged_cells_only(regroup_inputs, tmp_path,
     assert len(booted) == 2 + 2
 
 
-def test_reused_trajectory_carries_its_windows_event(flip_inputs, tmp_path,
-                                                     monkeypatch):
+def test_reused_trajectory_joins_its_windows_cell(flip_inputs, tmp_path,
+                                                  monkeypatch):
     extracted = _count_calls(monkeypatch, "extract_stock_trajectories")
     averaged = _count_groups(monkeypatch)
     panel, records = _load_inputs({
@@ -388,17 +388,17 @@ def test_reused_trajectory_carries_its_windows_event(flip_inputs, tmp_path,
     assert len(extracted) == 1
     flip = {ev.record.stock_id: ev for ev in second.events}["FLIP"]
     assert flip.sign is EventSign.NEGATIVE
+    (old_cell,) = first.cells
+    assert old_cell.sign is EventSign.POSITIVE
     (cell,) = [c for c in second.cells if c.sign is EventSign.NEGATIVE]
     assert cell.events == (flip,)
     # window 240 averages [FLIP, MONO] per measure, window 60 [MONO],
     # then [FLIP], whose trajectory window 240 extracted
     assert len(averaged) == 3 * 3
     for (old_flip, _), (new_flip,) in zip(averaged[:3], averaged[6:]):
-        assert old_flip.event.sign is EventSign.POSITIVE
-        assert new_flip.event is flip
+        assert old_flip.record is flip.record
+        assert new_flip is old_flip
         assert new_flip.values is old_flip.values
-    assert [avg.sign for avg in cell.averages.values()] == \
-        [EventSign.NEGATIVE] * 3
 
 
 # ---------------------------------------------------------------- packed copy
@@ -706,6 +706,9 @@ def test_disallowed_trend_window(synth_inputs, tmp_path, capsys):
     ("robustness", "windows = 60,90",
      "windows: 90 is not one of (60, 120, 180, 240)"),
     ("synth", "groups = foo:1", "groups: bad group name 'foo'"),
+    ("robustness", "windows = 60,60", "windows: window 60 given twice"),
+    ("synth", "groups = intraday_pos:1,intraday_pos:3",
+     "groups: group 'intraday_pos' given twice"),
 ])
 def test_config_value_errors_report_their_line(synth_inputs, tmp_path, capsys,
                                                command, line, message):
@@ -803,6 +806,7 @@ def test_bad_robustness_window(flip_inputs, tmp_path, capsys):
     ("--max-gap-fraction", "1.5", "max_gap_fraction"),
     ("--fit-range", "abc", "fit_range"),
     ("--windows", "6x", "windows"),
+    ("--windows", "60,60", "windows: window 60 given twice"),
     # argparse usage errors: a value starting with "-" is read as an
     # option (pass it as --fit-range=-5:10), and an unknown flag
     ("--fit-range", "-5:10", "argument --fit-range: expected one argument"),

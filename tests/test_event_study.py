@@ -274,14 +274,13 @@ def test_trajectory_zero_baseline():
 # ---------------------------------------------------------------- averaging
 
 
-def _traj(values, stock_id="A", t=None, cal=make_calendar(12),
-          sign=EventSign.POSITIVE, measure=V):
+def _traj(values, stock_id="A", t=None, cal=make_calendar(12), measure=V):
     ev = halt_event(cal, stock_id, (5, 61), (5, 121),
-                    HaltType.INTRADAY, sign)
+                    HaltType.INTRADAY, EventSign.POSITIVE)
     values = np.asarray(values, dtype=float)
     if t is None:
         t = np.arange(values.size)
-    return EventTrajectory(ev, measure, np.asarray(t), values)
+    return EventTrajectory(ev.record, measure, np.asarray(t), values)
 
 
 def test_group_average_mean_and_stderr():
@@ -290,7 +289,6 @@ def test_group_average_mean_and_stderr():
     assert ga.stderr[0] == 1.0                  # std(1,3)/sqrt(2), exact
     assert ga.stderr[1] == 0.0
     assert ga.n.tolist() == [2, 2]
-    assert ga.group == "intraday_pos"
 
 
 def test_group_average_single_member_has_no_stderr():
@@ -331,20 +329,12 @@ def test_group_average_is_order_invariant():
 def test_group_average_input_validation():
     with pytest.raises(EmptyGroup):
         group_average([])
-    with pytest.raises(ValueError, match="group"):
-        group_average([_traj([1.0], "A", sign=EventSign.POSITIVE),
-                       _traj([1.0], "B", sign=EventSign.NEGATIVE)])
     with pytest.raises(ValueError, match="measure"):
         group_average([_traj([1.0], "A", measure=V),
                        _traj([1.0], "B", measure=A)])
     with pytest.raises(ValueError, match="axes"):
         group_average([_traj([1.0], "A", t=[0]),
                        _traj([1.0], "B", t=[1])])
-    cal = make_calendar(12)
-    ev = halt_event(cal, "A", (5, 61), (5, 121), HaltType.INTRADAY, None)
-    with pytest.raises(ValueError, match="sign"):
-        group_average([EventTrajectory(ev, V, np.array([0]),
-                                       np.array([1.0]))])
 
 
 # ---------------------------------------------------------------- curves
@@ -440,9 +430,7 @@ def _curve(mean, t=None):
     mean = np.asarray(mean, dtype=float)
     if t is None:
         t = np.arange(mean.size) - (mean.size - 1) // 2
-    return CumulativeReturnCurve(HaltType.INTRADAY, EventSign.POSITIVE,
-                                 np.asarray(t), mean,
-                                 np.zeros(mean.size), 1)
+    return CumulativeReturnCurve(np.asarray(t), mean, np.zeros(mean.size), 1)
 
 
 def test_stability_flat_tail_is_exactly_zero():
@@ -556,8 +544,7 @@ def test_reversal_input_validation():
 
 
 def test_group_average_csv_layout(tmp_path):
-    ga = GroupAverage(V, HaltType.INTRADAY, EventSign.POSITIVE,
-                      np.array([-1, 0, 1]),
+    ga = GroupAverage(V, np.array([-1, 0, 1]),
                       np.array([1.0, np.nan, 2.5]),
                       np.array([0.0, np.nan, 0.5]),
                       np.array([2, 0, 2]))

@@ -132,7 +132,7 @@ def test_stage_matches_per_event_reference(multi_halt_panel, lookback, pre,
     for ev, got_ev, want_ev in zip(shuffled, got, want):
         assert list(got_ev) == list(MEASURES)
         for m in MEASURES:
-            assert got_ev[m].event is ev
+            assert got_ev[m].record is ev.record
             assert got_ev[m].measure is m
             assert np.array_equal(got_ev[m].t, want_ev[m].t)
             assert _same_bits(got_ev[m].values, want_ev[m].values)
@@ -217,7 +217,7 @@ def test_chunked_baselines_match_per_event_reference(mixed_panel, monkeypatch,
     want = _reference_trajectories(panel, shuffled, MEASURES, 40, 80, 160)
     for ev, got_ev, want_ev in zip(shuffled, got, want):
         for m in MEASURES:
-            assert got_ev[m].event is ev
+            assert got_ev[m].record is ev.record
             assert _same_bits(got_ev[m].values, want_ev[m].values)
     spreads = {ev.record.stock_id: got_ev[MeasureKind.BID_ASK_SPREAD].values
                for ev, got_ev in zip(shuffled, got)}
@@ -362,7 +362,7 @@ def test_over_cap_stock_between_one_event_stocks(over_cap_panel, monkeypatch,
     for ev, got_ev, want_ev in zip(events, got, want):
         assert list(got_ev) == list(measures)
         for m in measures:
-            assert got_ev[m].event is ev
+            assert got_ev[m].record is ev.record
             assert _same_bits(got_ev[m].values, want_ev[m].values)
 
 
@@ -526,7 +526,8 @@ def _trajectory_groups(draw):
         halt_type, sign = GROUPS[g % len(GROUPS)]
         t = np.arange(width)
         groups.append([EventTrajectory(
-            halt_event(cal, f"S{i:02d}", (5, 61), (5, 121), halt_type, sign),
+            halt_event(cal, f"S{i:02d}", (5, 61), (5, 121), halt_type,
+                       sign).record,
             measure, t, row) for i, row in enumerate(rows)])
     return draw(st.permutations(groups))
 
@@ -538,8 +539,7 @@ def test_shared_pass_matches_each_group_averaged_alone(groups):
     # member of a padded group catches an accumulator that keeps -0.0
     for got, trajs in zip(group_averages(groups), groups):
         want = lone_group_average(trajs)
-        assert (got.measure, got.halt_type, got.sign) == \
-            (want.measure, want.halt_type, want.sign)
+        assert got.measure is want.measure
         for field in ("t", "mean", "stderr", "n"):
             assert _same_bits(getattr(got, field), getattr(want, field))
 
@@ -560,7 +560,7 @@ def test_groups_are_checked_in_order_before_any_pass():
 
 def _reference_bootstrap(trajectories, fit_range, n_resamples, seed):
     # the per-resample loop of scalar fits the lockstep bootstrap replaces
-    trajs = sorted(trajectories, key=lambda tr: tr.event.record.sort_key())
+    trajs = sorted(trajectories, key=lambda tr: tr.record.sort_key())
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
     count, mean, m2, failed = 0, 0.0, 0.0, 0
@@ -588,7 +588,7 @@ def _trajectories(rows, resumes=None):
         stock = "S00" if resumes else f"S{i:02d}"
         ev = halt_event(cal, stock, (5, 61), resume, HaltType.INTRADAY,
                         EventSign.POSITIVE)
-        out.append(EventTrajectory(ev, MeasureKind.VOLUME, t,
+        out.append(EventTrajectory(ev.record, MeasureKind.VOLUME, t,
                                    np.asarray(values, float)))
     return out
 

@@ -53,13 +53,14 @@ def test_full_run_counts_and_order(six_group_run):
         for sign in EventSign:
             assert result.counts.count(ht, sign) == 1
 
-    averages = [avg for cell in result.cells for avg in cell.averages.values()]
-    assert [(a.group, a.measure) for a in averages] == [
+    averages = [(cell.group, avg) for cell in result.cells
+                for avg in cell.averages.values()]
+    assert [(g, a.measure) for g, a in averages] == [
         (g, m) for g in GROUP_ORDER for m in MeasureKind]
-    assert [c.group for c in result.curves] == GROUP_ORDER
+    assert [c.group for c in result.cells if c.curve is not None] == \
+        GROUP_ORDER
     excess = [ex for cell in result.cells for ex in cell.excess.values()]
-    assert [(e.group, e.measure) for e in excess] == \
-        [(a.group, a.measure) for a in averages]
+    assert [e.measure for e in excess] == [a.measure for _, a in averages]
     # fit rows sort by measure name first, then group
     measure_names = sorted(m.value for m in MeasureKind)
     assert [(r.measure.value, r.group) for r in result.fit_rows] == [
@@ -187,7 +188,7 @@ def test_empty_registry_writes_header_only_artifacts(tmp_path):
     assert result.events == ()
     assert result.counts.total == 0
     assert result.cells == ()
-    assert result.curves == ()
+    assert [cell.curve for cell in result.cells] == []
     assert result.fit_rows == ()
     paths = write_analysis_outputs(result, config, tmp_path)
     assert [p.name for p in paths] == ARTIFACTS

@@ -35,20 +35,18 @@ T160 = np.arange(1, 161, dtype=float)
 A, V = MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME
 
 
-def _series(values, t=None, measure=A, halt_type=HaltType.INTRADAY,
-            sign=EventSign.POSITIVE):
+def _series(values, t=None, measure=A):
     if t is None:
         t = np.arange(1, len(values) + 1)
     values = np.asarray(values, dtype=float)
-    return GroupAverage(measure, halt_type, sign, np.asarray(t), values,
+    return GroupAverage(measure, np.asarray(t), values,
                         np.zeros(values.size), np.ones(values.size, dtype=int))
 
 
-def _avg(mean, measure=A, halt_type=HaltType.INTRADAY,
-         sign=EventSign.POSITIVE):
+def _avg(mean, measure=A):
     mean = np.asarray(mean, dtype=float)
     t = np.arange(-80, mean.size - 80)
-    return GroupAverage(measure, halt_type, sign, t, mean,
+    return GroupAverage(measure, t, mean,
                         np.zeros(mean.size), np.ones(mean.size, dtype=int))
 
 
@@ -87,7 +85,6 @@ def test_make_excess():
     assert np.array_equal(ex.mean, mean[81:] - 1.0)
     assert np.array_equal(ex.stderr, avg.stderr[81:])
     assert np.array_equal(ex.n, avg.n[81:])
-    assert ex.group == "intraday_pos"
 
 
 def test_make_excess_keeps_missing_values():
@@ -207,7 +204,8 @@ def _group_trajs(value_rows, cal=None):
     for i, values in enumerate(value_rows):
         ev = halt_event(cal, f"S{i:02d}", (5, 61), (5, 121),
                         HaltType.INTRADAY, EventSign.POSITIVE)
-        out.append(EventTrajectory(ev, A, t, np.asarray(values, float)))
+        out.append(EventTrajectory(ev.record, A, t,
+                                   np.asarray(values, float)))
     return out
 
 
@@ -267,33 +265,30 @@ def test_bootstrap_input_validation():
 
 
 def test_fit_all_groups_flags_and_order():
-    rows = fit_all_groups([
-        _avg(_decay_row(2.0, 0.8), A, HaltType.INTER_DAY,
-             EventSign.POSITIVE),
-        _avg(np.ones(241), A, HaltType.INTRADAY, EventSign.POSITIVE),
-        _avg(_decay_row(1.5, 0.6), V, HaltType.ONE_DAY, EventSign.NEGATIVE),
+    # one (fit, flag) per average, in the order given
+    (decay, decay_flag), (flat, flat_flag), (vol, vol_flag) = fit_all_groups([
+        _avg(_decay_row(2.0, 0.8)),
+        _avg(np.ones(241)),
+        _avg(_decay_row(1.5, 0.6), V),
     ])
-    assert [r.group for r in rows] == \
-        ["intraday_pos", "interday_pos", "oneday_neg"]
-    flat, decay, vol = rows[0], rows[1], rows[2]
-    assert flat.fit is None
-    assert flat.flag == "no_power_law"
-    assert decay.flag == "ok"
-    assert decay.fit.alpha == pytest.approx(0.8, abs=1e-8)
-    assert vol.flag == "ok"
-    assert vol.measure is V
+    assert flat is None
+    assert flat_flag == "no_power_law"
+    assert decay_flag == "ok"
+    assert decay.alpha == pytest.approx(0.8, abs=1e-8)
+    assert vol_flag == "ok"
+    assert vol.alpha == pytest.approx(0.6, abs=1e-8)
 
 
 def test_fit_all_groups_gates_on_goodness():
     noisy = np.ones(241)
     noisy[81:] = (1.0 + 0.3 * T160 ** -0.5
                   + np.where(np.arange(160) % 2 == 0, 0.5, -0.5))
-    row = fit_all_groups([_avg(noisy)])[0]
-    assert row.fit is not None
-    assert row.fit.r2_positive < 0.2
-    assert row.flag == "no_power_law"
-    lax = fit_all_groups([_avg(noisy)], FitConfig(min_r2=0.0))[0]
-    assert lax.flag == "no_power_law"   # r2 is far below zero here
+    fit, flag = fit_all_groups([_avg(noisy)])[0]
+    assert fit is not None
+    assert fit.r2_positive < 0.2
+    assert flag == "no_power_law"
+    _, lax = fit_all_groups([_avg(noisy)], FitConfig(min_r2=0.0))[0]
+    assert lax == "no_power_law"   # r2 is far below zero here
 
 
 def test_fit_config_validation():
@@ -304,7 +299,8 @@ def test_fit_config_validation():
 
 
 def test_attach_bootstrap():
-    row = fit_all_groups([_avg(_decay_row(2.0, 0.8))])[0]
+    row = GroupFitRow(A, HaltType.INTRADAY, EventSign.POSITIVE,
+                      *fit_all_groups([_avg(_decay_row(2.0, 0.8))])[0])
     assert row.fit.bootstrap_alpha_stderr is None
     filled = attach_bootstrap(row, BootstrapResult(0.125, 10, 0))
     assert filled.fit.bootstrap_alpha_stderr == 0.125
@@ -318,11 +314,12 @@ def test_attach_bootstrap():
 
 
 def test_exponent_csv_round_trip():
-    rows = fit_all_groups([
-        _avg(_decay_row(2.0, 0.8)),
-        _avg(np.ones(241), A, HaltType.ONE_DAY, EventSign.NEGATIVE),
-    ])
-    rows[0] = attach_bootstrap(rows[0], BootstrapResult(0.01, 50, 0))
+    good, failed = fit_all_groups([_avg(_decay_row(2.0, 0.8)),
+                                   _avg(np.ones(241))])
+    rows = [attach_bootstrap(GroupFitRow(A, HaltType.INTRADAY,
+                                         EventSign.POSITIVE, *good),
+                             BootstrapResult(0.01, 50, 0)),
+            GroupFitRow(A, HaltType.ONE_DAY, EventSign.NEGATIVE, *failed)]
     out = io.StringIO()
     write_exponent_csv(rows, out)
     lines = out.getvalue().splitlines()

@@ -237,8 +237,8 @@ def _trajectory(i: int, values) -> EventTrajectory:
     ev = halt_event(CAL12, f"S{i:02d}", (5, 61), (5, 121),
                     HaltType.INTRADAY, EventSign.POSITIVE)
     values = np.asarray(values, float)
-    return EventTrajectory(ev, MeasureKind.VOLUME, np.arange(values.size),
-                           values)
+    return EventTrajectory(ev.record, MeasureKind.VOLUME,
+                           np.arange(values.size), values)
 
 
 @st.composite

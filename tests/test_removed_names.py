@@ -41,6 +41,14 @@ REMOVED_ATTRIBUTES = [
     (pipeline.GroupCell, "trajectories"),
     (pipeline.AnalysisResult, "averages"),
     (pipeline.AnalysisResult, "excess"),
+    (pipeline.AnalysisResult, "curves"),
+    (event_study.EventTrajectory, "event"),
+    (event_study.GroupAverage, "halt_type"),
+    (event_study.GroupAverage, "sign"),
+    (event_study.GroupAverage, "group"),
+    (event_study.CumulativeReturnCurve, "halt_type"),
+    (event_study.CumulativeReturnCurve, "sign"),
+    (event_study.CumulativeReturnCurve, "group"),
 ]
 
 
