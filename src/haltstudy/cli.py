@@ -71,10 +71,15 @@ def _parse_range(text: str, key: str) -> tuple[int, int]:
     return _parse_int(parts[0], key), _parse_int(parts[1], key)
 
 
-def _parse_int_list(text: str, key: str,
+def _parse_int_list(text: str, key: str, noun: str = "horizon",
                     parse: Callable[[str, str], int] = _parse_int,
                     ) -> tuple[int, ...]:
-    return tuple(parse(p.strip(), key) for p in text.split(",") if p.strip())
+    # a comma-separated list of distinct ``noun``s
+    values = tuple(parse(p.strip(), key) for p in text.split(",") if p.strip())
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{key}: {noun} {value} given twice")
+    return values
 
 
 def _parse_window(text: str, key: str) -> int:
@@ -86,11 +91,7 @@ def _parse_window(text: str, key: str) -> int:
 
 
 def _parse_windows(text: str, key: str) -> tuple[int, ...]:
-    windows = _parse_int_list(text, key, _parse_window)
-    for i, window in enumerate(windows):
-        if window in windows[:i]:
-            raise ConfigError(f"{key}: window {window} given twice")
-    return windows
+    return _parse_int_list(text, key, "window", _parse_window)
 
 
 def _parse_groups(text: str,
@@ -153,11 +154,14 @@ _ANALYSIS_FLAGS = ("bars", "calendar", "halts", "out", "seed",
                    "trend_window", "lookback_days", "measure_pre_window",
                    "post_window", "cumulative_window", "max_halt_days",
                    "max_gap_fraction", "fit_range", "min_r2", "n_bootstrap")
-# subcommand: (help, the keys it takes as flags, in --help order)
+# subcommand: (help, the keys it takes as flags, in --help order);
+# robustness sets the trend window per window, so it takes --windows
+# instead and ignores a config file's trend_window
 _SUBCOMMANDS = {
     "run": ("full analysis with all artifacts", _ANALYSIS_FLAGS),
     "robustness": ("analyse per trend window, count sign flips",
-                   _ANALYSIS_FLAGS + ("windows",)),
+                   tuple("windows" if key == "trend_window" else key
+                         for key in _ANALYSIS_FLAGS)),
     "counts": ("eligibility report and count table only", _ANALYSIS_FLAGS),
     "fit": ("analysis with fit artifacts only", _ANALYSIS_FLAGS),
     "synth": ("generate a synthetic dataset",

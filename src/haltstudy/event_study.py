@@ -54,7 +54,6 @@ from .errors import (
 from .events import (
     EligibilityConfig,
     EventSign,
-    HaltEvent,
     HaltRecord,
     _active_days,
     _coverage_gap,
@@ -279,15 +278,15 @@ _CHUNK_BYTES = 512 * 1024
 
 
 def extract_stock_trajectories(
-        panel: Panel, events: Sequence[HaltEvent],
+        panel: Panel, records: Sequence[HaltRecord],
         measures: Sequence[MeasureKind] = tuple(MeasureKind),
         lookback: int = EligibilityConfig.lookback_days,
         pre_window: int = EligibilityConfig.measure_pre_window,
         post_window: int = EligibilityConfig.post_window,
 ) -> list[dict[MeasureKind, EventTrajectory]]:
-    """Deseasonalized series over t = -pre_window..post_window, per event
-    (aligned with ``events``) and measure: the one trajectory path, run
-    once per analysis over every eligible event.
+    """Deseasonalized series over t = -pre_window..post_window, per halt
+    record (aligned with ``records``) and measure: the one trajectory
+    path, run once per analysis over every eligible event's record.
 
     A baseline is the per-intraday-minute mean over the ``lookback``
     most recent days before the halt day on which the stock traded
@@ -308,12 +307,12 @@ def extract_stock_trajectories(
         raise ValueError("lookback must be positive")
     if not measures:
         raise ValueError("need at least one measure")
-    order = sorted(range(len(events)), key=lambda i: events[i].record.sort_key())
+    order = sorted(range(len(records)), key=lambda i: records[i].sort_key())
     t = np.arange(-pre_window, post_window + 1)
     t.setflags(write=False)
-    out: list = [None] * len(events)
-    chunk = _BaselineChunk(panel, events, measures, t, out)
-    for stock_id, run in groupby(order, key=lambda i: events[i].record.stock_id):
+    out: list = [None] * len(records)
+    chunk = _BaselineChunk(panel, records, measures, t, out)
+    for stock_id, run in groupby(order, key=lambda i: records[i].stock_id):
         positions = list(run)
         # the first event failing its window checks ends the run; its
         # error is raised only after the events before it, in this and
@@ -322,7 +321,7 @@ def extract_stock_trajectories(
         try:
             active = _active_days(panel, stock_id)
             for i in positions:
-                rec = events[i].record
+                rec = records[i]
                 window = _lookback_days(panel, active, rec, lookback)
                 minutes.append(_event_minutes(panel, rec, pre_window,
                                               post_window))
@@ -350,9 +349,9 @@ class _BaselineChunk:
     stores their trajectories in ``out``.
     """
 
-    def __init__(self, panel: Panel, events: Sequence[HaltEvent],
+    def __init__(self, panel: Panel, records: Sequence[HaltRecord],
                  measures: Sequence[MeasureKind], t: np.ndarray, out: list):
-        self.panel, self.events, self.measures = panel, events, measures
+        self.panel, self.records, self.measures = panel, records, measures
         self.t, self.out = t, out
         self.capacity = _CHUNK_BYTES // (len(measures) * MINUTES_PER_DAY * 8)
         self.rows = np.empty((len(measures), 0, MINUTES_PER_DAY))
@@ -402,11 +401,11 @@ class _BaselineChunk:
                 for k, measure in enumerate(self.measures):
                     if bad[k, e].any():
                         raise ZeroBaseline(
-                            f"{self.events[i].record.stock_id}: unusable "
+                            f"{self.records[i].stock_id}: unusable "
                             "baseline at event minute "
                             f"{int(self.t[bad[k, e]][0])}")
                     trajectories[measure] = EventTrajectory(
-                        self.events[i].record, measure, self.t, values[k, e])
+                        self.records[i], measure, self.t, values[k, e])
                 self.out[i] = trajectories
             first += len(positions)
         self.pending = []
@@ -499,14 +498,13 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     return _lockstep_welford(rows, members, spread=False).means()
 
 
-def _return_window_events(panel: Panel, events: Sequence[HaltEvent],
-                          window: int) -> list[HaltEvent]:
-    # one cell's events in event-key order, checked that their bars
-    # cover both return windows; the first failing event raises
-    ordered = sorted(events, key=lambda ev: ev.record.sort_key())
+def _return_window_records(panel: Panel, records: Sequence[HaltRecord],
+                           window: int) -> list[HaltRecord]:
+    # one cell's records in key order, checked that their bars cover
+    # both return windows; the first failing record raises
+    ordered = sorted(records, key=HaltRecord.sort_key)
     cal = panel.calendar
-    for ev in ordered:
-        rec = ev.record
+    for rec in ordered:
         gap, _ = _coverage_gap(panel, rec.stock_id,
                                rec.global_pre(cal) - window,
                                rec.global_resume(cal) + window, window=window)
@@ -522,11 +520,11 @@ def _return_window_events(panel: Panel, events: Sequence[HaltEvent],
 
 
 def _cumulative_return_curves(panel: Panel,
-                              groups: Sequence[Sequence[HaltEvent]],
+                              groups: Sequence[Sequence[HaltRecord]],
                               window: int) -> list[CumulativeReturnCurve]:
     """Average cumulative log-return paths over t = -window..window of
-    groups that :func:`_return_window_events` checked, in one lockstep
-    pass; it cannot fail.
+    groups of records that :func:`_return_window_records` checked, in
+    one lockstep pass; it cannot fail.
 
     Each event contributes the running sum of its event-time returns;
     the return at t = 0 is the jump from the last pre-halt price to the
@@ -539,7 +537,7 @@ def _cumulative_return_curves(panel: Panel,
     if not groups:
         return []
     cal = panel.calendar
-    records = [ev.record for events in groups for ev in events]
+    records = [rec for group in groups for rec in group]
     rows = np.empty((len(records) + 1, 2 * window + 1))
     rows[-1] = np.nan
     by_stock: dict[str, list[int]] = {}
@@ -557,8 +555,8 @@ def _cumulative_return_curves(panel: Panel,
     mean, stderr = acc.means(), acc.stderrs()
     return [CumulativeReturnCurve(np.arange(-window, window + 1),
                                   mean[b] - mean[b, window], stderr[b],
-                                  len(events))
-            for b, events in enumerate(groups)]
+                                  len(group))
+            for b, group in enumerate(groups)]
 
 
 def stability_stat(curve: CumulativeReturnCurve) -> float:
@@ -576,27 +574,26 @@ def stability_stat(curve: CumulativeReturnCurve) -> float:
     return float(np.std(tail, ddof=1))
 
 
-def reversal_stats(panel: Panel, events: Sequence[HaltEvent],
-                   horizons: Sequence[int]) -> dict[int, float]:
-    """Fraction of events whose early post-halt move opposed their trend.
+def reversal_stats(panel: Panel, records: Sequence[HaltRecord],
+                   sign: EventSign, horizons: Sequence[int]) -> dict[int, float]:
+    """Fraction of a group's halts whose early post-halt move opposed the
+    group's trend ``sign``.
 
     For horizon k the move is the forward-filled log-price change from
     the last pre-halt minute to the k-th minute after resumption. Only a
     strictly opposite sign counts; an unchanged price does not.
     """
-    ordered = sorted(events, key=lambda ev: ev.record.sort_key())
+    ordered = sorted(records, key=HaltRecord.sort_key)
     if not ordered:
         raise EmptyGroup("no events")
     cal = panel.calendar
+    positive = sign is EventSign.POSITIVE
     out = {}
     for k in horizons:
         if k < 1:
             raise ValueError(f"horizon must be positive, got {k}")
         n_reversed = 0
-        for ev in ordered:
-            if ev.sign is None:
-                raise ValueError("event without a trend sign")
-            rec = ev.record
+        for rec in ordered:
             # an unknown stock raises NoData here, before any window check
             lnp = panel.log_prices(rec.stock_id)
             g_pre = rec.global_pre(cal)
@@ -608,9 +605,6 @@ def reversal_stats(panel: Panel, events: Sequence[HaltEvent],
                 raise InsufficientPostWindow(
                     f"{rec.stock_id}: no bar {k} minutes after resumption")
             move = lnp[g_post] - lnp[g_pre]
-            if ev.sign is EventSign.NEGATIVE and move > 0:
-                n_reversed += 1
-            elif ev.sign is EventSign.POSITIVE and move < 0:
-                n_reversed += 1
+            n_reversed += bool(move < 0 if positive else move > 0)
         out[k] = n_reversed / len(ordered)
     return out

@@ -58,7 +58,7 @@ from .event_study import (
     GroupAverage,
     MeasureKind,
     _cumulative_return_curves,
-    _return_window_events,
+    _return_window_records,
     extract_stock_trajectories,
     group_average,  # bound here for bench/tests' tracer check
     group_averages,
@@ -127,8 +127,8 @@ class AnalysisConfig:
 
 @dataclass(eq=False)
 class GroupCell:
-    """One (halt type, sign) group of eligible events, and per measure
-    their group average.
+    """One (halt type, sign) group of eligible events' halt records, and
+    per measure their group average.
 
     The cell alone holds the group's identity; trajectories, averages
     and curves carry none. A pass builds one cell per distinct
@@ -143,7 +143,7 @@ class GroupCell:
 
     halt_type: HaltType
     sign: EventSign
-    events: tuple[HaltEvent, ...]
+    records: tuple[HaltRecord, ...]
     averages: Mapping[MeasureKind, GroupAverage]
     curve: CumulativeReturnCurve | None = None
     reversals: Mapping[int, float] | None = None
@@ -210,37 +210,34 @@ def average_groups(panel: Panel, events: Sequence[HaltEvent],
 
     ``trajectories`` (by record) and ``cells`` (by halt type, sign and
     member records) hold what earlier windows of a pass built, and take
-    what this one adds. Only events without trajectories there are
+    what this one adds. Only records without trajectories there are
     extracted, in one pass in sorted order; a cell with the members of
     one there is that cell. The new cells' averages come from one
     :func:`group_averages` call: one lockstep pass per measure.
     """
     trajectories = {} if trajectories is None else trajectories
     cells = {} if cells is None else cells
-    eligible = [ev for ev in events if ev.eligible]
-    new = [ev for ev in eligible if ev.record not in trajectories]
+    groups: dict[tuple[HaltType, EventSign], list[HaltRecord]] = {}
+    for ev in events:
+        if ev.eligible:
+            groups.setdefault((ev.halt_type, ev.sign), []).append(ev.record)
+    new = [rec for records in groups.values() for rec in records
+           if rec not in trajectories]
     if new:
         elig = config.eligibility
-        trajectories.update(zip(
-            [ev.record for ev in new],
-            extract_stock_trajectories(
-                panel, new, config.measures, elig.lookback_days,
-                elig.measure_pre_window, elig.post_window)))
-    groups: dict[tuple[HaltType, EventSign], list[HaltEvent]] = {}
-    for ev in eligible:
-        groups.setdefault((ev.halt_type, ev.sign), []).append(ev)
-    order = sorted(groups, key=lambda k: group_sort_key(*k))
-    cell_keys = {key: (*key, tuple(ev.record for ev in groups[key]))
-                 for key in order}
-    todo = [key for key in order if cell_keys[key] not in cells]
+        trajectories.update(zip(new, extract_stock_trajectories(
+            panel, new, config.measures, elig.lookback_days,
+            elig.measure_pre_window, elig.post_window)))
+    keys = [(*key, tuple(groups[key]))
+            for key in sorted(groups, key=lambda k: group_sort_key(*k))]
+    todo = [key for key in keys if key not in cells]
     measures = config.measures
-    averages = iter(group_averages([
-        [trajectories[ev.record][m] for ev in groups[key]]
-        for key in todo for m in measures]))
+    averages = iter(group_averages([[trajectories[rec][m] for rec in records]
+                                    for *_, records in todo
+                                    for m in measures]))
     for key in todo:
-        cells[cell_keys[key]] = GroupCell(*key, tuple(groups[key]),
-                                          {m: next(averages) for m in measures})
-    return tuple(cells[cell_keys[key]] for key in order)
+        cells[key] = GroupCell(*key, {m: next(averages) for m in measures})
+    return tuple(cells[key] for key in keys)
 
 
 def add_curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
@@ -257,8 +254,8 @@ def add_curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
     window = config.eligibility.pre_window
     checked, reversals = [], []
     for cell in new:
-        checked.append(_return_window_events(panel, cell.events, window))
-        reversals.append(reversal_stats(panel, cell.events,
+        checked.append(_return_window_records(panel, cell.records, window))
+        reversals.append(reversal_stats(panel, cell.records, cell.sign,
                                         config.reversal_horizons))
     curves = _cumulative_return_curves(panel, checked, window)
     for cell, curve, fractions in zip(new, curves, reversals):
@@ -292,10 +289,10 @@ def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
     patched = []
     for i, ((cell, m), child) in enumerate(zip(ordered, children)):
         row = cell.fits[m]
-        if row.fit is not None and len(cell.events) >= 2:
+        if row.fit is not None and len(cell.records) >= 2:
             if (m, i) not in cell.bootstraps:
                 cell.bootstraps[m, i] = bootstrap_alpha_stderr(
-                    [trajectories[ev.record][m] for ev in cell.events],
+                    [trajectories[rec][m] for rec in cell.records],
                     config.fit.fit_range,
                     n_resamples=config.n_bootstrap, seed=child)
             row = attach_bootstrap(row, cell.bootstraps[m, i])

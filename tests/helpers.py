@@ -27,7 +27,7 @@ from haltstudy import (
     write_analysis_outputs,
 )
 from haltstudy.event_study import (_cumulative_return_curves,
-                                   _return_window_events)
+                                   _return_window_records)
 from haltstudy.powerlaw import _fit_rows
 
 
@@ -144,11 +144,12 @@ def cell_artifact(out_dir, name: str, cell) -> str:
     return path.read_text()
 
 
-def cumulative_curve(panel, events, window: int = EligibilityConfig.pre_window):
-    """The curve stage on one group of ``events``: its window check,
-    then the lockstep curve pass over that one group."""
+def cumulative_curve(panel, records,
+                     window: int = EligibilityConfig.pre_window):
+    """The curve stage on one group of halt ``records``: its window
+    check, then the lockstep curve pass over that one group."""
     return _cumulative_return_curves(
-        panel, [_return_window_events(panel, events, window)], window)[0]
+        panel, [_return_window_records(panel, records, window)], window)[0]
 
 
 def fit_row(t, values, fit_range: tuple[int, int] = FitConfig.fit_range):

@@ -47,8 +47,8 @@ from haltstudy.powerlaw import (MIN_FIT_POINTS, SSE_RTOL, STEP_ATOL,
                                 power_law_jacobian, power_law_model)
 
 
-def naive_cumulative_curve(panel, events, window: int = 160) -> list[float]:
-    """Average cumulative log return, summed term by term per event.
+def naive_cumulative_curve(panel, records, window: int = 160) -> list[float]:
+    """Average cumulative log return, summed term by term per halt record.
 
     Event-time prices: index i <= -1 maps to the bar at halt_begin + i,
     index i >= 0 to the bar at resume + i. The return at event minute i
@@ -58,8 +58,7 @@ def naive_cumulative_curve(panel, events, window: int = 160) -> list[float]:
     """
     cal = panel.calendar
     per_event = []
-    for ev in events:
-        rec = ev.record
+    for rec in records:
         g_pre = rec.global_pre(cal)
         g_resume = rec.global_resume(cal)
         price = panel.prices(rec.stock_id)
@@ -232,13 +231,12 @@ class IntradayPattern:
     n_observations: np.ndarray
 
 
-def compute_intraday_pattern(panel, event, measure: MeasureKind,
+def compute_intraday_pattern(panel, rec, measure: MeasureKind,
                              lookback: int = 40) -> IntradayPattern:
-    """Average the measure per intraday minute over one event's
+    """Average the measure per intraday minute over one halt record's
     ``lookback`` most recent active days before its halt day."""
     if lookback < 1:
         raise ValueError("lookback must be positive")
-    rec = event.record
     days = _lookback_days(panel, _active_days(panel, rec.stock_id), rec,
                           lookback)
     series = measure_series(panel, rec.stock_id, measure)
@@ -247,12 +245,11 @@ def compute_intraday_pattern(panel, event, measure: MeasureKind,
     return IntradayPattern(measure, lookback, acc.means()[0], acc.counts()[0])
 
 
-def extract_trajectory(panel, event, measure: MeasureKind,
+def extract_trajectory(panel, rec, measure: MeasureKind,
                        pattern: IntradayPattern, pre_window: int = 80,
                        post_window: int = 160) -> EventTrajectory:
-    """One event's series over t = -pre_window..post_window, each raw
-    value divided by ``pattern`` at its own intraday minute."""
-    rec = event.record
+    """One halt record's series over t = -pre_window..post_window, each
+    raw value divided by ``pattern`` at its own intraday minute."""
     gs = event_minutes(panel, rec, pre_window, post_window)
     series = measure_series(panel, rec.stock_id, measure)
     t = np.arange(-pre_window, post_window + 1)

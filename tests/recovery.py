@@ -79,8 +79,8 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
                for row in truth.rows}
     rows = []
     for cell in average_groups(panel, events, config):
-        truths = [planted[(ev.record.stock_id, ev.record.halt_day)]
-                  for ev in cell.events]
+        truths = [planted[(rec.stock_id, rec.halt_day)]
+                  for rec in cell.records]
         for measure, average in cell.averages.items():
             relaxes = {truth_row.event.relaxations[measure]
                        for truth_row in truths}

@@ -30,7 +30,7 @@ from haltstudy import (
     tabulate_counts,
     write_analysis_outputs,
 )
-from helpers import (add_stock, cumulative_curve, fit_row, halt_event,
+from helpers import (add_stock, cumulative_curve, fit_row, halt_record,
                      multi_halt_spec, random_walk_stock)
 from oracles import grid_power_law, naive_cumulative_curve
 from recovery import recovery_study
@@ -76,17 +76,14 @@ def test_cumulative_curve_matches_naive_oracle(acceptance):
     for i in range(20):
         cal = make_calendar(3)
         if i % 2 == 0:
-            begin, resume = (1, 61), (1, 121)
-            halt_type, absent = HaltType.INTRADAY, slice(300, 360)
+            begin, resume, absent = (1, 61), (1, 121), slice(300, 360)
         else:
-            begin, resume = (1, 1), (2, 1)
-            halt_type, absent = HaltType.ONE_DAY, slice(240, 480)
+            begin, resume, absent = (1, 1), (2, 1), slice(240, 480)
         builder = PanelBuilder(cal)
         events = []
         for stock_id in ("A", "B"):
             random_walk_stock(builder, cal, stock_id, rng, absent=[absent])
-            events.append(halt_event(cal, stock_id, begin, resume,
-                                     halt_type, EventSign.POSITIVE))
+            events.append(halt_record(cal, stock_id, begin, resume))
         curve = cumulative_curve(builder.build(), events, 160)
         oracle = naive_cumulative_curve(builder.build(), events, 160)
         worst = max(worst, float(np.max(np.abs(curve.mean
@@ -96,9 +93,9 @@ def test_cumulative_curve_matches_naive_oracle(acceptance):
     panel, records, _ = generate_panel(multi_halt_spec(3, 72, 5, 0.2))
     config = AnalysisConfig(eligibility=EligibilityConfig(pre_window=60))
     cells = run_analysis(panel, records, config, ("curves.csv",)).cells
-    sizes = sorted(len(cell.events) for cell in cells)
+    sizes = sorted(len(cell.records) for cell in cells)
     for cell in cells:
-        oracle = naive_cumulative_curve(panel, cell.events, 60)
+        oracle = naive_cumulative_curve(panel, cell.records, 60)
         worst = max(worst, float(np.max(np.abs(cell.curve.mean
                                                - np.array(oracle)))))
     ok = worst < 1e-12 and sizes == [3, 3, 4, 4, 5, 5]
@@ -135,9 +132,8 @@ def test_deseasonalization_identity(acceptance):
     add_stock(builder, cal, "A", price=price, volume=100.0, spread=0.02,
               absent=[slice(9900, 9960)])
     panel = builder.build()
-    ev = halt_event(cal, "A", (41, 61), (41, 121),
-                    HaltType.INTRADAY, EventSign.NEGATIVE)
-    trajectories, = extract_stock_trajectories(panel, [ev])
+    rec = halt_record(cal, "A", (41, 61), (41, 121))
+    trajectories, = extract_stock_trajectories(panel, [rec])
     deviations = {}
     for measure in MeasureKind:
         tr = trajectories[measure]
@@ -174,10 +170,9 @@ def test_stability_and_reversal_exactness(acceptance):
     cal = make_calendar(4)
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", absent=[slice(540, 600)])
-    flat_ev = halt_event(cal, "A", (2, 61), (2, 121),
-                         HaltType.INTRADAY, EventSign.NEGATIVE)
+    flat_rec = halt_record(cal, "A", (2, 61), (2, 121))
     stability = stability_stat(
-        cumulative_curve(builder.build(), [flat_ev]))
+        cumulative_curve(builder.build(), [flat_rec]))
 
     cal3 = make_calendar(3)
     builder3 = PanelBuilder(cal3)
@@ -188,9 +183,9 @@ def test_stability_and_reversal_exactness(acceptance):
         price[360:] = target
         add_stock(builder3, cal3, stock_id, price=price,
                   absent=[slice(300, 360)])
-        events.append(halt_event(cal3, stock_id, (1, 61), (1, 121),
-                                 HaltType.INTRADAY, EventSign.NEGATIVE))
-    stats = reversal_stats(builder3.build(), events, (1, 2))
+        events.append(halt_record(cal3, stock_id, (1, 61), (1, 121)))
+    stats = reversal_stats(builder3.build(), events, EventSign.NEGATIVE,
+                           (1, 2))
     ok = stability == 0.0 and stats == {1: 0.6, 2: 0.6}
     acceptance(
         "stability_and_reversal_exactness", ok,

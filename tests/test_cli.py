@@ -348,7 +348,7 @@ def test_robustness_builds_each_cell_once(synth_inputs, tmp_path, capsys,
     assert main(["robustness", *_args(synth_inputs, rob, "--bootstrap", "4")]) == 0
     assert "0 of 4 events change sign" in capsys.readouterr().out
     assert len(extracted) == 1
-    assert sorted(ev.record.stock_id for ev in extracted[0][1]) == \
+    assert sorted(rec.stock_id for rec in extracted[0][1]) == \
         sorted(line.split(",")[0] for line in
                (rob / "sign_flips.csv").read_text().splitlines()[1:])
     # 2 cells x 3 measures, rather than 6 in each of 4 windows
@@ -391,7 +391,7 @@ def test_reused_trajectory_joins_its_windows_cell(flip_inputs, tmp_path,
     (old_cell,) = first.cells
     assert old_cell.sign is EventSign.POSITIVE
     (cell,) = [c for c in second.cells if c.sign is EventSign.NEGATIVE]
-    assert cell.events == (flip,)
+    assert cell.records == (flip.record,)
     # window 240 averages [FLIP, MONO] per measure, window 60 [MONO],
     # then [FLIP], whose trajectory window 240 extracted
     assert len(averaged) == 3 * 3
@@ -563,7 +563,7 @@ def test_each_subcommand_takes_its_flags():
              for name, sub in commands.items()}
     assert flags == {
         "run": _ANALYSIS_FLAGS,
-        "robustness": _ANALYSIS_FLAGS | {"--windows"},
+        "robustness": (_ANALYSIS_FLAGS - {"--trend-window"}) | {"--windows"},
         "counts": _ANALYSIS_FLAGS,
         "fit": _ANALYSIS_FLAGS,
         "synth": {"-h", "--help", "--config", "--out", "--seed", "--groups",
@@ -709,6 +709,8 @@ def test_disallowed_trend_window(synth_inputs, tmp_path, capsys):
     ("robustness", "windows = 60,60", "windows: window 60 given twice"),
     ("synth", "groups = intraday_pos:1,intraday_pos:3",
      "groups: group 'intraday_pos' given twice"),
+    ("run", "reversal_horizons = 1,1,2",
+     "reversal_horizons: horizon 1 given twice"),
 ])
 def test_config_value_errors_report_their_line(synth_inputs, tmp_path, capsys,
                                                command, line, message):

@@ -25,16 +25,14 @@ from haltstudy import (
 )
 from haltstudy.pipeline import GroupCell
 from helpers import (add_stock, cell_artifact, cumulative_curve, halt_event,
-                     location)
+                     halt_record, location)
 
 A, V, S = (MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME,
            MeasureKind.BID_ASK_SPREAD)
 
 
-def _intraday_event(cal, stock_id="A", day=1,
-                    sign=EventSign.NEGATIVE):
-    return halt_event(cal, stock_id, (day, 61), (day, 121),
-                      HaltType.INTRADAY, sign)
+def _intraday_record(cal, stock_id="A", day=1):
+    return halt_record(cal, stock_id, (day, 61), (day, 121))
 
 
 # ---------------------------------------------------------------- measures
@@ -93,7 +91,7 @@ def test_pattern_of_constant_volume_is_exact():
     cal = make_calendar(44)
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", volume=250.0)
-    ev = _intraday_event(cal, day=41)
+    ev = _intraday_record(cal, day=41)
     tr = _trajectory(builder.build(), ev)
     assert np.all(tr.values == 1.0)             # 250 / 250, exact
 
@@ -105,7 +103,7 @@ def test_pattern_averages_across_days():
     volume.reshape(42, 240)[1::2] = 4.0
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", volume=volume)
-    ev = _intraday_event(cal, day=40)
+    ev = _intraday_record(cal, day=40)
     tr = _trajectory(builder.build(), ev)
     gs = _event_minutes(40 * 240 + 60, 40 * 240 + 120)
     assert tr.values == pytest.approx(volume[gs] / 3.0, abs=1e-12)
@@ -120,7 +118,7 @@ def test_pattern_skips_suspended_days():
     volume[:240] = 77.0                     # only day 0 differs
     add_stock(builder, cal, "A", volume=volume,
               absent=[slice(3 * 240, 4 * 240)])
-    ev = _intraday_event(cal, day=41)
+    ev = _intraday_record(cal, day=41)
     tr = _trajectory(builder.build(), ev)
     assert tr.values == pytest.approx(np.full(241, 5.0 / 6.8), abs=1e-12)
 
@@ -129,7 +127,7 @@ def test_pattern_requires_enough_active_days():
     cal = make_calendar(42)
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", absent=[slice(0, 240)])    # 39 active days
-    ev = _intraday_event(cal, day=40)
+    ev = _intraday_record(cal, day=40)
     with pytest.raises(InsufficientHistory, match="39 active days"):
         _trajectory(builder.build(), ev)
     with pytest.raises(ValueError):
@@ -143,7 +141,7 @@ def test_pattern_counts_partial_observations():
     # other 39 days, so minute 5 of days 41 (t = -56) and 42 (t = 124)
     # deseasonalizes to exactly 1
     add_stock(builder, cal, "A", volume=9.0, absent=[30 * 240 + 4])
-    ev = _intraday_event(cal, day=41)
+    ev = _intraday_record(cal, day=41)
     tr = _trajectory(builder.build(), ev)
     assert np.all(tr.values == 1.0)
 
@@ -165,8 +163,7 @@ def test_trajectory_event_time_mapping():
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", volume=_index_volume(cal),
               absent=[slice(340, 360)])
-    ev = halt_event(cal, "A", (1, 101), (1, 121),
-                    HaltType.INTRADAY, EventSign.NEGATIVE)
+    ev = halt_record(cal, "A", (1, 101), (1, 121))
     tr = _trajectory(builder.build(), ev, lookback=1)
     assert np.array_equal(tr.t, np.arange(-80, 161))
     # the post window runs through the close of day 1 into day 2
@@ -183,8 +180,7 @@ def test_trajectory_skips_overnight_and_halted_days():
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", volume=_index_volume(cal),
               absent=[slice(400, 880)])
-    ev = halt_event(cal, "A", (1, 161), (3, 161),
-                    HaltType.ONE_DAY, EventSign.NEGATIVE)
+    ev = halt_record(cal, "A", (1, 161), (3, 161))
     tr = _trajectory(builder.build(), ev, lookback=1)
     assert tr.values[tr.t == -1][0] == 399.0    # minute 160 of day 1
     assert tr.values[tr.t == 0][0] == 880.0     # minute 161 of day 3
@@ -206,7 +202,7 @@ def _parity_panel():
 
 def test_trajectory_identity_when_measure_matches_baseline():
     cal, panel = _parity_panel()
-    ev = _intraday_event(cal, day=41)
+    ev = _intraday_record(cal, day=41)
     trajectories, = extract_stock_trajectories(panel, [ev])
     assert set(trajectories) == {A, V, S}
     for tr in trajectories.values():
@@ -223,8 +219,7 @@ def test_trajectory_marks_missing_minutes():
     add_stock(builder, cal, "A", price=price, volume=1.0,
               absent=[slice(580, 600), 640])
     panel = builder.build()
-    ev = halt_event(cal, "A", (2, 101), (2, 121),
-                    HaltType.INTRADAY, EventSign.NEGATIVE)
+    ev = halt_record(cal, "A", (2, 101), (2, 121))
     tr = _trajectory(panel, ev, lookback=1)
     missing = np.isnan(tr.values)
     assert tr.t[missing].tolist() == [40]       # g=640 sits 40 bars past 600
@@ -241,7 +236,7 @@ def test_trajectory_marks_missing_minutes():
 
 def test_trajectory_window_errors():
     cal = make_calendar(4)
-    ev = _intraday_event(cal, day=2)
+    ev = _intraday_record(cal, day=2)
     # bars start at global minute 461, inside the pre window from 460;
     # day 1 still trades, so the lookback is met
     short_pre = PanelBuilder(cal)
@@ -254,8 +249,7 @@ def test_trajectory_window_errors():
     with pytest.raises(InsufficientPostWindow, match="1 minutes short"):
         _trajectory(short_post.build(), ev, lookback=1)
 
-    early = halt_event(cal, "A", (1, 1), (1, 61),
-                       HaltType.INTRADAY, EventSign.NEGATIVE)
+    early = halt_record(cal, "A", (1, 1), (1, 61))
     ok = PanelBuilder(cal)
     add_stock(ok, cal, "A")
     with pytest.raises(InsufficientHistory, match="before the calendar"):
@@ -266,7 +260,7 @@ def test_trajectory_zero_baseline():
     cal = make_calendar(44)
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", volume=0.0, absent=[slice(9900, 9960)])
-    ev = _intraday_event(cal, day=41)
+    ev = _intraday_record(cal, day=41)
     with pytest.raises(ZeroBaseline):
         _trajectory(builder.build(), ev)
 
@@ -344,7 +338,7 @@ def test_cumulative_curve_of_constant_prices_is_flat_zero():
     cal = make_calendar(4)
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A", absent=[slice(540, 600)])
-    ev = _intraday_event(cal, day=2)
+    ev = _intraday_record(cal, day=2)
     curve = cumulative_curve(builder.build(), [ev])
     assert np.array_equal(curve.t, np.arange(-160, 161))
     assert np.all(curve.mean == 0.0)
@@ -365,7 +359,7 @@ def _ramp_panel():
 
 def test_cumulative_curve_pins_resumption_at_zero():
     cal, panel = _ramp_panel()
-    ev = _intraday_event(cal, day=2)
+    ev = _intraday_record(cal, day=2)
     curve = cumulative_curve(panel, [ev])
     post = curve.mean[curve.t >= 0]
     assert np.all(post == 0.0)                  # frozen price, exact
@@ -383,7 +377,7 @@ def test_cumulative_curve_price_scale_invariance():
     cal = make_calendar(4)
     rng = np.random.default_rng(9)
     lnp = np.cumsum(rng.normal(0.0, 0.004, cal.n_minutes))
-    ev = _intraday_event(cal, day=2)
+    ev = _intraday_record(cal, day=2)
     curves = []
     for scale in (1.0, 3.0):
         builder = PanelBuilder(cal)
@@ -396,7 +390,7 @@ def test_cumulative_curve_price_scale_invariance():
 
 def test_cumulative_curve_window_errors():
     cal = make_calendar(4)
-    ev = _intraday_event(cal, day=2)
+    ev = _intraday_record(cal, day=2)
 
     for absent in ([slice(540, 600), slice(0, 400)],        # short pre
                    [slice(540, 600), slice(750, None)]):    # short post
@@ -415,8 +409,7 @@ def test_cumulative_curve_window_errors():
     assert step[1] == 0.0                       # t = 99 -> 100
     assert step[0] > 0.0 and step[2] > 0.0
 
-    early = halt_event(cal, "A", (0, 61), (0, 121),
-                       HaltType.INTRADAY, EventSign.NEGATIVE)
+    early = halt_record(cal, "A", (0, 61), (0, 121))
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "A")
     with pytest.raises(InsufficientWindow):
@@ -460,7 +453,7 @@ def test_stability_needs_a_tail():
 # ---------------------------------------------------------------- reversals
 
 
-def _reversal_fixture(moves, sign):
+def _reversal_fixture(moves):
     cal = make_calendar(3)
     builder = PanelBuilder(cal)
     events = []
@@ -470,19 +463,18 @@ def _reversal_fixture(moves, sign):
         price[360:] = target
         add_stock(builder, cal, stock_id, price=price,
                   absent=[slice(300, 360)])
-        events.append(halt_event(cal, stock_id, (1, 61), (1, 121),
-                                 HaltType.INTRADAY, sign))
+        events.append(halt_record(cal, stock_id, (1, 61), (1, 121)))
     return builder.build(), events
 
 
 def test_reversal_fraction_counts_strict_opposites():
     moves = [10.5] * 6 + [9.5] * 3 + [10.0]
-    panel, events = _reversal_fixture(moves, EventSign.NEGATIVE)
-    stats = reversal_stats(panel, events, (1, 2))
+    panel, events = _reversal_fixture(moves)
+    stats = reversal_stats(panel, events, EventSign.NEGATIVE, (1, 2))
     assert stats == {1: 0.6, 2: 0.6}            # the flat mover never counts
-    panel, events = _reversal_fixture([10.5, 9.5, 9.5, 9.5],
-                                      EventSign.POSITIVE)
-    assert reversal_stats(panel, events, horizons=(1,)) == {1: 0.75}
+    panel, events = _reversal_fixture([10.5, 9.5, 9.5, 9.5])
+    assert reversal_stats(panel, events, EventSign.POSITIVE,
+                          horizons=(1,)) == {1: 0.75}
 
 
 def test_reversal_fraction_is_scale_invariant():
@@ -496,23 +488,19 @@ def test_reversal_fraction_is_scale_invariant():
         price[360:] = target
         add_stock(builder, cal, stock_id, price=2.0 * price,
                   absent=[slice(300, 360)])
-        events.append(halt_event(cal, stock_id, (1, 61), (1, 121),
-                                 HaltType.INTRADAY, EventSign.NEGATIVE))
-    assert reversal_stats(builder.build(), events, (1, 2)) == \
-        {1: 0.6, 2: 0.6}
+        events.append(halt_record(cal, stock_id, (1, 61), (1, 121)))
+    assert reversal_stats(builder.build(), events, EventSign.NEGATIVE,
+                          (1, 2)) == {1: 0.6, 2: 0.6}
 
 
 def test_reversal_input_validation():
-    panel, events = _reversal_fixture([10.5], EventSign.NEGATIVE)
+    panel, events = _reversal_fixture([10.5])
+    neg = EventSign.NEGATIVE
     with pytest.raises(EmptyGroup):
-        reversal_stats(panel, [], (1, 2))
+        reversal_stats(panel, [], neg, (1, 2))
     with pytest.raises(ValueError):
-        reversal_stats(panel, events, horizons=(0,))
+        reversal_stats(panel, events, neg, horizons=(0,))
     cal = panel.calendar
-    unsigned = halt_event(cal, "S00", (1, 61), (1, 121),
-                          HaltType.INTRADAY, None)
-    with pytest.raises(ValueError):
-        reversal_stats(panel, [unsigned], (1, 2))
 
     # an absent minute inside the bars' span carries the price before
     # it: resumption at g=360 repeats 10.0 (no move), g=361 has 10.5
@@ -520,24 +508,24 @@ def test_reversal_input_validation():
     price[361:] = 10.5
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", price=price, absent=[slice(300, 361)])
-    assert reversal_stats(builder.build(), events, (1, 2)) == {1: 0.0,
-                                                               2: 1.0}
+    assert reversal_stats(builder.build(), events, neg, (1, 2)) == {1: 0.0,
+                                                                    2: 1.0}
     # the last pre-halt minute g=299 carries 10.6 from g=298, so the
     # move to 10.5 falls and the negative event does not reverse
     price[298] = 10.6
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", price=price,
               absent=[299, slice(300, 360)])
-    assert reversal_stats(builder.build(), events, (2,)) == {2: 0.0}
+    assert reversal_stats(builder.build(), events, neg, (2,)) == {2: 0.0}
     # outside the bars' span there is nothing to carry
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", absent=[slice(300, None)])
     with pytest.raises(InsufficientPostWindow):
-        reversal_stats(builder.build(), events, horizons=(1,))
+        reversal_stats(builder.build(), events, neg, horizons=(1,))
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", absent=[slice(0, 360)])
     with pytest.raises(InsufficientHistory):
-        reversal_stats(builder.build(), events, horizons=(1,))
+        reversal_stats(builder.build(), events, neg, horizons=(1,))
 
 
 # ---------------------------------------------------------------- csv output

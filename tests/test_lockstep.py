@@ -38,7 +38,7 @@ from haltstudy import (
 from haltstudy import event_study
 from haltstudy.event_study import _Welford, _lockstep_welford, _lookback_days
 from haltstudy.events import _active_days
-from helpers import add_stock, halt_event
+from helpers import add_stock, halt_event, halt_record
 from oracles import (compute_intraday_pattern, extract_trajectory,
                      group_average as lone_group_average,
                      masked_welford_add, scalar_power_law_fit)
@@ -61,7 +61,7 @@ def _reference_trajectories(panel, events, measures, lookback, pre, post):
 
 def _reference_error(panel, events, measures, lookback=40, pre=80, post=160):
     # the per-event loop in its documented order: sorted events, measures
-    ordered = sorted(events, key=lambda ev: ev.record.sort_key())
+    ordered = sorted(events, key=lambda rec: rec.sort_key())
     try:
         _reference_trajectories(panel, ordered, measures, lookback, pre, post)
     except HaltStudyError as exc:
@@ -73,13 +73,11 @@ def _reference_error(panel, events, measures, lookback=40, pre=80, post=160):
 
 
 def _intraday(cal, stock_id, day):
-    return halt_event(cal, stock_id, (day, 61), (day, 121),
-                      HaltType.INTRADAY, EventSign.POSITIVE)
+    return halt_record(cal, stock_id, (day, 61), (day, 121))
 
 
 def _oneday(cal, stock_id, day):
-    return halt_event(cal, stock_id, (day, 1), (day + 1, 1),
-                      HaltType.ONE_DAY, EventSign.NEGATIVE)
+    return halt_record(cal, stock_id, (day, 1), (day + 1, 1))
 
 
 def _noisy_stock(builder, cal, stock_id, rng, absent):
@@ -111,8 +109,7 @@ def multi_halt_panel():
     for stock_id, events in halts.items():
         absent = [day(d) for d in suspended[stock_id]]
         absent += list(rng.integers(0, cal.n_minutes, 200))
-        for ev in events:
-            rec = ev.record
+        for rec in events:
             absent.append(slice(rec.global_begin(cal), rec.global_resume(cal)))
         _noisy_stock(builder, cal, stock_id, rng, absent)
     events = [ev for evs in halts.values() for ev in evs]
@@ -132,7 +129,7 @@ def test_stage_matches_per_event_reference(multi_halt_panel, lookback, pre,
     for ev, got_ev, want_ev in zip(shuffled, got, want):
         assert list(got_ev) == list(MEASURES)
         for m in MEASURES:
-            assert got_ev[m].record is ev.record
+            assert got_ev[m].record is ev
             assert got_ev[m].measure is m
             assert np.array_equal(got_ev[m].t, want_ev[m].t)
             assert _same_bits(got_ev[m].values, want_ev[m].values)
@@ -179,8 +176,7 @@ def mixed_panel():
     for stock_id, events in halts.items():
         absent = [day(d) for d in suspended[stock_id]]
         absent += list(rng.integers(0, cal.n_minutes, 100))
-        for ev in events:
-            rec = ev.record
+        for rec in events:
             absent.append(slice(rec.global_begin(cal), rec.global_resume(cal)))
         n = cal.n_minutes
         price = 20.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, n)))
@@ -196,8 +192,7 @@ def mixed_panel():
 def _stock_row_bytes(panel, events, lookback):
     # bytes of each stock's used lookback days over every measure
     per_stock: dict = {}
-    for ev in events:
-        rec = ev.record
+    for rec in events:
         per_stock.setdefault(rec.stock_id, []).append(_lookback_days(
             panel, _active_days(panel, rec.stock_id), rec, lookback))
     return {s: np.unique(np.concatenate(d)).size * len(MEASURES) * 240 * 8
@@ -217,9 +212,9 @@ def test_chunked_baselines_match_per_event_reference(mixed_panel, monkeypatch,
     want = _reference_trajectories(panel, shuffled, MEASURES, 40, 80, 160)
     for ev, got_ev, want_ev in zip(shuffled, got, want):
         for m in MEASURES:
-            assert got_ev[m].record is ev.record
+            assert got_ev[m].record is ev
             assert _same_bits(got_ev[m].values, want_ev[m].values)
-    spreads = {ev.record.stock_id: got_ev[MeasureKind.BID_ASK_SPREAD].values
+    spreads = {ev.stock_id: got_ev[MeasureKind.BID_ASK_SPREAD].values
                for ev, got_ev in zip(shuffled, got)}
     assert np.isnan(spreads["NOQ"]).all()
     assert np.isnan(spreads["NAQ"]).any() and not np.isnan(spreads["NAQ"]).all()
@@ -332,8 +327,7 @@ def over_cap_panel():
         absent += list(rng.integers(0, cal.n_minutes, 100))
         if stock_id == "PST":
             absent.append(slice(51 * 240, None))
-        for ev in events:
-            rec = ev.record
+        for rec in events:
             absent.append(slice(rec.global_begin(cal), rec.global_resume(cal)))
         n = cal.n_minutes
         add_stock(builder, cal, stock_id,
@@ -362,7 +356,7 @@ def test_over_cap_stock_between_one_event_stocks(over_cap_panel, monkeypatch,
     for ev, got_ev, want_ev in zip(events, got, want):
         assert list(got_ev) == list(measures)
         for m in measures:
-            assert got_ev[m].record is ev.record
+            assert got_ev[m].record is ev
             assert _same_bits(got_ev[m].values, want_ev[m].values)
 
 

@@ -286,8 +286,7 @@ def _curve_inputs(draw):
         lnp = np.cumsum(rng.normal(0.0, 0.004, CAL4.n_minutes))
         add_stock(builder, CAL4, stock_id, price=20.0 * np.exp(lnp),
                   absent=[slice(540, 600)])
-        events.append(halt_event(CAL4, stock_id, (2, 61), (2, 121),
-                                 HaltType.INTRADAY, EventSign.POSITIVE))
+        events.append(halt_record(CAL4, stock_id, (2, 61), (2, 121)))
     return builder.build(), events, draw(st.permutations(events))
 
 

@@ -39,6 +39,7 @@ REMOVED_ATTRIBUTES = [
     (market_data.Panel, "synthetic_mask"),
     (market_data.TradingCalendar, "location"),
     (pipeline.GroupCell, "trajectories"),
+    (pipeline.GroupCell, "events"),
     (pipeline.AnalysisResult, "averages"),
     (pipeline.AnalysisResult, "excess"),
     (pipeline.AnalysisResult, "curves"),
@@ -71,3 +72,13 @@ def test_removed_attributes_are_gone():
 def test_make_calendar_takes_no_start():
     assert list(inspect.signature(haltstudy.make_calendar).parameters) == \
         ["n_days"]
+
+
+def test_event_time_stages_take_halt_records():
+    # the event forms, which took classified events, are gone
+    assert list(inspect.signature(
+        haltstudy.extract_stock_trajectories).parameters) == \
+        ["panel", "records", "measures", "lookback", "pre_window",
+         "post_window"]
+    assert list(inspect.signature(haltstudy.reversal_stats).parameters) == \
+        ["panel", "records", "sign", "horizons"]

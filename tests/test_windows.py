@@ -17,9 +17,7 @@ from hypothesis import strategies as st
 from haltstudy import (
     EligibilityConfig,
     EventSign,
-    HaltEvent,
     HaltRecord,
-    HaltType,
     InsufficientHistory,
     InsufficientPostWindow,
     InsufficientWindow,
@@ -33,9 +31,8 @@ from haltstudy import (
     make_calendar,
     reversal_stats,
 )
-from haltstudy.event_study import _event_minutes, _return_window_events
-from helpers import (add_stock, cumulative_curve, halt_event, halt_record,
-                     location)
+from haltstudy.event_study import _event_minutes, _return_window_records
+from helpers import add_stock, cumulative_curve, halt_record, location
 from oracles import check_return_windows, reversal_move, trend_sign
 from oracles import eligibility as reference_eligibility
 from oracles import event_minutes as reference_event_minutes
@@ -80,11 +77,6 @@ def panel():
     return builder.build()
 
 
-def _event(stock_id, halt):
-    return halt_event(CAL, stock_id, *halt, HaltType.INTRADAY,
-                      EventSign.POSITIVE)
-
-
 def _sign(panel, stock_id, halt):
     return classify_sign(panel, halt_record(CAL, stock_id, *halt), TREND)
 
@@ -97,17 +89,20 @@ def _eligibility(panel, stock_id, halt):
 
 def _trajectories(panel, stock_id, halt, pre_window=TREND,
                   post_window=CONFIG.post_window):
-    return extract_stock_trajectories(panel, [_event(stock_id, halt)],
+    return extract_stock_trajectories(panel,
+                                      [halt_record(CAL, stock_id, *halt)],
                                       lookback=1, pre_window=pre_window,
                                       post_window=post_window)
 
 
 def _curve(panel, stock_id, halt, window=TREND):
-    return cumulative_curve(panel, [_event(stock_id, halt)], window)
+    return cumulative_curve(panel, [halt_record(CAL, stock_id, *halt)],
+                            window)
 
 
 def _reversals(panel, stock_id, halt):
-    return reversal_stats(panel, [_event(stock_id, halt)], HORIZONS)
+    return reversal_stats(panel, [halt_record(CAL, stock_id, *halt)],
+                          EventSign.POSITIVE, HORIZONS)
 
 
 HISTORY = (RejectionReason.INSUFFICIENT_HISTORY, None)
@@ -302,25 +297,24 @@ def test_windows_match_the_site_by_site_checks(case):
         # the trajectory stage checks a stock's active days first, so it
         # never asks one without bars for its event minutes
         got = _outcome(lambda: extract_stock_trajectories(
-            panel, [HaltEvent(rec, HaltType.INTRADAY, EventSign.NEGATIVE)],
-            lookback=config.lookback_days, pre_window=pre, post_window=post))
+            panel, [rec], lookback=config.lookback_days, pre_window=pre,
+            post_window=post))
         assert got in {(NoData, "no bars for stock S"),
                        (InsufficientHistory, f"S: 0 active days before "
                         f"{rec.halt_day}, need {config.lookback_days}")}
     # a negative event reverses when its move is up
-    signed = HaltEvent(rec, HaltType.INTRADAY, EventSign.NEGATIVE)
-    got = _outcome(lambda: _return_window_events(panel, [signed], curve))
+    got = _outcome(lambda: _return_window_records(panel, [rec], curve))
     want = _outcome(lambda: check_return_windows(panel, rec, curve))
-    assert got == (want if isinstance(want, tuple) else [signed])
-    got = _outcome(lambda: reversal_stats(panel, [signed], (horizon,)))
+    assert got == (want if isinstance(want, tuple) else [rec])
+    got = _outcome(lambda: reversal_stats(panel, [rec], EventSign.NEGATIVE,
+                                          (horizon,)))
     want = _outcome(lambda: reversal_move(panel, rec, horizon))
     assert got == (want if isinstance(want, tuple)
                    else {horizon: float(want > 0)})
     if ev.eligible:
         try:
             extract_stock_trajectories(
-                panel, [HaltEvent(rec, ev.halt_type, ev.sign)],
-                lookback=config.lookback_days,
+                panel, [rec], lookback=config.lookback_days,
                 pre_window=config.measure_pre_window,
                 post_window=config.post_window)
         except ZeroBaseline:
