@@ -266,8 +266,9 @@ def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
                config: AnalysisConfig = AnalysisConfig(),
                ) -> tuple[GroupFitRow, ...]:
     """Fit every group average, then bootstrap each fitted multi-event cell
-    from its own child of one seed sequence, spawned in row order; the
-    members' ``trajectories`` are those :func:`average_groups` kept.
+    from its own child of one seed sequence, spawned in row order, every
+    resample's fit starting from the cell's fit; the members'
+    ``trajectories`` are those :func:`average_groups` kept.
 
     Rows sort by measure, then group. A fit row is bitwise the same
     fitted alone as in a block, so only the cells without fit rows are
@@ -292,8 +293,7 @@ def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
         if row.fit is not None and len(cell.records) >= 2:
             if (m, i) not in cell.bootstraps:
                 cell.bootstraps[m, i] = bootstrap_alpha_stderr(
-                    [trajectories[rec][m] for rec in cell.records],
-                    config.fit.fit_range,
+                    [trajectories[rec][m] for rec in cell.records], row.fit,
                     n_resamples=config.n_bootstrap, seed=child)
             row = attach_bootstrap(row, cell.bootstraps[m, i])
         patched.append(row)
@@ -315,7 +315,11 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
     counts["total"] = result.counts.total
     exponents = []
     for row in result.fit_rows:
-        fit = row.fit
+        fit, boot = row.fit, row.bootstrap
+        # resample counts only where the run bootstraps
+        resamples = {} if not config.n_bootstrap else {
+            "bootstrap_n_success": boot.n_success if boot else None,
+            "bootstrap_n_failed": boot.n_failed if boot else None}
         exponents.append({
             "measure": row.measure.value,
             "halt_type": row.halt_type.value,
@@ -329,6 +333,7 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
             "r2": _json_float(fit.r2_positive) if fit else None,
             "converged": fit is not None,   # a fit exists only once converged
             "flag": row.flag,
+            **resamples,
         })
     return {
         "config": {

@@ -3,11 +3,12 @@
 After deseasonalization the post-halt decay of a group average is
 modeled as A * t**(-alpha) on event minutes t >= 1. The fit minimizes
 the linear-space sum of squared residuals with a damped Gauss-Newton
-iteration seeded by a log-log regression of the positive values; linear
-space keeps negative noise excursions usable, the log-log pass only
-picks the starting point. Uncertainty comes two ways: the asymptotic
-covariance of the least-squares problem and a seeded bootstrap over
-events.
+iteration. A cell's fit is seeded by a log-log regression of the
+positive values; linear space keeps negative noise excursions usable,
+the log-log pass only picks the starting point. Uncertainty comes two
+ways: the asymptotic covariance of the least-squares problem and a
+seeded bootstrap over events, whose resamples all start from the
+cell's fit.
 
 Every fit runs through one block fitter: a (rows x points) matrix on
 one shared t, each row with its own state (amplitude, alpha, residual,
@@ -28,7 +29,7 @@ floating-point operations:
 * step halving (1, 1/2, ... down to 1e-12) runs per row;
 * rows are grouped by their pattern of missing points and each pattern
   is fitted on its own points, never padded;
-* the log-log starting points come from one function per block that
+* the cells' log-log starts come from one function per block that
   takes ``np.polyfit``'s own steps: rows with equal counts of positive
   points share one call of the LAPACK gufunc behind ``np.linalg.lstsq``,
   which runs the same ``dgelsd`` per row as a call with that row alone.
@@ -327,14 +328,17 @@ def _fit_columns(t: np.ndarray, fit_range: tuple[int, int]) -> np.ndarray:
 
 
 def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
+              start: tuple[float, float] | None = None,
               ) -> list[_RowFit | DegenerateData | NonConvergence]:
     """Fit each row of ``values`` (rows x len(t)) on the points in
     ``fit_range``; per row, its fit or the error it fails with.
 
     Rows are grouped by their pattern of missing points in the range and
     each pattern is fitted as one block on its own points, so no row is
-    ever padded. A row whose decay t**-alpha ends at 0 for every t > 1
-    fails: its SSE no longer depends on alpha, so any alpha would do.
+    ever padded. Every row starts from ``start`` (amplitude, alpha) when
+    it is given, else from its own log-log regression. A row whose decay
+    t**-alpha ends at 0 for every t > 1 fails: its SSE no longer depends
+    on alpha, so any alpha would do.
     """
     columns = _fit_columns(t, fit_range)
     lo, hi = fit_range
@@ -361,8 +365,10 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
         rows, z = rows[anchored], z[anchored]
         if not rows.size:
             continue
+        guesses = (_initial_guesses(tp, z) if start is None
+                   else [np.full(rows.size, x) for x in start])
         amplitude, alpha, sse, iterations, converged, decay = \
-            _gauss_newton_block(tp, z, *_initial_guesses(tp, z))
+            _gauss_newton_block(tp, z, *guesses)
         later = tp > 1
         vanished = later.any() & ~decay[:, later].any(axis=1)
         for k, i in enumerate(rows):
@@ -381,22 +387,23 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
 
 
 def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
-                           fit_range: tuple[int, int] = FitConfig.fit_range,
-                           *, n_resamples: int,
+                           fit: PowerLawFit, *, n_resamples: int,
                            seed: int | np.random.SeedSequence) -> BootstrapResult:
     """Spread of the exponent under resampling events with replacement.
 
-    Every resample redoes the averaging and the fit; resamples whose fit
-    fails are dropped and counted. The resample index matrix is drawn up
-    front from one seeded generator, so the result is reproducible and
-    independent of evaluation order. All resamples are averaged in
-    lockstep (:func:`resampled_means`) over the fit range's columns
-    only, each bitwise equal to its own :func:`group_average` there,
-    then fitted together as blocks, each row bitwise equal to a one-row
-    :func:`_fit_rows` call; the spread is taken over the
-    exponents in resample order. Identical trajectories give a spread
-    of exactly 0. ``n_resamples`` and ``seed`` have no defaults here; a
-    run takes them from its AnalysisConfig.
+    ``fit`` is the fit of the trajectories' own average. Every resample
+    redoes the averaging and the fit on ``fit.fit_range``, starting from
+    ``fit``'s amplitude and alpha; resamples whose fit fails are dropped
+    and counted. The resample index matrix is drawn up front from one
+    seeded generator, so the result is reproducible and independent of
+    evaluation order. All resamples are averaged in lockstep
+    (:func:`resampled_means`) over the fit range's columns only, each
+    bitwise equal to its own :func:`group_average` there, then fitted
+    together as blocks, each row bitwise equal to a one-row
+    :func:`_fit_rows` call from the same start; the spread is taken over
+    the exponents in resample order. Identical trajectories give a
+    spread of exactly 0. ``n_resamples`` and ``seed`` have no defaults
+    here; a run takes them from its AnalysisConfig.
     """
     trajs = sorted(trajectories, key=lambda tr: tr.record.sort_key())
     if len(trajs) < 2:
@@ -405,33 +412,36 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
         raise ValueError("n_resamples must be positive")
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
-    columns = _fit_columns(trajs[0].t, fit_range)
+    columns = _fit_columns(trajs[0].t, fit.fit_range)
     excess = resampled_means(trajs, indices, columns) - 1.0
     count = 0
     mean = 0.0
     m2 = 0.0
     failed = 0
-    for fit in _fit_rows(trajs[0].t[columns], excess, fit_range):
-        if not isinstance(fit, _RowFit):
+    for row in _fit_rows(trajs[0].t[columns], excess, fit.fit_range,
+                         (fit.amplitude, fit.alpha)):
+        if not isinstance(row, _RowFit):
             failed += 1
             continue
         count += 1
-        delta = fit.alpha - mean
+        delta = row.alpha - mean
         mean += delta / count
-        m2 += delta * (fit.alpha - mean)
+        m2 += delta * (row.alpha - mean)
     stderr = math.sqrt(m2 / (count - 1)) if count >= 2 else float("nan")
     return BootstrapResult(stderr, count, failed)
 
 
 @dataclass(frozen=True)
 class GroupFitRow:
-    """One exponent-table row; ``fit`` is None when fitting failed."""
+    """One exponent-table row; ``fit`` is None when fitting failed, and
+    ``bootstrap`` None when the row was not bootstrapped."""
 
     measure: MeasureKind
     halt_type: HaltType
     sign: EventSign
     fit: PowerLawFit | None
     flag: str
+    bootstrap: BootstrapResult | None = None
 
     @property
     def group(self) -> str:
@@ -468,8 +478,8 @@ def fit_all_groups(averages: Iterable[GroupAverage],
 
 
 def attach_bootstrap(row: GroupFitRow, result: BootstrapResult) -> GroupFitRow:
-    """Return the row with the bootstrap spread filled into its fit."""
+    """Return the row with ``result``, and its spread in the row's fit."""
     if row.fit is None:
         return row
-    return replace(row, fit=replace(row.fit,
-                                    bootstrap_alpha_stderr=result.stderr))
+    return replace(row, bootstrap=result, fit=replace(
+        row.fit, bootstrap_alpha_stderr=result.stderr))

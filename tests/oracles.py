@@ -338,12 +338,14 @@ def _scalar_r2_positive(t, z, amplitude, alpha):
     return 1.0 - sse / sst
 
 
-def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range):
+def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range,
+                         start=None):
     """One series, one Gauss-Newton step at a time, Python floats throughout.
 
-    The fit the library ran before it fitted rows as blocks. It reads
-    ``powerlaw.MAX_ITERATIONS`` at call time, so a test that lowers the
-    cap lowers it here too.
+    The fit the library ran before it fitted rows as blocks, from
+    ``start`` (amplitude, alpha) when given, else from the log-log
+    regression. It reads ``powerlaw.MAX_ITERATIONS`` at call time, so a
+    test that lowers the cap lowers it here too.
     """
     lo, hi = FitConfig(fit_range).fit_range
     t = np.asarray(t, float)
@@ -356,7 +358,8 @@ def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range):
     if not np.any(z > 0):
         raise DegenerateData("no positive values to anchor the decay")
 
-    amplitude, alpha = _scalar_initial_guess(t, z)
+    amplitude, alpha = (_scalar_initial_guess(t, z) if start is None
+                        else map(float, start))
     resid = z - power_law_model(t, amplitude, alpha)
     sse = float(resid @ resid)
     converged = False

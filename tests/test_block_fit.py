@@ -5,6 +5,8 @@ Every row of a block must end bit for bit where the one-series loop in
 count, asymptotic stderr, R-squared, and the error a failing row raises.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,12 +55,12 @@ def _assert_same(got, want):
             == (want.n_iterations, want.n_points, want.fit_range))
 
 
-def _assert_block_matches_oracle(t, block, fit_range):
-    rows = _fit_rows(t, block, fit_range)
+def _assert_block_matches_oracle(t, block, fit_range, start=None):
+    rows = _fit_rows(t, block, fit_range, start)
     assert len(rows) == len(block)
     for values, row in zip(block, rows):
-        want = _outcome(scalar_power_law_fit, t, values, fit_range)
-        alone, = _fit_rows(t, values[None], fit_range)
+        want = _outcome(scalar_power_law_fit, t, values, fit_range, start)
+        alone, = _fit_rows(t, values[None], fit_range, start)
         for got in (row, alone):
             _assert_same(got.complete() if isinstance(got, _RowFit) else got,
                          want)
@@ -92,6 +94,29 @@ def test_mixed_block_matches_scalar_fit(seed):
     assert {_RowFit, DegenerateData} <= kinds
     # a narrower range selects other points and other patterns
     _assert_block_matches_oracle(T160, block[:30], (5, 60))
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_rows_from_one_start_match_each_row_alone(seed):
+    # the bootstrap's case: every row of every missing-point pattern
+    # starts from one (amplitude, alpha)
+    rng = np.random.default_rng(seed)
+    block = _noisy_block(rng, 40)
+    block[rng.random(40) < 0.4, 3:9] = np.nan
+    for i in range(0, 40, 5):
+        block[i, rng.random(160) < 0.2] = np.nan
+    block[6, 7:] = np.nan                       # 7 points: too few
+    block[7] = -np.abs(block[7])                # nothing positive
+    block[8] = 1.3 * T160 ** -0.7               # the start's own curve
+    for start in [(1.3, 0.7), (0.05, 2.0)]:
+        rows = _assert_block_matches_oracle(T160, block, (1, 160), start)
+        assert {_RowFit, DegenerateData} <= {type(row) for row in rows}
+    # the start's own curve takes several steps from (0.05, 2.0), and
+    # from its own start stops there after one
+    assert rows[8].n_iterations > 1
+    row = _fit_rows(T160, block[8:9], (1, 160), (1.3, 0.7))[0]
+    assert (row.amplitude, row.alpha, row.n_iterations) == (1.3, 0.7, 1)
+    _assert_block_matches_oracle(T160, block[:20], (5, 60), (1.3, 0.7))
 
 
 def _assert_starts_match_oracle(t, block):
@@ -219,7 +244,10 @@ def test_a_decay_that_vanishes_after_t1_is_no_fit():
     assert isinstance(rows[0], _RowFit)
     assert isinstance(rows[1], NonConvergence)
     assert "0 for every t > 1" in str(rows[1])
-    # a resample that averages to such a series is a failed resample
+    # a resample that averages to such a series is a failed resample,
+    # started where that series' own fit starts
+    (amplitude,), (alpha,) = _initial_guesses(T160, runaway[None])
+    start = replace(rows[0].complete(), amplitude=amplitude, alpha=alpha)
     cal = make_calendar(12)
     t = np.arange(-80, 161)
     trajs = [EventTrajectory(
@@ -227,7 +255,7 @@ def test_a_decay_that_vanishes_after_t1_is_no_fit():
                    EventSign.POSITIVE).record,
         MeasureKind.VOLUME, t, np.r_[np.ones(81), 1.0 + runaway])
         for stock in ("S00", "S01")]
-    result = bootstrap_alpha_stderr(trajs, n_resamples=8, seed=0)
+    result = bootstrap_alpha_stderr(trajs, start, n_resamples=8, seed=0)
     assert (result.n_success, result.n_failed) == (0, 8)
     # and a cell whose average is such a series has no power law
     (fit, flag), = fit_all_groups([_average(

@@ -49,9 +49,9 @@ GOLDEN = {
     "loglog.csv":
         "f308ec58ad96252dd4bd33ad3af56f8924432d8a3f48e5a75a4d44ad50ad8677",
     "exponents.csv":
-        "a4e96c978c0ae5a7b911d39dfc64e63a503aae559c0e7ba14f1d14b70e9eec54",
+        "c82c9eef89779099513e35e5d8335a1a10d59ef10db0efa9f6ae4fe49f6a53b1",
     "summary.json":
-        "21bb1b4f24236d369ae281f1b0e81148794c8f3d62a0cc47d1de033c667f5b87",
+        "9ad5549174ae7ce6ef4b5d2d058cd5607faf3299e669953928b59a49338b9a08",
     "sign_flips.csv":
         "3cdf36c22e1dd9573f7ae3e52d92be330f6f78db27c4aa0d85f1c2edceb40408",
 }
@@ -70,9 +70,9 @@ GOLDEN_FIT_RANGE = {
     "loglog.csv":
         "5476ff7167b9206ba5c809c351bd202f680f4daf3f461cb2da99ae80e7a352dc",
     "exponents.csv":
-        "49dfa63244c0f1df0135e521f8fbbc6efdb8972d4e282327521f60af5f888372",
+        "be8be04865bddb45f56a53484ab4b368cacd667f25e85e9682cc4886b3824bac",
     "summary.json":
-        "c06dd0c65475a9e13d30e61efe1767d7feb6fec21feafa5a6dfc6d71cf45fcff",
+        "46724e5f10107fb6414992d79360149fbc7ee1e6265ffb8f0e34099f38e5984f",
 }
 
 
@@ -128,9 +128,9 @@ GOLDEN_MULTI = {
     "loglog.csv":
         "e1bad7edd67dd854b98f6db4baac12bd30bc9862cc7a3b80fda66d2b3cb000d4",
     "exponents.csv":
-        "eff5af9106d12bea5dd7f806d4a0c375c0fb81c1c99ef00c46daeea081115d86",
+        "bef1437bd0c7bdf590f84e3cc4430bcbba96e9c51ab1e1fa9ab2b9db177ea14a",
     "summary.json":
-        "c44f47275e0cad2b40e8890ae389d91950864a31726df0af07eb14d8a95a29af",
+        "8788eb0c1b5229d7257551df307f91c8f98dfb675e9135c2c1de538ee3c13153",
 }
 
 

@@ -38,7 +38,7 @@ from haltstudy import (
 from haltstudy import event_study
 from haltstudy.event_study import _Welford, _lockstep_welford, _lookback_days
 from haltstudy.events import _active_days
-from helpers import add_stock, halt_event, halt_record
+from helpers import add_stock, cell_fit, halt_event, halt_record
 from oracles import (compute_intraday_pattern, extract_trajectory,
                      group_average as lone_group_average,
                      masked_welford_add, scalar_power_law_fit)
@@ -552,8 +552,9 @@ def test_groups_are_checked_in_order_before_any_pass():
 # ---------------------------------------------------------------- bootstrap
 
 
-def _reference_bootstrap(trajectories, fit_range, n_resamples, seed):
-    # the per-resample loop of scalar fits the lockstep bootstrap replaces
+def _reference_bootstrap(trajectories, fit, n_resamples, seed):
+    # the per-resample loop of scalar fits the lockstep bootstrap
+    # replaces, each from the fit it is given
     trajs = sorted(trajectories, key=lambda tr: tr.record.sort_key())
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
@@ -561,14 +562,15 @@ def _reference_bootstrap(trajectories, fit_range, n_resamples, seed):
     for row in indices:
         series = make_excess(group_average([trajs[i] for i in row]))
         try:
-            fit = scalar_power_law_fit(series.t, series.mean, fit_range)
+            refit = scalar_power_law_fit(series.t, series.mean, fit.fit_range,
+                                         (fit.amplitude, fit.alpha))
         except (DegenerateData, NonConvergence):
             failed += 1
             continue
         count += 1
-        delta = fit.alpha - mean
+        delta = refit.alpha - mean
         mean += delta / count
-        m2 += delta * (fit.alpha - mean)
+        m2 += delta * (refit.alpha - mean)
     stderr = math.sqrt(m2 / (count - 1)) if count >= 2 else float("nan")
     return BootstrapResult(stderr, count, failed)
 
@@ -603,21 +605,23 @@ def test_lockstep_bootstrap_matches_reference_loop():
     rows = [_decay(rng, 2.0, 0.8), _decay(rng, 1.2, 0.5), np.ones(241),
             sparse, _decay(rng, 0.7, 1.1, noise=0.2)]
     trajs = _trajectories(rows)
+    fit = cell_fit(trajs, (1, 160))
     for seed in (0, 1, 2):
-        got = bootstrap_alpha_stderr(trajs[::-1], (1, 160),
+        got = bootstrap_alpha_stderr(trajs[::-1], fit,
                                      n_resamples=60, seed=seed)
-        want = _reference_bootstrap(trajs, (1, 160), 60, seed)
+        want = _reference_bootstrap(trajs, fit, 60, seed)
         assert got == want
-    # no excess anywhere: every resample fails
+    # no excess anywhere: every resample fails, whatever its start
     flat = _trajectories([np.ones(241), np.full(241, 0.5)])
-    got = bootstrap_alpha_stderr(flat, (1, 160), n_resamples=12, seed=4)
-    want = _reference_bootstrap(flat, (1, 160), 12, 4)
+    got = bootstrap_alpha_stderr(flat, fit, n_resamples=12, seed=4)
+    want = _reference_bootstrap(flat, fit, 12, 4)
     assert (got.n_success, got.n_failed) == (want.n_success, want.n_failed)
     assert got.n_failed == 12 and math.isnan(got.stderr)
     # a pair with one flat member: about a quarter of resamples fail
     mixed = [trajs[0], trajs[2]]
-    got = bootstrap_alpha_stderr(mixed, (1, 160), n_resamples=40, seed=6)
-    assert got == _reference_bootstrap(mixed, (1, 160), 40, 6)
+    mixed_fit = cell_fit(mixed, (1, 160))
+    got = bootstrap_alpha_stderr(mixed, mixed_fit, n_resamples=40, seed=6)
+    assert got == _reference_bootstrap(mixed, mixed_fit, 40, 6)
     assert got.n_failed > 0 and got.n_success >= 2
 
 
@@ -651,7 +655,7 @@ def test_resampled_means_over_fit_columns_match_full_width():
     full = resampled_means(trajs, indices)
     assert _same_bits(resampled_means(trajs, indices, columns),
                       np.ascontiguousarray(full[:, columns]))
+    fit = cell_fit(trajs, (5, 60))
     for seed in (0, 1):
-        assert (bootstrap_alpha_stderr(trajs, (5, 60), n_resamples=30,
-                                       seed=seed)
-                == _reference_bootstrap(trajs, (5, 60), 30, seed))
+        assert (bootstrap_alpha_stderr(trajs, fit, n_resamples=30, seed=seed)
+                == _reference_bootstrap(trajs, fit, 30, seed))

@@ -136,6 +136,31 @@ def test_bootstrap_errors_attach_to_multi_event_groups():
         assert row.fit.bootstrap_alpha_stderr >= 0.0
 
 
+def test_summary_counts_each_bootstrapped_rows_resamples():
+    spec = build_group_spec({(HaltType.ONE_DAY, EventSign.NEGATIVE): 2,
+                             (HaltType.INTRADAY, EventSign.POSITIVE): 1},
+                            seed=23)
+    panel, records, _ = generate_panel(spec)
+    config = AnalysisConfig(n_bootstrap=6)
+    result = run_analysis(panel, records, config)
+    counts = {(e["halt_type"], e["sign"], e["measure"]):
+              (e["bootstrap_n_success"], e["bootstrap_n_failed"])
+              for e in summary_dict(result, config)["exponents"]}
+    for row in result.fit_rows:
+        key = (row.halt_type.value, row.sign.value, row.measure.value)
+        if row.group == "oneday_neg":
+            assert counts[key] == (row.bootstrap.n_success,
+                                   row.bootstrap.n_failed)
+            assert sum(counts[key]) == 6
+        else:                           # one event: nothing to resample
+            assert row.bootstrap is None and counts[key] == (None, None)
+    # a run without bootstrap reports no counts at all
+    off = AnalysisConfig(n_bootstrap=0)
+    entries = summary_dict(run_analysis(panel, records, off), off)["exponents"]
+    assert not any("bootstrap_n_success" in e or "bootstrap_n_failed" in e
+                   for e in entries)
+
+
 def test_stock_without_bars_rejects_only_its_own_events():
     spec = build_group_spec({(HaltType.ONE_DAY, EventSign.NEGATIVE): 2},
                             seed=23)

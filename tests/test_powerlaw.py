@@ -28,7 +28,7 @@ from haltstudy import (
     power_law_model,
 )
 from haltstudy.pipeline import GroupCell, write_exponent_csv
-from helpers import cell_artifact, fit_row, halt_event
+from helpers import cell_artifact, cell_fit, fit_row, halt_event
 from oracles import grid_power_law
 
 T160 = np.arange(1, 161, dtype=float)
@@ -217,29 +217,33 @@ def _decay_row(amp, alpha):
 
 def test_bootstrap_of_identical_events_is_exactly_zero():
     trajs = _group_trajs([_decay_row(2.0, 0.8)] * 3)
-    result = bootstrap_alpha_stderr(trajs, n_resamples=16, seed=4)
+    result = bootstrap_alpha_stderr(trajs, cell_fit(trajs), n_resamples=16,
+                                    seed=4)
     assert result.stderr == 0.0
     assert result.n_success == 16
     assert result.n_failed == 0
 
 
-def _excess_alpha(avg):
+def _excess_alpha(avg, start):
     series = make_excess(avg)
-    return fit_row(series.t, series.mean).alpha
+    return fit_row(series.t, series.mean, start=start).alpha
 
 
 def test_bootstrap_matches_hand_enumeration():
     # seed 123 with two events and four resamples draws the index rows
     # [0,1], [1,0], [1,0], [0,0]; the first three share one multiset
+    # (each resample fitted from the cell's fit, as the bootstrap does)
     trajs = _group_trajs([_decay_row(2.0, 0.8), _decay_row(1.0, 0.5)])
-    result = bootstrap_alpha_stderr(trajs, n_resamples=4, seed=123)
-    mixed = _excess_alpha(group_average(trajs))
-    solo = _excess_alpha(group_average([trajs[0]]))
+    fit = cell_fit(trajs)
+    result = bootstrap_alpha_stderr(trajs, fit, n_resamples=4, seed=123)
+    start = (fit.amplitude, fit.alpha)
+    mixed = _excess_alpha(group_average(trajs), start)
+    solo = _excess_alpha(group_average([trajs[0]]), start)
     expected = float(np.std([mixed, mixed, mixed, solo], ddof=1))
     assert result.stderr == pytest.approx(expected, rel=1e-10)
     assert result.n_success == 4
     assert result.n_failed == 0
-    again = bootstrap_alpha_stderr(trajs, n_resamples=4, seed=123)
+    again = bootstrap_alpha_stderr(trajs, fit, n_resamples=4, seed=123)
     assert again == result
 
 
@@ -247,7 +251,8 @@ def test_bootstrap_counts_failed_resamples():
     # the flat event alone has no excess to fit; seed 123 draws its
     # doubled row once, so exactly one resample fails
     trajs = _group_trajs([np.ones(241), _decay_row(1.0, 0.5)])
-    result = bootstrap_alpha_stderr(trajs, n_resamples=4, seed=123)
+    result = bootstrap_alpha_stderr(trajs, cell_fit(trajs), n_resamples=4,
+                                    seed=123)
     assert result.n_failed == 1
     assert result.n_success == 3
     assert result.stderr == 0.0         # the three survivors are identical
@@ -255,10 +260,11 @@ def test_bootstrap_counts_failed_resamples():
 
 def test_bootstrap_input_validation():
     trajs = _group_trajs([_decay_row(2.0, 0.8)])
+    fit = cell_fit(trajs)
     with pytest.raises(EmptyGroup):
-        bootstrap_alpha_stderr(trajs, n_resamples=4, seed=0)
+        bootstrap_alpha_stderr(trajs, fit, n_resamples=4, seed=0)
     with pytest.raises(ValueError):
-        bootstrap_alpha_stderr(trajs * 2, n_resamples=0, seed=0)
+        bootstrap_alpha_stderr(trajs * 2, fit, n_resamples=0, seed=0)
 
 
 # ---------------------------------------------------------------- tables

@@ -82,3 +82,11 @@ def test_event_time_stages_take_halt_records():
          "post_window"]
     assert list(inspect.signature(haltstudy.reversal_stats).parameters) == \
         ["panel", "records", "sign", "horizons"]
+
+
+def test_bootstrap_takes_the_cell_fit():
+    # the fit_range form, which started every resample from its own
+    # log-log regression, is gone
+    assert list(inspect.signature(
+        haltstudy.bootstrap_alpha_stderr).parameters) == \
+        ["trajectories", "fit", "n_resamples", "seed"]
