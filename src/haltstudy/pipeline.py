@@ -317,9 +317,8 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
     for row in result.fit_rows:
         fit, boot = row.fit, row.bootstrap
         # resample counts only where the run bootstraps
-        resamples = {} if not config.n_bootstrap else {
-            "bootstrap_n_success": boot.n_success if boot else None,
-            "bootstrap_n_failed": boot.n_failed if boot else None}
+        resamples = {f"bootstrap_n_{k}": getattr(boot, f"n_{k}", None)
+                     for k in ("success", "failed") if config.n_bootstrap}
         exponents.append({
             "measure": row.measure.value,
             "halt_type": row.halt_type.value,
@@ -327,8 +326,7 @@ def summary_dict(result: AnalysisResult, config: AnalysisConfig) -> dict:
             "amplitude": _json_float(fit.amplitude) if fit else None,
             "alpha": _json_float(fit.alpha) if fit else None,
             "alpha_se_asymptotic": _json_float(fit.alpha_stderr) if fit else None,
-            "alpha_se_bootstrap":
-                _json_float(fit.bootstrap_alpha_stderr) if fit else None,
+            "alpha_se_bootstrap": _json_float(boot.stderr) if boot else None,
             "sse": _json_float(fit.sse) if fit else None,
             "r2": _json_float(fit.r2_positive) if fit else None,
             "converged": fit is not None,   # a fit exists only once converged
@@ -416,10 +414,10 @@ def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
     """Exponent table, one row per (measure, halt type, sign)."""
     lines = [EXPONENT_CSV_HEADER]
     for row in rows:
-        fit = row.fit
+        fit, boot = row.fit, row.bootstrap
         values = ([""] * 6 if fit is None else _float_texts(
             [fit.amplitude, fit.alpha, fit.alpha_stderr,
-             fit.bootstrap_alpha_stderr, fit.sse, fit.r2_positive]))
+             boot.stderr if boot else None, fit.sse, fit.r2_positive]))
         # a fit exists only once converged
         lines.append((row.measure.value, row.halt_type.value, row.sign.value,
                       *values, str(int(fit is not None)), row.flag))

@@ -3,12 +3,11 @@
 After deseasonalization the post-halt decay of a group average is
 modeled as A * t**(-alpha) on event minutes t >= 1. The fit minimizes
 the linear-space sum of squared residuals with a damped Gauss-Newton
-iteration. A cell's fit is seeded by a log-log regression of the
-positive values; linear space keeps negative noise excursions usable,
-the log-log pass only picks the starting point. Uncertainty comes two
-ways: the asymptotic covariance of the least-squares problem and a
-seeded bootstrap over events, whose resamples all start from the
-cell's fit.
+iteration, seeded for a cell by a log-log regression of the positive
+values (linear space keeps negative noise excursions usable) and for a
+bootstrap resample by its cell's fit. Uncertainty comes two ways: the
+asymptotic covariance of the least-squares problem and a seeded
+bootstrap over events.
 
 Every fit runs through one block fitter: a (rows x points) matrix on
 one shared t, each row with its own state (amplitude, alpha, residual,
@@ -57,6 +56,8 @@ MIN_FIT_POINTS = 8
 MAX_ITERATIONS = 200
 SSE_RTOL = 1e-10
 STEP_ATOL = 1e-8
+ALPHA_ATOL = 1e-7
+_EPS = np.finfo(float).eps
 
 FLAG_OK = "ok"
 FLAG_NO_POWER_LAW = "no_power_law"
@@ -106,7 +107,6 @@ class PowerLawFit:
     r2_positive: float
     n_points: int
     n_iterations: int
-    bootstrap_alpha_stderr: float | None = None
 
     def model(self, t: np.ndarray) -> np.ndarray:
         return power_law_model(np.asarray(t, float), self.amplitude, self.alpha)
@@ -168,7 +168,6 @@ def _initial_guesses(t: np.ndarray,
     y = np.log(z[rows][keep])
     starts = np.cumsum(counts) - counts
     coef = np.empty((rows.size, 2))
-    eps = np.finfo(float).eps
     sizes, firsts, n_rows = np.unique(counts, return_index=True,
                                       return_counts=True)
     for m, lo, k in zip(sizes.tolist(), firsts.tolist(), n_rows.tolist()):
@@ -181,7 +180,7 @@ def _initial_guesses(t: np.ndarray,
         lhs /= scale[:, None, :]
         with np.errstate(call=_raise_lstsq_error, invalid="call",
                          over="ignore", divide="ignore", under="ignore"):
-            solution = _lstsq(lhs, y[points].reshape(k, m, 1), m * eps,
+            solution = _lstsq(lhs, y[points].reshape(k, m, 1), m * _EPS,
                               signature="ddd->ddid")[0]
         coef[lo:lo + k] = solution[:, :, 0] / scale
     a = np.exp(coef[:, 1])
@@ -236,7 +235,10 @@ def _gauss_newton_block(t: np.ndarray, z: np.ndarray, amplitude: np.ndarray,
 
     Each row keeps its own state and leaves the block when it converges,
     stalls or hits a singular system; one step-halving ladder serves all
-    rows still searching. ``amplitude`` and ``alpha`` hold the starting
+    rows still searching. A row converges on a step below ``STEP_ATOL``,
+    or on an SSE drop below ``SSE_RTOL`` once full alpha steps shrinking
+    from p to s leave about (step taken) * s / (p - s), at most
+    ``ALPHA_ATOL``, to go. ``amplitude`` and ``alpha`` hold the starting
     points and are updated in place. Returns amplitude, alpha, SSE and
     iteration count per row, the mask of rows that converged and each
     row's decay t**-alpha at its final alpha.
@@ -247,6 +249,7 @@ def _gauss_newton_block(t: np.ndarray, z: np.ndarray, amplitude: np.ndarray,
     sse = _row_dots(resid)
     iterations = np.zeros(len(z), dtype=int)
     active = np.ones(len(z), dtype=bool)
+    last = np.full(len(z), np.inf)          # each row's last full alpha step
     for iteration in range(1, MAX_ITERATIONS + 1):
         rows = np.flatnonzero(active)
         if not rows.size:
@@ -279,11 +282,14 @@ def _gauss_newton_block(t: np.ndarray, z: np.ndarray, amplitude: np.ndarray,
             step = lam * np.hypot(delta[idx, 0], delta[idx, 1])
             new_sse = trial_sse[better]
             drop = sse[won] - new_sse
+            full, prev = np.abs(delta[idx, 1]), last[won]
+            left = np.divide(lam * full * full, prev - full, where=full < prev,
+                             out=np.full(full.shape, np.inf))
             amplitude[won], alpha[won] = trial_a[better], trial_alpha[better]
             decay[won], resid[won] = trial_decay[better], trial_resid[better]
-            sse[won] = new_sse
-            active[won] = ~((drop < SSE_RTOL * np.maximum(new_sse, 1e-300))
-                            | (step < STEP_ATOL))
+            sse[won], last[won] = new_sse, full
+            active[won] = ~(((drop < SSE_RTOL * np.maximum(new_sse, 1e-300))
+                             & (left <= ALPHA_ATOL)) | (step < STEP_ATOL))
             searching[idx] = False
             lam *= 0.5
         # no improving step: the direction only fails to descend at a
@@ -336,9 +342,10 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
     Rows are grouped by their pattern of missing points in the range and
     each pattern is fitted as one block on its own points, so no row is
     ever padded. Every row starts from ``start`` (amplitude, alpha) when
-    it is given, else from its own log-log regression. A row whose decay
-    t**-alpha ends at 0 for every t > 1 fails: its SSE no longer depends
-    on alpha, so any alpha would do.
+    it is given, else from its own log-log regression. A row fails whose
+    alpha column of the Jacobian, -A ln(t) t**-alpha, ends within the
+    residuals' rounding, eps (|z| + |r|), of 0 at every t > 1: its SSE
+    cannot see alpha, so any alpha would do.
     """
     columns = _fit_columns(t, fit_range)
     lo, hi = fit_range
@@ -369,16 +376,17 @@ def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
                    else [np.full(rows.size, x) for x in start])
         amplitude, alpha, sse, iterations, converged, decay = \
             _gauss_newton_block(tp, z, *guesses)
-        later = tp > 1
-        vanished = later.any() & ~decay[:, later].any(axis=1)
+        model, later = amplitude[:, None] * decay, tp > 1
+        blind = abs(np.log(tp) * model) <= _EPS * (abs(z) + abs(z - model))
+        blind = later.any() & blind[:, later].all(axis=1)
         for k, i in enumerate(rows):
             if not converged[k]:
                 out[i] = NonConvergence(
                     f"no convergence in {MAX_ITERATIONS} iterations")
-            elif vanished[k]:
+            elif blind[k]:
                 out[i] = NonConvergence(
-                    f"alpha {float(alpha[k])!r} leaves t**-alpha at 0 for "
-                    "every t > 1, where the fit no longer depends on alpha")
+                    f"alpha {float(alpha[k])!r} leaves d/dalpha within "
+                    "rounding of 0 for every t > 1")
             else:
                 out[i] = _RowFit(tp, z[k], (lo, hi), float(amplitude[k]),
                                  float(alpha[k]), float(sse[k]),
@@ -414,21 +422,17 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
         0, len(trajs), size=(n_resamples, len(trajs)))
     columns = _fit_columns(trajs[0].t, fit.fit_range)
     excess = resampled_means(trajs, indices, columns) - 1.0
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    failed = 0
-    for row in _fit_rows(trajs[0].t[columns], excess, fit.fit_range,
-                         (fit.amplitude, fit.alpha)):
-        if not isinstance(row, _RowFit):
-            failed += 1
-            continue
-        count += 1
-        delta = row.alpha - mean
+    alphas = [row.alpha for row in _fit_rows(
+        trajs[0].t[columns], excess, fit.fit_range, (fit.amplitude, fit.alpha))
+        if isinstance(row, _RowFit)]
+    mean = m2 = 0.0
+    for count, alpha in enumerate(alphas, 1):
+        delta = alpha - mean
         mean += delta / count
-        m2 += delta * (row.alpha - mean)
+        m2 += delta * (alpha - mean)
+    count = len(alphas)
     stderr = math.sqrt(m2 / (count - 1)) if count >= 2 else float("nan")
-    return BootstrapResult(stderr, count, failed)
+    return BootstrapResult(stderr, count, n_resamples - count)
 
 
 @dataclass(frozen=True)
@@ -478,8 +482,5 @@ def fit_all_groups(averages: Iterable[GroupAverage],
 
 
 def attach_bootstrap(row: GroupFitRow, result: BootstrapResult) -> GroupFitRow:
-    """Return the row with ``result``, and its spread in the row's fit."""
-    if row.fit is None:
-        return row
-    return replace(row, bootstrap=result, fit=replace(
-        row.fit, bootstrap_alpha_stderr=result.stderr))
+    """Return the row with ``result``; a row without a fit, unchanged."""
+    return row if row.fit is None else replace(row, bootstrap=result)

@@ -42,8 +42,8 @@ from haltstudy.events import (HALT_CSV_HEADER, REPORT_CSV_HEADER, CountTable,
                               _worst_gap_fraction)
 from haltstudy.market_data import BAR_CSV_HEADER, MINUTES_PER_DAY, Panel
 from haltstudy.pipeline import EXPONENT_CSV_HEADER, AnalysisResult
-from haltstudy.powerlaw import (MIN_FIT_POINTS, SSE_RTOL, STEP_ATOL,
-                                FitConfig, GroupFitRow, PowerLawFit,
+from haltstudy.powerlaw import (ALPHA_ATOL, MIN_FIT_POINTS, SSE_RTOL,
+                                STEP_ATOL, FitConfig, GroupFitRow, PowerLawFit,
                                 power_law_jacobian, power_law_model)
 
 
@@ -364,6 +364,7 @@ def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range,
     sse = float(resid @ resid)
     converged = False
     iterations = 0
+    last = math.inf
     for iterations in range(1, powerlaw.MAX_ITERATIONS + 1):
         jac = power_law_jacobian(t, amplitude, alpha)
         try:
@@ -388,19 +389,25 @@ def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range,
             break
         step = lam * float(np.hypot(delta[0], delta[1]))
         drop = sse - trial_sse
+        full = abs(float(delta[1]))
+        left = lam * full * full / (last - full) if full < last else math.inf
         amplitude, alpha = float(trial_a), float(trial_alpha)
-        resid, sse = trial_resid, trial_sse
-        if drop < SSE_RTOL * max(sse, 1e-300) or step < STEP_ATOL:
+        resid, sse, last = trial_resid, trial_sse, full
+        if ((drop < SSE_RTOL * max(sse, 1e-300) and left <= ALPHA_ATOL)
+                or step < STEP_ATOL):
             converged = True
             break
     if not converged:
         raise NonConvergence(
             f"no convergence in {powerlaw.MAX_ITERATIONS} iterations")
-    later = t[t > 1]
-    if later.size and not np.power(later, -alpha).any():
+    later = t > 1
+    model = power_law_model(t, amplitude, alpha)
+    blind = (np.abs(np.log(t) * model)
+             <= np.finfo(float).eps * (np.abs(z) + np.abs(z - model)))
+    if later.any() and blind[later].all():
         raise NonConvergence(
-            f"alpha {float(alpha)!r} leaves t**-alpha at 0 for every t > 1, "
-            "where the fit no longer depends on alpha")
+            f"alpha {float(alpha)!r} leaves d/dalpha within rounding of 0 for "
+            "every t > 1")
 
     jac = power_law_jacobian(t, amplitude, alpha)
     dof = t.size - 2
@@ -506,10 +513,10 @@ def write_exponent_csv(rows: Iterable[GroupFitRow], stream: IO[str]) -> None:
     """Exponent table, one row per (measure, halt type, sign)."""
     writer = _csv_writer(stream, EXPONENT_CSV_HEADER)
     for row in rows:
-        fit = row.fit
+        fit, boot = row.fit, row.bootstrap
         values = ([""] * 6 if fit is None else _float_texts(
             [fit.amplitude, fit.alpha, fit.alpha_stderr,
-             fit.bootstrap_alpha_stderr, fit.sse, fit.r2_positive]))
+             boot.stderr if boot else None, fit.sse, fit.r2_positive]))
         # a fit exists only once converged
         writer.writerow((row.measure.value, row.halt_type.value,
                          row.sign.value, *values, int(fit is not None),

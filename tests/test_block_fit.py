@@ -5,8 +5,6 @@ Every row of a block must end bit for bit where the one-series loop in
 count, asymptotic stderr, R-squared, and the error a failing row raises.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -244,10 +242,7 @@ def test_a_decay_that_vanishes_after_t1_is_no_fit():
     assert isinstance(rows[0], _RowFit)
     assert isinstance(rows[1], NonConvergence)
     assert "0 for every t > 1" in str(rows[1])
-    # a resample that averages to such a series is a failed resample,
-    # started where that series' own fit starts
-    (amplitude,), (alpha,) = _initial_guesses(T160, runaway[None])
-    start = replace(rows[0].complete(), amplitude=amplitude, alpha=alpha)
+    # a resample that averages to such a series is a failed resample
     cal = make_calendar(12)
     t = np.arange(-80, 161)
     trajs = [EventTrajectory(
@@ -255,12 +250,26 @@ def test_a_decay_that_vanishes_after_t1_is_no_fit():
                    EventSign.POSITIVE).record,
         MeasureKind.VOLUME, t, np.r_[np.ones(81), 1.0 + runaway])
         for stock in ("S00", "S01")]
-    result = bootstrap_alpha_stderr(trajs, start, n_resamples=8, seed=0)
+    result = bootstrap_alpha_stderr(trajs, rows[0].complete(), n_resamples=8,
+                                    seed=0)
     assert (result.n_success, result.n_failed) == (0, 8)
     # and a cell whose average is such a series has no power law
     (fit, flag), = fit_all_groups([_average(
         np.r_[np.ones(81), 1.0 + runaway], MeasureKind.VOLUME)])
     assert fit is None and flag == FLAG_NO_POWER_LAW
+
+
+def test_a_decay_the_sse_cannot_see_is_no_fit():
+    # from the decaying row's fit the runaway series stops at alpha 893:
+    # t**-alpha is not 0 at t = 2, but 2**-893 is far below the residuals'
+    # rounding, so the SSE cannot see alpha there either
+    runaway = np.r_[1.0, np.full(159, -0.01)]
+    block = np.vstack([2.0 * T160 ** -0.8 + 0.01 * np.sin(T160), runaway])
+    rows = _assert_block_matches_oracle(T160, block, (1, 160), (2.0, 0.8))
+    assert isinstance(rows[0], _RowFit)
+    assert isinstance(rows[1], NonConvergence)
+    assert str(rows[1]).startswith("alpha 893.")
+    assert "0 for every t > 1" in str(rows[1])
 
 
 def _average(mean, measure):

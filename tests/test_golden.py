@@ -47,11 +47,11 @@ GOLDEN = {
     "excess.csv":
         "3f67421ccddf0dabbf0c5998bdb16fb934e68bed7c7ba8362e2fddf5993ee476",
     "loglog.csv":
-        "f308ec58ad96252dd4bd33ad3af56f8924432d8a3f48e5a75a4d44ad50ad8677",
+        "73a7fd68e9de712308d9b5013a23b71f59eaa588fb84ab5f476039c0d7fb07dd",
     "exponents.csv":
-        "c82c9eef89779099513e35e5d8335a1a10d59ef10db0efa9f6ae4fe49f6a53b1",
+        "36802fad3f033d18df196db0a7cd2e24710cb572caffe52ef61708cbf717b59a",
     "summary.json":
-        "9ad5549174ae7ce6ef4b5d2d058cd5607faf3299e669953928b59a49338b9a08",
+        "08e72fe2bb1a0f6fba64b52cf2d57a0c141fabe1a54a473fe4e92794ce91833c",
     "sign_flips.csv":
         "3cdf36c22e1dd9573f7ae3e52d92be330f6f78db27c4aa0d85f1c2edceb40408",
 }
@@ -68,11 +68,11 @@ GOLDEN_FIT_RANGE = {
     "averages.csv": GOLDEN["averages.csv"],
     "excess.csv": GOLDEN["excess.csv"],
     "loglog.csv":
-        "5476ff7167b9206ba5c809c351bd202f680f4daf3f461cb2da99ae80e7a352dc",
+        "c4e81df6d7e19970e59e884d6937e2d84a1d2f78532269233c6919db3f2dc998",
     "exponents.csv":
-        "be8be04865bddb45f56a53484ab4b368cacd667f25e85e9682cc4886b3824bac",
+        "348206df8f6a0a715f1a879a43190b3d3d09ad9e570225ba0a0d5d7e8b8689f4",
     "summary.json":
-        "46724e5f10107fb6414992d79360149fbc7ee1e6265ffb8f0e34099f38e5984f",
+        "0045815866c069126fe6f82a5f842bea145ad593d245ac5e6cdef8ffa6e2b680",
 }
 
 
@@ -126,11 +126,11 @@ GOLDEN_MULTI = {
     "excess.csv":
         "c1930ef0fe292ed6f63534d8e052565fc212756df2b745ce384f71e3b93b7769",
     "loglog.csv":
-        "e1bad7edd67dd854b98f6db4baac12bd30bc9862cc7a3b80fda66d2b3cb000d4",
+        "075d6f544ee85db48dc977142bc8c76f7ef29ebb092e9f13e1f8ae9d61439f45",
     "exponents.csv":
-        "bef1437bd0c7bdf590f84e3cc4430bcbba96e9c51ab1e1fa9ab2b9db177ea14a",
+        "498816381aca741818915e58bab5c5b40c57c659c37edec6f1a4621cdb2a4baa",
     "summary.json":
-        "8788eb0c1b5229d7257551df307f91c8f98dfb675e9135c2c1de538ee3c13153",
+        "2e315c8c618efdaa9639a72df32292f4a2b483999264c413ea53aa7e88d61db9",
 }
 
 

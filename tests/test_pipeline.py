@@ -73,7 +73,7 @@ def test_full_run_recovers_planted_exponents(six_group_run):
                for row in truth.rows}
     for row in result.fit_rows:
         assert row.flag == "ok"
-        assert row.fit.bootstrap_alpha_stderr is None   # bootstrap off
+        assert row.bootstrap is None   # bootstrap off
         relax = planted[(row.halt_type, row.sign)][row.measure]
         assert row.fit.alpha == pytest.approx(relax.alpha, abs=1e-6)
         assert row.fit.amplitude == pytest.approx(relax.amplitude, rel=1e-6)
@@ -132,8 +132,8 @@ def test_bootstrap_errors_attach_to_multi_event_groups():
     result = run_analysis(panel, records, AnalysisConfig(n_bootstrap=6))
     for row in result.fit_rows:
         assert row.fit is not None
-        assert row.fit.bootstrap_alpha_stderr is not None
-        assert row.fit.bootstrap_alpha_stderr >= 0.0
+        assert row.bootstrap is not None
+        assert row.bootstrap.stderr >= 0.0
 
 
 def test_summary_counts_each_bootstrapped_rows_resamples():

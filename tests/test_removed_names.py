@@ -50,6 +50,7 @@ REMOVED_ATTRIBUTES = [
     (event_study.CumulativeReturnCurve, "halt_type"),
     (event_study.CumulativeReturnCurve, "sign"),
     (event_study.CumulativeReturnCurve, "group"),
+    (powerlaw.PowerLawFit, "bootstrap_alpha_stderr"),
 ]
 
 

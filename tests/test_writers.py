@@ -39,7 +39,8 @@ from haltstudy import (
 )
 from haltstudy import pipeline
 from haltstudy.market_data import _float_texts
-from haltstudy.powerlaw import FLAG_NO_POWER_LAW, FLAG_OK, GroupFitRow
+from haltstudy.powerlaw import (FLAG_NO_POWER_LAW, FLAG_OK, BootstrapResult,
+                                GroupFitRow)
 
 CAL = TradingCalendar((date(2010, 3, 1), date(2010, 3, 2), date(2010, 3, 3)))
 
@@ -136,11 +137,14 @@ def test_count_text_matches_csv_writer(counts):
 
 _FITS = st.builds(PowerLawFit, _FLOATS, _FLOATS, _FLOATS,
                   st.just((1, 160)), _FLOATS, _FLOATS, st.integers(0, 160),
-                  st.integers(0, 50), st.none() | _FLOATS)
+                  st.integers(0, 50))
+_BOOTSTRAPS = st.builds(BootstrapResult, _FLOATS, st.integers(0, 200),
+                        st.integers(0, 200))
 _FIT_ROWS = st.builds(GroupFitRow, st.sampled_from(MeasureKind),
                       st.sampled_from(HaltType), st.sampled_from(EventSign),
                       st.none() | _FITS,
-                      st.sampled_from([FLAG_OK, FLAG_NO_POWER_LAW]))
+                      st.sampled_from([FLAG_OK, FLAG_NO_POWER_LAW]),
+                      st.none() | _BOOTSTRAPS)
 
 
 @settings(deadline=None)
