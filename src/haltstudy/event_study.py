@@ -20,7 +20,9 @@ resample (one sample position at a time). Each slot still sees the same
 IEEE operations in the same order as a lone average would, so lockstep
 and one-at-a-time results are bitwise equal. One accumulator serves
 every pass: its buffers are allocated once per pass and each update is
-written into them in place. A chunk gathers consecutive stocks' used
+written into them in place. It counts missing values, not observed
+ones: a step that holds none skips the count and mask work and keeps
+every bit of the masked step. A chunk gathers consecutive stocks' used
 lookback days into one buffer capped in bytes, so one-event stocks
 share their mean steps; a stock whose days alone exceed the cap is a
 chunk of its own, in the buffer grown to fit it. The two passes that
@@ -78,37 +80,56 @@ class _Welford:
     is missing or identical to the running mean, so averaging N copies
     of one series reproduces it bit for bit and its spread is exactly 0;
     the one exception is -0.0, which the running mean (starting at +0.0)
-    returns as +0.0. The count, mean, spread and step buffers are
+    returns as +0.0. The missed-count, mean, spread and step buffers are
     allocated once, and :meth:`add` writes every update into them in
-    place. Counts are kept as float64, exact far beyond any member
-    count. Without ``spread`` the accumulator runs the mean step alone,
-    for the passes that read only means.
+    place. It counts the steps, and per slot the missing values as
+    float64, exact far beyond any member count; a slot's count of
+    observed values is their difference. A step that holds no missing
+    value skips the count update and both masks, and divides by the
+    step number, or by the slot's count once any slot has missed a
+    value: the same IEEE operations on the same operands as the masked
+    step, so every bit is as if each step were masked. Without
+    ``spread`` the accumulator runs the mean step alone, for the passes
+    that read only means.
     """
 
     def __init__(self, shape: int | tuple[int, ...], spread: bool = True):
-        self.n = np.zeros(shape)
+        self.steps = 0
+        self.missed = np.zeros(shape)
         self.mean = np.zeros(shape)
         self.m2 = np.zeros(shape) if spread else None
+        self._gaps = False
         self._missing = np.empty(shape, dtype=bool)
-        self._observed = np.empty(shape, dtype=bool)
         self._delta = np.empty(shape)
         self._step = np.empty(shape)
 
+    @property
+    def n(self) -> np.ndarray:
+        # observed values per slot
+        return self.steps - self.missed
+
     def add(self, values: np.ndarray) -> None:
-        # n += observed; delta = values - mean where observed, else 0;
-        # mean += delta / max(n, 1); m2 += delta * (values - new mean)
+        # n = steps - missed; delta = values - mean where observed, else
+        # 0; mean += delta / max(n, 1); m2 += delta * (values - new mean)
         missing, delta, step = self._missing, self._delta, self._step
-        np.isnan(values, out=missing)
-        np.logical_not(missing, out=self._observed)
-        np.add(self.n, self._observed, out=self.n)
+        self.steps += 1
+        gap = np.isnan(values, out=missing).any()
         np.subtract(values, self.mean, out=delta)
-        np.putmask(delta, missing, 0.0)
-        np.maximum(self.n, 1.0, out=step)
-        np.divide(delta, step, out=step)
+        divisor = self.steps
+        if gap:
+            self._gaps = True
+            np.add(self.missed, missing, out=self.missed)
+            np.putmask(delta, missing, 0.0)
+        if self._gaps:
+            divisor = np.subtract(self.steps, self.missed, out=step)
+            if gap:
+                np.maximum(step, 1.0, out=step)
+        np.divide(delta, divisor, out=step)
         np.add(self.mean, step, out=self.mean)
         if self.m2 is not None:
             np.subtract(values, self.mean, out=step)
-            np.putmask(step, missing, 0.0)
+            if gap:
+                np.putmask(step, missing, 0.0)
             np.multiply(delta, step, out=step)
             np.add(self.m2, step, out=self.m2)
 
@@ -119,9 +140,10 @@ class _Welford:
         return np.where(self.n > 0, self.mean, np.nan)
 
     def sample_stds(self) -> np.ndarray:
-        out = np.full(self.n.shape, np.nan)
-        two = self.n >= 2
-        out[two] = np.sqrt(self.m2[two] / (self.n[two] - 1))
+        n = self.n
+        out = np.full(n.shape, np.nan)
+        two = n >= 2
+        out[two] = np.sqrt(self.m2[two] / (n[two] - 1))
         return out
 
     def stderrs(self) -> np.ndarray:
@@ -146,9 +168,10 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
     The group averages of one measure, and the cumulative-return curves,
     of every group a stage builds share one pass: blocks of unequal size
     are padded to the largest with an all-NaN row (see
-    :func:`_padded_members`). A pad adds a zero step, and ``mean + 0.0``
-    is exact because the running mean, starting at +0.0, is never -0.0;
-    an accumulator whose mean could be -0.0 would have to skip pads.
+    :func:`_padded_members`). A step that gathers a pad is masked, so
+    the pad adds a zero step, and ``mean + 0.0`` is exact because the
+    running mean, starting at +0.0, is never -0.0; an accumulator whose
+    mean could be -0.0 would have to skip pads.
     """
     rows = np.ascontiguousarray(rows)
     shape = rows.shape[:-2] + (members.shape[0], rows.shape[-1])
@@ -389,25 +412,26 @@ class _BaselineChunk:
         # rows past ``used`` are stale, but no member points at them
         if not self.pending:
             return
-        members = np.concatenate([p[3] for p in self.pending])
-        pattern = _lockstep_welford(self.rows, members, spread=False).means()
-        first = 0
-        for positions, raw, minutes, _ in self.pending:
-            slots = np.arange(first, first + len(positions))[:, None]
-            values, bad = _deseasonalize_block(
-                raw, pattern[:, slots, minutes % MINUTES_PER_DAY])
-            for e, i in enumerate(positions):
-                trajectories = {}
-                for k, measure in enumerate(self.measures):
-                    if bad[k, e].any():
-                        raise ZeroBaseline(
-                            f"{self.records[i].stock_id}: unusable "
-                            "baseline at event minute "
-                            f"{int(self.t[bad[k, e]][0])}")
-                    trajectories[measure] = EventTrajectory(
-                        self.records[i], measure, self.t, values[k, e])
-                self.out[i] = trajectories
-            first += len(positions)
+        runs, raw, minutes, members = zip(*self.pending)
+        positions = [i for run in runs for i in run]
+        pattern = _lockstep_welford(self.rows, np.concatenate(members),
+                                    spread=False).means()
+        values, bad = _deseasonalize_block(
+            np.concatenate(raw, axis=1),
+            pattern[:, np.arange(len(positions))[:, None],
+                    np.concatenate(minutes) % MINUTES_PER_DAY])
+        # per (event, measure): does an observed minute lack a baseline;
+        # the first failing pair in event, then measure, order raises
+        failed = bad.any(axis=-1).T
+        e, k = divmod(int(failed.argmax()), len(self.measures))
+        if failed[e, k]:
+            raise ZeroBaseline(
+                f"{self.records[positions[e]].stock_id}: unusable baseline "
+                f"at event minute {int(self.t[bad[k, e]][0])}")
+        for e, i in enumerate(positions):
+            self.out[i] = {measure: EventTrajectory(self.records[i], measure,
+                                                    self.t, values[k, e])
+                           for k, measure in enumerate(self.measures)}
         self.pending = []
         self.used = 0
 

@@ -1,4 +1,9 @@
 import pytest
+from hypothesis import settings
+
+# a deeper property search, chosen with --hypothesis-profile=deep;
+# the default profile stays in force otherwise
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 _ACCEPTANCE_LINES = []
 

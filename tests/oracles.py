@@ -24,6 +24,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from types import SimpleNamespace
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -273,8 +274,8 @@ def group_average(trajectories) -> GroupAverage:
 
 
 def masked_welford_add(acc, values) -> None:
-    """One Welford update of ``acc`` (anything holding ``n``, ``mean`` and
-    ``m2`` arrays, such as a ``_Welford``), counting the observed slots
+    """One Welford update of ``acc`` (anything holding writable ``n``,
+    ``mean`` and ``m2`` arrays), counting the observed slots
     with a masked scatter and allocating fresh temporaries: the update
     the library's buffered accumulator must reproduce bit for bit."""
     ok = ~np.isnan(values)
@@ -283,6 +284,24 @@ def masked_welford_add(acc, values) -> None:
     acc.mean += delta / np.maximum(acc.n, 1)
     delta2 = np.where(ok, values - acc.mean, 0.0)
     acc.m2 += delta * delta2
+
+
+def masked_welford(shape, blocks: Iterable[np.ndarray]) -> SimpleNamespace:
+    """Counts, means, ``m2`` and standard errors after adding every block
+    of ``shape`` in turn by :func:`masked_welford_add` to zero arrays
+    that count the observed values per slot; a slot observed less than
+    twice has a NaN standard error, one never observed a NaN mean."""
+    acc = SimpleNamespace(n=np.zeros(shape), mean=np.zeros(shape),
+                          m2=np.zeros(shape))
+    for block in blocks:
+        masked_welford_add(acc, block)
+    n = acc.n
+    with np.errstate(invalid="ignore", divide="ignore"):
+        stds = np.where(n >= 2, np.sqrt(acc.m2 / (n - 1)), np.nan)
+        stderrs = stds / np.sqrt(n)
+    return SimpleNamespace(counts=n.astype(np.int64),
+                           means=np.where(n > 0, acc.mean, np.nan),
+                           m2=acc.m2, stderrs=stderrs)
 
 
 def grid_power_law(t, z, a_range, alpha_range,

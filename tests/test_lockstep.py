@@ -36,12 +36,14 @@ from haltstudy import (
     resampled_means,
 )
 from haltstudy import event_study
-from haltstudy.event_study import _Welford, _lockstep_welford, _lookback_days
+from haltstudy.event_study import (_Welford, _lockstep_welford, _lookback_days,
+                                   _padded_members)
 from haltstudy.events import _active_days
 from helpers import add_stock, cell_fit, halt_event, halt_record
 from oracles import (compute_intraday_pattern, extract_trajectory,
                      group_average as lone_group_average,
-                     masked_welford_add, scalar_power_law_fit)
+                     masked_welford, masked_welford_add,
+                     scalar_power_law_fit)
 
 MEASURES = tuple(MeasureKind)
 
@@ -227,7 +229,9 @@ def test_chunked_baselines_match_per_event_reference(mixed_panel, monkeypatch,
 def faulty_panel():
     # ZERO: bid equals ask, so every spread baseline is zero, and bars
     # stop after day 52; QUIET: no volume at all; SHORT: bars stop after
-    # day 52; THIN: trades only from day 10; GONE has no bars
+    # day 52; THIN: trades only from day 10; GONE has no bars; MIXED:
+    # no spread at minutes 10-19 of every day and no volume at minutes
+    # 150-159 from day 12, so only its day-52 lookback lacks volume
     cal = make_calendar(60)
     rng = np.random.default_rng(3)
     builder = PanelBuilder(cal)
@@ -240,8 +244,14 @@ def faulty_panel():
               absent=[tail])
     add_stock(builder, cal, "THIN", price=price, volume=50.0, spread=0.02,
               absent=[slice(0, 10 * 240)])
+    volume = np.full((60, 240), 50.0)
+    volume[12:, 150:160] = 0.0
+    spread = np.full((60, 240), 0.02)
+    spread[:, 10:20] = 0.0
+    add_stock(builder, cal, "MIXED", price=price, volume=volume.ravel(),
+              spread=spread.ravel())
     ev = {(s, d): _intraday(cal, s, d)
-          for s in ("ZERO", "QUIET", "SHORT", "THIN", "GONE")
+          for s in ("ZERO", "QUIET", "SHORT", "THIN", "GONE", "MIXED")
           for d in (45, 52)}
     return builder.build(), ev
 
@@ -265,6 +275,11 @@ NO_SPREAD = (MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME)
     ([("SHORT", 52), ("QUIET", 45)], SPREAD_LAST, "ZeroBaseline"),
     ([("ZERO", 45), ("GONE", 45)], SPREAD_LAST, "NoData"),
     ([("QUIET", 52), ("ZERO", 45)], NO_SPREAD, "ZeroBaseline"),
+    # volume and spread baselines both fail, the spread's at an earlier
+    # minute: the first measure in order, volume, names its minute
+    ([("MIXED", 52)], SPREAD_LAST, "ZeroBaseline"),
+    # the earlier event's spread beats the later event's volume
+    ([("MIXED", 52), ("MIXED", 45)], SPREAD_LAST, "ZeroBaseline"),
 ])
 def test_stage_raises_the_first_reference_error(faulty_panel, keys, measures,
                                                 expected):
@@ -454,13 +469,74 @@ def test_mean_only_pass_matches_full_welford(case):
 def test_counting_step_matches_masked_update(case):
     rows, members = case
     acc = _lockstep_welford(rows, members)
-    ref = _Welford(acc.n.shape)
-    for k in range(members.shape[1]):
-        masked_welford_add(ref, rows[..., members[:, k], :])
-    assert _same_bits(acc.counts(), ref.counts())
-    assert _same_bits(acc.means(), ref.means())
+    ref = masked_welford(acc.mean.shape, (rows[..., members[:, k], :]
+                                          for k in range(members.shape[1])))
+    assert _same_bits(acc.counts(), ref.counts)
+    assert _same_bits(acc.means(), ref.means)
     assert _same_bits(acc.m2, ref.m2)
-    assert _same_bits(acc.stderrs(), ref.stderrs())
+    assert _same_bits(acc.stderrs(), ref.stderrs)
+
+
+def _stepped(k, dirty, blocks=3, width=4):
+    # rows (2, k * blocks, width) whose member matrix gathers block j of
+    # rows at step j; step j of ``dirty`` misses one value in every lead
+    rng = np.random.default_rng(k)
+    rows = rng.normal(1.0, 2.0, (2, k * blocks, width))
+    members = np.arange(k * blocks).reshape(k, blocks).T
+    for j in dirty:
+        rows[:, members[j % blocks, j], j % width] = np.nan
+    return rows, members
+
+
+def _never_observed():
+    # slot (lead, 1, 2) misses its value at every step
+    rows, members = _stepped(5, [])
+    rows[:, members[1], 2] = np.nan
+    return rows, members
+
+
+def _padded():
+    # groups of 3, 1 and 2 rows padded with the all-NaN last row: steps
+    # 1 and 2 gather the pad
+    rows = np.random.default_rng(4).normal(1.0, 2.0, (2, 7, 4))
+    rows[:, -1] = np.nan
+    return rows, _padded_members([3, 1, 2])
+
+
+@pytest.mark.parametrize("case, dirty, unobserved", [
+    (lambda: _stepped(5, [0]), [0], 0),
+    (lambda: _stepped(5, [4]), [4], 0),
+    (lambda: _stepped(5, range(5)), [0, 1, 2, 3, 4], 0),
+    (lambda: _stepped(5, []), [], 0),
+    (lambda: _stepped(6, [2]), [2], 0),
+    (_never_observed, [0, 1, 2, 3, 4], 2),
+    (_padded, [1, 2], 0),
+    (lambda: _stepped(1, []), [], 0),
+    (lambda: _stepped(1, [0]), [0], 2),
+], ids=["missing-first-at-step-1", "missing-first-at-last-step",
+        "missing-every-step", "no-missing", "clean-dirty-clean",
+        "never-observed", "padded-groups", "one-step", "one-step-missing"])
+@pytest.mark.parametrize("spread", [True, False])
+def test_clean_and_missing_steps_match_masked_update(case, dirty, unobserved,
+                                                     spread):
+    # a step without a missing value skips the count and the masks; it
+    # and every step after it must keep the masked update's bits
+    rows, members = case()
+    blocks = [rows[..., members[:, j], :] for j in range(members.shape[1])]
+    assert [j for j, b in enumerate(blocks) if np.isnan(b).any()] == dirty
+    want = masked_welford(blocks[0].shape, blocks)
+    assert np.count_nonzero(want.counts == 0) == unobserved
+    acc = _Welford(blocks[0].shape, spread)
+    for block in blocks:
+        acc.add(block)
+    for got in (acc, _lockstep_welford(rows, members, spread)):
+        assert _same_bits(got.counts(), want.counts)
+        assert _same_bits(got.means(), want.means)
+        if spread:
+            assert _same_bits(got.m2, want.m2)
+            assert _same_bits(got.stderrs(), want.stderrs)
+        else:
+            assert got.m2 is None
 
 
 @st.composite
@@ -635,6 +711,24 @@ def test_resampled_means_follow_group_average_order():
     means = resampled_means(trajs, indices)
     for row, got in zip(indices, means):
         assert _same_bits(got, group_average([trajs[i] for i in row]).mean)
+
+
+@pytest.mark.parametrize("holes", [(), (4,), (0, 1, 2, 3, 4)],
+                         ids=["none", "last-trajectory", "every-trajectory"])
+def test_resampled_means_with_a_missing_column_match_group_average(holes):
+    # the trajectories ``holes`` miss their value at t = 20 only; the
+    # last one sorts last in every resample, so the early sample steps
+    # hold no missing value and skip the count and the masks
+    rng = np.random.default_rng(21)
+    rows = [_decay(rng, 1.0, 0.6, noise=0.3, missing=0.0) for _ in range(5)]
+    for i in holes:
+        rows[i][100] = np.nan
+    trajs = _trajectories(rows)
+    indices = rng.integers(0, 5, size=(40, 5))
+    means = resampled_means(trajs, indices)
+    for row, got in zip(indices, means):
+        assert _same_bits(got, group_average([trajs[i] for i in row]).mean)
+    assert np.isnan(means[:, 100]).all() == (len(holes) == 5)
 
 
 @pytest.mark.parametrize("bad", [-1, 4])

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,7 +20,6 @@ from haltstudy import (
     HaltEvent,
     HaltRecord,
     HaltType,
-    InvalidInterval,
     MeasureKind,
     PanelBuilder,
     PowerLawFit,
@@ -38,7 +37,7 @@ from haltstudy import (
     write_halt_csv,
 )
 from haltstudy import pipeline
-from haltstudy.market_data import _float_texts
+from haltstudy.market_data import MINUTES_PER_DAY, _float_texts
 from haltstudy.powerlaw import (FLAG_NO_POWER_LAW, FLAG_OK, BootstrapResult,
                                 GroupFitRow)
 
@@ -84,14 +83,15 @@ def _panels(draw):
 
 @st.composite
 def _records(draw):
+    # a global begin minute, then a strictly later resume minute: every
+    # valid interval of the calendar, and no draw rejected
+    begin = draw(st.integers(0, CAL.n_minutes - 2))
+    resume = draw(st.integers(begin + 1, CAL.n_minutes - 1))
+    (b_day, b_min), (r_day, r_min) = (divmod(g, MINUTES_PER_DAY)
+                                      for g in (begin, resume))
     days = CAL.trading_days
-    begin = draw(st.tuples(st.integers(0, 2), st.integers(1, 240)))
-    resume = draw(st.tuples(st.integers(begin[0], 2), st.integers(1, 240)))
-    try:
-        return HaltRecord(draw(_IDS), days[begin[0]], begin[1],
-                          days[resume[0]], resume[1], draw(st.booleans()))
-    except InvalidInterval:
-        assume(False)
+    return HaltRecord(draw(_IDS), days[b_day], b_min + 1, days[r_day],
+                      r_min + 1, draw(st.booleans()))
 
 
 _EVENTS = st.builds(HaltEvent, _records(), st.sampled_from(HaltType),
