@@ -156,16 +156,13 @@ def cumulative_curve(panel, records,
 
 def cell_fit(trajectories, fit_range: tuple[int, int] = FitConfig.fit_range):
     """The fit of the trajectories' own average, the one their bootstrap
-    starts from; None where fitting failed."""
+    takes; None where fitting failed."""
     (fit, _), = fit_all_groups([group_average(trajectories)],
                                FitConfig(fit_range))
     return fit
 
 
-def fit_row(t, values, fit_range: tuple[int, int] = FitConfig.fit_range,
-            start: tuple[float, float] | None = None):
-    """The block fitter on the one row ``values``, from ``start`` if given:
-    a ``_RowFit``, whose ``complete()`` is its PowerLawFit, or the error
-    the row fails with."""
-    return _fit_rows(t, np.asarray(values, float)[None], fit_range,
-                     start)[0]
+def fit_row(t, values, fit_range: tuple[int, int] = FitConfig.fit_range):
+    """The block fitter on the one row ``values``: a ``_RowFit``, whose
+    ``complete()`` is its PowerLawFit, or the error the row fails with."""
+    return _fit_rows(t, np.asarray(values, float)[None], fit_range)[0]

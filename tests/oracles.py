@@ -10,10 +10,11 @@ the event minutes, the return windows and the reversal horizons are
 written out site by site, each with its own arithmetic, as the rule
 that the library's one coverage decision must reproduce, the per-group average is what every group of the shared,
 padded group-average pass must reproduce bit for bit, the scalar fit is
-the one-series damped Gauss-Newton loop that the library's block fitter
-must reproduce bit for bit, and the masked Welford update is the
-running-mean-and-spread step the library's buffered accumulator must
-reproduce bit for bit, and the ``csv.writer`` writers of every CSV file
+an independent one-series damped Gauss-Newton loop from a log-log
+start, whose SSE the library's profile fitter must match or beat, and
+the masked Welford update is the running-mean-and-spread step the
+library's buffered accumulator must reproduce bit for bit, and the
+``csv.writer`` writers of every CSV file
 are the bytes that the library's one line writer must reproduce.
 """
 
@@ -29,7 +30,6 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from haltstudy import powerlaw
 from haltstudy.errors import (DegenerateData, InsufficientHistory,
                               InsufficientPostWindow, InsufficientWindow,
                               NoData, NonConvergence, ZeroBaseline)
@@ -43,9 +43,9 @@ from haltstudy.events import (HALT_CSV_HEADER, REPORT_CSV_HEADER, CountTable,
                               _worst_gap_fraction)
 from haltstudy.market_data import BAR_CSV_HEADER, MINUTES_PER_DAY, Panel
 from haltstudy.pipeline import EXPONENT_CSV_HEADER, AnalysisResult
-from haltstudy.powerlaw import (ALPHA_ATOL, MIN_FIT_POINTS, SSE_RTOL,
-                                STEP_ATOL, FitConfig, GroupFitRow, PowerLawFit,
-                                power_law_jacobian, power_law_model)
+from haltstudy.powerlaw import (MIN_FIT_POINTS, FitConfig, GroupFitRow,
+                                PowerLawFit, power_law_jacobian,
+                                power_law_model)
 
 
 def naive_cumulative_curve(panel, records, window: int = 160) -> list[float]:
@@ -357,14 +357,20 @@ def _scalar_r2_positive(t, z, amplitude, alpha):
     return 1.0 - sse / sst
 
 
-def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range,
-                         start=None):
+# the scalar fit's stopping rule: an SSE drop below SSE_RTOL once alpha
+# is resolved to about ALPHA_ATOL, or a step below STEP_ATOL
+MAX_ITERATIONS = 200
+SSE_RTOL = 1e-10
+STEP_ATOL = 1e-8
+ALPHA_ATOL = 1e-7
+
+
+def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range):
     """One series, one Gauss-Newton step at a time, Python floats throughout.
 
-    The fit the library ran before it fitted rows as blocks, from
-    ``start`` (amplitude, alpha) when given, else from the log-log
-    regression. It reads ``powerlaw.MAX_ITERATIONS`` at call time, so a
-    test that lowers the cap lowers it here too.
+    The fit the library ran before it fitted the profile in alpha: a
+    damped Gauss-Newton iteration in (A, alpha) from the log-log
+    regression of the positive values.
     """
     lo, hi = FitConfig(fit_range).fit_range
     t = np.asarray(t, float)
@@ -377,14 +383,13 @@ def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range,
     if not np.any(z > 0):
         raise DegenerateData("no positive values to anchor the decay")
 
-    amplitude, alpha = (_scalar_initial_guess(t, z) if start is None
-                        else map(float, start))
+    amplitude, alpha = _scalar_initial_guess(t, z)
     resid = z - power_law_model(t, amplitude, alpha)
     sse = float(resid @ resid)
     converged = False
     iterations = 0
     last = math.inf
-    for iterations in range(1, powerlaw.MAX_ITERATIONS + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         jac = power_law_jacobian(t, amplitude, alpha)
         try:
             delta = np.linalg.solve(jac.T @ jac, jac.T @ resid)
@@ -418,7 +423,7 @@ def scalar_power_law_fit(t, values, fit_range=FitConfig.fit_range,
             break
     if not converged:
         raise NonConvergence(
-            f"no convergence in {powerlaw.MAX_ITERATIONS} iterations")
+            f"no convergence in {MAX_ITERATIONS} iterations")
     later = t > 1
     model = power_law_model(t, amplitude, alpha)
     blind = (np.abs(np.log(t) * model)

@@ -1,12 +1,20 @@
-"""The block Gauss-Newton fitter against the scalar fit it replaces.
+"""The block profile fitter: every row as if fitted alone, and no worse
+than the fits it is checked against.
 
-Every row of a block must end bit for bit where the one-series loop in
-``oracles.scalar_power_law_fit`` ends: amplitude, alpha, SSE, iteration
-count, asymptotic stderr, R-squared, and the error a failing row raises.
+Every row of a block must end bit for bit where a one-row ``_fit_rows``
+call ends: amplitude, alpha, SSE, Newton step count, asymptotic stderr,
+R-squared, and the error a failing row raises. Wherever the independent
+scalar Gauss-Newton fit in ``oracles.scalar_power_law_fit`` converges,
+the row's SSE is at most the oracle's times (1 + 1e-9), and no row's SSE
+is ever beaten by ``oracles.grid_power_law``'s exhaustive scan around
+the planted parameters. A row that fails counts with the least SSE on
+``ALPHA_GRID``: at a grid end for a runaway, z.z where no alpha fits.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltstudy import (
     DegenerateData,
@@ -23,13 +31,16 @@ from haltstudy import (
     make_excess,
     powerlaw,
 )
-from haltstudy.powerlaw import (FLAG_NO_POWER_LAW, _fit_rows, _initial_guesses,
-                                _RowFit)
+from haltstudy.powerlaw import ALPHA_GRID, FLAG_NO_POWER_LAW, _fit_rows, _RowFit
 from helpers import halt_event
-from oracles import _scalar_initial_guess, scalar_power_law_fit
+from oracles import grid_power_law, scalar_power_law_fit
 
 T160 = np.arange(1, 161, dtype=float)
 FLOATS = ("amplitude", "alpha", "alpha_stderr", "sse", "r2_positive")
+SSE_RTOL = 1e-9
+# an SSE below this share of z.z is rounding: alpha is then fixed only
+# to about 1e-14, by the rounding of S'
+SSE_FLOOR = 1e-20
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -53,15 +64,43 @@ def _assert_same(got, want):
             == (want.n_iterations, want.n_points, want.fit_range))
 
 
-def _assert_block_matches_oracle(t, block, fit_range, start=None):
-    rows = _fit_rows(t, block, fit_range, start)
+def _completed(row):
+    return row.complete() if isinstance(row, _RowFit) else row
+
+
+def _profile_minimum(t, z):
+    # least SSE over the alpha grid, the amplitude at each alpha its
+    # closed form max(0, d.z / d.d): z.z where no alpha fits
+    d = t ** -ALPHA_GRID[:, None]
+    dz = d @ z
+    return float(z @ z - np.max(np.where(dz > 0, dz * dz / (d * d).sum(1), 0)))
+
+
+def _least_sse(row, t, z):
+    """The SSE a row ends at: its fit's, or for a failed row the least
+    on the alpha grid."""
+    return row.sse if isinstance(row, _RowFit) else _profile_minimum(t, z)
+
+
+def _assert_rows_fit_alone(t, block, fit_range):
+    """Fit ``block``; each row must be bitwise its one-row fit, and end
+    at an SSE within SSE_RTOL of the scalar fit wherever that converges.
+    Returns the block's rows."""
+    rows = _fit_rows(t, block, fit_range)
     assert len(rows) == len(block)
+    lo, hi = fit_range
     for values, row in zip(block, rows):
-        want = _outcome(scalar_power_law_fit, t, values, fit_range, start)
-        alone, = _fit_rows(t, values[None], fit_range, start)
-        for got in (row, alone):
-            _assert_same(got.complete() if isinstance(got, _RowFit) else got,
-                         want)
+        alone, = _fit_rows(t, values[None], fit_range)
+        _assert_same(_completed(row), _completed(alone))
+        want = _outcome(scalar_power_law_fit, t, values, fit_range)
+        if not isinstance(want, HaltStudyError):
+            keep = (t >= lo) & (t <= hi) & ~np.isnan(values)
+            z = values[keep]
+            assert (_least_sse(row, t[keep], z)
+                    <= want.sse * (1 + SSE_RTOL) + SSE_FLOOR * (z @ z))
+        if isinstance(row, _RowFit):
+            # the zero curve's SSE is z.z: no fit may be worse than it
+            assert row.sse <= row.z @ row.z
     return rows
 
 
@@ -74,7 +113,7 @@ def _noisy_block(rng, n_rows, t=T160):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_mixed_block_matches_scalar_fit(seed):
+def test_mixed_block_rows_fit_as_alone(seed):
     rng = np.random.default_rng(seed)
     block = _noisy_block(rng, 60)
     # shared and private gaps: several NaN patterns, each its own block
@@ -87,161 +126,50 @@ def test_mixed_block_matches_scalar_fit(seed):
     block[8] = 0.4                              # constant
     block[9] = np.where(np.arange(160) % 2, 0.5, -0.5)
     block[10] = np.nan                          # nothing at all
-    rows = _assert_block_matches_oracle(T160, block, (1, 160))
+    rows = _assert_rows_fit_alone(T160, block, (1, 160))
     kinds = {type(row) for row in rows}
     assert {_RowFit, DegenerateData} <= kinds
     # a narrower range selects other points and other patterns
-    _assert_block_matches_oracle(T160, block[:30], (5, 60))
+    _assert_rows_fit_alone(T160, block[:30], (5, 60))
 
 
-@pytest.mark.parametrize("seed", [4, 5])
-def test_rows_from_one_start_match_each_row_alone(seed):
-    # the bootstrap's case: every row of every missing-point pattern
-    # starts from one (amplitude, alpha)
-    rng = np.random.default_rng(seed)
-    block = _noisy_block(rng, 40)
-    block[rng.random(40) < 0.4, 3:9] = np.nan
-    for i in range(0, 40, 5):
-        block[i, rng.random(160) < 0.2] = np.nan
-    block[6, 7:] = np.nan                       # 7 points: too few
-    block[7] = -np.abs(block[7])                # nothing positive
-    block[8] = 1.3 * T160 ** -0.7               # the start's own curve
-    for start in [(1.3, 0.7), (0.05, 2.0)]:
-        rows = _assert_block_matches_oracle(T160, block, (1, 160), start)
-        assert {_RowFit, DegenerateData} <= {type(row) for row in rows}
-    # the start's own curve takes several steps from (0.05, 2.0), and
-    # from its own start stops there after one
-    assert rows[8].n_iterations > 1
-    row = _fit_rows(T160, block[8:9], (1, 160), (1.3, 0.7))[0]
-    assert (row.amplitude, row.alpha, row.n_iterations) == (1.3, 0.7, 1)
-    _assert_block_matches_oracle(T160, block[:20], (5, 60), (1.3, 0.7))
-
-
-def _assert_starts_match_oracle(t, block):
-    amplitude, alpha = _initial_guesses(t, block)
-    for i, row in enumerate(block):
-        want = np.array(_scalar_initial_guess(t, row))
-        assert np.array([amplitude[i], alpha[i]]).tobytes() == want.tobytes()
-
-
-def test_block_start_matches_per_row_polyfit():
-    rng = np.random.default_rng(17)
-    block = _noisy_block(rng, 40)
-    block[:, rng.permutation(160)[:60]] *= -1.0     # mixed positive patterns
-    block[30] = -1.0
-    block[30, 7] = 0.5                              # one positive point
-    block[31] = -1.0
-    block[31, [3, 90]] = [2.0, 0.1]                 # two: polyfit on a line
-    _assert_starts_match_oracle(T160, block)
-    amplitude, alpha = _initial_guesses(T160, block[30:31])
-    assert (amplitude[0], alpha[0]) == (0.5, 0.5)
-
-
-def test_block_start_falls_back_where_polyfit_cannot_start():
-    # positive points sharing one t, and a line whose intercept
-    # overflows exp(): both start at (max z, 0.5)
-    t = np.array([1.0, 1.0, 2.0, 3.0])
-    shared = np.array([[0.3, 0.7, -1.0, -1.0], [0.3, 0.3, 0.0, -0.2]])
-    _assert_starts_match_oracle(t, shared)
-    assert _initial_guesses(t, shared)[0].tolist() == [0.7, 0.3]
-    steep_t = np.arange(100.0, 141.0)
-    steep = np.exp(750.0 - 300.0 * np.log(steep_t))[None, :]
-    with np.errstate(over="ignore"):
-        _assert_starts_match_oracle(steep_t, steep)
-        amplitude, alpha = _initial_guesses(steep_t, steep)
-    assert (amplitude[0], alpha[0]) == (steep.max(), 0.5)
-
-
-def test_block_start_returns_every_count_in_row_order():
-    # two rows per count of positive points, 2 to len(t), shuffled: the
-    # stacked regression orders rows by count and must put them back
-    rng = np.random.default_rng(23)
-    counts = np.repeat(np.arange(2, T160.size + 1), 2)
-    block = -np.abs(_noisy_block(rng, counts.size))
-    for row, count in zip(block, counts):
-        keep = rng.permutation(T160.size)[:count]
-        row[keep] = rng.uniform(0.01, 3.0, count)
-    block = block[rng.permutation(counts.size)]
-    _assert_starts_match_oracle(T160, block)
-
-
-def test_block_start_where_every_row_falls_back():
-    steep_t = np.arange(100.0, 141.0)
-    block = np.vstack([np.exp(750.0 - 300.0 * np.log(steep_t)),
-                       np.exp(760.0 - 310.0 * np.log(steep_t)),
-                       np.where(steep_t == 120.0, 0.25, -1.0)])
-    with np.errstate(over="ignore"):
-        _assert_starts_match_oracle(steep_t, block)
-        amplitude, alpha = _initial_guesses(steep_t, block)
-    assert amplitude.tobytes() == block.max(axis=1).tobytes()
-    assert alpha.tolist() == [0.5, 0.5, 0.5]
-
-
-def test_block_start_with_no_row_to_regress():
-    t = np.array([1.0, 1.0, 2.0, 3.0])
-    block = np.array([[0.3, 0.7, -1.0, -1.0], [-1.0, -1.0, 0.4, 0.0],
-                      [-0.5, -0.5, -0.5, 2.0]])
-    _assert_starts_match_oracle(t, block)
-    amplitude, alpha = _initial_guesses(t, block)
-    assert amplitude.tolist() == [0.7, 0.4, 2.0]
-    assert alpha.tolist() == [0.5, 0.5, 0.5]
-    amplitude, alpha = _initial_guesses(t, block[:0])
-    assert amplitude.shape == alpha.shape == (0,)
-
-
-def test_stacked_lstsq_is_the_lstsq_wrapper_one_row_at_a_time():
-    # pins the private gufunc the starts call against the public wrapper
-    rng = np.random.default_rng(31)
-    lhs = np.column_stack((np.log(rng.uniform(1.0, 160.0, 37)), np.ones(37)))
-    lhs /= np.sqrt((lhs * lhs).sum(axis=0))
-    rhs = rng.normal(0.0, 1.0, 37)
-    rcond = 37 * np.finfo(float).eps
-    want, _, want_rank, want_sv = np.linalg.lstsq(lhs, rhs, rcond)
-    got, _, rank, sv = powerlaw._lstsq(lhs[None], rhs[None, :, None], rcond,
-                                       signature="ddd->ddid")
-    assert got[0, :, 0].tobytes() == want.tobytes()
-    assert rank[0] == want_rank
-    assert sv[0].tobytes() == want_sv.tobytes()
+@pytest.mark.parametrize("n_rows", [1, 7, 60, 200])
+def test_block_size_changes_no_row(n_rows):
+    # the grid's dot products are stacked per-row products, so a row
+    # cannot tie-break its best grid point differently in a larger block
+    rng = np.random.default_rng(n_rows)
+    block = _noisy_block(rng, n_rows)
+    block[rng.random(n_rows) < 0.5, 20:25] = np.nan
+    rows = _fit_rows(T160, block, (1, 160))
+    for values, row in zip(block, rows):
+        alone, = _fit_rows(T160, values[None], (1, 160))
+        _assert_same(_completed(row), _completed(alone))
 
 
 def test_rows_at_the_iteration_cap_fail_alone(monkeypatch):
-    monkeypatch.setattr(powerlaw, "MAX_ITERATIONS", 6)
+    monkeypatch.setattr(powerlaw, "MAX_ITERATIONS", 4)
     rng = np.random.default_rng(0)
     block = 2.0 * T160 ** -0.8 + rng.normal(0.0, 0.3, (20, 160))
-    rows = _assert_block_matches_oracle(T160, block, (1, 160))
-    failed = sum(isinstance(row, NonConvergence) for row in rows)
-    assert 0 < failed < len(rows)
-
-
-def test_singular_systems_stop_only_their_rows():
-    # t all ones: log t = 0 zeroes the alpha column of every Jacobian
-    ones = np.ones(12)
-    rng = np.random.default_rng(4)
-    block = rng.uniform(0.5, 2.0, (5, 12))
-    rows = _assert_block_matches_oracle(ones, block, (1, 1))
-    assert all(row.n_iterations == 1 for row in rows)
-    # values near 1e-300 underflow J^T J to a singular matrix; the
-    # other rows of that block iterate on
-    t = np.arange(1, 13, dtype=float)
-    tiny = np.full(12, 1e-300)
-    tiny[0] = 1.5e-300
-    block = np.vstack([2.0 * t ** -0.7 + 0.01 * np.sin(t), tiny,
-                       1.2 * t ** -0.4 + 0.02 * np.cos(t)])
-    rows = _assert_block_matches_oracle(t, block, (1, 12))
-    assert rows[1].n_iterations == 1
-    assert rows[0].n_iterations > 1 and rows[2].n_iterations > 1
+    rows = _fit_rows(T160, block, (1, 160))
+    for values, row in zip(block, rows):
+        alone, = _fit_rows(T160, values[None], (1, 160))
+        _assert_same(_completed(row), _completed(alone))
+    failed = [row for row in rows if isinstance(row, NonConvergence)]
+    assert 0 < len(failed) < len(rows)
+    assert str(failed[0]) == "no convergence in 4 iterations"
 
 
 def test_a_decay_that_vanishes_after_t1_is_no_fit():
-    # 1 at t = 1 and a small negative level after it: Gauss-Newton raises
-    # alpha until t**-alpha is 0 at every t > 1, where the SSE no longer
-    # depends on alpha and the step test accepts any alpha
+    # 1 at t = 1 and a small negative level after it: the SSE falls as
+    # alpha grows, towards a spike at t = 1, and is least at the top of
+    # the alpha grid
     runaway = np.r_[1.0, np.full(159, -0.01)]
     block = np.vstack([2.0 * T160 ** -0.8 + 0.01 * np.sin(T160), runaway])
-    rows = _assert_block_matches_oracle(T160, block, (1, 160))
+    rows = _assert_rows_fit_alone(T160, block, (1, 160))
     assert isinstance(rows[0], _RowFit)
     assert isinstance(rows[1], NonConvergence)
-    assert "0 for every t > 1" in str(rows[1])
+    assert str(rows[1]) == ("the SSE still falls at alpha 20.0, the end of "
+                            "the alpha grid")
     # a resample that averages to such a series is a failed resample
     cal = make_calendar(12)
     t = np.arange(-80, 161)
@@ -259,17 +187,26 @@ def test_a_decay_that_vanishes_after_t1_is_no_fit():
     assert fit is None and flag == FLAG_NO_POWER_LAW
 
 
-def test_a_decay_the_sse_cannot_see_is_no_fit():
-    # from the decaying row's fit the runaway series stops at alpha 893:
-    # t**-alpha is not 0 at t = 2, but 2**-893 is far below the residuals'
-    # rounding, so the SSE cannot see alpha there either
-    runaway = np.r_[1.0, np.full(159, -0.01)]
-    block = np.vstack([2.0 * T160 ** -0.8 + 0.01 * np.sin(T160), runaway])
-    rows = _assert_block_matches_oracle(T160, block, (1, 160), (2.0, 0.8))
-    assert isinstance(rows[0], _RowFit)
-    assert isinstance(rows[1], NonConvergence)
-    assert str(rows[1]).startswith("alpha 893.")
-    assert "0 for every t > 1" in str(rows[1])
+def test_a_growth_that_peaks_at_the_last_point_is_no_fit():
+    # the mirror case: a level that jumps at the last point is best fit
+    # by ever more negative alpha, and stops at the bottom of the grid
+    growth = np.r_[np.full(159, -0.01), 1.0]
+    row, = _assert_rows_fit_alone(T160, growth[None], (1, 160))
+    assert isinstance(row, NonConvergence)
+    assert str(row) == ("the SSE still falls at alpha -5.0, the end of "
+                        "the alpha grid")
+
+
+def test_a_decay_the_sse_cannot_see_is_no_fit(monkeypatch):
+    # on a grid reaching alpha 100, the spike's SSE stops changing in
+    # the middle of the grid, at an alpha where 2**-alpha is far below
+    # the residuals' rounding: the SSE cannot see alpha there
+    monkeypatch.setattr(powerlaw, "ALPHA_GRID", np.arange(-20, 401) / 4)
+    runaway = np.r_[1.0, np.full(159, -1e3)]
+    row, = _fit_rows(T160, runaway[None], (1, 160))
+    assert isinstance(row, NonConvergence)
+    assert str(row).startswith("alpha 64.")
+    assert str(row).endswith("0 for every t > 1")
 
 
 def _average(mean, measure):
@@ -293,10 +230,29 @@ def test_fit_all_groups_blocks_cells_with_different_nan_patterns():
     n_fitted = 0
     for avg, (got, _) in zip(averages, fits):
         series = make_excess(avg)
-        want = _outcome(scalar_power_law_fit, series.t, series.mean)
-        if isinstance(want, HaltStudyError):
+        alone, = _fit_rows(series.t, series.mean[None], (1, 160))
+        if isinstance(alone, HaltStudyError):
             assert got is None
         else:
-            _assert_same(got, want)
+            _assert_same(got, alone.complete())
             n_fitted += 1
     assert n_fitted == 10
+
+
+@settings(deadline=None)
+@given(st.floats(0.1, 5.0), st.floats(-0.3, 2.5), st.floats(0.0, 0.5),
+       st.integers(0, 2**32 - 1))
+def test_no_grid_cell_beats_the_fit(amp, alpha, noise, seed):
+    # bench-shaped rows: the t axis 1..160 with gaps; a narrow minimum
+    # between two points of ALPHA_GRID would show as a grid cell near
+    # the planted (A, alpha) with a lower SSE than the fit
+    rng = np.random.default_rng(seed)
+    z = amp * T160 ** -alpha + noise * rng.normal(0.0, 1.0, T160.size)
+    z[rng.random(T160.size) < 0.1] = np.nan
+    row, = _fit_rows(T160, z[None], (1, 160))
+    t, z = T160[~np.isnan(z)], z[~np.isnan(z)]
+    _, _, grid_sse = grid_power_law(
+        t, z, (max(1e-3, amp - 0.25), amp + 0.25),
+        (alpha - 0.25, alpha + 0.25), step=2e-3)
+    assert (_least_sse(row, t, z)
+            <= grid_sse * (1 + SSE_RTOL) + SSE_FLOOR * (z @ z))

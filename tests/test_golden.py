@@ -47,11 +47,11 @@ GOLDEN = {
     "excess.csv":
         "3f67421ccddf0dabbf0c5998bdb16fb934e68bed7c7ba8362e2fddf5993ee476",
     "loglog.csv":
-        "73a7fd68e9de712308d9b5013a23b71f59eaa588fb84ab5f476039c0d7fb07dd",
+        "dfe5aea3c259419bdd1e4af83dc589ab8ba75dfd4c4dcd4838e104e5fcbe1d99",
     "exponents.csv":
-        "36802fad3f033d18df196db0a7cd2e24710cb572caffe52ef61708cbf717b59a",
+        "a5b27efe279e77fb8aba558c8e2517c1a749a1cfad9ab40db5dc263d226ba5ff",
     "summary.json":
-        "08e72fe2bb1a0f6fba64b52cf2d57a0c141fabe1a54a473fe4e92794ce91833c",
+        "07febd4f7bd495dab890fa682906d1f5846f984c7390cc9de75afd97a7cd23f5",
     "sign_flips.csv":
         "3cdf36c22e1dd9573f7ae3e52d92be330f6f78db27c4aa0d85f1c2edceb40408",
 }
@@ -68,11 +68,11 @@ GOLDEN_FIT_RANGE = {
     "averages.csv": GOLDEN["averages.csv"],
     "excess.csv": GOLDEN["excess.csv"],
     "loglog.csv":
-        "c4e81df6d7e19970e59e884d6937e2d84a1d2f78532269233c6919db3f2dc998",
+        "a1ea05130d950abba1d5112c73a8261fede0f5b982d0264d70c0cd15aa469fa5",
     "exponents.csv":
-        "348206df8f6a0a715f1a879a43190b3d3d09ad9e570225ba0a0d5d7e8b8689f4",
+        "e23513c37c608a80bdf5b7b2ef3779e139eeb8fb3e3be7fd026df5dab7258648",
     "summary.json":
-        "0045815866c069126fe6f82a5f842bea145ad593d245ac5e6cdef8ffa6e2b680",
+        "04fda32f6a6cf53fc2ac0b5c7120d72329c4570b84ee46c45644413406df9e98",
 }
 
 
@@ -126,11 +126,11 @@ GOLDEN_MULTI = {
     "excess.csv":
         "c1930ef0fe292ed6f63534d8e052565fc212756df2b745ce384f71e3b93b7769",
     "loglog.csv":
-        "075d6f544ee85db48dc977142bc8c76f7ef29ebb092e9f13e1f8ae9d61439f45",
+        "2bace0c5f8011860f1cff87f55093afa54f4aa2b0ec3086607e7b021f54955a4",
     "exponents.csv":
-        "498816381aca741818915e58bab5c5b40c57c659c37edec6f1a4621cdb2a4baa",
+        "51a04905826f617b2f82ea54fa39077a690151c71fd602d2b63d700abeb3f8d6",
     "summary.json":
-        "2e315c8c618efdaa9639a72df32292f4a2b483999264c413ea53aa7e88d61db9",
+        "5848d2c9152530691e2cd29b34b18794c5f023597e3acc981e47579eff5f957e",
 }
 
 

@@ -18,14 +18,12 @@ from hypothesis.extra import numpy as hnp
 
 from haltstudy import (
     BootstrapResult,
-    DegenerateData,
     EmptyGroup,
     EventSign,
     EventTrajectory,
     HaltStudyError,
     HaltType,
     MeasureKind,
-    NonConvergence,
     PanelBuilder,
     bootstrap_alpha_stderr,
     extract_stock_trajectories,
@@ -39,11 +37,11 @@ from haltstudy import event_study
 from haltstudy.event_study import (_Welford, _lockstep_welford, _lookback_days,
                                    _padded_members)
 from haltstudy.events import _active_days
-from helpers import add_stock, cell_fit, halt_event, halt_record
+from haltstudy.powerlaw import _RowFit
+from helpers import add_stock, cell_fit, fit_row, halt_event, halt_record
 from oracles import (compute_intraday_pattern, extract_trajectory,
                      group_average as lone_group_average,
-                     masked_welford, masked_welford_add,
-                     scalar_power_law_fit)
+                     masked_welford, masked_welford_add)
 
 MEASURES = tuple(MeasureKind)
 
@@ -629,18 +627,16 @@ def test_groups_are_checked_in_order_before_any_pass():
 
 
 def _reference_bootstrap(trajectories, fit, n_resamples, seed):
-    # the per-resample loop of scalar fits the lockstep bootstrap
-    # replaces, each from the fit it is given
+    # the per-resample loop the lockstep bootstrap replaces: each
+    # resample's own group average, fitted alone
     trajs = sorted(trajectories, key=lambda tr: tr.record.sort_key())
     indices = np.random.default_rng(seed).integers(
         0, len(trajs), size=(n_resamples, len(trajs)))
     count, mean, m2, failed = 0, 0.0, 0.0, 0
     for row in indices:
         series = make_excess(group_average([trajs[i] for i in row]))
-        try:
-            refit = scalar_power_law_fit(series.t, series.mean, fit.fit_range,
-                                         (fit.amplitude, fit.alpha))
-        except (DegenerateData, NonConvergence):
+        refit = fit_row(series.t, series.mean, fit.fit_range)
+        if not isinstance(refit, _RowFit):
             failed += 1
             continue
         count += 1
@@ -687,7 +683,7 @@ def test_lockstep_bootstrap_matches_reference_loop():
                                      n_resamples=60, seed=seed)
         want = _reference_bootstrap(trajs, fit, 60, seed)
         assert got == want
-    # no excess anywhere: every resample fails, whatever its start
+    # no excess anywhere: every resample fails
     flat = _trajectories([np.ones(241), np.full(241, 0.5)])
     got = bootstrap_alpha_stderr(flat, fit, n_resamples=12, seed=4)
     want = _reference_bootstrap(flat, fit, 12, 4)

@@ -1,14 +1,13 @@
-"""Bootstrap resamples fitted from their cell's fit, against the log-log start.
+"""Bootstrap resamples fitted by the profile fitter, against the scalar fit.
 
-``bootstrap_alpha_stderr`` starts every resample's Gauss-Newton
-iteration at the fit of the cell it resamples, where a resample fitted
-alone would start from its own log-log regression. The start must
-change no well-posed answer. On the golden spec and on three panels
-shaped like the bootstrap bench workload (``build_group_spec`` with 10
-events per group, sigma 0.2, seeds 1-3), every resample row of every
-bootstrapped cell is fitted both ways: each row must succeed or fail
-alike, its alphas must agree within 1e-4, and each cell's spread within
-1e-4 relative.
+On the golden spec and on three panels shaped like the bootstrap bench
+workload (``build_group_spec`` with 10 events per group, sigma 0.2,
+seeds 1-3), every resample row of every bootstrapped cell is fitted by
+the block fitter and by ``oracles.scalar_power_law_fit``, the damped
+Gauss-Newton iteration from a log-log start: each row must succeed or
+fail alike, its SSE must be at most the scalar fit's times (1 + 1e-9),
+its alphas must agree within 1e-4, and each cell's spread within 1e-4
+relative.
 """
 
 import numpy as np
@@ -20,10 +19,13 @@ from haltstudy.cli import _parse_groups
 from haltstudy.event_study import resampled_means
 from haltstudy.events import group_sort_key
 from haltstudy.pipeline import average_groups, fit_groups, select_events
+from haltstudy.errors import HaltStudyError
 from haltstudy.powerlaw import _fit_columns, _fit_rows, _RowFit
+from oracles import scalar_power_law_fit
 from test_golden import GROUPS
 
 ALPHA_BOUND = 1e-4
+SSE_RTOL = 1e-9
 STDERR_BOUND = 1e-4
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -67,12 +69,19 @@ def _resample_blocks(spec, config):
                resampled_means(trajs, indices, columns) - 1.0)
 
 
-def _both_ways(t, excess, fit):
-    """Alphas per row (NaN where the fit fails) from the log-log start and
-    from ``fit``."""
-    return [np.array([r.alpha if isinstance(r, _RowFit) else np.nan
-                      for r in _fit_rows(t, excess, fit.fit_range, start)])
-            for start in (None, (fit.amplitude, fit.alpha))]
+def _both_ways(t, excess, fit_range):
+    """Per row (NaN where the fit fails): alpha and SSE from the block
+    fitter, and from the scalar fit."""
+    block = [(r.alpha, r.sse) if isinstance(r, _RowFit) else (np.nan, np.nan)
+             for r in _fit_rows(t, excess, fit_range)]
+    scalar = []
+    for values in excess:
+        try:
+            fit = scalar_power_law_fit(t, values, fit_range)
+            scalar.append((fit.alpha, fit.sse))
+        except HaltStudyError:
+            scalar.append((np.nan, np.nan))
+    return np.array(block).T, np.array(scalar).T
 
 
 def _spread(alpha):
@@ -87,17 +96,19 @@ def _spread(alpha):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_cell_start_changes_no_well_posed_answer(case):
+def test_resample_fits_match_the_scalar_fit(case):
     n_rows = 0
     for row, t, excess in _resample_blocks(*CASES[case]):
-        cold, warm = _both_ways(t, excess, row.fit)
+        (alpha, sse), (want, want_sse) = _both_ways(t, excess,
+                                                    row.fit.fit_range)
         where = f"{case} {row.group}/{row.measure.value}"
-        assert (np.isnan(cold) == np.isnan(warm)).all(), where
-        # the run's own bootstrap is the fit from the cell's start
-        assert row.bootstrap.n_success == int((~np.isnan(warm)).sum())
+        assert (np.isnan(alpha) == np.isnan(want)).all(), where
+        # the run's own bootstrap is the block fit
+        assert row.bootstrap.n_success == int((~np.isnan(alpha)).sum())
         assert np.float64(row.bootstrap.stderr).tobytes() \
-            == np.float64(_spread(warm)).tobytes()
+            == np.float64(_spread(alpha)).tobytes()
         n_rows += len(excess)
-        assert np.nanmax(np.abs(cold - warm), initial=0) <= ALPHA_BOUND, where
-        assert abs(_spread(warm) / _spread(cold) - 1) <= STDERR_BOUND, where
+        assert np.nanmax(sse / want_sse - 1, initial=0) <= SSE_RTOL, where
+        assert np.nanmax(np.abs(alpha - want), initial=0) <= ALPHA_BOUND, where
+        assert abs(_spread(alpha) / _spread(want) - 1) <= STDERR_BOUND, where
     assert n_rows >= (40 if case == "golden" else 1000)
