@@ -66,7 +66,11 @@ class EmptyGroup(HaltStudyError):
 # --- power-law fitting ---------------------------------------------------
 
 class NonConvergence(HaltStudyError):
-    """The least-squares iteration hit its cap without meeting tolerance."""
+    """A power-law fit found no exponent it can stand behind: its search
+    hit the iteration cap without meeting tolerance, its best alpha is an
+    end of the alpha grid (a runaway decay whose SSE still falls past
+    it), or its SSE cannot see alpha (the derivative in alpha is within
+    rounding of 0 at every t > 1)."""
 
 
 class DegenerateData(HaltStudyError):

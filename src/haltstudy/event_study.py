@@ -40,17 +40,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     EmptyGroup,
-    HaltStudyError,
     InsufficientHistory,
     InsufficientPostWindow,
     InsufficientWindow,
+    NoData,
     ZeroBaseline,
 )
 from .events import (
@@ -59,6 +58,7 @@ from .events import (
     HaltRecord,
     _active_days,
     _coverage_gap,
+    _RecordColumns,
 )
 from .market_data import MINUTES_PER_DAY, Panel
 
@@ -246,41 +246,68 @@ def measure_series(panel: Panel, stock_id: str,
     return np.where(panel.present_mask(stock_id), values, np.nan)
 
 
-def _lookback_days(panel: Panel, active: np.ndarray, rec: HaltRecord,
-                   lookback: int) -> np.ndarray:
-    # the ``lookback`` most recent active days before the halt day
-    day = panel.calendar.day_index(rec.halt_day)
-    prior = int(np.searchsorted(active, day))
-    if prior < lookback:
-        raise InsufficientHistory(
-            f"{rec.stock_id}: {prior} active days before "
+def _event_windows(panel: Panel, cols: _RecordColumns, lookback: int,
+                   pre_window: int, post_window: int,
+                   ) -> tuple[np.ndarray, Exception | None]:
+    """The lookback days of the records of ``cols``, one row per record,
+    up to the first record that fails its checks, and that record's
+    error (None when every record passes).
+
+    A record fails when its stock is not in the panel (NoData), when
+    fewer than ``lookback`` active days precede its halt day
+    (InsufficientHistory), and when its stock's bars do not cover its
+    minutes of t = -pre_window..post_window, in that order. Each stock's
+    active days are read once, and one :func:`_coverage_gap` call checks
+    every record that passes the earlier checks.
+    """
+    records = cols.records
+    # each stock's active days, pooled; ``offset`` is where a record's
+    # stock starts in the pool and ``prior`` its count before the halt day
+    actives = [np.zeros(0, dtype=np.intp)]
+    offset = np.zeros(len(records), dtype=np.intp)
+    prior = np.zeros(len(records), dtype=np.intp)
+    pooled, n, failure = 0, len(records), None
+    for stock_id, a, b in cols.runs:
+        try:
+            active = _active_days(panel, stock_id)
+        except NoData as exc:
+            n, failure = a, exc
+            break
+        offset[a:b] = pooled
+        prior[a:b] = np.searchsorted(active, cols.begin[a:b] // MINUTES_PER_DAY)
+        actives.append(active)
+        pooled += active.size
+    few = np.flatnonzero(prior[:n] < lookback)
+    if few.size:
+        n, rec = int(few[0]), records[few[0]]
+        failure = InsufficientHistory(
+            f"{rec.stock_id}: {prior[n]} active days before "
             f"{rec.halt_day}, need {lookback}")
-    return active[prior - lookback:prior]
-
-
-def _event_minutes(panel: Panel, rec: HaltRecord, pre_window: int,
-                   post_window: int) -> np.ndarray:
-    # global minutes of t = -pre_window..post_window, once the stock's
-    # bars are known to cover them; a stock without bars never gets here,
-    # as its caller's lookback check fails first
-    cal = panel.calendar
-    g_begin = rec.global_begin(cal)
-    g_resume = rec.global_resume(cal)
-    gap, short = _coverage_gap(panel, rec.stock_id, g_begin - pre_window,
-                               g_resume + post_window, pre_window=pre_window,
-                               post_window=post_window)
-    if gap == "calendar":
-        raise InsufficientHistory(
-            f"{rec.stock_id}: pre window starts before the calendar")
-    if gap == "start":
-        raise InsufficientHistory(
-            f"{rec.stock_id}: bars start inside the pre window")
-    if gap == "end":
-        raise InsufficientPostWindow(
-            f"{rec.stock_id}: bars end {short} minutes short of the post "
-            "window")
-    return np.concatenate([np.arange(g_begin - pre_window, g_begin),
-                           np.arange(g_resume, g_resume + post_window + 1)])
+    if n:
+        begin, resume = cols.begin[:n], cols.resume[:n]
+        first, last = cols.bar_spans(panel)
+        gap = _coverage_gap(first[:n], last[:n], begin - pre_window,
+                            resume + post_window, pre_window=pre_window,
+                            post_window=post_window)
+        # a stock without bars has no active days, so "bars" never
+        # reaches here
+        bad = np.flatnonzero(gap != "")
+        if bad.size:
+            n, rec = int(bad[0]), records[bad[0]]
+            if gap[n] == "calendar":
+                failure = InsufficientHistory(
+                    f"{rec.stock_id}: pre window starts before the calendar")
+            elif gap[n] == "start":
+                failure = InsufficientHistory(
+                    f"{rec.stock_id}: bars start inside the pre window")
+            else:
+                failure = InsufficientPostWindow(
+                    f"{rec.stock_id}: bars end "
+                    f"{resume[n] + post_window - last[n]} minutes short of "
+                    "the post window")
+    days = np.concatenate(actives)[(offset + prior)[:n, None] - lookback
+                                   + np.arange(lookback)]
+    return days, failure
 
 
 def _deseasonalize_block(raw: np.ndarray,
@@ -291,7 +318,7 @@ def _deseasonalize_block(raw: np.ndarray,
     values = np.full(raw.shape, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
         bad = observed & ~(base > 0)
-        values[observed] = raw[observed] / base[observed]
+        np.divide(raw, base, out=values, where=observed)
     return values, bad
 
 
@@ -330,34 +357,28 @@ def extract_stock_trajectories(
         raise ValueError("lookback must be positive")
     if not measures:
         raise ValueError("need at least one measure")
-    order = sorted(range(len(records)), key=lambda i: records[i].sort_key())
+    cols = _RecordColumns(records, panel.calendar)
     t = np.arange(-pre_window, post_window + 1)
     t.setflags(write=False)
     out: list = [None] * len(records)
+    # the first record failing its window checks ends the pass; its error
+    # is raised only after the records before it have passed their
+    # baseline checks
+    days, failure = _event_windows(panel, cols, lookback, pre_window,
+                                   post_window)
     chunk = _BaselineChunk(panel, records, measures, t, out)
-    for stock_id, run in groupby(order, key=lambda i: records[i].stock_id):
-        positions = list(run)
-        # the first event failing its window checks ends the run; its
-        # error is raised only after the events before it, in this and
-        # earlier stocks, have passed their baseline checks
-        days, minutes, failure = [], [], None
-        try:
-            active = _active_days(panel, stock_id)
-            for i in positions:
-                rec = records[i]
-                window = _lookback_days(panel, active, rec, lookback)
-                minutes.append(_event_minutes(panel, rec, pre_window,
-                                              post_window))
-                days.append(window)
-        except HaltStudyError as exc:
-            failure = exc
-        if days:
-            chunk.add(stock_id, positions[:len(days)], np.array(days),
-                      np.array(minutes))
-        if failure is not None:
-            chunk.flush()
-            raise failure
+    for stock_id, a, b in cols.runs:
+        b = min(b, len(days))
+        if a >= b:
+            break
+        # global minutes of t = -pre_window..post_window
+        minutes = np.hstack([
+            cols.begin[a:b, None] - pre_window + np.arange(pre_window),
+            cols.resume[a:b, None] + np.arange(post_window + 1)])
+        chunk.add(stock_id, cols.order[a:b], days[a:b], minutes)
     chunk.flush()
+    if failure is not None:
+        raise failure
     return out
 
 
@@ -524,23 +545,22 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
 
 def _return_window_records(panel: Panel, records: Sequence[HaltRecord],
                            window: int) -> list[HaltRecord]:
-    # one cell's records in key order, checked that their bars cover
-    # both return windows; the first failing record raises
-    ordered = sorted(records, key=HaltRecord.sort_key)
-    cal = panel.calendar
-    for rec in ordered:
-        gap, _ = _coverage_gap(panel, rec.stock_id,
-                               rec.global_pre(cal) - window,
-                               rec.global_resume(cal) + window, window=window)
-        if gap == "calendar":
+    # one cell's records in key order, checked in one call that their bars
+    # cover both return windows; the first failing record raises
+    cols = _RecordColumns(records, panel.calendar)
+    gap = _coverage_gap(*cols.bar_spans(panel), cols.begin - 1 - window,
+                        cols.resume + window, window=window)
+    bad = np.flatnonzero(gap != "")
+    if bad.size:
+        rec = cols.records[bad[0]]
+        if gap[bad[0]] == "calendar":
             raise InsufficientWindow(
                 f"{rec.stock_id}: return window starts before the calendar")
-        if gap == "bars":
+        if gap[bad[0]] == "bars":
             raise InsufficientWindow(f"no bars for stock {rec.stock_id}")
-        if gap:
-            raise InsufficientWindow(
-                f"{rec.stock_id}: bars do not cover both return windows")
-    return ordered
+        raise InsufficientWindow(
+            f"{rec.stock_id}: bars do not cover both return windows")
+    return cols.records
 
 
 def _cumulative_return_curves(panel: Panel,
@@ -605,30 +625,37 @@ def reversal_stats(panel: Panel, records: Sequence[HaltRecord],
 
     For horizon k the move is the forward-filled log-price change from
     the last pre-halt minute to the k-th minute after resumption. Only a
-    strictly opposite sign counts; an unchanged price does not.
+    strictly opposite sign counts; an unchanged price does not. Horizon
+    by horizon, the first record whose stock is not in the panel
+    (NoData), or whose bars miss the last pre-halt minute or the k-th
+    minute after resumption, raises.
     """
-    ordered = sorted(records, key=HaltRecord.sort_key)
-    if not ordered:
+    cols = _RecordColumns(records, panel.calendar)
+    if not cols.records:
         raise EmptyGroup("no events")
-    cal = panel.calendar
-    positive = sign is EventSign.POSITIVE
-    out = {}
-    for k in horizons:
+    first, last = cols.bar_spans(panel)
+    # per record, the last pre-halt minute, then the minute of each horizon
+    points = np.column_stack([
+        cols.begin - 1, cols.resume[:, None] + np.array(horizons, np.int64) - 1])
+    # whether the bars miss the point, then each span to a horizon
+    missed = _coverage_gap(first[:, None], last[:, None], points[:, :1],
+                           points) != ""
+    for j, k in enumerate(horizons, start=1):
         if k < 1:
             raise ValueError(f"horizon must be positive, got {k}")
-        n_reversed = 0
-        for rec in ordered:
-            # an unknown stock raises NoData here, before any window check
-            lnp = panel.log_prices(rec.stock_id)
-            g_pre = rec.global_pre(cal)
-            g_post = rec.global_resume(cal) + k - 1
-            if _coverage_gap(panel, rec.stock_id, g_pre, g_pre)[0]:
-                raise InsufficientHistory(
-                    f"{rec.stock_id}: no pre-halt bar")
-            if _coverage_gap(panel, rec.stock_id, g_pre, g_post)[0]:
-                raise InsufficientPostWindow(
-                    f"{rec.stock_id}: no bar {k} minutes after resumption")
-            move = lnp[g_post] - lnp[g_pre]
-            n_reversed += bool(move < 0 if positive else move > 0)
-        out[k] = n_reversed / len(ordered)
-    return out
+        failed = np.flatnonzero(missed[:, 0] | missed[:, j])
+        if failed.size:
+            rec = cols.records[failed[0]]
+            if rec.stock_id not in panel:
+                raise NoData(f"no bars for stock {rec.stock_id}")
+            if missed[failed[0], 0]:
+                raise InsufficientHistory(f"{rec.stock_id}: no pre-halt bar")
+            raise InsufficientPostWindow(
+                f"{rec.stock_id}: no bar {k} minutes after resumption")
+    prices = np.empty(points.shape)
+    for stock_id, a, b in cols.runs:
+        prices[a:b] = panel.log_prices(stock_id)[points[a:b]]
+    moves = prices[:, 1:] - prices[:, :1]
+    reversed_ = moves < 0 if sign is EventSign.POSITIVE else moves > 0
+    return {k: n_reversed / len(points) for k, n_reversed in zip(
+        horizons, np.count_nonzero(reversed_, axis=0).tolist())}

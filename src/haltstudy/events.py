@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -173,6 +173,18 @@ class EligibilityConfig:
         return max(self.trend_window, self.pre_window, self.measure_pre_window)
 
 
+_HALT_TYPES = tuple(HaltType)
+
+
+def _full_days(begin, resume):
+    # per halt, its count of fully suspended days, below 0 when there are
+    # none; day d is fully suspended iff its whole span [240d, 240d+239]
+    # lies inside the halted range [begin, resume - 1]; capped at 2, it is
+    # the halt's position in HaltType
+    return resume // MINUTES_PER_DAY - (begin + MINUTES_PER_DAY - 1) \
+        // MINUTES_PER_DAY
+
+
 def classify_halt_type(record: HaltRecord, calendar: TradingCalendar) -> HaltType:
     """Classify by how many trading days the halt suspends end to end."""
     g_begin = record.global_begin(calendar)
@@ -180,16 +192,7 @@ def classify_halt_type(record: HaltRecord, calendar: TradingCalendar) -> HaltTyp
     if g_resume <= g_begin:
         raise InvalidInterval(
             f"{record.stock_id}: resume at or before halt begin")
-    # day d is fully suspended iff its whole span [240d, 240d+239] lies
-    # inside the halted range [g_begin, g_resume - 1]
-    first_full = (g_begin + MINUTES_PER_DAY - 1) // MINUTES_PER_DAY
-    past_last = g_resume // MINUTES_PER_DAY
-    full_days = max(0, past_last - first_full)
-    if full_days == 0:
-        return HaltType.INTRADAY
-    if full_days == 1:
-        return HaltType.ONE_DAY
-    return HaltType.INTER_DAY
+    return _HALT_TYPES[min(max(_full_days(g_begin, g_resume), 0), 2)]
 
 
 def classify_sign(panel: Panel, record: HaltRecord,
@@ -204,7 +207,8 @@ def classify_sign(panel: Panel, record: HaltRecord,
     if trend_window < 1:
         raise ValueError("trend_window must be positive")
     g_pre = record.global_pre(panel.calendar)
-    gap, _ = _coverage_gap(panel, record.stock_id, g_pre - trend_window, g_pre)
+    gap = _coverage_gap(*_bar_span(panel, record.stock_id),
+                        g_pre - trend_window, g_pre)
     if gap == "calendar":
         raise InsufficientHistory(
             f"{record.stock_id}: trend window starts before the calendar")
@@ -218,26 +222,34 @@ def classify_sign(panel: Panel, record: HaltRecord,
     return EventSign.POSITIVE if trend > 0 else EventSign.NEGATIVE
 
 
-def _coverage_gap(panel: Panel, stock_id: str, lo: int, hi: int,
-                  **windows: int) -> tuple[str | None, int]:
-    """Where the stock's bars first miss global minutes lo..hi, and by how
-    many minutes: "calendar" (lo < 0), "bars" (it has none), "start" or
-    "end"; (None, 0) when they cover it. ``windows`` name the lengths
-    that set lo and hi, and a negative one raises ValueError."""
+# what _coverage_gap reports per span, by the code it decides
+_GAPS = np.array(["", "calendar", "bars", "start", "end"])
+
+
+def _coverage_gap(first, last, lo, hi, **windows: int) -> np.ndarray:
+    """Per span lo..hi of global minutes, where its stock's bars first
+    miss it: "calendar" (lo < 0), "bars" (the stock has none), "start"
+    or "end"; "" where they cover it.
+
+    ``first`` and ``last`` are the minutes of the stock's first and last
+    bar, -1 for a stock without bars (see :func:`_bar_span`); all four
+    arguments broadcast. ``windows`` name the lengths that set lo and
+    hi, and a negative one raises ValueError.
+    """
     for name, length in windows.items():
         if length < 0:
             raise ValueError(f"{name} must not be negative")
-    if lo < 0:
-        return "calendar", -lo
+    return _GAPS[np.where(lo < 0, 1, np.where(first < 0, 2, np.where(
+        first > lo, 3, np.where(last < hi, 4, 0))))]
+
+
+def _bar_span(panel: Panel, stock_id: str) -> tuple[int, int]:
+    # global minutes of the stock's first and last bar; -1 and -1 when it
+    # has none or is not in the panel
     try:
-        first, last = panel.coverage(stock_id)
+        return panel.coverage(stock_id)
     except NoData:
-        return "bars", hi - lo + 1
-    if first > lo:
-        return "start", first - lo
-    if last < hi:
-        return "end", hi - last
-    return None, 0
+        return -1, -1
 
 
 def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
@@ -247,52 +259,127 @@ def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
         panel.calendar.n_days, MINUTES_PER_DAY).any(axis=1))
 
 
-def _worst_gap_fraction(real: np.ndarray, calendar: TradingCalendar,
-                        record: HaltRecord, config: EligibilityConfig) -> float:
-    g_pre = record.global_pre(calendar)
-    g_resume = record.global_resume(calendar)
-    windows = (
-        (g_pre - config.trend_window, g_pre),
-        (g_pre - config.pre_window, g_pre),
-        (g_pre - config.measure_pre_window, g_pre),
-        (g_resume, g_resume + config.post_window),
-    )
-    worst = 0.0
-    for lo, hi in windows:
-        chunk = real[lo:hi + 1]
-        worst = max(worst, 1.0 - chunk.sum() / chunk.size)
-    return worst
+class _RecordColumns:
+    """Halt records in key order, held as columns.
+
+    ``order`` gives each sorted record's position in the sequence it came
+    from, ``runs`` the (stock id, start, stop) of each stock's records,
+    and ``begin`` and ``resume`` the global minutes of each halt's first
+    halted minute and of its resumption: ``begin - 1`` is the last
+    pre-halt minute and ``begin // MINUTES_PER_DAY`` the halt day.
+    """
+
+    def __init__(self, records: Sequence[HaltRecord],
+                 calendar: TradingCalendar):
+        self.order = sorted(range(len(records)),
+                            key=lambda i: records[i].sort_key())
+        self.records = [records[i] for i in self.order]
+        self.begin = np.array([r.global_begin(calendar)
+                               for r in self.records], dtype=np.int64)
+        self.resume = np.array([r.global_resume(calendar)
+                                for r in self.records], dtype=np.int64)
+        ids = [r.stock_id for r in self.records]
+        starts = [i for i, stock_id in enumerate(ids)
+                  if not i or stock_id != ids[i - 1]]
+        self.runs = [(ids[start], start, stop) for start, stop
+                     in zip(starts, starts[1:] + [len(ids)])]
+
+    def per_record(self, values: Sequence) -> np.ndarray:
+        """One value per stock, in run order, repeated for its records."""
+        return np.repeat(values, [stop - start for _, start, stop in self.runs],
+                         axis=0)
+
+    def bar_spans(self, panel: Panel) -> tuple[np.ndarray, np.ndarray]:
+        """Per record, its stock's :func:`_bar_span`."""
+        spans = [_bar_span(panel, stock_id) for stock_id, _, _ in self.runs]
+        return self.per_record(np.array(spans, dtype=np.int64).reshape(-1, 2)).T
 
 
-def _rejection_reason(panel: Panel, record: HaltRecord, index: int,
-                      successive: list[bool], config: EligibilityConfig,
-                      active: np.ndarray | None,
-                      history: bool) -> RejectionReason | None:
-    # ``active`` holds the stock's active days, None when it has no bars;
-    # ``history`` tells whether its bars cover the history before the halt
-    cal = panel.calendar
-    if successive[index]:
-        return RejectionReason.SUCCESSIVE
-    if record.is_st_stock:
-        return RejectionReason.ST_STOCK
-    if cal.day_index(record.resume_day) - cal.day_index(record.halt_day) \
-            > config.max_halt_days:
-        return RejectionReason.TOO_LONG
-    if active is None:
-        return RejectionReason.INSUFFICIENT_HISTORY
-    real = panel.present_mask(record.stock_id)
-    if real[record.global_begin(cal):record.global_resume(cal)].any():
-        return RejectionReason.BARS_IN_HALT
-    if (not history or np.searchsorted(active, cal.day_index(record.halt_day))
-            < config.lookback_days):
-        return RejectionReason.INSUFFICIENT_HISTORY
-    g_resume = record.global_resume(cal)
-    if _coverage_gap(panel, record.stock_id, g_resume,
-                     g_resume + config.post_window)[0]:
-        return RejectionReason.INSUFFICIENT_POST_WINDOW
-    if _worst_gap_fraction(real, cal, record, config) > config.max_gap_fraction:
-        return RejectionReason.DATA_GAP
-    return None
+def _successive(cols: _RecordColumns, config: EligibilityConfig,
+                n_minutes: int) -> np.ndarray:
+    """Per record, whether another halt of its stock begins inside its
+    event window or it begins inside another's: a window that holds
+    another begin marks every begin in it. The begins are searched in one
+    sorted array, spaced per stock so that no window reaches a
+    neighbouring stock's."""
+    n = len(cols.records)
+    key = cols.begin + cols.per_record(np.arange(len(cols.runs))) * (
+        n_minutes + config.pre_window + config.post_window)
+    lo = np.searchsorted(key, key - config.pre_window)
+    hi = np.searchsorted(key, key - cols.begin + cols.resume
+                         + config.post_window, side="right")
+    crowded = hi - lo > 1
+    return np.cumsum(np.bincount(lo[crowded], minlength=n + 1)
+                     - np.bincount(hi[crowded], minlength=n + 1))[:n] > 0
+
+
+def _gap_windows(config: EligibilityConfig) -> np.ndarray:
+    # the lengths of the windows whose share of minutes without a bar is
+    # capped: trend, pre and measure-pre, then post
+    return np.array([config.trend_window, config.pre_window,
+                     config.measure_pre_window, config.post_window])
+
+
+def _read_stocks(panel: Panel, cols: _RecordColumns, first: np.ndarray,
+                 history: np.ndarray, config: EligibilityConfig,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per record, the bars in its trend, pre, measure-pre, halt and post
+    windows, its stock's active days before its halt day, and the change
+    of the filled log price over its trend window where ``history``
+    holds; each stock's mask, active days and prices are read once.
+
+    A record's span from its history's first minute through its post
+    window's last, cut to the calendar, holds all five windows whenever
+    the history and the post window are covered (elsewhere the counts
+    are of no use, and ``first`` is -1 for a stock without bars). One
+    gather per stock reads the bars of its records' spans, one after
+    another, and one ``reduceat`` sums each window's bars in them, so a
+    stock's work and memory follow its records' spans, not the calendar.
+    """
+    n = len(cols.records)
+    begin, resume, pre = cols.begin, cols.resume, cols.begin - 1
+    span_lo = np.maximum(pre - config.history_minutes, 0)
+    span_hi = np.where(first < 0, span_lo, np.minimum(
+        resume + config.post_window + 1, panel.calendar.n_minutes))
+    length = span_hi - span_lo
+    # where each record's span starts in its stock's gather
+    offset = np.cumsum(length) - length
+    offset -= cols.per_record(offset[[a for _, a, _ in cols.runs]])
+    # the five windows as (start, stop) positions in the gather; ``pairs``
+    # alternates them, and reduceat sums bars[start:stop] at its even
+    # places (an empty window gives an element, not 0)
+    starts = np.column_stack([pre[:, None] - _gap_windows(config)[:3],
+                              begin, resume])
+    stops = np.column_stack([np.repeat(begin[:, None], 3, axis=1), resume,
+                             resume + config.post_window + 1])
+    starts, stops = (np.clip(ends, span_lo[:, None], span_hi[:, None])
+                     - (span_lo - offset)[:, None] for ends in (starts, stops))
+    width = 2 * starts.shape[1]
+    pairs = np.stack([starts, stops], axis=-1).ravel()
+    counts = np.zeros(pairs.size, dtype=np.intp)
+    spans = list(zip(span_lo.tolist(), span_hi.tolist()))
+    # one unread minute after a stock's spans keeps a window that stops
+    # at their end in range
+    pad = np.zeros(1, dtype=bool)
+    day = begin // MINUTES_PER_DAY
+    prior = np.zeros(n, dtype=np.intp)
+    # the trend window's ends, at minute 0 where no trend is read
+    trend = np.where(history[:, None], np.column_stack(
+        [pre, pre - config.trend_window]), 0)
+    prices = np.zeros(trend.shape)
+    for stock_id, a, b in cols.runs:
+        if first[a] < 0:
+            continue
+        present = panel.present_mask(stock_id)
+        bars = np.concatenate([present[lo:hi] for lo, hi in spans[a:b]]
+                              + [pad])
+        counts[width * a:width * b] = np.add.reduceat(
+            bars.view(np.uint8), pairs[width * a:width * b], dtype=np.intp)
+        prior[a:b] = np.searchsorted(_active_days(panel, stock_id), day[a:b])
+        if history[a:b].any():
+            prices[a:b] = panel.log_prices(stock_id)[trend[a:b]]
+    counts = np.where(stops > starts, counts.reshape(n, -1)[:, ::2], 0)
+    return counts, prior, prices[:, 0] - prices[:, 1]
 
 
 def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
@@ -308,36 +395,54 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
     which stretches from ``pre_window`` minutes before the halt to
     ``post_window`` minutes after resumption; both members of such a
     pair are rejected. The result is sorted by (stock_id, halt begin).
+
+    The rules are decided in one array pass over the sorted records:
+    each rule is one array expression over all of them, the successive
+    scan a search over the sorted begins (:func:`_successive`), the
+    history and post windows one :func:`_coverage_gap` call each, and
+    the bar counts, active days and trend prices one read per stock
+    (:func:`_read_stocks`).
     """
-    cal = panel.calendar
-    ordered = sorted(records, key=HaltRecord.sort_key)
-    begins = [r.global_begin(cal) for r in ordered]
-    resumes = [r.global_resume(cal) for r in ordered]
-    by_stock: dict[str, list[int]] = {}
-    for i, rec in enumerate(ordered):
-        by_stock.setdefault(rec.stock_id, []).append(i)
-    successive = [False] * len(ordered)
-    for indices in by_stock.values():
-        for i in indices:
-            lo = begins[i] - config.pre_window
-            hi = resumes[i] + config.post_window
-            for j in indices:
-                if j != i and lo <= begins[j] <= hi:
-                    successive[i] = successive[j] = True
-    active = {s: _active_days(panel, s) for s in by_stock if s in panel}
-    events = []
-    for i, rec in enumerate(ordered):
-        halt_type = classify_halt_type(rec, cal)
-        # enough bars before the halt to classify and extract the event
-        g_pre = rec.global_pre(cal)
-        history = not _coverage_gap(panel, rec.stock_id,
-                                    g_pre - config.history_minutes, g_pre)[0]
-        sign = (classify_sign(panel, rec, config.trend_window) if history
-                else None)
-        reason = _rejection_reason(panel, rec, i, successive, config,
-                                   active.get(rec.stock_id), history)
-        events.append(HaltEvent(rec, halt_type, sign, reason))
-    return events
+    cols = _RecordColumns(list(records), panel.calendar)
+    if not cols.records:
+        return []
+    begin, resume, pre = cols.begin, cols.resume, cols.begin - 1
+    first, last = cols.bar_spans(panel)
+    history = _coverage_gap(first, last, pre - config.history_minutes,
+                            pre) == ""
+    counts, prior, trend = _read_stocks(panel, cols, first, history, config)
+    missing = 1.0 - counts[:, [0, 1, 2, 4]] / (_gap_windows(config) + 1)
+    rules = (
+        (RejectionReason.SUCCESSIVE,
+         _successive(cols, config, panel.calendar.n_minutes)),
+        (RejectionReason.ST_STOCK,
+         np.array([r.is_st_stock for r in cols.records], dtype=bool)),
+        (RejectionReason.TOO_LONG, resume // MINUTES_PER_DAY
+         - begin // MINUTES_PER_DAY > config.max_halt_days),
+        (RejectionReason.INSUFFICIENT_HISTORY, ~cols.per_record(
+            [stock_id in panel for stock_id, _, _ in cols.runs])),
+        (RejectionReason.BARS_IN_HALT, counts[:, 3] > 0),
+        (RejectionReason.INSUFFICIENT_HISTORY,
+         ~history | (prior < config.lookback_days)),
+        (RejectionReason.INSUFFICIENT_POST_WINDOW,
+         _coverage_gap(first, last, resume,
+                       resume + config.post_window) != ""),
+        (RejectionReason.DATA_GAP,
+         (missing > config.max_gap_fraction).any(axis=1)),
+    )
+    verdicts = np.select([failed for _, failed in rules],
+                         list(range(1, len(rules) + 1)), 0)
+    reasons = (None, *(reason for reason, _ in rules))
+    # a sign only where the history is covered; an exactly flat trend
+    # window counts as negative
+    signs = np.where(history, np.where(trend > 0, 1, 2), 0)
+    labels = (None, EventSign.POSITIVE, EventSign.NEGATIVE)
+    halt_types = np.clip(_full_days(begin, resume), 0, 2)
+    return [HaltEvent(rec, _HALT_TYPES[halt_type], labels[sign],
+                      reasons[verdict])
+            for rec, halt_type, sign, verdict in zip(
+                cols.records, halt_types.tolist(), signs.tolist(),
+                verdicts.tolist())]
 
 
 @dataclass(frozen=True)

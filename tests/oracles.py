@@ -5,11 +5,15 @@ oracle is a literal per-event double loop over event-time returns, the
 grid oracle is a brute-force scan of the (A, alpha) grid, the price
 fill is a minute-by-minute carry of the last bar's price, the per-event
 baseline and trajectory are what the per-stock lockstep stage must
-reproduce bit for bit, the window checks of eligibility, the trend sign,
-the event minutes, the return windows and the reversal horizons are
-written out site by site, each with its own arithmetic, as the rule
-that the library's one coverage decision must reproduce, the per-group average is what every group of the shared,
-padded group-average pass must reproduce bit for bit, the scalar fit is
+reproduce bit for bit, the window checks of eligibility, the lookback
+days, the trend sign, the event minutes, the return windows and the
+reversal horizons are written out site by site, each with its own
+arithmetic, as the rule that the library's one coverage decision must
+reproduce, the eligibility of a whole record set is decided one record
+at a time, with a scan of every pair for successive halts and its own
+duration classes and gap fractions, as the verdicts the library's one
+array pass must reproduce, the per-group average is what every group
+of the shared, padded group-average pass must reproduce bit for bit, the scalar fit is
 an independent one-series damped Gauss-Newton loop from a log-log
 start, whose SSE the library's profile fitter must match or beat, and
 the masked Welford update is the running-mean-and-spread step the
@@ -35,12 +39,11 @@ from haltstudy.errors import (DegenerateData, InsufficientHistory,
                               NoData, NonConvergence, ZeroBaseline)
 from haltstudy.event_study import (EventTrajectory, GroupAverage,
                                    MeasureKind, _deseasonalize_block,
-                                   _lockstep_welford, _lookback_days,
-                                   _sorted_group, measure_series)
+                                   _lockstep_welford, _sorted_group,
+                                   measure_series)
 from haltstudy.events import (HALT_CSV_HEADER, REPORT_CSV_HEADER, CountTable,
                               EventSign, HaltEvent, HaltRecord, HaltType,
-                              RejectionReason, _active_days,
-                              _worst_gap_fraction)
+                              RejectionReason, _active_days)
 from haltstudy.market_data import BAR_CSV_HEADER, MINUTES_PER_DAY, Panel
 from haltstudy.pipeline import EXPONENT_CSV_HEADER, AnalysisResult
 from haltstudy.powerlaw import (MIN_FIT_POINTS, FitConfig, GroupFitRow,
@@ -130,6 +133,24 @@ def _has_coverage(panel, record, config) -> bool:
     return first <= g_pre - config.history_minutes and g_pre <= last
 
 
+def worst_gap_fraction(real, calendar, record, config) -> float:
+    """The largest share of minutes without a bar in the trend, pre,
+    measure-pre and post windows, each sliced out of the stock's mask."""
+    g_pre = record.global_pre(calendar)
+    g_resume = record.global_resume(calendar)
+    windows = (
+        (g_pre - config.trend_window, g_pre),
+        (g_pre - config.pre_window, g_pre),
+        (g_pre - config.measure_pre_window, g_pre),
+        (g_resume, g_resume + config.post_window),
+    )
+    worst = 0.0
+    for lo, hi in windows:
+        chunk = real[lo:hi + 1]
+        worst = max(worst, 1.0 - chunk.sum() / chunk.size)
+    return worst
+
+
 def eligibility(panel, record, config):
     """(rejection reason, sign) of a record with no other halt of its
     stock, the checks in the order ``filter_eligibility`` documents;
@@ -156,9 +177,59 @@ def eligibility(panel, record, config):
     last = panel.coverage(record.stock_id)[1]
     if last < record.global_resume(cal) + config.post_window:
         return RejectionReason.INSUFFICIENT_POST_WINDOW, sign
-    if _worst_gap_fraction(real, cal, record, config) > config.max_gap_fraction:
+    if worst_gap_fraction(real, cal, record, config) > config.max_gap_fraction:
         return RejectionReason.DATA_GAP, sign
     return None, sign
+
+
+def halt_type(record, calendar) -> HaltType:
+    """Duration class from a day-by-day count of the trading days whose
+    every minute lies inside the halt."""
+    g_begin = record.global_begin(calendar)
+    g_resume = record.global_resume(calendar)
+    full = sum(1 for d in range(calendar.n_days)
+               if g_begin <= d * MINUTES_PER_DAY
+               and (d + 1) * MINUTES_PER_DAY <= g_resume)
+    return (HaltType.INTRADAY, HaltType.ONE_DAY)[full] if full < 2 \
+        else HaltType.INTER_DAY
+
+
+def eligibility_events(records, panel, config) -> list[HaltEvent]:
+    """Every record classified and filtered one at a time, sorted by
+    (stock_id, halt begin): a pair of halts of one stock is successive
+    when either begins inside the other's event window, found by
+    comparing every pair, and any other record gets the verdict of
+    :func:`eligibility`."""
+    cal = panel.calendar
+    ordered = sorted(records, key=HaltRecord.sort_key)
+    successive = [False] * len(ordered)
+    for i, rec in enumerate(ordered):
+        lo = rec.global_begin(cal) - config.pre_window
+        hi = rec.global_resume(cal) + config.post_window
+        for j, other in enumerate(ordered):
+            if (j != i and other.stock_id == rec.stock_id
+                    and lo <= other.global_begin(cal) <= hi):
+                successive[i] = successive[j] = True
+    events = []
+    for rec, crowded in zip(ordered, successive):
+        reason, sign = eligibility(panel, rec, config)
+        if crowded:
+            reason = RejectionReason.SUCCESSIVE
+        events.append(HaltEvent(rec, halt_type(rec, cal), sign, reason))
+    return events
+
+
+def lookback_days(panel, rec, lookback: int) -> np.ndarray:
+    """The ``lookback`` most recent days before the halt day on which
+    the stock has a bar."""
+    active = _active_days(panel, rec.stock_id)
+    day = panel.calendar.day_index(rec.halt_day)
+    prior = int(np.searchsorted(active, day))
+    if prior < lookback:
+        raise InsufficientHistory(
+            f"{rec.stock_id}: {prior} active days before "
+            f"{rec.halt_day}, need {lookback}")
+    return active[prior - lookback:prior]
 
 
 def event_minutes(panel, rec, pre_window: int, post_window: int) -> np.ndarray:
@@ -238,8 +309,7 @@ def compute_intraday_pattern(panel, rec, measure: MeasureKind,
     ``lookback`` most recent active days before its halt day."""
     if lookback < 1:
         raise ValueError("lookback must be positive")
-    days = _lookback_days(panel, _active_days(panel, rec.stock_id), rec,
-                          lookback)
+    days = lookback_days(panel, rec, lookback)
     series = measure_series(panel, rec.stock_id, measure)
     acc = _lockstep_welford(
         series.reshape(panel.calendar.n_days, MINUTES_PER_DAY), days[None, :])

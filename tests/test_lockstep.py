@@ -34,13 +34,11 @@ from haltstudy import (
     resampled_means,
 )
 from haltstudy import event_study
-from haltstudy.event_study import (_Welford, _lockstep_welford, _lookback_days,
-                                   _padded_members)
-from haltstudy.events import _active_days
+from haltstudy.event_study import _Welford, _lockstep_welford, _padded_members
 from haltstudy.powerlaw import _RowFit
 from helpers import add_stock, cell_fit, fit_row, halt_event, halt_record
 from oracles import (compute_intraday_pattern, extract_trajectory,
-                     group_average as lone_group_average,
+                     group_average as lone_group_average, lookback_days,
                      masked_welford, masked_welford_add)
 
 MEASURES = tuple(MeasureKind)
@@ -193,8 +191,8 @@ def _stock_row_bytes(panel, events, lookback):
     # bytes of each stock's used lookback days over every measure
     per_stock: dict = {}
     for rec in events:
-        per_stock.setdefault(rec.stock_id, []).append(_lookback_days(
-            panel, _active_days(panel, rec.stock_id), rec, lookback))
+        per_stock.setdefault(rec.stock_id, []).append(
+            lookback_days(panel, rec, lookback))
     return {s: np.unique(np.concatenate(d)).size * len(MEASURES) * 240 * 8
             for s, d in per_stock.items()}
 

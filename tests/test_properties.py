@@ -30,11 +30,10 @@ from haltstudy import (
     write_bar_csv,
 )
 from haltstudy import market_data
-from haltstudy.event_study import _lookback_days
-from haltstudy.events import HALT_CSV_HEADER, _active_days
+from haltstudy.events import HALT_CSV_HEADER
 from haltstudy.market_data import BAR_CSV_HEADER
 from helpers import add_stock, cumulative_curve, halt_event, halt_record
-from oracles import forward_filled_prices
+from oracles import forward_filled_prices, lookback_days
 
 CAL = TradingCalendar((date(2010, 3, 1), date(2010, 3, 2)))
 
@@ -334,7 +333,7 @@ def test_history_rejection_agrees_with_lookback_days(days, halt_day, lookback,
     config = replace(SHORT_WINDOWS, lookback_days=lookback)
     reason = filter_eligibility([rec], panel, config)[0].rejection_reason
     try:
-        _lookback_days(panel, _active_days(panel, "A"), rec, lookback)
+        lookback_days(panel, rec, lookback)
         too_few = False
     except InsufficientHistory:
         too_few = True

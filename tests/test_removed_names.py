@@ -11,7 +11,8 @@ import inspect
 from pathlib import Path
 
 import haltstudy
-from haltstudy import event_study, market_data, pipeline, powerlaw, synthetic
+from haltstudy import (event_study, events, market_data, pipeline, powerlaw,
+                       synthetic)
 
 # (defining module, name): gone from there and from ``haltstudy``
 REMOVED = [
@@ -21,6 +22,10 @@ REMOVED = [
     (event_study, "average_cumulative_return"),
     (event_study, "write_group_average_csv"),
     (event_study, "write_curve_csv"),
+    (event_study, "_lookback_days"),
+    (event_study, "_event_minutes"),
+    (events, "_rejection_reason"),
+    (events, "_worst_gap_fraction"),
     (market_data, "forward_fill"),
     (market_data, "forward_fill_all"),
     (powerlaw, "fit_power_law"),

@@ -4,9 +4,10 @@ Every stage that measures an event first asks whether the stock's bars
 cover a span of global minutes around the halt, and reports a failing
 span with its own exception type and wording. The table below pins, for
 every stage and every way a span can fail, the exact exception type and
-message (or, for eligibility, the rejection reason and sign); a property
-compares every stage with the site-by-site copies of the checks in
-``oracles`` over random bars, halts and windows.
+message (or, for eligibility, the rejection reason and sign). Two
+properties compare every stage with the one-record-at-a-time references
+in ``oracles``: one over a lone halt and random windows, one over random
+panels and sets of halts, several to a stock.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from haltstudy import (
     InsufficientHistory,
     InsufficientPostWindow,
     InsufficientWindow,
+    MeasureKind,
     NoData,
     PanelBuilder,
     RejectionReason,
@@ -31,11 +33,12 @@ from haltstudy import (
     make_calendar,
     reversal_stats,
 )
-from haltstudy.event_study import _event_minutes, _return_window_records
+from haltstudy.event_study import _return_window_records
 from helpers import add_stock, cumulative_curve, halt_record, location
-from oracles import check_return_windows, reversal_move, trend_sign
+from oracles import (check_return_windows, compute_intraday_pattern,
+                     eligibility_events, extract_trajectory, reversal_move,
+                     trend_sign)
 from oracles import eligibility as reference_eligibility
-from oracles import event_minutes as reference_event_minutes
 
 CAL = make_calendar(5)
 DAY2 = CAL.trading_days[2]
@@ -274,6 +277,56 @@ def windowed_halts(draw):
     return builder.build(), rec, config, (pre, post, curve, horizon)
 
 
+def _first_error(records, check):
+    # the type and text of what ``check`` raises first, over the records
+    # in key order, or None
+    for rec in sorted(records, key=HaltRecord.sort_key):
+        outcome = _outcome(lambda: check(rec))
+        if isinstance(outcome, tuple):
+            return outcome
+    return None
+
+
+def _reference_trajectories(panel, rec, lookback, pre, post):
+    # one record's checks as the trajectory stage makes them: the lookback
+    # days, the event minutes, then each measure's baseline
+    for measure in MeasureKind:
+        pattern = compute_intraday_pattern(panel, rec, measure, lookback)
+        extract_trajectory(panel, rec, measure, pattern, pre, post)
+
+
+def _reference_reversals(panel, records, sign, horizons):
+    # the reversal fractions, one horizon and one record at a time
+    ordered = sorted(records, key=HaltRecord.sort_key)
+    out = {}
+    for k in horizons:
+        moves = [reversal_move(panel, rec, k) for rec in ordered]
+        out[k] = sum(1 for move in moves
+                     if (move < 0 if sign is EventSign.POSITIVE
+                         else move > 0)) / len(ordered)
+    return out
+
+
+def _check_later_stages(panel, records, lookback, pre, post, curve,
+                        horizons):
+    # every later stage raises what its per-record reference raises first,
+    # and returns its result when that raises nothing
+    got = _outcome(lambda: extract_stock_trajectories(
+        panel, records, lookback=lookback, pre_window=pre, post_window=post))
+    want = _first_error(records, lambda rec: _reference_trajectories(
+        panel, rec, lookback, pre, post))
+    assert (got if isinstance(got, tuple) else None) == want
+    got = _outcome(lambda: _return_window_records(panel, records, curve))
+    want = _first_error(records, lambda rec: check_return_windows(
+        panel, rec, curve))
+    assert got == (want or sorted(records, key=HaltRecord.sort_key))
+    for sign in EventSign:
+        got = _outcome(lambda: reversal_stats(panel, records, sign, horizons))
+        want = _outcome(lambda: _reference_reversals(panel, records, sign,
+                                                     horizons))
+        assert got == want
+
+
 @settings(deadline=None, max_examples=300)
 @given(windowed_halts())
 def test_windows_match_the_site_by_site_checks(case):
@@ -286,31 +339,8 @@ def test_windows_match_the_site_by_site_checks(case):
         reference_eligibility(panel, rec, config)
     assert _outcome(lambda: classify_sign(panel, rec, config.trend_window)) \
         == _outcome(lambda: trend_sign(panel, rec, config.trend_window))
-    if "S" in panel and panel.present_mask("S").any():
-        got = _outcome(lambda: _event_minutes(panel, rec, pre, post))
-        want = _outcome(lambda: reference_event_minutes(panel, rec, pre, post))
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert np.array_equal(got, want)
-    else:
-        # the trajectory stage checks a stock's active days first, so it
-        # never asks one without bars for its event minutes
-        got = _outcome(lambda: extract_stock_trajectories(
-            panel, [rec], lookback=config.lookback_days, pre_window=pre,
-            post_window=post))
-        assert got in {(NoData, "no bars for stock S"),
-                       (InsufficientHistory, f"S: 0 active days before "
-                        f"{rec.halt_day}, need {config.lookback_days}")}
-    # a negative event reverses when its move is up
-    got = _outcome(lambda: _return_window_records(panel, [rec], curve))
-    want = _outcome(lambda: check_return_windows(panel, rec, curve))
-    assert got == (want if isinstance(want, tuple) else [rec])
-    got = _outcome(lambda: reversal_stats(panel, [rec], EventSign.NEGATIVE,
-                                          (horizon,)))
-    want = _outcome(lambda: reversal_move(panel, rec, horizon))
-    assert got == (want if isinstance(want, tuple)
-                   else {horizon: float(want > 0)})
+    _check_later_stages(panel, [rec], config.lookback_days, pre, post, curve,
+                        (horizon,))
     if ev.eligible:
         try:
             extract_stock_trajectories(
@@ -319,3 +349,77 @@ def test_windows_match_the_site_by_site_checks(case):
                 post_window=config.post_window)
         except ZeroBaseline:
             pass        # a lookback day that misses an event's minute
+
+
+@st.composite
+def halt_sets(draw):
+    # a few stocks on a short calendar, each with random bars (a random
+    # first and last bar, some days without bars, a few short gaps) or
+    # none, or missing from the panel; and several halts per stock, some
+    # overlapping, some over-long or flagged ST, mostly without bars
+    # inside the halt, under random windows and thresholds
+    cal = make_calendar(draw(st.integers(3, 10)))
+    n = cal.n_minutes
+    window = st.integers(1, 150)
+    config = EligibilityConfig(
+        trend_window=draw(window), lookback_days=draw(st.integers(1, 3)),
+        pre_window=draw(window), post_window=draw(window),
+        measure_pre_window=draw(window),
+        max_halt_days=draw(st.integers(1, 2)),
+        max_gap_fraction=draw(st.sampled_from([0.0, 0.02, 0.1, 0.5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    builder = PanelBuilder(cal)
+    records = []
+    for stock_id in ("A", "B", "C"):
+        halts = []
+        for _ in range(draw(st.integers(0, 4))):
+            begin = draw(st.integers(0, n - 2))
+            longest = draw(st.sampled_from([60, 60, 240, 3 * 240]))
+            resume = draw(st.integers(begin + 1, min(begin + longest, n - 1)))
+            halts.append(slice(begin, resume))
+            records.append(HaltRecord(stock_id, *location(cal, begin),
+                                      *location(cal, resume),
+                                      draw(st.integers(0, 5)) == 0))
+        kind = draw(st.sampled_from(["bars"] * 6 + ["empty", "gone"]))
+        if kind == "gone":
+            continue
+        first = draw(st.just(0) | st.integers(0, n - 1))
+        last = draw(st.just(n - 1) | st.integers(first, n - 1))
+        absent = [slice(0, first), slice(last + 1, None)]
+        if kind == "empty":
+            absent = [slice(None)]
+        absent += [halt for halt in halts if draw(st.integers(0, 9))]
+        for day in np.flatnonzero(rng.random(cal.n_days) < 0.1):
+            absent.append(slice(day * 240, (day + 1) * 240))
+        for g in rng.integers(0, n, draw(st.integers(0, 4))):
+            absent.append(slice(g, g + int(rng.choice([1, 1, 2, 30]))))
+        add_stock(builder, cal, stock_id,
+                  price=10.0 * np.exp(np.cumsum(rng.normal(0, 1e-3, n))),
+                  volume=rng.integers(1, 5, n).astype(float), spread=0.02,
+                  absent=absent)
+    pre, post, curve = (draw(st.integers(0, 150)) for _ in range(3))
+    horizons = tuple(draw(st.lists(st.integers(1, 300), min_size=1,
+                                   max_size=3, unique=True)))
+    return (builder.build(), draw(st.permutations(records)), config,
+            (pre, post, curve, horizons))
+
+
+@settings(deadline=None)
+@given(halt_sets())
+def test_record_sets_match_the_per_record_references(case):
+    # eligibility of a whole registry equals the one-record-at-a-time
+    # reference, event for event; and every later stage, given every
+    # record or only the eligible ones, fails as its per-record
+    # reference does
+    panel, records, config, (pre, post, curve, horizons) = case
+    events = filter_eligibility(records, panel, config)
+    want = eligibility_events(records, panel, config)
+    assert [(ev.record, ev.halt_type, ev.sign, ev.rejection_reason)
+            for ev in events] == \
+        [(ev.record, ev.halt_type, ev.sign, ev.rejection_reason)
+         for ev in want]
+    eligible = [ev.record for ev in events if ev.eligible]
+    for subset in (records, eligible):
+        if subset:
+            _check_later_stages(panel, subset, config.lookback_days, pre,
+                                post, curve, horizons)
