@@ -20,9 +20,12 @@ resample (one sample position at a time). Each slot still sees the same
 IEEE operations in the same order as a lone average would, so lockstep
 and one-at-a-time results are bitwise equal. One accumulator serves
 every pass: its buffers are allocated once per pass and each update is
-written into them in place. It counts missing values, not observed
-ones: a step that holds none skips the count and mask work and keeps
-every bit of the masked step. A chunk gathers consecutive stocks' used
+written into them in place. Which steps hold a missing value is decided
+once per pass, from a table of the rows that miss one, since a step
+gathers whole rows. A step without one is a subtract, a divide and an
+add; a masked step also finds and counts its observed slots and adds
+its increments only there; both give every bit of a masked update of
+every step. A chunk gathers consecutive stocks' used
 lookback days into one buffer capped in bytes, so one-event stocks
 share their mean steps; a stock whose days alone exceed the cap is a
 chunk of its own, in the buffer grown to fit it. The two passes that
@@ -32,8 +35,9 @@ also carry the running spread for their standard errors. A stage's
 new groups share those passes: one per measure for the group averages
 and one for the curves, each group a block of consecutive rows padded
 to the largest block with one all-NaN row, which leaves every bit as
-a lone average would. A curve's rows come from one price gather per
-stock.
+a lone average would. The curve stage reads the records of all its
+groups once, and each stock's records read the prices of their curves
+and reversal points in one gather.
 """
 
 from __future__ import annotations
@@ -77,61 +81,68 @@ class _Welford:
     Slots form an array of any shape; every update is elementwise, so a
     slot's result does not depend on the other slots it shares a block
     with. Updates add zero increments for slots where the incoming value
-    is missing or identical to the running mean, so averaging N copies
-    of one series reproduces it bit for bit and its spread is exactly 0;
-    the one exception is -0.0, which the running mean (starting at +0.0)
-    returns as +0.0. The missed-count, mean, spread and step buffers are
-    allocated once, and :meth:`add` writes every update into them in
-    place. It counts the steps, and per slot the missing values as
-    float64, exact far beyond any member count; a slot's count of
-    observed values is their difference. A step that holds no missing
-    value skips the count update and both masks, and divides by the
-    step number, or by the slot's count once any slot has missed a
-    value: the same IEEE operations on the same operands as the masked
-    step, so every bit is as if each step were masked. Without
+    is identical to the running mean, and leave the slots where it is
+    missing untouched, so averaging N copies of one series reproduces it
+    bit for bit and its spread is exactly 0; the one exception is -0.0,
+    which the running mean (starting at +0.0) returns as +0.0. The
+    count, mask, mean, spread and step buffers are allocated once, and
+    :meth:`add` writes every update into them in place.
+
+    The caller says whether a step holds a missing value. A step that
+    holds none is a subtract, a divide and an add: it divides by the
+    step number, or, once any step has held a gap, by the per-slot count
+    of observed values (float64, exact far beyond any member count),
+    which it raises by one. A masked step finds its observed slots,
+    counts them, and adds its increments only there. Each observed slot
+    divides by its own count either way: the same IEEE operations on
+    the same operands as a masked update of every step. Without
     ``spread`` the accumulator runs the mean step alone, for the passes
     that read only means.
     """
 
     def __init__(self, shape: int | tuple[int, ...], spread: bool = True):
         self.steps = 0
-        self.missed = np.zeros(shape)
         self.mean = np.zeros(shape)
         self.m2 = np.zeros(shape) if spread else None
-        self._gaps = False
-        self._missing = np.empty(shape, dtype=bool)
+        # observed values per slot, kept from the first step with a gap
+        self._count: np.ndarray | None = None
+        self._observed = np.empty(shape, dtype=bool)
         self._delta = np.empty(shape)
         self._step = np.empty(shape)
 
     @property
     def n(self) -> np.ndarray:
         # observed values per slot
-        return self.steps - self.missed
+        if self._count is None:
+            return np.full(self.mean.shape, float(self.steps))
+        return self._count
 
-    def add(self, values: np.ndarray) -> None:
-        # n = steps - missed; delta = values - mean where observed, else
-        # 0; mean += delta / max(n, 1); m2 += delta * (values - new mean)
-        missing, delta, step = self._missing, self._delta, self._step
+    def add(self, values: np.ndarray, gap: bool) -> None:
+        # ``gap``: whether ``values`` holds a NaN. Where observed, with n
+        # the slot's count: delta = values - mean; mean += delta / n;
+        # m2 += delta * (values - new mean)
+        delta, step = self._delta, self._step
         self.steps += 1
-        gap = np.isnan(values, out=missing).any()
         np.subtract(values, self.mean, out=delta)
-        divisor = self.steps
+        observed = True
         if gap:
-            self._gaps = True
-            np.add(self.missed, missing, out=self.missed)
-            np.putmask(delta, missing, 0.0)
-        if self._gaps:
-            divisor = np.subtract(self.steps, self.missed, out=step)
-            if gap:
-                np.maximum(step, 1.0, out=step)
+            # False exactly at NaN
+            observed = np.equal(values, values, out=self._observed)
+            if self._count is None:
+                self._count = np.add(observed, self.steps - 1.0)
+            else:
+                np.add(self._count, observed, out=self._count)
+            divisor = self._count
+        elif self._count is None:
+            divisor = self.steps
+        else:
+            divisor = np.add(self._count, 1.0, out=self._count)
         np.divide(delta, divisor, out=step)
-        np.add(self.mean, step, out=self.mean)
+        np.add(self.mean, step, out=self.mean, where=observed)
         if self.m2 is not None:
             np.subtract(values, self.mean, out=step)
-            if gap:
-                np.putmask(step, missing, 0.0)
             np.multiply(delta, step, out=step)
-            np.add(self.m2, step, out=self.m2)
+            np.add(self.m2, step, out=self.m2, where=observed)
 
     def counts(self) -> np.ndarray:
         return self.n.astype(np.int64)
@@ -165,21 +176,36 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
     (the default mode buffers ``out``), and would clamp a bad position
     silently.
 
+    Which steps hold a missing value is decided once per pass: one NaN
+    scan of ``rows`` marks each row (over every lead position) that
+    holds one, and a step gathers whole rows, so it holds one exactly
+    when one of its members is marked. Only those steps are masked.
+
     The group averages of one measure, and the cumulative-return curves,
     of every group a stage builds share one pass: blocks of unequal size
     are padded to the largest with an all-NaN row (see
-    :func:`_padded_members`). A step that gathers a pad is masked, so
-    the pad adds a zero step, and ``mean + 0.0`` is exact because the
-    running mean, starting at +0.0, is never -0.0; an accumulator whose
-    mean could be -0.0 would have to skip pads.
+    :func:`_padded_members`). A step that gathers a pad is masked, and
+    a masked step leaves the pad's slots untouched, so a padded block
+    keeps every bit of a lone average.
     """
     rows = np.ascontiguousarray(rows)
+    members = np.asarray(members, np.intp)
     shape = rows.shape[:-2] + (members.shape[0], rows.shape[-1])
     acc = _Welford(shape, spread)
     gathered = np.empty(shape)
-    for column in np.ascontiguousarray(np.asarray(members, np.intp).T):
-        acc.add(np.take(rows, column, axis=-2, out=gathered, mode="clip"))
+    for column, gap in zip(np.ascontiguousarray(members.T),
+                           _gap_steps(rows, members)):
+        acc.add(np.take(rows, column, axis=-2, out=gathered, mode="clip"),
+                gap)
     return acc
+
+
+def _gap_steps(rows: np.ndarray, members: np.ndarray) -> list[bool]:
+    # per column of ``members``, whether its gather from ``rows`` holds a
+    # NaN: a table of the rows that miss a value at any lead position or
+    # column, read with the gather's own clamping
+    holes = np.isnan(rows).any(axis=tuple(range(rows.ndim - 2)) + (-1,))
+    return np.take(holes, members, mode="clip").any(axis=0).tolist()
 
 
 def _padded_members(sizes: Sequence[int]) -> np.ndarray:
@@ -235,14 +261,16 @@ def measure_series(panel: Panel, stock_id: str,
 
     Only bars carry values. An absolute return is taken from the
     forward-filled log price of the previous traded minute, so the
-    return at a bar after a gap spans the gap; spreads need both quotes.
+    return at a bar after a gap spans the gap, and is masked to the
+    bars; spreads need both quotes. Volumes, bids and asks are NaN at
+    every absent minute already (:meth:`PanelBuilder.add_stock_arrays`),
+    so volume comes back as the panel's own read-only array.
     """
-    if measure is MeasureKind.ABSOLUTE_RETURN:
-        values = np.abs(np.diff(panel.log_prices(stock_id), prepend=np.nan))
-    elif measure is MeasureKind.VOLUME:
-        values = panel.volumes(stock_id)
-    else:
-        values = panel.asks(stock_id) - panel.bids(stock_id)
+    if measure is MeasureKind.VOLUME:
+        return panel.volumes(stock_id)
+    if measure is MeasureKind.BID_ASK_SPREAD:
+        return panel.asks(stock_id) - panel.bids(stock_id)
+    values = np.abs(np.diff(panel.log_prices(stock_id), prepend=np.nan))
     return np.where(panel.present_mask(stock_id), values, np.nan)
 
 
@@ -543,16 +571,40 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     return _lockstep_welford(rows, members, spread=False).means()
 
 
-def _return_window_records(panel: Panel, records: Sequence[HaltRecord],
-                           window: int) -> list[HaltRecord]:
-    # one cell's records in key order, checked in one call that their bars
-    # cover both return windows; the first failing record raises
-    cols = _RecordColumns(records, panel.calendar)
-    gap = _coverage_gap(*cols.bar_spans(panel), cols.begin - 1 - window,
-                        cols.resume + window, window=window)
+class _GroupColumns:
+    """Groups of halt records held as one :class:`_RecordColumns`, with
+    each record's stock's bar span: what the return-window check, the
+    reversal fractions and the curve pass read, once per stage call.
+    ``members[b]`` are group b's positions in ``cols``, in key order.
+    """
+
+    def __init__(self, panel: Panel, groups: Sequence[Sequence[HaltRecord]]):
+        sizes = [len(group) for group in groups]
+        self.cols = _RecordColumns([rec for group in groups for rec in group],
+                                   panel.calendar)
+        self.first, self.last = self.cols.bar_spans(panel)
+        group = np.repeat(np.arange(len(sizes)), sizes)[self.cols.order]
+        self.members = np.split(np.argsort(group, kind="stable"),
+                                np.cumsum(sizes)[:-1]) if sizes else []
+
+    def reversal_points(self, horizons: Sequence[int]) -> np.ndarray:
+        # per record, the last pre-halt minute, then the minute of each
+        # horizon after resumption
+        return np.column_stack([
+            self.cols.begin - 1,
+            self.cols.resume[:, None] + np.array(horizons, np.int64) - 1])
+
+
+def _check_return_windows(groups: _GroupColumns, b: int, window: int) -> None:
+    # whether group b's bars cover both return windows, in one call; the
+    # first failing record in key order raises
+    cols, sel = groups.cols, groups.members[b]
+    gap = _coverage_gap(groups.first[sel], groups.last[sel],
+                        cols.begin[sel] - 1 - window, cols.resume[sel] + window,
+                        window=window)
     bad = np.flatnonzero(gap != "")
     if bad.size:
-        rec = cols.records[bad[0]]
+        rec = cols.records[sel[bad[0]]]
         if gap[bad[0]] == "calendar":
             raise InsufficientWindow(
                 f"{rec.stock_id}: return window starts before the calendar")
@@ -560,47 +612,106 @@ def _return_window_records(panel: Panel, records: Sequence[HaltRecord],
             raise InsufficientWindow(f"no bars for stock {rec.stock_id}")
         raise InsufficientWindow(
             f"{rec.stock_id}: bars do not cover both return windows")
-    return cols.records
 
 
-def _cumulative_return_curves(panel: Panel,
-                              groups: Sequence[Sequence[HaltRecord]],
-                              window: int) -> list[CumulativeReturnCurve]:
-    """Average cumulative log-return paths over t = -window..window of
-    groups of records that :func:`_return_window_records` checked, in
-    one lockstep pass; it cannot fail.
+def _check_reversals(panel: Panel, groups: _GroupColumns, b: int,
+                     points: np.ndarray, horizons: Sequence[int]) -> None:
+    # horizon by horizon, the first record of group b whose bars miss the
+    # pre-halt point or the horizon's raises; ``points`` are every
+    # record's reversal points
+    sel = groups.members[b]
+    if not sel.size:
+        raise EmptyGroup("no events")
+    # whether the bars miss the point, then each span to a horizon
+    missed = _coverage_gap(groups.first[sel, None], groups.last[sel, None],
+                           points[sel, :1], points[sel]) != ""
+    for j, k in enumerate(horizons, start=1):
+        if k < 1:
+            raise ValueError(f"horizon must be positive, got {k}")
+        failed = np.flatnonzero(missed[:, 0] | missed[:, j])
+        if failed.size:
+            rec = groups.cols.records[sel[failed[0]]]
+            if rec.stock_id not in panel:
+                raise NoData(f"no bars for stock {rec.stock_id}")
+            if missed[failed[0], 0]:
+                raise InsufficientHistory(f"{rec.stock_id}: no pre-halt bar")
+            raise InsufficientPostWindow(
+                f"{rec.stock_id}: no bar {k} minutes after resumption")
+
+
+def _reversal_fractions(prices: np.ndarray, sign: EventSign,
+                        horizons: Sequence[int]) -> dict[int, float]:
+    # ``prices`` at each record's reversal points, one row per record
+    moves = prices[:, 1:] - prices[:, :1]
+    reversed_ = moves < 0 if sign is EventSign.POSITIVE else moves > 0
+    return {k: n_reversed / len(prices) for k, n_reversed in zip(
+        horizons, np.count_nonzero(reversed_, axis=0).tolist())}
+
+
+def _return_window_records(panel: Panel, records: Sequence[HaltRecord],
+                           window: int) -> list[HaltRecord]:
+    # one group's records in key order, checked as the curve stage checks
+    # them; the first failing record raises
+    groups = _GroupColumns(panel, [records])
+    _check_return_windows(groups, 0, window)
+    return groups.cols.records
+
+
+def _curves_and_reversals(panel: Panel,
+                          groups: Sequence[Sequence[HaltRecord]],
+                          signs: Sequence[EventSign], window: int,
+                          horizons: Sequence[int],
+                          ) -> tuple[list[CumulativeReturnCurve],
+                                     list[dict[int, float]]]:
+    """Per group of records, its cumulative-return curve over
+    t = -window..window and its :func:`reversal_stats` under its sign.
+
+    The records of every group are read once, as one
+    :class:`_GroupColumns`. Group by group, in order, its return
+    windows are checked, then its reversal points, so the first failing
+    group raises. Then each stock's records read their prices at the
+    curve minutes and the reversal points in one gather, and one
+    lockstep pass averages every curve.
 
     Each event contributes the running sum of its event-time returns;
     the return at t = 0 is the jump from the last pre-halt price to the
     first post-resumption price, however long the halt lasted, and
-    prices are forward-filled across gaps. Each stock's events read
-    their prices at t = -window-1..-1 and 0..window in one gather. The
-    events of a group are averaged with equal weights and its curve is
-    then shifted vertically so its t = 0 value is exactly zero.
+    prices are forward-filled across gaps. The events of a group are
+    averaged with equal weights, in key order, and its curve is then
+    shifted vertically so its t = 0 value is exactly zero.
     """
     if not groups:
-        return []
-    cal = panel.calendar
-    records = [rec for group in groups for rec in group]
-    rows = np.empty((len(records) + 1, 2 * window + 1))
-    rows[-1] = np.nan
-    by_stock: dict[str, list[int]] = {}
-    for i, rec in enumerate(records):
-        by_stock.setdefault(rec.stock_id, []).append(i)
+        return [], []
+    read = _GroupColumns(panel, groups)
+    points = read.reversal_points(horizons)
+    for b in range(len(groups)):
+        _check_return_windows(read, b, window)
+        _check_reversals(panel, read, b, points, horizons)
+    cols, n, width = read.cols, len(read.cols.records), 2 * window + 1
     steps = np.arange(window + 1)
-    for stock_id, positions in by_stock.items():
-        pre = np.array([records[i].global_pre(cal) for i in positions])
-        resume = np.array([records[i].global_resume(cal) for i in positions])
-        minutes = np.hstack([pre[:, None] - window + steps,
-                             resume[:, None] + steps])
-        rows[positions] = np.cumsum(
-            np.diff(panel.log_prices(stock_id)[minutes], axis=1), axis=1)
-    acc = _lockstep_welford(rows, _padded_members([len(g) for g in groups]))
+    rows = np.empty((n + 1, width))
+    rows[-1] = np.nan
+    prices = np.empty(points.shape)
+    for stock_id, a, b in cols.runs:
+        got = panel.log_prices(stock_id)[np.hstack([
+            cols.begin[a:b, None] - 1 - window + steps,
+            cols.resume[a:b, None] + steps, points[a:b]])]
+        # each record's event-time returns; their running sums below
+        np.subtract(got[:, 1:width + 1], got[:, :width], out=rows[a:b])
+        prices[a:b] = got[:, width + 1:]
+    np.cumsum(rows[:-1], axis=1, out=rows[:-1])
+    # each group's rows in key order, padded with the all-NaN last row
+    members = np.full((len(groups), max(map(len, groups))), n)
+    for b, sel in enumerate(read.members):
+        members[b, :sel.size] = sel
+    acc = _lockstep_welford(rows, members)
     mean, stderr = acc.means(), acc.stderrs()
-    return [CumulativeReturnCurve(np.arange(-window, window + 1),
-                                  mean[b] - mean[b, window], stderr[b],
-                                  len(group))
-            for b, group in enumerate(groups)]
+    curves = [CumulativeReturnCurve(np.arange(-window, window + 1),
+                                    mean[b] - mean[b, window], stderr[b],
+                                    len(group))
+              for b, group in enumerate(groups)]
+    return curves, [_reversal_fractions(prices[sel], sign, horizons)
+                    for sel, sign in zip(read.members, signs)]
 
 
 def stability_stat(curve: CumulativeReturnCurve) -> float:
@@ -630,32 +741,10 @@ def reversal_stats(panel: Panel, records: Sequence[HaltRecord],
     (NoData), or whose bars miss the last pre-halt minute or the k-th
     minute after resumption, raises.
     """
-    cols = _RecordColumns(records, panel.calendar)
-    if not cols.records:
-        raise EmptyGroup("no events")
-    first, last = cols.bar_spans(panel)
-    # per record, the last pre-halt minute, then the minute of each horizon
-    points = np.column_stack([
-        cols.begin - 1, cols.resume[:, None] + np.array(horizons, np.int64) - 1])
-    # whether the bars miss the point, then each span to a horizon
-    missed = _coverage_gap(first[:, None], last[:, None], points[:, :1],
-                           points) != ""
-    for j, k in enumerate(horizons, start=1):
-        if k < 1:
-            raise ValueError(f"horizon must be positive, got {k}")
-        failed = np.flatnonzero(missed[:, 0] | missed[:, j])
-        if failed.size:
-            rec = cols.records[failed[0]]
-            if rec.stock_id not in panel:
-                raise NoData(f"no bars for stock {rec.stock_id}")
-            if missed[failed[0], 0]:
-                raise InsufficientHistory(f"{rec.stock_id}: no pre-halt bar")
-            raise InsufficientPostWindow(
-                f"{rec.stock_id}: no bar {k} minutes after resumption")
+    read = _GroupColumns(panel, [records])
+    points = read.reversal_points(horizons)
+    _check_reversals(panel, read, 0, points, horizons)
     prices = np.empty(points.shape)
-    for stock_id, a, b in cols.runs:
+    for stock_id, a, b in read.cols.runs:
         prices[a:b] = panel.log_prices(stock_id)[points[a:b]]
-    moves = prices[:, 1:] - prices[:, :1]
-    reversed_ = moves < 0 if sign is EventSign.POSITIVE else moves > 0
-    return {k: n_reversed / len(points) for k, n_reversed in zip(
-        horizons, np.count_nonzero(reversed_, axis=0).tolist())}
+    return _reversal_fractions(prices, sign, horizons)

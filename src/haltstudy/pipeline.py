@@ -57,12 +57,10 @@ from .event_study import (
     EventTrajectory,
     GroupAverage,
     MeasureKind,
-    _cumulative_return_curves,
-    _return_window_records,
+    _curves_and_reversals,
     extract_stock_trajectories,
     group_average,  # bound here for bench/tests' tracer check
     group_averages,
-    reversal_stats,
     stability_stat,
 )
 from .market_data import Panel, _csv_text, _float_texts
@@ -246,18 +244,15 @@ def add_curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
     """Give each cell that lacks them its cumulative-return curve and its
     reversal fractions.
 
-    Cell by cell, in cell order, the curve's window checks run, then the
-    reversals, so the first failing cell raises; one lockstep pass then
-    averages every new curve.
+    The new cells' records are read once for all of them. Cell by cell,
+    in cell order, the curve's window checks run, then the reversals, so
+    the first failing cell raises; one lockstep pass then averages every
+    new curve.
     """
     new = [cell for cell in cells if cell.curve is None]
-    window = config.eligibility.pre_window
-    checked, reversals = [], []
-    for cell in new:
-        checked.append(_return_window_records(panel, cell.records, window))
-        reversals.append(reversal_stats(panel, cell.records, cell.sign,
-                                        config.reversal_horizons))
-    curves = _cumulative_return_curves(panel, checked, window)
+    curves, reversals = _curves_and_reversals(
+        panel, [cell.records for cell in new], [cell.sign for cell in new],
+        config.eligibility.pre_window, config.reversal_horizons)
     for cell, curve, fractions in zip(new, curves, reversals):
         cell.curve, cell.reversals = curve, fractions
 

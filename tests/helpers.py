@@ -28,8 +28,7 @@ from haltstudy import (
     tabulate_counts,
     write_analysis_outputs,
 )
-from haltstudy.event_study import (_cumulative_return_curves,
-                                   _return_window_records)
+from haltstudy.event_study import _curves_and_reversals
 from haltstudy.powerlaw import _fit_rows
 
 
@@ -148,10 +147,12 @@ def cell_artifact(out_dir, name: str, cell) -> str:
 
 def cumulative_curve(panel, records,
                      window: int = EligibilityConfig.pre_window):
-    """The curve stage on one group of halt ``records``: its window
-    check, then the lockstep curve pass over that one group."""
-    return _cumulative_return_curves(
-        panel, [_return_window_records(panel, records, window)], window)[0]
+    """The curve stage on one group of halt ``records`` and no reversal
+    horizon: its window check, then the lockstep curve pass over that
+    one group."""
+    (curve,), _ = _curves_and_reversals(panel, [records], [EventSign.POSITIVE],
+                                        window, ())
+    return curve
 
 
 def cell_fit(trajectories, fit_range: tuple[int, int] = FitConfig.fit_range):

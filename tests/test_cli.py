@@ -179,9 +179,9 @@ def _fail(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command, skipped", [
-    ("fit", ("_cumulative_return_curves", "reversal_stats")),
+    ("fit", ("_curves_and_reversals",)),
     ("counts", ("extract_stock_trajectories", "group_averages",
-                "_cumulative_return_curves", "fit_all_groups")),
+                "_curves_and_reversals", "fit_all_groups")),
 ])
 def test_commands_run_only_the_stages_they_write(synth_inputs, tmp_path,
                                                  monkeypatch, command,

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltstudy import (
     CumulativeReturnCurve,
@@ -9,6 +11,7 @@ from haltstudy import (
     EventSign,
     EventTrajectory,
     GroupAverage,
+    HaltRecord,
     HaltType,
     InsufficientHistory,
     InsufficientPostWindow,
@@ -23,6 +26,7 @@ from haltstudy import (
     reversal_stats,
     stability_stat,
 )
+from haltstudy.event_study import _curves_and_reversals, _return_window_records
 from haltstudy.pipeline import GroupCell
 from helpers import (add_stock, cell_artifact, cumulative_curve, halt_event,
                      halt_record, location)
@@ -553,3 +557,86 @@ def test_curve_csv_layout(tmp_path):
         "intraday_pos,cumulative_return,-1,0.1,0.0,1\n"
         "intraday_pos,cumulative_return,0,0.0,0.0,1\n"
         "intraday_pos,cumulative_return,1,-0.2,0.0,1\n")
+
+
+def _outcome(call):
+    # the value of ``call()``, or the type and text of what it raised
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _record_groups(draw):
+    # three stocks on a 6-day calendar, each with bars over the whole
+    # calendar or from a random first to a random last minute, a few gaps and
+    # no bars inside its halts, or missing from the panel; 0-4 halts per
+    # stock, dealt into 1-4 groups of random signs, seldom an empty one
+    cal = make_calendar(6)
+    n = cal.n_minutes
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    builder = PanelBuilder(cal)
+    records = []
+    for stock_id in ("A", "B", "C"):
+        halts = []
+        for _ in range(draw(st.integers(0, 4))):
+            begin = draw(st.integers(240, n - 480))
+            resume = begin + draw(st.sampled_from([1, 30, 60, 240]))
+            halts.append(slice(begin, resume))
+            records.append(HaltRecord(stock_id, *location(cal, begin),
+                                      *location(cal, resume), False))
+        if draw(st.integers(0, 9)) == 0:
+            continue
+        first = 0 if draw(st.integers(0, 5)) else draw(st.integers(0, n - 1))
+        last = (n - 1 if draw(st.integers(0, 5))
+                else draw(st.integers(first, n - 1)))
+        absent = [slice(0, first), slice(last + 1, None), *halts]
+        for g in rng.integers(0, n, draw(st.integers(0, 4))):
+            absent.append(slice(g, g + int(rng.choice([1, 2, 30]))))
+        add_stock(builder, cal, stock_id,
+                  price=10.0 * np.exp(np.cumsum(rng.normal(0, 1e-3, n))),
+                  absent=absent)
+    n_groups = draw(st.integers(1, max(1, min(4, len(records)))))
+    groups = [[] for _ in range(n_groups)]
+    for rec in draw(st.permutations(records)):
+        groups[draw(st.integers(0, n_groups - 1))].append(rec)
+    signs = [draw(st.sampled_from(EventSign)) for _ in groups]
+    horizons = tuple(draw(st.lists(st.integers(1, 240), min_size=1,
+                                   max_size=3, unique=True)))
+    return (builder.build(), groups, signs, draw(st.integers(0, 240)),
+            horizons)
+
+
+def _same_curve(a, b):
+    return (a.n == b.n and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.t, b.t), (a.mean, b.mean), (a.stderr, b.stderr))))
+
+
+@settings(deadline=None)
+@given(_record_groups())
+def test_curve_stage_matches_each_group_alone(case):
+    # the shared read of every group raises what checking the groups one
+    # at a time, window check then reversals, raises first; otherwise
+    # each group's curve is bitwise its lone curve and its fractions are
+    # its reversal_stats
+    panel, groups, signs, window, horizons = case
+    want = None
+    for group, sign in zip(groups, signs):
+        want = _outcome(lambda: _return_window_records(panel, group, window))
+        if isinstance(want, list):
+            want = _outcome(lambda: reversal_stats(panel, group, sign,
+                                                   horizons))
+        if isinstance(want, tuple):
+            break
+    got = _outcome(lambda: _curves_and_reversals(panel, groups, signs,
+                                                 window, horizons))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    curves, fractions = got
+    for group, sign, curve, got_fractions in zip(groups, signs, curves,
+                                                 fractions):
+        assert _same_curve(curve, cumulative_curve(panel, group, window))
+        assert got_fractions == reversal_stats(panel, group, sign, horizons)

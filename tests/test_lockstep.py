@@ -34,7 +34,8 @@ from haltstudy import (
     resampled_means,
 )
 from haltstudy import event_study
-from haltstudy.event_study import _Welford, _lockstep_welford, _padded_members
+from haltstudy.event_study import (_Welford, _gap_steps, _lockstep_welford,
+                                   _padded_members)
 from haltstudy.powerlaw import _RowFit
 from helpers import add_stock, cell_fit, fit_row, halt_event, halt_record
 from oracles import (compute_intraday_pattern, extract_trajectory,
@@ -405,11 +406,11 @@ def test_nd_welford_matches_row_by_row_passes(shape):
     blocks[:, ..., 1, :] = np.nan                       # never observed
     acc = _Welford(shape)
     for block in blocks:
-        acc.add(block)
+        acc.add(block, np.isnan(block).any())
     for idx in np.ndindex(shape[:-1]):
         ref = _Welford(shape[-1])
         for block in blocks:
-            ref.add(block[idx])
+            ref.add(block[idx], np.isnan(block[idx]).any())
         assert _same_bits(acc.counts()[idx], ref.counts())
         assert _same_bits(acc.means()[idx], ref.means())
         assert _same_bits(acc.m2[idx], ref.m2)
@@ -431,7 +432,7 @@ def test_lockstep_welford_gathers_rows_per_block():
         for b, row in enumerate(members):
             ref = _Welford(4)
             for i in row:
-                ref.add(rows[lead, i])
+                ref.add(rows[lead, i], np.isnan(rows[lead, i]).any())
             assert _same_bits(acc.means()[lead, b], ref.means())
             assert _same_bits(acc.counts()[lead, b], ref.counts())
 
@@ -450,6 +451,36 @@ def _blocks_and_members(draw):
                                          draw(st.integers(0, 6))),
                               elements=st.integers(0, n - 1)))
     return rows, members
+
+
+@st.composite
+def _padded_rows_and_members(draw):
+    # rows of shape (..., N, W) with NaNs, ending in an all-NaN pad row
+    # when drawn so, and a (B, K) member matrix, K = 0 included, whose
+    # positions reach the pad
+    rows, members = draw(_blocks_and_members())
+    if draw(st.booleans()):
+        pad = np.full(rows.shape[:-2] + (1, rows.shape[-1]), np.nan)
+        rows = np.concatenate([rows, pad], axis=-2)
+        members = draw(hnp.arrays(np.int64, members.shape,
+                                  elements=st.integers(0, rows.shape[-2] - 1)))
+    return rows, members
+
+
+@settings(deadline=None)
+@given(_padded_rows_and_members())
+def test_gap_table_matches_per_step_nan_scan(case):
+    # the pass decides its masked steps from one table of rows; each must
+    # be masked exactly when its own gathered block holds a NaN
+    rows, members = case
+    want = [bool(np.isnan(rows[..., members[:, k], :]).any())
+            for k in range(members.shape[1])]
+    assert _gap_steps(rows, members) == want
+    acc = _lockstep_welford(rows, members)
+    ref = masked_welford(acc.mean.shape, (rows[..., members[:, k], :]
+                                          for k in range(members.shape[1])))
+    assert _same_bits(acc.counts(), ref.counts)
+    assert _same_bits(acc.means(), ref.means)
 
 
 @settings(deadline=None)
@@ -524,7 +555,7 @@ def test_clean_and_missing_steps_match_masked_update(case, dirty, unobserved,
     assert np.count_nonzero(want.counts == 0) == unobserved
     acc = _Welford(blocks[0].shape, spread)
     for block in blocks:
-        acc.add(block)
+        acc.add(block, np.isnan(block).any())
     for got in (acc, _lockstep_welford(rows, members, spread)):
         assert _same_bits(got.counts(), want.counts)
         assert _same_bits(got.means(), want.means)
@@ -557,7 +588,7 @@ def test_buffered_accumulator_matches_masked_update(members, spread):
     ref = SimpleNamespace(n=np.zeros(shape, np.int64), mean=np.zeros(shape),
                           m2=np.zeros(shape))
     for member in members:
-        acc.add(member)
+        acc.add(member, np.isnan(member).any())
         masked_welford_add(ref, member)
     assert _same_bits(acc.counts(), ref.n)
     assert _same_bits(acc.mean, ref.mean)

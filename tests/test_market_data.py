@@ -20,20 +20,23 @@ from haltstudy import (
     CrossedQuote,
     DuplicateBar,
     MalformedRow,
+    MeasureKind,
     NoData,
     NonPositivePrice,
     Panel,
     PanelBuilder,
     TradingCalendar,
     UnknownDay,
+    generate_panel,
     make_calendar,
+    measure_series,
     parse_bar_file,
     write_bar_csv,
 )
 from haltstudy import market_data
 from haltstudy.market_data import BAR_CSV_HEADER
 from helpers import (add_stock, count_bar_parses, location,
-                     random_walk_stock)
+                     multi_halt_spec, random_walk_stock)
 from oracles import forward_filled_prices
 
 LN_101 = 0.009950330853168092  # ln(1.01)
@@ -548,6 +551,39 @@ def test_packed_copy_round_trips_the_parsed_panel(panel):
         with _parse_forbidden():
             loaded = market_data.load_bar_file(str(bars), panel.calendar)
         _assert_same_bytes(loaded, parsed)
+
+
+def _assert_no_value_without_a_bar(panel: Panel):
+    # measure_series returns volumes and spreads unmasked, so an absent
+    # minute must hold NaN in every float array but the price
+    for stock_id in panel.stock_ids:
+        absent = ~panel.present_mask(stock_id)
+        for accessor in (Panel.volumes, Panel.bids, Panel.asks):
+            assert np.isnan(accessor(panel, stock_id)[absent]).all()
+        for measure in (MeasureKind.VOLUME, MeasureKind.BID_ASK_SPREAD):
+            assert np.isnan(measure_series(panel, stock_id,
+                                           measure)[absent]).all()
+
+
+@given(panel=_small_panels())
+@settings(max_examples=40, deadline=None)
+def test_absent_minutes_hold_no_volume_or_quotes(panel):
+    # the builder was given finite values at the absent minutes
+    _assert_no_value_without_a_bar(panel)
+    with tempfile.TemporaryDirectory() as tmp:
+        bars = Path(tmp) / "bars.csv"
+        _write_bars(bars, panel)
+        _assert_no_value_without_a_bar(_parse_path(bars, panel.calendar))
+        market_data.load_bar_file(bars, panel.calendar)
+        with _parse_forbidden():
+            _assert_no_value_without_a_bar(
+                market_data.load_bar_file(bars, panel.calendar))
+
+
+def test_synthetic_absent_minutes_hold_no_volume_or_quotes():
+    panel, _, _ = generate_panel(multi_halt_spec(2, 50, 3, 0.2))
+    assert not panel.present_mask(panel.stock_ids[0]).all()
+    _assert_no_value_without_a_bar(panel)
 
 
 def test_packed_copy_of_an_empty_file(tmp_path):
