@@ -43,7 +43,6 @@ from .events import (
     HaltType,
     RejectionReason,
     classify_halt_type,
-    classify_sign,
     filter_eligibility,
     group_name,
     parse_halt_file,
@@ -62,7 +61,6 @@ from .event_study import (
     group_averages,
     measure_series,
     resampled_means,
-    reversal_stats,
     stability_stat,
 )
 from .powerlaw import (

@@ -177,9 +177,10 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
     silently.
 
     Which steps hold a missing value is decided once per pass: one NaN
-    scan of ``rows`` marks each row (over every lead position) that
-    holds one, and a step gathers whole rows, so it holds one exactly
-    when one of its members is marked. Only those steps are masked.
+    scan of the rows up to the last member marks each row (over every
+    lead position) that holds one, and a step gathers whole rows, so it
+    holds one exactly when one of its members is marked. Only those
+    steps are masked.
 
     The group averages of one measure, and the cumulative-return curves,
     of every group a stage builds share one pass: blocks of unequal size
@@ -202,9 +203,10 @@ def _lockstep_welford(rows: np.ndarray, members: np.ndarray,
 
 def _gap_steps(rows: np.ndarray, members: np.ndarray) -> list[bool]:
     # per column of ``members``, whether its gather from ``rows`` holds a
-    # NaN: a table of the rows that miss a value at any lead position or
-    # column, read with the gather's own clamping
-    holes = np.isnan(rows).any(axis=tuple(range(rows.ndim - 2)) + (-1,))
+    # NaN: a table of the rows up to the last member that miss a value at
+    # any lead position or column, read with the gather's own clamping
+    holes = np.isnan(rows[..., :members.max(initial=0) + 1, :]).any(
+        axis=tuple(range(rows.ndim - 2)) + (-1,))
     return np.take(holes, members, mode="clip").any(axis=0).tolist()
 
 
@@ -614,29 +616,24 @@ def _check_return_windows(groups: _GroupColumns, b: int, window: int) -> None:
             f"{rec.stock_id}: bars do not cover both return windows")
 
 
-def _check_reversals(panel: Panel, groups: _GroupColumns, b: int,
-                     points: np.ndarray, horizons: Sequence[int]) -> None:
-    # horizon by horizon, the first record of group b whose bars miss the
-    # pre-halt point or the horizon's raises; ``points`` are every
-    # record's reversal points
+def _check_reversals(groups: _GroupColumns, b: int, points: np.ndarray,
+                     horizons: Sequence[int]) -> None:
+    # horizon by horizon, the first record of group b whose bars end
+    # before the horizon's point raises; ``points`` are every record's
+    # reversal points, and the return-window check has already found
+    # every record's bars to cover its last pre-halt minute
     sel = groups.members[b]
     if not sel.size:
         raise EmptyGroup("no events")
-    # whether the bars miss the point, then each span to a horizon
-    missed = _coverage_gap(groups.first[sel, None], groups.last[sel, None],
-                           points[sel, :1], points[sel]) != ""
-    for j, k in enumerate(horizons, start=1):
+    short = points[sel, 1:] > groups.last[sel, None]
+    for j, k in enumerate(horizons):
         if k < 1:
             raise ValueError(f"horizon must be positive, got {k}")
-        failed = np.flatnonzero(missed[:, 0] | missed[:, j])
+        failed = np.flatnonzero(short[:, j])
         if failed.size:
-            rec = groups.cols.records[sel[failed[0]]]
-            if rec.stock_id not in panel:
-                raise NoData(f"no bars for stock {rec.stock_id}")
-            if missed[failed[0], 0]:
-                raise InsufficientHistory(f"{rec.stock_id}: no pre-halt bar")
             raise InsufficientPostWindow(
-                f"{rec.stock_id}: no bar {k} minutes after resumption")
+                f"{groups.cols.records[sel[failed[0]]].stock_id}: "
+                f"no bar {k} minutes after resumption")
 
 
 def _reversal_fractions(prices: np.ndarray, sign: EventSign,
@@ -648,15 +645,6 @@ def _reversal_fractions(prices: np.ndarray, sign: EventSign,
         horizons, np.count_nonzero(reversed_, axis=0).tolist())}
 
 
-def _return_window_records(panel: Panel, records: Sequence[HaltRecord],
-                           window: int) -> list[HaltRecord]:
-    # one group's records in key order, checked as the curve stage checks
-    # them; the first failing record raises
-    groups = _GroupColumns(panel, [records])
-    _check_return_windows(groups, 0, window)
-    return groups.cols.records
-
-
 def _curves_and_reversals(panel: Panel,
                           groups: Sequence[Sequence[HaltRecord]],
                           signs: Sequence[EventSign], window: int,
@@ -664,14 +652,23 @@ def _curves_and_reversals(panel: Panel,
                           ) -> tuple[list[CumulativeReturnCurve],
                                      list[dict[int, float]]]:
     """Per group of records, its cumulative-return curve over
-    t = -window..window and its :func:`reversal_stats` under its sign.
+    t = -window..window and its reversal fractions under its sign.
 
     The records of every group are read once, as one
     :class:`_GroupColumns`. Group by group, in order, its return
-    windows are checked, then its reversal points, so the first failing
-    group raises. Then each stock's records read their prices at the
-    curve minutes and the reversal points in one gather, and one
-    lockstep pass averages every curve.
+    windows are checked, then its reversal horizons, so the first
+    failing group raises. Covered return windows hold every record's
+    last pre-halt minute, so the horizons fail only when a group is
+    empty (EmptyGroup), a horizon is below 1 (ValueError) or, horizon
+    by horizon, a record's bars end before its horizon's minute
+    (InsufficientPostWindow). Then each stock's records read their
+    prices at the curve minutes and the reversal points in one gather,
+    and one lockstep pass averages every curve.
+
+    For horizon k, a record's move is the forward-filled log-price
+    change from its last pre-halt minute to the k-th minute after
+    resumption, and the fraction counts the moves strictly opposite to
+    the group's sign: an unchanged price is no reversal.
 
     Each event contributes the running sum of its event-time returns;
     the return at t = 0 is the jump from the last pre-halt price to the
@@ -686,7 +683,7 @@ def _curves_and_reversals(panel: Panel,
     points = read.reversal_points(horizons)
     for b in range(len(groups)):
         _check_return_windows(read, b, window)
-        _check_reversals(panel, read, b, points, horizons)
+        _check_reversals(read, b, points, horizons)
     cols, n, width = read.cols, len(read.cols.records), 2 * window + 1
     steps = np.arange(window + 1)
     rows = np.empty((n + 1, width))
@@ -728,23 +725,3 @@ def stability_stat(curve: CumulativeReturnCurve) -> float:
         return 0.0
     return float(np.std(tail, ddof=1))
 
-
-def reversal_stats(panel: Panel, records: Sequence[HaltRecord],
-                   sign: EventSign, horizons: Sequence[int]) -> dict[int, float]:
-    """Fraction of a group's halts whose early post-halt move opposed the
-    group's trend ``sign``.
-
-    For horizon k the move is the forward-filled log-price change from
-    the last pre-halt minute to the k-th minute after resumption. Only a
-    strictly opposite sign counts; an unchanged price does not. Horizon
-    by horizon, the first record whose stock is not in the panel
-    (NoData), or whose bars miss the last pre-halt minute or the k-th
-    minute after resumption, raises.
-    """
-    read = _GroupColumns(panel, [records])
-    points = read.reversal_points(horizons)
-    _check_reversals(panel, read, 0, points, horizons)
-    prices = np.empty(points.shape)
-    for stock_id, a, b in read.cols.runs:
-        prices[a:b] = panel.log_prices(stock_id)[points[a:b]]
-    return _reversal_fractions(prices, sign, horizons)

@@ -20,13 +20,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientHistory,
-    InvalidInterval,
-    MalformedRow,
-    NoData,
-    UnknownDay,
-)
+from .errors import InvalidInterval, MalformedRow, NoData, UnknownDay
 from .market_data import (MINUTES_PER_DAY, Panel, TradingCalendar,
                           _check_stock_id, _csv_field, _csv_reader,
                           _csv_text)
@@ -109,13 +103,6 @@ class HaltRecord:
         """Global minute of the first traded minute after the halt."""
         return calendar.global_minute(self.resume_day, self.resume_minute)
 
-    def global_pre(self, calendar: TradingCalendar) -> int:
-        """Global minute of the last traded minute before the halt.
-
-        Negative when the halt begins at the very first calendar minute.
-        """
-        return self.global_begin(calendar) - 1
-
     def sort_key(self) -> tuple[str, date, int]:
         return (self.stock_id, self.halt_day, self.halt_minute)
 
@@ -193,33 +180,6 @@ def classify_halt_type(record: HaltRecord, calendar: TradingCalendar) -> HaltTyp
         raise InvalidInterval(
             f"{record.stock_id}: resume at or before halt begin")
     return _HALT_TYPES[min(max(_full_days(g_begin, g_resume), 0), 2)]
-
-
-def classify_sign(panel: Panel, record: HaltRecord,
-                  trend_window: int = EligibilityConfig.trend_window,
-                  ) -> EventSign:
-    """Sign of the log-price change over the window before the halt.
-
-    The change is measured from ``trend_window`` traded minutes before
-    the last pre-halt minute up to that minute; an exactly flat window
-    counts as negative.
-    """
-    if trend_window < 1:
-        raise ValueError("trend_window must be positive")
-    g_pre = record.global_pre(panel.calendar)
-    gap = _coverage_gap(*_bar_span(panel, record.stock_id),
-                        g_pre - trend_window, g_pre)
-    if gap == "calendar":
-        raise InsufficientHistory(
-            f"{record.stock_id}: trend window starts before the calendar")
-    if record.stock_id not in panel:
-        raise InsufficientHistory(f"no bars for stock {record.stock_id}")
-    if gap:
-        raise InsufficientHistory(
-            f"{record.stock_id}: trend-window endpoint outside its bars")
-    lnp = panel.log_prices(record.stock_id)
-    trend = lnp[g_pre] - lnp[g_pre - trend_window]
-    return EventSign.POSITIVE if trend > 0 else EventSign.NEGATIVE
 
 
 # what _coverage_gap reports per span, by the code it decides

@@ -155,6 +155,16 @@ def cumulative_curve(panel, records,
     return curve
 
 
+def reversal_fractions(panel, records, sign: EventSign, horizons,
+                       window: int = EligibilityConfig.pre_window):
+    """The curve stage on one group of halt ``records`` under ``sign``:
+    its window check, its horizon check, then the group's reversal
+    fraction by horizon."""
+    _, (fractions,) = _curves_and_reversals(panel, [records], [sign], window,
+                                            horizons)
+    return fractions
+
+
 def cell_fit(trajectories, fit_range: tuple[int, int] = FitConfig.fit_range):
     """The fit of the trajectories' own average, the one their bootstrap
     takes; None where fitting failed."""

@@ -63,7 +63,7 @@ def naive_cumulative_curve(panel, records, window: int = 160) -> list[float]:
     cal = panel.calendar
     per_event = []
     for rec in records:
-        g_pre = rec.global_pre(cal)
+        g_pre = rec.global_begin(cal) - 1
         g_resume = rec.global_resume(cal)
         price = panel.prices(rec.stock_id)
 
@@ -102,17 +102,18 @@ def forward_filled_prices(panel, stock_id: str) -> np.ndarray:
 
 def trend_sign(panel, record, trend_window: int = 240) -> EventSign:
     """The sign of the log-price change over the trend window, whose
-    ends are checked by looking for NaN in the filled log prices."""
+    ends are checked by looking for NaN in the log of
+    :func:`forward_filled_prices`."""
     if trend_window < 1:
         raise ValueError("trend_window must be positive")
-    g_pre = record.global_pre(panel.calendar)
+    g_pre = record.global_begin(panel.calendar) - 1
     g_from = g_pre - trend_window
     if g_from < 0:
         raise InsufficientHistory(
             f"{record.stock_id}: trend window starts before the calendar")
     if record.stock_id not in panel:
         raise InsufficientHistory(f"no bars for stock {record.stock_id}")
-    lnp = panel.log_prices(record.stock_id)
+    lnp = np.log(forward_filled_prices(panel, record.stock_id))
     trend = lnp[g_pre] - lnp[g_from]
     if np.isnan(trend):
         raise InsufficientHistory(
@@ -123,7 +124,7 @@ def trend_sign(panel, record, trend_window: int = 240) -> EventSign:
 def _has_coverage(panel, record, config) -> bool:
     if record.stock_id not in panel:
         return False
-    g_pre = record.global_pre(panel.calendar)
+    g_pre = record.global_begin(panel.calendar) - 1
     if g_pre - config.history_minutes < 0:
         return False
     try:
@@ -136,7 +137,7 @@ def _has_coverage(panel, record, config) -> bool:
 def worst_gap_fraction(real, calendar, record, config) -> float:
     """The largest share of minutes without a bar in the trend, pre,
     measure-pre and post windows, each sliced out of the stock's mask."""
-    g_pre = record.global_pre(calendar)
+    g_pre = record.global_begin(calendar) - 1
     g_resume = record.global_resume(calendar)
     windows = (
         (g_pre - config.trend_window, g_pre),
@@ -260,7 +261,7 @@ def check_return_windows(panel, rec, window: int) -> None:
     """Raise when the stock's bars do not cover ``window`` minutes up to
     the last pre-halt minute and ``window`` minutes after resumption."""
     cal = panel.calendar
-    g_pre = rec.global_pre(cal)
+    g_pre = rec.global_begin(cal) - 1
     if g_pre - window < 0:
         raise InsufficientWindow(
             f"{rec.stock_id}: return window starts before the calendar")
@@ -274,11 +275,12 @@ def check_return_windows(panel, rec, window: int) -> None:
 
 
 def reversal_move(panel, rec, k: int) -> float:
-    """Filled log-price change from the last pre-halt minute to the k-th
-    minute after resumption, each end checked by looking for NaN."""
+    """Log-price change from the last pre-halt minute to the k-th minute
+    after resumption, in the log of :func:`forward_filled_prices`, each
+    end checked by looking for NaN."""
     cal = panel.calendar
-    lnp = panel.log_prices(rec.stock_id)
-    g_pre = rec.global_pre(cal)
+    lnp = np.log(forward_filled_prices(panel, rec.stock_id))
+    g_pre = rec.global_begin(cal) - 1
     g_post = rec.global_resume(cal) + k - 1
     if g_pre < 0 or np.isnan(lnp[g_pre]):
         raise InsufficientHistory(f"{rec.stock_id}: no pre-halt bar")

@@ -24,14 +24,13 @@ from haltstudy import (
     make_calendar,
     power_law_jacobian,
     power_law_model,
-    reversal_stats,
     run_analysis,
     stability_stat,
     tabulate_counts,
     write_analysis_outputs,
 )
 from helpers import (add_stock, cumulative_curve, fit_row, halt_record,
-                     multi_halt_spec, random_walk_stock)
+                     multi_halt_spec, random_walk_stock, reversal_fractions)
 from oracles import grid_power_law, naive_cumulative_curve
 from recovery import recovery_study
 
@@ -184,8 +183,8 @@ def test_stability_and_reversal_exactness(acceptance):
         add_stock(builder3, cal3, stock_id, price=price,
                   absent=[slice(300, 360)])
         events.append(halt_record(cal3, stock_id, (1, 61), (1, 121)))
-    stats = reversal_stats(builder3.build(), events, EventSign.NEGATIVE,
-                           (1, 2))
+    stats = reversal_fractions(builder3.build(), events, EventSign.NEGATIVE,
+                               (1, 2))
     ok = stability == 0.0 and stats == {1: 0.6, 2: 0.6}
     acceptance(
         "stability_and_reversal_exactness", ok,

@@ -23,13 +23,12 @@ from haltstudy import (
     group_average,
     make_calendar,
     measure_series,
-    reversal_stats,
     stability_stat,
 )
-from haltstudy.event_study import _curves_and_reversals, _return_window_records
+from haltstudy.event_study import _curves_and_reversals
 from haltstudy.pipeline import GroupCell
 from helpers import (add_stock, cell_artifact, cumulative_curve, halt_event,
-                     halt_record, location)
+                     halt_record, location, reversal_fractions)
 
 A, V, S = (MeasureKind.ABSOLUTE_RETURN, MeasureKind.VOLUME,
            MeasureKind.BID_ASK_SPREAD)
@@ -474,11 +473,11 @@ def _reversal_fixture(moves):
 def test_reversal_fraction_counts_strict_opposites():
     moves = [10.5] * 6 + [9.5] * 3 + [10.0]
     panel, events = _reversal_fixture(moves)
-    stats = reversal_stats(panel, events, EventSign.NEGATIVE, (1, 2))
+    stats = reversal_fractions(panel, events, EventSign.NEGATIVE, (1, 2))
     assert stats == {1: 0.6, 2: 0.6}            # the flat mover never counts
     panel, events = _reversal_fixture([10.5, 9.5, 9.5, 9.5])
-    assert reversal_stats(panel, events, EventSign.POSITIVE,
-                          horizons=(1,)) == {1: 0.75}
+    assert reversal_fractions(panel, events, EventSign.POSITIVE,
+                              horizons=(1,)) == {1: 0.75}
 
 
 def test_reversal_fraction_is_scale_invariant():
@@ -493,17 +492,17 @@ def test_reversal_fraction_is_scale_invariant():
         add_stock(builder, cal, stock_id, price=2.0 * price,
                   absent=[slice(300, 360)])
         events.append(halt_record(cal, stock_id, (1, 61), (1, 121)))
-    assert reversal_stats(builder.build(), events, EventSign.NEGATIVE,
-                          (1, 2)) == {1: 0.6, 2: 0.6}
+    assert reversal_fractions(builder.build(), events, EventSign.NEGATIVE,
+                              (1, 2)) == {1: 0.6, 2: 0.6}
 
 
 def test_reversal_input_validation():
     panel, events = _reversal_fixture([10.5])
     neg = EventSign.NEGATIVE
     with pytest.raises(EmptyGroup):
-        reversal_stats(panel, [], neg, (1, 2))
+        reversal_fractions(panel, [], neg, (1, 2))
     with pytest.raises(ValueError):
-        reversal_stats(panel, events, neg, horizons=(0,))
+        reversal_fractions(panel, events, neg, horizons=(0,))
     cal = panel.calendar
 
     # an absent minute inside the bars' span carries the price before
@@ -512,24 +511,32 @@ def test_reversal_input_validation():
     price[361:] = 10.5
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", price=price, absent=[slice(300, 361)])
-    assert reversal_stats(builder.build(), events, neg, (1, 2)) == {1: 0.0,
-                                                                    2: 1.0}
+    assert reversal_fractions(builder.build(), events, neg,
+                              (1, 2)) == {1: 0.0, 2: 1.0}
     # the last pre-halt minute g=299 carries 10.6 from g=298, so the
     # move to 10.5 falls and the negative event does not reverse
     price[298] = 10.6
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", price=price,
               absent=[299, slice(300, 360)])
-    assert reversal_stats(builder.build(), events, neg, (2,)) == {2: 0.0}
-    # outside the bars' span there is nothing to carry
+    assert reversal_fractions(builder.build(), events, neg, (2,)) == {2: 0.0}
+    # past the bars' last minute there is nothing to carry: the return
+    # windows of width 0 end at the resumption g=360, the bars' last
+    # minute, and horizon 2 needs g=361
     builder = PanelBuilder(cal)
-    add_stock(builder, cal, "S00", absent=[slice(300, None)])
-    with pytest.raises(InsufficientPostWindow):
-        reversal_stats(builder.build(), events, neg, horizons=(1,))
+    add_stock(builder, cal, "S00",
+              absent=[slice(300, 360), slice(361, None)])
+    assert reversal_fractions(builder.build(), events, neg, (1,),
+                              window=0) == {1: 0.0}
+    with pytest.raises(InsufficientPostWindow,
+                       match="^S00: no bar 2 minutes after resumption$"):
+        reversal_fractions(builder.build(), events, neg, (1, 2), window=0)
+    # bars that start after the last pre-halt minute fail the return
+    # windows, which the curve stage checks first
     builder = PanelBuilder(cal)
     add_stock(builder, cal, "S00", absent=[slice(0, 360)])
-    with pytest.raises(InsufficientHistory):
-        reversal_stats(builder.build(), events, neg, horizons=(1,))
+    with pytest.raises(InsufficientWindow):
+        reversal_fractions(builder.build(), events, neg, (1,), window=0)
 
 
 # ---------------------------------------------------------------- csv output
@@ -559,12 +566,13 @@ def test_curve_csv_layout(tmp_path):
         "intraday_pos,cumulative_return,1,-0.2,0.0,1\n")
 
 
-def _outcome(call):
-    # the value of ``call()``, or the type and text of what it raised
+def _raised(call):
+    # the type and text of what ``call()`` raises, or None
     try:
-        return call()
+        call()
     except Exception as exc:
         return type(exc), str(exc)
+    return None
 
 
 @st.composite
@@ -617,26 +625,21 @@ def _same_curve(a, b):
 @settings(deadline=None)
 @given(_record_groups())
 def test_curve_stage_matches_each_group_alone(case):
-    # the shared read of every group raises what checking the groups one
-    # at a time, window check then reversals, raises first; otherwise
-    # each group's curve is bitwise its lone curve and its fractions are
-    # its reversal_stats
+    # the shared read of every group raises what the stage, given the
+    # groups one at a time, raises first; otherwise each group's curve
+    # is bitwise its lone curve and its fractions are its lone fractions
     panel, groups, signs, window, horizons = case
-    want = None
-    for group, sign in zip(groups, signs):
-        want = _outcome(lambda: _return_window_records(panel, group, window))
-        if isinstance(want, list):
-            want = _outcome(lambda: reversal_stats(panel, group, sign,
-                                                   horizons))
-        if isinstance(want, tuple):
-            break
-    got = _outcome(lambda: _curves_and_reversals(panel, groups, signs,
-                                                 window, horizons))
-    if isinstance(want, tuple):
-        assert got == want
+
+    def stage(groups, signs):
+        return _curves_and_reversals(panel, groups, signs, window, horizons)
+    want = next(filter(None, (_raised(lambda: stage([group], [sign]))
+                              for group, sign in zip(groups, signs))), None)
+    assert _raised(lambda: stage(groups, signs)) == want
+    if want is not None:
         return
-    curves, fractions = got
+    curves, fractions = stage(groups, signs)
     for group, sign, curve, got_fractions in zip(groups, signs, curves,
                                                  fractions):
-        assert _same_curve(curve, cumulative_curve(panel, group, window))
-        assert got_fractions == reversal_stats(panel, group, sign, horizons)
+        (lone_curve,), (lone_fractions,) = stage([group], [sign])
+        assert _same_curve(curve, lone_curve)
+        assert got_fractions == lone_fractions

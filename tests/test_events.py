@@ -13,14 +13,12 @@ from haltstudy import (
     HaltEvent,
     HaltRecord,
     HaltType,
-    InsufficientHistory,
     InvalidInterval,
     MalformedRow,
     PanelBuilder,
     RejectionReason,
     UnknownDay,
     classify_halt_type,
-    classify_sign,
     filter_eligibility,
     group_name,
     make_calendar,
@@ -54,7 +52,6 @@ def test_global_minute_anchors():
     rec = halt_record(CAL12, "A", (5, 61), (5, 121))
     assert rec.global_begin(CAL12) == 5 * 240 + 60
     assert rec.global_resume(CAL12) == 5 * 240 + 120
-    assert rec.global_pre(CAL12) == 5 * 240 + 59
 
 
 def test_group_name():
@@ -91,6 +88,14 @@ def test_classify_halt_type_rejects_record_off_calendar():
 # ---------------------------------------------------------------- sign
 
 
+def _sign(panel, rec, trend_window=EligibilityConfig.trend_window):
+    # the sign eligibility gives the record; None where its history is
+    # not covered
+    ev, = filter_eligibility([rec], panel,
+                             EligibilityConfig(trend_window=trend_window))
+    return ev.sign
+
+
 def _sign_panel(p_from, p_pre):
     # three days, constant elsewhere; trend endpoints planted explicitly
     cal = make_calendar(3)
@@ -102,21 +107,21 @@ def _sign_panel(p_from, p_pre):
     return cal, builder.build()
 
 
-def test_classify_sign_directions():
+def test_sign_directions():
     cal, up = _sign_panel(10.0, 10.5)
     rec = halt_record(cal, "A", (2, 61), (2, 121))
-    assert classify_sign(up, rec) is EventSign.POSITIVE
+    assert _sign(up, rec) is EventSign.POSITIVE
     _, down = _sign_panel(10.5, 10.0)
-    assert classify_sign(down, rec) is EventSign.NEGATIVE
+    assert _sign(down, rec) is EventSign.NEGATIVE
 
 
-def test_classify_sign_exactly_flat_counts_as_negative():
+def test_sign_exactly_flat_counts_as_negative():
     cal, flat = _sign_panel(10.0, 10.0)
     rec = halt_record(cal, "A", (2, 61), (2, 121))
-    assert classify_sign(flat, rec) is EventSign.NEGATIVE
+    assert _sign(flat, rec) is EventSign.NEGATIVE
 
 
-def test_classify_sign_shorter_windows():
+def test_sign_shorter_windows():
     cal = make_calendar(3)
     price = np.full(cal.n_minutes, 10.0)
     price[539] = 10.5
@@ -125,11 +130,11 @@ def test_classify_sign_shorter_windows():
     add_stock(builder, cal, "A", price=price)
     panel = builder.build()
     rec = halt_record(cal, "A", (2, 61), (2, 121))
-    assert classify_sign(panel, rec, trend_window=240) is EventSign.POSITIVE
-    assert classify_sign(panel, rec, trend_window=60) is EventSign.NEGATIVE
+    assert _sign(panel, rec, trend_window=240) is EventSign.POSITIVE
+    assert _sign(panel, rec, trend_window=60) is EventSign.NEGATIVE
 
 
-def test_classify_sign_requires_history_and_endpoints():
+def test_sign_requires_history_and_endpoints():
     cal = make_calendar(3)
     builder = PanelBuilder(cal)
     # A's window starts at an absent minute after a bar at 9.0: the
@@ -142,20 +147,17 @@ def test_classify_sign_requires_history_and_endpoints():
     add_stock(builder, cal, "C", absent=[slice(0, 539 - 239)])
     panel = builder.build()
     early = halt_record(cal, "B", (0, 61), (0, 121))
-    with pytest.raises(InsufficientHistory):
-        classify_sign(panel, early)             # window leaves the calendar
+    assert _sign(panel, early) is None          # window leaves the calendar
     rec = halt_record(cal, "A", (2, 61), (2, 121))
-    assert classify_sign(panel, rec) is EventSign.POSITIVE
-    with pytest.raises(InsufficientHistory, match="endpoint"):
-        # C's first bar comes one minute after the window's start
-        classify_sign(panel, halt_record(cal, "C", (2, 61), (2, 121)))
-    with pytest.raises(InsufficientHistory):
-        classify_sign(panel, halt_record(cal, "Z", (2, 61), (2, 121)))
+    assert _sign(panel, rec) is EventSign.POSITIVE
+    # C's first bar comes one minute after the window's start
+    assert _sign(panel, halt_record(cal, "C", (2, 61), (2, 121))) is None
+    assert _sign(panel, halt_record(cal, "Z", (2, 61), (2, 121))) is None
     with pytest.raises(ValueError):
-        classify_sign(panel, rec, trend_window=0)
+        _sign(panel, rec, trend_window=0)
 
 
-def test_classify_sign_is_scale_invariant():
+def test_sign_is_scale_invariant():
     cal = make_calendar(3)
     rng = np.random.default_rng(41)
     rec = halt_record(cal, "A", (2, 61), (2, 121))
@@ -164,7 +166,7 @@ def test_classify_sign_is_scale_invariant():
         for scale in (0.1, 1.0, 37.0):
             builder = PanelBuilder(cal)
             add_stock(builder, cal, "A", price=scale * np.exp(lnp))
-            got = classify_sign(builder.build(), rec)
+            got = _sign(builder.build(), rec)
             expected = (EventSign.POSITIVE if lnp[539] - lnp[299] > 0
                         else EventSign.NEGATIVE)
             assert got is expected

@@ -24,6 +24,9 @@ REMOVED = [
     (event_study, "write_curve_csv"),
     (event_study, "_lookback_days"),
     (event_study, "_event_minutes"),
+    (event_study, "reversal_stats"),
+    (event_study, "_return_window_records"),
+    (events, "classify_sign"),
     (events, "_rejection_reason"),
     (events, "_worst_gap_fraction"),
     (market_data, "forward_fill"),
@@ -57,6 +60,7 @@ REMOVED_ATTRIBUTES = [
     (pipeline.AnalysisResult, "averages"),
     (pipeline.AnalysisResult, "excess"),
     (pipeline.AnalysisResult, "curves"),
+    (events.HaltRecord, "global_pre"),
     (event_study.EventTrajectory, "event"),
     (event_study.GroupAverage, "halt_type"),
     (event_study.GroupAverage, "sign"),
@@ -95,8 +99,6 @@ def test_event_time_stages_take_halt_records():
         haltstudy.extract_stock_trajectories).parameters) == \
         ["panel", "records", "measures", "lookback", "pre_window",
          "post_window"]
-    assert list(inspect.signature(haltstudy.reversal_stats).parameters) == \
-        ["panel", "records", "sign", "horizons"]
 
 
 def test_bootstrap_takes_the_cell_fit():

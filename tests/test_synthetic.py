@@ -7,6 +7,7 @@ import pytest
 
 from haltstudy import (
     DEFAULT_RELAXATIONS,
+    EligibilityConfig,
     EventSign,
     HaltType,
     MeasureKind,
@@ -16,8 +17,8 @@ from haltstudy import (
     SyntheticSpec,
     TradingCalendar,
     build_group_spec,
-    classify_sign,
     default_pattern,
+    filter_eligibility,
     generate_panel,
     make_calendar,
     parse_bar_file,
@@ -199,10 +200,11 @@ def test_planted_sign_is_recoverable_at_every_trend_window():
     for seed in (1, 2, 3):
         spec = build_group_spec(ALL_SIX, seed=seed)
         panel, records, truth = generate_panel(spec)
-        for rec, row in zip(records, truth.rows):
-            for window in (60, 120, 180, 240):
-                assert classify_sign(panel, rec, trend_window=window) \
-                    is row.sign
+        for window in (60, 120, 180, 240):
+            signs = {ev.record: ev.sign for ev in filter_eligibility(
+                records, panel, EligibilityConfig(trend_window=window))}
+            assert [signs[rec] for rec in records] == \
+                [row.sign for row in truth.rows]
 
 
 def test_ground_truth_rows_are_sorted():

@@ -27,17 +27,15 @@ from haltstudy import (
     PanelBuilder,
     RejectionReason,
     ZeroBaseline,
-    classify_sign,
     extract_stock_trajectories,
     filter_eligibility,
     make_calendar,
-    reversal_stats,
 )
-from haltstudy.event_study import _return_window_records
-from helpers import add_stock, cumulative_curve, halt_record, location
+from haltstudy.event_study import _curves_and_reversals
+from helpers import (add_stock, cumulative_curve, halt_record, location,
+                     reversal_fractions)
 from oracles import (check_return_windows, compute_intraday_pattern,
-                     eligibility_events, extract_trajectory, reversal_move,
-                     trend_sign)
+                     eligibility_events, extract_trajectory, reversal_move)
 from oracles import eligibility as reference_eligibility
 
 CAL = make_calendar(5)
@@ -80,10 +78,6 @@ def panel():
     return builder.build()
 
 
-def _sign(panel, stock_id, halt):
-    return classify_sign(panel, halt_record(CAL, stock_id, *halt), TREND)
-
-
 def _eligibility(panel, stock_id, halt):
     ev, = filter_eligibility([halt_record(CAL, stock_id, *halt)], panel,
                              CONFIG)
@@ -104,27 +98,13 @@ def _curve(panel, stock_id, halt, window=TREND):
 
 
 def _reversals(panel, stock_id, halt):
-    return reversal_stats(panel, [halt_record(CAL, stock_id, *halt)],
-                          EventSign.POSITIVE, HORIZONS)
+    return reversal_fractions(panel, [halt_record(CAL, stock_id, *halt)],
+                              EventSign.POSITIVE, HORIZONS, window=0)
 
 
 HISTORY = (RejectionReason.INSUFFICIENT_HISTORY, None)
 
 FAILURES = [
-    # classify_sign: the trend window ends at the last pre-halt minute
-    (_sign, "FULL", EARLY, InsufficientHistory,
-     "FULL: trend window starts before the calendar"),
-    (_sign, "GONE", EARLY, InsufficientHistory,
-     "GONE: trend window starts before the calendar"),
-    (_sign, "GONE", MAIN, InsufficientHistory, "no bars for stock GONE"),
-    (_sign, "EMPTY", MAIN, InsufficientHistory,
-     "EMPTY: trend-window endpoint outside its bars"),
-    (_sign, "LATE", MAIN, InsufficientHistory,
-     "LATE: trend-window endpoint outside its bars"),
-    (_sign, "AFTER", MAIN, InsufficientHistory,
-     "AFTER: trend-window endpoint outside its bars"),
-    (_sign, "STOPS", MAIN, InsufficientHistory,
-     "STOPS: trend-window endpoint outside its bars"),
     # filter_eligibility: history before the halt, then the post window
     (_eligibility, "FULL", EARLY, None, HISTORY),
     (_eligibility, "GONE", EARLY, None, HISTORY),
@@ -168,14 +148,19 @@ FAILURES = [
      "STOPS: bars do not cover both return windows"),
     (_curve, "FULL", LAST, InsufficientWindow,
      "FULL: bars do not cover both return windows"),
-    # reversal_stats: the last pre-halt minute, then the horizon's minute
-    (_reversals, "FULL", STARTS, InsufficientHistory,
-     "FULL: no pre-halt bar"),
-    (_reversals, "GONE", STARTS, NoData, "no bars for stock GONE"),
-    (_reversals, "GONE", MAIN, NoData, "no bars for stock GONE"),
-    (_reversals, "EMPTY", MAIN, InsufficientHistory, "EMPTY: no pre-halt bar"),
-    (_reversals, "AFTER", MAIN, InsufficientHistory, "AFTER: no pre-halt bar"),
-    (_reversals, "STOPS", MAIN, InsufficientHistory, "STOPS: no pre-halt bar"),
+    # the curve stage on return windows of width 0: the span from the
+    # last pre-halt minute to the resumption, then the horizon's minute
+    (_reversals, "FULL", STARTS, InsufficientWindow,
+     "FULL: return window starts before the calendar"),
+    (_reversals, "GONE", STARTS, InsufficientWindow,
+     "GONE: return window starts before the calendar"),
+    (_reversals, "GONE", MAIN, InsufficientWindow, "no bars for stock GONE"),
+    (_reversals, "EMPTY", MAIN, InsufficientWindow,
+     "no bars for stock EMPTY"),
+    (_reversals, "AFTER", MAIN, InsufficientWindow,
+     "AFTER: bars do not cover both return windows"),
+    (_reversals, "STOPS", MAIN, InsufficientWindow,
+     "STOPS: bars do not cover both return windows"),
     (_reversals, "SHORT", MAIN, InsufficientPostWindow,
      "SHORT: no bar 200 minutes after resumption"),
     (_reversals, "FULL", LAST, InsufficientPostWindow,
@@ -316,14 +301,13 @@ def _check_later_stages(panel, records, lookback, pre, post, curve,
     want = _first_error(records, lambda rec: _reference_trajectories(
         panel, rec, lookback, pre, post))
     assert (got if isinstance(got, tuple) else None) == want
-    got = _outcome(lambda: _return_window_records(panel, records, curve))
-    want = _first_error(records, lambda rec: check_return_windows(
+    windows = _first_error(records, lambda rec: check_return_windows(
         panel, rec, curve))
-    assert got == (want or sorted(records, key=HaltRecord.sort_key))
     for sign in EventSign:
-        got = _outcome(lambda: reversal_stats(panel, records, sign, horizons))
-        want = _outcome(lambda: _reference_reversals(panel, records, sign,
-                                                     horizons))
+        got = _outcome(lambda: _curves_and_reversals(
+            panel, [records], [sign], curve, horizons)[1][0])
+        want = windows or _outcome(lambda: _reference_reversals(
+            panel, records, sign, horizons))
         assert got == want
 
 
@@ -332,15 +316,20 @@ def _check_later_stages(panel, records, lookback, pre, post, curve,
 def test_windows_match_the_site_by_site_checks(case):
     # every stage's window verdict equals the reference's (each site
     # with its own arithmetic), and an event marked eligible passes
-    # every window check of the trajectory stage
+    # every window check of the trajectory stage; the reversals also
+    # at the horizons that end at the stock's last bar and one past it
     panel, rec, config, (pre, post, curve, horizon) = case
     ev, = filter_eligibility([rec], panel, config)
     assert (ev.rejection_reason, ev.sign) == \
         reference_eligibility(panel, rec, config)
-    assert _outcome(lambda: classify_sign(panel, rec, config.trend_window)) \
-        == _outcome(lambda: trend_sign(panel, rec, config.trend_window))
+    try:
+        edge = panel.coverage("S")[1] - rec.global_resume(panel.calendar) + 1
+    except NoData:
+        edge = 0
+    horizons = tuple(dict.fromkeys(k for k in (horizon, edge, edge + 1)
+                                   if k >= 1))
     _check_later_stages(panel, [rec], config.lookback_days, pre, post, curve,
-                        (horizon,))
+                        horizons)
     if ev.eligible:
         try:
             extract_stock_trajectories(
