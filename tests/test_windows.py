@@ -78,6 +78,19 @@ def panel():
     return builder.build()
 
 
+# the trend window is the only pre-halt window longer than a minute, so
+# its coverage alone decides the sign
+TREND_ONLY = EligibilityConfig(trend_window=TREND, lookback_days=1,
+                               pre_window=1, post_window=1,
+                               measure_pre_window=1)
+
+
+def _sign(panel, stock_id, halt):
+    ev, = filter_eligibility([halt_record(CAL, stock_id, *halt)], panel,
+                             TREND_ONLY)
+    return ev.rejection_reason, ev.sign
+
+
 def _eligibility(panel, stock_id, halt):
     ev, = filter_eligibility([halt_record(CAL, stock_id, *halt)], panel,
                              CONFIG)
@@ -105,6 +118,14 @@ def _reversals(panel, stock_id, halt):
 HISTORY = (RejectionReason.INSUFFICIENT_HISTORY, None)
 
 FAILURES = [
+    # the sign: the trend window ends at the last pre-halt minute
+    (_sign, "FULL", EARLY, None, HISTORY),
+    (_sign, "GONE", EARLY, None, HISTORY),
+    (_sign, "GONE", MAIN, None, HISTORY),
+    (_sign, "EMPTY", MAIN, None, HISTORY),
+    (_sign, "LATE", MAIN, None, HISTORY),
+    (_sign, "AFTER", MAIN, None, HISTORY),
+    (_sign, "STOPS", MAIN, None, HISTORY),
     # filter_eligibility: history before the halt, then the post window
     (_eligibility, "FULL", EARLY, None, HISTORY),
     (_eligibility, "GONE", EARLY, None, HISTORY),
