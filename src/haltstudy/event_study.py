@@ -10,34 +10,38 @@ which removes the U-shaped intraday profile.
 Cumulative log-return curves use a wider symmetric window and are pinned
 to zero at t = 0.
 
-All averaging uses running (Welford) accumulation in sorted event order,
-so results are independent of input order and bitwise reproducible; it
-also keeps the mean of N identical series exactly equal to that series.
-Many averages are accumulated in lockstep: one update adds the next
-member to every slot of a block, such as every event and measure of a
-chunk of stocks (one lookback day at a time) or every bootstrap
-resample (one sample position at a time). Each slot still sees the same
-IEEE operations in the same order as a lone average would, so lockstep
-and one-at-a-time results are bitwise equal. One accumulator serves
-every pass: its buffers are allocated once per pass and each update is
-written into them in place. Which steps hold a missing value is decided
-once per pass, from a table of the rows that miss one, since a step
-gathers whole rows. A step without one is a subtract, a divide and an
-add; a masked step also finds and counts its observed slots and adds
-its increments only there; both give every bit of a masked update of
-every step. A chunk gathers consecutive stocks' used
-lookback days into one buffer capped in bytes, so one-event stocks
-share their mean steps; a stock whose days alone exceed the cap is a
-chunk of its own, in the buffer grown to fit it. The two passes that
-need only means, the baselines and the bootstrap resamples, run
-without the spread buffer; group averages and cumulative-return curves
-also carry the running spread for their standard errors. A stage's
-new groups share those passes: one per measure for the group averages
-and one for the curves, each group a block of consecutive rows padded
-to the largest block with one all-NaN row, which leaves every bit as
-a lone average would. The curve stage reads the records of all its
-groups once, and each stock's records read the prices of their curves
-and reversal points in one gather.
+All averaging uses running (Welford) accumulation in sorted event
+order, so results are independent of input order and bitwise
+reproducible; it also keeps the mean of N identical series exactly
+equal to that series. Many averages are accumulated in lockstep: one
+update adds the next member to every slot of a block, such as every
+event and measure of a chunk of stocks (one lookback day at a time) or
+every bootstrap resample (one sample position at a time). Each slot
+still sees the same IEEE operations in the same order as a lone
+average would, so lockstep and one-at-a-time results are bitwise
+equal. One accumulator serves every pass: its buffers are allocated
+once per pass and each update is written into them in place. Which
+steps hold a missing value is decided once per pass, from a table of
+the rows that miss one, since a step gathers whole rows. The first
+step copies its observed values; a later step without one is a
+subtract, a divide and a subtract; a masked step also finds and counts
+its observed slots and moves the means only there; both give every bit
+of a masked update of every step. A chunk gathers consecutive stocks'
+used lookback days into one buffer, and closes before a stock that
+would take those days past one byte cap or the block of its events and
+measures, which each step updates, past another; so one-event stocks
+share their mean steps, while stocks with many events keep a step's
+block in cache. A stock past either cap alone is a chunk of its own.
+The chunks are planned up front and the buffer is sized for the
+largest. The two passes that need only means, the baselines and the
+bootstrap resamples, run without the spread buffer; group averages and
+cumulative-return curves also carry the running spread for their
+standard errors. A stage's new groups share those passes: one per
+measure for the group averages and one for the curves, each group a
+block of consecutive rows padded to the largest block with one all-NaN
+row, which leaves every bit as a lone average would. The curve stage
+reads the records of all its groups once, and each stock's records
+read the prices of their curves and reversal points in one gather.
 """
 
 from __future__ import annotations
@@ -80,29 +84,33 @@ class _Welford:
 
     Slots form an array of any shape; every update is elementwise, so a
     slot's result does not depend on the other slots it shares a block
-    with. Updates add zero increments for slots where the incoming value
-    is identical to the running mean, and leave the slots where it is
-    missing untouched, so averaging N copies of one series reproduces it
-    bit for bit and its spread is exactly 0; the one exception is -0.0,
-    which the running mean (starting at +0.0) returns as +0.0. The
-    count, mask, mean, spread and step buffers are allocated once, and
-    :meth:`add` writes every update into them in place.
+    with. The first step copies the observed values, and a slot first
+    observed later takes its value bit for bit from a mean of -0.0.
+    After that, an update moves the mean by (mean - value) / n, which is
+    an exact zero where the value equals the mean, and leaves the slots
+    where the value is missing untouched, so averaging N copies of one
+    series reproduces it bit for bit, -0.0 included, and its spread is
+    exactly 0. The count, mask, mean, spread and step buffers are
+    allocated once, and :meth:`add` writes every update into them in
+    place.
 
-    The caller says whether a step holds a missing value. A step that
-    holds none is a subtract, a divide and an add: it divides by the
-    step number, or, once any step has held a gap, by the per-slot count
-    of observed values (float64, exact far beyond any member count),
-    which it raises by one. A masked step finds its observed slots,
-    counts them, and adds its increments only there. Each observed slot
-    divides by its own count either way: the same IEEE operations on
-    the same operands as a masked update of every step. Without
-    ``spread`` the accumulator runs the mean step alone, for the passes
-    that read only means.
+    The caller says whether a step holds a missing value. A step after
+    the first that holds none is a subtract, a divide and a subtract: it
+    divides by the step number, or, once any step has held a gap, by the
+    per-slot count of observed values (float64, exact far beyond any
+    member count), which it raises by one. A masked step finds its
+    observed slots, counts them, and moves the mean only there. Each
+    observed slot divides by its own count either way: the same IEEE
+    operations on the same operands as a masked update of every step.
+    Without ``spread`` the accumulator runs the mean step alone, for the
+    passes that read only means.
     """
 
     def __init__(self, shape: int | tuple[int, ...], spread: bool = True):
         self.steps = 0
-        self.mean = np.zeros(shape)
+        # -0.0 keeps the sign of a first value met after the first step:
+        # -0.0 - (-0.0 - x) / 1 is x for every x, -0.0 included
+        self.mean = np.full(shape, -0.0)
         self.m2 = np.zeros(shape) if spread else None
         # observed values per slot, kept from the first step with a gap
         self._count: np.ndarray | None = None
@@ -118,16 +126,23 @@ class _Welford:
         return self._count
 
     def add(self, values: np.ndarray, gap: bool) -> None:
-        # ``gap``: whether ``values`` holds a NaN. Where observed, with n
-        # the slot's count: delta = values - mean; mean += delta / n;
-        # m2 += delta * (values - new mean)
+        # ``gap``: whether ``values`` holds a NaN. The first step copies
+        # the observed values; after it, where observed, with n the
+        # slot's count: delta = mean - values; mean -= delta / n;
+        # m2 += delta * (new mean - values)
         delta, step = self._delta, self._step
         self.steps += 1
-        np.subtract(values, self.mean, out=delta)
         observed = True
         if gap:
             # False exactly at NaN
             observed = np.equal(values, values, out=self._observed)
+        if self.steps == 1:
+            np.copyto(self.mean, values, where=observed)
+            if gap:
+                self._count = observed.astype(float)
+            return
+        np.subtract(self.mean, values, out=delta)
+        if gap:
             if self._count is None:
                 self._count = np.add(observed, self.steps - 1.0)
             else:
@@ -138,9 +153,9 @@ class _Welford:
         else:
             divisor = np.add(self._count, 1.0, out=self._count)
         np.divide(delta, divisor, out=step)
-        np.add(self.mean, step, out=self.mean, where=observed)
+        np.subtract(self.mean, step, out=self.mean, where=observed)
         if self.m2 is not None:
-            np.subtract(values, self.mean, out=step)
+            np.subtract(self.mean, values, out=step)
             np.multiply(delta, step, out=step)
             np.add(self.m2, step, out=self.m2, where=observed)
 
@@ -352,9 +367,35 @@ def _deseasonalize_block(raw: np.ndarray,
     return values, bad
 
 
-# byte cap of the buffer that one chunk of stocks copies its lookback
-# days into; a stock whose days alone exceed it grows the buffer to fit
-_CHUNK_BYTES = 512 * 1024
+# byte caps of one baseline pass: the buffer that its chunk of stocks
+# copies their used lookback days into, and the block that each of its
+# steps updates (every measure and event of the chunk); the second keeps
+# a step's block in cache, so stocks with many events get a pass each
+_CHUNK_BYTES = 2 * 1024 * 1024
+_STEP_BYTES = 192 * 1024
+
+
+def _plan_chunks(n_days: Sequence[int], n_events: Sequence[int],
+                 n_measures: int) -> list[tuple[int, int]]:
+    """Consecutive stocks [lo, hi) whose baselines share one pass.
+
+    A chunk closes before the stock that would take its used lookback
+    days past ``_CHUNK_BYTES`` or its step block past ``_STEP_BYTES``,
+    each day and each event a row of ``n_measures`` x MINUTES_PER_DAY
+    float64; a stock past either cap alone is a chunk of its own.
+    """
+    row_bytes = n_measures * MINUTES_PER_DAY * 8
+    chunks, lo, days, events = [], 0, 0, 0
+    for i, (d, e) in enumerate(zip(n_days, n_events)):
+        if i > lo and ((days + d) * row_bytes > _CHUNK_BYTES
+                       or (events + e) * row_bytes > _STEP_BYTES):
+            chunks.append((lo, i))
+            lo, days, events = i, 0, 0
+        days += d
+        events += e
+    if len(n_days):
+        chunks.append((lo, len(n_days)))
+    return chunks
 
 
 def extract_stock_trajectories(
@@ -375,13 +416,15 @@ def extract_stock_trajectories(
     without an observation stay NaN, an observed minute over a zero or
     undefined baseline raises ZeroBaseline, and bars that do not cover
     the window raise InsufficientHistory or InsufficientPostWindow.
-    Consecutive stocks' used lookback days are copied into one buffer of
-    at most ``_CHUNK_BYTES``, and the baselines of all their events and
-    measures are averaged in lockstep, one lookback day at a time, each
-    bitwise equal to a lone per-event average; a stock whose days alone
-    exceed the cap is a chunk of its own, in the buffer grown to fit
-    it. Work runs in sorted (stock_id, halt begin) order, then measure
-    order; the first failing (event, measure) in that order raises.
+    Consecutive stocks form chunks (:func:`_plan_chunks`), planned up
+    front: a chunk's used lookback days fit ``_CHUNK_BYTES`` and the
+    block of its events and measures fits ``_STEP_BYTES``, unless it is
+    one stock past either cap. Each chunk's days are copied into one
+    buffer, sized for the largest chunk, and the baselines of all its
+    events and measures are averaged in lockstep, one lookback day at a
+    time, each bitwise equal to a lone per-event average. Work runs in
+    sorted (stock_id, halt begin) order, then measure order; the first
+    failing (event, measure) in that order raises.
     """
     if lookback < 1:
         raise ValueError("lookback must be positive")
@@ -396,17 +439,28 @@ def extract_stock_trajectories(
     # baseline checks
     days, failure = _event_windows(panel, cols, lookback, pre_window,
                                    post_window)
-    chunk = _BaselineChunk(panel, records, measures, t, out)
-    for stock_id, a, b in cols.runs:
-        b = min(b, len(days))
-        if a >= b:
-            break
-        # global minutes of t = -pre_window..post_window
-        minutes = np.hstack([
-            cols.begin[a:b, None] - pre_window + np.arange(pre_window),
-            cols.resume[a:b, None] + np.arange(post_window + 1)])
-        chunk.add(stock_id, cols.order[a:b], days[a:b], minutes)
-    chunk.flush()
+    runs = [(stock_id, a, min(b, len(days)))
+            for stock_id, a, b in cols.runs if a < len(days)]
+    # each stock's distinct used days, sorted; np.unique's first call
+    # imports numpy.ma
+    used = []
+    for _, a, b in runs:
+        mask = np.zeros(panel.calendar.n_days, dtype=bool)
+        mask[days[a:b]] = True
+        used.append(np.flatnonzero(mask))
+    chunks = _plan_chunks([u.size for u in used], [b - a for _, a, b in runs],
+                          len(measures))
+    chunk = _BaselineChunk(panel, records, measures, t, out, max(
+        (sum(u.size for u in used[lo:hi]) for lo, hi in chunks), default=0))
+    for lo, hi in chunks:
+        for (stock_id, a, b), stock_used in zip(runs[lo:hi], used[lo:hi]):
+            # global minutes of t = -pre_window..post_window
+            minutes = np.hstack([
+                cols.begin[a:b, None] - pre_window + np.arange(pre_window),
+                cols.resume[a:b, None] + np.arange(post_window + 1)])
+            chunk.add(stock_id, cols.order[a:b], days[a:b], stock_used,
+                      minutes)
+        chunk.flush()
     if failure is not None:
         raise failure
     return out
@@ -415,39 +469,28 @@ def extract_stock_trajectories(
 class _BaselineChunk:
     """Stocks whose baselines are averaged in one lockstep pass.
 
-    :meth:`add` copies a stock's used lookback days (every measure) into
-    one buffer of ``_CHUNK_BYTES``, allocated for the first stock and
-    grown for a stock whose days alone exceed it, which then stays a
-    chunk of its own; :meth:`flush` averages every pending event's
-    baseline from it, deseasonalizes the events in stock order and
-    stores their trajectories in ``out``.
+    The buffer holds ``n_days`` lookback days of every measure, enough
+    for the largest planned chunk. :meth:`add` copies a stock's used
+    days into it after the chunk's earlier stocks; :meth:`flush`
+    averages every pending event's baseline from it, deseasonalizes the
+    events in stock order, stores their trajectories in ``out`` and
+    empties the buffer for the next chunk.
     """
 
     def __init__(self, panel: Panel, records: Sequence[HaltRecord],
-                 measures: Sequence[MeasureKind], t: np.ndarray, out: list):
+                 measures: Sequence[MeasureKind], t: np.ndarray, out: list,
+                 n_days: int):
         self.panel, self.records, self.measures = panel, records, measures
         self.t, self.out = t, out
-        self.capacity = _CHUNK_BYTES // (len(measures) * MINUTES_PER_DAY * 8)
-        self.rows = np.empty((len(measures), 0, MINUTES_PER_DAY))
+        self.rows = np.empty((len(measures), n_days, MINUTES_PER_DAY))
         self.used = 0
         # per stock: event positions, raw values, minutes, member rows
         self.pending: list = []
 
     def add(self, stock_id: str, positions: list[int], days: np.ndarray,
-            minutes: np.ndarray) -> None:
+            used: np.ndarray, minutes: np.ndarray) -> None:
+        # ``used``: the stock's distinct ``days``, sorted
         panel, n_days = self.panel, self.panel.calendar.n_days
-        # distinct days, sorted; np.unique's first call imports numpy.ma
-        used = np.zeros(n_days, dtype=bool)
-        used[days] = True
-        used = np.flatnonzero(used)
-        if self.used + used.size > self.capacity:
-            self.flush()
-        # a stock past the cap grows the buffer; it fills the buffer past
-        # the cap, so the next add flushes it as a chunk of its own
-        if self.rows.shape[1] < used.size:
-            self.rows = np.empty((len(self.measures),
-                                  max(self.capacity, used.size),
-                                  MINUTES_PER_DAY))
         block = self.rows[:, self.used:self.used + used.size]
         raw = np.empty((len(self.measures),) + minutes.shape)
         for k, measure in enumerate(self.measures):

@@ -21,11 +21,18 @@ floating-point operations:
   which makes the same BLAS call per row as the row alone (einsum,
   sum() or one GEMM over all rows round differently);
 * t**-alpha is exp(-alpha ln t), which rounds every element alike in
-  any block, where np.power's rounding follows the block's shape;
+  any block, where np.power's rounding follows the block's shape; exp
+  runs on a contiguous array, and d, ln(t) d and ln(t)^2 d are then
+  written side by side into one preallocated (rows x n x 3) array, each
+  by one elementwise multiply, which rounds alike in any layout;
 * each row keeps its own bracket and steps, and leaves the block when
   its step is below ``NEWTON_ATOL``;
 * rows are grouped by their pattern of missing points and each pattern
   is fitted on its own points, never padded.
+
+The fitter returns its rows as arrays (:func:`_fit_block`), which the
+bootstrap reads directly; :func:`_fit_rows` wraps each row for the
+group fits, which go on to its standard error and R-squared.
 """
 
 from __future__ import annotations
@@ -161,8 +168,12 @@ def _profile(log_t: np.ndarray, z: np.ndarray,
     where L = ln t and LLd = L^2 d. Where A is 0, S is flat at z.z.
     """
     decay = _decay(log_t, alpha)
-    weighted = np.stack((decay, log_t * decay, log_t * log_t * decay),
-                        axis=-1)
+    # d, L d and L^2 d side by side, written in place: each is the same
+    # multiply in any layout, and exp ran on the contiguous ``decay``
+    weighted = np.empty(decay.shape + (3,))
+    np.copyto(weighted[..., 0], decay)
+    np.multiply(log_t, decay, out=weighted[..., 1])
+    np.multiply(log_t * log_t, decay, out=weighted[..., 2])
     (p, p1, p2), (q, q1, q2) = (_row_dots(z, weighted).T,
                                 _row_dots(decay, weighted).T)
     a = np.maximum(p / q, 0.0)
@@ -185,8 +196,8 @@ def _profile_block(t: np.ndarray, z: np.ndarray) -> tuple:
     steps, or where its alpha column of the Jacobian, -A ln(t)
     t**-alpha, ends within the residuals' rounding, eps (|z| + |r|), of
     0 at every t > 1: its SSE cannot see alpha, so any alpha would do.
-    Returns per row: amplitude, alpha, SSE, Newton step count, and the
-    error it fails with (None where it fits).
+    Returns per row: amplitude, alpha, SSE and Newton step count, and
+    the errors of the rows that fail, by row position.
     """
     log_t = np.log(t)
     grid = _decay(log_t, ALPHA_GRID)
@@ -223,24 +234,22 @@ def _profile_block(t: np.ndarray, z: np.ndarray) -> tuple:
     later = t > 1
     blind = abs(log_t * model) <= _EPS * (abs(z) + abs(resid))
     blind = later.any() & blind[:, later].all(axis=1)
-    errors = []
-    for k in range(len(z)):
+    errors = {}
+    for k in np.flatnonzero(~positive | ~inside | active | blind).tolist():
         if not positive[k]:
-            errors.append(DegenerateData(
-                "no alpha gives the decay a positive amplitude"))
+            errors[k] = DegenerateData(
+                "no alpha gives the decay a positive amplitude")
         elif not inside[k]:
-            errors.append(NonConvergence(
+            errors[k] = NonConvergence(
                 f"the SSE still falls at alpha {float(alpha[k])!r}, the end "
-                "of the alpha grid"))
+                "of the alpha grid")
         elif active[k]:
-            errors.append(NonConvergence(
-                f"no convergence in {MAX_ITERATIONS} iterations"))
-        elif blind[k]:
-            errors.append(NonConvergence(
-                f"alpha {float(alpha[k])!r} leaves d/dalpha within rounding "
-                "of 0 for every t > 1"))
+            errors[k] = NonConvergence(
+                f"no convergence in {MAX_ITERATIONS} iterations")
         else:
-            errors.append(None)
+            errors[k] = NonConvergence(
+                f"alpha {float(alpha[k])!r} leaves d/dalpha within rounding "
+                "of 0 for every t > 1")
     return amplitude, alpha, sse, iterations, errors
 
 
@@ -279,38 +288,70 @@ def _fit_columns(t: np.ndarray, fit_range: tuple[int, int]) -> np.ndarray:
     return np.flatnonzero((t >= lo) & (t <= hi))
 
 
-def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
-              ) -> list[_RowFit | DegenerateData | NonConvergence]:
+def _fit_points(t: np.ndarray, values: np.ndarray,
+                fit_range: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    # t and every row of ``values`` at the points in ``fit_range``
+    columns = _fit_columns(t, fit_range)
+    return (np.asarray(t, float)[columns],
+            np.asarray(values, float)[:, columns])
+
+
+def _fit_block(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                          dict[int, DegenerateData | NonConvergence]]:
     """Fit each row of ``values`` (rows x len(t)) on the points in
-    ``fit_range``; per row, its fit or the error it fails with.
+    ``fit_range``: per row, its amplitude, alpha, SSE and Newton step
+    count, and the errors of the rows that fail, by row position (the
+    row's other entries are then not a fit).
 
     Rows are grouped by their pattern of missing points in the range and
     each pattern is fitted as one block (:func:`_profile_block`) on its
-    own points, so no row is ever padded.
+    own points, so no row is ever padded; without a missing point every
+    row is one block.
     """
-    columns = _fit_columns(t, fit_range)
     lo, hi = fit_range
-    t = np.asarray(t, float)[columns]
-    values = np.asarray(values, float)[:, columns]
+    t, values = _fit_points(t, values, fit_range)
     missing = np.isnan(values)
     patterns: dict[bytes, list[int]] = {}
-    for i, row in enumerate(missing):
-        patterns.setdefault(row.tobytes(), []).append(i)
-    out: list = [None] * len(values)
+    if missing.any():
+        for i, row in enumerate(missing):
+            patterns.setdefault(row.tobytes(), []).append(i)
+    elif len(values):
+        patterns[b""] = list(range(len(values)))
+    amplitude, alpha, sse = np.full((3, len(values)), np.nan)
+    iterations = np.zeros(len(values), dtype=int)
+    errors: dict = {}
     for members in patterns.values():
         keep = ~missing[members[0]]
         tp = t[keep]
         if tp.size < MIN_FIT_POINTS:
-            for i in members:
-                out[i] = DegenerateData(f"{tp.size} usable points in "
-                                        f"[{lo}, {hi}], need {MIN_FIT_POINTS}")
+            errors.update((i, DegenerateData(
+                f"{tp.size} usable points in [{lo}, {hi}], need "
+                f"{MIN_FIT_POINTS}")) for i in members)
             continue
-        z = np.ascontiguousarray(values[members][:, keep])
-        amplitude, alpha, sse, iterations, errors = _profile_block(tp, z)
-        for k, i in enumerate(members):
-            out[i] = errors[k] or _RowFit(
-                tp, z[k], (lo, hi), float(amplitude[k]), float(alpha[k]),
-                float(sse[k]), int(iterations[k]))
+        (amplitude[members], alpha[members], sse[members],
+         iterations[members], failed) = _profile_block(
+            tp, np.ascontiguousarray(values[members][:, keep]))
+        errors.update((members[k], exc) for k, exc in failed.items())
+    return amplitude, alpha, sse, iterations, errors
+
+
+def _fit_rows(t: np.ndarray, values: np.ndarray, fit_range: tuple[int, int],
+              ) -> list[_RowFit | DegenerateData | NonConvergence]:
+    """:func:`_fit_block` per row: its fit, with the points it used, or
+    the error it fails with."""
+    amplitude, alpha, sse, iterations, errors = _fit_block(t, values,
+                                                           fit_range)
+    t, values = _fit_points(t, values, fit_range)
+    out: list = []
+    for k, row in enumerate(values):
+        if k in errors:
+            out.append(errors[k])
+            continue
+        keep = ~np.isnan(row)
+        out.append(_RowFit(t[keep], row[keep], tuple(fit_range),
+                           float(amplitude[k]), float(alpha[k]),
+                           float(sse[k]), int(iterations[k])))
     return out
 
 
@@ -341,9 +382,9 @@ def bootstrap_alpha_stderr(trajectories: Sequence[EventTrajectory],
         0, len(trajs), size=(n_resamples, len(trajs)))
     columns = _fit_columns(trajs[0].t, fit.fit_range)
     excess = resampled_means(trajs, indices, columns) - 1.0
-    alphas = [row.alpha for row in _fit_rows(trajs[0].t[columns], excess,
-                                             fit.fit_range)
-              if isinstance(row, _RowFit)]
+    _, alpha, _, _, errors = _fit_block(trajs[0].t[columns], excess,
+                                        fit.fit_range)
+    alphas = np.delete(alpha, list(errors)).tolist()
     mean = m2 = 0.0
     for count, alpha in enumerate(alphas, 1):
         delta = alpha - mean

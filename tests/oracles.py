@@ -88,16 +88,18 @@ def forward_filled_prices(panel, stock_id: str) -> np.ndarray:
     """Last prices carried forward minute by minute: every minute from
     the stock's first bar to its last holds the price of the last bar at
     or before it; the minutes outside that span are NaN."""
-    price = panel.prices(stock_id)
     present = panel.present_mask(stock_id)
-    out = np.full(price.size, np.nan)
     bars = np.flatnonzero(present)
-    carried = np.nan
+    # Python floats and bools, which a per-minute loop reads faster than
+    # numpy scalars
+    price, present = panel.prices(stock_id).tolist(), present.tolist()
+    out = [math.nan] * len(price)
+    carried = math.nan
     for g in range(bars[0], bars[-1] + 1) if bars.size else ():
         if present[g]:
             carried = price[g]
         out[g] = carried
-    return out
+    return np.array(out)
 
 
 def trend_sign(panel, record, trend_window: int = 240) -> EventSign:
@@ -347,24 +349,38 @@ def group_average(trajectories) -> GroupAverage:
 
 def masked_welford_add(acc, values) -> None:
     """One Welford update of ``acc`` (anything holding writable ``n``,
-    ``mean`` and ``m2`` arrays), counting the observed slots
-    with a masked scatter and allocating fresh temporaries: the update
-    the library's buffered accumulator must reproduce bit for bit."""
+    ``mean`` and ``m2`` arrays and a ``steps`` count, see
+    :func:`new_masked_welford`), counting the observed slots with a
+    masked scatter and allocating fresh temporaries: the update the
+    library's buffered accumulator must reproduce bit for bit. The first
+    update copies its observed values; a later one moves each observed
+    slot's mean by (mean - value) / n, from -0.0 in a slot not yet
+    observed, and adds (mean - value) (new mean - value) to its m2."""
     ok = ~np.isnan(values)
     acc.n[ok] += 1
-    delta = np.where(ok, values - acc.mean, 0.0)
-    acc.mean += delta / np.maximum(acc.n, 1)
-    delta2 = np.where(ok, values - acc.mean, 0.0)
+    acc.steps += 1
+    if acc.steps == 1:
+        acc.mean[ok] = values[ok]
+        return
+    delta = np.where(ok, acc.mean - values, 0.0)
+    acc.mean -= delta / np.maximum(acc.n, 1)
+    delta2 = np.where(ok, acc.mean - values, 0.0)
     acc.m2 += delta * delta2
+
+
+def new_masked_welford(shape) -> SimpleNamespace:
+    """Zero counts and spreads, means of -0.0 and no step taken yet: the
+    state :func:`masked_welford_add` starts from."""
+    return SimpleNamespace(n=np.zeros(shape), mean=np.full(shape, -0.0),
+                           m2=np.zeros(shape), steps=0)
 
 
 def masked_welford(shape, blocks: Iterable[np.ndarray]) -> SimpleNamespace:
     """Counts, means, ``m2`` and standard errors after adding every block
-    of ``shape`` in turn by :func:`masked_welford_add` to zero arrays
-    that count the observed values per slot; a slot observed less than
-    twice has a NaN standard error, one never observed a NaN mean."""
-    acc = SimpleNamespace(n=np.zeros(shape), mean=np.zeros(shape),
-                          m2=np.zeros(shape))
+    of ``shape`` in turn by :func:`masked_welford_add` to
+    :func:`new_masked_welford`; a slot observed less than twice has a
+    NaN standard error, one never observed a NaN mean."""
+    acc = new_masked_welford(shape)
     for block in blocks:
         masked_welford_add(acc, block)
     n = acc.n

@@ -8,7 +8,6 @@ same first error in the same order.
 
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ from haltstudy.powerlaw import _RowFit
 from helpers import add_stock, cell_fit, fit_row, halt_event, halt_record
 from oracles import (compute_intraday_pattern, extract_trajectory,
                      group_average as lone_group_average, lookback_days,
-                     masked_welford, masked_welford_add)
+                     masked_welford, masked_welford_add, new_masked_welford)
 
 MEASURES = tuple(MeasureKind)
 
@@ -198,25 +197,70 @@ def _stock_row_bytes(panel, events, lookback):
             for s, d in per_stock.items()}
 
 
-@pytest.mark.parametrize("cap", ["zero", "one_stock", "every_stock"])
-def test_chunked_baselines_match_per_event_reference(mixed_panel, monkeypatch,
-                                                     cap):
+@pytest.fixture(scope="module")
+def mixed_reference(mixed_panel):
+    # the per-event reference of every event of ``mixed_panel``, reversed
     panel, events = mixed_panel
-    sizes = _stock_row_bytes(panel, events, 40)
-    monkeypatch.setattr(event_study, "_CHUNK_BYTES", {
-        "zero": 0, "one_stock": sizes["ONE"],
-        "every_stock": sum(sizes.values())}[cap])
     shuffled = events[::-1]
+    return shuffled, _reference_trajectories(panel, shuffled, MEASURES, 40,
+                                             80, 160)
+
+
+def _check_chunked(panel, shuffled, want):
     got = extract_stock_trajectories(panel, shuffled, MEASURES)
-    want = _reference_trajectories(panel, shuffled, MEASURES, 40, 80, 160)
     for ev, got_ev, want_ev in zip(shuffled, got, want):
         for m in MEASURES:
             assert got_ev[m].record is ev
             assert _same_bits(got_ev[m].values, want_ev[m].values)
+    return got
+
+
+def _planned(monkeypatch) -> list:
+    # the chunks of every _plan_chunks call, appended as it is made
+    plan, planned = event_study._plan_chunks, []
+    monkeypatch.setattr(event_study, "_plan_chunks",
+                        lambda *args: planned.append(plan(*args))
+                        or planned[-1])
+    return planned
+
+
+EVENT_BYTES = len(MEASURES) * 240 * 8
+
+
+@pytest.mark.parametrize("cap, passes", [
+    ("zero", 6), ("one_stock", 6), ("every_stock", 1), ("step_only", 3)])
+def test_chunked_baselines_match_per_event_reference(
+        mixed_panel, mixed_reference, monkeypatch, cap, passes):
+    # "step_only": every stock's days fit the buffer, but a step block
+    # holds three events, so AAA's three close a chunk, as do NAQ, NOQ
+    # and ONE's one each; PPP's two and QQQ's one share the last
+    panel, events = mixed_panel
+    sizes = _stock_row_bytes(panel, events, 40)
+    chunk_bytes, step_bytes = {
+        "zero": (0, 0), "one_stock": (sizes["ONE"], 1 << 24),
+        "every_stock": (sum(sizes.values()), len(events) * EVENT_BYTES),
+        "step_only": (sum(sizes.values()), 3 * EVENT_BYTES)}[cap]
+    monkeypatch.setattr(event_study, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(event_study, "_STEP_BYTES", step_bytes)
+    planned = _planned(monkeypatch)
+    got = _check_chunked(panel, *mixed_reference)
+    assert len(planned) == 1 and len(planned[0]) == passes
     spreads = {ev.stock_id: got_ev[MeasureKind.BID_ASK_SPREAD].values
-               for ev, got_ev in zip(shuffled, got)}
+               for ev, got_ev in zip(mixed_reference[0], got)}
     assert np.isnan(spreads["NOQ"]).all()
     assert np.isnan(spreads["NAQ"]).any() and not np.isnan(spreads["NAQ"]).all()
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 300 * EVENT_BYTES), st.integers(0, 10 * EVENT_BYTES))
+def test_any_cap_pair_matches_per_event_reference(mixed_panel,
+                                                  mixed_reference,
+                                                  chunk_bytes, step_bytes):
+    # from a pass per stock to one pass for all, split by either cap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(event_study, "_CHUNK_BYTES", chunk_bytes)
+        patch.setattr(event_study, "_STEP_BYTES", step_bytes)
+        _check_chunked(mixed_panel[0], *mixed_reference)
 
 
 # ---------------------------------------------------------------- errors
@@ -305,6 +349,7 @@ def test_error_order_inside_one_chunk(faulty_panel, monkeypatch, keys,
                                       measures, expected, cap):
     panel, by_key = faulty_panel
     monkeypatch.setattr(event_study, "_CHUNK_BYTES", cap)
+    monkeypatch.setattr(event_study, "_STEP_BYTES", cap)
     events = [by_key[k] for k in keys]
     want = _reference_error(panel, events, measures)
     assert type(want).__name__ == expected
@@ -585,17 +630,38 @@ def _member_stacks(draw):
 def test_buffered_accumulator_matches_masked_update(members, spread):
     shape = members.shape[1:]
     acc = _Welford(shape, spread)
-    ref = SimpleNamespace(n=np.zeros(shape, np.int64), mean=np.zeros(shape),
-                          m2=np.zeros(shape))
+    ref = new_masked_welford(shape)
     for member in members:
         acc.add(member, np.isnan(member).any())
         masked_welford_add(ref, member)
-    assert _same_bits(acc.counts(), ref.n)
+    assert _same_bits(acc.counts(), ref.n.astype(np.int64))
     assert _same_bits(acc.mean, ref.mean)
     if spread:
         assert _same_bits(acc.m2, ref.m2)
     else:
         assert acc.m2 is None
+
+
+def test_infinite_members_match_masked_update():
+    # the first step copies its values, so a lone infinite value is its
+    # slot's mean with an m2 of 0, taking no increment inf * (inf - inf);
+    # a second value meets inf - inf and makes the mean NaN
+    members = np.array([[np.inf, -np.inf, np.nan, -0.0],
+                        [np.nan, np.inf, np.inf, np.nan],
+                        [np.inf, np.nan, 3.0, np.nan]])
+    acc, ref = _Welford(4), new_masked_welford(4)
+    with np.errstate(invalid="ignore"):
+        for k, member in enumerate(members):
+            acc.add(member, True)
+            masked_welford_add(ref, member)
+            assert _same_bits(acc.mean, ref.mean)
+            assert _same_bits(acc.m2, ref.m2)
+            if k == 0:
+                assert _same_bits(acc.means(), members[0])
+                assert np.all(acc.m2 == 0.0)
+    assert _same_bits(acc.counts(), np.array([2, 2, 2, 1]))
+    assert np.isnan(acc.means()[:3]).all()
+    assert _same_bits(acc.means()[3:], np.array([-0.0]))
 
 
 # ---------------------------------------------------------------- groups

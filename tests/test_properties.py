@@ -263,9 +263,7 @@ def test_group_average_ignores_member_order(group):
 def test_identical_members_average_to_the_member(row, n_members):
     member = np.asarray(row, float)
     avg = group_average([_trajectory(i, member) for i in range(n_members)])
-    # exact to the bit, except that the running mean starts at +0.0, so
-    # a -0.0 member comes back as +0.0 (adding 0.0 leaves all else as is)
-    assert _same_bits(avg.mean, member + 0.0)
+    assert _same_bits(avg.mean, member)
     present = ~np.isnan(member)
     assert np.all(avg.stderr[present] == 0.0)
     assert np.all(np.isnan(avg.stderr[~present]))

@@ -367,7 +367,9 @@ def halt_sets(draw):
     # first and last bar, some days without bars, a few short gaps) or
     # none, or missing from the panel; and several halts per stock, some
     # overlapping, some over-long or flagged ST, mostly without bars
-    # inside the halt, under random windows and thresholds
+    # inside the halt, under random windows and thresholds; the reversal
+    # horizons include those that end at one drawn record's last bar and
+    # one past it
     cal = make_calendar(draw(st.integers(3, 10)))
     n = cal.n_minutes
     window = st.integers(1, 150)
@@ -407,10 +409,19 @@ def halt_sets(draw):
                   price=10.0 * np.exp(np.cumsum(rng.normal(0, 1e-3, n))),
                   volume=rng.integers(1, 5, n).astype(float), spread=0.02,
                   absent=absent)
+    panel = builder.build()
     pre, post, curve = (draw(st.integers(0, 150)) for _ in range(3))
-    horizons = tuple(draw(st.lists(st.integers(1, 300), min_size=1,
-                                   max_size=3, unique=True)))
-    return (builder.build(), draw(st.permutations(records)), config,
+    horizons = draw(st.lists(st.integers(1, 300), min_size=1, max_size=3,
+                             unique=True))
+    if records:
+        rec = draw(st.sampled_from(records))
+        try:
+            edge = panel.coverage(rec.stock_id)[1] - rec.global_resume(cal) + 1
+        except NoData:
+            edge = 0
+        horizons += [edge, edge + 1]
+    horizons = tuple(dict.fromkeys(k for k in horizons if k >= 1))
+    return (panel, draw(st.permutations(records)), config,
             (pre, post, curve, horizons))
 
 
