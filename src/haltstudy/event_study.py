@@ -10,38 +10,22 @@ which removes the U-shaped intraday profile.
 Cumulative log-return curves use a wider symmetric window and are pinned
 to zero at t = 0.
 
-All averaging uses running (Welford) accumulation in sorted event
-order, so results are independent of input order and bitwise
-reproducible; it also keeps the mean of N identical series exactly
-equal to that series. Many averages are accumulated in lockstep: one
-update adds the next member to every slot of a block, such as every
-event and measure of a chunk of stocks (one lookback day at a time) or
-every bootstrap resample (one sample position at a time). Each slot
-still sees the same IEEE operations in the same order as a lone
-average would, so lockstep and one-at-a-time results are bitwise
-equal. One accumulator serves every pass: its buffers are allocated
-once per pass and each update is written into them in place. Which
-steps hold a missing value is decided once per pass, from a table of
-the rows that miss one, since a step gathers whole rows. The first
-step copies its observed values; a later step without one is a
-subtract, a divide and a subtract; a masked step also finds and counts
-its observed slots and moves the means only there; both give every bit
-of a masked update of every step. A chunk gathers consecutive stocks'
-used lookback days into one buffer, and closes before a stock that
-would take those days past one byte cap or the block of its events and
-measures, which each step updates, past another; so one-event stocks
-share their mean steps, while stocks with many events keep a step's
-block in cache. A stock past either cap alone is a chunk of its own.
-The chunks are planned up front and the buffer is sized for the
-largest. The two passes that need only means, the baselines and the
-bootstrap resamples, run without the spread buffer; group averages and
-cumulative-return curves also carry the running spread for their
-standard errors. A stage's new groups share those passes: one per
-measure for the group averages and one for the curves, each group a
-block of consecutive rows padded to the largest block with one all-NaN
-row, which leaves every bit as a lone average would. The curve stage
-reads the records of all its groups once, and each stock's records
-read the prices of their curves and reversal points in one gather.
+The trajectory and curve stages read their records as rows of one
+record table in key order (``events._RecordColumns``): a pass builds
+it once and hands :func:`_trajectories` and :func:`_curves` the rows
+they need, and :func:`extract_stock_trajectories` and
+:func:`_curves_and_reversals` run the same code on a table of their own
+records. Each stock's arrays are read once for all of its rows.
+
+All averaging uses running (Welford) accumulation in key order, so
+results are independent of input order and bitwise reproducible, and N
+identical series average to that series exactly. Many averages run in
+lockstep (:func:`_lockstep_welford`): the baselines of every event and
+measure of a chunk of stocks (:func:`_plan_chunks`), every bootstrap
+resample, and every new group of a stage, each group a block padded to
+the largest with one all-NaN row. Each slot sees the same IEEE
+operations in the same order as a lone average would (:class:`_Welford`
+says how), so lockstep and one-at-a-time results are bitwise equal.
 """
 
 from __future__ import annotations
@@ -329,9 +313,8 @@ def _event_windows(panel: Panel, cols: _RecordColumns, lookback: int,
             f"{rec.stock_id}: {prior[n]} active days before "
             f"{rec.halt_day}, need {lookback}")
     if n:
-        begin, resume = cols.begin[:n], cols.resume[:n]
-        first, last = cols.bar_spans(panel)
-        gap = _coverage_gap(first[:n], last[:n], begin - pre_window,
+        begin, resume, last = cols.begin[:n], cols.resume[:n], cols.last[:n]
+        gap = _coverage_gap(cols.first[:n], last, begin - pre_window,
                             resume + post_window, pre_window=pre_window,
                             post_window=post_window)
         # a stock without bars has no active days, so "bars" never
@@ -406,8 +389,8 @@ def extract_stock_trajectories(
         post_window: int = EligibilityConfig.post_window,
 ) -> list[dict[MeasureKind, EventTrajectory]]:
     """Deseasonalized series over t = -pre_window..post_window, per halt
-    record (aligned with ``records``) and measure: the one trajectory
-    path, run once per analysis over every eligible event's record.
+    record (aligned with ``records``) and measure: :func:`_trajectories`,
+    the one trajectory path, on a record table of their own.
 
     A baseline is the per-intraday-minute mean over the ``lookback``
     most recent days before the halt day on which the stock traded
@@ -416,13 +399,10 @@ def extract_stock_trajectories(
     without an observation stay NaN, an observed minute over a zero or
     undefined baseline raises ZeroBaseline, and bars that do not cover
     the window raise InsufficientHistory or InsufficientPostWindow.
-    Consecutive stocks form chunks (:func:`_plan_chunks`), planned up
-    front: a chunk's used lookback days fit ``_CHUNK_BYTES`` and the
-    block of its events and measures fits ``_STEP_BYTES``, unless it is
-    one stock past either cap. Each chunk's days are copied into one
-    buffer, sized for the largest chunk, and the baselines of all its
-    events and measures are averaged in lockstep, one lookback day at a
-    time, each bitwise equal to a lone per-event average. Work runs in
+    Consecutive stocks share baseline passes, planned up front
+    (:func:`_plan_chunks`) and averaged in lockstep one lookback day at a
+    time (:class:`_BaselineChunk`), each baseline bitwise equal to a
+    lone per-event average. Work runs in
     sorted (stock_id, halt begin) order, then measure order; the first
     failing (event, measure) in that order raises.
     """
@@ -430,10 +410,21 @@ def extract_stock_trajectories(
         raise ValueError("lookback must be positive")
     if not measures:
         raise ValueError("need at least one measure")
-    cols = _RecordColumns(records, panel.calendar)
+    cols = _RecordColumns(records, panel)
+    got = _trajectories(panel, cols, measures, lookback, pre_window,
+                        post_window)
+    return [got[row] for row in np.argsort(cols.order).tolist()]
+
+
+def _trajectories(panel: Panel, cols: _RecordColumns,
+                  measures: Sequence[MeasureKind], lookback: int,
+                  pre_window: int, post_window: int,
+                  ) -> list[dict[MeasureKind, EventTrajectory]]:
+    """The trajectories of :func:`extract_stock_trajectories` for the
+    records of ``cols``, by row."""
     t = np.arange(-pre_window, post_window + 1)
     t.setflags(write=False)
-    out: list = [None] * len(records)
+    out: list = []
     # the first record failing its window checks ends the pass; its error
     # is raised only after the records before it have passed their
     # baseline checks
@@ -450,7 +441,7 @@ def extract_stock_trajectories(
         used.append(np.flatnonzero(mask))
     chunks = _plan_chunks([u.size for u in used], [b - a for _, a, b in runs],
                           len(measures))
-    chunk = _BaselineChunk(panel, records, measures, t, out, max(
+    chunk = _BaselineChunk(panel, cols.records, measures, t, out, max(
         (sum(u.size for u in used[lo:hi]) for lo, hi in chunks), default=0))
     for lo, hi in chunks:
         for (stock_id, a, b), stock_used in zip(runs[lo:hi], used[lo:hi]):
@@ -458,8 +449,7 @@ def extract_stock_trajectories(
             minutes = np.hstack([
                 cols.begin[a:b, None] - pre_window + np.arange(pre_window),
                 cols.resume[a:b, None] + np.arange(post_window + 1)])
-            chunk.add(stock_id, cols.order[a:b], days[a:b], stock_used,
-                      minutes)
+            chunk.add(stock_id, days[a:b], stock_used, minutes)
         chunk.flush()
     if failure is not None:
         raise failure
@@ -473,8 +463,9 @@ class _BaselineChunk:
     for the largest planned chunk. :meth:`add` copies a stock's used
     days into it after the chunk's earlier stocks; :meth:`flush`
     averages every pending event's baseline from it, deseasonalizes the
-    events in stock order, stores their trajectories in ``out`` and
-    empties the buffer for the next chunk.
+    events in stock order, appends their trajectories to ``out`` (the
+    trajectories of the rows before them) and empties the buffer for the
+    next chunk.
     """
 
     def __init__(self, panel: Panel, records: Sequence[HaltRecord],
@@ -484,11 +475,11 @@ class _BaselineChunk:
         self.t, self.out = t, out
         self.rows = np.empty((len(measures), n_days, MINUTES_PER_DAY))
         self.used = 0
-        # per stock: event positions, raw values, minutes, member rows
+        # per stock: raw values, minutes, member rows
         self.pending: list = []
 
-    def add(self, stock_id: str, positions: list[int], days: np.ndarray,
-            used: np.ndarray, minutes: np.ndarray) -> None:
+    def add(self, stock_id: str, days: np.ndarray, used: np.ndarray,
+            minutes: np.ndarray) -> None:
         # ``used``: the stock's distinct ``days``, sorted
         panel, n_days = self.panel, self.panel.calendar.n_days
         block = self.rows[:, self.used:self.used + used.size]
@@ -498,7 +489,7 @@ class _BaselineChunk:
             np.take(series, minutes, out=raw[k], mode="clip")
             np.take(series.reshape(n_days, MINUTES_PER_DAY), used, axis=0,
                     out=block[k], mode="clip")
-        self.pending.append((positions, raw, minutes,
+        self.pending.append((raw, minutes,
                              self.used + np.searchsorted(used, days)))
         self.used += used.size
 
@@ -506,26 +497,27 @@ class _BaselineChunk:
         # rows past ``used`` are stale, but no member points at them
         if not self.pending:
             return
-        runs, raw, minutes, members = zip(*self.pending)
-        positions = [i for run in runs for i in run]
+        raw, minutes, members = zip(*self.pending)
+        minutes = np.concatenate(minutes)
         pattern = _lockstep_welford(self.rows, np.concatenate(members),
                                     spread=False).means()
         values, bad = _deseasonalize_block(
             np.concatenate(raw, axis=1),
-            pattern[:, np.arange(len(positions))[:, None],
-                    np.concatenate(minutes) % MINUTES_PER_DAY])
+            pattern[:, np.arange(len(minutes))[:, None],
+                    minutes % MINUTES_PER_DAY])
         # per (event, measure): does an observed minute lack a baseline;
         # the first failing pair in event, then measure, order raises
         failed = bad.any(axis=-1).T
         e, k = divmod(int(failed.argmax()), len(self.measures))
+        records = self.records[len(self.out):len(self.out) + len(minutes)]
         if failed[e, k]:
             raise ZeroBaseline(
-                f"{self.records[positions[e]].stock_id}: unusable baseline "
+                f"{records[e].stock_id}: unusable baseline "
                 f"at event minute {int(self.t[bad[k, e]][0])}")
-        for e, i in enumerate(positions):
-            self.out[i] = {measure: EventTrajectory(self.records[i], measure,
-                                                    self.t, values[k, e])
-                           for k, measure in enumerate(self.measures)}
+        self.out.extend({measure: EventTrajectory(rec, measure, self.t,
+                                                  values[k, e])
+                         for k, measure in enumerate(self.measures)}
+                        for e, rec in enumerate(records))
         self.pending = []
         self.used = 0
 
@@ -616,35 +608,11 @@ def resampled_means(trajectories: Sequence[EventTrajectory],
     return _lockstep_welford(rows, members, spread=False).means()
 
 
-class _GroupColumns:
-    """Groups of halt records held as one :class:`_RecordColumns`, with
-    each record's stock's bar span: what the return-window check, the
-    reversal fractions and the curve pass read, once per stage call.
-    ``members[b]`` are group b's positions in ``cols``, in key order.
-    """
-
-    def __init__(self, panel: Panel, groups: Sequence[Sequence[HaltRecord]]):
-        sizes = [len(group) for group in groups]
-        self.cols = _RecordColumns([rec for group in groups for rec in group],
-                                   panel.calendar)
-        self.first, self.last = self.cols.bar_spans(panel)
-        group = np.repeat(np.arange(len(sizes)), sizes)[self.cols.order]
-        self.members = np.split(np.argsort(group, kind="stable"),
-                                np.cumsum(sizes)[:-1]) if sizes else []
-
-    def reversal_points(self, horizons: Sequence[int]) -> np.ndarray:
-        # per record, the last pre-halt minute, then the minute of each
-        # horizon after resumption
-        return np.column_stack([
-            self.cols.begin - 1,
-            self.cols.resume[:, None] + np.array(horizons, np.int64) - 1])
-
-
-def _check_return_windows(groups: _GroupColumns, b: int, window: int) -> None:
-    # whether group b's bars cover both return windows, in one call; the
-    # first failing record in key order raises
-    cols, sel = groups.cols, groups.members[b]
-    gap = _coverage_gap(groups.first[sel], groups.last[sel],
+def _check_return_windows(cols: _RecordColumns, sel: np.ndarray,
+                          window: int) -> None:
+    # whether the bars of the records at ``sel`` cover both return
+    # windows, in one call; the first failing record in key order raises
+    gap = _coverage_gap(cols.first[sel], cols.last[sel],
                         cols.begin[sel] - 1 - window, cols.resume[sel] + window,
                         window=window)
     bad = np.flatnonzero(gap != "")
@@ -659,23 +627,22 @@ def _check_return_windows(groups: _GroupColumns, b: int, window: int) -> None:
             f"{rec.stock_id}: bars do not cover both return windows")
 
 
-def _check_reversals(groups: _GroupColumns, b: int, points: np.ndarray,
-                     horizons: Sequence[int]) -> None:
-    # horizon by horizon, the first record of group b whose bars end
+def _check_reversals(cols: _RecordColumns, sel: np.ndarray,
+                     points: np.ndarray, horizons: Sequence[int]) -> None:
+    # horizon by horizon, the first record at ``sel`` whose bars end
     # before the horizon's point raises; ``points`` are every record's
     # reversal points, and the return-window check has already found
     # every record's bars to cover its last pre-halt minute
-    sel = groups.members[b]
     if not sel.size:
         raise EmptyGroup("no events")
-    short = points[sel, 1:] > groups.last[sel, None]
+    short = points[sel, 1:] > cols.last[sel, None]
     for j, k in enumerate(horizons):
         if k < 1:
             raise ValueError(f"horizon must be positive, got {k}")
         failed = np.flatnonzero(short[:, j])
         if failed.size:
             raise InsufficientPostWindow(
-                f"{groups.cols.records[sel[failed[0]]].stock_id}: "
+                f"{cols.records[sel[failed[0]]].stock_id}: "
                 f"no bar {k} minutes after resumption")
 
 
@@ -695,18 +662,35 @@ def _curves_and_reversals(panel: Panel,
                           ) -> tuple[list[CumulativeReturnCurve],
                                      list[dict[int, float]]]:
     """Per group of records, its cumulative-return curve over
-    t = -window..window and its reversal fractions under its sign.
+    t = -window..window and its reversal fractions under its sign:
+    :func:`_curves` on a record table of their own."""
+    if not groups:
+        return [], []
+    cols = _RecordColumns([rec for group in groups for rec in group], panel)
+    # each group's rows: those of its records, in the order given
+    rows = np.split(np.argsort(cols.order),
+                    np.cumsum([len(group) for group in groups])[:-1])
+    return _curves(panel, cols, [np.sort(part) for part in rows], signs,
+                   window, horizons)
 
-    The records of every group are read once, as one
-    :class:`_GroupColumns`. Group by group, in order, its return
-    windows are checked, then its reversal horizons, so the first
-    failing group raises. Covered return windows hold every record's
-    last pre-halt minute, so the horizons fail only when a group is
-    empty (EmptyGroup), a horizon is below 1 (ValueError) or, horizon
-    by horizon, a record's bars end before its horizon's minute
-    (InsufficientPostWindow). Then each stock's records read their
-    prices at the curve minutes and the reversal points in one gather,
-    and one lockstep pass averages every curve.
+
+def _curves(panel: Panel, table: _RecordColumns,
+            groups: Sequence[Sequence[int]], signs: Sequence[EventSign],
+            window: int, horizons: Sequence[int],
+            ) -> tuple[list[CumulativeReturnCurve], list[dict[int, float]]]:
+    """Per group of the table's rows (ascending, and no row in two
+    groups), its cumulative-return curve over t = -window..window and its
+    reversal fractions under its sign.
+
+    The rows of every group are read once, as one table. Group by group,
+    in order, its return windows are checked, then its reversal
+    horizons, so the first failing group raises. Covered return windows
+    hold every record's last pre-halt minute, so the horizons fail only
+    when a group is empty (EmptyGroup), a horizon is below 1
+    (ValueError) or, horizon by horizon, a record's bars end before its
+    horizon's minute (InsufficientPostWindow). Then each stock's records
+    read their prices at the curve minutes and the reversal points in
+    one gather, and one lockstep pass averages every curve.
 
     For horizon k, a record's move is the forward-filled log-price
     change from its last pre-halt minute to the k-th minute after
@@ -720,14 +704,18 @@ def _curves_and_reversals(panel: Panel,
     averaged with equal weights, in key order, and its curve is then
     shifted vertically so its t = 0 value is exactly zero.
     """
-    if not groups:
-        return [], []
-    read = _GroupColumns(panel, groups)
-    points = read.reversal_points(horizons)
-    for b in range(len(groups)):
-        _check_return_windows(read, b, window)
-        _check_reversals(read, b, points, horizons)
-    cols, n, width = read.cols, len(read.cols.records), 2 * window + 1
+    read = np.sort(np.concatenate(groups)).astype(np.intp)
+    cols = table.take(read)
+    # each group's positions in ``cols``
+    members = [np.searchsorted(read, group) for group in groups]
+    # per record, the last pre-halt minute, then the minute of each
+    # horizon after resumption
+    points = np.column_stack([cols.begin - 1, cols.resume[:, None]
+                              + np.array(horizons, np.int64) - 1])
+    for sel in members:
+        _check_return_windows(cols, sel, window)
+        _check_reversals(cols, sel, points, horizons)
+    n, width = len(cols.records), 2 * window + 1
     steps = np.arange(window + 1)
     rows = np.empty((n + 1, width))
     rows[-1] = np.nan
@@ -741,17 +729,17 @@ def _curves_and_reversals(panel: Panel,
         prices[a:b] = got[:, width + 1:]
     np.cumsum(rows[:-1], axis=1, out=rows[:-1])
     # each group's rows in key order, padded with the all-NaN last row
-    members = np.full((len(groups), max(map(len, groups))), n)
-    for b, sel in enumerate(read.members):
-        members[b, :sel.size] = sel
-    acc = _lockstep_welford(rows, members)
+    padded = np.full((len(groups), max(map(len, groups))), n)
+    for b, sel in enumerate(members):
+        padded[b, :sel.size] = sel
+    acc = _lockstep_welford(rows, padded)
     mean, stderr = acc.means(), acc.stderrs()
     curves = [CumulativeReturnCurve(np.arange(-window, window + 1),
                                     mean[b] - mean[b, window], stderr[b],
-                                    len(group))
-              for b, group in enumerate(groups)]
+                                    sel.size)
+              for b, sel in enumerate(members)]
     return curves, [_reversal_fractions(prices[sel], sign, horizons)
-                    for sel, sign in zip(read.members, signs)]
+                    for sel, sign in zip(members, signs)]
 
 
 def stability_stat(curve: CumulativeReturnCurve) -> float:

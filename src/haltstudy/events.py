@@ -13,9 +13,11 @@ that did trade is rejected too: its halt never happened as recorded.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from itertools import product
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -220,39 +222,58 @@ def _active_days(panel: Panel, stock_id: str) -> np.ndarray:
 
 
 class _RecordColumns:
-    """Halt records in key order, held as columns.
+    """Halt records in key order, held as columns: the record table that a
+    pass builds once and every later stage indexes into.
 
     ``order`` gives each sorted record's position in the sequence it came
     from, ``runs`` the (stock id, start, stop) of each stock's records,
-    and ``begin`` and ``resume`` the global minutes of each halt's first
-    halted minute and of its resumption: ``begin - 1`` is the last
-    pre-halt minute and ``begin // MINUTES_PER_DAY`` the halt day.
+    ``begin`` and ``resume`` the global minutes of each halt's first
+    halted minute and of its resumption (``begin - 1`` is the last
+    pre-halt minute and ``begin // MINUTES_PER_DAY`` the halt day),
+    ``first`` and ``last`` its stock's :func:`_bar_span`, and
+    ``halt_types`` its position in HaltType. None of these depends on the
+    trend window. :meth:`take` gives the table of some of its rows.
     """
 
-    def __init__(self, records: Sequence[HaltRecord],
-                 calendar: TradingCalendar):
-        self.order = sorted(range(len(records)),
-                            key=lambda i: records[i].sort_key())
-        self.records = [records[i] for i in self.order]
+    _COLUMNS = ("order", "begin", "resume", "first", "last", "halt_types")
+
+    def __init__(self, records: Sequence[HaltRecord], panel: Panel):
+        self.order = np.array(sorted(range(len(records)),
+                                     key=lambda i: records[i].sort_key()),
+                              dtype=np.intp)
+        self.records = [records[i] for i in self.order.tolist()]
+        calendar = panel.calendar
         self.begin = np.array([r.global_begin(calendar)
                                for r in self.records], dtype=np.int64)
         self.resume = np.array([r.global_resume(calendar)
                                 for r in self.records], dtype=np.int64)
+        self._set_runs()
+        spans = [_bar_span(panel, stock_id) for stock_id, _, _ in self.runs]
+        self.first, self.last = self.per_record(
+            np.array(spans, dtype=np.int64).reshape(-1, 2)).T
+        self.halt_types = np.clip(_full_days(self.begin, self.resume), 0, 2)
+
+    def _set_runs(self) -> None:
         ids = [r.stock_id for r in self.records]
         starts = [i for i, stock_id in enumerate(ids)
                   if not i or stock_id != ids[i - 1]]
         self.runs = [(ids[start], start, stop) for start, stop
                      in zip(starts, starts[1:] + [len(ids)])]
 
+    def take(self, rows: np.ndarray) -> _RecordColumns:
+        """The table of the ascending ``rows``: still in key order, so
+        nothing is sorted or looked up again."""
+        view = copy.copy(self)
+        for name in self._COLUMNS:
+            setattr(view, name, getattr(self, name)[rows])
+        view.records = [self.records[i] for i in rows.tolist()]
+        view._set_runs()
+        return view
+
     def per_record(self, values: Sequence) -> np.ndarray:
         """One value per stock, in run order, repeated for its records."""
         return np.repeat(values, [stop - start for _, start, stop in self.runs],
                          axis=0)
-
-    def bar_spans(self, panel: Panel) -> tuple[np.ndarray, np.ndarray]:
-        """Per record, its stock's :func:`_bar_span`."""
-        spans = [_bar_span(panel, stock_id) for stock_id, _, _ in self.runs]
-        return self.per_record(np.array(spans, dtype=np.int64).reshape(-1, 2)).T
 
 
 def _successive(cols: _RecordColumns, config: EligibilityConfig,
@@ -280,8 +301,8 @@ def _gap_windows(config: EligibilityConfig) -> np.ndarray:
                      config.measure_pre_window, config.post_window])
 
 
-def _read_stocks(panel: Panel, cols: _RecordColumns, first: np.ndarray,
-                 history: np.ndarray, config: EligibilityConfig,
+def _read_stocks(panel: Panel, cols: _RecordColumns, history: np.ndarray,
+                 config: EligibilityConfig,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per record, the bars in its trend, pre, measure-pre, halt and post
     windows, its stock's active days before its halt day, and the change
@@ -291,12 +312,12 @@ def _read_stocks(panel: Panel, cols: _RecordColumns, first: np.ndarray,
     A record's span from its history's first minute through its post
     window's last, cut to the calendar, holds all five windows whenever
     the history and the post window are covered (elsewhere the counts
-    are of no use, and ``first`` is -1 for a stock without bars). One
+    are of no use, and ``cols.first`` is -1 for a stock without bars). One
     gather per stock reads the bars of its records' spans, one after
     another, and one ``reduceat`` sums each window's bars in them, so a
     stock's work and memory follow its records' spans, not the calendar.
     """
-    n = len(cols.records)
+    n, first = len(cols.records), cols.first
     begin, resume, pre = cols.begin, cols.resume, cols.begin - 1
     span_lo = np.maximum(pre - config.history_minutes, 0)
     span_hi = np.where(first < 0, span_lo, np.minimum(
@@ -356,21 +377,68 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
     ``post_window`` minutes after resumption; both members of such a
     pair are rejected. The result is sorted by (stock_id, halt begin).
 
-    The rules are decided in one array pass over the sorted records:
-    each rule is one array expression over all of them, the successive
-    scan a search over the sorted begins (:func:`_successive`), the
-    history and post windows one :func:`_coverage_gap` call each, and
-    the bar counts, active days and trend prices one read per stock
+    The rules are decided in one array pass over the sorted records
+    (:func:`_select`, which the pipeline runs on its record table): each
+    rule is one array expression over all of them, the successive scan
+    a search over the sorted begins (:func:`_successive`), the history
+    and post windows one :func:`_coverage_gap` call each, and the bar
+    counts, active days and trend prices one read per stock
     (:func:`_read_stocks`).
     """
-    cols = _RecordColumns(list(records), panel.calendar)
+    return _select(_RecordColumns(list(records), panel), panel,
+                   config).events()
+
+
+_SIGNS = (None, EventSign.POSITIVE, EventSign.NEGATIVE)
+
+
+@dataclass(frozen=True, eq=False)
+class _Selection:
+    """One trend window's classification of a record table: per row, its
+    sign (a position in ``_SIGNS``) and its verdict (a position in
+    ``reasons``, 0 for eligible)."""
+
+    table: _RecordColumns
+    signs: np.ndarray
+    verdicts: np.ndarray
+    reasons: tuple[RejectionReason | None, ...]
+
+    @property
+    def eligible(self) -> np.ndarray:
+        """The eligible records' rows, ascending."""
+        return np.flatnonzero(self.verdicts == 0)
+
+    def groups(self) -> list[tuple[HaltType, EventSign, tuple[int, ...]]]:
+        """Each (halt type, sign) group of eligible records, in
+        :func:`group_sort_key` order, with its rows, ascending."""
+        rows = self.eligible
+        codes = 2 * self.table.halt_types[rows] + self.signs[rows] - 1
+        return [(halt_type, sign, tuple(rows[codes == code].tolist()))
+                for code, (halt_type, sign)
+                in enumerate(product(HaltType, EventSign))
+                if (codes == code).any()]
+
+    def events(self) -> list[HaltEvent]:
+        """Every row as a :class:`HaltEvent`, in key order."""
+        return [HaltEvent(rec, _HALT_TYPES[halt_type], _SIGNS[sign],
+                          self.reasons[verdict])
+                for rec, halt_type, sign, verdict in zip(
+                    self.table.records, self.table.halt_types.tolist(),
+                    self.signs.tolist(), self.verdicts.tolist())]
+
+
+def _select(cols: _RecordColumns, panel: Panel,
+            config: EligibilityConfig) -> _Selection:
+    """The signs and verdicts of :func:`filter_eligibility` for the
+    records of ``cols``; only these depend on the trend window."""
     if not cols.records:
-        return []
+        none = np.zeros(0, dtype=np.intp)
+        return _Selection(cols, none, none, (None,))
     begin, resume, pre = cols.begin, cols.resume, cols.begin - 1
-    first, last = cols.bar_spans(panel)
+    first, last = cols.first, cols.last
     history = _coverage_gap(first, last, pre - config.history_minutes,
                             pre) == ""
-    counts, prior, trend = _read_stocks(panel, cols, first, history, config)
+    counts, prior, trend = _read_stocks(panel, cols, history, config)
     missing = 1.0 - counts[:, [0, 1, 2, 4]] / (_gap_windows(config) + 1)
     rules = (
         (RejectionReason.SUCCESSIVE,
@@ -392,17 +460,11 @@ def filter_eligibility(records: Iterable[HaltRecord], panel: Panel,
     )
     verdicts = np.select([failed for _, failed in rules],
                          list(range(1, len(rules) + 1)), 0)
-    reasons = (None, *(reason for reason, _ in rules))
     # a sign only where the history is covered; an exactly flat trend
     # window counts as negative
     signs = np.where(history, np.where(trend > 0, 1, 2), 0)
-    labels = (None, EventSign.POSITIVE, EventSign.NEGATIVE)
-    halt_types = np.clip(_full_days(begin, resume), 0, 2)
-    return [HaltEvent(rec, _HALT_TYPES[halt_type], labels[sign],
-                      reasons[verdict])
-            for rec, halt_type, sign, verdict in zip(
-                cols.records, halt_types.tolist(), signs.tolist(),
-                verdicts.tolist())]
+    return _Selection(cols, signs, verdicts,
+                      (None, *(reason for reason, _ in rules)))
 
 
 @dataclass(frozen=True)

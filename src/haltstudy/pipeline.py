@@ -1,16 +1,19 @@
 """End-to-end analysis: filter, deseasonalize, average, fit, report.
 
 :func:`run_windows` is one staged pass over one or more trend windows,
-and :func:`run_analysis` its one-window case. Per window it runs
-:func:`select_events` (classify, filter), the only stage the trend
-window reaches, then :func:`average_groups` (trajectories, one lockstep
-pass per chunk of stocks, and group averages),
-:func:`add_curves_and_reversals` and :func:`fit_groups` (fits and
-bootstrap errors), each only when an artifact to be written reads it.
-A pass extracts each event's trajectories once, and builds each group
-cell once per distinct membership: a window whose cell has the members
-of an earlier window's reuses it whole, with its averages, curve,
-reversal fractions, fit rows, bootstrap results and rendered rows.
+and :func:`run_analysis` its one-window case. A pass builds one record
+table of its halt records (``events._RecordColumns``), and every stage
+indexes into it. Per window, selection (``events._select``), the only
+stage the trend window reaches, gives each row its sign and verdict;
+then :func:`average_groups` (trajectories, one lockstep pass per chunk
+of stocks, and group averages), :func:`add_curves_and_reversals` and
+:func:`fit_groups` (fits and bootstrap errors) run, each only when an
+artifact to be written reads it. The eligible set and each group cell
+are ascending arrays of table rows. A pass extracts each row's
+trajectories once, and builds each group cell once per distinct
+membership: a window whose cell has the rows of an earlier window's
+reuses it whole, with its averages, curve, reversal fractions, fit
+rows, bootstrap results and rendered rows.
 Work runs in one thread in a fixed order, groups in
 :func:`group_sort_key` order, so reruns are bitwise identical. Each
 output file has one writer here: the table behind
@@ -44,8 +47,10 @@ from .events import (
     HaltEvent,
     HaltRecord,
     HaltType,
+    _RecordColumns,
     _record_fields,
-    filter_eligibility,
+    _select,
+    _Selection,
     group_name,
     group_sort_key,
     tabulate_counts,
@@ -57,8 +62,8 @@ from .event_study import (
     EventTrajectory,
     GroupAverage,
     MeasureKind,
-    _curves_and_reversals,
-    extract_stock_trajectories,
+    _curves,
+    _trajectories,
     group_average,  # bound here for bench/tests' tracer check
     group_averages,
     stability_stat,
@@ -125,8 +130,9 @@ class AnalysisConfig:
 
 @dataclass(eq=False)
 class GroupCell:
-    """One (halt type, sign) group of eligible events' halt records, and
-    per measure their group average.
+    """One (halt type, sign) group of eligible events, as their ``rows``
+    in the pass's record ``table``, ascending, and per measure their
+    group average.
 
     The cell alone holds the group's identity; trajectories, averages
     and curves carry none. A pass builds one cell per distinct
@@ -141,7 +147,7 @@ class GroupCell:
 
     halt_type: HaltType
     sign: EventSign
-    records: tuple[HaltRecord, ...]
+    rows: tuple[int, ...]
     averages: Mapping[MeasureKind, GroupAverage]
     curve: CumulativeReturnCurve | None = None
     reversals: Mapping[int, float] | None = None
@@ -150,10 +156,16 @@ class GroupCell:
         default_factory=dict)
     texts: dict[tuple[str, MeasureKind | None], str] | None = field(
         default_factory=dict)
+    table: _RecordColumns | None = None
 
     @property
     def group(self) -> str:
         return group_name(self.halt_type, self.sign)
+
+    @cached_property
+    def records(self) -> tuple[HaltRecord, ...]:
+        """The members' halt records, in key order."""
+        return tuple(self.table.records[i] for i in self.rows)
 
     @cached_property
     def excess(self) -> dict[MeasureKind, GroupAverage]:
@@ -164,15 +176,24 @@ class GroupCell:
 class AnalysisResult:
     """All analysis products of one window, in deterministic order.
 
-    A stage that did not run leaves its products empty: a result of the
+    ``selection`` is the window's classification of the pass's record
+    table; ``events`` and ``counts`` are made from it when first read. A
+    stage that did not run leaves its products empty: a result of the
     selection stage alone has no cells, and one without the curve stage
     cells without curves, and no reversals or stability.
     """
 
-    events: tuple[HaltEvent, ...]
-    counts: CountTable
+    selection: _Selection
     cells: tuple[GroupCell, ...] = ()
     fit_rows: tuple[GroupFitRow, ...] = ()
+
+    @cached_property
+    def events(self) -> tuple[HaltEvent, ...]:
+        return tuple(self.selection.events())
+
+    @cached_property
+    def counts(self) -> CountTable:
+        return tabulate_counts(self.events)
 
     @property
     def reversals(self) -> dict[str, Mapping[int, float]]:
@@ -186,55 +207,46 @@ class AnalysisResult:
 
     @property
     def n_eligible(self) -> int:
-        return sum(1 for ev in self.events if ev.eligible)
+        return len(self.selection.eligible)
 
 
-def select_events(panel: Panel, records: Sequence[HaltRecord],
-                  config: AnalysisConfig = AnalysisConfig(),
-                  ) -> tuple[HaltEvent, ...]:
-    """Every record classified and filtered."""
-    return tuple(filter_eligibility(records, panel, config.eligibility))
+# each extracted record's trajectories by measure, by its table row
+Trajectories = dict[int, dict[MeasureKind, EventTrajectory]]
 
 
-Trajectories = dict[HaltRecord, dict[MeasureKind, EventTrajectory]]
-
-
-def average_groups(panel: Panel, events: Sequence[HaltEvent],
+def average_groups(panel: Panel, selection: _Selection,
                    config: AnalysisConfig = AnalysisConfig(),
                    trajectories: Trajectories | None = None,
                    cells: dict[tuple, GroupCell] | None = None,
                    ) -> tuple[GroupCell, ...]:
     """Group averages of the eligible events' trajectories, per group.
 
-    ``trajectories`` (by record) and ``cells`` (by halt type, sign and
-    member records) hold what earlier windows of a pass built, and take
-    what this one adds. Only records without trajectories there are
-    extracted, in one pass in sorted order; a cell with the members of
-    one there is that cell. The new cells' averages come from one
+    ``trajectories`` (by table row) and ``cells`` (by halt type, sign
+    and member rows) hold what earlier windows of a pass built, and take
+    what this one adds. Only rows without trajectories there are
+    extracted, in one pass in key order; a cell with the members of one
+    there is that cell. The new cells' averages come from one
     :func:`group_averages` call: one lockstep pass per measure.
     """
     trajectories = {} if trajectories is None else trajectories
     cells = {} if cells is None else cells
-    groups: dict[tuple[HaltType, EventSign], list[HaltRecord]] = {}
-    for ev in events:
-        if ev.eligible:
-            groups.setdefault((ev.halt_type, ev.sign), []).append(ev.record)
-    new = [rec for records in groups.values() for rec in records
-           if rec not in trajectories]
-    if new:
+    table = selection.table
+    new = np.array([row for row in selection.eligible.tolist()
+                    if row not in trajectories], dtype=np.intp)
+    if new.size:
         elig = config.eligibility
-        trajectories.update(zip(new, extract_stock_trajectories(
-            panel, new, config.measures, elig.lookback_days,
+        trajectories.update(zip(new.tolist(), _trajectories(
+            panel, table.take(new), config.measures, elig.lookback_days,
             elig.measure_pre_window, elig.post_window)))
-    keys = [(*key, tuple(groups[key]))
-            for key in sorted(groups, key=lambda k: group_sort_key(*k))]
+    keys = selection.groups()
     todo = [key for key in keys if key not in cells]
     measures = config.measures
-    averages = iter(group_averages([[trajectories[rec][m] for rec in records]
-                                    for *_, records in todo
+    averages = iter(group_averages([[trajectories[row][m] for row in rows]
+                                    for *_, rows in todo
                                     for m in measures]))
     for key in todo:
-        cells[key] = GroupCell(*key, {m: next(averages) for m in measures})
+        cells[key] = GroupCell(*key, {m: next(averages) for m in measures},
+                               table=table)
     return tuple(cells[key] for key in keys)
 
 
@@ -244,15 +256,18 @@ def add_curves_and_reversals(panel: Panel, cells: Sequence[GroupCell],
     """Give each cell that lacks them its cumulative-return curve and its
     reversal fractions.
 
-    The new cells' records are read once for all of them. Cell by cell,
-    in cell order, the curve's window checks run, then the reversals, so
-    the first failing cell raises; one lockstep pass then averages every
-    new curve.
+    The new cells' rows of their pass's table are read once for all of
+    them. Cell by cell, in cell order, the curve's window checks run,
+    then the reversals, so the first failing cell raises; one lockstep
+    pass then averages every new curve.
     """
     new = [cell for cell in cells if cell.curve is None]
-    curves, reversals = _curves_and_reversals(
-        panel, [cell.records for cell in new], [cell.sign for cell in new],
-        config.eligibility.pre_window, config.reversal_horizons)
+    if not new:
+        return
+    curves, reversals = _curves(
+        panel, new[0].table, [cell.rows for cell in new],
+        [cell.sign for cell in new], config.eligibility.pre_window,
+        config.reversal_horizons)
     for cell, curve, fractions in zip(new, curves, reversals):
         cell.curve, cell.reversals = curve, fractions
 
@@ -285,10 +300,10 @@ def fit_groups(cells: Sequence[GroupCell], trajectories: Trajectories,
     patched = []
     for i, ((cell, m), child) in enumerate(zip(ordered, children)):
         row = cell.fits[m]
-        if row.fit is not None and len(cell.records) >= 2:
+        if row.fit is not None and len(cell.rows) >= 2:
             if (m, i) not in cell.bootstraps:
                 cell.bootstraps[m, i] = bootstrap_alpha_stderr(
-                    [trajectories[rec][m] for rec in cell.records], row.fit,
+                    [trajectories[r][m] for r in cell.rows], row.fit,
                     n_resamples=config.n_bootstrap, seed=child)
             row = attach_bootstrap(row, cell.bootstraps[m, i])
         patched.append(row)
@@ -462,7 +477,8 @@ def run_windows(panel: Panel, records: Sequence[HaltRecord],
     as one staged pass; yields each window's configuration and result.
 
     ``config`` gives every other setting. Only the stages that the
-    artifacts ``names`` read run. Selection runs per window. The
+    artifacts ``names`` read run. The record table is built once, when
+    the first window starts, and selection runs per window on it. The
     trajectories of each eligible event are extracted in the first window
     that has it, and a group cell is built in the first window with its
     members; a later window reuses both (see :func:`average_groups`),
@@ -472,22 +488,25 @@ def run_windows(panel: Panel, records: Sequence[HaltRecord],
     one, and that window raises the error a lone run of it would.
     """
     stages = {stage for name in names for stage in _READS[name]}
+    table = None
     trajectories: Trajectories = {}
     cells: dict[tuple, GroupCell] = {}
     for window in windows:
         analysis = replace(config, eligibility=replace(config.eligibility,
                                                        trend_window=window))
-        events = select_events(panel, records, analysis)
+        # the records' table does not depend on the trend window
+        if table is None:
+            table = _RecordColumns(records, panel)
+        selection = _select(table, panel, analysis.eligibility)
         group_cells = fit_rows = ()
         if "cells" in stages:
-            group_cells = average_groups(panel, events, analysis,
+            group_cells = average_groups(panel, selection, analysis,
                                          trajectories, cells)
         if "curves" in stages:
             add_curves_and_reversals(panel, group_cells, analysis)
         if "fits" in stages:
             fit_rows = fit_groups(group_cells, trajectories, analysis)
-        yield analysis, AnalysisResult(events, tabulate_counts(events),
-                                       group_cells, fit_rows)
+        yield analysis, AnalysisResult(selection, group_cells, fit_rows)
     # no window is left to copy the rows, and a caller that keeps the
     # results should not keep their text
     for cell in cells.values():

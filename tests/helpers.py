@@ -23,9 +23,9 @@ from haltstudy import (
     SyntheticSpec,
     TradingCalendar,
     fit_all_groups,
+    events,
     group_average,
     market_data,
-    tabulate_counts,
     write_analysis_outputs,
 )
 from haltstudy.event_study import _curves_and_reversals
@@ -137,10 +137,25 @@ def count_bar_parses(monkeypatch) -> list:
     return calls
 
 
+
+def count_table_builds(monkeypatch) -> list:
+    """Make every build of the record table, ``events._RecordColumns``,
+    append its arguments to the returned list, then build as before."""
+    calls = []
+    build = events._RecordColumns.__init__
+
+    def spy(self, *args):
+        calls.append(args)
+        build(self, *args)
+    monkeypatch.setattr(events._RecordColumns, "__init__", spy)
+    return calls
+
+
 def cell_artifact(out_dir, name: str, cell) -> str:
     """The text of artifact ``name`` for a result of the one group cell
     ``cell``, as the pipeline writes it."""
-    result = AnalysisResult((), tabulate_counts([]), (cell,))
+    # the cell writers read no selection
+    result = AnalysisResult(None, (cell,))
     (path,) = write_analysis_outputs(result, AnalysisConfig(), out_dir, [name])
     return path.read_text()
 

@@ -1,9 +1,9 @@
 """Planted-parameter recovery: regenerate, analyse and refit synthetic
 panels, and compare the fitted exponents with the planted ones.
 
-The acceptance gates and the synthetic-generator tests run it; it goes
-through the same stages as ``run_analysis`` (``select_events``,
-``average_groups``) and fits each group average on its own.
+The acceptance gates and the synthetic-generator tests run it; it runs
+``run_analysis`` as far as the group averages and fits each group
+average on its own.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from haltstudy import (
     SyntheticSpec,
     generate_panel,
     make_excess,
+    run_analysis,
 )
-from haltstudy.pipeline import average_groups, select_events
 from helpers import fit_row
 
 
@@ -74,11 +74,10 @@ def _fit_groups_against_truth(panel: Panel, records: Sequence[HaltRecord],
                               fit_range: tuple[int, int],
                               seed: int) -> list[RecoveryRow]:
     config = AnalysisConfig(measures=tuple(measures))
-    events = select_events(panel, records, config)
     planted = {(row.record.stock_id, row.record.halt_day): row
                for row in truth.rows}
     rows = []
-    for cell in average_groups(panel, events, config):
+    for cell in run_analysis(panel, records, config, ("averages.csv",)).cells:
         truths = [planted[(rec.stock_id, rec.halt_day)]
                   for rec in cell.records]
         for measure, average in cell.averages.items():

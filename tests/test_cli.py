@@ -29,7 +29,7 @@ from haltstudy.cli import (
     resolve_config,
 )
 from haltstudy.pipeline import run_windows
-from helpers import add_stock, count_bar_parses
+from helpers import add_stock, count_bar_parses, count_table_builds
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -179,9 +179,9 @@ def _fail(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command, skipped", [
-    ("fit", ("_curves_and_reversals",)),
-    ("counts", ("extract_stock_trajectories", "group_averages",
-                "_curves_and_reversals", "fit_all_groups")),
+    ("fit", ("_curves",)),
+    ("counts", ("_trajectories", "group_averages", "_curves",
+                "fit_all_groups")),
 ])
 def test_commands_run_only_the_stages_they_write(synth_inputs, tmp_path,
                                                  monkeypatch, command,
@@ -341,14 +341,14 @@ def _count_groups(monkeypatch):
 def test_robustness_builds_each_cell_once(synth_inputs, tmp_path, capsys,
                                           monkeypatch):
     # no event changes sign, so windows 2-4 reuse every cell of window 1
-    extracted = _count_calls(monkeypatch, "extract_stock_trajectories")
+    extracted = _count_calls(monkeypatch, "_trajectories")
     averaged = _count_groups(monkeypatch)
     booted = _count_calls(monkeypatch, "bootstrap_alpha_stderr")
     rob = tmp_path / "rob"
     assert main(["robustness", *_args(synth_inputs, rob, "--bootstrap", "4")]) == 0
     assert "0 of 4 events change sign" in capsys.readouterr().out
     assert len(extracted) == 1
-    assert sorted(rec.stock_id for rec in extracted[0][1]) == \
+    assert sorted(rec.stock_id for rec in extracted[0][1].records) == \
         sorted(line.split(",")[0] for line in
                (rob / "sign_flips.csv").read_text().splitlines()[1:])
     # 2 cells x 3 measures, rather than 6 in each of 4 windows
@@ -378,7 +378,7 @@ def test_robustness_reuses_unchanged_cells_only(regroup_inputs, tmp_path,
 
 def test_reused_trajectory_joins_its_windows_cell(flip_inputs, tmp_path,
                                                   monkeypatch):
-    extracted = _count_calls(monkeypatch, "extract_stock_trajectories")
+    extracted = _count_calls(monkeypatch, "_trajectories")
     averaged = _count_groups(monkeypatch)
     panel, records = _load_inputs({
         "bars": flip_inputs / "bars.csv", "halts": flip_inputs / "halts.csv",
@@ -399,6 +399,17 @@ def test_reused_trajectory_joins_its_windows_cell(flip_inputs, tmp_path,
         assert old_flip.record is flip.record
         assert new_flip is old_flip
         assert new_flip.values is old_flip.values
+
+
+
+@pytest.mark.parametrize("command", ["run", "fit", "counts", "robustness"])
+def test_each_command_builds_one_record_table(synth_inputs, tmp_path,
+                                              monkeypatch, command):
+    # robustness runs its 4 default windows as one pass over one table
+    builds = count_table_builds(monkeypatch)
+    assert main([command, *_args(synth_inputs, tmp_path / "out",
+                                 "--bootstrap", "4")]) == 0
+    assert len(builds) == 1
 
 
 # ---------------------------------------------------------------- packed copy

@@ -29,7 +29,8 @@ from haltstudy import (
     summary_dict,
     write_analysis_outputs,
 )
-from haltstudy.pipeline import average_groups, select_events
+from haltstudy.events import _RecordColumns, _select
+from haltstudy.pipeline import average_groups
 
 ALL_SIX = {key: 1 for key in DEFAULT_RELAXATIONS}
 GROUP_ORDER = ["intraday_pos", "intraday_neg", "oneday_pos", "oneday_neg",
@@ -373,11 +374,12 @@ def _sub_panel(panel, stock_ids, new_id=None):
 
 def _trajectory_bytes(panel, records, config):
     # every eligible event's trajectories by (event, measure), as bytes
-    events = select_events(panel, records, config)
+    table = _RecordColumns(records, panel)
     trajectories = {}
-    average_groups(panel, events, config, trajectories)
-    return {(record, m): (tr.t.tobytes(), tr.values.tobytes())
-            for record, per in trajectories.items() for m, tr in per.items()}
+    average_groups(panel, _select(table, panel, config.eligibility), config,
+                   trajectories)
+    return {(table.records[row], m): (tr.t.tobytes(), tr.values.tobytes())
+            for row, per in trajectories.items() for m, tr in per.items()}
 
 
 @pytest.mark.parametrize("split", [

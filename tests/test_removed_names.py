@@ -26,6 +26,7 @@ REMOVED = [
     (event_study, "_event_minutes"),
     (event_study, "reversal_stats"),
     (event_study, "_return_window_records"),
+    (event_study, "_GroupColumns"),
     (events, "classify_sign"),
     (events, "_rejection_reason"),
     (events, "_worst_gap_fraction"),
@@ -45,6 +46,7 @@ REMOVED = [
     (powerlaw, "STEP_ATOL"),
     (powerlaw, "ALPHA_ATOL"),
     (pipeline, "curves_and_reversals"),
+    (pipeline, "select_events"),
     (synthetic, "recovery_study"),
     (synthetic, "RecoveryReport"),
     (synthetic, "RecoveryRow"),
@@ -61,6 +63,7 @@ REMOVED_ATTRIBUTES = [
     (pipeline.AnalysisResult, "excess"),
     (pipeline.AnalysisResult, "curves"),
     (events.HaltRecord, "global_pre"),
+    (events._RecordColumns, "bar_spans"),
     (event_study.EventTrajectory, "event"),
     (event_study.GroupAverage, "halt_type"),
     (event_study.GroupAverage, "sign"),

@@ -18,7 +18,8 @@ from haltstudy import (AnalysisConfig, EventSign, HaltType, build_group_spec,
 from haltstudy.cli import _parse_groups
 from haltstudy.event_study import resampled_means
 from haltstudy.events import group_sort_key
-from haltstudy.pipeline import average_groups, fit_groups, select_events
+from haltstudy.events import _RecordColumns, _select
+from haltstudy.pipeline import average_groups, fit_groups
 from haltstudy.errors import HaltStudyError
 from haltstudy.powerlaw import _fit_columns, _fit_rows, _RowFit
 from oracles import scalar_power_law_fit
@@ -50,8 +51,9 @@ def _resample_blocks(spec, config):
     from the same seed child as the run's."""
     panel, records, _ = generate_panel(spec)
     trajectories = {}
-    cells = average_groups(panel, select_events(panel, records, config),
-                           config, trajectories)
+    selection = _select(_RecordColumns(records, panel), panel,
+                        config.eligibility)
+    cells = average_groups(panel, selection, config, trajectories)
     rows = fit_groups(cells, trajectories, config)
     ordered = sorted(((cell, m) for cell in cells for m in cell.fits),
                      key=lambda p: (p[1].value,
@@ -60,7 +62,7 @@ def _resample_blocks(spec, config):
     for (cell, m), child, row in zip(ordered, children, rows):
         if row.bootstrap is None:
             continue
-        trajs = sorted((trajectories[rec][m] for rec in cell.records),
+        trajs = sorted((trajectories[row][m] for row in cell.rows),
                        key=lambda tr: tr.record.sort_key())
         indices = np.random.default_rng(child).integers(
             0, len(trajs), size=(config.n_bootstrap, len(trajs)))
